@@ -10,11 +10,8 @@
 //! mutexes. This harness constructs the contended case on purpose:
 //! many workers (oversubscribed "thieves"), one domain, a long train
 //! of tiny `parallel_for` regions so the schedule is steal-dense and
-//! every steal pays a detach (view transferal — §7 copying for sparse
-//! pages, §16 page exchange for dense ones) and an attach on return.
-//! The copied-views / exchanged-pages split rides along in the JSON so
-//! the trajectory shows how much per-view copying the exchange path
-//! displaced.
+//! every steal pays a detach (view transferal by §7 copying) and an
+//! attach on return.
 //!
 //! Two tail numbers come out of the run:
 //!
@@ -57,8 +54,6 @@ const DEFAULT_P99_MAX_NS: u64 = 4_000_000;
 struct Measured {
     transferals: u64,
     transferal_views: u64,
-    transferal_copied_views: u64,
-    transferal_exchanged_pages: u64,
     steals: u64,
     crossings: u64,
     cpu_p50: u64,
@@ -125,8 +120,6 @@ fn measure(workers: usize, n: usize, rounds: usize, spin: u64) -> Measured {
     Measured {
         transferals: ins.transferals,
         transferal_views: ins.transferal_views,
-        transferal_copied_views: ins.transferal_copied_views,
-        transferal_exchanged_pages: ins.transferal_exchanged_pages,
         steals: pool.stats().steals - steals0,
         crossings: cross.total_crossings(),
         cpu_p50: cpu.quantile_upper_bound(0.50),
@@ -178,8 +171,6 @@ fn main() -> ExitCode {
         &[
             "transferals",
             "views",
-            "copied",
-            "xchg pages",
             "steals",
             "crossings/steal",
             "cpu p50",
@@ -198,8 +189,6 @@ fn main() -> ExitCode {
     t.row(&[
         m.transferals.to_string(),
         m.transferal_views.to_string(),
-        m.transferal_copied_views.to_string(),
-        m.transferal_exchanged_pages.to_string(),
         m.steals.to_string(),
         per_steal.clone(),
         format!("{}ns", m.cpu_p50),
@@ -216,8 +205,7 @@ fn main() -> ExitCode {
         "{{\n  \"schema_version\": 1,\n  \"bench\": \"transferal_p99\",\n  \
          \"backend\": \"mmap\",\n  \"workers\": {workers},\n  \"reducers\": {n},\n  \
          \"regions\": {rounds},\n  \"steals\": {},\n  \"transferals\": {},\n  \
-         \"transferal_views\": {},\n  \"transferal_copied_views\": {},\n  \
-         \"transferal_exchanged_pages\": {},\n  \"crossings_per_steal\": {cps:.3},\n  \
+         \"transferal_views\": {},\n  \"crossings_per_steal\": {cps:.3},\n  \
          \"transferal_cpu_p50_ns\": {},\n  \"transferal_cpu_p99_ns\": {},\n  \
          \"transferal_wall_p50_ns\": {},\n  \"transferal_wall_p99_ns\": {},\n  \
          \"transferal_wall_mean_ns\": {:.0},\n  \"lookup_ns\": {lookup_ns:.3},\n  \
@@ -225,8 +213,6 @@ fn main() -> ExitCode {
         m.steals,
         m.transferals,
         m.transferal_views,
-        m.transferal_copied_views,
-        m.transferal_exchanged_pages,
         m.cpu_p50,
         m.cpu_p99,
         m.wall_p50,

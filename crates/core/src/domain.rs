@@ -57,27 +57,6 @@ pub struct DomainInner {
     /// Lock-free pool of empty public SPA maps (rebalanced with the
     /// workers' local pools in the manner of Hoard, §7 footnote 7).
     public_pool: MapPool,
-    /// Minimum `nvalid` at which `detach` exchanges a private page
-    /// wholesale (descriptor handoff + one batched remap) instead of
-    /// copying its views pair-by-pair (§7's copy path). Sparse pages
-    /// stay on the copy path because a remap crossing can cost more
-    /// than copying a couple of pairs; the default comes from the
-    /// `ablation_exchange` bench and can be pinned with the
-    /// `CILKM_EXCHANGE_THRESHOLD` env var (`0`/`none`/huge = never
-    /// exchange is spelled as `usize::MAX`).
-    // lint: allow(raw-sync, the threshold is a Relaxed-only config knob read once per detach; routing it through msync would add a recorded model op to every detach and grow checker state for zero verification value — same policy as cilkm-runtime::registry)
-    exchange_threshold: std::sync::atomic::AtomicUsize,
-}
-
-/// Default exchange threshold: the `ablation_exchange` crossover — below
-/// about this many views, pair-copying beats paying the remap crossings.
-pub const DEFAULT_EXCHANGE_THRESHOLD: usize = 8;
-
-fn exchange_threshold_from_env() -> usize {
-    match std::env::var("CILKM_EXCHANGE_THRESHOLD") {
-        Ok(v) => v.parse().unwrap_or(DEFAULT_EXCHANGE_THRESHOLD),
-        Err(_) => DEFAULT_EXCHANGE_THRESHOLD,
-    }
 }
 
 impl DomainInner {
@@ -88,26 +67,7 @@ impl DomainInner {
             registry: SlotRegistry::new(),
             arena: Arc::new(PageArena::new()),
             public_pool: MapPool::new(),
-            // lint: allow(raw-sync, Relaxed-only config knob — see the field declaration)
-            exchange_threshold: std::sync::atomic::AtomicUsize::new(exchange_threshold_from_env()),
         }
-    }
-
-    /// Current detach page-exchange threshold (`nvalid() >= K` exchanges).
-    pub fn exchange_threshold(&self) -> usize {
-        // lint: allow(raw-sync, Relaxed-only config knob — see the field declaration)
-        let order = std::sync::atomic::Ordering::Relaxed;
-        self.exchange_threshold.load(order)
-    }
-
-    /// Sets the detach page-exchange threshold for this domain: `1`
-    /// exchanges every non-empty page, `usize::MAX` restores the pure §7
-    /// copy path. Benches use this for the threshold ablation and tests
-    /// use it to force one path deterministically.
-    pub fn set_exchange_threshold(&self, k: usize) {
-        // lint: allow(raw-sync, Relaxed-only config knob — see the field declaration)
-        let order = std::sync::atomic::Ordering::Relaxed;
-        self.exchange_threshold.store(k, order);
     }
 
     /// Which mechanism this domain runs.
@@ -294,11 +254,6 @@ impl cilkm_obs::MetricsSource for DomainInner {
         out.counter("view_insertions", i.view_insertions.get());
         out.counter("transferals", i.transferals.get());
         out.counter("transferal_views", i.transferal_views.get());
-        out.counter("transferal_copied_views", i.transferal_copied_views.get());
-        out.counter(
-            "transferal_exchanged_pages",
-            i.transferal_exchanged_pages.get(),
-        );
         out.counter("merges", i.merges.get());
         out.counter("merge_pairs", i.merge_pairs.get());
         out.counter("log_overflows", i.log_overflows.get());

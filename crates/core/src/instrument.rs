@@ -55,16 +55,8 @@ pub struct Instrument {
     pub view_insertion_ns: Histogram,
     /// View transferal operations (detaches with at least the empty set).
     pub transferals: Counter,
-    /// Views transferred (copied *or* exchanged) between private and
-    /// public maps.
+    /// Views copied between private and public maps (§7).
     pub transferal_views: Counter,
-    /// Views moved by per-pair copying — the §7 copy path. The exchange
-    /// optimization exists to shrink this without shrinking
-    /// [`Instrument::transferal_views`].
-    pub transferal_copied_views: Counter,
-    /// Whole pages handed off by descriptor exchange instead of copying
-    /// (each carries its `nvalid` views for one page-table swap).
-    pub transferal_exchanged_pages: Counter,
     /// Per-transferal latency (detach and attach each contribute one
     /// sample); `.sum` is the Figure 8 transferal total.
     pub transferal_ns: Histogram,
@@ -111,8 +103,8 @@ impl Instrument {
             view_insertion_ns: self.view_insertion_ns.snapshot().sum,
             transferals: self.transferals.get(),
             transferal_views: self.transferal_views.get(),
-            transferal_copied_views: self.transferal_copied_views.get(),
-            transferal_exchanged_pages: self.transferal_exchanged_pages.get(),
+            transferal_copied_views: self.transferal_views.get(),
+            transferal_exchanged_pages: 0,
             transferal_ns: self.transferal_ns.snapshot().sum,
             merges: self.merges.get(),
             merge_pairs: self.merge_pairs.get(),
@@ -159,22 +151,11 @@ impl Instrument {
     /// the charge debits that strand's unburdened span — the span the
     /// program would have with free reducers).
     pub(crate) fn finish_transferal(&self, t: TransferalTimer) {
-        self.finish_transferal_split(t, 0);
-    }
-
-    /// Like [`Instrument::finish_transferal`], but attributes `exchange_ns`
-    /// of the wall-clock window to [`Burden::TransferalExchange`] (the
-    /// page-swap slice — batched palloc plus scattered pmap) and only the
-    /// remainder to [`Burden::Transferal`]. The two charges sum to the
-    /// whole window, so total burden is unchanged by the split.
-    pub(crate) fn finish_transferal_split(&self, t: TransferalTimer, exchange_ns: u64) {
         self.transferal_ns
             .record(thread_time_ns().saturating_sub(t.cpu0));
         let wall_ns = t.wall0.elapsed().as_nanos() as u64;
         self.transferal_fine_ns.record(wall_ns);
-        let exchange_ns = exchange_ns.min(wall_ns);
-        profile::charge(Burden::Transferal, wall_ns - exchange_ns);
-        profile::charge(Burden::TransferalExchange, exchange_ns);
+        profile::charge(Burden::Transferal, wall_ns);
     }
 
     /// Timer for the *short* per-view windows (creation, insertion):
@@ -242,11 +223,11 @@ pub struct InstrumentSnapshot {
     pub view_insertion_ns: u64,
     /// View transferal operations.
     pub transferals: u64,
-    /// Views transferred (copied or exchanged).
+    /// Views copied between private and public maps.
     pub transferal_views: u64,
-    /// Views moved by per-pair copying (the §7 copy path only).
+    /// Equal to `transferal_views`. Kept for `benchmark/src/pass.rs`; goes when a `benchmark` PR drops `core.transferal_copied_views`.
     pub transferal_copied_views: u64,
-    /// Whole pages handed off by descriptor exchange.
+    /// Always 0. Kept for `benchmark/src/pass.rs`; goes when a `benchmark` PR drops `core.transferal_exchanged_pages`.
     pub transferal_exchanged_pages: u64,
     /// Nanoseconds in view transferal.
     pub transferal_ns: u64,
@@ -272,8 +253,7 @@ impl InstrumentSnapshot {
             transferals: self.transferals - earlier.transferals,
             transferal_views: self.transferal_views - earlier.transferal_views,
             transferal_copied_views: self.transferal_copied_views - earlier.transferal_copied_views,
-            transferal_exchanged_pages: self.transferal_exchanged_pages
-                - earlier.transferal_exchanged_pages,
+            transferal_exchanged_pages: 0,
             transferal_ns: self.transferal_ns - earlier.transferal_ns,
             merges: self.merges - earlier.merges,
             merge_pairs: self.merge_pairs - earlier.merge_pairs,

@@ -18,16 +18,9 @@
 //!   the private entries as it goes, so the worker returns to work-
 //!   stealing with a provably empty private region. Public maps are
 //!   page-sized, born zeroed, and recycled through per-worker pools with
-//!   a global overflow pool, in the manner of Hoard.
-//! * **View transferal by exchange (DESIGN.md §16)** — when a private
-//!   page is dense enough (`nvalid() >= K`), detach hands the page
-//!   itself off: the descriptor leaves the region and a zeroed
-//!   replacement is swapped in with one scattered `sys_pmap`, making the
-//!   dense case O(pages) instead of O(views). §5's indirection is what
-//!   makes this sound with no pointer swizzling — the page holds only
-//!   (view, monoid) pointer pairs into the shared heap, so it already
-//!   *is* a valid public map. Sparse pages keep the §7 copy path, since
-//!   a remap crossing can cost more than copying a couple of pairs.
+//!   a global overflow pool, in the manner of Hoard. Copying is the
+//!   only transferal path; DESIGN.md §16 records why whole pages are
+//!   not remapped instead.
 //! * **Hypermerge (§7)** — sweep the view set with *fewer* views into the
 //!   one with more, reducing pairs in serial order and zeroing the swept
 //!   set, which is thereby recyclable.
@@ -81,15 +74,7 @@ pub struct MmapWorkerState {
     /// Detach output buffer, recycled across transferals (attach donates
     /// the emptied vector back) so the hot detach path never allocates
     /// its map list.
-    map_scratch: Vec<(u32, DetachedMap)>,
-    /// Page indices queued for exchange during the current detach.
-    swap_scratch: Vec<usize>,
-    /// Replacement descriptors being gathered for an exchange batch.
-    repl_scratch: Vec<PageDesc>,
-    /// The scattered-pmap plan for the current exchange batch.
-    pmap_scratch: Vec<(usize, PageDesc)>,
-    /// Exchanged pages awaiting installation during attach/merge.
-    attach_scratch: Vec<(usize, PageDesc, SpaMapRef)>,
+    map_scratch: Vec<(u32, SpaMapBox)>,
 }
 
 /// The last-lookup cache line: the key identifies one reducer slot in one
@@ -159,34 +144,11 @@ fn publish_tls(state: *mut MmapWorkerState) {
     }
 }
 
-/// One page's worth of detached views: either a public SPA map the views
-/// were copied into (§7's copying strategy), or the private page itself,
-/// handed off wholesale by descriptor exchange.
-enum DetachedMap {
-    /// Views copied pair-by-pair into a recycled public map.
-    Copied(SpaMapBox),
-    /// The occupied private page, swapped out of the region: its arena
-    /// descriptor (valid process-wide, §4) plus the accessor over it. No
-    /// swizzling is needed to treat the page as a public map, because
-    /// §5's indirection means it holds only (view, monoid) pointer pairs
-    /// into the shared heap.
-    Exchanged(PageDesc, SpaMapRef),
-}
-
-impl DetachedMap {
-    /// Accessor over the carried map, whichever representation.
-    fn as_map_ref(&self) -> SpaMapRef {
-        match self {
-            DetachedMap::Copied(b) => b.as_ref(),
-            DetachedMap::Exchanged(_, r) => *r,
-        }
-    }
-}
-
-/// A detached view set: per-page copied or exchanged maps produced by
-/// view transferal, tagged with the private page index each came from.
+/// A detached view set: the public SPA maps view transferal copied the
+/// private pages into (§7), tagged with the private page index each
+/// came from.
 pub struct MmapDetached {
-    maps: Vec<(u32, DetachedMap)>,
+    maps: Vec<(u32, SpaMapBox)>,
     count: usize,
 }
 
@@ -282,11 +244,11 @@ impl MmapWorkerState {
         self.pages[pidx]
     }
 
-    /// Retires an empty private page for reuse by `ensure_page` or the
-    /// next exchange; frees it to the arena when the cache is full. The
-    /// page may carry stale log entries (an insert/remove history never
-    /// rewinds the log), so reset its counts — with every view slot
-    /// null, that alone makes it a pristine empty map (footnote 6).
+    /// Retires an empty private page for reuse by `ensure_page`; frees
+    /// it to the arena when the cache is full. The page may carry stale
+    /// log entries (an insert/remove history never rewinds the log), so
+    /// reset its counts — with every view slot null, that alone makes it
+    /// a pristine empty map (footnote 6).
     fn retire_page(&mut self, pd: PageDesc, page: SpaMapRef) {
         debug_assert!(page.is_empty());
         page.clear_all();
@@ -297,132 +259,12 @@ impl MmapWorkerState {
         }
     }
 
-    /// Returns a consumed detached map to the recycling pools: copied
-    /// maps go back to the public-map pool, exchanged pages to the
-    /// private free-page cache (or the arena).
-    fn dispose_detached_map(&mut self, map: DetachedMap) {
-        match map {
-            DetachedMap::Copied(b) => self.recycle_map(b),
-            DetachedMap::Exchanged(pd, r) => self.retire_page(pd, r),
-        }
-    }
-
-    /// Swaps every page queued in `swap_scratch` out of the region: each
-    /// occupied descriptor leaves as [`DetachedMap::Exchanged`] and a
-    /// zeroed replacement takes its place, with one batched `sys_palloc`
-    /// for the cache misses (§4's batching argument) and one scattered
-    /// `sys_pmap` for the whole set — O(pages), independent of how many
-    /// views the pages carry. Returns the wall-clock ns of the window
-    /// (charged as [`Burden::TransferalExchange`]).
-    fn exchange_pages(&mut self, maps: &mut Vec<(u32, DetachedMap)>) -> u64 {
-        let t0 = std::time::Instant::now();
-        let need = self.swap_scratch.len();
-        debug_assert!(need != 0);
-        debug_assert!(self.repl_scratch.is_empty() && self.pmap_scratch.is_empty());
-        // Replacements: drain the prewarmed cache first, then one batched
-        // allocation for whatever is still missing.
-        while self.repl_scratch.len() < need {
-            match self.free_pages.pop() {
-                Some((pd, page)) => {
-                    debug_assert!(page.is_empty());
-                    self.repl_scratch.push(pd);
-                }
-                None => break,
-            }
-        }
-        let missing = need - self.repl_scratch.len();
-        if missing != 0 {
-            self.region
-                .arena()
-                .palloc_batch(missing, &mut self.repl_scratch);
-        }
-        for i in 0..need {
-            let pidx = self.swap_scratch[i];
-            let repl = self.repl_scratch[i];
-            let old = std::mem::replace(&mut self.descs[pidx], repl);
-            maps.push((pidx as u32, DetachedMap::Exchanged(old, self.pages[pidx])));
-            self.pmap_scratch.push((pidx, repl));
-        }
-        // One scattered remap installs every replacement (one crossing).
-        self.region.pmap_scatter(&self.pmap_scratch);
-        for i in 0..need {
-            let pidx = self.swap_scratch[i];
-            let base = self.region.page_base(pidx);
-            // SAFETY: a zeroed arena page was just mapped at `pidx` — a
-            // valid empty SPA map private to this worker. The in-place
-            // element write keeps the `pages` base address stable, so
-            // the TLS snapshot needs no republish.
-            self.pages[pidx] = unsafe { SpaMapRef::from_raw(base) };
-        }
-        self.domain
-            .instrument
-            .transferal_exchanged_pages
-            .add(need as u64);
-        self.swap_scratch.clear();
-        self.repl_scratch.clear();
-        self.pmap_scratch.clear();
-        t0.elapsed().as_nanos() as u64
-    }
-
-    /// Maps descriptors returned by an exchange-based detach straight
-    /// back into the region — the symmetric direction: instead of
-    /// draining pair-by-pair, each returned page replaces the resident
-    /// empty page, with one scattered `sys_pmap` for the whole set. The
-    /// displaced empty pages are retired for reuse. Returns the
-    /// wall-clock ns of the window.
-    fn install_exchanged(&mut self) -> u64 {
-        let t0 = std::time::Instant::now();
-        debug_assert!(!self.attach_scratch.is_empty());
-        debug_assert!(self.pmap_scratch.is_empty());
-        let maxp = self
-            .attach_scratch
-            .iter()
-            .map(|&(p, _, _)| p)
-            .max()
-            .expect("install_exchanged without a plan");
-        self.ensure_page(maxp);
-        for i in 0..self.attach_scratch.len() {
-            let (pidx, pd, page) = self.attach_scratch[i];
-            let old_pd = std::mem::replace(&mut self.descs[pidx], pd);
-            let old_page = std::mem::replace(&mut self.pages[pidx], page);
-            self.retire_page(old_pd, old_page);
-            self.pmap_scratch.push((pidx, pd));
-        }
-        self.region.pmap_scatter(&self.pmap_scratch);
-        #[cfg(debug_assertions)]
-        for &(pidx, _, page) in &self.attach_scratch {
-            debug_assert_eq!(
-                self.region.page_base(pidx),
-                page.slot_ptr(0) as *mut u8,
-                "installed descriptor does not back its accessor"
-            );
-        }
-        self.attach_scratch.clear();
-        self.pmap_scratch.clear();
-        t0.elapsed().as_nanos() as u64
-    }
-
     /// Idle-time cache refill (the scheduler's `drain_pending` hook):
-    /// tops up the private free-page cache with one batched allocation
-    /// and the local public-map pool, so the next transferal finds its
-    /// pages ready instead of allocating inside its latency window.
+    /// tops up the local public-map pool, so the next transferal finds
+    /// its maps ready instead of taking them from the domain's pool
+    /// inside its latency window.
     fn prewarm(&mut self) {
-        const FREE_PAGES_WATERMARK: usize = 8;
         const LOCAL_POOL_WATERMARK: usize = 4;
-        if self.free_pages.len() < FREE_PAGES_WATERMARK {
-            let need = FREE_PAGES_WATERMARK - self.free_pages.len();
-            debug_assert!(self.repl_scratch.is_empty());
-            self.region
-                .arena()
-                .palloc_batch(need, &mut self.repl_scratch);
-            for pd in self.repl_scratch.drain(..) {
-                let base = self.region.arena().page_base(pd);
-                // SAFETY: a fresh zeroed arena page — a valid empty SPA
-                // map — not mapped anywhere yet.
-                self.free_pages
-                    .push((pd, unsafe { SpaMapRef::from_raw(base) }));
-            }
-        }
         while self.local_pool.len() < LOCAL_POOL_WATERMARK {
             let map = self.domain.take_public_map();
             self.local_pool.push(map);
@@ -636,10 +478,6 @@ impl HyperHooks for MmapHooks {
             last: Cell::new(LastLookup::EMPTY),
             current_views: 0,
             map_scratch: Vec::new(),
-            swap_scratch: Vec::new(),
-            repl_scratch: Vec::new(),
-            pmap_scratch: Vec::new(),
-            attach_scratch: Vec::new(),
         });
         let raw = &*state as *const MmapWorkerState as *mut MmapWorkerState;
         publish_tls(raw);
@@ -653,14 +491,12 @@ impl HyperHooks for MmapHooks {
         st.forget_last();
         let t0 = Instrument::transferal_timer();
         let mut maps = std::mem::take(&mut st.map_scratch);
-        debug_assert!(maps.is_empty() && st.swap_scratch.is_empty());
+        debug_assert!(maps.is_empty());
         let mut count = 0usize;
-        let mut copied = 0u64;
-        let mut exchange_ns = 0u64;
         if st.current_views != 0 {
-            // Pass 1: sparse pages take §7's copy path (as one bulk,
-            // log-carrying move); dense pages are queued for exchange.
-            let threshold = st.domain.exchange_threshold();
+            // The copying strategy of §7: move each occupied page's
+            // pairs into a public SPA map as one bulk, log-carrying
+            // move that zeroes the private entries as it goes.
             let npages = st.pages.len();
             for pidx in 0..npages {
                 let private = st.page_ref(pidx);
@@ -669,29 +505,17 @@ impl HyperHooks for MmapHooks {
                     continue;
                 }
                 count += nv;
-                if nv >= threshold {
-                    st.swap_scratch.push(pidx);
-                } else {
-                    let public = st.take_map();
-                    private.drain_into(public.as_ref());
-                    copied += nv as u64;
-                    maps.push((pidx as u32, DetachedMap::Copied(public)));
-                }
-            }
-            // Pass 2: swap every queued page out of the region and a
-            // zeroed replacement in — one batched allocation plus one
-            // scattered remap for the whole batch.
-            if !st.swap_scratch.is_empty() {
-                exchange_ns = st.exchange_pages(&mut maps);
+                let public = st.take_map();
+                private.drain_into(public.as_ref());
+                maps.push((pidx as u32, public));
             }
             st.current_views = 0;
         }
         if count != 0 {
             self.ins().transferals.inc();
             self.ins().transferal_views.add(count as u64);
-            self.ins().transferal_copied_views.add(copied);
         }
-        self.ins().finish_transferal_split(t0, exchange_ns);
+        self.ins().finish_transferal(t0);
         // lint: allow(hot-path, one boxed handoff of the whole detached set to the scheduler; the per-view and per-page work above is allocation-free)
         Box::new(MmapDetached { maps, count })
     }
@@ -702,22 +526,12 @@ impl HyperHooks for MmapHooks {
         debug_assert_eq!(st.current_views, 0, "attach over non-empty context");
         st.forget_last();
         let t0 = Instrument::transferal_timer();
-        debug_assert!(st.attach_scratch.is_empty());
-        for (pidx, map) in det.maps.drain(..) {
+        for (pidx, public) in det.maps.drain(..) {
+            // §7: drain the public map back into the region.
             let pidx = pidx as usize;
-            match map {
-                DetachedMap::Copied(public) => {
-                    // §7: drain the public map back into the region.
-                    st.ensure_page(pidx);
-                    public.as_ref().drain_into(st.page_ref(pidx));
-                    st.recycle_map(public);
-                }
-                DetachedMap::Exchanged(pd, page) => st.attach_scratch.push((pidx, pd, page)),
-            }
-        }
-        let mut exchange_ns = 0u64;
-        if !st.attach_scratch.is_empty() {
-            exchange_ns = st.install_exchanged();
+            st.ensure_page(pidx);
+            public.as_ref().drain_into(st.page_ref(pidx));
+            st.recycle_map(public);
         }
         st.current_views = det.count;
         // Donate the emptied buffer back so this worker's next detach
@@ -725,7 +539,7 @@ impl HyperHooks for MmapHooks {
         if det.maps.capacity() > st.map_scratch.capacity() {
             st.map_scratch = det.maps;
         }
-        self.ins().finish_transferal_split(t0, exchange_ns);
+        self.ins().finish_transferal(t0);
     }
 
     fn merge_right(&self, state: &mut dyn Any, right: DetachedViews) {
@@ -749,15 +563,14 @@ impl HyperHooks for MmapHooks {
             if det.count <= left_count {
                 // Sweep the smaller (right) set into the private maps.
                 let mut total = left_count;
-                for (pidx, map) in det.maps {
+                for (pidx, public) in det.maps {
                     let pidx = pidx as usize;
                     (*st).ensure_page(pidx);
                     // Collect first: reduce calls must not overlap a
                     // borrow of the state.
                     let mut entries = Vec::new();
-                    map.as_map_ref()
-                        .drain(|idx, pair| entries.push((idx, pair)));
-                    (*st).dispose_detached_map(map);
+                    public.as_ref().drain(|idx, pair| entries.push((idx, pair)));
+                    (*st).recycle_map(public);
                     for (idx, rpair) in entries {
                         let private = page_at(st, pidx);
                         let lpair = private.get(idx);
@@ -786,17 +599,17 @@ impl HyperHooks for MmapHooks {
                     }
                     let mut entries = Vec::new();
                     private.drain(|idx, pair| entries.push((idx, pair)));
-                    // Find or create the right-hand map for this page.
+                    // Find or create the public map for this page.
                     let pos = match right_maps.iter().position(|(p, _)| *p as usize == pidx) {
                         Some(pos) => pos,
                         None => {
                             let m = (*st).take_map();
-                            right_maps.push((pidx as u32, DetachedMap::Copied(m)));
+                            right_maps.push((pidx as u32, m));
                             right_maps.len() - 1
                         }
                     };
                     for (idx, lpair) in entries {
-                        let rmap = right_maps[pos].1.as_map_ref();
+                        let rmap = right_maps[pos].1.as_ref();
                         let rpair = rmap.get(idx);
                         if rpair.is_null() {
                             rmap.insert(idx, lpair);
@@ -811,27 +624,12 @@ impl HyperHooks for MmapHooks {
                     }
                 }
                 (*st).current_views = 0;
-                // Install the merged set as the current private views:
-                // copied maps drain back into (empty) region pages;
-                // exchanged pages remap directly with one scattered
-                // `sys_pmap`, exactly as in attach.
-                debug_assert!((*st).attach_scratch.is_empty());
-                for (pidx, map) in right_maps {
+                // Install the merged set as the current private views.
+                for (pidx, public) in right_maps {
                     let pidx = pidx as usize;
-                    match map {
-                        DetachedMap::Copied(public) => {
-                            (*st).ensure_page(pidx);
-                            let private = page_at(st, pidx);
-                            public.as_ref().drain_into(private);
-                            (*st).recycle_map(public);
-                        }
-                        DetachedMap::Exchanged(pd, page) => {
-                            (*st).attach_scratch.push((pidx, pd, page));
-                        }
-                    }
-                }
-                if !(*st).attach_scratch.is_empty() {
-                    (*st).install_exchanged();
+                    (*st).ensure_page(pidx);
+                    public.as_ref().drain_into(page_at(st, pidx));
+                    (*st).recycle_map(public);
                 }
                 (*st).current_views = total;
             }
@@ -886,27 +684,18 @@ impl HyperHooks for MmapHooks {
             unsafe { (*tls.state).flush_lookups() };
         }
         let det = *views.downcast::<MmapDetached>().expect("mmap views");
-        for (_, map) in det.maps {
-            let r = map.as_map_ref();
+        for (_, public) in det.maps {
             // SAFETY: each pair stores the erased address of the live
             // instance that created its view; drain drops each once.
-            r.drain(|_, pair| unsafe {
+            public.as_ref().drain(|_, pair| unsafe {
                 MonoidInstance::from_erased(pair.monoid).drop_view(pair.view);
             });
-            match map {
-                DetachedMap::Copied(public) => self.domain.recycle_public_maps([public]),
-                // Discard can run on a non-worker thread (panic paths),
-                // so exchanged pages go straight back to the arena.
-                DetachedMap::Exchanged(pd, _) => self.domain.arena.pfree(pd),
-            }
+            self.domain.recycle_public_maps([public]);
         }
     }
 
     fn drain_pending(&self) {
-        // Idle episode: prewarm the calling worker's page and map caches
-        // so the next transferal pays no allocation inside its latency
-        // window (the p99 tail tracks palloc and pool misses on the
-        // detach path).
+        // Idle episode: top up the calling worker's public-map pool.
         let tls = MMAP_TLS.with(|c| c.get());
         if !tls.state.is_null() && std::ptr::eq(tls.domain, Arc::as_ptr(&self.domain)) {
             // SAFETY: the TLS snapshot points at the calling (idle)
@@ -967,8 +756,7 @@ mod tests {
     use std::sync::mpsc;
 
     /// A monoid whose views count their own drops, so the tests can
-    /// assert every view created by a lookup is destroyed exactly once
-    /// whichever transferal representation carried it.
+    /// assert every view created by a lookup is destroyed exactly once.
     struct CountingMonoid {
         drops: Arc<AtomicUsize>,
     }
@@ -993,17 +781,14 @@ mod tests {
         fn reduce(&self, _left: &mut CountedView, _right: CountedView) {}
     }
 
-    /// The PR 3 "500 + 300" exactness scenario replayed over the
-    /// *exchange* path: the thief's detached page crosses by descriptor,
-    /// the thief then panics, and the scheduler discards the detached
-    /// set. Counts must stay exact (800 lookups, 1 exchanged page, 0
-    /// copied views), every view must drop exactly once, and no arena
-    /// page may leak.
+    /// The PR 3 "500 + 300" exactness scenario at the hook level: the
+    /// thief detaches its view, then panics, and the scheduler discards
+    /// the detached set. Counts must stay exact (800 lookups, 1 copied
+    /// view), every view must drop exactly once, and no arena page may
+    /// leak.
     #[test]
-    fn panic_after_exchange_detach_keeps_counts_exact_and_leaks_nothing() {
+    fn panic_after_detach_keeps_counts_exact_and_leaks_nothing() {
         let domain = Arc::new(DomainInner::new(Backend::Mmap));
-        // Force the thief's single-view page onto the exchange path.
-        domain.set_exchange_threshold(1);
         let drops = Arc::new(AtomicUsize::new(0));
         let monoid = Arc::new(CountingMonoid {
             drops: Arc::clone(&drops),
@@ -1038,7 +823,7 @@ mod tests {
         assert_eq!(
             drops.load(Ordering::SeqCst),
             1,
-            "discard drops the exchanged page's view exactly once"
+            "discard drops the detached view exactly once"
         );
 
         let snap = domain.instrument();
@@ -1046,8 +831,7 @@ mod tests {
         assert_eq!(snap.view_creations, 2);
         assert_eq!(snap.transferals, 1);
         assert_eq!(snap.transferal_views, 1);
-        assert_eq!(snap.transferal_exchanged_pages, 1, "exchange path taken");
-        assert_eq!(snap.transferal_copied_views, 0, "no per-view copying");
+        assert_eq!(snap.transferal_copied_views, 1);
 
         drop(state);
         assert_eq!(
@@ -1058,65 +842,8 @@ mod tests {
         assert_eq!(
             domain.arena.live_pages(),
             0,
-            "exchanged + replacement pages all returned to the arena"
+            "every private page returned to the arena"
         );
-    }
-
-    /// Dense pages exchange, sparse pages copy, and both kinds land back
-    /// via `attach` — including the log-overflow representation, which
-    /// must survive an exchange intact.
-    #[test]
-    fn mixed_exchange_and_copy_roundtrip_through_attach() {
-        let domain = Arc::new(DomainInner::new(Backend::Mmap));
-        domain.set_exchange_threshold(4);
-        let drops = Arc::new(AtomicUsize::new(0));
-        let monoid = Arc::new(CountingMonoid {
-            drops: Arc::clone(&drops),
-        });
-        let inst = Arc::new(MonoidInstance::new(&monoid));
-        let hooks = MmapHooks::new(Arc::clone(&domain));
-
-        // Page 0: 6 views (dense -> exchange); page 1: 2 views (sparse
-        // -> copy).
-        let slots: &[(usize, usize)] = &[
-            (0, 0),
-            (0, 1),
-            (0, 2),
-            (0, 100),
-            (0, 200),
-            (0, 247),
-            (1, 5),
-            (1, 6),
-        ];
-        let (det, views) = {
-            let mut state = hooks.make_worker_state(0);
-            for &(page, idx) in slots {
-                lookup(page, idx, &inst, &domain).expect("worker state");
-            }
-            let det = hooks.detach(state.as_mut());
-            (det, slots.len())
-            // `state` drops here (its region is empty after detach).
-        };
-        let snap = domain.instrument();
-        assert_eq!(snap.transferal_views as usize, views);
-        assert_eq!(snap.transferal_exchanged_pages, 1, "page 0 exchanged");
-        assert_eq!(snap.transferal_copied_views, 2, "page 1 copied");
-
-        let mut state = hooks.make_worker_state(1);
-        hooks.attach(state.as_mut(), det);
-        for &(page, idx) in slots {
-            // Attach must have installed every view: a lookup hit, not a
-            // fresh identity creation.
-            lookup(page, idx, &inst, &domain).expect("worker state");
-        }
-        assert_eq!(
-            domain.instrument().view_creations as usize,
-            views,
-            "post-attach lookups hit the carried views, creating none"
-        );
-        drop(state);
-        assert_eq!(drops.load(Ordering::SeqCst), views, "each view drops once");
-        assert_eq!(domain.arena.live_pages(), 0);
     }
 }
 
@@ -1128,15 +855,11 @@ mod proptests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
-    /// Runs one full transferal at `threshold`: create the `views` in a
-    /// worker context, detach, attach into a *fresh* context, and read
-    /// every slot back. Returns the observed (slot -> value) table.
-    fn transfer_roundtrip(
-        views: &BTreeMap<(usize, usize), u64>,
-        threshold: usize,
-    ) -> BTreeMap<(usize, usize), u64> {
+    /// Runs one full transferal: create the `views` in a worker context,
+    /// detach, attach into a *fresh* context, and read every slot back.
+    /// Returns the observed (slot -> value) table.
+    fn transfer_roundtrip(views: &BTreeMap<(usize, usize), u64>) -> BTreeMap<(usize, usize), u64> {
         let domain = Arc::new(DomainInner::new(Backend::Mmap));
-        domain.set_exchange_threshold(threshold);
         let monoid = Arc::new(SumMonoid::<u64>::new());
         let inst = Arc::new(MonoidInstance::new(&monoid));
         let hooks = MmapHooks::new(Arc::clone(&domain));
@@ -1186,20 +909,12 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Exchange-based and copy-based transferal are observationally
-        /// identical: over random view sets and thresholds, a
-        /// detach/attach roundtrip delivers exactly the model's values,
-        /// whichever path each page takes (threshold `usize::MAX` is the
-        /// pure §7 copy baseline; 1 is pure exchange).
+        /// Over random view sets, a detach/attach round trip delivers
+        /// exactly the model's values, leaves the private region empty
+        /// and leaks no arena page.
         #[test]
-        fn exchange_and_copy_transferal_agree(
-            views in view_set_strategy(),
-            threshold in prop_oneof![Just(1usize), 2usize..=16, Just(usize::MAX)],
-        ) {
-            let via_mixed = transfer_roundtrip(&views, threshold);
-            let via_copy = transfer_roundtrip(&views, usize::MAX);
-            prop_assert_eq!(&via_mixed, &views);
-            prop_assert_eq!(&via_copy, &views);
+        fn transferal_roundtrip_is_exact_and_leak_free(views in view_set_strategy()) {
+            prop_assert_eq!(&transfer_roundtrip(&views), &views);
         }
     }
 }

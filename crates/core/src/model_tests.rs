@@ -149,102 +149,6 @@ fn transferal_delivers_each_view_exactly_once() {
     });
 }
 
-/// Exchange-based transferal across a steal (DESIGN.md §16): with the
-/// threshold forced to 1, the thief's detach takes the page-exchange
-/// path — the occupied private page itself leaves the thief's region by
-/// descriptor and crosses to the owner — and the hypermerge must still
-/// fold exactly "LR" under every interleaving. The SPA raw accessors
-/// are trace-instrumented, so a missing happens-before edge on the
-/// handed-off page would surface as a data race, not just a wrong
-/// string.
-#[test]
-fn exchange_handoff_is_left_to_right_and_exact() {
-    checker::model_with(checker::Config::dpor(), || {
-        let domain = Arc::new(DomainInner::new(Backend::Mmap));
-        // Force every non-empty page onto the exchange path.
-        domain.set_exchange_threshold(1);
-        let monoid = Arc::new(Concat);
-        let inst = Arc::new(MonoidInstance::new(&monoid));
-        let deposit: Arc<checker::sync::Mutex<Option<DetachedViews>>> =
-            Arc::new(checker::sync::Mutex::new(None));
-
-        let (d2, m2, i2, dep2) = (
-            Arc::clone(&domain),
-            Arc::clone(&monoid),
-            Arc::clone(&inst),
-            Arc::clone(&deposit),
-        );
-        let thief = checker::thread::spawn(move || {
-            let _keep_alive = m2;
-            let hooks = MmapHooks::new(Arc::clone(&d2));
-            let mut state = hooks.make_worker_state(1);
-            append(0, 7, &i2, &d2, "R");
-            let det = hooks.detach(state.as_mut());
-            *dep2.lock() = Some(det);
-        });
-
-        let hooks = MmapHooks::new(Arc::clone(&domain));
-        let mut state = hooks.make_worker_state(0);
-        append(0, 7, &inst, &domain, "L");
-        let det = loop {
-            if let Some(d) = deposit.lock().take() {
-                break d;
-            }
-            checker::thread::yield_now();
-        };
-        hooks.merge_right(state.as_mut(), det);
-        thief.join().unwrap();
-        assert_eq!(read(0, 7, &inst, &domain), "LR");
-    });
-}
-
-/// An exchanged detach *attached* by a different worker: the returned
-/// descriptors are mapped straight into the attaching worker's region
-/// (one scattered `sys_pmap`, no per-view copying), and every view must
-/// arrive exactly once at its own slot in every interleaving.
-#[test]
-fn exchanged_attach_delivers_each_view_exactly_once() {
-    checker::model_with(checker::Config::dpor(), || {
-        let domain = Arc::new(DomainInner::new(Backend::Mmap));
-        domain.set_exchange_threshold(1);
-        let monoid = Arc::new(Concat);
-        let inst = Arc::new(MonoidInstance::new(&monoid));
-        let deposit: Arc<checker::sync::Mutex<Option<DetachedViews>>> =
-            Arc::new(checker::sync::Mutex::new(None));
-
-        let (d2, m2, i2, dep2) = (
-            Arc::clone(&domain),
-            Arc::clone(&monoid),
-            Arc::clone(&inst),
-            Arc::clone(&deposit),
-        );
-        let thief = checker::thread::spawn(move || {
-            let _keep_alive = m2;
-            let hooks = MmapHooks::new(Arc::clone(&d2));
-            let mut state = hooks.make_worker_state(1);
-            append(0, 0, &i2, &d2, "A");
-            append(0, 9, &i2, &d2, "B");
-            let det = hooks.detach(state.as_mut());
-            *dep2.lock() = Some(det);
-        });
-
-        let hooks = MmapHooks::new(Arc::clone(&domain));
-        let mut state = hooks.make_worker_state(0);
-        let det = loop {
-            if let Some(d) = deposit.lock().take() {
-                break d;
-            }
-            checker::thread::yield_now();
-        };
-        hooks.attach(state.as_mut(), det);
-        thief.join().unwrap();
-        // Exactly once, at its own slot: a dropped view reads "", a
-        // doubled one "AA"/"BB".
-        assert_eq!(read(0, 0, &inst, &domain), "A");
-        assert_eq!(read(0, 9, &inst, &domain), "B");
-    });
-}
-
 /// Lock-free handoff (DESIGN.md §13): concurrent region-exit handoffs
 /// (`fold_or_park` — inline fold when the serial word is free, parked
 /// pending node when it is contended) racing an owner-side drain must

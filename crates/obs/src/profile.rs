@@ -52,7 +52,7 @@ mod imp {
     pub(super) static SYNCS: AtomicU64 = AtomicU64::new(0);
 
     /// Burden breakdown (indexed by `Burden as usize`), plus crossings.
-    pub(super) static BURDEN_NS: [AtomicU64; 5] = [const { AtomicU64::new(0) }; 5];
+    pub(super) static BURDEN_NS: [AtomicU64; 4] = [const { AtomicU64::new(0) }; 4];
     pub(super) static CROSSINGS: AtomicU64 = AtomicU64::new(0);
 
     /// The last finished session's results, for the metrics source.
@@ -121,12 +121,6 @@ pub enum Burden {
     Transferal = 2,
     /// Folding spawned views at a join.
     Hypermerge = 3,
-    /// The page-exchange slice of a transferal: swapping occupied pages
-    /// out of the region wholesale (batched `sys_palloc` + scattered
-    /// `sys_pmap`) instead of copying views pair-by-pair. Split from
-    /// [`Burden::Transferal`] so experiments can see how much of the
-    /// steal-path burden the exchange crossings account for.
-    TransferalExchange = 4,
 }
 
 impl Burden {
@@ -137,7 +131,6 @@ impl Burden {
             Burden::ViewInsertion => "view_insertion",
             Burden::Transferal => "transferal",
             Burden::Hypermerge => "hypermerge",
-            Burden::TransferalExchange => "transferal_exchange",
         }
     }
 }
@@ -153,8 +146,7 @@ pub struct BurdenBreakdown {
     pub transferal_ns: u64,
     /// Hypermerge ns ([`Burden::Hypermerge`]).
     pub hypermerge_ns: u64,
-    /// Page-exchange ns ([`Burden::TransferalExchange`]) — the slice of
-    /// transferal time spent swapping pages rather than copying views.
+    /// Always 0. Kept for `benchmark/src/pass.rs`; goes when a `benchmark` PR drops `obs.burden_exchange_ns`.
     pub transferal_exchange_ns: u64,
     /// Simulated kernel crossings (`sys_palloc`/`sys_pfree`/`sys_pmap`
     /// count, not ns — their latency is inside the other categories).
@@ -162,13 +154,9 @@ pub struct BurdenBreakdown {
 }
 
 impl BurdenBreakdown {
-    /// Total charged ns across the timed categories.
+    /// Total charged ns across the four timed categories.
     pub fn total_ns(&self) -> u64 {
-        self.view_creation_ns
-            + self.view_insertion_ns
-            + self.transferal_ns
-            + self.hypermerge_ns
-            + self.transferal_exchange_ns
+        self.view_creation_ns + self.view_insertion_ns + self.transferal_ns + self.hypermerge_ns
     }
 }
 
@@ -228,8 +216,8 @@ impl ParallelismReport {
         ));
         let b = &self.burden;
         s.push_str(&format!(
-            "  burden: creation {} ns, insertion {} ns, transferal {} ns (exchange {} ns), hypermerge {} ns, {} crossings\n",
-            b.view_creation_ns, b.view_insertion_ns, b.transferal_ns, b.transferal_exchange_ns, b.hypermerge_ns, b.crossings
+            "  burden: creation {} ns, insertion {} ns, transferal {} ns, hypermerge {} ns, {} crossings\n",
+            b.view_creation_ns, b.view_insertion_ns, b.transferal_ns, b.hypermerge_ns, b.crossings
         ));
         s
     }
@@ -298,8 +286,7 @@ pub fn end_session(root_final: (u64, u64)) -> ParallelismReport {
                 .load(Ordering::Relaxed),
             transferal_ns: imp::BURDEN_NS[Burden::Transferal as usize].load(Ordering::Relaxed),
             hypermerge_ns: imp::BURDEN_NS[Burden::Hypermerge as usize].load(Ordering::Relaxed),
-            transferal_exchange_ns: imp::BURDEN_NS[Burden::TransferalExchange as usize]
-                .load(Ordering::Relaxed),
+            transferal_exchange_ns: 0,
             crossings: imp::CROSSINGS.load(Ordering::Relaxed),
         };
         let report = ParallelismReport {
@@ -468,7 +455,7 @@ pub fn charge(kind: Burden, ns: u64) {
         if !profiling() || ns == 0 {
             return;
         }
-        // SAFETY: `Burden` discriminants are 0..=4 and BURDEN_NS has 5
+        // SAFETY: `Burden` discriminants are 0..=3 and BURDEN_NS has 4
         // slots, so the index is always in bounds.
         unsafe { imp::BURDEN_NS.get_unchecked(kind as usize) }
             .fetch_add(ns, std::sync::atomic::Ordering::Relaxed);
@@ -539,10 +526,6 @@ fn register_metrics_source() {
             out.counter(
                 "burden_hypermerge_ns",
                 imp::BURDEN_NS[Burden::Hypermerge as usize].load(Ordering::Relaxed),
-            );
-            out.counter(
-                "burden_transferal_exchange_ns",
-                imp::BURDEN_NS[Burden::TransferalExchange as usize].load(Ordering::Relaxed),
             );
             out.counter("crossings", imp::CROSSINGS.load(Ordering::Relaxed));
         }

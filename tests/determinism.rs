@@ -144,6 +144,59 @@ fn steal_heavy_ordering_both_backends() {
     }
 }
 
+/// Guaranteed steals on full pages: `f(k) = join(f(k-1), leaf_k)` whose
+/// base case waits until every leaf has started, so all K leaves are
+/// stolen in every run. 496 list reducers fill two SPA pages (248 slots
+/// each, logs overflowed), so each steal's transferal copies two dense
+/// pages and each hypermerge folds 496 non-commutative pairs.
+#[test]
+fn forced_steals_on_full_pages_both_backends() {
+    use std::sync::atomic::{AtomicU32, Ordering};
+    const K: u32 = 16;
+    const REDUCERS: usize = 496;
+
+    fn spine(k: u32, started: &AtomicU32, lists: &[Reducer<ListMonoid<u32>>]) {
+        if k == 0 {
+            lists.iter().for_each(|l| l.push(0));
+            // Yield, not spin: on a one-CPU host the thief needs the
+            // processor to take the leaves.
+            while started.load(Ordering::Acquire) < K {
+                std::thread::yield_now();
+            }
+            return;
+        }
+        join(
+            || spine(k - 1, started, lists),
+            || {
+                started.fetch_add(1, Ordering::Release);
+                lists.iter().for_each(|l| l.push(k));
+            },
+        );
+    }
+
+    let expected: Vec<u32> = (0..=K).collect();
+    for backend in [Backend::Hypermap, Backend::Mmap] {
+        let pool = ReducerPool::new(2, backend);
+        let lists: Vec<Reducer<ListMonoid<u32>>> = (0..REDUCERS)
+            .map(|_| Reducer::new(&pool, ListMonoid::new(), Vec::new()))
+            .collect();
+        let started = AtomicU32::new(0);
+        pool.run(|| spine(K, &started, &lists));
+        for (i, list) in lists.iter().enumerate() {
+            assert_eq!(
+                list.get_cloned(),
+                expected,
+                "backend {backend:?} reducer {i}"
+            );
+        }
+        assert_eq!(
+            pool.stats().stolen_joins,
+            u64::from(K),
+            "backend {backend:?}"
+        );
+    }
+}
+
 /// Lists across page-many reducers: ordering holds per reducer even when
 /// the slot space spans several SPA pages.
 #[test]
