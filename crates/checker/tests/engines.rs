@@ -168,6 +168,7 @@ const SUITE: &[(&str, fn(), bool)] = &[
 /// be complete (true exhaustion, not a schedule-cap timeout).
 #[test]
 fn dpor_and_dfs_verdicts_agree() {
+    let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for &(name, f, expect_pass) in SUITE {
         let dfs = try_model_with(dfs_unbounded(), f);
         let dpor = try_model_with(Config::dpor(), f);
@@ -193,6 +194,7 @@ fn dpor_and_dfs_verdicts_agree() {
 /// needs, and accounts for the rest as pruned.
 #[test]
 fn dpor_prunes_at_least_4x_on_independent_work() {
+    let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for &(name, f) in &[
         ("independent_counters", independent_counters as fn()),
         ("mp_two_channels", mp_two_channels as fn()),
@@ -290,10 +292,18 @@ fn stats_report_is_written_and_merged() {
     let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let path = std::env::temp_dir().join("cilkm_engines_stats_test.json");
     let _ = std::fs::remove_file(&path);
+    // The CI model-check job sets this for the whole process: put its
+    // value back, or every test that runs after this one records nothing.
+    let outer = std::env::var_os("CILKM_CHECK_STATS");
     std::env::set_var("CILKM_CHECK_STATS", &path);
-    let dpor = try_model_with(Config::dpor(), independent_counters).unwrap();
-    let _ = try_model_with(dfs_unbounded(), independent_counters).unwrap();
-    std::env::remove_var("CILKM_CHECK_STATS");
+    let dpor = try_model_with(Config::dpor(), independent_counters);
+    let dfs = try_model_with(dfs_unbounded(), independent_counters);
+    match outer {
+        Some(v) => std::env::set_var("CILKM_CHECK_STATS", v),
+        None => std::env::remove_var("CILKM_CHECK_STATS"),
+    }
+    let dpor = dpor.unwrap();
+    dfs.unwrap();
     let text = std::fs::read_to_string(&path).expect("stats file must exist");
     let _ = std::fs::remove_file(&path);
     assert!(text.starts_with("{\n  \"schema_version\": 1"), "{text}");
@@ -317,6 +327,7 @@ fn stats_report_is_written_and_merged() {
 /// finds it. This pins the config plumbing, not the memory model.
 #[test]
 fn stale_read_bound_is_tunable() {
+    let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let tight = Config {
         stale_read_bound: 0,
         preemptions: None,

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use cilkm_runtime::{HyperHooks, Pool, PoolBuilder, PoolStats};
-use cilkm_spa::SpaMapBox;
+use cilkm_spa::{SpaMapBox, ViewPair};
 use cilkm_tlmm::PageArena;
 
 use crate::instrument::{Instrument, InstrumentSnapshot, ReduceHistograms};
@@ -41,13 +41,9 @@ pub(crate) struct LeftmostEntry {
 /// [`ReducerPool`]; exposed so benches can instrument it directly.
 ///
 /// Since the lock-free view-lifecycle rework (DESIGN.md §13) nothing
-/// here is mutex-guarded: the slot allocator, leftmost registry, and
-/// pending-merge lists live in the [`SlotRegistry`]'s per-slot atomic
-/// cells, and the public SPA-map pool is a Treiber free-list with
-/// hazard-era reclamation. A returning thief or region-end collect
-/// pushes detached views and moves on; folds happen off the steal
-/// critical path (owner's next serial touch, or the idle-worker drain
-/// hook).
+/// here is mutex-guarded: the slot allocator and leftmost registry live
+/// in the [`SlotRegistry`]'s per-slot atomic cells, and the public
+/// SPA-map pool is a Treiber free-list with hazard-era reclamation.
 pub struct DomainInner {
     pub(crate) backend: Backend,
     pub(crate) instrument: Instrument,
@@ -112,99 +108,63 @@ impl DomainInner {
         self.registry.swap_view(slot, new_view)
     }
 
-    /// Takes the reducer's serial word for a user serial-path access
-    /// (spins out an idle drainer, panics on overlapping users).
+    /// Takes the reducer's serial word for a serial-path access (panics
+    /// if it is already held).
     pub(crate) fn serial_user(&self, slot: Slot) -> SerialBorrow<'_> {
         SerialBorrow::acquire_user(self.registry.cell(slot))
     }
 
-    /// Hands a detached `view` to `slot`'s pending-merge list — the
-    /// steal-return/merge half of the lock-free handoff. No lock, no
-    /// fold: the caller continues immediately, and the fold into
-    /// leftmost storage happens on the owner's next serial touch or in
-    /// [`DomainInner::idle_drain`].
+    /// The region-end fold (both backends' `collect_root`): folds each of
+    /// the root context's `views` into its slot's leftmost view, taking
+    /// the slot's serial word around each fold.
+    ///
+    /// Regions are serialized by the pool's region lock and one worker
+    /// collects a region's root, so in a correct program every word is
+    /// free here. A held word means a serial access to that reducer
+    /// overlaps the end of a region that updated it; the fold is refused
+    /// with the panic every overlapping serial access gets, and
+    /// `Pool::run` delivers it to its caller. On that unwind, or one out
+    /// of the user's `reduce`, the views not yet folded are destroyed.
     ///
     /// # Safety
     ///
-    /// `view` must be a live boxed view of the slot's monoid type, and
-    /// the slot must still be registered (views must not outlive their
-    /// reducer).
-    pub(crate) unsafe fn push_pending(&self, slot: Slot, view: *mut u8) {
-        self.instrument.pending_views.inc();
-        // SAFETY: forwarded caller contract.
-        unsafe { self.registry.push_pending(slot, view) };
-    }
-
-    /// Region-exit handoff of a slot's final view: fold it (and any
-    /// parked predecessors) into the leftmost right now if the slot's
-    /// serial word is free — the overwhelmingly common case at a region
-    /// boundary, costing one CAS and no allocation — otherwise park it
-    /// on the pending-merge list for the owner's next serial touch or
-    /// an idle drain. Never blocks.
-    ///
-    /// # Safety
-    ///
-    /// As [`DomainInner::push_pending`].
-    pub(crate) unsafe fn fold_or_park(&self, slot: Slot, view: *mut u8) {
-        // SAFETY: forwarded caller contract.
-        if unsafe { self.registry.try_fold_root(slot, view) } {
-            return;
+    /// Every pair must hold a live boxed view of its slot's monoid and
+    /// that monoid's erased instance, and the slots must still be
+    /// registered (views must not outlive their reducer).
+    // lint: hot-path
+    pub(crate) unsafe fn fold_root(&self, views: impl Iterator<Item = (Slot, ViewPair)>) {
+        struct Unfolded<I: Iterator<Item = (Slot, ViewPair)>>(std::iter::Peekable<I>);
+        impl<I: Iterator<Item = (Slot, ViewPair)>> Drop for Unfolded<I> {
+            fn drop(&mut self) {
+                for (_, pair) in &mut self.0 {
+                    // SAFETY: fn contract — a live view and the instance
+                    // that created it; the iterator yields each once.
+                    unsafe { MonoidInstance::from_erased(pair.monoid).drop_view(pair.view) };
+                }
+            }
         }
-        // SAFETY: forwarded caller contract.
-        unsafe { self.push_pending(slot, view) };
-    }
-
-    /// Folds `slot`'s pending views into its leftmost view, in serial
-    /// order. Called by every serial-point reducer operation right
-    /// after taking the serial word.
-    ///
-    /// # Safety
-    ///
-    /// The caller must hold `slot`'s serial word and the slot must be
-    /// registered.
-    pub(crate) unsafe fn drain_pending_slot(&self, slot: Slot) {
-        let cell = self.registry.cell(slot);
-        let t0 = std::time::Instant::now();
-        // SAFETY: forwarded caller contract.
-        let n = unsafe { self.registry.drain_cell(cell) };
-        if n != 0 {
-            self.instrument
-                .drain_ns
-                .record(t0.elapsed().as_nanos() as u64);
+        let mut rest = Unfolded(views.peekable());
+        while let Some(&(slot, pair)) = rest.0.peek() {
+            // A refusal unwinds from here with `pair` still in `rest`.
+            let _borrow = self.serial_user(slot);
+            rest.0.next();
+            // SAFETY: fn contract, and the serial word is held; the
+            // reduce consumes `pair.view`, also when it unwinds.
+            unsafe { self.fold_into_leftmost_unguarded(slot, pair.view) };
         }
     }
 
-    /// One idle-worker drain sweep (the `HyperHooks::drain_pending`
-    /// hook): folds whatever pending views it can claim without ever
-    /// blocking, moving hypermerge work off the steal/join critical
-    /// path. Returns the number of views folded.
-    pub fn idle_drain(&self) -> usize {
-        // The caller is idle: reclaim the map pool's retired node
-        // shells too, so `MapPool::pop` (inside the latency-sensitive
-        // transferal window) almost never has to sweep.
+    /// Sweeps the map pool's retired node shells (the `on_idle` hook), so
+    /// `MapPool::pop`, inside the latency-sensitive transferal window,
+    /// almost never has to.
+    pub(crate) fn collect_retired_maps(&self) {
         self.public_pool.collect();
-        if self.registry.pending_total() == 0 {
-            return 0;
-        }
-        let t0 = std::time::Instant::now();
-        let n = self.registry.drain_idle();
-        if n != 0 {
-            self.instrument
-                .drain_ns
-                .record(t0.elapsed().as_nanos() as u64);
-        }
-        n
     }
 
-    /// Views currently parked on pending-merge lists — the
-    /// `pending_depth` metric.
-    pub fn pending_depth(&self) -> usize {
-        self.registry.pending_total()
-    }
-
-    /// As [`DomainInner::push_pending`] but folds immediately; only for
-    /// callers that already hold the reducer's serial borrow (the
-    /// `Reducer` serial-point ops folding their own context view).
+    /// Folds `view` into `slot`'s leftmost view; only for callers that
+    /// already hold the reducer's serial borrow (the `Reducer`
+    /// serial-point ops folding their own context view, and
+    /// [`DomainInner::fold_root`]).
     ///
     /// # Safety
     ///
@@ -257,13 +217,10 @@ impl cilkm_obs::MetricsSource for DomainInner {
         out.counter("merges", i.merges.get());
         out.counter("merge_pairs", i.merge_pairs.get());
         out.counter("log_overflows", i.log_overflows.get());
-        out.counter("pending_views", i.pending_views.get());
-        out.counter("pending_depth", self.registry.pending_total() as u64);
         out.histogram("view_creation_ns", i.view_creation_ns.snapshot());
         out.histogram("view_insertion_ns", i.view_insertion_ns.snapshot());
         out.histogram("transferal_ns", i.transferal_ns.snapshot());
         out.histogram("merge_ns", i.merge_ns.snapshot());
-        out.histogram("drain_ns", i.drain_ns.snapshot());
         let c = self.arena.crossings().snapshot();
         out.counter("palloc_calls", c.palloc_calls);
         out.counter("palloc_pages", c.palloc_pages);
@@ -414,7 +371,7 @@ mod tests {
     }
 
     #[test]
-    fn serial_word_excludes_users_and_drainers() {
+    fn serial_word_is_released_on_drop() {
         let d = DomainInner::new(Backend::Mmap);
         let s = d.alloc_slot();
         let view = Box::into_raw(Box::new(0u64)) as *mut u8;
@@ -435,30 +392,6 @@ mod tests {
         let s = d.alloc_slot();
         let _a = d.serial_user(s);
         let _b = d.serial_user(s);
-    }
-
-    #[test]
-    fn pending_views_fold_on_idle_drain() {
-        let d = DomainInner::new(Backend::Mmap);
-        let monoid = std::sync::Arc::new(crate::library::SumMonoid::<u64>::new());
-        let inst = MonoidInstance::new(&monoid);
-        let s = d.alloc_slot();
-        let view = Box::into_raw(Box::new(1u64)) as *mut u8;
-        d.register_leftmost(s, view, inst.as_erased());
-        for add in [2u64, 3, 4] {
-            let v = Box::into_raw(Box::new(add)) as *mut u8;
-            // SAFETY: live boxed u64 views of the registered SumMonoid.
-            unsafe { d.push_pending(s, v) };
-        }
-        assert_eq!(d.pending_depth(), 3);
-        assert_eq!(d.idle_drain(), 3);
-        assert_eq!(d.pending_depth(), 0);
-        assert_eq!(d.idle_drain(), 0, "second drain finds nothing");
-        let v = d.unregister_leftmost(s).unwrap();
-        // SAFETY: sole remaining pointer after unregister.
-        let total = unsafe { *Box::from_raw(v as *mut u64) };
-        assert_eq!(total, 10, "1 + 2 + 3 + 4 folded into leftmost");
-        assert_eq!(d.instrument.pending_views.get(), 3);
     }
 
     #[test]

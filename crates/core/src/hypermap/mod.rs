@@ -315,22 +315,19 @@ impl HyperHooks for HypermapHooks {
         let st: *mut HypermapWorkerState = state
             .downcast_mut::<HypermapWorkerState>()
             .expect("hypermap state");
-        // SAFETY: exclusive access via the `&mut dyn Any` argument; the
-        // fold callbacks run domain code, not user monoid code.
+        // SAFETY: exclusive access via the `&mut dyn Any` argument, and
+        // no borrow of the state is live across the fold, whose user
+        // `reduce` code may itself perform lookups through the TLS path.
         unsafe {
             (*st).flush_lookups();
             (*st).forget_last();
             let drained = (*st).current.drain();
-            for (_, slot, pair) in drained {
-                // Lock-free handoff (DESIGN.md §13): fold inline when
-                // the slot's serial word is free (the common case at a
-                // region boundary), else park the view on the slot's
-                // pending-merge list for an off-critical-path drain.
-                // SAFETY: `pair.view` is a live boxed view of this
-                // slot's monoid and the reducer is still registered
-                // (views must not outlive their reducer).
-                self.domain.fold_or_park(slot, pair.view);
-            }
+            // SAFETY: each pair is a live boxed view of its slot's
+            // monoid with the instance that created it, and the
+            // reducers are still registered (views must not outlive
+            // their reducer).
+            self.domain
+                .fold_root(drained.into_iter().map(|(_, slot, pair)| (slot, pair)));
         }
     }
 
@@ -353,9 +350,5 @@ impl HyperHooks for HypermapHooks {
             // view exactly once.
             unsafe { MonoidInstance::from_erased(pair.monoid).drop_view(pair.view) };
         }
-    }
-
-    fn drain_pending(&self) {
-        self.domain.idle_drain();
     }
 }

@@ -77,13 +77,6 @@ pub struct Instrument {
     pub merge_ns: Histogram,
     /// SPA-map log overflows observed (memory-mapped backend only).
     pub log_overflows: Counter,
-    /// Detached views handed to per-slot pending-merge lists (the
-    /// lock-free steal-return handoff, DESIGN.md §13).
-    pub pending_views: Counter,
-    /// Per-batch latency of pending-merge drains (owner-touch or
-    /// idle-worker), wall clock: this is merge work that used to sit on
-    /// the steal/join critical path and now runs off it.
-    pub drain_ns: Histogram,
 }
 
 impl Instrument {

@@ -1,42 +1,35 @@
 //! Lock-free view-lifecycle structures (DESIGN.md §13): the per-slot
-//! leftmost registry with pending-merge lists, and the public SPA-map
-//! free-list.
-//!
-//! PR 3's tracing showed the old `Mutex`-guarded registry and map pool
-//! serializing every steal return and hypermerge behind the domain
-//! locks. This module replaces them:
+//! leftmost registry and the public SPA-map free-list.
 //!
 //! * [`SlotRegistry`] — a chunked array of [`SlotCell`]s, one per
 //!   reducer slot (`tlmm_addr`). Registration CAS-publishes the
-//!   leftmost view pointer; region-end folds *push* detached views
-//!   onto a per-slot Treiber **pending list** and return immediately
-//!   (the returning thief keeps stealing); the fold into leftmost
-//!   storage happens later — on the owner's next serial touch or from
-//!   the idle-worker drain hook — strictly in push (= serial) order.
-//!   Slot numbers are recycled through a tag-stamped lock-free
-//!   free-list (cells are never deallocated before domain teardown, so
-//!   an ABA tag is all the protection popping needs).
+//!   leftmost view pointer; at region end the root context's views are
+//!   folded into it one by one (`DomainInner::fold_root`), each fold
+//!   under the slot's serial word. Slot numbers are recycled through a
+//!   tag-stamped lock-free free-list (cells are never deallocated
+//!   before domain teardown, so an ABA tag is all the protection
+//!   popping needs).
 //! * [`MapPool`] — a Treiber free-list of boxed public SPA maps. Nodes
 //!   unlinked by `pop` may still be under a racing popper's feet, so
 //!   they are handed to the [`Collector`](crate::reclaim::Collector)
 //!   and freed once every pinned reader has moved on.
-//! * [`SerialBorrow`] — the per-reducer serial-exclusion word, moved
-//!   *into* the domain-owned cell (it used to live in the
-//!   `ReducerInner`, which an idle drainer could outlive). Three
-//!   states: free, user (serial-path reducer access; a second user
-//!   panics — that is a Cilk serial-semantics violation), drainer
-//!   (internal; users spin until it passes, drainers skip).
+//! * [`SerialBorrow`] — the per-reducer serial-exclusion word, kept in
+//!   the domain-owned cell. Two states, free and held. Holders are the
+//!   reducer's serial-path accesses and the region-end fold; regions
+//!   are serialized by the pool's region lock, so a second holder means
+//!   a serial access overlapped another one or the end of a region that
+//!   updated the reducer — a Cilk serial-semantics violation, and it
+//!   panics.
 //!
 //! Everything here goes through the `msync` atomic facade, so the
 //! protocols run under the model checker's weak-memory exploration
 //! (`--features model`).
 
-use crate::msync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use crate::msync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
 
 use cilkm_spa::SpaMapBox;
 
 use crate::domain::Slot;
-use crate::monoid::MonoidInstance;
 use crate::reclaim::Collector;
 
 /// Slots per chunk (lazily allocated; pointer-stable once published).
@@ -49,36 +42,22 @@ const NONE: u32 = u32::MAX;
 
 /// Serial word: nobody is at a serial point for this reducer.
 const SERIAL_FREE: u32 = 0;
-/// Serial word: a user serial-path access (update outside a region,
-/// read/take/set/into_inner, drop) is in progress.
+/// Serial word: a serial-path access (update outside a region,
+/// read/take/set/into_inner, drop) or the region-end fold is in
+/// progress.
 const SERIAL_USER: u32 = 1;
-/// Serial word: an idle-worker drain is folding this slot's pending
-/// views. Users wait it out; it is short and lock-free.
-const SERIAL_DRAIN: u32 = 2;
 
-/// One node of a per-slot pending-merge list: a detached view awaiting
-/// its fold into leftmost storage.
-pub(crate) struct PendingNode {
-    /// Written by the pusher before the publishing CAS and read only by
-    /// the drainer that took the whole list with a `swap`, so a plain
-    /// field suffices (the list head carries the happens-before).
-    next: *mut PendingNode,
-    view: *mut u8,
-}
-
-/// Per-slot atomic cell: the leftmost registry entry, the pending-merge
-/// list head, the serial-exclusion word, and the free-list link.
+/// Per-slot atomic cell: the leftmost registry entry, the
+/// serial-exclusion word, and the free-list link.
 pub(crate) struct SlotCell {
     /// Leftmost view pointer; null while the slot is unregistered.
     view: AtomicPtr<u8>,
     /// Erased `MonoidInstance` pointer (valid while `view` is non-null:
-    /// the owning reducer cannot finish dropping while a drainer holds
-    /// the serial word).
+    /// the owning reducer cannot finish dropping while the region-end
+    /// fold holds the serial word).
     monoid: AtomicPtr<u8>,
-    /// Tri-state serial-exclusion word (see module docs).
+    /// Serial-exclusion word (see module docs).
     serial: AtomicU32,
-    /// Pending-merge Treiber list head.
-    pending: AtomicPtr<PendingNode>,
     /// Next slot index when this slot sits on the free-list.
     next_free: AtomicU32,
 }
@@ -89,7 +68,6 @@ impl SlotCell {
             view: AtomicPtr::new(std::ptr::null_mut()),
             monoid: AtomicPtr::new(std::ptr::null_mut()),
             serial: AtomicU32::new(SERIAL_FREE),
-            pending: AtomicPtr::new(std::ptr::null_mut()),
             next_free: AtomicU32::new(NONE),
         }
     }
@@ -109,15 +87,11 @@ pub(crate) struct SlotRegistry {
     free_head: AtomicU64,
     /// Bump allocator for never-used slots.
     next_fresh: AtomicU32,
-    /// Global count of views sitting on pending lists — the cheap
-    /// "anything to drain?" check for idle workers, exported as the
-    /// `pending_depth` metric.
-    pending_total: AtomicUsize,
 }
 
 // SAFETY: all fields are atomics or arrays of atomics; the chunk
 // pointers are published once via CAS and only deallocated by `Drop`
-// (`&mut self`), and the view/monoid/pending raw pointers they guard
+// (`&mut self`), and the view/monoid raw pointers they guard
 // are handed across threads only through the acquire/release protocols
 // documented on each method.
 unsafe impl Send for SlotRegistry {}
@@ -130,7 +104,6 @@ impl SlotRegistry {
             chunks: [const { AtomicPtr::new(std::ptr::null_mut()) }; MAX_CHUNKS],
             free_head: AtomicU64::new(NONE as u64),
             next_fresh: AtomicU32::new(0),
-            pending_total: AtomicUsize::new(0),
         }
     }
 
@@ -179,7 +152,6 @@ impl SlotRegistry {
     pub(crate) fn free(&self, slot: Slot) {
         let cell = self.cell(slot);
         debug_assert!(cell.view.load(Ordering::Relaxed).is_null());
-        debug_assert!(cell.pending.load(Ordering::Relaxed).is_null());
         let mut head = self.free_head.load(Ordering::Relaxed);
         loop {
             cell.next_free.store(head as u32, Ordering::Relaxed);
@@ -246,7 +218,7 @@ impl SlotRegistry {
     }
 
     /// Unpublishes `slot`, returning its leftmost view (None if it was
-    /// never registered). The caller must have drained pending views.
+    /// never registered).
     pub(crate) fn unregister(&self, slot: Slot) -> Option<*mut u8> {
         let v = self
             .cell(slot)
@@ -276,190 +248,11 @@ impl SlotRegistry {
         old
     }
 
-    /// Views currently sitting on pending lists (the fast idle check).
-    pub(crate) fn pending_total(&self) -> usize {
-        self.pending_total.load(Ordering::Relaxed)
-    }
-
-    /// Highest slot index ever allocated (scan bound for the drainer).
-    pub(crate) fn high_water(&self) -> u32 {
-        self.next_fresh.load(Ordering::Relaxed)
-    }
-
     /// Number of registered slots — test aid.
     pub(crate) fn live(&self) -> usize {
-        (0..self.high_water())
+        (0..self.next_fresh.load(Ordering::Relaxed))
             .filter(|&s| !self.cell(s).view.load(Ordering::Relaxed).is_null())
             .count()
-    }
-
-    /// Pushes a detached `view` onto `slot`'s pending-merge list — the
-    /// steal-return half of the handoff: no lock, no fold, the caller
-    /// (a returning thief or a region-end collect) continues
-    /// immediately.
-    ///
-    /// # Safety
-    ///
-    /// `view` must be a live boxed view of the slot's monoid type, and
-    /// the slot must be registered (views must not outlive the
-    /// reducer).
-    pub(crate) unsafe fn push_pending(&self, slot: Slot, view: *mut u8) {
-        let cell = self.cell(slot);
-        assert!(
-            !cell.view.load(Ordering::Acquire).is_null(),
-            "views outlive reducer for slot {slot}"
-        );
-        let node = Box::into_raw(Box::new(PendingNode {
-            next: std::ptr::null_mut(),
-            view,
-        }));
-        self.push_pending_node(cell, node);
-    }
-
-    /// Region-exit fold attempt: if the slot's serial word is free,
-    /// takes it as a drainer, folds any parked views (serially earlier
-    /// than `view`) and then `view` itself into the leftmost — no
-    /// allocation, no parked node — and returns `true`. If the word is
-    /// busy (the owner or another drainer holds it), returns `false`
-    /// without touching `view`: the caller parks it with
-    /// [`SlotRegistry::push_pending`] instead. Never blocks either way.
-    ///
-    /// # Safety
-    ///
-    /// As [`SlotRegistry::push_pending`]: `view` must be a live boxed
-    /// view of the slot's monoid, and the slot must be registered.
-    // lint: hot-path
-    pub(crate) unsafe fn try_fold_root(&self, slot: Slot, view: *mut u8) -> bool {
-        let cell = self.cell(slot);
-        let Some(_borrow) = SerialBorrow::try_acquire_drain(cell) else {
-            return false;
-        };
-        let left = cell.view.load(Ordering::Acquire);
-        assert!(!left.is_null(), "views outlive reducer for slot {slot}");
-        // SAFETY: drainer serial word held; slot checked registered.
-        unsafe { self.drain_cell(cell) };
-        let monoid = cell.monoid.load(Ordering::Relaxed) as *const u8;
-        // SAFETY: registered slot ⇒ live erased monoid instance.
-        let inst = unsafe { MonoidInstance::from_erased(monoid) };
-        // SAFETY: `left` is the live leftmost view and `view` a live
-        // detached view of the same monoid (fn contract); the reduce
-        // consumes the right operand.
-        unsafe { inst.reduce_into(left, view) };
-        true
-    }
-
-    /// The publishing CAS loop for [`SlotRegistry::push_pending`]
-    /// (allocation stays in the caller).
-    // lint: hot-path
-    fn push_pending_node(&self, cell: &SlotCell, node: *mut PendingNode) {
-        let mut head = cell.pending.load(Ordering::Relaxed);
-        loop {
-            // SAFETY: `node` is exclusively ours until the CAS below
-            // publishes it.
-            unsafe { (*node).next = head };
-            match cell.pending.compare_exchange_weak(
-                head,
-                node,
-                Ordering::Release,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(h) => head = h,
-            }
-        }
-        self.pending_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Folds every pending view of this cell into its leftmost view, in
-    /// push (= serial left-to-right) order, until the list stays empty.
-    /// Returns the number of views folded.
-    ///
-    /// # Safety
-    ///
-    /// The caller must hold the cell's serial word (user or drainer),
-    /// and the slot must be registered with a live view and monoid.
-    pub(crate) unsafe fn drain_cell(&self, cell: &SlotCell) -> usize {
-        let mut folded = 0usize;
-        loop {
-            let taken = cell.pending.swap(std::ptr::null_mut(), Ordering::Acquire);
-            if taken.is_null() {
-                break;
-            }
-            // Reverse the LIFO list: push order is region order is
-            // serial order (regions are serialized, and each region
-            // contributes at most one final view per slot), so the
-            // reversed list folds left-to-right.
-            let mut chron: *mut PendingNode = std::ptr::null_mut();
-            let mut cur = taken;
-            while !cur.is_null() {
-                // SAFETY: the swap above transferred exclusive ownership
-                // of the whole list to this thread.
-                let next = unsafe { (*cur).next };
-                // SAFETY: same exclusive ownership as the read above.
-                unsafe { (*cur).next = chron };
-                chron = cur;
-                cur = next;
-            }
-            let left = cell.view.load(Ordering::Relaxed);
-            let monoid = cell.monoid.load(Ordering::Relaxed) as *const u8;
-            debug_assert!(!left.is_null() && !monoid.is_null());
-            // SAFETY: caller contract — registered slot, live monoid.
-            let inst = unsafe { MonoidInstance::from_erased(monoid) };
-            while !chron.is_null() {
-                // SAFETY: exclusive list ownership as above; each node
-                // was allocated by push_pending and is freed exactly
-                // once here.
-                let node = unsafe { Box::from_raw(chron) };
-                chron = node.next;
-                // SAFETY: `left` is the live leftmost view and
-                // `node.view` a live detached view of the same monoid
-                // (push_pending contract); reduce consumes the right.
-                unsafe { inst.reduce_into(left, node.view) };
-                folded += 1;
-            }
-        }
-        if folded != 0 {
-            self.pending_total.fetch_sub(folded, Ordering::Relaxed);
-        }
-        folded
-    }
-
-    /// One idle-worker sweep: for every slot with pending views, try to
-    /// take the drainer role and fold them. Never blocks — slots whose
-    /// serial word is busy are simply skipped (their holder will drain
-    /// them). Returns the number of views folded.
-    pub(crate) fn drain_idle(&self) -> usize {
-        if self.pending_total() == 0 {
-            return 0;
-        }
-        let mut folded = 0usize;
-        for slot in 0..self.high_water() {
-            let chunk = self.chunks[slot as usize / CHUNK].load(Ordering::Acquire);
-            if chunk.is_null() {
-                // Fresh-slot chunks appear in order; nothing past here.
-                break;
-            }
-            // SAFETY: published chunks stay valid until domain teardown.
-            let cell = unsafe { (*chunk).cells.get_unchecked(slot as usize % CHUNK) };
-            if cell.pending.load(Ordering::Relaxed).is_null() {
-                continue;
-            }
-            let Some(_borrow) = SerialBorrow::try_acquire_drain(cell) else {
-                continue;
-            };
-            // Re-check under the serial word: an unregistered slot's
-            // pendings belong to the reducer's Drop (which is spinning
-            // on this very word if it is mid-teardown).
-            if cell.view.load(Ordering::Acquire).is_null() {
-                continue;
-            }
-            // SAFETY: we hold the drainer serial word and just checked
-            // the slot is registered; the owning reducer cannot finish
-            // dropping (its Drop needs the user serial word), so view
-            // and monoid stay live for the duration.
-            folded += unsafe { self.drain_cell(cell) };
-        }
-        folded
     }
 }
 
@@ -472,21 +265,7 @@ impl Drop for SlotRegistry {
             }
             // SAFETY: `&mut self` — no concurrent users; each chunk was
             // Box-allocated by ensure_chunk and unpublished here once.
-            let mut chunk = unsafe { Box::from_raw(chunk) };
-            for cell in &mut chunk.cells {
-                // Leaked reducers may leave pending nodes; free the
-                // node memory (the views leak with their reducer, as
-                // they always did). `get_mut`, not `load`: teardown is
-                // exclusive, and a traced atomic op here would panic
-                // inside a Drop if the model is already unwinding.
-                let mut p = *cell.pending.get_mut();
-                while !p.is_null() {
-                    // SAFETY: teardown is single-threaded; nodes are
-                    // freed exactly once.
-                    let node = unsafe { Box::from_raw(p) };
-                    p = node.next;
-                }
-            }
+            drop(unsafe { Box::from_raw(chunk) });
         }
     }
 }
@@ -503,54 +282,41 @@ pub(crate) struct SerialBorrow<'a> {
 }
 
 impl<'a> SerialBorrow<'a> {
-    /// Takes the serial word for a user serial-path access. Spins out a
-    /// concurrent drainer (short, lock-free); panics on a second user —
-    /// overlapping serial accesses are a program error under the Cilk
-    /// serial semantics, exactly as the old `AtomicBool` flag did.
+    /// Takes the serial word for a serial-path access or the region-end
+    /// fold. Panics if it is already held: overlapping serial accesses
+    /// are a program error under the Cilk serial semantics.
     pub(crate) fn acquire_user(cell: &'a SlotCell) -> SerialBorrow<'a> {
         let word = &cell.serial;
-        loop {
-            match word.compare_exchange(
+        if word
+            .compare_exchange(
                 SERIAL_FREE,
                 SERIAL_USER,
                 Ordering::Acquire,
                 Ordering::Relaxed,
-            ) {
-                Ok(_) => return SerialBorrow { word },
-                Err(SERIAL_DRAIN) => crate::msync::spin_hint(),
-                Err(_) => panic!(
-                    "concurrent serial access to a reducer \
-                     (serial accesses must not overlap)"
-                ),
-            }
-        }
-    }
-
-    /// Tries to take the serial word as a drainer; `None` if anyone
-    /// (user or another drainer) holds it.
-    pub(crate) fn try_acquire_drain(cell: &'a SlotCell) -> Option<SerialBorrow<'a>> {
-        cell.serial
-            .compare_exchange(
-                SERIAL_FREE,
-                SERIAL_DRAIN,
-                Ordering::Acquire,
-                Ordering::Relaxed,
             )
-            .ok()
-            .map(|_| SerialBorrow { word: &cell.serial })
+            .is_err()
+        {
+            panic!(
+                "concurrent serial access to a reducer \
+                 (serial accesses must not overlap)"
+            );
+        }
+        SerialBorrow { word }
     }
 }
 
 impl Drop for SerialBorrow<'_> {
     fn drop(&mut self) {
-        // Skip the model release while unwinding: if the execution is
-        // being torn down (ModelAbort) a traced op here would nest a
-        // second abort panic inside this Drop — a double panic; if a
-        // test assertion is unwinding, the failure is already recorded
-        // and the execution stops anyway. (Same discipline as the
-        // checker's own MutexGuard.)
+        // Skip the model release while a model thread unwinds: if the
+        // execution is being torn down (ModelAbort) a traced op here
+        // would nest a second abort panic inside this Drop — a double
+        // panic; if a test assertion is unwinding, the failure is
+        // already recorded and the execution stops anyway. (Same
+        // discipline as the checker's own MutexGuard.) Outside a model
+        // run the word must be released: a refused or panicking
+        // region-end fold unwinds through here and the reducer lives on.
         #[cfg(feature = "model")]
-        if std::thread::panicking() {
+        if std::thread::panicking() && cilkm_checker::in_model() {
             return;
         }
         self.word.store(SERIAL_FREE, Ordering::Release);
@@ -629,7 +395,7 @@ impl MapPool {
 
     /// Off-critical-path reclamation of popped node shells: frees
     /// whatever the hazard-era collector can prove unreachable. Called
-    /// from the idle-drain hook so `pop` itself almost never sweeps.
+    /// from the `on_idle` hook so `pop` itself almost never sweeps.
     pub(crate) fn collect(&self) {
         self.collector.collect();
     }
@@ -750,61 +516,11 @@ mod tests {
     }
 
     #[test]
-    fn serial_word_spins_out_drainers_and_panics_on_users() {
-        let r = SlotRegistry::new();
-        let s = r.alloc();
-        let cell = r.cell(s);
-        let user = SerialBorrow::acquire_user(cell);
-        assert!(
-            SerialBorrow::try_acquire_drain(cell).is_none(),
-            "drainer must not enter while a user holds the word"
-        );
-        drop(user);
-        let drain = SerialBorrow::try_acquire_drain(cell).expect("free word");
-        drop(drain);
-        let _user = SerialBorrow::acquire_user(cell);
-    }
-
-    #[test]
     #[should_panic(expected = "concurrent serial access")]
     fn overlapping_user_borrows_panic() {
         let r = SlotRegistry::new();
         let s = r.alloc();
         let _a = SerialBorrow::acquire_user(r.cell(s));
         let _b = SerialBorrow::acquire_user(r.cell(s));
-    }
-
-    #[test]
-    fn pending_views_fold_in_push_order() {
-        // Non-commutative monoid: order mistakes change the answer.
-        struct Concat;
-        impl crate::monoid::Monoid for Concat {
-            type View = String;
-            fn identity(&self) -> String {
-                String::new()
-            }
-            fn reduce(&self, left: &mut String, right: String) {
-                left.push_str(&right);
-            }
-        }
-        let m = std::sync::Arc::new(Concat);
-        let inst = MonoidInstance::new(&m);
-        let r = SlotRegistry::new();
-        let s = r.alloc();
-        let left = Box::into_raw(Box::new(String::from("L"))) as *mut u8;
-        r.register(s, left, inst.as_erased());
-        for part in ["a", "b", "c"] {
-            let v = Box::into_raw(Box::new(String::from(part))) as *mut u8;
-            // SAFETY: live boxed String views of the registered monoid.
-            unsafe { r.push_pending(s, v) };
-        }
-        assert_eq!(r.pending_total(), 3);
-        assert_eq!(r.drain_idle(), 3);
-        assert_eq!(r.pending_total(), 0);
-        let v = r.unregister(s).unwrap();
-        // SAFETY: sole owner after unregister; it is the Box<String>
-        // registered above.
-        let folded = unsafe { Box::from_raw(v as *mut String) };
-        assert_eq!(*folded, "Labc", "pending folds must keep serial order");
     }
 }

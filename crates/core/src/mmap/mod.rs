@@ -259,7 +259,7 @@ impl MmapWorkerState {
         }
     }
 
-    /// Idle-time cache refill (the scheduler's `drain_pending` hook):
+    /// Idle-time cache refill (the scheduler's `on_idle` hook):
     /// tops up the local public-map pool, so the next transferal finds
     /// its maps ready instead of taking them from the domain's pool
     /// inside its latency window.
@@ -640,34 +640,28 @@ impl HyperHooks for MmapHooks {
 
     fn collect_root(&self, state: &mut dyn Any) {
         let st: *mut MmapWorkerState = state.downcast_mut::<MmapWorkerState>().expect("mmap state");
-        // SAFETY: exclusive access via the `&mut dyn Any` argument; the
-        // fold callbacks run domain code, not user monoid code.
+        // SAFETY: exclusive access via the `&mut dyn Any` argument, and
+        // no borrow of the state is live across the fold, whose user
+        // `reduce` code may itself perform lookups through MMAP_TLS.
         unsafe {
             (*st).flush_lookups();
             (*st).forget_last();
             if (*st).current_views == 0 {
                 return;
             }
-            let mut entries: Vec<(usize, ViewPair)> = Vec::new();
+            let mut entries: Vec<(Slot, ViewPair)> = Vec::new();
             let npages = (*st).pages.len();
             for pidx in 0..npages {
                 let private = page_at(st, pidx);
-                private.drain(|idx, pair| entries.push((pidx * VIEWS_PER_MAP + idx, pair)));
+                private
+                    .drain(|idx, pair| entries.push(((pidx * VIEWS_PER_MAP + idx) as Slot, pair)));
             }
             (*st).current_views = 0;
-            for (slot, pair) in entries {
-                // Lock-free handoff (DESIGN.md §13): fold inline when
-                // the slot's serial word is free (one CAS, the common
-                // case at a region boundary), else park the view on the
-                // slot's pending-merge list and continue — the fold
-                // then happens off the critical path (owner's next
-                // serial touch or the idle-worker drain hook). Never
-                // blocks either way.
-                // SAFETY: `pair.view` is a live boxed view of this
-                // slot's monoid and the reducer is still registered
-                // (views must not outlive their reducer).
-                self.domain.fold_or_park(slot as Slot, pair.view);
-            }
+            // SAFETY: each pair is a live boxed view of its slot's
+            // monoid with the instance that created it, and the
+            // reducers are still registered (views must not outlive
+            // their reducer).
+            self.domain.fold_root(entries.into_iter());
         }
     }
 
@@ -694,16 +688,16 @@ impl HyperHooks for MmapHooks {
         }
     }
 
-    fn drain_pending(&self) {
+    fn on_idle(&self) {
         // Idle episode: top up the calling worker's public-map pool.
         let tls = MMAP_TLS.with(|c| c.get());
         if !tls.state.is_null() && std::ptr::eq(tls.domain, Arc::as_ptr(&self.domain)) {
             // SAFETY: the TLS snapshot points at the calling (idle)
-            // worker's live state; the `&mut` ends before `idle_drain`
-            // below runs user monoid code.
+            // worker's live state, which nothing else borrows while the
+            // worker sits in its steal loop.
             unsafe { (*tls.state).prewarm() };
         }
-        self.domain.idle_drain();
+        self.domain.collect_retired_maps();
     }
 
     fn suspend(&self, state: &mut dyn Any) -> DetachedViews {

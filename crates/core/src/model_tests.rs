@@ -12,9 +12,7 @@
 //! Since PR 7 these tests run under the sleep-set DPOR engine with the
 //! CHESS preemption bound *removed* (`Config::dpor()`): the reduction,
 //! not the bound, keeps the schedule count tractable, so coverage is
-//! genuinely exhaustive. The lock-free handoff test additionally runs a
-//! 10k-schedule seeded PCT sweep at a thread count the old bounded DFS
-//! could not reach.
+//! genuinely exhaustive.
 
 use std::sync::Arc;
 
@@ -146,155 +144,6 @@ fn transferal_delivers_each_view_exactly_once() {
         // a double merge "AA"/"BB".
         assert_eq!(read(0, 0, &inst, &domain), "A");
         assert_eq!(read(0, 9, &inst, &domain), "B");
-    });
-}
-
-/// Lock-free handoff (DESIGN.md §13): concurrent region-exit handoffs
-/// (`fold_or_park` — inline fold when the serial word is free, parked
-/// pending node when it is contended) racing an owner-side drain must
-/// neither lose a view nor fold one twice, in any interleaving and
-/// under any allowed weak-memory read. Depending on the schedule each
-/// thief folds inline or parks, so both branches are explored.
-///
-/// Exhaustive at *unbounded* preemption depth under DPOR — the old DFS
-/// engine needed `preemptions: Some(3)` to terminate here. The
-/// three-thief scale-up rides on the seeded PCT sweep below, where the
-/// CAS-loop interleaving space outgrows exhaustion.
-#[test]
-fn pending_pushes_race_owner_drain_without_loss() {
-    use crate::library::SumMonoid;
-    checker::model_with(checker::Config::dpor(), || {
-        let domain = Arc::new(DomainInner::new(Backend::Mmap));
-        let monoid = Arc::new(SumMonoid::<u64>::new());
-        let inst = Arc::new(MonoidInstance::new(&monoid));
-        let slot = domain.alloc_slot();
-        let leftmost = Box::into_raw(Box::new(1u64)) as *mut u8;
-        domain.register_leftmost(slot, leftmost, inst.as_erased());
-
-        let mut thieves = Vec::new();
-        for add in [2u64, 4] {
-            let (d, m, i) = (Arc::clone(&domain), Arc::clone(&monoid), Arc::clone(&inst));
-            thieves.push(checker::thread::spawn(move || {
-                let _keep_alive = (m, i);
-                let v = Box::into_raw(Box::new(add)) as *mut u8;
-                // SAFETY: live boxed u64 view of the registered
-                // SumMonoid; the reducer outlives this handoff (main
-                // joins before unregistering).
-                unsafe { d.fold_or_park(slot, v) };
-            }));
-        }
-        // The owner drains concurrently with the pushes.
-        {
-            let _borrow = domain.serial_user(slot);
-            // SAFETY: serial word held; slot registered.
-            unsafe { domain.drain_pending_slot(slot) };
-        }
-        for t in thieves {
-            t.join().unwrap();
-        }
-        // Final serial point: fold any stragglers and read the total.
-        let total = {
-            let _borrow = domain.serial_user(slot);
-            // SAFETY: serial word held; slot registered.
-            unsafe { domain.drain_pending_slot(slot) };
-            let v = domain.unregister_leftmost(slot).unwrap();
-            // SAFETY: sole remaining pointer after unregister.
-            unsafe { *Box::from_raw(v as *mut u64) }
-        };
-        assert_eq!(total, 7, "1 + 2 + 4: every view folded exactly once");
-        domain.free_slot(slot);
-    });
-}
-
-/// The push/drain handoff scaled up to *three* concurrent thieves — a
-/// thread count no exhaustive engine here reaches — under 10,000 seeded
-/// PCT schedules with
-/// unbounded preemption depth — randomized coverage beyond what even
-/// DPOR visits in one CI run. Seed fixed: deterministic, and any future
-/// failure prints its own `CILKM_CHECK_SEED` reproducer.
-#[test]
-fn pending_pushes_survive_seeded_pct_sweep() {
-    use crate::library::SumMonoid;
-    let report = checker::try_model_with(checker::Config::pct(0xC11F_0007, 3, 10_000), || {
-        let domain = Arc::new(DomainInner::new(Backend::Mmap));
-        let monoid = Arc::new(SumMonoid::<u64>::new());
-        let inst = Arc::new(MonoidInstance::new(&monoid));
-        let slot = domain.alloc_slot();
-        let leftmost = Box::into_raw(Box::new(1u64)) as *mut u8;
-        domain.register_leftmost(slot, leftmost, inst.as_erased());
-
-        let mut thieves = Vec::new();
-        for add in [2u64, 4, 8] {
-            let (d, m, i) = (Arc::clone(&domain), Arc::clone(&monoid), Arc::clone(&inst));
-            thieves.push(checker::thread::spawn(move || {
-                let _keep_alive = (m, i);
-                let v = Box::into_raw(Box::new(add)) as *mut u8;
-                // SAFETY: live boxed u64 view of the registered
-                // SumMonoid; the reducer outlives this handoff (main
-                // joins before unregistering).
-                unsafe { d.fold_or_park(slot, v) };
-            }));
-        }
-        {
-            let _borrow = domain.serial_user(slot);
-            // SAFETY: serial word held; slot registered.
-            unsafe { domain.drain_pending_slot(slot) };
-        }
-        for t in thieves {
-            t.join().unwrap();
-        }
-        let total = {
-            let _borrow = domain.serial_user(slot);
-            // SAFETY: serial word held; slot registered.
-            unsafe { domain.drain_pending_slot(slot) };
-            let v = domain.unregister_leftmost(slot).unwrap();
-            // SAFETY: sole remaining pointer after unregister.
-            unsafe { *Box::from_raw(v as *mut u64) }
-        };
-        assert_eq!(total, 15, "1 + 2 + 4 + 8: every view folded exactly once");
-        domain.free_slot(slot);
-    })
-    .expect("lock-free handoff must survive the PCT sweep");
-    assert_eq!(report.schedules, 10_000);
-}
-
-/// Pushes from one thread (= serialized regions) with an idle drainer
-/// racing them: the fold must keep push order even when a drain lands
-/// between pushes — over a non-commutative monoid a second drainer
-/// folding out of turn would be visible as a scrambled string, and a
-/// lost or doubled view as a missing/repeated character.
-#[test]
-fn racing_idle_drain_preserves_serial_fold_order() {
-    checker::model_with(checker::Config::dpor(), || {
-        let domain = Arc::new(DomainInner::new(Backend::Mmap));
-        let monoid = Arc::new(Concat);
-        let inst = Arc::new(MonoidInstance::new(&monoid));
-        let slot = domain.alloc_slot();
-        let leftmost = Box::into_raw(Box::new(String::from("L"))) as *mut u8;
-        domain.register_leftmost(slot, leftmost, inst.as_erased());
-
-        let d2 = Arc::clone(&domain);
-        let drainer = checker::thread::spawn(move || {
-            d2.idle_drain();
-            d2.idle_drain();
-        });
-        for part in ["a", "b"] {
-            let v = Box::into_raw(Box::new(String::from(part))) as *mut u8;
-            // SAFETY: live boxed String view of the registered Concat
-            // monoid; the reducer outlives the push.
-            unsafe { domain.push_pending(slot, v) };
-        }
-        drainer.join().unwrap();
-        let folded = {
-            let _borrow = domain.serial_user(slot);
-            // SAFETY: serial word held; slot registered.
-            unsafe { domain.drain_pending_slot(slot) };
-            let v = domain.unregister_leftmost(slot).unwrap();
-            // SAFETY: sole remaining pointer after unregister.
-            unsafe { *Box::from_raw(v as *mut String) }
-        };
-        assert_eq!(folded, "Lab", "drains must fold in push (serial) order");
-        domain.free_slot(slot);
     });
 }
 

@@ -5,9 +5,9 @@
 //!
 //! Since the lock-free view-lifecycle rework (DESIGN.md §13) the core
 //! holds no mutexes at all: its synchronization surface is the atomics
-//! behind the slot registry's per-slot cells, the pending-merge and
-//! free-list Treiber stacks, the public-map pool, and the hazard-era
-//! collector (`reclaim`). Importing them through this module keeps them
+//! behind the slot registry's per-slot cells and slot free-list, the
+//! public-map pool, and the hazard-era collector (`reclaim`). Importing
+//! them through this module keeps them
 //! zero-cost aliases of `std::sync::atomic` in normal builds while
 //! letting `--features model` swap in `cilkm_checker`'s recorded
 //! versions and `--features sanitize` swap in `cilkm_san`'s

@@ -53,7 +53,7 @@ const SLOTS: usize = 64;
 /// Retired-count multiple at which the *retiring* thread sweeps. This
 /// is a memory backstop, not the main reclamation path: sweeps normally
 /// run off the critical path via [`Collector::collect`] (idle workers,
-/// see `DomainInner::idle_drain`). A retiring thread only pays a walk
+/// see `MmapHooks::on_idle`). A retiring thread only pays a walk
 /// when the count crosses a multiple of this — triggering on `>=`
 /// instead would let one stale reservation (a reader preempted while
 /// pinned holds its era for a whole scheduling quantum, during which
@@ -178,7 +178,7 @@ impl Collector {
     }
 
     /// Off-critical-path reclamation: sweeps if any garbage is parked.
-    /// Idle workers call this (via the `drain_pending` hook chain) so
+    /// Idle workers call this (via the `on_idle` hook) so
     /// the common case is that retiring threads never walk the list.
     pub(crate) fn collect(&self) {
         if self.retired_count.load(Ordering::Relaxed) != 0 {

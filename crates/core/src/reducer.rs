@@ -34,8 +34,7 @@ struct ReducerInner<M: Monoid> {
     domain: Arc<DomainInner>,
     /// Set once the leftmost entry has been extracted by `into_inner`.
     /// (Serial-access exclusion lives in the domain-owned slot cell —
-    /// see `lockfree::SerialBorrow` — so an idle drainer never races a
-    /// flag inside this allocation's lifetime.)
+    /// see `lockfree::SerialBorrow`.)
     consumed: AtomicBool,
 }
 
@@ -171,9 +170,6 @@ impl<M: Monoid> Reducer<M> {
     fn update_serial<R>(&self, f: impl FnOnce(&mut M::View) -> R) -> R {
         let inner = &*self.inner;
         let _borrow = inner.domain.serial_user(inner.slot);
-        // SAFETY: we hold the serial word and the slot is registered
-        // (this reducer is alive).
-        unsafe { inner.domain.drain_pending_slot(inner.slot) };
         inner.domain.instrument.lookups.inc();
         let entry = inner
             .domain
@@ -203,14 +199,11 @@ impl<M: Monoid> Reducer<M> {
         }
     }
 
-    /// Reads the reducer's value at a serial point, after folding any
-    /// pending detached views and the current context view into the
-    /// leftmost view.
+    /// Reads the reducer's value at a serial point, after folding the
+    /// current context view into the leftmost view.
     pub fn read<R>(&self, f: impl FnOnce(&M::View) -> R) -> R {
         let inner = &*self.inner;
         let _borrow = inner.domain.serial_user(inner.slot);
-        // SAFETY: serial word held; slot registered while we are alive.
-        unsafe { inner.domain.drain_pending_slot(inner.slot) };
         self.fold_current();
         let entry = inner
             .domain
@@ -235,8 +228,6 @@ impl<M: Monoid> Reducer<M> {
     pub fn take(&self) -> M::View {
         let inner = &*self.inner;
         let _borrow = inner.domain.serial_user(inner.slot);
-        // SAFETY: serial word held; slot registered while we are alive.
-        unsafe { inner.domain.drain_pending_slot(inner.slot) };
         self.fold_current();
         let fresh = Box::into_raw(Box::new(inner.monoid.identity())) as *mut u8;
         let old = inner.domain.swap_leftmost_view(inner.slot, fresh);
@@ -255,11 +246,6 @@ impl<M: Monoid> Reducer<M> {
     pub fn set(&self, value: M::View) {
         let inner = &*self.inner;
         let _borrow = inner.domain.serial_user(inner.slot);
-        // Fold parked detached views first: left on the pending list,
-        // they would later fold into the *new* value and resurrect the
-        // history `set` is supposed to discard.
-        // SAFETY: serial word held; slot registered while we are alive.
-        unsafe { inner.domain.drain_pending_slot(inner.slot) };
         // Discard (not fold) the current context's view, per move_in.
         let ctx = match inner.domain.backend {
             Backend::Mmap => mmap::remove_current(inner.slot, &inner.domain),
@@ -282,9 +268,6 @@ impl<M: Monoid> Reducer<M> {
     pub fn into_inner(self) -> M::View {
         let inner = &*self.inner;
         let _borrow = inner.domain.serial_user(inner.slot);
-        // SAFETY: serial word held; slot registered until the
-        // unregister below.
-        unsafe { inner.domain.drain_pending_slot(inner.slot) };
         self.fold_current();
         inner.consumed.store(true, Ordering::Release);
         let view = inner
@@ -314,14 +297,7 @@ impl<M: Monoid> Drop for ReducerInner<M> {
                 unsafe { drop(Box::from_raw(v as *mut M::View)) };
             }
             {
-                // Take the serial word: an idle drainer mid-fold on this
-                // slot is spun out here, and none can start afterwards
-                // (the drain hook re-checks registration under the word).
                 let _borrow = self.domain.serial_user(self.slot);
-                // Fold parked views before tearing down, so their boxes
-                // are not leaked on the pending list.
-                // SAFETY: serial word held; slot still registered.
-                unsafe { self.domain.drain_pending_slot(self.slot) };
                 if let Some(view) = self.domain.unregister_leftmost(self.slot) {
                     // SAFETY: unregistering returned the sole pointer to
                     // the boxed leftmost view.

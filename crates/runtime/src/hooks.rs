@@ -14,6 +14,7 @@
 //! | both sides of a join done → **hypermerge**, left ⊗ right | [`HyperHooks::merge_right`] |
 //! | root task of `Pool::run` finishes → fold views into reducer leftmost storage | [`HyperHooks::collect_root`] |
 //! | a side panicked → its views are destroyed unmerged | [`HyperHooks::discard`] |
+//! | a top-level steal sweep found nothing → refill caches, sweep garbage | [`HyperHooks::on_idle`] |
 //!
 //! The runtime maintains the invariant that a worker's *current* view set
 //! is empty whenever the worker is idle (stealing at top level): every
@@ -61,6 +62,8 @@ pub trait HyperHooks: Send + Sync + 'static {
 
     /// End of a `Pool::run` root task: folds the worker's current views
     /// into their reducers' leftmost storage and empties the context.
+    /// Runs the monoids' `reduce`; if it unwinds, the context must still
+    /// be left empty and every view not yet folded destroyed.
     fn collect_root(&self, state: &mut dyn Any);
 
     /// Destroys a detached view set without merging (panic paths).
@@ -84,12 +87,13 @@ pub trait HyperHooks: Send + Sync + 'static {
         self.attach(state, views)
     }
 
-    /// Idle-time maintenance: called when a worker's steal sweep came up
-    /// empty, before it backs off. Backends fold parked pending-merge
-    /// views here (DESIGN.md §13), so hypermerge work that was taken off
-    /// the steal critical path gets done while the worker has nothing
-    /// better to do. Must not block. Defaults to nothing.
-    fn drain_pending(&self) {}
+    /// Idle-time maintenance: called when a worker's top-level steal
+    /// sweep came up empty, before it backs off. The memory-mapped
+    /// backend tops up the worker's local pool of public SPA maps and
+    /// sweeps the global map pool's retired node shells here, so neither
+    /// is paid inside a transferal. Runs no user code and must not
+    /// block. Defaults to nothing.
+    fn on_idle(&self) {}
 }
 
 /// The do-nothing hooks used by pools that run no reducers.

@@ -391,13 +391,21 @@ where
         // Fresh SP region root: successive regions are mutually
         // sequential, strands forked inside this one hang off it.
         let sp_prev = crate::sanhooks::sp_region_enter();
-        let res = match panic::catch_unwind(AssertUnwindSafe(func)) {
+        let mut res = match panic::catch_unwind(AssertUnwindSafe(func)) {
             Ok(r) => JobResult::Ok(r),
             Err(p) => JobResult::Panic(p),
         };
-        *this.result.get() = res;
         // Root of the parallel region: views flow to leftmost storage.
-        crate::registry::collect_root_views();
+        // The fold runs user `reduce` code and can be refused (a serial
+        // access overlapping the region's end): its panic goes to the
+        // region's caller like the body's, which keeps precedence.
+        // Unwinding past the latch below would block that caller forever.
+        if let Err(p) = panic::catch_unwind(crate::registry::collect_root_views) {
+            if !matches!(res, JobResult::Panic(_)) {
+                res = JobResult::Panic(p);
+            }
+        }
+        *this.result.get() = res;
         crate::sanhooks::sp_exit(sp_prev);
         // SAFETY: executing worker, before the latch release publishes
         // the write to the region's caller.

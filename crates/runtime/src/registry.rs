@@ -457,16 +457,14 @@ impl WorkerThread {
                 trace::emit(EventKind::StealFail, 0);
             }
             // Idle-time maintenance: an empty steal sweep means this
-            // worker has nothing better to do than fold parked
-            // pending-merge views (DESIGN.md §13). Once at the start of
-            // an idle episode (when a region just ended this is the
-            // moment the parked views appear), with a periodic retry in
-            // case a first-pass drain lost a serial-word race — NOT on
-            // every failed sweep: with oversubscribed workers that
-            // turns idle spinning into a herd of registry scans
-            // competing for the CPU the victims need.
+            // worker has nothing better to do than refill its backend
+            // caches and sweep retired garbage (`HyperHooks::on_idle`).
+            // Once at the start of an idle episode, with a periodic
+            // repeat while it lasts — NOT on every failed sweep: with
+            // oversubscribed workers that turns idle spinning into a
+            // herd of sweeps competing for the CPU the victims need.
             if idle == 1 || idle.is_multiple_of(64) {
-                self.registry.hooks.drain_pending();
+                self.registry.hooks.on_idle();
             }
             if idle <= self.registry.spin_tries {
                 // Exponentially longer pause bursts between steal sweeps.

@@ -129,9 +129,10 @@ impl TlmmRegion {
     /// entries at arbitrary (not necessarily contiguous) region pages in
     /// one call — still a **single** kernel crossing charged with one
     /// page-table entry per element, the same §4 batching argument as
-    /// [`TlmmRegion::pmap`]. [`PD_NULL`] entries remove mappings. This is
-    /// the call the exchange-based view transferal uses to swap a batch
-    /// of occupied pages out of the region and zeroed replacements in.
+    /// [`TlmmRegion::pmap`]. [`PD_NULL`] entries remove mappings. No
+    /// code in the workspace calls it since the exchange-based view
+    /// transferal was deleted; it is kept for the benchmark's
+    /// `tlmm.pmap_scatter16_ns` probe.
     ///
     /// # Panics
     ///

@@ -1,7 +1,11 @@
 //! Cross-crate scenario tests for the reducer mechanism: lifecycles,
 //! serial points, failure injection, and multi-pool isolation.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use cilkm::prelude::*;
 
@@ -317,5 +321,158 @@ fn instrument_reports_parallel_machinery() {
             );
         }
         assert_eq!(r.into_inner(), 400_000);
+    }
+}
+
+/// Creations and drops of [`Counted`] views.
+#[derive(Default)]
+struct Tally {
+    created: AtomicU64,
+    dropped: AtomicU64,
+}
+
+impl Tally {
+    fn counts(&self) -> (u64, u64) {
+        (
+            self.created.load(Ordering::SeqCst),
+            self.dropped.load(Ordering::SeqCst),
+        )
+    }
+}
+
+/// A view that counts its own creation and drop.
+struct Counted {
+    n: u64,
+    tally: Arc<Tally>,
+}
+
+impl Counted {
+    fn new(tally: &Arc<Tally>) -> Counted {
+        tally.created.fetch_add(1, Ordering::SeqCst);
+        Counted {
+            n: 0,
+            tally: Arc::clone(tally),
+        }
+    }
+}
+
+impl Drop for Counted {
+    fn drop(&mut self) {
+        self.tally.dropped.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// Sums [`Counted`] views; `reduce` panics while `poisoned` is set.
+struct CountedSum {
+    tally: Arc<Tally>,
+    poisoned: Arc<AtomicBool>,
+}
+
+impl Monoid for CountedSum {
+    type View = Counted;
+    fn identity(&self) -> Counted {
+        Counted::new(&self.tally)
+    }
+    fn reduce(&self, left: &mut Counted, right: Counted) {
+        if self.poisoned.load(Ordering::SeqCst) {
+            panic!("reduce refuses at region end");
+        }
+        left.n += right.n;
+    }
+}
+
+/// The message of a `panic!("literal")` payload.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload.downcast_ref::<&str>().copied().unwrap_or("?")
+}
+
+#[test]
+fn reduce_panic_at_region_end_reaches_the_caller() {
+    for backend in backends() {
+        let tally = Arc::new(Tally::default());
+        let poisoned = Arc::new(AtomicBool::new(true));
+        let pool = Arc::new(ReducerPool::new(2, backend));
+        // Two reducers: whichever folds first panics, and the other's
+        // view is then one the fold never reached.
+        let rs: Arc<Vec<Reducer<CountedSum>>> = Arc::new(
+            (0..2)
+                .map(|_| {
+                    let monoid = CountedSum {
+                        tally: Arc::clone(&tally),
+                        poisoned: Arc::clone(&poisoned),
+                    };
+                    Reducer::new(&pool, monoid, Counted::new(&tally))
+                })
+                .collect(),
+        );
+
+        // Driven from a helper thread that is not joined on failure: a
+        // region that never returns must fail this test, not hang it.
+        let (tx, rx) = mpsc::channel();
+        let (pool2, rs2) = (Arc::clone(&pool), Arc::clone(&rs));
+        let helper = std::thread::spawn(move || {
+            let region = || pool2.run(|| rs2.iter().for_each(|r| r.update(|v| v.n += 1)));
+            let _ = tx.send(catch_unwind(AssertUnwindSafe(region)));
+        });
+        let payload = rx
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("{backend:?}: Pool::run never returned"))
+            .expect_err("the reduce panic must reach the caller of run");
+        // It has sent, so it ends; its handles on the reducers go with it.
+        helper.join().unwrap();
+        assert_eq!(panic_message(&*payload), "reduce refuses at region end");
+
+        // Same pool, same workers: the context was left empty, so this
+        // region folds exactly its own two views.
+        poisoned.store(false, Ordering::SeqCst);
+        let answer = pool.run(|| {
+            rs.iter().for_each(|r| r.update(|v| v.n += 10));
+            7
+        });
+        assert_eq!(answer, 7, "backend {backend:?}");
+        for r in rs.iter() {
+            assert_eq!(r.read(|v| v.n), 10, "backend {backend:?}");
+        }
+
+        drop(rs);
+        let (created, dropped) = tally.counts();
+        assert_eq!(created, 6, "2 initial + 2 views in each region");
+        assert_eq!(dropped, created, "backend {backend:?}: every view once");
+    }
+}
+
+#[test]
+fn serial_access_overlapping_region_end_is_refused() {
+    for backend in backends() {
+        let tally = Arc::new(Tally::default());
+        let pool = ReducerPool::new(2, backend);
+        let monoid = CountedSum {
+            tally: Arc::clone(&tally),
+            poisoned: Arc::new(AtomicBool::new(false)),
+        };
+        let r = Reducer::new(&pool, monoid, Counted::new(&tally));
+
+        // The serial access `read` is still in progress when the region
+        // that updated `r` ends: its fold is refused, not deferred.
+        let inner =
+            r.read(|_| catch_unwind(AssertUnwindSafe(|| pool.run(|| r.update(|v| v.n += 1)))));
+        let payload = inner.expect_err("the overlapped region-end fold must be refused");
+        assert!(
+            panic_message(&*payload).contains("concurrent serial access"),
+            "backend {backend:?}: {}",
+            panic_message(&*payload)
+        );
+        assert_eq!(
+            tally.counts(),
+            (2, 1),
+            "backend {backend:?}: the refused view is destroyed exactly once"
+        );
+
+        pool.run(|| r.update(|v| v.n += 5));
+        assert_eq!(r.read(|v| v.n), 5, "backend {backend:?}");
+        drop(r);
+        let (created, dropped) = tally.counts();
+        assert_eq!(created, 3);
+        assert_eq!(dropped, created, "backend {backend:?}: every view once");
     }
 }
