@@ -23,8 +23,8 @@
 //!   number.
 //!
 //! The gate fails if wall p99 exceeds `CILKM_TRANSFERAL_P99_MAX_NS`
-//! (default committed below, with headroom over the lock-free path's
-//! measured tail on the reference host). Results are persisted as
+//! (default committed below, with headroom over the measured tail on
+//! the reference host). Results are persisted as
 //! `bench_out/transferal_p99.csv` and a stable-schema
 //! `bench_out/BENCH_transferal.json` — the first point of the
 //! `BENCH_*.json` perf trajectory.
@@ -42,13 +42,13 @@ use cilkm_core::{Backend, Reducer, ReducerPool};
 use cilkm_runtime::parallel_for;
 
 /// Default gate: a regression backstop, not a tight bound. On the
-/// single-core reference host the lock-free path's wall p99 sits at
-/// 30–65 µs when the tail is transferal-bound, but under 8–16×
-/// oversubscription ~1% of windows absorb a scheduler requeue
-/// (~0.5–0.7 ms), so the gate sits above that scheduling noise and
-/// catches only structural regressions — e.g. a blocking acquisition
-/// reintroduced on the steal-return path, which serializes whole
-/// convoys of thieves and pushes p99 past this ceiling.
+/// single-core reference host the wall p99 sits at 30–65 µs when the
+/// tail is transferal-bound, but under 8–16× oversubscription ~1% of
+/// windows absorb a scheduler requeue (~0.5–0.7 ms), so the gate sits
+/// above that scheduling noise and catches only structural regressions
+/// — e.g. a long critical section on the steal-return path, which
+/// serializes whole convoys of thieves and pushes p99 past this
+/// ceiling.
 const DEFAULT_P99_MAX_NS: u64 = 4_000_000;
 
 struct Measured {
@@ -149,8 +149,8 @@ fn main() -> ExitCode {
     // majority of every detach's public maps must come from the shared
     // domain pool and the majority of every attach's recycles must
     // spill back to it. Smaller n lets the local caches absorb the
-    // lifecycle traffic and the pool (the contended structure this
-    // gate exists to watch) goes quiet.
+    // map traffic and the pool (the contended structure this gate
+    // exists to watch) goes quiet.
     let n = 4096usize;
 
     // Warm-up region so first-touch page faults and pool spin-up are not
@@ -159,7 +159,7 @@ fn main() -> ExitCode {
     let m = measure(workers, n, rounds, spin);
 
     // Lookup cost rides along in the JSON so the trajectory catches a
-    // fast-path regression smuggled in by lifecycle work.
+    // fast-path regression smuggled in by steal-path work.
     let lookups = 1u64 << 20;
     let lookup_ns = run_add_tight(Backend::Mmap, 1, lookups).as_nanos() as f64 / lookups as f64;
 

@@ -57,7 +57,6 @@ pub mod reducer;
 mod domain;
 mod lockfree;
 mod msync;
-mod reclaim;
 
 #[cfg(all(test, feature = "model"))]
 mod model_tests;

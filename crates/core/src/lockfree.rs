@@ -1,5 +1,5 @@
 //! Lock-free view-lifecycle structures (DESIGN.md §13): the per-slot
-//! leftmost registry and the public SPA-map free-list.
+//! leftmost registry and the serial-exclusion word.
 //!
 //! * [`SlotRegistry`] — a chunked array of [`SlotCell`]s, one per
 //!   reducer slot (`tlmm_addr`). Registration CAS-publishes the
@@ -9,10 +9,6 @@
 //!   tag-stamped lock-free free-list (cells are never deallocated
 //!   before domain teardown, so an ABA tag is all the protection
 //!   popping needs).
-//! * [`MapPool`] — a Treiber free-list of boxed public SPA maps. Nodes
-//!   unlinked by `pop` may still be under a racing popper's feet, so
-//!   they are handed to the [`Collector`](crate::reclaim::Collector)
-//!   and freed once every pinned reader has moved on.
 //! * [`SerialBorrow`] — the per-reducer serial-exclusion word, kept in
 //!   the domain-owned cell. Two states, free and held. Holders are the
 //!   reducer's serial-path accesses and the region-end fold; regions
@@ -27,10 +23,7 @@
 
 use crate::msync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
 
-use cilkm_spa::SpaMapBox;
-
 use crate::domain::Slot;
-use crate::reclaim::Collector;
 
 /// Slots per chunk (lazily allocated; pointer-stable once published).
 const CHUNK: usize = 256;
@@ -323,149 +316,6 @@ impl Drop for SerialBorrow<'_> {
     }
 }
 
-/// A node of the public-map free-list.
-struct MapNode {
-    /// Written before the publishing CAS, immutable afterwards; racing
-    /// poppers read it under the collector's pin.
-    next: *mut MapNode,
-    /// Taken out by value by the winning popper; the node shell is then
-    /// retired. `ManuallyDrop` so freeing the shell never double-drops.
-    map: std::mem::ManuallyDrop<SpaMapBox>,
-}
-
-/// Destructor for a popped node shell: the map was moved out, only the
-/// allocation remains.
-unsafe fn free_map_node(p: *mut u8) {
-    // SAFETY: by this fn's contract `p` came from `Box::into_raw` in
-    // `MapPool::push` and its `map` was taken by the popper.
-    let node = unsafe { Box::from_raw(p as *mut MapNode) };
-    drop(node);
-}
-
-/// Lock-free pool of empty public SPA maps (replaces the old
-/// `Mutex<Vec<SpaMapBox>>`): a Treiber stack whose unlinked nodes are
-/// reclaimed through the hazard-era [`Collector`].
-pub(crate) struct MapPool {
-    head: AtomicPtr<MapNode>,
-    collector: Collector,
-}
-
-// SAFETY: head is atomic; the nodes it reaches are shared only through
-// the pin/retire protocol (reclaim.rs), and `SpaMapBox` contents are
-// plain heap memory untouched while pooled (same argument the old
-// mutex-guarded pool made).
-unsafe impl Send for MapPool {}
-// SAFETY: as above.
-unsafe impl Sync for MapPool {}
-
-impl MapPool {
-    pub(crate) const fn new() -> MapPool {
-        MapPool {
-            head: AtomicPtr::new(std::ptr::null_mut()),
-            collector: Collector::new(),
-        }
-    }
-
-    /// Returns one empty map to the pool.
-    pub(crate) fn push(&self, map: SpaMapBox) {
-        let node = Box::into_raw(Box::new(MapNode {
-            next: std::ptr::null_mut(),
-            map: std::mem::ManuallyDrop::new(map),
-        }));
-        self.push_node(node);
-    }
-
-    /// The publishing CAS loop for [`MapPool::push`] (allocation stays
-    /// in the caller).
-    // lint: hot-path
-    fn push_node(&self, node: *mut MapNode) {
-        let mut head = self.head.load(Ordering::Relaxed);
-        loop {
-            // SAFETY: `node` is exclusively ours until published.
-            unsafe { (*node).next = head };
-            match self
-                .head
-                .compare_exchange_weak(head, node, Ordering::Release, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(h) => head = h,
-            }
-        }
-    }
-
-    /// Off-critical-path reclamation of popped node shells: frees
-    /// whatever the hazard-era collector can prove unreachable. Called
-    /// from the `on_idle` hook so `pop` itself almost never sweeps.
-    pub(crate) fn collect(&self) {
-        self.collector.collect();
-    }
-
-    /// Takes one map, or `None` if the pool is empty.
-    // lint: hot-path
-    pub(crate) fn pop(&self) -> Option<SpaMapBox> {
-        let guard = self.collector.pin();
-        let mut head = self.head.load(Ordering::Acquire);
-        loop {
-            if head.is_null() {
-                return None;
-            }
-            // Sanitizer lifecycle check: flags the dereference below if
-            // the node is retired and our pin does not cover its stamp
-            // — i.e. exactly the case the SAFETY argument rules out.
-            #[cfg(all(feature = "sanitize", not(feature = "model")))]
-            cilkm_san::lifecycle::check_access(head as usize, "MapPool::pop");
-            // SAFETY: the pin guarantees `head` has not been freed: a
-            // node is only freed once its retire stamp is older than
-            // every reservation, and a node retired *before* our pin's
-            // validated era read cannot be the value this Acquire load
-            // returned (the unlink happens-before our load via the
-            // SeqCst era chain — see reclaim.rs soundness note). The
-            // same argument rules out ABA: this address cannot have
-            // been freed and re-pushed while we are pinned.
-            let next = unsafe { (*head).next };
-            match self
-                .head
-                .compare_exchange_weak(head, next, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => {
-                    // SAFETY: the successful CAS unlinked `head`; we are
-                    // its exclusive owner (racing poppers may still read
-                    // its `next`, which we do not touch). Raw-pointer
-                    // projection so no reference to the shared node is
-                    // materialized.
-                    let map = unsafe {
-                        std::mem::ManuallyDrop::into_inner(std::ptr::read(std::ptr::addr_of!(
-                            (*head).map
-                        )))
-                    };
-                    // SAFETY: unlinked above, never retired before, and
-                    // valid for free_map_node by construction.
-                    unsafe { self.collector.retire(head as *mut u8, free_map_node) };
-                    drop(guard);
-                    return Some(map);
-                }
-                Err(h) => head = h,
-            }
-        }
-    }
-}
-
-impl Drop for MapPool {
-    fn drop(&mut self) {
-        let mut head = *self.head.get_mut();
-        while !head.is_null() {
-            // SAFETY: `&mut self` — no concurrent users; pooled nodes
-            // still own their maps, so drop both.
-            let mut node = unsafe { Box::from_raw(head) };
-            head = node.next;
-            // SAFETY: the map was never taken (the node was still
-            // linked), so exactly one drop happens here.
-            unsafe { std::mem::ManuallyDrop::drop(&mut node.map) };
-        }
-        // The collector's own Drop frees retired node shells.
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,18 +351,6 @@ mod tests {
         unsafe { drop(Box::from_raw(v as *mut u64)) };
         assert_eq!(r.live(), 0);
         assert!(r.entry(s).is_none());
-    }
-
-    #[test]
-    fn map_pool_recycles_and_frees_on_drop() {
-        let p = MapPool::new();
-        assert!(p.pop().is_none());
-        p.push(SpaMapBox::default());
-        p.push(SpaMapBox::default());
-        let a = p.pop().expect("two maps pooled");
-        assert!(a.as_ref().is_empty());
-        // One map still pooled at drop: MapPool::drop must free it.
-        drop(p);
     }
 
     #[test]

@@ -220,21 +220,23 @@ impl MmapWorkerState {
     }
 
     fn take_map(&mut self) -> SpaMapBox {
-        self.local_pool
-            .pop()
-            .unwrap_or_else(|| self.domain.take_public_map())
+        if self.local_pool.is_empty() {
+            // Hoard-style rebalance: refill half a pool from the domain's.
+            self.domain
+                .take_public_maps(&mut self.local_pool, LOCAL_POOL_CAP / 2);
+        }
+        // The global pool ran dry too: a fresh map, no lock held.
+        self.local_pool.pop().unwrap_or_default()
     }
 
     fn recycle_map(&mut self, map: SpaMapBox) {
         debug_assert!(map.as_ref().is_empty());
-        if self.local_pool.len() < LOCAL_POOL_CAP {
-            self.local_pool.push(map);
-        } else {
-            // Rebalance in the manner of Hoard: spill half the local pool.
-            let spill = self.local_pool.split_off(LOCAL_POOL_CAP / 2);
-            self.domain.recycle_public_maps(spill);
-            self.domain.recycle_public_maps([map]);
+        if self.local_pool.len() == LOCAL_POOL_CAP {
+            // Hoard-style rebalance: spill half a pool to the domain's.
+            self.domain
+                .recycle_public_maps(self.local_pool.drain(LOCAL_POOL_CAP / 2..));
         }
+        self.local_pool.push(map);
     }
 
     /// Copies out the accessor for mapped private page `pidx` (named so
@@ -256,18 +258,6 @@ impl MmapWorkerState {
             self.free_pages.push((pd, page));
         } else {
             self.region.arena().pfree(pd);
-        }
-    }
-
-    /// Idle-time cache refill (the scheduler's `on_idle` hook):
-    /// tops up the local public-map pool, so the next transferal finds
-    /// its maps ready instead of taking them from the domain's pool
-    /// inside its latency window.
-    fn prewarm(&mut self) {
-        const LOCAL_POOL_WATERMARK: usize = 4;
-        while self.local_pool.len() < LOCAL_POOL_WATERMARK {
-            let map = self.domain.take_public_map();
-            self.local_pool.push(map);
         }
     }
 }
@@ -678,26 +668,15 @@ impl HyperHooks for MmapHooks {
             unsafe { (*tls.state).flush_lookups() };
         }
         let det = *views.downcast::<MmapDetached>().expect("mmap views");
-        for (_, public) in det.maps {
+        for (_, public) in &det.maps {
             // SAFETY: each pair stores the erased address of the live
             // instance that created its view; drain drops each once.
             public.as_ref().drain(|_, pair| unsafe {
                 MonoidInstance::from_erased(pair.monoid).drop_view(pair.view);
             });
-            self.domain.recycle_public_maps([public]);
         }
-    }
-
-    fn on_idle(&self) {
-        // Idle episode: top up the calling worker's public-map pool.
-        let tls = MMAP_TLS.with(|c| c.get());
-        if !tls.state.is_null() && std::ptr::eq(tls.domain, Arc::as_ptr(&self.domain)) {
-            // SAFETY: the TLS snapshot points at the calling (idle)
-            // worker's live state, which nothing else borrows while the
-            // worker sits in its steal loop.
-            unsafe { (*tls.state).prewarm() };
-        }
-        self.domain.collect_retired_maps();
+        self.domain
+            .recycle_public_maps(det.maps.into_iter().map(|(_, public)| public));
     }
 
     fn suspend(&self, state: &mut dyn Any) -> DetachedViews {
@@ -745,7 +724,7 @@ mod tests {
     use super::*;
     use crate::domain::Backend;
     use crate::monoid::Monoid;
-    // lint: allow(raw-sync, test-observation drop counters shared with plain std::thread spawns; msync's recorded atomics are scoped to one model run and these tests run outside the checker — same policy as cilkm-core::reclaim's DROPS static)
+    // lint: allow(raw-sync, test-observation drop counters shared with plain std::thread spawns; msync's recorded atomics are scoped to one model run and these tests run outside the checker)
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
 
@@ -821,7 +800,9 @@ mod tests {
         );
 
         let snap = domain.instrument();
-        assert_eq!(snap.lookups, 800, "500 owner + 300 thief, exactly");
+        if crate::instrument::COUNT_LOOKUPS {
+            assert_eq!(snap.lookups, 800, "500 owner + 300 thief, exactly");
+        }
         assert_eq!(snap.view_creations, 2);
         assert_eq!(snap.transferals, 1);
         assert_eq!(snap.transferal_views, 1);

@@ -146,101 +146,3 @@ fn transferal_delivers_each_view_exactly_once() {
         assert_eq!(read(0, 9, &inst, &domain), "B");
     });
 }
-
-/// Destructor for [`hazard_era_pin_prevents_use_after_retire`]'s node:
-/// the plain write reported here is the "free"; if the collector could
-/// free while a pinned reader still dereferences, the model's race
-/// detector flags it against the reader's recorded read.
-unsafe fn free_model_node(p: *mut u8) {
-    checker::trace::note_write(p as usize, "pooled-node");
-    // SAFETY: by this fn's contract `p` came from
-    // `Box::into_raw(Box<u64>)` and is freed exactly once, by the
-    // collector.
-    drop(unsafe { Box::from_raw(p as *mut u64) });
-}
-
-/// The hazard-era collector under the weak-memory model: a reader pins,
-/// loads the published pointer, and dereferences (a recorded plain
-/// read); the retirer unlinks, retires, and sweeps. No interleaving may
-/// free the node while the reader still holds it — a missing
-/// happens-before edge in the era protocol would surface here as a
-/// read/write race on the node.
-#[test]
-fn hazard_era_pin_prevents_use_after_retire() {
-    use crate::reclaim::Collector;
-    // Unbounded preemptions; the era protocol's CAS loops leave too many
-    // genuinely dependent interleavings for full exhaustion, so cap the
-    // budget — still ~25x the coverage the old bounded DFS run had.
-    let config = checker::Config {
-        max_schedules: 25_000,
-        ..checker::Config::dpor()
-    };
-    checker::model_with(config, || {
-        let collector = Arc::new(Collector::new());
-        let published = Arc::new(checker::sync::atomic::AtomicPtr::new(Box::into_raw(
-            Box::new(42u64),
-        )));
-        let (c2, p2) = (Arc::clone(&collector), Arc::clone(&published));
-        let reader = checker::thread::spawn(move || {
-            let guard = c2.pin();
-            let p = p2.load(checker::sync::atomic::Ordering::Acquire);
-            if !p.is_null() {
-                // Simulated dereference of the protected node (what
-                // `MapPool::pop` does with `(*head).next`).
-                checker::trace::note_read(p as usize, "pooled-node");
-            }
-            drop(guard);
-        });
-        // Retirer: unlink, retire, and sweep eagerly.
-        let p = published.swap(
-            std::ptr::null_mut(),
-            checker::sync::atomic::Ordering::AcqRel,
-        );
-        // SAFETY: the swap unlinked `p`; it is retired exactly once and
-        // valid for `free_model_node`.
-        unsafe { collector.retire(p as *mut u8, free_model_node) };
-        collector.sweep();
-        reader.join().unwrap();
-        // Collector drop frees anything the sweep had to keep; ordered
-        // after the reader by the join edge, so never racy.
-    });
-}
-
-/// Negative control for the collector test: a reader that skips the pin
-/// really does race the retirer's free, and DPOR (with the preemption
-/// bound removed) must still reach the schedule that exhibits it — the
-/// use-after-retire seeded-bug check from the acceptance criteria.
-#[test]
-fn unpinned_reader_races_retirer() {
-    use crate::reclaim::Collector;
-    let err = checker::try_model_with(checker::Config::dpor(), || {
-        let collector = Arc::new(Collector::new());
-        let published = Arc::new(checker::sync::atomic::AtomicPtr::new(Box::into_raw(
-            Box::new(42u64),
-        )));
-        let p2 = Arc::clone(&published);
-        let reader = checker::thread::spawn(move || {
-            // BUG (intentional): no `pin()` guard, so nothing holds the
-            // era back while we dereference.
-            let p = p2.load(checker::sync::atomic::Ordering::Acquire);
-            if !p.is_null() {
-                checker::trace::note_read(p as usize, "pooled-node");
-            }
-        });
-        let p = published.swap(
-            std::ptr::null_mut(),
-            checker::sync::atomic::Ordering::AcqRel,
-        );
-        // SAFETY: the swap unlinked `p`; it is retired exactly once and
-        // valid for `free_model_node`.
-        unsafe { collector.retire(p as *mut u8, free_model_node) };
-        collector.sweep();
-        reader.join().unwrap();
-    })
-    .expect_err("an unpinned dereference must race the collector's free");
-    assert!(
-        err.message.contains("data race"),
-        "unexpected failure: {}",
-        err.message
-    );
-}

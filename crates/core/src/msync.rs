@@ -3,16 +3,15 @@
 //! `cilkm-obs/src/msync.rs` (see DESIGN.md §10, and §12 for the lint
 //! that enforces it).
 //!
-//! Since the lock-free view-lifecycle rework (DESIGN.md §13) the core
-//! holds no mutexes at all: its synchronization surface is the atomics
-//! behind the slot registry's per-slot cells and slot free-list, the
-//! public-map pool, and the hazard-era collector (`reclaim`). Importing
-//! them through this module keeps them
-//! zero-cost aliases of `std::sync::atomic` in normal builds while
-//! letting `--features model` swap in `cilkm_checker`'s recorded
-//! versions and `--features sanitize` swap in `cilkm_san`'s
-//! instrumented versions (real primitives + the dynamic race detectors
-//! of DESIGN.md §17; `model` wins when both features are on).
+//! The core's synchronization surface is the atomics behind the slot
+//! registry's per-slot cells and slot free-list, and the one `Mutex`
+//! around the domain's public-map pool. Importing them through this
+//! module keeps them zero-cost aliases of `std::sync::atomic` and
+//! `parking_lot` in normal builds while letting `--features model` swap
+//! in `cilkm_checker`'s recorded versions and `--features sanitize` swap
+//! in `cilkm_san`'s instrumented versions (real primitives + the dynamic
+//! race detectors of DESIGN.md §17; `model` wins when both features are
+//! on).
 
 #[cfg(feature = "model")]
 pub(crate) use cilkm_checker::sync::atomic;
@@ -21,15 +20,9 @@ pub(crate) use cilkm_san::sync::atomic;
 #[cfg(not(any(feature = "model", feature = "sanitize")))]
 pub(crate) use std::sync::atomic;
 
-/// One spin-wait beat inside a loop that waits on another thread's
-/// atomic progress. In normal builds a CPU relax hint; under the model
-/// a scheduling point, so the checker can run the thread being waited
-/// on instead of counting the spin as a livelock.
-// lint: allow(san-hook-coverage, pure CPU relax hint; no memory effect to trace)
-#[inline]
-pub(crate) fn spin_hint() {
-    #[cfg(feature = "model")]
-    cilkm_checker::thread::yield_now();
-    #[cfg(not(feature = "model"))]
-    std::hint::spin_loop();
-}
+#[cfg(feature = "model")]
+pub(crate) use cilkm_checker::sync::Mutex;
+#[cfg(all(not(feature = "model"), feature = "sanitize"))]
+pub(crate) use cilkm_san::sync::Mutex;
+#[cfg(not(any(feature = "model", feature = "sanitize")))]
+pub(crate) use parking_lot::Mutex;

@@ -14,7 +14,6 @@
 //! | both sides of a join done → **hypermerge**, left ⊗ right | [`HyperHooks::merge_right`] |
 //! | root task of `Pool::run` finishes → fold views into reducer leftmost storage | [`HyperHooks::collect_root`] |
 //! | a side panicked → its views are destroyed unmerged | [`HyperHooks::discard`] |
-//! | a top-level steal sweep found nothing → refill caches, sweep garbage | [`HyperHooks::on_idle`] |
 //!
 //! The runtime maintains the invariant that a worker's *current* view set
 //! is empty whenever the worker is idle (stealing at top level): every
@@ -86,14 +85,6 @@ pub trait HyperHooks: Send + Sync + 'static {
     fn resume(&self, state: &mut dyn Any, views: DetachedViews) {
         self.attach(state, views)
     }
-
-    /// Idle-time maintenance: called when a worker's top-level steal
-    /// sweep came up empty, before it backs off. The memory-mapped
-    /// backend tops up the worker's local pool of public SPA maps and
-    /// sweeps the global map pool's retired node shells here, so neither
-    /// is paid inside a transferal. Runs no user code and must not
-    /// block. Defaults to nothing.
-    fn on_idle(&self) {}
 }
 
 /// The do-nothing hooks used by pools that run no reducers.

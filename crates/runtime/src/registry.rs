@@ -456,16 +456,6 @@ impl WorkerThread {
                 // per-sweep total is in `failed_steals`).
                 trace::emit(EventKind::StealFail, 0);
             }
-            // Idle-time maintenance: an empty steal sweep means this
-            // worker has nothing better to do than refill its backend
-            // caches and sweep retired garbage (`HyperHooks::on_idle`).
-            // Once at the start of an idle episode, with a periodic
-            // repeat while it lasts — NOT on every failed sweep: with
-            // oversubscribed workers that turns idle spinning into a
-            // herd of sweeps competing for the CPU the victims need.
-            if idle == 1 || idle.is_multiple_of(64) {
-                self.registry.hooks.on_idle();
-            }
             if idle <= self.registry.spin_tries {
                 // Exponentially longer pause bursts between steal sweeps.
                 for _ in 0..(1u32 << idle.min(8)) {

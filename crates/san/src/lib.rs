@@ -4,7 +4,7 @@
 //! The model checker (`cilkm-checker`) proves small bounded scenarios
 //! exhaustively; this crate watches the actual runtime at full scale —
 //! stress tests, examples, benches — through the same `msync` facade
-//! seam. Three detectors share one per-thread vector-clock substrate
+//! seam. Two detectors share one per-thread vector-clock substrate
 //! (DESIGN.md §17):
 //!
 //! 1. **FastTrack happens-before races** — epoch-optimized read/write
@@ -14,10 +14,8 @@
 //!    the runtime's spawn/sync sites flag shared plain accesses between
 //!    logically-parallel strands that are not mediated by a reducer
 //!    view (the paper's correctness contract).
-//! 3. **Lifecycle shadow checks** — use-after-retire and double-retire
-//!    on the hazard-era collector's objects.
 //!
-//! A fourth cheap detector rides along: lock-acquisition-order
+//! A third cheap detector rides along: lock-acquisition-order
 //! inversion (potential AB/BA deadlock) on the facade mutexes.
 //!
 //! The crate has zero dependencies and is always fully functional; the
@@ -32,7 +30,6 @@ mod state;
 pub mod sync;
 pub mod thread;
 
-pub use state::lifecycle;
 pub use state::{
     finding_count, flush_report, plain_read, plain_write, report_json, shadow_read, shadow_write,
     snapshot, sp_current, sp_enter, sp_exit, sp_fork, sp_join, sp_region_enter, sp_set,

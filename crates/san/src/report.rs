@@ -11,7 +11,7 @@
 
 use std::fmt::Write as _;
 
-/// The four detector families (see DESIGN.md §17).
+/// The three detector families (see DESIGN.md §17).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Detector {
     /// FastTrack-style happens-before data race on a traced plain
@@ -22,9 +22,6 @@ pub enum Detector {
     DeterminacyRace,
     /// Lock-acquisition-order inversion (potential AB/BA deadlock).
     LockOrder,
-    /// Hazard-era lifecycle violation: use-after-retire or
-    /// double-retire.
-    Lifecycle,
 }
 
 impl Detector {
@@ -34,7 +31,6 @@ impl Detector {
             Detector::Race => "race",
             Detector::DeterminacyRace => "determinacy-race",
             Detector::LockOrder => "lock-order",
-            Detector::Lifecycle => "lifecycle",
         }
     }
 
@@ -44,17 +40,15 @@ impl Detector {
             "race" => Some(Detector::Race),
             "determinacy-race" => Some(Detector::DeterminacyRace),
             "lock-order" => Some(Detector::LockOrder),
-            "lifecycle" => Some(Detector::Lifecycle),
             _ => None,
         }
     }
 
     /// All detectors, in report order.
-    pub const ALL: [Detector; 4] = [
+    pub const ALL: [Detector; 3] = [
         Detector::Race,
         Detector::DeterminacyRace,
         Detector::LockOrder,
-        Detector::Lifecycle,
     ];
 }
 
@@ -64,7 +58,7 @@ pub struct Finding {
     /// Which detector fired.
     pub detector: Detector,
     /// The facade-site label of the instrumented location (e.g.
-    /// `"SpaMap"`, `"MapPool::pop"`, or a test-provided label).
+    /// `"SpaMap"`, `"Mutex"`, or a test-provided label).
     pub site: String,
     /// Human-readable description, including thread ids.
     pub message: String,
@@ -302,9 +296,9 @@ mod tests {
         let mut r = Report {
             findings: vec![
                 Finding {
-                    detector: Detector::Lifecycle,
-                    site: "MapPool::pop".into(),
-                    message: "use-after-retire: thread t2 dereferenced a retired node".into(),
+                    detector: Detector::LockOrder,
+                    site: "Mutex".into(),
+                    message: "acquisition-order inversion: thread t2".into(),
                 },
                 Finding {
                     detector: Detector::Race,
@@ -331,7 +325,7 @@ mod tests {
     fn sort_orders_by_detector_then_site() {
         let r = sample();
         assert_eq!(r.findings[0].detector, Detector::Race);
-        assert_eq!(r.findings[1].detector, Detector::Lifecycle);
+        assert_eq!(r.findings[1].detector, Detector::LockOrder);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The shared sanitizer substrate: per-thread vector clocks, the
-//! FastTrack shadow map, SP (offset-span) labels, the lock-order graph,
-//! and the hazard-era lifecycle shadow — all behind one global mutex.
+//! FastTrack shadow map, SP (offset-span) labels and the lock-order
+//! graph — all behind one global mutex.
 //!
 //! One mutex, not striped shadow memory: the sanitizer observes *real*
 //! executions for correctness evidence, not performance numbers, and a
@@ -201,10 +201,6 @@ pub(crate) struct State {
     held: HashMap<usize, Vec<usize>>,
     /// Observed lock-acquisition-order edges.
     lock_edges: HashMap<usize, BTreeSet<usize>>,
-    /// Retired-but-not-reclaimed objects: address → retirement stamp.
-    retired: HashMap<usize, u64>,
-    /// Active hazard-era pins, per thread (a stack: pins may nest).
-    pins: HashMap<usize, Vec<u64>>,
     /// Shared fallback id for hooks firing during TLS teardown.
     orphan: Option<usize>,
     /// Deduplicated findings plus the dedup key set.
@@ -435,37 +431,6 @@ impl State {
             self.lock_edges.entry(h).or_default().insert(key);
         }
     }
-
-    // ---- Lifecycle -----------------------------------------------------
-
-    fn life_retire(&mut self, tid: usize, addr: usize, stamp: u64) {
-        if self.retired.insert(addr, stamp).is_some() {
-            self.record(
-                Detector::Lifecycle,
-                "Collector::retire",
-                format!("double-retire: thread t{tid} retired an object that was already retired"),
-            );
-        }
-    }
-
-    fn life_check(&mut self, tid: usize, addr: usize, site: &str) {
-        if let Some(&stamp) = self.retired.get(&addr) {
-            let pinned = self
-                .pins
-                .get(&tid)
-                .is_some_and(|eras| eras.iter().any(|&e| e <= stamp));
-            if !pinned {
-                self.record(
-                    Detector::Lifecycle,
-                    site,
-                    format!(
-                        "use-after-retire: thread t{tid} dereferenced a retired object \
-                         without a hazard-era pin covering its retirement"
-                    ),
-                );
-            }
-        }
-    }
 }
 
 thread_local! {
@@ -682,45 +647,6 @@ pub fn sp_region_enter() -> u64 {
     sp_enter(label)
 }
 
-/// Hazard-era lifecycle hooks (see `cilkm-core/src/reclaim.rs`).
-pub mod lifecycle {
-    use super::enter;
-
-    /// An object was handed to the collector with retirement stamp
-    /// `stamp` (the pre-bump era).
-    pub fn retire(addr: usize, stamp: u64) {
-        enter(|st, tid| st.life_retire(tid, addr, stamp));
-    }
-
-    /// A retired object was physically reclaimed (its address may be
-    /// legitimately reused from here on).
-    pub fn reclaim(addr: usize) {
-        enter(|st, _| {
-            st.retired.remove(&addr);
-        });
-    }
-
-    /// The calling thread pinned the collector at `era`.
-    pub fn pin(era: u64) {
-        enter(|st, tid| st.pins.entry(tid).or_default().push(era));
-    }
-
-    /// The calling thread released its most recent pin.
-    pub fn unpin() {
-        enter(|st, tid| {
-            if let Some(eras) = st.pins.get_mut(&tid) {
-                eras.pop();
-            }
-        });
-    }
-
-    /// The calling thread is about to dereference `addr`; flags the
-    /// access if the object is retired and no live pin covers it.
-    pub fn check_access(addr: usize, site: &'static str) {
-        enter(|st, tid| st.life_check(tid, addr, site));
-    }
-}
-
 /// A deduplicated, stable-sorted snapshot of every finding so far.
 pub fn snapshot() -> Report {
     let mut report = enter(|st, _| Report {
@@ -856,27 +782,5 @@ mod tests {
         st.lock_order_check(1, 0xA);
         assert_eq!(st.findings.len(), 1);
         assert_eq!(st.findings[0].detector, Detector::LockOrder);
-    }
-
-    #[test]
-    fn lifecycle_flags_unpinned_access_and_double_retire() {
-        let mut st = state_with_threads(2);
-        st.life_retire(0, 0x50, 9);
-        // Pinned at an era covering the stamp: fine.
-        st.pins.entry(1).or_default().push(9);
-        st.life_check(1, 0x50, "MapPool::pop");
-        assert!(st.findings.is_empty());
-        // Pinned too late (era after the stamp): flagged.
-        st.pins.get_mut(&1).unwrap().clear();
-        st.pins.entry(1).or_default().push(10);
-        st.life_check(1, 0x50, "MapPool::pop");
-        assert_eq!(st.findings.len(), 1);
-        // Retiring the same address again without a reclaim: flagged.
-        st.life_retire(0, 0x50, 11);
-        assert_eq!(st.findings.len(), 2);
-        // After reclaim the address is clean for reuse.
-        st.retired.remove(&0x50);
-        st.life_retire(0, 0x50, 12);
-        assert_eq!(st.findings.len(), 2);
     }
 }

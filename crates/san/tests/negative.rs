@@ -1,8 +1,7 @@
 //! Negative controls for the sanitizer's own primitives: seeded bugs
 //! that MUST be detected, plus properly synchronized twins that must
-//! stay clean. (The runtime-level controls — determinacy races through
-//! real spawn/sync and lifecycle violations through the real collector
-//! — live with the crates that own those hook sites.)
+//! stay clean. (The runtime-level control — determinacy races through
+//! real spawn/sync — lives in `tests/sanitize_negative.rs`.)
 //!
 //! All tests share one process-global sanitizer state, so every
 //! scenario uses a unique site label and asserts only on findings

@@ -46,7 +46,7 @@ pub use cilkm_graph as graph;
 pub use cilkm_obs as obs;
 pub use cilkm_runtime as runtime;
 /// The dynamic sanitizer (only present with the `sanitize` feature): race,
-/// determinacy-race, lock-order and lifecycle detectors plus the report codec.
+/// determinacy-race and lock-order detectors plus the report codec.
 #[cfg(feature = "sanitize")]
 pub use cilkm_san as san;
 pub use cilkm_spa as spa;

@@ -2,8 +2,7 @@
 //! parallel unsynchronized writes that ride through the *real* scheduler.
 //!
 //! The racy-counter and AB/BA lock-inversion controls live in
-//! `crates/san/tests/negative.rs` and the use-after-retire control in
-//! `crates/core/src/reclaim.rs`; this binary covers the piece that needs the
+//! `crates/san/tests/negative.rs`; this binary covers the piece that needs the
 //! full runtime: offset-span labels threaded through `join` by the spawn/sync
 //! hooks. Both branches of a `join` write the same location with no
 //! synchronization. Whether or not the right branch is actually stolen, the
