@@ -118,22 +118,36 @@ fn bench_bag(c: &mut Criterion) {
         });
     });
 
-    c.bench_function("bag/union-1024+1024", |b| {
-        b.iter_custom(|iters| {
-            let mut total = Duration::ZERO;
-            for _ in 0..iters {
-                let mut a = Bag::new();
-                let mut bb = Bag::new();
-                for i in 0..1024u32 {
-                    a.insert(i);
-                    bb.insert(i + 2048);
+    // 1024 is eight whole blocks a side, so that row prices the backbone
+    // add alone; 1000 leaves two hoppers of 104, whose merge fills a block.
+    for side in [1024u32, 1000] {
+        c.bench_function(&format!("bag/union-{side}+{side}"), |b| {
+            b.iter_custom(|iters| {
+                let mut total = Duration::ZERO;
+                for _ in 0..iters {
+                    let mut a = Bag::new();
+                    let mut bb = Bag::new();
+                    for i in 0..side {
+                        a.insert(i);
+                        bb.insert(i + 2048);
+                    }
+                    let t0 = Instant::now();
+                    a.union(bb);
+                    total += t0.elapsed();
+                    std::hint::black_box(a.len());
                 }
-                let t0 = Instant::now();
-                a.union(bb);
-                total += t0.elapsed();
-                std::hint::black_box(a.len());
-            }
-            total
+                total
+            });
+        });
+    }
+
+    c.bench_function("bag/walk-100000", |b| {
+        let mut bag = Bag::new();
+        (0..100_000u32).for_each(|i| bag.insert(i));
+        b.iter(|| {
+            let mut sum = 0u64;
+            bag.for_each(|&v| sum += u64::from(v));
+            std::hint::black_box(sum)
         });
     });
 }

@@ -1,14 +1,43 @@
 //! The bag data structure of Leiserson & Schardl's PBFS (SPAA 2010): an
 //! unordered-set container with O(1) amortized insertion and O(log n)
-//! union, built from *pennants*.
+//! union, built from *pennants* of *blocks*.
 //!
-//! A **pennant** of size 2^k is a tree whose root has exactly one child,
-//! that child being a complete binary tree of 2^k − 1 nodes. Two pennants
-//! of equal size combine into one of twice the size in constant time, and
-//! the combination is reversible (split). A **bag** is a sequence of
-//! pennants of distinct sizes — the binary representation of its element
-//! count — so inserting is binary increment (amortized O(1)) and bag
-//! union is binary addition (O(log n)).
+//! A **pennant** of rank k is a tree of 2^k nodes whose root has exactly
+//! one child, that child being a complete binary tree of 2^k − 1 nodes.
+//! Two pennants of equal rank combine into one of the next rank in
+//! constant time. As in the bag Leiserson & Schardl ship, a node does not
+//! hold one element: it holds one *full block* of [`BLOCK`] elements, so
+//! the allocator and the pointer chase are paid once per block, not once
+//! per element, and a walk reads contiguous slices.
+//!
+//! A **bag** is a backbone of pennants of distinct ranks — the binary
+//! representation of its count of full blocks — plus one partly filled
+//! block, the **hopper**:
+//!
+//! ```text
+//! Bag { pennants: [rank 0] [rank 1]   ─      [rank 3] …     hopper: [T; < BLOCK]
+//!                     │        │                 │
+//!                   Node     Node              Node     Node { block: [T; BLOCK],
+//!                              │                 │             left, right }
+//!                            Node              Node
+//!                                             ╱    ╲
+//!                                          Node    Node …
+//! ```
+//!
+//! `insert` is a push onto the hopper; a hopper that fills becomes a
+//! rank-0 pennant and the backbone is binary-incremented (amortized O(1)
+//! pointer work per *block*). `union` is binary addition over the two
+//! backbones plus one hopper merge, which inserts at most one extra
+//! block. [`Bag::append`] adopts a caller's buffer of exactly [`BLOCK`]
+//! elements as a node without copying it.
+//!
+//! A block is the smallest unit of a parallel walk: a traversal grain is
+//! a group of whole nodes (or the hopper), never part of one. The tree
+//! forks where it has children, and a slice of [`BLOCK`] elements has
+//! none: splitting it would take a second, index-based recursion to
+//! parallelise what PBFS turns into a few microseconds of work. A `grain`
+//! argument below [`BLOCK`] therefore means "one node per grain", not a
+//! finer split.
 //!
 //! Bag union is associative with the empty bag as identity, which is
 //! exactly what makes the bag a reducer ([`BagMonoid`]): PBFS declares
@@ -18,25 +47,63 @@
 use cilkm_core::Monoid;
 use cilkm_runtime::join;
 
-/// One node of a pennant's complete binary tree.
+/// Elements per pennant node, and the hopper's capacity. PBFS flushes its
+/// discovery buffers at this size so a full buffer is a node as it stands.
+pub const BLOCK: usize = 128;
+
+/// One node of a pennant: a full block and the two subtrees.
 struct Node<T> {
-    value: T,
+    /// Exactly [`BLOCK`] elements.
+    block: Vec<T>,
     left: Option<Box<Node<T>>>,
     right: Option<Box<Node<T>>>,
 }
 
-/// A pennant holding exactly 2^k elements.
+impl<T> Node<T> {
+    /// Serial pre-order visit of every element under this node.
+    fn for_each(&self, f: &mut impl FnMut(&T)) {
+        self.block.iter().for_each(&mut *f);
+        if let Some(l) = &self.left {
+            l.for_each(f);
+        }
+        if let Some(r) = &self.right {
+            r.for_each(f);
+        }
+    }
+}
+
+/// Runs one traversal grain over `items`: fresh state, every element,
+/// flush.
+fn run_grain<T, S>(
+    items: &[T],
+    init: &impl Fn() -> S,
+    body: &impl Fn(&mut S, &T),
+    flush: &impl Fn(S),
+) {
+    let mut state = init();
+    for x in items {
+        body(&mut state, x);
+    }
+    flush(state);
+}
+
+/// A pennant of rank k: 2^k nodes, `BLOCK << k` elements.
 pub struct Pennant<T> {
     root: Box<Node<T>>,
     k: u8,
 }
 
 impl<T> Pennant<T> {
-    /// A singleton pennant (k = 0).
-    pub fn singleton(value: T) -> Pennant<T> {
+    /// A one-node pennant (k = 0) holding `block` as it stands.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `block` holds exactly [`BLOCK`] elements.
+    pub fn singleton(block: Vec<T>) -> Pennant<T> {
+        assert_eq!(block.len(), BLOCK, "a pennant node holds a full block");
         Pennant {
             root: Box::new(Node {
-                value,
+                block,
                 left: None,
                 right: None,
             }),
@@ -44,9 +111,9 @@ impl<T> Pennant<T> {
         }
     }
 
-    /// Number of elements: 2^k.
+    /// Number of elements: `BLOCK << k`.
     pub fn len(&self) -> usize {
-        1usize << self.k
+        BLOCK << self.k
     }
 
     /// Always `false` — pennants are never empty.
@@ -54,12 +121,12 @@ impl<T> Pennant<T> {
         false
     }
 
-    /// Combines two pennants of equal size into one of twice the size,
+    /// Combines two pennants of equal rank into one of the next rank,
     /// in constant time (FIG. "pennant union" of the PBFS paper).
     ///
     /// # Panics
     ///
-    /// Panics if the sizes differ.
+    /// Panics if the ranks differ.
     pub fn union(mut self, mut other: Pennant<T>) -> Pennant<T> {
         assert_eq!(self.k, other.k, "pennant union requires equal sizes");
         other.root.right = self.root.left.take();
@@ -68,36 +135,9 @@ impl<T> Pennant<T> {
         self
     }
 
-    /// Splits a pennant of size 2^(k+1) back into two of size 2^k —
-    /// the constant-time inverse of [`Pennant::union`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on a singleton.
-    pub fn split(mut self) -> (Pennant<T>, Pennant<T>) {
-        assert!(self.k > 0, "cannot split a singleton pennant");
-        let mut other_root = self.root.left.take().expect("k > 0 implies child");
-        self.root.left = other_root.right.take();
-        self.k -= 1;
-        let other = Pennant {
-            root: other_root,
-            k: self.k,
-        };
-        (self, other)
-    }
-
-    /// Serial in-order visit of every element.
+    /// Serial visit of every element.
     pub fn for_each(&self, f: &mut impl FnMut(&T)) {
-        fn walk<T>(node: &Node<T>, f: &mut impl FnMut(&T)) {
-            f(&node.value);
-            if let Some(l) = &node.left {
-                walk(l, f);
-            }
-            if let Some(r) = &node.right {
-                walk(r, f);
-            }
-        }
-        walk(&self.root, f);
+        self.root.for_each(f);
     }
 
     /// Parallel visit: subtrees above `grain` elements are processed as
@@ -113,7 +153,9 @@ impl<T> Pennant<T> {
 
     /// Parallel visit with per-grain state: each serial grain of the
     /// traversal gets `init()` state, every element in the grain is fed
-    /// to `body`, and `flush` consumes the state when the grain ends.
+    /// to `body`, and `flush` consumes the state when the grain ends. A
+    /// grain is a subtree of at most `grain` elements, and never less
+    /// than one node.
     ///
     /// This is the shape PBFS needs: the grain state is a buffer of
     /// discovered vertices, and `flush` performs one reducer access per
@@ -131,19 +173,9 @@ impl<T> Pennant<T> {
         B: Fn(&mut S, &T) + Sync,
         FL: Fn(S) + Sync,
     {
-        fn walk_serial<T, S>(node: &Node<T>, state: &mut S, body: &impl Fn(&mut S, &T)) {
-            body(state, &node.value);
-            if let Some(l) = &node.left {
-                walk_serial(l, state, body);
-            }
-            if let Some(r) = &node.right {
-                walk_serial(r, state, body);
-            }
-        }
-
         fn walk_par<T, S, I, B, FL>(
             node: &Node<T>,
-            size_hint: usize,
+            nodes: usize,
             grain: usize,
             init: &I,
             body: &B,
@@ -154,18 +186,14 @@ impl<T> Pennant<T> {
             B: Fn(&mut S, &T) + Sync,
             FL: Fn(S) + Sync,
         {
-            if size_hint <= grain {
+            if nodes == 1 || nodes * BLOCK <= grain {
                 let mut state = init();
-                walk_serial(node, &mut state, body);
+                node.for_each(&mut |x| body(&mut state, x));
                 flush(state);
                 return;
             }
-            {
-                let mut state = init();
-                body(&mut state, &node.value);
-                flush(state);
-            }
-            let half = size_hint / 2;
+            run_grain(&node.block, init, body, flush);
+            let half = nodes / 2;
             match (&node.left, &node.right) {
                 (Some(l), Some(r)) => {
                     join(
@@ -173,28 +201,31 @@ impl<T> Pennant<T> {
                         || walk_par(r, half, grain, init, body, flush),
                     );
                 }
-                (Some(l), None) => walk_par(l, size_hint - 1, grain, init, body, flush),
-                (None, Some(r)) => walk_par(r, size_hint - 1, grain, init, body, flush),
+                (Some(l), None) => walk_par(l, nodes - 1, grain, init, body, flush),
+                (None, Some(r)) => walk_par(r, nodes - 1, grain, init, body, flush),
                 (None, None) => {}
             }
         }
-        walk_par(&self.root, self.len(), grain.max(1), init, body, flush);
+        walk_par(&self.root, 1 << self.k, grain, init, body, flush);
     }
 }
 
 /// An unordered multiset with O(1) insert and O(log n) union.
 pub struct Bag<T> {
-    /// `pennants[k]` holds the pennant of size 2^k, if the k-th bit of
-    /// `len` is set — the binary-counter backbone.
+    /// `pennants[k]` holds the pennant of rank k, if the k-th bit of the
+    /// full-block count is set — the binary-counter backbone.
     pennants: Vec<Option<Pennant<T>>>,
+    /// The partly filled block: always fewer than [`BLOCK`] elements.
+    hopper: Vec<T>,
     len: usize,
 }
 
 impl<T> Bag<T> {
-    /// An empty bag.
+    /// An empty bag. Allocates nothing until the first element arrives.
     pub fn new() -> Bag<T> {
         Bag {
             pennants: Vec::new(),
+            hopper: Vec::new(),
             len: 0,
         }
     }
@@ -209,44 +240,65 @@ impl<T> Bag<T> {
         self.len == 0
     }
 
-    /// Inserts one element: binary increment over the pennant array.
+    /// Inserts one element: a push onto the hopper, which becomes a node
+    /// when it fills.
     pub fn insert(&mut self, value: T) {
-        let mut carry = Pennant::singleton(value);
-        let mut k = 0usize;
-        loop {
-            if k == self.pennants.len() {
-                self.pennants.push(Some(carry));
-                break;
-            }
-            match self.pennants[k].take() {
-                None => {
-                    self.pennants[k] = Some(carry);
-                    break;
-                }
-                Some(existing) => {
-                    carry = existing.union(carry);
-                    k += 1;
-                }
-            }
-        }
+        self.ready_hopper();
+        self.hopper.push(value);
         self.len += 1;
+        if self.hopper.len() == BLOCK {
+            let full = std::mem::take(&mut self.hopper);
+            self.push_block(full);
+        }
     }
 
-    /// Unions `other` into `self`: binary addition over pennant arrays.
-    pub fn union(&mut self, other: Bag<T>) {
-        let mut carry: Option<Pennant<T>> = None;
-        let other_len = other.len;
-        let max_k = self.pennants.len().max(other.pennants.len()) + 1;
-        let mut other_pennants = other.pennants;
-        other_pennants.resize_with(max_k, || None);
-        if self.pennants.len() < max_k {
-            self.pennants.resize_with(max_k, || None);
+    /// Adds every element of `items`, taking over its buffer where it
+    /// can: a vector of exactly [`BLOCK`] elements becomes a node as it
+    /// stands, and a shorter one becomes the hopper if the hopper is
+    /// empty (and is merged into it otherwise). A longer one is inserted
+    /// element by element.
+    pub fn append(&mut self, items: Vec<T>) {
+        match items.len() {
+            BLOCK => {
+                self.len += BLOCK;
+                self.push_block(items);
+            }
+            n if n < BLOCK => {
+                self.len += n;
+                self.pour(items);
+            }
+            _ => items.into_iter().for_each(|x| self.insert(x)),
         }
-        for (k, b_slot) in other_pennants.iter_mut().enumerate() {
-            let a = self.pennants[k].take();
-            let b = b_slot.take();
+    }
+
+    /// Unions `other` into `self`: binary addition over the backbones,
+    /// then one hopper merge. An empty side costs nothing: no allocation,
+    /// and no node or block of the other side moves.
+    pub fn union(&mut self, other: Bag<T>) {
+        if other.is_empty() {
+            return;
+        }
+        if self.is_empty() {
+            *self = other;
+            return;
+        }
+        let Bag {
+            pennants,
+            hopper,
+            len,
+        } = other;
+        self.len += len;
+        if self.pennants.len() < pennants.len() {
+            self.pennants.resize_with(pennants.len(), || None);
+        }
+        let mut theirs = pennants.into_iter();
+        let mut carry: Option<Pennant<T>> = None;
+        for slot in &mut self.pennants {
+            if carry.is_none() && theirs.len() == 0 {
+                break;
+            }
             // Full adder over pennants.
-            let (sum, new_carry) = match (a, b, carry.take()) {
+            let (sum, new_carry) = match (slot.take(), theirs.next().flatten(), carry.take()) {
                 (None, None, None) => (None, None),
                 (Some(x), None, None) | (None, Some(x), None) | (None, None, Some(x)) => {
                     (Some(x), None)
@@ -256,11 +308,59 @@ impl<T> Bag<T> {
                 }
                 (Some(x), Some(y), Some(z)) => (Some(z), Some(x.union(y))),
             };
-            self.pennants[k] = sum;
+            *slot = sum;
             carry = new_carry;
         }
-        debug_assert!(carry.is_none(), "max_k accounted for the final carry");
-        self.len += other_len;
+        if carry.is_some() {
+            self.pennants.push(carry);
+        }
+        self.pour(hopper);
+    }
+
+    /// Gives the hopper room for a whole block, so filling it never
+    /// regrows it.
+    fn ready_hopper(&mut self) {
+        if self.hopper.capacity() < BLOCK {
+            self.hopper.reserve_exact(BLOCK - self.hopper.len());
+        }
+    }
+
+    /// Adds a full block as a rank-0 pennant: binary increment over the
+    /// backbone. Does not touch `len`.
+    fn push_block(&mut self, block: Vec<T>) {
+        let mut carry = Pennant::singleton(block);
+        for slot in &mut self.pennants {
+            match slot.take() {
+                None => {
+                    *slot = Some(carry);
+                    return;
+                }
+                Some(existing) => carry = existing.union(carry),
+            }
+        }
+        self.pennants.push(Some(carry));
+    }
+
+    /// Merges a partial block with the hopper: the shorter of the two is
+    /// moved onto the longer (so an empty hopper adopts `partial` whole),
+    /// and if that fills a block it becomes a node and the remainder is
+    /// the new hopper. Does not touch `len`.
+    fn pour(&mut self, mut partial: Vec<T>) {
+        debug_assert!(partial.len() < BLOCK);
+        if partial.len() > self.hopper.len() {
+            std::mem::swap(&mut self.hopper, &mut partial);
+        }
+        if partial.is_empty() {
+            return;
+        }
+        self.ready_hopper();
+        let room = BLOCK - self.hopper.len();
+        let keep = partial.len().saturating_sub(room);
+        self.hopper.extend(partial.drain(keep..));
+        if self.hopper.len() == BLOCK {
+            let full = std::mem::replace(&mut self.hopper, partial);
+            self.push_block(full);
+        }
     }
 
     /// Serial visit of every element.
@@ -268,35 +368,25 @@ impl<T> Bag<T> {
         for p in self.pennants.iter().flatten() {
             p.for_each(&mut f);
         }
+        self.hopper.iter().for_each(f);
     }
 
-    /// Parallel visit: pennants fork from large to small, and large
-    /// pennants recurse internally (see [`Pennant::for_each_parallel`]).
+    /// Parallel visit: `f` observes each element exactly once, in no
+    /// guaranteed order. See [`Bag::for_each_parallel_grains`] for how
+    /// the work is split.
     pub fn for_each_parallel<F>(&self, grain: usize, f: &F)
     where
         T: Sync,
         F: Fn(&T) + Sync,
     {
-        fn go<T: Sync, F: Fn(&T) + Sync>(pennants: &[Option<Pennant<T>>], grain: usize, f: &F) {
-            match pennants.len() {
-                0 => {}
-                1 => {
-                    if let Some(p) = &pennants[0] {
-                        p.for_each_parallel(grain, f);
-                    }
-                }
-                n => {
-                    let (lo, hi) = pennants.split_at(n / 2);
-                    join(|| go(lo, grain, f), || go(hi, grain, f));
-                }
-            }
-        }
-        go(&self.pennants, grain, f);
+        self.for_each_parallel_grains(grain, &|| (), &|(), x| f(x), &|()| {});
     }
 
     /// Parallel visit with per-grain state — see
-    /// [`Pennant::for_each_parallel_grains`]. Each serial grain of the
-    /// whole-bag traversal receives `init()` state and a final `flush`.
+    /// [`Pennant::for_each_parallel_grains`]. Pennants fork from large to
+    /// small and recurse internally; the hopper is a grain of its own.
+    /// Each serial grain of the whole-bag traversal receives `init()`
+    /// state and a final `flush`.
     pub fn for_each_parallel_grains<S, I, B, FL>(
         &self,
         grain: usize,
@@ -337,7 +427,16 @@ impl<T> Bag<T> {
                 }
             }
         }
-        go(&self.pennants, grain, init, body, flush);
+        let hopper = || {
+            if !self.hopper.is_empty() {
+                run_grain(&self.hopper, init, body, flush);
+            }
+        };
+        if self.len < BLOCK {
+            hopper();
+        } else {
+            join(|| go(&self.pennants, grain, init, body, flush), hopper);
+        }
     }
 
     /// Drains into a plain vector (test/diagnostic aid).
@@ -387,15 +486,31 @@ impl<T: Send + 'static> Monoid for BagMonoid<T> {
 /// Convenience: the vertex bag used by PBFS over a given graph.
 pub type VertexBag = Bag<u32>;
 
-/// Sanity helper for tests: the sum of pennant sizes must equal `len`.
+/// Sanity helper for tests: the pennant of rank k has 2^k nodes, every
+/// node holds exactly [`BLOCK`] elements, the hopper holds fewer, and
+/// `len` is `BLOCK × nodes + hopper`.
 pub fn check_bag_invariant<T>(bag: &Bag<T>) -> bool {
-    let total: usize = bag
-        .pennants
-        .iter()
-        .enumerate()
-        .map(|(k, p)| if p.is_some() { 1usize << k } else { 0 })
-        .sum();
-    total == bag.len
+    /// Nodes under `node`, or `None` if one of them is not a full block.
+    fn full_nodes<T>(node: &Node<T>) -> Option<usize> {
+        if node.block.len() != BLOCK {
+            return None;
+        }
+        let mut nodes = 1;
+        for child in [&node.left, &node.right].into_iter().flatten() {
+            nodes += full_nodes(child)?;
+        }
+        Some(nodes)
+    }
+    let mut nodes = 0usize;
+    for (k, p) in bag.pennants.iter().enumerate() {
+        if let Some(p) = p {
+            if usize::from(p.k) != k || full_nodes(&p.root) != Some(1 << k) {
+                return false;
+            }
+            nodes += 1 << k;
+        }
+    }
+    bag.hopper.len() < BLOCK && bag.len == BLOCK * nodes + bag.hopper.len()
 }
 
 #[cfg(test)]
@@ -410,12 +525,23 @@ mod tests {
         v
     }
 
+    fn filled(range: std::ops::Range<u32>) -> Bag<u32> {
+        let mut b = Bag::new();
+        range.for_each(|i| b.insert(i));
+        b
+    }
+
+    /// The address of every element, in walk order: equal before and
+    /// after an operation iff no node, block or hopper buffer moved.
+    fn addresses(bag: &Bag<u32>) -> Vec<*const u32> {
+        let mut v = Vec::new();
+        bag.for_each(|x| v.push(x as *const u32));
+        v
+    }
+
     #[test]
     fn insert_counts_and_contains_all() {
-        let mut b = Bag::new();
-        for i in 0..100u32 {
-            b.insert(i);
-        }
+        let b = filled(0..100);
         assert_eq!(b.len(), 100);
         assert!(check_bag_invariant(&b));
         assert_eq!(collect(&b), (0..100).collect::<Vec<_>>());
@@ -423,62 +549,53 @@ mod tests {
 
     #[test]
     fn union_is_element_conserving() {
-        let mut a = Bag::new();
-        let mut b = Bag::new();
-        for i in 0..37u32 {
-            a.insert(i);
-        }
-        for i in 100..159u32 {
-            b.insert(i);
-        }
-        a.union(b);
-        assert_eq!(a.len(), 37 + 59);
+        // 300 + 500: backbones 0b10 + 0b11 carry through two ranks, and
+        // hoppers of 44 + 116 fill a block and leave 32 over.
+        let mut a = filled(0..300);
+        a.union(filled(1000..1500));
+        assert_eq!(a.len(), 800);
         assert!(check_bag_invariant(&a));
-        let got = collect(&a);
-        let mut expect: Vec<u32> = (0..37).chain(100..159).collect();
-        expect.sort_unstable();
-        assert_eq!(got, expect);
+        let expect: Vec<u32> = (0..300).chain(1000..1500).collect();
+        assert_eq!(collect(&a), expect);
     }
 
     #[test]
-    fn union_with_empty_is_identity() {
-        let mut a = Bag::new();
-        for i in 0..5u32 {
-            a.insert(i);
-        }
+    fn union_with_an_empty_side_moves_nothing() {
+        let n = 5 * BLOCK as u32 + 7;
+        let mut a = filled(0..n);
+        let before = addresses(&a);
         a.union(Bag::new());
-        assert_eq!(a.len(), 5);
-        let mut e = Bag::new();
-        for i in 0..5u32 {
-            e.insert(i);
-        }
+        assert_eq!(addresses(&a), before);
+
         let mut empty = Bag::new();
-        empty.union(e);
-        assert_eq!(empty.len(), 5);
+        empty.union(a);
+        assert_eq!(addresses(&empty), before);
+        assert_eq!(empty.len(), n as usize);
+        assert!(check_bag_invariant(&empty));
     }
 
     #[test]
-    fn pennant_union_split_roundtrip() {
-        let p1 = Pennant::singleton(1u32);
-        let p2 = Pennant::singleton(2u32);
-        let u = p1.union(p2);
-        assert_eq!(u.len(), 2);
-        let (a, b) = u.split();
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
-        let mut seen = Vec::new();
-        a.for_each(&mut |x| seen.push(*x));
-        b.for_each(&mut |x| seen.push(*x));
-        seen.sort_unstable();
-        assert_eq!(seen, vec![1, 2]);
+    fn append_of_a_full_block_adopts_the_buffer() {
+        let mut b = filled(0..3);
+        let block: Vec<u32> = (100..100 + BLOCK as u32).collect();
+        let buffer = block.as_ptr();
+        b.append(block);
+        assert_eq!(b.len(), BLOCK + 3);
+        assert!(check_bag_invariant(&b));
+        assert!(addresses(&b).contains(&buffer));
     }
 
     #[test]
     #[should_panic(expected = "equal sizes")]
     fn mismatched_pennant_union_panics() {
-        let p1 = Pennant::singleton(1u32);
-        let p2 = Pennant::singleton(2u32).union(Pennant::singleton(3));
-        let _ = p1.union(p2);
+        let p = || Pennant::singleton(vec![0u32; BLOCK]);
+        let _ = p().union(p().union(p()));
+    }
+
+    #[test]
+    #[should_panic(expected = "full block")]
+    fn pennant_node_rejects_a_short_block() {
+        let _ = Pennant::singleton(vec![0u32; BLOCK - 1]);
     }
 
     #[test]
@@ -493,15 +610,86 @@ mod tests {
         assert_eq!(counts[&7], 3);
     }
 
+    /// Bags of sizes around the block boundaries, built every way there
+    /// is, walked serially and in parallel at grains around `BLOCK`.
+    #[test]
+    fn every_build_and_every_walk_sees_each_element_once() {
+        use cilkm_runtime::Pool;
+        // lint: allow(raw-sync, test-only hit counters exercising the public Pool API from outside the runtime; the runtime's msync facade is pub(crate) and deliberately unreachable from here)
+        use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+
+        type Build = fn(u32) -> Bag<u32>;
+        let builds: [(&str, Build); 4] = [
+            ("insert", |n| filled(0..n)),
+            ("union", |n| {
+                let mut b = filled(0..n / 2);
+                b.union(filled(n / 2..n));
+                b
+            }),
+            ("append blocks", |n| {
+                let mut b = Bag::new();
+                let all: Vec<u32> = (0..n).collect();
+                all.chunks(BLOCK).for_each(|c| b.append(c.to_vec()));
+                b
+            }),
+            ("append whole", |n| {
+                let mut b = Bag::new();
+                b.append((0..n).collect());
+                b
+            }),
+        ];
+
+        let pool = Pool::new(4);
+        let block = BLOCK as u32;
+        for n in [0, 1, block - 1, block, block + 1, 5 * block + 7] {
+            for (how, build) in builds {
+                let b = build(n);
+                assert_eq!(b.len(), n as usize, "{how} {n}");
+                assert!(check_bag_invariant(&b), "{how} {n}");
+                assert_eq!(collect(&b), (0..n).collect::<Vec<_>>(), "{how} {n}");
+
+                for grain in [1, BLOCK - 1, BLOCK, 4 * BLOCK] {
+                    let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+                    let inits = AtomicUsize::new(0);
+                    let flushes = AtomicUsize::new(0);
+                    pool.run(|| {
+                        b.for_each_parallel_grains(
+                            grain,
+                            &|| {
+                                inits.fetch_add(1, Ordering::Relaxed);
+                                0usize
+                            },
+                            &|seen: &mut usize, &x: &u32| {
+                                hits[x as usize].fetch_add(1, Ordering::Relaxed);
+                                *seen += 1;
+                            },
+                            &|seen| {
+                                assert!(seen > 0, "empty grain: {how} {n} grain {grain}");
+                                flushes.fetch_add(1, Ordering::Relaxed);
+                            },
+                        );
+                    });
+                    assert!(
+                        hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                        "{how} {n} grain {grain}"
+                    );
+                    let grains = inits.load(Ordering::Relaxed);
+                    assert_eq!(grains, flushes.load(Ordering::Relaxed));
+                    if grain <= BLOCK {
+                        // A node is the smallest grain; so is the hopper.
+                        assert_eq!(grains, (n as usize).div_ceil(BLOCK), "{how} {n}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn parallel_for_each_visits_exactly_once() {
         use cilkm_runtime::Pool;
         // lint: allow(raw-sync, test-only hit counters exercising the public Pool API from outside the runtime; the runtime's msync facade is pub(crate) and deliberately unreachable from here)
         use std::sync::atomic::{AtomicU32, Ordering};
-        let mut b = Bag::new();
-        for i in 0..1000u32 {
-            b.insert(i);
-        }
+        let b = filled(0..1000);
         let hits: Vec<AtomicU32> = (0..1000).map(|_| AtomicU32::new(0)).collect();
         let pool = Pool::new(4);
         pool.run(|| {

@@ -11,7 +11,7 @@
 //! * [`Graph`] — a compressed-sparse-row graph;
 //! * [`gen`] — synthetic generators standing in for the paper's eight
 //!   input matrices (see `DESIGN.md` for the substitution argument);
-//! * [`Bag`] / [`BagMonoid`] — the pennant-forest bag with O(1) insert
+//! * [`Bag`] / [`BagMonoid`] — the blocked pennant-forest bag with O(1) insert
 //!   and O(log n) union, plus parallel traversal;
 //! * [`bfs_serial`] — the serial BFS baseline;
 //! * [`pbfs()`](pbfs::pbfs) — layer-synchronous PBFS over bag reducers, runnable on
@@ -25,7 +25,7 @@ pub mod csr;
 pub mod gen;
 pub mod pbfs;
 
-pub use bag::{check_bag_invariant, Bag, BagMonoid, Pennant};
+pub use bag::{check_bag_invariant, Bag, BagMonoid, Pennant, BLOCK};
 pub use bfs::bfs_serial;
 pub use csr::Graph;
 pub use pbfs::{pbfs, pbfs_profiled, PbfsReport};

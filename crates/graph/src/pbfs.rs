@@ -12,27 +12,36 @@
 //! Two implementation details mirror the original and matter to the
 //! evaluation:
 //!
-//! * **Chunked insertion** — discovered vertices are buffered per grain
-//!   of traversal work and flushed into the bag reducer one batch at a
-//!   time, so the number of reducer *lookups* is proportional to the
-//!   number of chunks, not |V| (which is why Figure 10(b)'s lookup
-//!   counts are thousands, not millions).
+//! * **Block-sized insertion** — discovered vertices are buffered per
+//!   grain of traversal work in a vector of capacity [`BLOCK`], the size
+//!   of a bag node. A buffer that fills is handed to [`Bag::append`]
+//!   whole and becomes a pennant node without being copied; the partial
+//!   buffer left at grain end goes to the hopper. Because the flush size
+//!   *is* the node size there is one constant, not two, and the number of
+//!   reducer *lookups* is proportional to the number of blocks, not |V|
+//!   (which is why Figure 10(b)'s lookup counts are thousands, not
+//!   millions). The walk of the current layer hands out whole nodes, so
+//!   a `grain` below [`BLOCK`] means one node per grain.
 //! * **Atomic discovery** — each vertex's distance is claimed with a
-//!   compare-and-swap. (The original exploits a benign race instead;
+//!   compare-and-swap, tried only after a relaxed load has seen the
+//!   vertex unreached. (The original exploits a benign race instead;
 //!   CAS is the Rust-sound equivalent and does not change the lookup or
-//!   reduce behaviour being measured.)
+//!   reduce behaviour being measured.) The load is sound because a
+//!   distance changes once, from [`UNREACHED`] to its final value: a load
+//!   that sees a claimed vertex skips only a CAS that would have failed,
+//!   and a stale `UNREACHED` falls through to the CAS, which still
+//!   decides every claim. Most arcs of a layer lead to claimed vertices,
+//!   and they now cost what they cost [`bfs_serial`](crate::bfs_serial):
+//!   a plain load, not a locked read-for-ownership.
 
-// lint: allow(raw-sync, the per-vertex distance CAS is data-plane application state — one atomic per graph vertex, millions per run; it is benchmark payload standing in for the paper's benign race, not a runtime protocol, and cannot feasibly be recorded by the checker)
+// lint: allow(raw-sync, the per-vertex distance load and CAS are data-plane application state — one atomic per graph vertex, millions per run; it is benchmark payload standing in for the paper's benign race, not a runtime protocol, and cannot feasibly be recorded by the checker)
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use cilkm_core::{Reducer, ReducerPool};
 
-use crate::bag::{Bag, BagMonoid};
+use crate::bag::{Bag, BagMonoid, BLOCK};
 use crate::csr::Graph;
 use crate::UNREACHED;
-
-/// Vertices a traversal grain buffers before flushing into the reducer.
-const FLUSH_CHUNK: usize = 128;
 
 /// What a PBFS run reports, beyond the distances themselves.
 pub struct PbfsReport {
@@ -127,30 +136,28 @@ fn process_layer(
     next: &Reducer<BagMonoid<u32>>,
     grain: usize,
 ) {
-    // Per-grain buffered insertion: one buffer per serial grain of the
-    // bag traversal, flushed into the reducer in FLUSH_CHUNK batches and
-    // once at grain end.
+    // Per-grain buffered insertion: one block-sized buffer per serial
+    // grain of the bag traversal, handed to the reducer's bag whole when
+    // it fills and once more at grain end.
     let flush_into_reducer = |buf: Vec<u32>| {
         if !buf.is_empty() {
-            next.update(|bag| {
-                for w in buf {
-                    bag.insert(w);
-                }
-            });
+            next.update(|bag| bag.append(buf));
         }
     };
     current.for_each_parallel_grains(
         grain,
-        &Vec::new,
+        &|| Vec::with_capacity(BLOCK),
         &|buf: &mut Vec<u32>, &u: &u32| {
             for &v in g.neighbors(u) {
-                if dist[v as usize]
-                    .compare_exchange(UNREACHED, d + 1, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
+                let slot = &dist[v as usize];
+                if slot.load(Ordering::Relaxed) == UNREACHED
+                    && slot
+                        .compare_exchange(UNREACHED, d + 1, Ordering::Relaxed, Ordering::Relaxed)
+                        .is_ok()
                 {
                     buf.push(v);
-                    if buf.len() >= FLUSH_CHUNK {
-                        flush_into_reducer(std::mem::take(buf));
+                    if buf.len() == BLOCK {
+                        flush_into_reducer(std::mem::replace(buf, Vec::with_capacity(BLOCK)));
                     }
                 }
             }
@@ -167,19 +174,27 @@ mod tests {
     use cilkm_core::Backend;
 
     fn check_graph(g: &Graph, source: u32) {
+        check_runs(g, source, 1);
+    }
+
+    /// `runs` searches on two workers and each backend: distances equal
+    /// the serial ones and the layer count is exact every time.
+    fn check_runs(g: &Graph, source: u32, runs: usize) {
         let expect = bfs_serial(g, source);
+        let ecc = expect
+            .iter()
+            .filter(|&&x| x != UNREACHED)
+            .max()
+            .copied()
+            .unwrap();
         for backend in [Backend::Hypermap, Backend::Mmap] {
             let pool = ReducerPool::new(2, backend);
-            let report = pbfs(&pool, g, source, 64);
-            assert_eq!(report.distances, expect, "backend {backend:?}");
-            let ecc = expect
-                .iter()
-                .filter(|&&x| x != UNREACHED)
-                .max()
-                .copied()
-                .unwrap();
-            assert_eq!(report.layers, ecc + 1);
-            assert!(report.lookups > 0);
+            for run in 0..runs {
+                let report = pbfs(&pool, g, source, 64);
+                assert_eq!(report.distances, expect, "backend {backend:?} run {run}");
+                assert_eq!(report.layers, ecc + 1, "backend {backend:?} run {run}");
+                assert!(report.lookups > 0);
+            }
         }
     }
 
@@ -212,6 +227,44 @@ mod tests {
     fn pbfs_handles_disconnected_graphs() {
         let g = Graph::from_undirected_edges(10, &[(0, 1), (1, 2), (5, 6)]);
         check_graph(&g, 0);
+    }
+
+    /// Every pair `(a, b)` with `a` in `from` and `b` in `to`.
+    fn all_pairs(
+        from: std::ops::Range<u32>,
+        to: std::ops::Range<u32>,
+    ) -> impl Iterator<Item = (u32, u32)> {
+        from.flat_map(move |a| to.clone().map(move |b| (a, b)))
+    }
+
+    #[test]
+    fn pbfs_claims_a_vertex_once_however_often_it_is_offered() {
+        // K₃₀₀: every vertex is offered 299 times and claimed once, by
+        // the source's grain; the second layer's 299 × 299 arcs all take
+        // the load that sees a claimed vertex.
+        let complete: Vec<(u32, u32)> = all_pairs(0..300, 0..300).filter(|(a, b)| a < b).collect();
+        check_runs(&Graph::from_undirected_edges(300, &complete), 0, 50);
+
+        // Source — 299 — 300, each level completely joined to the next:
+        // the last 300 vertices are offered by every grain of the middle
+        // layer at once, so stale `UNREACHED` loads race into the CAS.
+        let levels: Vec<(u32, u32)> = all_pairs(0..1, 1..300)
+            .chain(all_pairs(1..300, 300..600))
+            .collect();
+        check_runs(&Graph::from_undirected_edges(600, &levels), 0, 50);
+    }
+
+    #[test]
+    fn pbfs_hands_over_buffers_at_the_block_boundary() {
+        // A star from its centre: one grain discovers the whole second
+        // layer, so its buffer ends one short of a block, exactly full
+        // (handed over with nothing left for the grain-end flush), and
+        // one past.
+        for width in [BLOCK - 1, BLOCK, BLOCK + 1] {
+            let width = width as u32;
+            let star: Vec<(u32, u32)> = all_pairs(0..1, 1..width + 1).collect();
+            check_runs(&Graph::from_undirected_edges(star.len() + 1, &star), 0, 50);
+        }
     }
 
     #[test]

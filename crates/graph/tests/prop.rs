@@ -3,7 +3,7 @@
 //! arbitrary random graphs.
 
 use cilkm_core::{Backend, ReducerPool};
-use cilkm_graph::{bfs_serial, check_bag_invariant, pbfs, Bag, Graph};
+use cilkm_graph::{bfs_serial, check_bag_invariant, pbfs, Bag, Graph, BLOCK};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -11,13 +11,20 @@ use std::collections::BTreeMap;
 enum BagOp {
     Insert(u16),
     UnionFresh(Vec<u16>),
+    Append(Vec<u16>),
 }
 
 fn bag_ops() -> impl Strategy<Value = Vec<BagOp>> {
     proptest::collection::vec(
         prop_oneof![
             3 => any::<u16>().prop_map(BagOp::Insert),
-            1 => proptest::collection::vec(any::<u16>(), 0..64).prop_map(BagOp::UnionFresh),
+            // Up to 400 so a sequence crosses several block boundaries.
+            1 => proptest::collection::vec(any::<u16>(), 0..400).prop_map(BagOp::UnionFresh),
+            // Lengths 0..=BLOCK + 1: shorter than a block, exactly one, and
+            // longer — `append`'s three arms. The exact-block arm is one
+            // length in 130, so it gets a draw of its own.
+            1 => proptest::collection::vec(any::<u16>(), 0..BLOCK + 2).prop_map(BagOp::Append),
+            1 => proptest::collection::vec(any::<u16>(), BLOCK).prop_map(BagOp::Append),
         ],
         1..60,
     )
@@ -26,7 +33,7 @@ fn bag_ops() -> impl Strategy<Value = Vec<BagOp>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A bag is a faithful multiset under inserts and unions.
+    /// A bag is a faithful multiset under inserts, unions and appends.
     #[test]
     fn bag_conserves_multiset(ops in bag_ops()) {
         let mut bag: Bag<u16> = Bag::new();
@@ -44,6 +51,12 @@ proptest! {
                         *model.entry(*x).or_default() += 1;
                     }
                     bag.union(other);
+                }
+                BagOp::Append(xs) => {
+                    for x in &xs {
+                        *model.entry(*x).or_default() += 1;
+                    }
+                    bag.append(xs);
                 }
             }
             prop_assert!(check_bag_invariant(&bag));
