@@ -7,9 +7,10 @@
 //!   maps in the frame; the merging worker W2 maps those pages into its
 //!   own TLMM region (a `sys_pmap`, i.e. kernel crossings) and reads the
 //!   views in place;
-//! * **copying** — W1 copies the view pointers into *public SPA maps* in
-//!   shared memory (zeroing its private maps as it goes); W2 reads the
-//!   public maps directly, no remapping.
+//! * **copying** — W1 copies the view pointers into shared memory
+//!   (zeroing its private maps as it goes); W2 reads them there, no
+//!   remapping. The copy measured is the one `cilkm-core` ships: one
+//!   exactly-sized list of `(slot, pair)` per transferal.
 //!
 //! Cilk-M chooses copying "because the number of reducers used in a
 //! program is generally small, and thus the overhead of memory mapping
@@ -25,7 +26,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cilkm_bench::output::Table;
-use cilkm_spa::{SpaMapBox, SpaMapRef, ViewPair, VIEWS_PER_MAP};
+use cilkm_spa::{SpaMapRef, ViewPair, VIEWS_PER_MAP};
 use cilkm_tlmm::{stats, PageArena, TlmmRegion};
 
 fn fake_pair(tag: usize) -> ViewPair {
@@ -35,18 +36,18 @@ fn fake_pair(tag: usize) -> ViewPair {
     }
 }
 
-/// One copying transferal: private → fresh public map (+ zeroing), then
-/// the "merger" sequences the public map (and zeroes it for recycling).
-fn copying_round(private: SpaMapRef, public_pool: &mut Vec<SpaMapBox>, nviews: usize) -> usize {
-    let public = public_pool.pop().unwrap_or_default();
-    let pref = public.as_ref();
-    private.drain(|idx, pair| {
-        pref.insert(idx, pair);
-    });
+/// One copying transferal: the private map is sequenced by its log into
+/// one exactly-sized list (zeroing the private entries as they leave),
+/// then the "merger" takes the list's pairs one by one and frees it.
+fn copying_round(private: SpaMapRef, nviews: usize) -> usize {
+    let mut list: Vec<(u32, ViewPair)> = Vec::with_capacity(nviews);
+    private.drain(|idx, pair| list.push((idx as u32, pair)));
     // Merger side: sequence and consume.
     let mut seen = 0;
-    pref.drain(|_, _| seen += 1);
-    public_pool.push(public);
+    while let Some(entry) = list.pop() {
+        std::hint::black_box(entry);
+        seen += 1;
+    }
     debug_assert_eq!(seen, nviews);
     seen
 }
@@ -121,17 +122,12 @@ fn main() {
 
         // Copying strategy.
         stats::set_crossing_cost_ns(0);
-        let mut pool: Vec<SpaMapBox> = Vec::new();
         let t0 = Instant::now();
         for _ in 0..iters {
             fill(private);
-            copying_round(private, &mut pool, nv);
+            copying_round(private, nv);
         }
         let copy_ns = t0.elapsed().as_nanos() as f64 / iters as f64;
-        for p in pool.drain(..) {
-            p.as_ref().clear_all();
-            drop(p);
-        }
 
         // Mapping strategy at each simulated syscall latency.
         let mut map_ns = Vec::new();

@@ -144,13 +144,13 @@ fn main() -> ExitCode {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(DEFAULT_P99_MAX_NS);
-    // 4096 reducers span 17 SPA pages (248 views/map) — more than
-    // double the mmap backend's 8-map worker-local cache — so the
-    // majority of every detach's public maps must come from the shared
-    // domain pool and the majority of every attach's recycles must
-    // spill back to it. Smaller n lets the local caches absorb the
-    // map traffic and the pool (the contended structure this gate
-    // exists to watch) goes quiet.
+    // 4096 reducers span 17 SPA pages (248 views/map), so a thief's
+    // context touches many private pages and its detach sequences them
+    // all into one list of up to a few thousand pairs. What the gate
+    // watches is the wall-clock tail of that detach with more workers
+    // than processors: a transferal that came to hold a lock, or wait on
+    // one, across the copy would stretch by a scheduling quantum
+    // whenever the holder is preempted.
     let n = 4096usize;
 
     // Warm-up region so first-touch page faults and pool spin-up are not

@@ -1,18 +1,17 @@
 //! The reducer *domain*: everything shared by all reducers of one pool —
 //! backend choice, the slot allocator (the `tlmm_addr` space of §6), the
-//! leftmost-view registry, the shared arena of simulated physical pages,
-//! and the global pool of recyclable public SPA maps (§7).
+//! leftmost-view registry, and the shared arena of simulated physical
+//! pages.
 
 use std::sync::Arc;
 
 use cilkm_runtime::{HyperHooks, Pool, PoolBuilder, PoolStats};
-use cilkm_spa::{SpaMapBox, ViewPair};
+use cilkm_spa::ViewPair;
 use cilkm_tlmm::PageArena;
 
 use crate::instrument::{Instrument, InstrumentSnapshot, ReduceHistograms};
 use crate::lockfree::{SerialBorrow, SlotRegistry};
 use crate::monoid::MonoidInstance;
-use crate::msync::Mutex;
 
 /// Which reducer mechanism a pool runs.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -42,17 +41,13 @@ pub(crate) struct LeftmostEntry {
 /// [`ReducerPool`]; exposed so benches can instrument it directly.
 ///
 /// The slot allocator and leftmost registry live in the
-/// [`SlotRegistry`]'s per-slot atomic cells; the public SPA-map pool is
-/// a bag behind one lock (DESIGN.md §13.3).
+/// [`SlotRegistry`]'s per-slot atomic cells; the domain holds no lock.
 pub struct DomainInner {
     pub(crate) backend: Backend,
     pub(crate) instrument: Instrument,
     registry: SlotRegistry,
     /// Simulated physical pages backing every worker's TLMM region.
     pub(crate) arena: Arc<PageArena>,
-    /// Pool of empty public SPA maps (rebalanced with the workers'
-    /// local pools in the manner of Hoard, §7 footnote 7).
-    public_pool: Mutex<Vec<SpaMapBox>>,
 }
 
 impl DomainInner {
@@ -62,7 +57,6 @@ impl DomainInner {
             instrument: Instrument::new(),
             registry: SlotRegistry::new(),
             arena: Arc::new(PageArena::new()),
-            public_pool: Mutex::new(Vec::new()),
         }
     }
 
@@ -170,26 +164,6 @@ impl DomainInner {
             .unwrap_or_else(|| panic!("views outlive reducer for slot {slot}"));
         let inst = MonoidInstance::from_erased(entry.monoid);
         inst.reduce_into(entry.view, view);
-    }
-
-    /// Moves up to `want` empty public SPA maps from the global pool
-    /// into `out`, under one lock. A caller left short allocates fresh
-    /// maps itself, outside the lock.
-    pub(crate) fn take_public_maps(&self, out: &mut Vec<SpaMapBox>, want: usize) {
-        let mut pool = self.public_pool.lock();
-        let keep = pool.len().saturating_sub(want);
-        out.extend(pool.drain(keep..));
-    }
-
-    /// Returns empty public SPA maps to the global pool, under one lock.
-    pub(crate) fn recycle_public_maps(&self, maps: impl IntoIterator<Item = SpaMapBox>) {
-        let mut pool = self.public_pool.lock();
-        let old_len = pool.len();
-        pool.extend(maps);
-        debug_assert!(
-            pool[old_len..].iter().all(|m| m.as_ref().is_empty()),
-            "recycling a non-empty public map"
-        );
     }
 
     /// Number of live reducers (registered leftmost entries) — test aid.
@@ -358,99 +332,6 @@ mod tests {
         unsafe { drop(Box::from_raw(v as *mut u64)) };
         assert_eq!(d.live_reducers(), 0);
         assert!(d.leftmost_entry(s).is_none());
-    }
-
-    /// The maps' page addresses, sorted: the identity of a set of boxes.
-    fn addrs(maps: &[SpaMapBox]) -> Vec<usize> {
-        let mut a: Vec<usize> = maps
-            .iter()
-            .map(|m| m.as_ref().slot_ptr(0) as usize)
-            .collect();
-        a.sort_unstable();
-        a
-    }
-
-    #[test]
-    fn take_public_maps_is_bounded_by_want_and_returns_the_recycled_boxes() {
-        let d = DomainInner::new(Backend::Mmap);
-        let mut got = Vec::new();
-        d.take_public_maps(&mut got, 4);
-        assert!(got.is_empty(), "an empty pool hands out nothing");
-
-        let maps: Vec<SpaMapBox> = (0..5).map(|_| SpaMapBox::default()).collect();
-        let recycled = addrs(&maps);
-        d.recycle_public_maps(maps);
-
-        d.take_public_maps(&mut got, 0);
-        assert!(got.is_empty());
-        d.take_public_maps(&mut got, 2);
-        assert_eq!(got.len(), 2, "never more than `want`");
-        d.take_public_maps(&mut got, 2);
-        assert_eq!(got.len(), 4, "appends to `out`");
-        d.take_public_maps(&mut got, 7);
-        assert_eq!(got.len(), 5, "and never more than the pool holds");
-
-        assert_eq!(
-            addrs(&got),
-            recycled,
-            "exactly the boxes that were recycled"
-        );
-
-        // Three maps pooled at drop: the domain frees them (Miri's leak
-        // check is the judge).
-        d.recycle_public_maps(got.drain(..3));
-    }
-
-    /// One thread recycles `N` maps in uneven batches while another takes
-    /// until it holds `N`. Each map is written before it is recycled and
-    /// read after it is taken, so under `sanitize` FastTrack requires the
-    /// pool lock to order the handoff.
-    #[test]
-    #[cfg_attr(miri, ignore)]
-    fn public_maps_cross_threads_exactly_once() {
-        const N: usize = 64;
-        let d = Arc::new(DomainInner::new(Backend::Mmap));
-        let (d2, (tx, rx)) = (Arc::clone(&d), std::sync::mpsc::channel());
-        let recycler = std::thread::spawn(move || {
-            let maps: Vec<SpaMapBox> = (0..N).map(|_| SpaMapBox::default()).collect();
-            tx.send(addrs(&maps)).unwrap();
-            let mut maps = maps.into_iter();
-            for batch in (1..=5).cycle() {
-                let batch: Vec<SpaMapBox> = maps.by_ref().take(batch).collect();
-                if batch.is_empty() {
-                    break;
-                }
-                batch.iter().for_each(|m| m.as_ref().clear_all());
-                d2.recycle_public_maps(batch);
-            }
-        });
-
-        let mut held = Vec::new();
-        while held.len() < N {
-            let before = held.len();
-            d.take_public_maps(&mut held, 3);
-            assert!(held.len() - before <= 3);
-            std::thread::yield_now();
-        }
-        recycler.join().unwrap();
-        assert!(held.iter().all(|m| m.as_ref().is_empty()));
-
-        assert_eq!(
-            addrs(&held),
-            rx.recv().unwrap(),
-            "each box seen once, none lost, none invented"
-        );
-        assert!(d.public_pool.lock().is_empty());
-        // Half are freed with the domain, half here.
-        d.recycle_public_maps(held.drain(N / 2..));
-        #[cfg(all(feature = "sanitize", not(feature = "model")))]
-        assert!(
-            !cilkm_san::snapshot()
-                .findings
-                .iter()
-                .any(|f| f.site == "SpaMap"),
-            "the pool lock must order the map handoff"
-        );
     }
 
     #[test]

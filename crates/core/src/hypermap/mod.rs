@@ -53,6 +53,23 @@ thread_local! {
     static HYPERMAP_TLS: Cell<*mut HypermapWorkerState> = const { Cell::new(std::ptr::null_mut()) };
 }
 
+/// Views drained out of a hypermap and owned by no context. Whatever is
+/// still here on drop is destroyed, so a `reduce` that unwinds out of a
+/// hypermerge loses no view.
+struct Orphans(Vec<(u64, Slot, ViewPair)>);
+
+impl Drop for Orphans {
+    fn drop(&mut self) {
+        for (_, _, pair) in self.0.drain(..) {
+            // SAFETY: every pair a context's hypermap held stores the
+            // erased address of the live `MonoidInstance` that created
+            // `pair.view`, and draining removed it from the map, so the
+            // view is dropped exactly once.
+            unsafe { MonoidInstance::from_erased(pair.monoid).drop_view(pair.view) };
+        }
+    }
+}
+
 impl HypermapWorkerState {
     fn flush_lookups(&self) {
         let n = self.lookups.take();
@@ -74,13 +91,7 @@ impl Drop for HypermapWorkerState {
         self.flush_lookups();
         HYPERMAP_TLS.with(|c| c.set(std::ptr::null_mut()));
         // Any leftover views (a panicked region) are destroyed, not leaked.
-        for (_, _, pair) in self.current.drain() {
-            // SAFETY: every pair in this context's hypermap stores the
-            // erased address of the live `MonoidInstance` that created
-            // `pair.view`, and draining removes the pair so the view is
-            // dropped exactly once.
-            unsafe { MonoidInstance::from_erased(pair.monoid).drop_view(pair.view) };
-        }
+        drop(Orphans(self.current.drain()));
     }
 }
 
@@ -114,7 +125,7 @@ pub(crate) fn lookup(slot: Slot, inst: &MonoidInstance, domain: &DomainInner) ->
             std::ptr::eq(Arc::as_ptr(&st.domain), domain),
             "reducer used on a worker of a different pool"
         );
-        if crate::instrument::COUNT_LOOKUPS {
+        if crate::instrument::ENABLED {
             st.lookups.set(st.lookups.get() + 1);
         }
         // Same reducer as last time: skip the hash probe entirely.
@@ -146,7 +157,7 @@ fn lookup_miss(
     // across it, so no aliasing `&mut` can exist.
     unsafe {
         // Create an identity view (user code — no state borrow held).
-        let t0 = std::time::Instant::now();
+        let t0 = Instrument::short_timer();
         let view = inst.identity();
         domain.instrument.view_creations.inc();
         Instrument::add_short_ns(
@@ -155,7 +166,7 @@ fn lookup_miss(
             Burden::ViewCreation,
         );
 
-        let t1 = std::time::Instant::now();
+        let t1 = Instrument::short_timer();
         (*ptr).current.insert(
             key,
             slot,
@@ -265,19 +276,20 @@ impl HyperHooks for HypermapHooks {
         // SAFETY: `st` came from the exclusive `&mut dyn Any` above; the
         // raw-pointer hop only shortens the borrow, per the comment.
         unsafe { (*st).forget_last() };
-        let t0 = crate::instrument::thread_time_ns();
+        let t0 = Instrument::merge_timer();
         self.ins().merges.inc();
 
         // SAFETY: `st` is exclusively ours (see above); every `&mut` is
         // re-derived between `reduce_into` calls so user reduce code may
-        // itself perform lookups through the TLS pointer.
+        // itself perform lookups through the TLS pointer. Each pair holds
+        // a live view and the instance that created it; `reduce_into`
+        // consumes its right operand, also when it unwinds.
         unsafe {
-            let left_len = (*st).current.len();
-            if right.len() <= left_len {
+            if right.len() <= (*st).current.len() {
                 // Sweep the smaller (right) set into the current map.
-                for (key, slot, rpair) in right.drain() {
-                    let existing = (*st).current.get(key);
-                    match existing {
+                let mut rest = Orphans(right.drain());
+                while let Some((key, slot, rpair)) = rest.0.pop() {
+                    match (*st).current.get(key) {
                         Some(lpair) => {
                             self.ins().merge_pairs.inc();
                             MonoidInstance::from_erased(rpair.monoid)
@@ -289,23 +301,22 @@ impl HyperHooks for HypermapHooks {
                     }
                 }
             } else {
-                // Sweep the smaller (left) set into the right map, keeping
-                // left as the serially-earlier operand, then adopt it.
-                let drained = (*st).current.drain();
-                for (key, slot, lpair) in drained {
-                    match right.remove(key) {
-                        Some(rpair) => {
-                            self.ins().merge_pairs.inc();
-                            MonoidInstance::from_erased(lpair.monoid)
-                                .reduce_into(lpair.view, rpair.view);
-                            right.insert(key, slot, lpair);
-                        }
-                        None => {
-                            right.insert(key, slot, lpair);
-                        }
+                // Adopt the larger (right) map and sweep the smaller
+                // (left) set into it. A left view takes its key's place
+                // in the map before the reduce that keeps it as the
+                // serially-earlier operand, so at every `reduce` each
+                // view is owned by the map or by `rest`.
+                let left = std::mem::replace(&mut (*st).current, right).drain();
+                let mut rest = Orphans(left);
+                while let Some((key, slot, lpair)) = rest.0.pop() {
+                    let rpair = (*st).current.remove(key);
+                    (*st).current.insert(key, slot, lpair);
+                    if let Some(rpair) = rpair {
+                        self.ins().merge_pairs.inc();
+                        MonoidInstance::from_erased(lpair.monoid)
+                            .reduce_into(lpair.view, rpair.view);
                     }
                 }
-                (*st).current = right;
             }
         }
         Instrument::add_merge_ns(&self.ins().merge_ns, t0);
@@ -343,12 +354,54 @@ impl HyperHooks for HypermapHooks {
             // counter and shared atomics.
             unsafe { (*ptr).flush_lookups() };
         }
-        let mut map = *views.downcast::<HyperMap>().expect("hypermap views");
-        for (_, _, pair) in map.drain() {
-            // SAFETY: each drained pair stores the erased address of the
-            // live instance that created its view; draining drops each
-            // view exactly once.
-            unsafe { MonoidInstance::from_erased(pair.monoid).drop_view(pair.view) };
+        let mut map = views.downcast::<HyperMap>().expect("hypermap views");
+        drop(Orphans(map.drain()));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::domain::Backend;
+    use crate::monoid::testing::{Tally, TrackedConcat};
+    use crate::msync::atomic::Ordering;
+
+    /// A `reduce` that unwinds out of a hypermerge, in each sweep
+    /// direction: every view — merged, not yet merged, or waiting on the
+    /// other side — is destroyed exactly once, by the sweep's `Orphans`
+    /// or with the worker state.
+    #[test]
+    fn reduce_panic_in_hypermerge_drops_every_view_once() {
+        // Right no larger than left sweeps right into left; a larger
+        // right is adopted and left swept into it.
+        for (left, right) in [(5usize, 5usize), (2, 5)] {
+            let domain = Arc::new(DomainInner::new(Backend::Hypermap));
+            let tally = Arc::new(Tally::default());
+            let monoid = Arc::new(TrackedConcat(Arc::clone(&tally)));
+            // The hypermap keys a view by its reducer's instance.
+            let insts: Vec<MonoidInstance> = (0..5).map(|_| MonoidInstance::new(&monoid)).collect();
+            let hooks = HypermapHooks::new(Arc::clone(&domain));
+            // First touch creates the view; the probe needs no more.
+            let touch = |n: usize| {
+                for (slot, inst) in insts.iter().enumerate().take(n) {
+                    lookup(slot as Slot, inst, &domain).expect("worker state");
+                }
+            };
+
+            let det = {
+                let mut state = hooks.make_worker_state(1);
+                touch(right);
+                hooks.detach(state.as_mut())
+            };
+            let mut state = hooks.make_worker_state(0);
+            touch(left);
+            tally.poisoned.store(true, Ordering::SeqCst);
+            let merge = std::panic::AssertUnwindSafe(|| hooks.merge_right(state.as_mut(), det));
+            assert!(std::panic::catch_unwind(merge).is_err(), "reduce panics");
+
+            drop(state);
+            let made = left + right;
+            assert_eq!(tally.counts(), (made, made), "left {left}, right {right}");
         }
     }
 }

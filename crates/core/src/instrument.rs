@@ -15,13 +15,12 @@
 //! * **hypermerge** — sequencing one view set against another and running
 //!   the monoid reduce operations.
 //!
-//! All four live on steal paths (cold), so they carry nanosecond timers
-//! as well as counts. Since the observability PR the timers are
-//! [`Histogram`]s (one sample per operation, log2 ns buckets), so each
-//! category is a latency *distribution*; the old nanosecond totals are
-//! the histogram sums and still come out of [`Instrument::snapshot`]
-//! unchanged. The lookup counter is on the hot path; it is a plain
-//! per-worker `Cell` increment, flushed into the shared totals at
+//! All four live on steal paths (cold). Their **counts** are kept in
+//! every build; their **nanosecond timers** — [`Histogram`]s, one sample
+//! per operation in log2 ns buckets, whose sums are the totals
+//! [`Instrument::snapshot`] reports — and the per-lookup counter are
+//! compiled in only when [`ENABLED`] is true. The lookup counter is a
+//! plain per-worker `Cell` increment, flushed into the shared totals at
 //! view-transferal/collect time (and on the discard path after a panic),
 //! so it costs the same negligible constant under both backends.
 
@@ -30,13 +29,18 @@ use cilkm_obs::metrics::{
 };
 use cilkm_obs::profile::{self, Burden};
 
-/// Whether hot-path (per-lookup) counting is compiled in. The cold,
-/// steal-path counters above are always live — they are off the critical
-/// path — but the per-lookup increment sits inside the two-load fast path
-/// that Figure 1 measures, so release builds compile it out unless the
-/// `instrument` feature is enabled (the bench harness enables it; debug
-/// builds keep it so counter-asserting tests work under `cargo test`).
-pub(crate) const COUNT_LOOKUPS: bool = cfg!(any(debug_assertions, feature = "instrument"));
+/// The one instrumentation switch: true in debug builds and whenever the
+/// `instrument` feature is on (the figure harness, the benchmark's traced
+/// pass and the root package's tests turn it on), false in a plain
+/// release build. It governs everything that costs time where the paper
+/// measures time: the per-lookup increment inside the two-load fast path
+/// of Figure 1, and every clock read and histogram record on the steal
+/// path of both backends (the thread-CPU clock is a system call, and a
+/// view's creation and insertion are each shorter than the clock reads
+/// that bracket them). The steal-path *counters* stay unconditional: one
+/// relaxed add per operation, and the benchmark's gated pass checks them
+/// against its traced pass round by round.
+pub(crate) const ENABLED: bool = cfg!(any(debug_assertions, feature = "instrument"));
 
 /// Shared (per-domain) instrumentation totals, on the unified
 /// `cilkm-obs` metric primitives: counts are [`Counter`]s, the four §8
@@ -53,9 +57,9 @@ pub struct Instrument {
     pub view_insertions: Counter,
     /// Per-insertion latency; `.sum` is the Figure 8 insertion total.
     pub view_insertion_ns: Histogram,
-    /// View transferal operations (detaches with at least the empty set).
+    /// View transferal operations (detaches of a non-empty view set).
     pub transferals: Counter,
-    /// Views copied between private and public maps (§7).
+    /// Views copied out of private maps by view transferal (§7).
     pub transferal_views: Counter,
     /// Per-transferal latency (detach and attach each contribute one
     /// sample); `.sum` is the Figure 8 transferal total.
@@ -117,24 +121,36 @@ impl Instrument {
         }
     }
 
-    /// Records one hypermerge sample (thread CPU time elapsed since
-    /// `start_ns`, a [`thread_time_ns`] reading) and charges it to the
-    /// online profiler. Hypermerges run while the owner's strand context
-    /// is paused at the sync, so the charge lands only in the session's
-    /// burden breakdown — the merge time itself reaches the burdened
-    /// span through the runtime's sync fold, never double-counted.
-    pub(crate) fn add_merge_ns(hist: &Histogram, start_ns: u64) {
-        let ns = thread_time_ns().saturating_sub(start_ns);
-        hist.record(ns);
-        profile::charge(Burden::Hypermerge, ns);
+    /// Starts a hypermerge timing window (thread CPU time); `None` with
+    /// the switch off.
+    #[inline]
+    pub(crate) fn merge_timer() -> Option<u64> {
+        ENABLED.then(thread_time_ns)
     }
 
-    /// Starts a transferal timing window (both clocks).
-    pub(crate) fn transferal_timer() -> TransferalTimer {
-        TransferalTimer {
+    /// Records one hypermerge sample (thread CPU time elapsed since
+    /// `start`) and charges it to the online profiler. Hypermerges run
+    /// while the owner's strand context is paused at the sync, so the
+    /// charge lands only in the session's burden breakdown — the merge
+    /// time itself reaches the burdened span through the runtime's sync
+    /// fold, never double-counted.
+    #[inline]
+    pub(crate) fn add_merge_ns(hist: &Histogram, start: Option<u64>) {
+        if let Some(start_ns) = start {
+            let ns = thread_time_ns().saturating_sub(start_ns);
+            hist.record(ns);
+            profile::charge(Burden::Hypermerge, ns);
+        }
+    }
+
+    /// Starts a transferal timing window (both clocks); `None` with the
+    /// switch off.
+    #[inline]
+    pub(crate) fn transferal_timer() -> Option<TransferalTimer> {
+        ENABLED.then(|| TransferalTimer {
             cpu0: thread_time_ns(),
             wall0: std::time::Instant::now(),
-        }
+        })
     }
 
     /// Ends a transferal window: one CPU-time sample into the coarse
@@ -143,26 +159,38 @@ impl Instrument {
     /// profiler (transferal happens inside the terminating strand, so
     /// the charge debits that strand's unburdened span — the span the
     /// program would have with free reducers).
-    pub(crate) fn finish_transferal(&self, t: TransferalTimer) {
-        self.transferal_ns
-            .record(thread_time_ns().saturating_sub(t.cpu0));
-        let wall_ns = t.wall0.elapsed().as_nanos() as u64;
-        self.transferal_fine_ns.record(wall_ns);
-        profile::charge(Burden::Transferal, wall_ns);
+    #[inline]
+    pub(crate) fn finish_transferal(&self, t: Option<TransferalTimer>) {
+        if let Some(t) = t {
+            self.transferal_ns
+                .record(thread_time_ns().saturating_sub(t.cpu0));
+            let wall_ns = t.wall0.elapsed().as_nanos() as u64;
+            self.transferal_fine_ns.record(wall_ns);
+            profile::charge(Burden::Transferal, wall_ns);
+        }
     }
 
-    /// Timer for the *short* per-view windows (creation, insertion):
-    /// monotonic wall time (vDSO, ~20 ns — a thread-CPU-time syscall
-    /// would cost more than the operation being measured), with each
-    /// sample capped so that a preemption landing inside the window on an
-    /// oversubscribed host cannot charge a whole scheduling quantum to a
-    /// sub-microsecond operation. The same capped sample is charged to
-    /// the online profiler under `kind`.
-    pub(crate) fn add_short_ns(hist: &Histogram, since: std::time::Instant, kind: Burden) {
+    /// Starts one of the *short* per-view windows (creation, insertion);
+    /// `None` with the switch off.
+    #[inline]
+    pub(crate) fn short_timer() -> Option<std::time::Instant> {
+        ENABLED.then(std::time::Instant::now)
+    }
+
+    /// Ends a short window: monotonic wall time (vDSO, ~20 ns — a
+    /// thread-CPU-time syscall would cost more than the operation being
+    /// measured), with each sample capped so that a preemption landing
+    /// inside the window on an oversubscribed host cannot charge a whole
+    /// scheduling quantum to a sub-microsecond operation. The same capped
+    /// sample is charged to the online profiler under `kind`.
+    #[inline]
+    pub(crate) fn add_short_ns(hist: &Histogram, since: Option<std::time::Instant>, kind: Burden) {
         const CAP_NS: u64 = 10_000;
-        let ns = (since.elapsed().as_nanos() as u64).min(CAP_NS);
-        hist.record(ns);
-        profile::charge(kind, ns);
+        if let Some(since) = since {
+            let ns = (since.elapsed().as_nanos() as u64).min(CAP_NS);
+            hist.record(ns);
+            profile::charge(kind, ns);
+        }
     }
 }
 
@@ -216,7 +244,7 @@ pub struct InstrumentSnapshot {
     pub view_insertion_ns: u64,
     /// View transferal operations.
     pub transferals: u64,
-    /// Views copied between private and public maps.
+    /// Views copied out of private maps by view transferal.
     pub transferal_views: u64,
     /// Equal to `transferal_views`. Kept for `benchmark/src/pass.rs`; goes when a `benchmark` PR drops `core.transferal_copied_views`.
     pub transferal_copied_views: u64,
@@ -354,5 +382,86 @@ mod tests {
         assert_eq!(snap.view_creation_ns, h.view_creation.sum);
         assert_eq!(snap.merge_ns, h.hypermerge.sum);
         assert_eq!(snap.reduce_overhead_ns(), 6_000);
+    }
+
+    /// The stopwatch is off when the switch is off and exact when it is
+    /// on; the steal-path counters do not depend on it. One forced-steal
+    /// spine (`f(k) = join(f(k-1), leaf_k)`, the base case waiting until
+    /// the other worker has started all `K` leaves): `K` steals of `N`
+    /// views each on top of the owner's `N`.
+    #[test]
+    #[cfg_attr(miri, ignore = "spawns OS worker threads")]
+    fn stopwatch_follows_the_switch_and_counters_do_not() {
+        use crate::library::SumMonoid;
+        use crate::msync::atomic::{AtomicU64, Ordering};
+        use crate::{Backend, Reducer, ReducerPool};
+        const K: u64 = 8;
+        const N: u64 = 3;
+
+        fn spine(k: u64, started: &AtomicU64, sums: &[Reducer<SumMonoid<u64>>]) {
+            if k == 0 {
+                sums.iter().for_each(|s| s.add(1));
+                // Yield, not spin: on a one-CPU host the thief needs the
+                // processor to take the leaves.
+                while started.load(Ordering::Acquire) < K {
+                    std::thread::yield_now();
+                }
+                return;
+            }
+            cilkm_runtime::join(
+                || spine(k - 1, started, sums),
+                || {
+                    started.fetch_add(1, Ordering::Release);
+                    sums.iter().for_each(|s| s.add(1));
+                },
+            );
+        }
+
+        for backend in [Backend::Hypermap, Backend::Mmap] {
+            let pool = ReducerPool::new(2, backend);
+            let sums: Vec<Reducer<SumMonoid<u64>>> = (0..N)
+                .map(|_| Reducer::new(&pool, SumMonoid::new(), 0))
+                .collect();
+            let started = AtomicU64::new(0);
+            pool.run(|| spine(K, &started, &sums));
+            sums.iter().for_each(|s| assert_eq!(s.get_cloned(), K + 1));
+
+            let snap = pool.instrument();
+            let counters = [
+                snap.view_creations,
+                snap.view_insertions,
+                snap.transferals,
+                snap.transferal_views,
+                snap.merges,
+                snap.merge_pairs,
+                snap.log_overflows,
+            ];
+            let views = (K + 1) * N;
+            assert_eq!(
+                counters,
+                [views, views, K, K * N, K, K * N, 0],
+                "{backend:?}: the same counts with the switch {ENABLED}"
+            );
+
+            let h = pool.overhead_histograms();
+            if ENABLED {
+                assert_eq!(h.view_creation.count, snap.view_creations, "{backend:?}");
+                assert_eq!(h.view_insertion.count, snap.view_insertions, "{backend:?}");
+                assert_eq!(h.hypermerge.count, snap.merges, "{backend:?}");
+                assert!(h.transferal.count >= snap.transferals, "{backend:?}");
+                assert_eq!(h.transferal_fine.count, h.transferal.count, "{backend:?}");
+            } else {
+                let samples = [
+                    h.view_creation.count,
+                    h.view_insertion.count,
+                    h.transferal.count,
+                    h.transferal_fine.count,
+                    h.hypermerge.count,
+                ];
+                assert_eq!(samples, [0; 5], "{backend:?}: a clock was read");
+                assert_eq!(snap.reduce_overhead_ns(), 0, "{backend:?}");
+                assert_eq!(snap.lookups, 0, "{backend:?}");
+            }
+        }
     }
 }

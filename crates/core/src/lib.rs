@@ -14,9 +14,9 @@
 //!   owns a TLMM region (simulated by `cilkm-tlmm`) holding *private SPA
 //!   maps* of (view, monoid) pointer pairs; a lookup is a short
 //!   straight-line load/load/branch sequence; view transferal copies
-//!   pointers into *public SPA maps* (the copying strategy of §7),
-//!   zeroing the private maps; hypermerge sweeps the smaller view set
-//!   into the larger.
+//!   the pointer pairs into one flat list (the copying strategy of §7),
+//!   zeroing the private maps; hypermerge sweeps the right side's list
+//!   into the left side's private maps.
 //!
 //! ## Reducer semantics
 //!

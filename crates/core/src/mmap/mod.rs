@@ -14,40 +14,37 @@
 //!   miss (at most once per reducer per steal) lazily creates an identity
 //!   view and inserts it: one pointer-pair write plus a log append.
 //! * **View transferal by copying (§7)** — a terminating context copies
-//!   its private pairs into **public SPA maps** in shared memory, zeroing
-//!   the private entries as it goes, so the worker returns to work-
-//!   stealing with a provably empty private region. Public maps are
-//!   page-sized, born zeroed, and recycled through per-worker pools with
-//!   a global overflow pool, in the manner of Hoard. Copying is the
-//!   only transferal path; DESIGN.md §16 records why whole pages are
-//!   not remapped instead.
-//! * **Hypermerge (§7)** — sweep the view set with *fewer* views into the
-//!   one with more, reducing pairs in serial order and zeroing the swept
-//!   set, which is thereby recyclable.
+//!   its private pairs into shared memory, zeroing the private entries as
+//!   it goes, so the worker returns to work-stealing with a provably
+//!   empty private region. What it copies them into is one flat,
+//!   exactly-sized list of `(slot, pair)` ([`MmapDetached`]): "a few
+//!   pointers", and the only cache lines that change owner at a steal.
+//!   Copying is the only transferal path; DESIGN.md §13.3 gives the
+//!   layout's reasons and §16 records why whole pages are not remapped
+//!   instead.
+//! * **Hypermerge (§7)** — sweep the right list into the private maps:
+//!   an empty slot takes the right pair, an occupied one reduces it into
+//!   the left view, left always the serially earlier operand.
 
 use std::any::Any;
 use std::cell::Cell;
 use std::sync::Arc;
 
 use cilkm_runtime::{DetachedViews, HyperHooks};
-use cilkm_spa::{InsertOutcome, SpaMapBox, SpaMapRef, ViewPair, VIEWS_PER_MAP};
-use cilkm_tlmm::{PageDesc, TlmmRegion};
+use cilkm_spa::{InsertOutcome, SpaMapRef, ViewPair, VIEWS_PER_MAP};
+use cilkm_tlmm::{PageDesc, TlmmRegion, PD_NULL};
 
 use crate::domain::{DomainInner, Slot};
 use crate::instrument::Instrument;
 use crate::monoid::MonoidInstance;
 use cilkm_obs::profile::Burden;
 
-/// How many empty public SPA maps a worker caches locally before spilling
-/// half to the domain's global pool.
-const LOCAL_POOL_CAP: usize = 8;
-
 /// How many empty, zeroed private pages a worker caches for remapping
 /// before returning retirees to the arena.
 const FREE_PAGES_CAP: usize = 32;
 
-/// Per-worker state: the TLMM region, the private SPA maps living in it,
-/// and the local recycle pool of public maps.
+/// Per-worker state: the TLMM region and the private SPA maps living in
+/// it.
 pub struct MmapWorkerState {
     domain: Arc<DomainInner>,
     region: TlmmRegion,
@@ -59,8 +56,6 @@ pub struct MmapWorkerState {
     /// suspended context is resumed and the interim context's pages are
     /// retired).
     free_pages: Vec<(PageDesc, SpaMapRef)>,
-    /// Local pool of empty public SPA maps.
-    local_pool: Vec<SpaMapBox>,
     lookups: Cell<u64>,
     /// Single-entry cache of the last successful lookup. Keyed by
     /// (domain, page, idx) so a hit needs no map walk and no domain
@@ -68,13 +63,9 @@ pub struct MmapWorkerState {
     /// current context (detach, attach, merge, suspend, resume, root
     /// collection, removal) must clear it — see [`MmapWorkerState::forget_last`].
     last: Cell<LastLookup>,
-    /// Number of views currently in the private maps (drives the
-    /// sweep-smaller choice during hypermerge).
+    /// Number of views currently in the private maps (sizes the list a
+    /// detach copies them into).
     current_views: usize,
-    /// Detach output buffer, recycled across transferals (attach donates
-    /// the emptied vector back) so the hot detach path never allocates
-    /// its map list.
-    map_scratch: Vec<(u32, SpaMapBox)>,
 }
 
 /// The last-lookup cache line: the key identifies one reducer slot in one
@@ -144,12 +135,29 @@ fn publish_tls(state: *mut MmapWorkerState) {
     }
 }
 
-/// A detached view set: the public SPA maps view transferal copied the
-/// private pages into (§7), tagged with the private page index each
-/// came from.
+/// A detached view set: the pairs view transferal copied out of the
+/// private pages (§7), each with the slot it came from. It owns its
+/// views: whatever a hypermerge or an attach has not taken when this
+/// drops is destroyed, so unwinding out of a user `reduce` loses none.
 pub struct MmapDetached {
-    maps: Vec<(u32, SpaMapBox)>,
-    count: usize,
+    views: Vec<(Slot, ViewPair)>,
+}
+
+// SAFETY: the view pointers travel with the set, which one thread owns
+// at a time (the scheduler hands it over through a job's latch), and
+// point at `M::View: Send` values; the monoid pointers are shared
+// reads of instances their reducers keep alive.
+unsafe impl Send for MmapDetached {}
+
+impl Drop for MmapDetached {
+    fn drop(&mut self) {
+        for (_, pair) in self.views.drain(..) {
+            // SAFETY: each pair holds a live view and the erased address
+            // of the live instance that created it; draining yields each
+            // exactly once.
+            unsafe { MonoidInstance::from_erased(pair.monoid).drop_view(pair.view) };
+        }
+    }
 }
 
 /// A *suspended* context: the worker's private pages themselves, set
@@ -163,16 +171,58 @@ struct MmapSuspended {
     views: usize,
 }
 
-// SAFETY: the suspended pages travel with their (quiescent) owning
-// context exactly like `MmapWorkerState` itself.
-unsafe impl Send for MmapSuspended {}
-
 impl MmapDetached {
     /// Number of views carried.
     pub fn count(&self) -> usize {
-        self.count
+        self.views.len()
+    }
+
+    /// Under the model checker (or the dynamic sanitizer), records the
+    /// detaching worker's write of the whole list at its buffer address:
+    /// the contract is "one thread at a time per detached set", so the
+    /// hand-over through the join frame must order this before the
+    /// reads below. An empty list has no buffer and records nothing.
+    #[inline]
+    fn note_write(&self) {
+        #[cfg(any(feature = "model", feature = "sanitize"))]
+        if let Some(first) = self.views.first() {
+            let buffer = first as *const (Slot, ViewPair) as usize;
+            #[cfg(feature = "model")]
+            cilkm_checker::trace::note_write(buffer, "DetachedViews");
+            #[cfg(not(feature = "model"))]
+            {
+                BUFFER_REUSE.load(crate::msync::atomic::Ordering::Acquire);
+                cilkm_san::shadow_write(buffer, "DetachedViews");
+            }
+        }
+    }
+
+    /// Mirror of [`MmapDetached::note_write`] for the worker that
+    /// attaches, merges or discards the set.
+    #[inline]
+    fn note_read(&self) {
+        #[cfg(any(feature = "model", feature = "sanitize"))]
+        if let Some(first) = self.views.first() {
+            let buffer = first as *const (Slot, ViewPair) as usize;
+            #[cfg(feature = "model")]
+            cilkm_checker::trace::note_read(buffer, "DetachedViews");
+            #[cfg(not(feature = "model"))]
+            {
+                cilkm_san::shadow_read(buffer, "DetachedViews");
+                BUFFER_REUSE.store(0, crate::msync::atomic::Ordering::Release);
+            }
+        }
     }
 }
+
+/// What the allocator knows and the sanitizer cannot see: the worker
+/// that read a list frees its buffer before `malloc` hands the same
+/// address to the next list's writer. Readers release here before they
+/// free, writers acquire after they allocate; without it every reused
+/// buffer reads as a read-write race. (A model run allocates each list
+/// once, so the checker needs no such edge and gets none.)
+#[cfg(all(not(feature = "model"), feature = "sanitize"))]
+static BUFFER_REUSE: crate::msync::atomic::AtomicUsize = crate::msync::atomic::AtomicUsize::new(0);
 
 impl MmapWorkerState {
     fn flush_lookups(&self) {
@@ -219,31 +269,35 @@ impl MmapWorkerState {
         publish_tls(self as *mut MmapWorkerState);
     }
 
-    fn take_map(&mut self) -> SpaMapBox {
-        if self.local_pool.is_empty() {
-            // Hoard-style rebalance: refill half a pool from the domain's.
-            self.domain
-                .take_public_maps(&mut self.local_pool, LOCAL_POOL_CAP / 2);
-        }
-        // The global pool ran dry too: a fresh map, no lock held.
-        self.local_pool.pop().unwrap_or_default()
-    }
-
-    fn recycle_map(&mut self, map: SpaMapBox) {
-        debug_assert!(map.as_ref().is_empty());
-        if self.local_pool.len() == LOCAL_POOL_CAP {
-            // Hoard-style rebalance: spill half a pool to the domain's.
-            self.domain
-                .recycle_public_maps(self.local_pool.drain(LOCAL_POOL_CAP / 2..));
-        }
-        self.local_pool.push(map);
-    }
-
     /// Copies out the accessor for mapped private page `pidx` (named so
     /// the lint-marked detach path needs no `[]` indexing).
     #[inline]
     fn page_ref(&self, pidx: usize) -> SpaMapRef {
         self.pages[pidx]
+    }
+
+    /// The copying strategy of §7: sequences each occupied private page
+    /// by its log into one exactly-sized list of `(slot, pair)`, zeroing
+    /// the private entries as the pairs leave, so the region is provably
+    /// empty afterwards. An empty context allocates nothing.
+    // lint: hot-path
+    fn drain_views(&mut self) -> Vec<(Slot, ViewPair)> {
+        // lint: allow(hot-path, the one exactly-sized list a detach copies its views into; it replaces up to one map-pool operation per occupied page)
+        let mut views = Vec::with_capacity(self.current_views);
+        if self.current_views != 0 {
+            let npages = self.pages.len();
+            for pidx in 0..npages {
+                let private = self.page_ref(pidx);
+                if private.is_empty() {
+                    continue;
+                }
+                let base = (pidx * VIEWS_PER_MAP) as Slot;
+                private.drain(|idx, pair| views.push((base + idx as Slot, pair)));
+            }
+            debug_assert_eq!(views.len(), self.current_views);
+            self.current_views = 0;
+        }
+        views
     }
 
     /// Retires an empty private page for reuse by `ensure_page`; frees
@@ -266,15 +320,11 @@ impl Drop for MmapWorkerState {
     fn drop(&mut self) {
         self.flush_lookups();
         MMAP_TLS.with(|c| c.set(MmapTls::NULL));
-        // Destroy any leftover views (possible after a panicked region).
-        for page in &self.pages {
-            // SAFETY: surviving pairs store the erased address of the
-            // live instance that created their views; drain visits each
-            // exactly once.
-            page.drain(|_, pair| unsafe {
-                MonoidInstance::from_erased(pair.monoid).drop_view(pair.view);
-            });
-        }
+        // Leftover views (possible after a panicked region) are destroyed
+        // the way a discarded set's are.
+        drop(MmapDetached {
+            views: self.drain_views(),
+        });
         for pd in self.descs.drain(..) {
             self.region.arena().pfree(pd);
         }
@@ -321,7 +371,7 @@ pub(crate) fn lookup(
     // slot pointer dereference stays inside the mapped SPA page.
     unsafe {
         let st = &*tls.state;
-        if crate::instrument::COUNT_LOOKUPS {
+        if crate::instrument::ENABLED {
             st.lookups.set(st.lookups.get() + 1);
         }
         // Same reducer as last time? The cache key includes the domain,
@@ -378,7 +428,7 @@ fn lookup_miss(
     unsafe {
         (*ptr).ensure_page(page);
 
-        let t0 = std::time::Instant::now();
+        let t0 = Instrument::short_timer();
         let view = inst.identity();
         domain.instrument.view_creations.inc();
         Instrument::add_short_ns(
@@ -387,7 +437,7 @@ fn lookup_miss(
             Burden::ViewCreation,
         );
 
-        let t1 = std::time::Instant::now();
+        let t1 = Instrument::short_timer();
         let outcome = page_at(ptr, page).insert(
             idx,
             ViewPair {
@@ -463,11 +513,9 @@ impl HyperHooks for MmapHooks {
             pages: Vec::new(),
             descs: Vec::new(),
             free_pages: Vec::new(),
-            local_pool: Vec::new(),
             lookups: Cell::new(0),
             last: Cell::new(LastLookup::EMPTY),
             current_views: 0,
-            map_scratch: Vec::new(),
         });
         let raw = &*state as *const MmapWorkerState as *mut MmapWorkerState;
         publish_tls(raw);
@@ -480,54 +528,33 @@ impl HyperHooks for MmapHooks {
         st.flush_lookups();
         st.forget_last();
         let t0 = Instrument::transferal_timer();
-        let mut maps = std::mem::take(&mut st.map_scratch);
-        debug_assert!(maps.is_empty());
-        let mut count = 0usize;
-        if st.current_views != 0 {
-            // The copying strategy of §7: move each occupied page's
-            // pairs into a public SPA map as one bulk, log-carrying
-            // move that zeroes the private entries as it goes.
-            let npages = st.pages.len();
-            for pidx in 0..npages {
-                let private = st.page_ref(pidx);
-                let nv = private.nvalid();
-                if nv == 0 {
-                    continue;
-                }
-                count += nv;
-                let public = st.take_map();
-                private.drain_into(public.as_ref());
-                maps.push((pidx as u32, public));
-            }
-            st.current_views = 0;
-        }
-        if count != 0 {
+        let views = st.drain_views();
+        if !views.is_empty() {
             self.ins().transferals.inc();
-            self.ins().transferal_views.add(count as u64);
+            self.ins().transferal_views.add(views.len() as u64);
         }
+        let det = MmapDetached { views };
+        det.note_write();
         self.ins().finish_transferal(t0);
-        // lint: allow(hot-path, one boxed handoff of the whole detached set to the scheduler; the per-view and per-page work above is allocation-free)
-        Box::new(MmapDetached { maps, count })
+        // lint: allow(hot-path, one boxed handoff of the whole detached set to the scheduler; the per-view work above is allocation-free)
+        Box::new(det)
     }
 
     fn attach(&self, state: &mut dyn Any, views: DetachedViews) {
         let st = state.downcast_mut::<MmapWorkerState>().expect("mmap state");
-        let mut det = *views.downcast::<MmapDetached>().expect("mmap views");
+        let mut det = views.downcast::<MmapDetached>().expect("mmap views");
         debug_assert_eq!(st.current_views, 0, "attach over non-empty context");
+        det.note_read();
         st.forget_last();
         let t0 = Instrument::transferal_timer();
-        for (pidx, public) in det.maps.drain(..) {
-            // §7: drain the public map back into the region.
-            let pidx = pidx as usize;
+        // §7: copy the pairs back into the region, each at its slot.
+        // Popped one by one, so an unwind (page allocation can refuse)
+        // leaves the rest with `det`, which destroys them.
+        while let Some((slot, pair)) = det.views.pop() {
+            let (pidx, idx) = (slot as usize / VIEWS_PER_MAP, slot as usize % VIEWS_PER_MAP);
             st.ensure_page(pidx);
-            public.as_ref().drain_into(st.page_ref(pidx));
-            st.recycle_map(public);
-        }
-        st.current_views = det.count;
-        // Donate the emptied buffer back so this worker's next detach
-        // allocates nothing for its map list.
-        if det.maps.capacity() > st.map_scratch.capacity() {
-            st.map_scratch = det.maps;
+            st.page_ref(pidx).insert(idx, pair);
+            st.current_views += 1;
         }
         self.ins().finish_transferal(t0);
     }
@@ -537,91 +564,38 @@ impl HyperHooks for MmapHooks {
         // and may perform reducer lookups through MMAP_TLS; no `&mut` to
         // the state may be live across them.
         let st: *mut MmapWorkerState = state.downcast_mut::<MmapWorkerState>().expect("mmap state");
-        let det = *right.downcast::<MmapDetached>().expect("mmap views");
+        let mut det = right.downcast::<MmapDetached>().expect("mmap views");
+        det.note_read();
         // SAFETY: `st` came from the exclusive `&mut dyn Any` above; the
         // raw-pointer hop only shortens the borrow, per the comment.
         unsafe { (*st).forget_last() };
-        let t0 = crate::instrument::thread_time_ns();
+        let t0 = Instrument::merge_timer();
         self.ins().merges.inc();
         let mut pairs_reduced = 0u64;
 
-        // SAFETY: `st` is exclusively ours (see above); every `&mut` is
-        // re-derived between `reduce_into` calls so user reduce code may
-        // itself perform lookups through MMAP_TLS.
-        unsafe {
-            let left_count = (*st).current_views;
-            if det.count <= left_count {
-                // Sweep the smaller (right) set into the private maps.
-                let mut total = left_count;
-                for (pidx, public) in det.maps {
-                    let pidx = pidx as usize;
-                    (*st).ensure_page(pidx);
-                    // Collect first: reduce calls must not overlap a
-                    // borrow of the state.
-                    let mut entries = Vec::new();
-                    public.as_ref().drain(|idx, pair| entries.push((idx, pair)));
-                    (*st).recycle_map(public);
-                    for (idx, rpair) in entries {
-                        let private = page_at(st, pidx);
-                        let lpair = private.get(idx);
-                        if lpair.is_null() {
-                            private.insert(idx, rpair);
-                            total += 1;
-                        } else {
-                            pairs_reduced += 1;
-                            MonoidInstance::from_erased(rpair.monoid)
-                                .reduce_into(lpair.view, rpair.view);
-                        }
-                    }
+        // One sweep, right into left: the merged set has to end up in the
+        // private region, so this costs one slot operation per right view
+        // whichever side is larger. Each pair is popped before its
+        // `reduce` runs: when that unwinds, `reduce_into` has consumed
+        // the pair's view and `det` destroys the ones not yet merged.
+        while let Some((slot, rpair)) = det.views.pop() {
+            let (pidx, idx) = (slot as usize / VIEWS_PER_MAP, slot as usize % VIEWS_PER_MAP);
+            // SAFETY: `st` is exclusively ours (see above); every `&mut`
+            // is re-derived between `reduce_into` calls so user reduce
+            // code may itself perform lookups through MMAP_TLS. Both
+            // pairs hold live views of the slot's monoid and the
+            // instance that created them.
+            unsafe {
+                (*st).ensure_page(pidx);
+                let private = page_at(st, pidx);
+                let lpair = private.get(idx);
+                if lpair.is_null() {
+                    private.insert(idx, rpair);
+                    (*st).current_views += 1;
+                } else {
+                    pairs_reduced += 1;
+                    MonoidInstance::from_erased(rpair.monoid).reduce_into(lpair.view, rpair.view);
                 }
-                (*st).current_views = total;
-            } else {
-                // Sweep the smaller (left, private) set into the right
-                // maps — keeping left as the serially-earlier operand —
-                // then install the merged result back into the region.
-                let mut right_maps = det.maps;
-                let mut total = det.count;
-                let npages = (*st).pages.len();
-                for pidx in 0..npages {
-                    let private = page_at(st, pidx);
-                    if private.nvalid() == 0 {
-                        continue;
-                    }
-                    let mut entries = Vec::new();
-                    private.drain(|idx, pair| entries.push((idx, pair)));
-                    // Find or create the public map for this page.
-                    let pos = match right_maps.iter().position(|(p, _)| *p as usize == pidx) {
-                        Some(pos) => pos,
-                        None => {
-                            let m = (*st).take_map();
-                            right_maps.push((pidx as u32, m));
-                            right_maps.len() - 1
-                        }
-                    };
-                    for (idx, lpair) in entries {
-                        let rmap = right_maps[pos].1.as_ref();
-                        let rpair = rmap.get(idx);
-                        if rpair.is_null() {
-                            rmap.insert(idx, lpair);
-                            total += 1;
-                        } else {
-                            pairs_reduced += 1;
-                            rmap.remove(idx);
-                            MonoidInstance::from_erased(lpair.monoid)
-                                .reduce_into(lpair.view, rpair.view);
-                            rmap.insert(idx, lpair);
-                        }
-                    }
-                }
-                (*st).current_views = 0;
-                // Install the merged set as the current private views.
-                for (pidx, public) in right_maps {
-                    let pidx = pidx as usize;
-                    (*st).ensure_page(pidx);
-                    public.as_ref().drain_into(page_at(st, pidx));
-                    (*st).recycle_map(public);
-                }
-                (*st).current_views = total;
             }
         }
         self.ins().merge_pairs.add(pairs_reduced);
@@ -636,17 +610,7 @@ impl HyperHooks for MmapHooks {
         unsafe {
             (*st).flush_lookups();
             (*st).forget_last();
-            if (*st).current_views == 0 {
-                return;
-            }
-            let mut entries: Vec<(Slot, ViewPair)> = Vec::new();
-            let npages = (*st).pages.len();
-            for pidx in 0..npages {
-                let private = page_at(st, pidx);
-                private
-                    .drain(|idx, pair| entries.push(((pidx * VIEWS_PER_MAP + idx) as Slot, pair)));
-            }
-            (*st).current_views = 0;
+            let entries = (*st).drain_views();
             // SAFETY: each pair is a live boxed view of its slot's
             // monoid with the instance that created it, and the
             // reducers are still registered (views must not outlive
@@ -667,16 +631,11 @@ impl HyperHooks for MmapHooks {
             // the `Cell` counter and shared atomics.
             unsafe { (*tls.state).flush_lookups() };
         }
-        let det = *views.downcast::<MmapDetached>().expect("mmap views");
-        for (_, public) in &det.maps {
-            // SAFETY: each pair stores the erased address of the live
-            // instance that created its view; drain drops each once.
-            public.as_ref().drain(|_, pair| unsafe {
-                MonoidInstance::from_erased(pair.monoid).drop_view(pair.view);
-            });
-        }
-        self.domain
-            .recycle_public_maps(det.maps.into_iter().map(|(_, public)| public));
+        // Dropping the set destroys its views.
+        views
+            .downcast::<MmapDetached>()
+            .expect("mmap views")
+            .note_read();
     }
 
     fn suspend(&self, state: &mut dyn Any) -> DetachedViews {
@@ -704,15 +663,22 @@ impl HyperHooks for MmapHooks {
         // them empty, so they are directly reusable.
         let interim: Vec<(PageDesc, SpaMapRef)> =
             st.descs.drain(..).zip(st.pages.drain(..)).collect();
+        let interim_len = interim.len();
         for (pd, page) in interim {
             st.retire_page(pd, page);
         }
         // One batched sys_pmap reinstates the suspended mapping — the
-        // per-steal remapping cost §5 amortizes against steals.
-        if !saved.descs.is_empty() {
-            st.region.pmap(0, &saved.descs);
-        }
+        // per-steal remapping cost §5 amortizes against steals — and
+        // unmaps what the interim context mapped beyond it: a retired
+        // page left in the table would be mapped twice once
+        // `ensure_page` hands it out again at another index.
         st.descs = saved.descs;
+        let mapped = st.descs.len();
+        st.descs.resize(mapped.max(interim_len), PD_NULL);
+        if !st.descs.is_empty() {
+            st.region.pmap(0, &st.descs);
+        }
+        st.descs.truncate(mapped);
         st.pages = saved.pages;
         st.current_views = saved.views;
         publish_tls(st as *mut MmapWorkerState);
@@ -800,7 +766,7 @@ mod tests {
         );
 
         let snap = domain.instrument();
-        if crate::instrument::COUNT_LOOKUPS {
+        if crate::instrument::ENABLED {
             assert_eq!(snap.lookups, 800, "500 owner + 300 thief, exactly");
         }
         assert_eq!(snap.view_creations, 2);
@@ -819,6 +785,166 @@ mod tests {
             0,
             "every private page returned to the arena"
         );
+    }
+
+    use crate::monoid::testing::{Tally, Tracked, TrackedConcat};
+    use std::collections::BTreeMap;
+
+    /// Slots in four SPA pages: the space the hypermerge tests draw from.
+    pub(super) const SLOTS: usize = 4 * VIEWS_PER_MAP;
+
+    /// The view of `slot` in the calling thread's current context,
+    /// created on first touch exactly as a reducer access would.
+    fn view(slot: usize, inst: &MonoidInstance, domain: &DomainInner) -> &'static mut Tracked {
+        let view = lookup(slot / VIEWS_PER_MAP, slot % VIEWS_PER_MAP, inst, domain)
+            .expect("calling thread has no worker state");
+        // SAFETY: `lookup` returned a live boxed `Tracked` that this
+        // thread's current context owns; the borrow ends before the
+        // context changes hands.
+        unsafe { &mut *(view as *mut Tracked) }
+    }
+
+    /// One hypermerge at hook level against a `BTreeMap` model: a thief
+    /// context appends `R<slot>` at each of `right` and detaches, the
+    /// owner appends `L<slot>` at each of `left` and merges. Every slot
+    /// on both sides must read `L<slot>R<slot>`, every other slot its one
+    /// side unreduced, the context must hold exactly the model's views,
+    /// and every view must be dropped once with no arena page left.
+    pub(super) fn check_hypermerge(left: &[usize], right: &[usize]) {
+        let domain = Arc::new(DomainInner::new(Backend::Mmap));
+        let tally = Arc::new(Tally::default());
+        let monoid = Arc::new(TrackedConcat(Arc::clone(&tally)));
+        let inst = MonoidInstance::new(&monoid);
+        let hooks = MmapHooks::new(Arc::clone(&domain));
+
+        let det = {
+            let mut state = hooks.make_worker_state(1);
+            for &slot in right {
+                view(slot, &inst, &domain).s = format!("R{slot}");
+            }
+            hooks.detach(state.as_mut())
+        };
+        let mut state = hooks.make_worker_state(0);
+        for &slot in left {
+            view(slot, &inst, &domain).s = format!("L{slot}");
+        }
+        hooks.merge_right(state.as_mut(), det);
+
+        let mut model: BTreeMap<usize, String> = BTreeMap::new();
+        for &slot in left {
+            model.insert(slot, format!("L{slot}"));
+        }
+        for &slot in right {
+            model.entry(slot).or_default().push_str(&format!("R{slot}"));
+        }
+        let held = |state: &dyn Any| {
+            state
+                .downcast_ref::<MmapWorkerState>()
+                .unwrap()
+                .current_views
+        };
+        assert_eq!(
+            held(state.as_ref()),
+            model.len(),
+            "|L ∪ R| views after the merge"
+        );
+        for (&slot, want) in &model {
+            assert_eq!(&view(slot, &inst, &domain).s, want, "slot {slot}");
+        }
+        assert_eq!(held(state.as_ref()), model.len(), "reading created no view");
+
+        let snap = domain.instrument();
+        let made = left.len() + right.len();
+        assert_eq!(snap.view_creations, made as u64);
+        assert_eq!(snap.merges, 1);
+        assert_eq!(snap.merge_pairs, (made - model.len()) as u64, "|L ∩ R|");
+        assert_eq!(snap.transferal_views, right.len() as u64);
+
+        drop(state);
+        assert_eq!(tally.counts(), (made, made), "every view dropped once");
+        assert_eq!(domain.arena.live_pages(), 0, "no leaked arena pages");
+    }
+
+    /// The single right-into-left sweep over every pairing of set sizes
+    /// around the SPA log's capacity (120 logged, 121 overflows a page),
+    /// a whole page (248) and several pages (600), in layouts that make
+    /// the sets coincide, meet only when they outgrow the space, or
+    /// overlap in part — so a page's log overflows on either side, pages
+    /// exist on one side only, and the right set is the larger as often
+    /// as not.
+    #[test]
+    fn hypermerge_sweeps_right_into_left_for_every_size_pairing() {
+        const SIZES: [usize; 7] = [0, 1, 9, 120, 121, 248, 600];
+        // Page by page from the front, from the back, or spread over all
+        // four pages (331 is coprime to 992).
+        let front = |n: usize| (0..n).collect::<Vec<_>>();
+        let back = |n: usize| (0..n).map(|i| SLOTS - 1 - i).collect::<Vec<_>>();
+        let spread = |n: usize| (0..n).map(|i| i * 331 % SLOTS).collect::<Vec<_>>();
+        for l in SIZES {
+            for r in SIZES {
+                check_hypermerge(&front(l), &front(r));
+                check_hypermerge(&front(l), &back(r));
+                check_hypermerge(&spread(l), &front(r));
+                check_hypermerge(&back(l), &spread(r));
+            }
+        }
+    }
+
+    /// A context resumed after an interim context that mapped more pages
+    /// than it has: the interim's retired pages must leave the region's
+    /// table, or the next growth maps one of them at a second index
+    /// (`TlmmRegion::pmap` asserts against that in debug builds).
+    #[test]
+    fn resume_unmaps_what_the_interim_context_mapped_beyond_it() {
+        let domain = Arc::new(DomainInner::new(Backend::Mmap));
+        let tally = Arc::new(Tally::default());
+        let monoid = Arc::new(TrackedConcat(Arc::clone(&tally)));
+        let inst = MonoidInstance::new(&monoid);
+        let hooks = MmapHooks::new(Arc::clone(&domain));
+        let page = |p: usize| p * VIEWS_PER_MAP;
+
+        let mut state = hooks.make_worker_state(0);
+        view(page(0), &inst, &domain).s.push('a'); // one page
+        let saved = hooks.suspend(state.as_mut());
+        view(page(3), &inst, &domain).s.push('b'); // the interim maps four
+        let det = hooks.detach(state.as_mut());
+        hooks.resume(state.as_mut(), saved);
+        view(page(2), &inst, &domain).s.push('c'); // grows by two retired pages
+        hooks.merge_right(state.as_mut(), det);
+
+        for (p, want) in [(0, "a"), (2, "c"), (3, "b")] {
+            assert_eq!(view(page(p), &inst, &domain).s, want, "page {p}");
+        }
+        drop(state);
+        assert_eq!(tally.counts(), (3, 3));
+        assert_eq!(domain.arena.live_pages(), 0);
+    }
+
+    /// A `reduce` that unwinds out of a hypermerge: the right views not
+    /// yet merged are destroyed with the detached set, the left ones
+    /// with the worker state.
+    #[test]
+    fn reduce_panic_in_hypermerge_drops_every_view_once() {
+        let domain = Arc::new(DomainInner::new(Backend::Mmap));
+        let tally = Arc::new(Tally::default());
+        let monoid = Arc::new(TrackedConcat(Arc::clone(&tally)));
+        let inst = MonoidInstance::new(&monoid);
+        let hooks = MmapHooks::new(Arc::clone(&domain));
+
+        let det = {
+            let mut state = hooks.make_worker_state(1);
+            (3..8).for_each(|slot| view(slot, &inst, &domain).s.push('R'));
+            hooks.detach(state.as_mut())
+        };
+        let mut state = hooks.make_worker_state(0);
+        (3..8).for_each(|slot| view(slot, &inst, &domain).s.push('L'));
+        tally.poisoned.store(true, Ordering::SeqCst);
+        let merge = std::panic::AssertUnwindSafe(|| hooks.merge_right(state.as_mut(), det));
+        assert!(std::panic::catch_unwind(merge).is_err(), "reduce panics");
+
+        drop(state);
+        assert_eq!(tally.counts(), (10, 10), "made == dropped");
+        assert_eq!(domain.arena.live_pages(), 0);
     }
 }
 
@@ -881,6 +1007,22 @@ mod proptests {
         .prop_map(|entries| entries.into_iter().collect())
     }
 
+    /// One side of a hypermerge: a size from the table test's list and
+    /// that many distinct slots of the four pages, in random order.
+    fn side_strategy() -> impl Strategy<Value = Vec<usize>> {
+        const SIZES: [usize; 7] = [0, 1, 9, 120, 121, 248, 600];
+        (0..SIZES.len(), any::<u64>()).prop_map(|(size, seed)| {
+            let mut rng = proptest::test_runner::TestRng::deterministic(seed);
+            let mut slots: Vec<usize> = (0..super::tests::SLOTS).collect();
+            for i in 0..SIZES[size] {
+                let j = i + rng.below((slots.len() - i) as u64) as usize;
+                slots.swap(i, j);
+            }
+            slots.truncate(SIZES[size]);
+            slots
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -890,6 +1032,14 @@ mod proptests {
         #[test]
         fn transferal_roundtrip_is_exact_and_leak_free(views in view_set_strategy()) {
             prop_assert_eq!(&transfer_roundtrip(&views), &views);
+        }
+
+        /// Left and right sets drawn independently: the hypermerge
+        /// matches the model whichever side is larger and wherever the
+        /// sets overlap.
+        #[test]
+        fn hypermerge_matches_the_model(left in side_strategy(), right in side_strategy()) {
+            super::tests::check_hypermerge(&left, &right);
         }
     }
 }

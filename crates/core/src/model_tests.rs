@@ -4,10 +4,12 @@
 //! does around a steal — detach on the thief, deposit, hypermerge at the
 //! join — under `cilkm_checker::model`, which explores every bounded
 //! interleaving and every allowed weak-memory read. The SPA-map raw
-//! accessors are trace-instrumented under this feature, so a missing
-//! happens-before edge anywhere in the handoff chain would surface as a
-//! data-race report, and a protocol bug as an assertion failure in some
-//! schedule.
+//! accessors and the detached list (written once by `detach`, read once
+//! by whoever merges, attaches or discards it) are trace-instrumented
+//! under this feature, so a missing happens-before edge anywhere in the
+//! handoff chain would surface as a data-race report — the last test
+//! takes the edge out and requires that report — and a protocol bug as
+//! an assertion failure in some schedule.
 //!
 //! Since PR 7 these tests run under the sleep-set DPOR engine with the
 //! CHESS preemption bound *removed* (`Config::dpor()`): the reduction,
@@ -17,6 +19,7 @@
 use std::sync::Arc;
 
 use cilkm_checker as checker;
+use cilkm_checker::sync::atomic::{AtomicBool, Ordering};
 use cilkm_runtime::{DetachedViews, HyperHooks};
 
 use crate::domain::Backend;
@@ -102,9 +105,9 @@ fn hypermerge_is_left_to_right_and_exact() {
     });
 }
 
-/// Transferal into an *empty* owner context (right set bigger than left)
-/// takes the sweep-left-into-right path: every view must arrive exactly
-/// once, at its own slot, unreduced.
+/// Transferal into an *empty* owner context (right set bigger than
+/// left): the sweep finds every slot empty, so every view must arrive
+/// exactly once, at its own slot, unreduced.
 #[test]
 fn transferal_delivers_each_view_exactly_once() {
     checker::model_with(checker::Config::dpor(), || {
@@ -145,4 +148,63 @@ fn transferal_delivers_each_view_exactly_once() {
         assert_eq!(read(0, 0, &inst, &domain), "A");
         assert_eq!(read(0, 9, &inst, &domain), "B");
     });
+}
+
+/// The hand-over of `hypermerge_is_left_to_right_and_exact` with the
+/// ordering taken out: the detached set crosses in a slot the checker
+/// does not see and is announced by a `Relaxed` flag, so nothing orders
+/// the thief's write of the list before the owner's read of it.
+fn handover_through_a_relaxed_flag() {
+    let domain = Arc::new(DomainInner::new(Backend::Mmap));
+    let monoid = Arc::new(Concat);
+    let inst = Arc::new(MonoidInstance::new(&monoid));
+    // lint: allow(raw-sync, the unmodeled slot is the seeded bug: a std mutex moves the box between threads without giving the checker a happens-before edge)
+    let slot: Arc<std::sync::Mutex<Option<DetachedViews>>> = Arc::default();
+    let ready = Arc::new(AtomicBool::new(false));
+
+    let (d2, m2, i2, s2, r2) = (
+        Arc::clone(&domain),
+        Arc::clone(&monoid),
+        Arc::clone(&inst),
+        Arc::clone(&slot),
+        Arc::clone(&ready),
+    );
+    let thief = checker::thread::spawn(move || {
+        let _keep_alive = m2;
+        let hooks = MmapHooks::new(Arc::clone(&d2));
+        // Leaked, here and below: a worker state's drop drains its SPA
+        // pages, which are traced accesses the checker refuses while it
+        // unwinds the failing schedule.
+        let mut state = std::mem::ManuallyDrop::new(hooks.make_worker_state(1));
+        append(0, 7, &i2, &d2, "R");
+        *s2.lock().unwrap() = Some(hooks.detach(state.as_mut()));
+        r2.store(true, Ordering::Relaxed);
+    });
+
+    let hooks = MmapHooks::new(Arc::clone(&domain));
+    let mut state = std::mem::ManuallyDrop::new(hooks.make_worker_state(0));
+    append(0, 7, &inst, &domain, "L");
+    while !ready.load(Ordering::Relaxed) {
+        checker::thread::yield_now();
+    }
+    let det = slot
+        .lock()
+        .unwrap()
+        .take()
+        .expect("flag set after the slot");
+    hooks.merge_right(state.as_mut(), det);
+    thief.join().unwrap();
+}
+
+/// The negative control: without the join frame's release/acquire the
+/// detached list is shared unsynchronized, and the checker says so.
+#[test]
+fn handover_through_a_relaxed_flag_is_a_race() {
+    let err = checker::try_model_with(checker::Config::dpor(), handover_through_a_relaxed_flag)
+        .expect_err("an unordered hand-over of the detached list must be flagged");
+    assert!(
+        err.message.contains("data race") && err.message.contains("DetachedViews"),
+        "unexpected failure: {}",
+        err.message
+    );
 }

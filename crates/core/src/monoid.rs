@@ -154,6 +154,66 @@ impl MonoidInstance {
     }
 }
 
+/// The monoid the backends' hook-level tests share.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::Monoid;
+    use crate::msync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    /// Views made and dropped, and whether `reduce` should panic.
+    #[derive(Default)]
+    pub(crate) struct Tally {
+        made: AtomicUsize,
+        dropped: AtomicUsize,
+        pub(crate) poisoned: AtomicBool,
+    }
+
+    impl Tally {
+        /// `(made, dropped)` so far.
+        pub(crate) fn counts(&self) -> (usize, usize) {
+            (
+                self.made.load(Ordering::SeqCst),
+                self.dropped.load(Ordering::SeqCst),
+            )
+        }
+    }
+
+    /// A string that counts its own creation and drop.
+    pub(crate) struct Tracked {
+        pub(crate) s: String,
+        tally: Arc<Tally>,
+    }
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            self.tally.dropped.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// String concatenation — associative, *not* commutative, so a
+    /// hypermerge that swaps its operands shows — over [`Tracked`]
+    /// views; `reduce` panics while the tally is poisoned.
+    pub(crate) struct TrackedConcat(pub(crate) Arc<Tally>);
+
+    impl Monoid for TrackedConcat {
+        type View = Tracked;
+        fn identity(&self) -> Tracked {
+            self.0.made.fetch_add(1, Ordering::SeqCst);
+            Tracked {
+                s: String::new(),
+                tally: Arc::clone(&self.0),
+            }
+        }
+        fn reduce(&self, left: &mut Tracked, right: Tracked) {
+            if self.0.poisoned.load(Ordering::SeqCst) {
+                panic!("poisoned reduce");
+            }
+            left.s.push_str(&right.s);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

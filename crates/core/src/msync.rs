@@ -4,12 +4,11 @@
 //! that enforces it).
 //!
 //! The core's synchronization surface is the atomics behind the slot
-//! registry's per-slot cells and slot free-list, and the one `Mutex`
-//! around the domain's public-map pool. Importing them through this
-//! module keeps them zero-cost aliases of `std::sync::atomic` and
-//! `parking_lot` in normal builds while letting `--features model` swap
-//! in `cilkm_checker`'s recorded versions and `--features sanitize` swap
-//! in `cilkm_san`'s instrumented versions (real primitives + the dynamic
+//! registry's per-slot cells and slot free-list. Importing them through
+//! this module keeps them zero-cost aliases of `std::sync::atomic` in
+//! normal builds while letting `--features model` swap in
+//! `cilkm_checker`'s recorded versions and `--features sanitize` swap in
+//! `cilkm_san`'s instrumented versions (real primitives + the dynamic
 //! race detectors of DESIGN.md §17; `model` wins when both features are
 //! on).
 
@@ -19,10 +18,3 @@ pub(crate) use cilkm_checker::sync::atomic;
 pub(crate) use cilkm_san::sync::atomic;
 #[cfg(not(any(feature = "model", feature = "sanitize")))]
 pub(crate) use std::sync::atomic;
-
-#[cfg(feature = "model")]
-pub(crate) use cilkm_checker::sync::Mutex;
-#[cfg(all(not(feature = "model"), feature = "sanitize"))]
-pub(crate) use cilkm_san::sync::Mutex;
-#[cfg(not(any(feature = "model", feature = "sanitize")))]
-pub(crate) use parking_lot::Mutex;

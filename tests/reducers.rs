@@ -386,6 +386,24 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
     payload.downcast_ref::<&str>().copied().unwrap_or("?")
 }
 
+/// `n` [`CountedSum`] reducers on `pool`, sharing a tally and a poison
+/// flag, shareable with a helper thread.
+fn counted_sums(
+    pool: &ReducerPool,
+    n: usize,
+    tally: &Arc<Tally>,
+    poisoned: &Arc<AtomicBool>,
+) -> Arc<Vec<Reducer<CountedSum>>> {
+    let reducer = |_| {
+        let monoid = CountedSum {
+            tally: Arc::clone(tally),
+            poisoned: Arc::clone(poisoned),
+        };
+        Reducer::new(pool, monoid, Counted::new(tally))
+    };
+    Arc::new((0..n).map(reducer).collect())
+}
+
 #[test]
 fn reduce_panic_at_region_end_reaches_the_caller() {
     for backend in backends() {
@@ -394,17 +412,7 @@ fn reduce_panic_at_region_end_reaches_the_caller() {
         let pool = Arc::new(ReducerPool::new(2, backend));
         // Two reducers: whichever folds first panics, and the other's
         // view is then one the fold never reached.
-        let rs: Arc<Vec<Reducer<CountedSum>>> = Arc::new(
-            (0..2)
-                .map(|_| {
-                    let monoid = CountedSum {
-                        tally: Arc::clone(&tally),
-                        poisoned: Arc::clone(&poisoned),
-                    };
-                    Reducer::new(&pool, monoid, Counted::new(&tally))
-                })
-                .collect(),
-        );
+        let rs = counted_sums(&pool, 2, &tally, &poisoned);
 
         // Driven from a helper thread that is not joined on failure: a
         // region that never returns must fail this test, not hang it.
@@ -437,6 +445,73 @@ fn reduce_panic_at_region_end_reaches_the_caller() {
         drop(rs);
         let (created, dropped) = tally.counts();
         assert_eq!(created, 6, "2 initial + 2 views in each region");
+        assert_eq!(dropped, created, "backend {backend:?}: every view once");
+    }
+}
+
+/// A `reduce` that panics in the hypermerge of a stolen join, mid-region:
+/// the left side waits until the right side runs elsewhere, then poisons
+/// the monoid, so the join's merge of the thief's deposit is the first
+/// `reduce` to run. The payload reaches the caller of `Pool::run`, the
+/// deposit's views not yet merged are destroyed with it, and the pool
+/// runs the next region.
+#[test]
+fn reduce_panic_in_a_stolen_joins_hypermerge_reaches_the_caller() {
+    for backend in backends() {
+        let tally = Arc::new(Tally::default());
+        let poisoned = Arc::new(AtomicBool::new(false));
+        let pool = Arc::new(ReducerPool::new(2, backend));
+        let rs = counted_sums(&pool, 3, &tally, &poisoned);
+
+        // From a helper thread, as above: a hang must fail, not block.
+        let (tx, rx) = mpsc::channel();
+        let (pool2, rs2, poisoned2) = (Arc::clone(&pool), Arc::clone(&rs), Arc::clone(&poisoned));
+        let helper = std::thread::spawn(move || {
+            let stolen = AtomicBool::new(false);
+            let region = || {
+                pool2.run(|| {
+                    join(
+                        || {
+                            rs2.iter().for_each(|r| r.update(|v| v.n += 1));
+                            // Yield, not spin: on a one-CPU host the
+                            // thief needs the processor.
+                            while !stolen.load(Ordering::Acquire) {
+                                std::thread::yield_now();
+                            }
+                            poisoned2.store(true, Ordering::SeqCst);
+                        },
+                        || {
+                            stolen.store(true, Ordering::Release);
+                            rs2.iter().for_each(|r| r.update(|v| v.n += 1));
+                        },
+                    )
+                })
+            };
+            let _ = tx.send(catch_unwind(AssertUnwindSafe(region)));
+        });
+        let payload = rx
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("{backend:?}: Pool::run never returned"))
+            .expect_err("the reduce panic must reach the caller of run");
+        helper.join().unwrap();
+        assert_eq!(panic_message(&*payload), "reduce refuses at region end");
+        assert_eq!(pool.stats().stolen_joins, 1, "backend {backend:?}");
+        let snap = pool.instrument();
+        assert_eq!((snap.merges, snap.transferal_views), (1, 3), "{backend:?}");
+
+        poisoned.store(false, Ordering::SeqCst);
+        let answer = pool.run(|| {
+            rs.iter().for_each(|r| r.update(|v| v.n += 10));
+            7
+        });
+        assert_eq!(answer, 7, "backend {backend:?}");
+        for r in rs.iter() {
+            assert_eq!(r.read(|v| v.n), 10, "backend {backend:?}");
+        }
+
+        drop(rs);
+        let (created, dropped) = tally.counts();
+        assert_eq!(created, 12, "3 initial, 3 on each side of the join, 3 more");
         assert_eq!(dropped, created, "backend {backend:?}: every view once");
     }
 }
