@@ -23,116 +23,9 @@ use cilkm_bench::trend;
 
 fn usage() -> ExitCode {
     eprintln!("usage: cilkm-trend [--tolerance-pct N] <baseline dir|file> <current dir|file>");
-    eprintln!("       cilkm-trend --history N [--tolerance-pct T] [<artifact dir>]");
     eprintln!("  compares BENCH_*.json / exploration_stats.json artifacts;");
     eprintln!("  exits 1 when any metric regressed past the tolerance (default 25%).");
-    eprintln!("  --history walks the last N commits touching the artifact dir");
-    eprintln!("  (default bench_out) via git and flags sustained drift — metrics");
-    eprintln!("  that crept past the tolerance across the window even though no");
-    eprintln!("  single commit tripped the pairwise gate");
     ExitCode::from(2)
-}
-
-/// The last `n` commits (oldest → newest) that touched `dir`, via
-/// `git rev-list`.
-fn history_revs(dir: &Path, n: usize) -> Result<Vec<String>, String> {
-    let out = std::process::Command::new("git")
-        .args(["rev-list", "-n", &n.to_string(), "HEAD", "--"])
-        .arg(dir)
-        .output()
-        .map_err(|e| format!("running git rev-list: {e}"))?;
-    if !out.status.success() {
-        return Err(format!(
-            "git rev-list failed: {}",
-            String::from_utf8_lossy(&out.stderr).trim()
-        ));
-    }
-    let mut revs: Vec<String> = String::from_utf8_lossy(&out.stdout)
-        .lines()
-        .map(|l| l.trim().to_string())
-        .filter(|l| !l.is_empty())
-        .collect();
-    revs.reverse(); // rev-list emits newest first; the fit wants oldest first
-    Ok(revs)
-}
-
-/// One artifact's content at one commit (`git show rev:path`), or `None`
-/// if the file did not exist there yet.
-fn show_at(rev: &str, path: &Path) -> Option<String> {
-    let spec = format!("{rev}:{}", path.display());
-    let out = std::process::Command::new("git")
-        .args(["show", &spec])
-        .output()
-        .ok()?;
-    if out.status.success() {
-        Some(String::from_utf8_lossy(&out.stdout).into_owned())
-    } else {
-        None
-    }
-}
-
-/// `--history N` mode: fit trend slopes over the last `n` committed
-/// generations of every artifact under `dir` and gate on sustained
-/// drift. Artifacts with fewer than three committed generations are
-/// skipped — a step is not a trend.
-fn run_history(dir: &Path, n: usize, tolerance_pct: f64) -> ExitCode {
-    let revs = match history_revs(dir, n) {
-        Ok(revs) => revs,
-        Err(e) => {
-            eprintln!("cilkm-trend: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if revs.len() < 3 {
-        println!(
-            "OK   history: only {} commit(s) touch {} — nothing to fit",
-            revs.len(),
-            dir.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-    let mut drifted = false;
-    let mut fitted = 0usize;
-    for artifact in artifacts(dir) {
-        let name = artifact
-            .file_name()
-            .map(|f| f.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let history: Vec<trend::Metrics> = revs
-            .iter()
-            .filter_map(|rev| show_at(rev, &artifact))
-            .map(|text| trend::extract(&text))
-            .filter(|m| !m.is_empty())
-            .collect();
-        if history.len() < 3 {
-            println!(
-                "SKIP {name}: {} committed generation(s), need 3 for a slope",
-                history.len()
-            );
-            continue;
-        }
-        let drifts = trend::drift(&history, tolerance_pct);
-        fitted += 1;
-        if drifts.is_empty() {
-            println!(
-                "OK   {name}: no sustained drift over {} generations (tolerance {tolerance_pct}%)",
-                history.len()
-            );
-        } else {
-            print!("{}", trend::render_drift(&name, &drifts));
-            drifted = true;
-        }
-    }
-    if fitted == 0 {
-        eprintln!("cilkm-trend: no artifact has enough committed history to fit");
-        return ExitCode::from(2);
-    }
-    if drifted {
-        eprintln!("cilkm-trend: sustained perf drift (see DRIFT lines above)");
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
 }
 
 /// The artifact files a directory contributes to the comparison.
@@ -174,7 +67,6 @@ fn pair_up(baseline: &Path, current: &Path) -> Vec<(String, PathBuf, PathBuf)> {
 
 fn main() -> ExitCode {
     let mut tolerance_pct = 25.0f64;
-    let mut history: Option<usize> = None;
     let mut positional: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -184,20 +76,8 @@ fn main() -> ExitCode {
                 Some(t) if t >= 0.0 => tolerance_pct = t,
                 _ => return usage(),
             },
-            "--history" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 3 => history = Some(n),
-                _ => return usage(),
-            },
             _ => positional.push(a),
         }
-    }
-    if let Some(n) = history {
-        let dir = match positional.as_slice() {
-            [] => Path::new("bench_out"),
-            [dir] => Path::new(dir),
-            _ => return usage(),
-        };
-        return run_history(dir, n, tolerance_pct);
     }
     let [baseline, current] = positional.as_slice() else {
         return usage();

@@ -10,8 +10,16 @@
 //! mutexes. This harness constructs the contended case on purpose:
 //! many workers (oversubscribed "thieves"), one domain, a long train
 //! of tiny `parallel_for` regions so the schedule is steal-dense and
-//! every steal pays a detach (view transferal by §7 copying) and an
-//! attach on return.
+//! every stolen task ends in a detach (view transferal by §7 copying);
+//! a worker that leapfrogs while it waits at a join pays a second one
+//! for its own context, and an attach when the foreign job is done —
+//! so `transferals` runs ahead of `steals` by the number of
+//! suspensions that carried views.
+//!
+//! `crossings/steal` is the page-growth floor (≈ 0.01): a worker's
+//! private pages are mapped once, when a context first reaches them,
+//! and never leave it. No transferal, leapfrogging included, makes a
+//! `sys_pmap`.
 //!
 //! Two tail numbers come out of the run:
 //!

@@ -181,121 +181,6 @@ pub fn compare(
     out
 }
 
-/// One sustained multi-commit drift: a metric that crept in the same
-/// direction across a history window even though no single step tripped
-/// the pairwise gate.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Drift {
-    /// Metric key.
-    pub key: String,
-    /// Oldest value in the window.
-    pub first: f64,
-    /// Newest value in the window.
-    pub last: f64,
-    /// Fitted (least-squares) growth over the whole window, in percent
-    /// of the fitted starting value. Positive = got slower / worse.
-    pub fitted_total_pct: f64,
-    /// Number of history points fitted.
-    pub points: usize,
-}
-
-/// Flags sustained drift over a metric history. `history` is ordered
-/// oldest → newest, one [`Metrics`] per committed generation; only keys
-/// present in *every* point are considered (benchmarks come and go, and
-/// a partial series has no meaningful slope). For each such key a
-/// Theil–Sen line is fitted over (commit index, value) — slope = median
-/// of all pairwise slopes, intercept = median of `yᵢ − slope·i` — and
-/// the fitted end-to-end change, slope × (n−1) relative to the fitted
-/// start, is compared against `tolerance_pct`. The robust fit, rather
-/// than a raw `last/first` ratio (or least squares, whose leverage is
-/// greatest exactly at the endpoints), keeps one noisy commit from
-/// either masking or faking a trend.
-///
-/// This is the gap the pairwise gate cannot see: five commits each 4%
-/// slower pass every 5%-tolerance step check but accumulate to ~22%;
-/// here the window total is what gates. Cost metrics drift *up*,
-/// `/schedules` coverage drifts *down* (mirroring [`compare`]), and
-/// `/verdict` flips stay the pairwise gate's job — a verdict series is
-/// a step function, not a slope.
-pub fn drift(history: &[Metrics], tolerance_pct: f64) -> Vec<Drift> {
-    let n = history.len();
-    if n < 3 {
-        return Vec::new(); // two points have a step, not a trend
-    }
-    let mut out = Vec::new();
-    let Some(first) = history.first() else {
-        return Vec::new();
-    };
-    for key in first.keys() {
-        if key.ends_with("/verdict") {
-            continue;
-        }
-        let series: Vec<f64> = history.iter().filter_map(|m| m.get(key).copied()).collect();
-        if series.len() < n {
-            continue;
-        }
-        // Theil–Sen: median pairwise slope, then median intercept.
-        let mut slopes = Vec::with_capacity(n * (n - 1) / 2);
-        for i in 0..n {
-            for j in i + 1..n {
-                slopes.push((series[j] - series[i]) / (j - i) as f64);
-            }
-        }
-        let slope = median(&mut slopes);
-        let mut intercepts: Vec<f64> = series
-            .iter()
-            .enumerate()
-            .map(|(i, &y)| y - slope * i as f64)
-            .collect();
-        let start = median(&mut intercepts); // fitted value at x = 0
-        if start.abs() < f64::EPSILON {
-            continue;
-        }
-        let fitted_total_pct = slope * (n - 1) as f64 / start * 100.0;
-        let worse = if key.ends_with("/schedules") {
-            fitted_total_pct < -tolerance_pct
-        } else {
-            fitted_total_pct > tolerance_pct
-        };
-        if worse {
-            out.push(Drift {
-                key: key.clone(),
-                first: series[0],
-                last: series[n - 1],
-                fitted_total_pct,
-                points: n,
-            });
-        }
-    }
-    out
-}
-
-/// Median of a scratch slice (averages the middle pair for even
-/// lengths). The slice is sorted in place.
-fn median(v: &mut [f64]) -> f64 {
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
-    }
-}
-
-/// Renders drifts as a report block (empty string when clean).
-pub fn render_drift(file: &str, drifts: &[Drift]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    for d in drifts {
-        let _ = writeln!(
-            s,
-            "DRIFT {file}: {} {:.2} -> {:.2} over {} commits (fitted {:+.1}% end-to-end)",
-            d.key, d.first, d.last, d.points, d.fitted_total_pct
-        );
-    }
-    s
-}
-
 /// Renders regressions as a report block (empty string when clean).
 pub fn render(file: &str, regressions: &[Regression]) -> String {
     use std::fmt::Write as _;
@@ -444,89 +329,6 @@ mod tests {
         let mut missing = Vec::new();
         assert!(compare(&base, &cur, 10.0, &mut missing).is_empty());
         assert_eq!(missing, vec!["lookup/hypermap/median_ns".to_string()]);
-    }
-
-    /// A synthetic 5-commit series: `lookup_ns` creeps +4% per commit
-    /// (each step under a 5% pairwise tolerance), `crossings_per_steal`
-    /// stays flat, and the model's schedule coverage erodes.
-    fn synthetic_history() -> Vec<Metrics> {
-        (0..5)
-            .map(|i| {
-                let mut m = Metrics::new();
-                m.insert("lookup_ns".into(), 2.50 * 1.04f64.powi(i));
-                m.insert("crossings_per_steal".into(), 0.40);
-                m.insert("obs::ring@dpor/schedules".into(), 24.0 * 0.96f64.powi(i));
-                m.insert("obs::ring@dpor/verdict".into(), 0.0);
-                m
-            })
-            .collect()
-    }
-
-    #[test]
-    fn sustained_creep_below_step_tolerance_is_flagged() {
-        let history = synthetic_history();
-        // No adjacent pair trips the 5% pairwise gate…
-        let mut missing = Vec::new();
-        for w in history.windows(2) {
-            assert!(compare(&w[0], &w[1], 5.0, &mut missing).is_empty());
-        }
-        // …but the window drift (≈ +17% fitted) exceeds a 10% budget.
-        let drifts = drift(&history, 10.0);
-        let keys: Vec<&str> = drifts.iter().map(|d| d.key.as_str()).collect();
-        assert!(keys.contains(&"lookup_ns"), "{drifts:#?}");
-        let d = drifts.iter().find(|d| d.key == "lookup_ns").unwrap();
-        assert!(d.fitted_total_pct > 15.0 && d.fitted_total_pct < 20.0);
-        assert_eq!(d.points, 5);
-        // The flat metric never flags; coverage erosion (≈ −15% fitted)
-        // flags in the shrinking direction; verdicts are not slopes.
-        assert!(!keys.contains(&"crossings_per_steal"));
-        assert!(keys.contains(&"obs::ring@dpor/schedules"));
-        assert!(!keys.iter().any(|k| k.ends_with("/verdict")));
-        // A generous budget tolerates the whole series.
-        assert!(drift(&history, 40.0).is_empty());
-    }
-
-    #[test]
-    fn drift_needs_a_full_series_and_three_points() {
-        let mut history = synthetic_history();
-        assert!(drift(&history[..2], 1.0).is_empty(), "2 points = a step");
-        // A key missing from one generation drops out of the fit.
-        history[2].remove("lookup_ns");
-        assert!(drift(&history, 10.0).iter().all(|d| d.key != "lookup_ns"));
-    }
-
-    #[test]
-    fn noisy_endpoint_does_not_fake_a_trend() {
-        // Flat series with one last-commit spike: the pairwise gate's
-        // job, not a drift (the Theil–Sen slope is zero, while a naive
-        // last/first ratio — or least squares, with its endpoint
-        // leverage — would scream a trend).
-        let history: Vec<Metrics> = [10.0, 10.0, 10.0, 10.0, 15.0]
-            .iter()
-            .map(|&v| {
-                let mut m = Metrics::new();
-                m.insert("x_ns".into(), v);
-                m
-            })
-            .collect();
-        assert!(drift(&history, 20.0).is_empty());
-    }
-
-    #[test]
-    fn render_drift_formats_window() {
-        let d = Drift {
-            key: "lookup_ns".into(),
-            first: 2.5,
-            last: 2.92,
-            fitted_total_pct: 16.9,
-            points: 5,
-        };
-        let s = render_drift("BENCH_lookup.json", &[d]);
-        assert!(
-            s.contains("DRIFT BENCH_lookup.json: lookup_ns 2.50 -> 2.92 over 5 commits"),
-            "{s}"
-        );
-        assert!(s.contains("+16.9%"));
     }
 
     #[test]

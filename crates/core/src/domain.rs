@@ -380,6 +380,53 @@ mod tests {
         drop(pool);
     }
 
+    /// The scheduler drives both backends through the same two hooks,
+    /// so the counters must read the same: a non-empty `detach` is one
+    /// transferal of that many views — a leapfrog's as much as a stolen
+    /// task's — and an empty one or an `attach` is none.
+    #[test]
+    fn nonempty_detach_counts_one_transferal_on_both_backends() {
+        use crate::monoid::MonoidInstance;
+        let counts = |backend: Backend| {
+            let domain = Arc::new(DomainInner::new(backend));
+            let monoid = Arc::new(crate::library::SumMonoid::<u64>::new());
+            // The hypermap keys a view by its reducer's instance.
+            let insts: Vec<MonoidInstance> = (0..5).map(|_| MonoidInstance::new(&monoid)).collect();
+            let hooks: Box<dyn HyperHooks> = match backend {
+                Backend::Hypermap => {
+                    Box::new(crate::hypermap::HypermapHooks::new(Arc::clone(&domain)))
+                }
+                Backend::Mmap => Box::new(crate::mmap::MmapHooks::new(Arc::clone(&domain))),
+            };
+            let mut state = hooks.make_worker_state(0);
+            let mut seen = Vec::new();
+            let mut note = || {
+                let snap = domain.instrument();
+                seen.push((snap.transferals, snap.transferal_views));
+            };
+            for (slot, inst) in insts.iter().enumerate() {
+                match backend {
+                    Backend::Hypermap => crate::hypermap::lookup(slot as Slot, inst, &domain),
+                    Backend::Mmap => crate::mmap::lookup(0, slot, inst, &domain),
+                }
+                .expect("worker state");
+            }
+            let saved = hooks.detach(state.as_mut());
+            note();
+            let empty = hooks.detach(state.as_mut());
+            note();
+            hooks.discard(empty);
+            hooks.attach(state.as_mut(), saved);
+            note();
+            hooks.discard(hooks.detach(state.as_mut()));
+            note();
+            seen
+        };
+        let mmap = counts(Backend::Mmap);
+        assert_eq!(mmap, [(1, 5), (1, 5), (1, 5), (2, 10)]);
+        assert_eq!(counts(Backend::Hypermap), mmap);
+    }
+
     #[test]
     fn pools_construct_for_both_backends() {
         let h = ReducerPool::new(2, Backend::Hypermap);

@@ -3,7 +3,9 @@
 //! Each worker owns a TLMM region (simulated by `cilkm-tlmm`) whose pages
 //! hold **private SPA maps**: arrays of (view pointer, monoid pointer)
 //! pairs indexed by the reducer's slot — the `tlmm_addr` of §6. The
-//! moving parts:
+//! region's table is the only page table: pages are mapped when a
+//! context first reaches them and never leave the worker, so the mapped
+//! ones are a hole-free prefix that only grows. The moving parts:
 //!
 //! * **Thread-local indirection (§5)** — the region stores only pointers;
 //!   views live on the shared heap, so hypermerges need no remapping and
@@ -19,9 +21,10 @@
 //!   empty private region. What it copies them into is one flat,
 //!   exactly-sized list of `(slot, pair)` ([`MmapDetached`]): "a few
 //!   pointers", and the only cache lines that change owner at a steal.
-//!   Copying is the only transferal path; DESIGN.md §13.3 gives the
-//!   layout's reasons and §16 records why whole pages are not remapped
-//!   instead.
+//!   Copying is the only transferal path, for a stolen task's views and
+//!   for the views a leapfrogging worker sets aside alike; DESIGN.md
+//!   §13.3 gives the layout's reasons, §6 and §16 record why whole
+//!   pages are not remapped instead.
 //! * **Hypermerge (§7)** — sweep the right list into the private maps:
 //!   an empty slot takes the right pair, an occupied one reduces it into
 //!   the left view, left always the serially earlier operand.
@@ -32,36 +35,27 @@ use std::sync::Arc;
 
 use cilkm_runtime::{DetachedViews, HyperHooks};
 use cilkm_spa::{InsertOutcome, SpaMapRef, ViewPair, VIEWS_PER_MAP};
-use cilkm_tlmm::{PageDesc, TlmmRegion, PD_NULL};
+use cilkm_tlmm::{PageDesc, TlmmRegion};
 
 use crate::domain::{DomainInner, Slot};
 use crate::instrument::Instrument;
 use crate::monoid::MonoidInstance;
 use cilkm_obs::profile::Burden;
 
-/// How many empty, zeroed private pages a worker caches for remapping
-/// before returning retirees to the arena.
-const FREE_PAGES_CAP: usize = 32;
-
 /// Per-worker state: the TLMM region and the private SPA maps living in
 /// it.
 pub struct MmapWorkerState {
     domain: Arc<DomainInner>,
+    /// The only page table. Pages never leave a worker, so the mapped
+    /// ones are a hole-free prefix `0..extent_pages()` that only grows,
+    /// each a private SPA map; `Drop` frees them.
     region: TlmmRegion,
-    /// Private SPA map accessors, one per mapped region page.
-    pages: Vec<SpaMapRef>,
-    /// Descriptors of the mapped pages (for cleanup).
-    descs: Vec<PageDesc>,
-    /// Empty, zeroed private pages ready for remapping (filled when a
-    /// suspended context is resumed and the interim context's pages are
-    /// retired).
-    free_pages: Vec<(PageDesc, SpaMapRef)>,
     lookups: Cell<u64>,
     /// Single-entry cache of the last successful lookup. Keyed by
     /// (domain, page, idx) so a hit needs no map walk and no domain
     /// re-validation; every hook that can change the view owned by the
-    /// current context (detach, attach, merge, suspend, resume, root
-    /// collection, removal) must clear it — see [`MmapWorkerState::forget_last`].
+    /// current context (detach, attach, merge, root collection, removal)
+    /// must clear it — see [`MmapWorkerState::forget_last`].
     last: Cell<LastLookup>,
     /// Number of views currently in the private maps (sizes the list a
     /// detach copies them into).
@@ -93,13 +87,14 @@ impl LastLookup {
 // dereferenced off-worker.
 unsafe impl Send for MmapWorkerState {}
 
-/// The thread-local fast-path descriptor: a snapshot of the worker's
-/// private page table. Real Cilk-M needs none of this — the MMU *is* the
-/// table — so the simulation keeps its stand-in as short as possible:
-/// one TLS load yields the page array base, length, and owning domain.
+/// The thread-local fast-path descriptor: a snapshot of the region's
+/// translation array ([`TlmmRegion::bases`], the simulated TLB). Real
+/// Cilk-M needs none of this — the MMU *is* the table — so the
+/// simulation keeps its stand-in as short as possible: one TLS load
+/// yields the array's base, length, and owning domain.
 #[derive(Copy, Clone)]
 struct MmapTls {
-    pages: *const SpaMapRef,
+    bases: *const *mut u8,
     len: usize,
     domain: *const DomainInner,
     state: *mut MmapWorkerState,
@@ -107,7 +102,7 @@ struct MmapTls {
 
 impl MmapTls {
     const NULL: MmapTls = MmapTls {
-        pages: std::ptr::null(),
+        bases: std::ptr::null(),
         len: 0,
         domain: std::ptr::null(),
         state: std::ptr::null_mut(),
@@ -124,10 +119,11 @@ fn publish_tls(state: *mut MmapWorkerState) {
     // addresses are snapshotted, no long-lived reference escapes.
     unsafe {
         let st = &*state;
+        let bases = st.region.bases();
         MMAP_TLS.with(|c| {
             c.set(MmapTls {
-                pages: st.pages.as_ptr(),
-                len: st.pages.len(),
+                bases: bases.as_ptr(),
+                len: bases.len(),
                 domain: Arc::as_ptr(&st.domain),
                 state,
             })
@@ -158,17 +154,6 @@ impl Drop for MmapDetached {
             unsafe { MonoidInstance::from_erased(pair.monoid).drop_view(pair.view) };
         }
     }
-}
-
-/// A *suspended* context: the worker's private pages themselves, set
-/// aside wholesale. Because SPA-map accessors point at the simulated
-/// physical pages, the views never move — suspension is O(#pages)
-/// pointer swaps and resumption is one batched `sys_pmap`, exactly the
-/// "remapping amortized against steals" of §5. Never crosses workers.
-struct MmapSuspended {
-    descs: Vec<PageDesc>,
-    pages: Vec<SpaMapRef>,
-    views: usize,
 }
 
 impl MmapDetached {
@@ -245,35 +230,27 @@ impl MmapWorkerState {
     /// steals as §5 argues).
     #[cold]
     fn ensure_page(&mut self, page: usize) {
-        if page < self.pages.len() {
+        let first_new = self.region.extent_pages();
+        if page < first_new {
             return;
         }
-        let first_new = self.pages.len();
-        // Prefer recycled (empty, zeroed) pages over fresh allocations.
         let new_descs: Vec<PageDesc> = (first_new..=page)
-            .map(|_| match self.free_pages.pop() {
-                Some((pd, _)) => pd,
-                None => self.region.arena().palloc(),
-            })
+            .map(|_| self.region.arena().palloc())
             .collect();
         self.region.pmap(first_new, &new_descs);
-        for (i, pd) in new_descs.into_iter().enumerate() {
-            let base = self.region.arena().page_base(pd);
-            debug_assert_eq!(base, self.region.page_base(first_new + i));
-            // Fresh and recycled pages are zeroed: valid empty SPA maps.
-            // SAFETY: `base` is the just-mapped arena page, zeroed (an
-            // empty map layout) and private to this worker.
-            self.pages.push(unsafe { SpaMapRef::from_raw(base) });
-            self.descs.push(pd);
-        }
         publish_tls(self as *mut MmapWorkerState);
     }
 
-    /// Copies out the accessor for mapped private page `pidx` (named so
-    /// the lint-marked detach path needs no `[]` indexing).
+    /// The private SPA map on mapped region page `pidx`.
     #[inline]
     fn page_ref(&self, pidx: usize) -> SpaMapRef {
-        self.pages[pidx]
+        let base = self.region.page_base(pidx);
+        assert!(!base.is_null(), "private page {pidx} is not mapped");
+        // SAFETY: `base` is a page `ensure_page` mapped: zeroed on
+        // arrival (an empty map layout), written only through SPA-map
+        // accessors since, private to this worker, and live until the
+        // state's `Drop` frees it.
+        unsafe { SpaMapRef::from_raw(base) }
     }
 
     /// The copying strategy of §7: sequences each occupied private page
@@ -285,8 +262,7 @@ impl MmapWorkerState {
         // lint: allow(hot-path, the one exactly-sized list a detach copies its views into; it replaces up to one map-pool operation per occupied page)
         let mut views = Vec::with_capacity(self.current_views);
         if self.current_views != 0 {
-            let npages = self.pages.len();
-            for pidx in 0..npages {
+            for pidx in 0..self.region.extent_pages() {
                 let private = self.page_ref(pidx);
                 if private.is_empty() {
                     continue;
@@ -299,21 +275,6 @@ impl MmapWorkerState {
         }
         views
     }
-
-    /// Retires an empty private page for reuse by `ensure_page`; frees
-    /// it to the arena when the cache is full. The page may carry stale
-    /// log entries (an insert/remove history never rewinds the log), so
-    /// reset its counts — with every view slot null, that alone makes it
-    /// a pristine empty map (footnote 6).
-    fn retire_page(&mut self, pd: PageDesc, page: SpaMapRef) {
-        debug_assert!(page.is_empty());
-        page.clear_all();
-        if self.free_pages.len() < FREE_PAGES_CAP {
-            self.free_pages.push((pd, page));
-        } else {
-            self.region.arena().pfree(pd);
-        }
-    }
 }
 
 impl Drop for MmapWorkerState {
@@ -325,26 +286,10 @@ impl Drop for MmapWorkerState {
         drop(MmapDetached {
             views: self.drain_views(),
         });
-        for pd in self.descs.drain(..) {
-            self.region.arena().pfree(pd);
-        }
-        for (pd, _) in self.free_pages.drain(..) {
-            self.region.arena().pfree(pd);
+        for pidx in 0..self.region.extent_pages() {
+            self.region.arena().pfree(self.region.desc_at(pidx));
         }
     }
-}
-
-/// Copies out the `SpaMapRef` accessor for private page `pidx` through a
-/// raw state pointer, with an explicit short-lived borrow (the borrow ends
-/// before any user code can run).
-///
-/// # Safety
-///
-/// `st` must point to a live `MmapWorkerState` on the current thread and
-/// `pidx` must be a mapped page index.
-#[inline]
-unsafe fn page_at(st: *mut MmapWorkerState, pidx: usize) -> SpaMapRef {
-    (&(*st).pages)[pidx]
 }
 
 /// The memory-mapped reducer lookup (§6): on the hit path, either a
@@ -366,9 +311,11 @@ pub(crate) fn lookup(
     if tls.state.is_null() {
         return None;
     }
-    // SAFETY: the TLS snapshot points at this worker's live state and
-    // page array; only shared reads happen on the fast path, and the
-    // slot pointer dereference stays inside the mapped SPA page.
+    // SAFETY: TLS points at this worker's live state and at its
+    // region's `bases`, whose first `len` entries are mapped private SPA
+    // maps (the hole-free prefix `ensure_page` grows); only shared reads
+    // happen on the fast path, and the slot pointer dereference stays
+    // inside the mapped SPA page.
     unsafe {
         let st = &*tls.state;
         if crate::instrument::ENABLED {
@@ -390,7 +337,7 @@ pub(crate) fn lookup(
             // bypasses the SpaMapRef accessors, so record it for the
             // model checker / sanitizer explicitly (same whole-map
             // granularity). Plain builds keep the path emit-free.
-            let map = *tls.pages.add(page);
+            let map = SpaMapRef::from_raw(*tls.bases.add(page));
             #[cfg(feature = "model")]
             cilkm_checker::trace::note_read(map.slot_ptr(0) as usize, "SpaMap");
             #[cfg(all(not(feature = "model"), feature = "sanitize"))]
@@ -438,7 +385,7 @@ fn lookup_miss(
         );
 
         let t1 = Instrument::short_timer();
-        let outcome = page_at(ptr, page).insert(
+        let outcome = (*ptr).page_ref(page).insert(
             idx,
             ViewPair {
                 view,
@@ -479,13 +426,15 @@ pub(crate) fn remove_current(slot: Slot, domain: &DomainInner) -> Option<*mut u8
         let st = &mut *tls.state;
         assert!(std::ptr::eq(Arc::as_ptr(&st.domain), domain));
         st.forget_last();
-        if page < st.pages.len() && !st.pages[page].get(idx).is_null() {
-            let pair = st.pages[page].remove(idx);
-            st.current_views -= 1;
-            Some(pair.view)
-        } else {
-            None
+        if page >= st.region.extent_pages() {
+            return None;
         }
+        let private = st.page_ref(page);
+        if private.get(idx).is_null() {
+            return None;
+        }
+        st.current_views -= 1;
+        Some(private.remove(idx).view)
     }
 }
 
@@ -510,9 +459,6 @@ impl HyperHooks for MmapHooks {
         let state = Box::new(MmapWorkerState {
             domain: Arc::clone(&self.domain),
             region: TlmmRegion::new(Arc::clone(&self.domain.arena)),
-            pages: Vec::new(),
-            descs: Vec::new(),
-            free_pages: Vec::new(),
             lookups: Cell::new(0),
             last: Cell::new(LastLookup::EMPTY),
             current_views: 0,
@@ -587,7 +533,7 @@ impl HyperHooks for MmapHooks {
             // instance that created them.
             unsafe {
                 (*st).ensure_page(pidx);
-                let private = page_at(st, pidx);
+                let private = (*st).page_ref(pidx);
                 let lpair = private.get(idx);
                 if lpair.is_null() {
                     private.insert(idx, rpair);
@@ -636,52 +582,6 @@ impl HyperHooks for MmapHooks {
             .downcast::<MmapDetached>()
             .expect("mmap views")
             .note_read();
-    }
-
-    fn suspend(&self, state: &mut dyn Any) -> DetachedViews {
-        let st = state.downcast_mut::<MmapWorkerState>().expect("mmap state");
-        st.flush_lookups();
-        st.forget_last();
-        // Set the private pages aside wholesale: the views stay on their
-        // physical pages; only the mapping changes hands. The interim
-        // context will map fresh pages lazily.
-        let suspended = Box::new(MmapSuspended {
-            descs: std::mem::take(&mut st.descs),
-            pages: std::mem::take(&mut st.pages),
-            views: std::mem::replace(&mut st.current_views, 0),
-        });
-        publish_tls(st as *mut MmapWorkerState);
-        suspended
-    }
-
-    fn resume(&self, state: &mut dyn Any, views: DetachedViews) {
-        let st = state.downcast_mut::<MmapWorkerState>().expect("mmap state");
-        let saved = *views.downcast::<MmapSuspended>().expect("mmap suspended");
-        debug_assert_eq!(st.current_views, 0, "resume over non-empty context");
-        st.forget_last();
-        // Retire the interim context's pages: the preceding detach left
-        // them empty, so they are directly reusable.
-        let interim: Vec<(PageDesc, SpaMapRef)> =
-            st.descs.drain(..).zip(st.pages.drain(..)).collect();
-        let interim_len = interim.len();
-        for (pd, page) in interim {
-            st.retire_page(pd, page);
-        }
-        // One batched sys_pmap reinstates the suspended mapping — the
-        // per-steal remapping cost §5 amortizes against steals — and
-        // unmaps what the interim context mapped beyond it: a retired
-        // page left in the table would be mapped twice once
-        // `ensure_page` hands it out again at another index.
-        st.descs = saved.descs;
-        let mapped = st.descs.len();
-        st.descs.resize(mapped.max(interim_len), PD_NULL);
-        if !st.descs.is_empty() {
-            st.region.pmap(0, &st.descs);
-        }
-        st.descs.truncate(mapped);
-        st.pages = saved.pages;
-        st.current_views = saved.views;
-        publish_tls(st as *mut MmapWorkerState);
     }
 }
 
@@ -890,31 +790,47 @@ mod tests {
         }
     }
 
-    /// A context resumed after an interim context that mapped more pages
-    /// than it has: the interim's retired pages must leave the region's
-    /// table, or the next growth maps one of them at a second index
-    /// (`TlmmRegion::pmap` asserts against that in debug builds).
+    /// Leapfrogging at hook level, the way `execute_suspended` drives it:
+    /// a context on page 0 is detached, an interim context touches page
+    /// 3 and detaches, the first set is re-attached into the same state,
+    /// touches page 2 and merges the interim's set. Pages never leave
+    /// the worker, so the arena holds exactly the region's extent at
+    /// every step.
     #[test]
-    fn resume_unmaps_what_the_interim_context_mapped_beyond_it() {
+    fn leapfrog_through_detach_and_attach_keeps_every_page_in_the_region() {
         let domain = Arc::new(DomainInner::new(Backend::Mmap));
         let tally = Arc::new(Tally::default());
         let monoid = Arc::new(TrackedConcat(Arc::clone(&tally)));
         let inst = MonoidInstance::new(&monoid);
         let hooks = MmapHooks::new(Arc::clone(&domain));
         let page = |p: usize| p * VIEWS_PER_MAP;
+        let pages_accounted = |state: &dyn Any, want: usize| {
+            let st = state.downcast_ref::<MmapWorkerState>().unwrap();
+            assert_eq!(st.region.extent_pages(), want);
+            assert_eq!(domain.arena.live_pages(), want, "arena == region extent");
+        };
 
         let mut state = hooks.make_worker_state(0);
-        view(page(0), &inst, &domain).s.push('a'); // one page
-        let saved = hooks.suspend(state.as_mut());
+        pages_accounted(state.as_ref(), 0);
+        view(page(0), &inst, &domain).s.push('a');
+        pages_accounted(state.as_ref(), 1);
+        let saved = hooks.detach(state.as_mut());
+        pages_accounted(state.as_ref(), 1);
         view(page(3), &inst, &domain).s.push('b'); // the interim maps four
+        pages_accounted(state.as_ref(), 4);
         let det = hooks.detach(state.as_mut());
-        hooks.resume(state.as_mut(), saved);
-        view(page(2), &inst, &domain).s.push('c'); // grows by two retired pages
+        pages_accounted(state.as_ref(), 4);
+        hooks.attach(state.as_mut(), saved);
+        pages_accounted(state.as_ref(), 4);
+        view(page(2), &inst, &domain).s.push('c'); // already mapped
+        pages_accounted(state.as_ref(), 4);
         hooks.merge_right(state.as_mut(), det);
+        pages_accounted(state.as_ref(), 4);
 
         for (p, want) in [(0, "a"), (2, "c"), (3, "b")] {
             assert_eq!(view(page(p), &inst, &domain).s, want, "page {p}");
         }
+        pages_accounted(state.as_ref(), 4);
         drop(state);
         assert_eq!(tally.counts(), (3, 3));
         assert_eq!(domain.arena.live_pages(), 0);
@@ -957,36 +873,36 @@ mod proptests {
     use std::collections::BTreeMap;
 
     /// Runs one full transferal: create the `views` in a worker context,
-    /// detach, attach into a *fresh* context, and read every slot back.
-    /// Returns the observed (slot -> value) table.
-    fn transfer_roundtrip(views: &BTreeMap<(usize, usize), u64>) -> BTreeMap<(usize, usize), u64> {
+    /// detach, attach into the *same, already-used* state (what a
+    /// leapfrog does) or into a fresh one (what the first steal onto a
+    /// worker does), and read every slot back. Returns the observed
+    /// (slot -> value) table.
+    fn transfer_roundtrip(
+        views: &BTreeMap<(usize, usize), u64>,
+        same_state: bool,
+    ) -> BTreeMap<(usize, usize), u64> {
         let domain = Arc::new(DomainInner::new(Backend::Mmap));
         let monoid = Arc::new(SumMonoid::<u64>::new());
         let inst = Arc::new(MonoidInstance::new(&monoid));
         let hooks = MmapHooks::new(Arc::clone(&domain));
 
-        let det = {
-            let mut state = hooks.make_worker_state(0);
-            for (&(page, idx), &v) in views {
-                let view = lookup(page, idx, &inst, &domain).expect("worker state");
-                // SAFETY: a live boxed u64 view owned by the current
-                // context.
-                unsafe { *(view as *mut u64) = v };
-            }
-            let det = hooks.detach(state.as_mut());
-            assert!(
-                state
-                    .downcast_ref::<MmapWorkerState>()
-                    .unwrap()
-                    .pages
-                    .iter()
-                    .all(|p| p.is_empty()),
-                "detach must leave the private region provably empty"
-            );
-            det
-        };
+        let mut state = hooks.make_worker_state(0);
+        for (&(page, idx), &v) in views {
+            let view = lookup(page, idx, &inst, &domain).expect("worker state");
+            // SAFETY: a live boxed u64 view owned by the current
+            // context.
+            unsafe { *(view as *mut u64) = v };
+        }
+        let det = hooks.detach(state.as_mut());
+        let st = state.downcast_ref::<MmapWorkerState>().unwrap();
+        assert!(
+            (0..st.region.extent_pages()).all(|p| st.page_ref(p).is_empty()),
+            "detach must leave the private region provably empty"
+        );
 
-        let mut state = hooks.make_worker_state(1);
+        if !same_state {
+            state = hooks.make_worker_state(1);
+        }
         hooks.attach(state.as_mut(), det);
         let mut observed = BTreeMap::new();
         for &(page, idx) in views.keys() {
@@ -994,6 +910,8 @@ mod proptests {
             // SAFETY: as above; attach installed this slot's view.
             observed.insert((page, idx), unsafe { *(view as *mut u64) });
         }
+        let st = state.downcast_ref::<MmapWorkerState>().unwrap();
+        assert_eq!(st.current_views, views.len(), "reading created no view");
         drop(state);
         assert_eq!(domain.arena.live_pages(), 0, "no leaked arena pages");
         observed
@@ -1028,10 +946,14 @@ mod proptests {
 
         /// Over random view sets, a detach/attach round trip delivers
         /// exactly the model's values, leaves the private region empty
-        /// and leaks no arena page.
+        /// and leaks no arena page — back into the state it left, as
+        /// often as into a fresh one.
         #[test]
-        fn transferal_roundtrip_is_exact_and_leak_free(views in view_set_strategy()) {
-            prop_assert_eq!(&transfer_roundtrip(&views), &views);
+        fn transferal_roundtrip_is_exact_and_leak_free(
+            views in view_set_strategy(),
+            same_state in any::<bool>(),
+        ) {
+            prop_assert_eq!(&transfer_roundtrip(&views, same_state), &views);
         }
 
         /// Left and right sets drawn independently: the hypermerge

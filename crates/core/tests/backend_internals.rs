@@ -1,6 +1,8 @@
 //! White-box-ish tests of the backend machinery through the public API:
-//! TLMM page accounting, suspend/resume integrity under leapfrogging,
-//! SPA log overflow in vivo, and `set`/`move_in` semantics.
+//! TLMM page accounting (crossings, a bound on the pages a worker holds,
+//! reclamation at teardown), view integrity under leapfrogging (a
+//! `detach` before the foreign job and an `attach` after it), SPA log
+//! overflow in vivo, and `set`/`move_in` semantics.
 
 use cilkm_core::library::{ListMonoid, StringMonoid, SumMonoid};
 use cilkm_core::{Backend, Reducer, ReducerPool};
@@ -85,7 +87,7 @@ fn deep_leapfrogging_preserves_suspended_views() {
     // A worker waiting at a join executes other stolen work
     // (leapfrogging); its suspended context's views must come back
     // intact. Nested joins + a non-commutative reducer make any
-    // suspend/resume corruption visible as a wrong final string.
+    // detach/attach corruption visible as a wrong final string.
     for backend in [Backend::Hypermap, Backend::Mmap] {
         let pool = ReducerPool::new(4, backend);
         let s = Reducer::new(&pool, StringMonoid::new(), String::new());
@@ -115,6 +117,88 @@ fn deep_leapfrogging_preserves_suspended_views() {
         let mut want = String::new();
         expect(10, &mut want);
         assert_eq!(s.into_inner(), want, "backend {backend:?}");
+    }
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "spawns OS worker threads")]
+fn leapfrogging_over_three_spa_pages_keeps_order_and_pages_bounded() {
+    // 600 non-commutative reducers fill three private SPA pages (248
+    // slots each); every leaf of a nested-join tree appends its index
+    // to one reducer on each page, so a waiting worker that leapfrogs
+    // sets aside and takes back views on all three. Serial order must
+    // survive, and on the mmap backend no worker may ever hold more
+    // than the three pages its region maps: pages never leave a worker.
+    const WORKERS: usize = 4;
+    const LEAVES: usize = 1 << 9;
+    fn touched(leaf: usize) -> [usize; 3] {
+        [leaf % 248, 248 + leaf * 5 % 248, 496 + leaf * 11 % 104]
+    }
+
+    let mut want_strings = vec![String::new(); 300];
+    let mut want_lists = vec![Vec::new(); 300];
+    for leaf in 0..LEAVES {
+        for r in touched(leaf) {
+            if r % 2 == 0 {
+                want_strings[r / 2].push_str(&format!("{leaf},"));
+            } else {
+                want_lists[r / 2].push(leaf as u32);
+            }
+        }
+    }
+
+    for backend in [Backend::Hypermap, Backend::Mmap] {
+        let pool = ReducerPool::new(WORKERS, backend);
+        let arena = std::sync::Arc::clone(pool.domain().arena_handle());
+        // Slots alternate: even ones strings, odd ones lists.
+        let mut strings = Vec::new();
+        let mut lists = Vec::new();
+        for _ in 0..300 {
+            strings.push(Reducer::new(&pool, StringMonoid::new(), String::new()));
+            lists.push(Reducer::new(&pool, ListMonoid::<u32>::new(), Vec::new()));
+        }
+
+        struct Rs<'a> {
+            strings: &'a [Reducer<StringMonoid>],
+            lists: &'a [Reducer<ListMonoid<u32>>],
+        }
+        fn go(lo: usize, hi: usize, rs: &Rs<'_>) {
+            if hi - lo == 1 {
+                for r in touched(lo) {
+                    if r % 2 == 0 {
+                        rs.strings[r / 2].append(&format!("{lo},"));
+                    } else {
+                        rs.lists[r / 2].push(lo as u32);
+                    }
+                }
+                return;
+            }
+            let mid = lo + (hi - lo) / 2;
+            join(|| go(lo, mid, rs), || go(mid, hi, rs));
+        }
+        let rs = Rs {
+            strings: &strings,
+            lists: &lists,
+        };
+        for _ in 0..4 {
+            pool.run(|| go(0, LEAVES, &rs));
+        }
+
+        for (k, r) in strings.iter().enumerate() {
+            assert_eq!(
+                r.get_cloned(),
+                want_strings[k].repeat(4),
+                "{backend:?} s{k}"
+            );
+        }
+        for (k, r) in lists.iter().enumerate() {
+            assert_eq!(r.get_cloned(), want_lists[k].repeat(4), "{backend:?} l{k}");
+        }
+        let peak = arena.stats().peak_live_pages;
+        match backend {
+            Backend::Hypermap => assert_eq!(peak, 0),
+            Backend::Mmap => assert!(peak <= WORKERS * 3, "{peak} pages at peak"),
+        }
     }
 }
 

@@ -41,9 +41,10 @@ pub struct WorkerSummary {
     /// Idle episodes that found nothing to steal (see
     /// [`EventKind::StealFail`] for the once-per-episode semantics).
     pub idle_episodes: u64,
-    /// View transferals out of this worker (detach + suspend).
+    /// View transferals out of this worker (a stolen task's end, or a
+    /// leapfrogging worker setting its context aside).
     pub detaches: u64,
-    /// View re-installations (attach + resume).
+    /// View re-installations (after a leapfrogged job).
     pub attaches: u64,
     /// Simulated `sys_palloc` crossings.
     pub pallocs: u64,

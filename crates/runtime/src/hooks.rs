@@ -9,8 +9,8 @@
 //!
 //! | scheduler event                         | hook                 |
 //! |-----------------------------------------|----------------------|
-//! | stolen task finishes → **view transferal** into the join frame's right placeholder | [`HyperHooks::detach`] |
-//! | worker resumes a suspended context after leapfrogging | [`HyperHooks::attach`] |
+//! | stolen task finishes → **view transferal** into the join frame's right placeholder; a worker waiting at a join or scope close sets its context aside to run a foreign job (leapfrogging) | [`HyperHooks::detach`] |
+//! | the foreign job is done → the waiting context is installed again | [`HyperHooks::attach`] |
 //! | both sides of a join done → **hypermerge**, left ⊗ right | [`HyperHooks::merge_right`] |
 //! | root task of `Pool::run` finishes → fold views into reducer leftmost storage | [`HyperHooks::collect_root`] |
 //! | a side panicked → its views are destroyed unmerged | [`HyperHooks::discard`] |
@@ -20,7 +20,9 @@
 //! foreign job execution ends in a `detach`, and `detach` leaves the
 //! current context empty — for the memory-mapped backend this is the
 //! zeroing of the private SPA maps that §7 calls out as essential before
-//! the worker engages in work-stealing again.
+//! the worker engages in work-stealing again. There is one way to move a
+//! view set between contexts, §7's copy: leapfrogging takes it like every
+//! other transferal (`detach` before the foreign job, `attach` after).
 
 use std::any::Any;
 
@@ -28,9 +30,10 @@ use std::any::Any;
 /// the thing that gets deposited into a join frame's placeholder.
 ///
 /// For the hypermap backend this is the hypermap itself (pointer
-/// switching, §7); for the memory-mapped backend it is the list of
-/// *public SPA maps* produced by copying view pointers out of the
-/// worker's private TLMM-resident maps.
+/// switching, §7); for the memory-mapped backend it is one flat,
+/// exactly-sized list of `(slot, view pointer, monoid pointer)` copied
+/// out of the worker's private TLMM-resident SPA maps. Either way the
+/// set owns its views: dropping it destroys them.
 pub type DetachedViews = Box<dyn Any + Send>;
 
 /// Per-worker backend state (TLMM region + private SPA maps, or nothing
@@ -47,11 +50,14 @@ pub trait HyperHooks: Send + Sync + 'static {
     fn make_worker_state(&self, index: usize) -> WorkerState;
 
     /// View transferal: removes the worker's current view set and returns
-    /// it in shareable form, leaving the current context empty.
+    /// it in shareable form, leaving the current context empty. Called
+    /// when a stolen task ends (the set goes to the join frame) and when
+    /// a waiting worker leapfrogs (the set comes back through
+    /// [`HyperHooks::attach`] on the same worker).
     fn detach(&self, state: &mut dyn Any) -> DetachedViews;
 
-    /// Re-installs a previously detached view set as the current one.
-    /// The current context must be empty.
+    /// Installs a previously detached view set as the current one — the
+    /// only way a set is installed. The current context must be empty.
     fn attach(&self, state: &mut dyn Any, views: DetachedViews);
 
     /// Hypermerge: reduces `right` into the worker's current view set,
@@ -67,24 +73,6 @@ pub trait HyperHooks: Send + Sync + 'static {
 
     /// Destroys a detached view set without merging (panic paths).
     fn discard(&self, views: DetachedViews);
-
-    /// Suspends the worker's current view set so a *different* context
-    /// can run on this worker (leapfrogging at a join). Unlike
-    /// [`HyperHooks::detach`], the result never has to be shared with
-    /// another worker — it will be handed back to this same worker via
-    /// [`HyperHooks::resume`] — so backends may use a cheaper, worker-
-    /// private representation. Cilk-M swaps the private SPA-map *pages*
-    /// (one simulated `sys_pmap`, amortized against the steal) instead of
-    /// copying view pointers. Defaults to `detach`.
-    fn suspend(&self, state: &mut dyn Any) -> DetachedViews {
-        self.detach(state)
-    }
-
-    /// Reinstates a view set saved by [`HyperHooks::suspend`]. The
-    /// current context must be empty. Defaults to `attach`.
-    fn resume(&self, state: &mut dyn Any, views: DetachedViews) {
-        self.attach(state, views)
-    }
 }
 
 /// The do-nothing hooks used by pools that run no reducers.

@@ -128,7 +128,7 @@ where
     // right views).
     let mut merge_ns = 0;
     if let Some(dep) = deposit {
-        let hooks = worker.registry().hooks_arc();
+        let hooks = worker.registry().hooks();
         if ra.is_ok() && matches!(rb, JobResult::Ok(_)) {
             let t0 = if profile::profiling() {
                 cilkm_obs::clock::now_ns()

@@ -31,8 +31,10 @@
 //!   ([`HyperHooks::merge_right`]) in serial order: left views ⊗ right
 //!   views;
 //! * while waiting, the owner *leapfrogs* (executes other stolen jobs),
-//!   suspending and restoring its own context around each — views belong
-//!   to execution contexts, not to workers, exactly as §3 stresses.
+//!   setting its own context aside before each ([`HyperHooks::detach`])
+//!   and installing it again after ([`HyperHooks::attach`]) — views
+//!   belong to execution contexts, not to workers, exactly as §3
+//!   stresses, and view transferal is the one way they move.
 //!
 //! ## What lives here
 //!

@@ -105,8 +105,12 @@ pub(crate) struct Registry {
 }
 
 impl Registry {
-    pub(crate) fn hooks_arc(&self) -> Arc<dyn HyperHooks> {
-        Arc::clone(&self.hooks)
+    /// The pool's hooks, borrowed: every caller is a worker that holds
+    /// the registry for as long as it runs, so no steal-path event
+    /// touches the `Arc`'s shared count.
+    #[inline]
+    pub(crate) fn hooks(&self) -> &dyn HyperHooks {
+        &*self.hooks
     }
 
     fn inject(&self, job: JobRef) {
@@ -329,41 +333,56 @@ impl WorkerThread {
         unsafe { job.execute() };
     }
 
-    /// Executes a foreign job while this worker's current context is
-    /// *suspended* (waiting at a join): the current views are detached
-    /// around the execution and re-attached after — the leapfrogging
-    /// discipline that keeps views affixed to contexts, not workers.
-    pub(crate) fn execute_suspended(&self, job: JobRef) {
-        let hooks = self.registry.hooks.clone();
-        // Emit *before* the suspension runs so the Detach..JobBegin
-        // window covers the suspension work itself (flag 1 = suspend;
-        // cpu id in the high half).
+    /// Executes a foreign job while this worker's current context waits
+    /// at a join or scope close: the current views are detached before
+    /// the execution and attached again after it — the leapfrogging
+    /// discipline that keeps views affixed to contexts, not workers, by
+    /// the same copy (§7) every other transferal takes.
+    fn execute_suspended(&self, job: JobRef) {
+        let hooks = self.registry.hooks();
+        // Emit *before* the detach runs so the Detach..JobBegin window
+        // covers the transferal itself (flag 1 = suspend; cpu id in the
+        // high half).
         if trace::enabled() {
             trace::emit(EventKind::Detach, pack_cpu(1, current_cpu()));
         }
-        let saved = self.with_state(|s| hooks.suspend(s));
+        let saved = self.with_state(|s| hooks.detach(s));
         self.stats().jobs_executed.fetch_add(1, Ordering::Relaxed);
         // SAFETY: as in `execute_idle` (JobBegin/JobEnd emit inside).
         unsafe { job.execute() };
-        self.with_state(|s| hooks.resume(s, saved));
+        self.with_state(|s| hooks.attach(s, saved));
         if trace::enabled() {
             trace::emit(EventKind::Attach, pack_cpu(1, current_cpu()));
         }
     }
 
     /// The waiting discipline at a join: keep useful until `latch` fires.
-    /// Returns jobs popped from our own deque that are *not* `my_job` to
-    /// the foreign path; returns `Some(true)` if we popped `my_job`
-    /// ourselves (caller runs it inline / cancels it), `Some(false)` when
-    /// the latch fired.
+    /// Returns `true` if we popped `my_job` ourselves (the caller runs it
+    /// inline or cancels it), `false` when the latch fired; every other
+    /// job goes through the foreign path.
     pub(crate) fn wait_for_latch(&self, latch: &SpinLatch, my_job: JobRef) -> bool {
+        self.wait_until(latch, Some(my_job))
+    }
+
+    /// The waiting discipline at a scope close: keep useful until the
+    /// scope's completion latch fires. Unlike a join wait there is no
+    /// owned job to run inline — every job (including our own scope
+    /// spawns, popped back LIFO) runs through the foreign path with the
+    /// current context suspended around it.
+    pub(crate) fn wait_for_scope(&self, latch: &SpinLatch) {
+        self.wait_until(latch, None);
+    }
+
+    /// Pops, steals and backs off until `latch` fires (`false`) or our
+    /// own deque yields `my_job` (`true`).
+    fn wait_until(&self, latch: &SpinLatch, my_job: Option<JobRef>) -> bool {
         let mut idle_spins = 0u32;
         loop {
             if latch.probe() {
                 return false;
             }
             if let Some(job) = self.pop() {
-                if job == my_job {
+                if Some(job) == my_job {
                     return true;
                 }
                 self.execute_suspended(job);
@@ -376,41 +395,6 @@ impl WorkerThread {
                 continue;
             }
             // Nothing to do but wait; be polite on oversubscribed hosts.
-            // Spin with exponentially longer pause bursts, then yield.
-            // No parking here: nothing fires an unpark when the latch
-            // opens, and join waits want latency over politeness anyway.
-            idle_spins += 1;
-            if idle_spins <= self.registry.spin_tries {
-                for _ in 0..(1u32 << idle_spins.min(8)) {
-                    std::hint::spin_loop();
-                }
-            } else {
-                thread::yield_now();
-            }
-        }
-    }
-
-    /// The waiting discipline at a scope close: keep useful until the
-    /// scope's completion latch fires. Unlike a join wait there is no
-    /// owned job to run inline — every job (including our own scope
-    /// spawns, popped back LIFO) runs through the foreign path with the
-    /// current context suspended around it.
-    pub(crate) fn wait_for_scope(&self, latch: &SpinLatch) {
-        let mut idle_spins = 0u32;
-        loop {
-            if latch.probe() {
-                return;
-            }
-            if let Some(job) = self.pop() {
-                self.execute_suspended(job);
-                idle_spins = 0;
-                continue;
-            }
-            if let Some(job) = self.try_steal() {
-                self.execute_suspended(job);
-                idle_spins = 0;
-                continue;
-            }
             // Spin with exponentially longer pause bursts, then yield.
             // No parking here: nothing fires an unpark when the latch
             // opens, and join waits want latency over politeness anyway.
@@ -507,7 +491,7 @@ const YIELD_TRIES: u32 = 4;
 /// completion paths in `job.rs`).
 pub(crate) fn detach_current_views() -> DetachedViews {
     let worker = WorkerThread::current().expect("detach outside worker");
-    let hooks = worker.registry.hooks.clone();
+    let hooks = worker.registry.hooks();
     // Emit *before* the detach so the Detach..JobEnd window measures the
     // transferal itself (the DAG analyzer charges it to the strand).
     // Flag 0 = detach-at-strand-end; cpu id in the high half.
@@ -520,7 +504,7 @@ pub(crate) fn detach_current_views() -> DetachedViews {
 /// Folds the current worker's views into leftmost storage (root task end).
 pub(crate) fn collect_root_views() {
     let worker = WorkerThread::current().expect("collect_root outside worker");
-    let hooks = worker.registry.hooks.clone();
+    let hooks = worker.registry.hooks();
     worker.with_state(|s| hooks.collect_root(s));
 }
 

@@ -198,7 +198,7 @@ where
 
     // Keep useful while waiting: execute our own spawned jobs (popped
     // back LIFO) or steal, exactly like waiting at a join. All scope
-    // jobs run through the foreign path (suspend/resume around them),
+    // jobs run through the foreign path (detach/attach around them),
     // including on this worker.
     worker.wait_for_scope(&s.done);
 
@@ -206,7 +206,7 @@ where
     // tasks among themselves).
     let mut deposits = std::mem::take(&mut *s.deposits.lock());
     deposits.sort_by_key(|(idx, _, _)| *idx);
-    let hooks = worker.registry().hooks_arc();
+    let hooks = worker.registry().hooks();
     let panicked = s.panic.lock().take();
     let discard = result.is_err() || panicked.is_some();
     let mut span = left;
