@@ -39,6 +39,36 @@
 //! argument below [`BLOCK`] therefore means "one node per grain", not a
 //! finer split.
 //!
+//! # Walk order
+//!
+//! A bag is unordered, but its walks are not arbitrary: both visit the
+//! blocks **in the order they were filled** — the pennants from the
+//! highest rank down, then the hopper, and inside a pennant in-order:
+//! right subtree, the node's own block, left subtree.
+//! `Pennant::union(older, newer)` hangs `newer`'s root under `older`'s
+//! with `older`'s old subtree as its right child, so by induction that
+//! in-order is exactly `older`'s blocks followed by `newer`'s, and
+//! `push_block` and `union` always pass the older side first. The reason is the memory system,
+//! not the contract: a search fills its blocks in the order it meets the
+//! vertices, and on a graph whose numbering has locality (a grid) a walk
+//! in fill order moves through `dist` and the adjacency arrays the way
+//! the serial search does, while the pre-order walk this replaced went
+//! roughly newest first and restarted every hardware prefetch stream at
+//! each block boundary. On `grid3d(73)` a whole search over a frontier
+//! of plain 128-element blocks takes 7.1–7.3 ms visiting them in fill
+//! order and 10.4–11.2 ms newest first, against 5.5–5.7 ms for
+//! [`bfs_serial`](crate::bfs_serial) (EXPERIMENTS.md "PR 24").
+//!
+//! The parallel walk forks along the same order. A pennant splits into
+//! the two pennants its last union joined (the older half runs on the
+//! forking worker, the newer half is what a thief finds), so every
+//! worker keeps a contiguous run of blocks. A bag peels its highest
+//! pennant: `join(top pennant, rest of the backbone + hopper)`, and the
+//! rest again. The first job a thief can take is then everything after
+//! the top pennant: never more than half of the bag, and at least a
+//! third of it whenever the rest is at least half the top pennant (6 of
+//! 14 blocks), where it used to be the hopper, the smallest piece.
+//!
 //! Bag union is associative with the empty bag as identity, which is
 //! exactly what makes the bag a reducer ([`BagMonoid`]): PBFS declares
 //! its "next layer" bag as a reducer so logically parallel branches can
@@ -60,14 +90,16 @@ struct Node<T> {
 }
 
 impl<T> Node<T> {
-    /// Serial pre-order visit of every element under this node.
+    /// Serial in-order visit of every element under this node: right
+    /// subtree, this block, left subtree, which is the order the blocks
+    /// were filled in (module doc, "Walk order").
     fn for_each(&self, f: &mut impl FnMut(&T)) {
+        if let Some(r) = &self.right {
+            r.for_each(f);
+        }
         self.block.iter().for_each(&mut *f);
         if let Some(l) = &self.left {
             l.for_each(f);
-        }
-        if let Some(r) = &self.right {
-            r.for_each(f);
         }
     }
 }
@@ -173,8 +205,11 @@ impl<T> Pennant<T> {
         B: Fn(&mut S, &T) + Sync,
         FL: Fn(S) + Sync,
     {
+        /// Walks the pennant of `nodes` nodes made of `head`'s block and
+        /// the complete tree `tree` under it.
         fn walk_par<T, S, I, B, FL>(
-            node: &Node<T>,
+            head: &Node<T>,
+            tree: Option<&Node<T>>,
             nodes: usize,
             grain: usize,
             init: &I,
@@ -186,27 +221,29 @@ impl<T> Pennant<T> {
             B: Fn(&mut S, &T) + Sync,
             FL: Fn(S) + Sync,
         {
-            if nodes == 1 || nodes * BLOCK <= grain {
-                let mut state = init();
-                node.for_each(&mut |x| body(&mut state, x));
-                flush(state);
-                return;
-            }
-            run_grain(&node.block, init, body, flush);
-            let half = nodes / 2;
-            match (&node.left, &node.right) {
-                (Some(l), Some(r)) => {
-                    join(
-                        || walk_par(l, half, grain, init, body, flush),
-                        || walk_par(r, half, grain, init, body, flush),
-                    );
+            match tree {
+                // `Pennant::union` undone: `head` over `mid`'s right
+                // subtree is the older half, `mid` over its left subtree
+                // the newer, and each worker keeps a contiguous run.
+                Some(mid) if nodes * BLOCK > grain => {
+                    let half = |head, tree: &Option<Box<Node<T>>>| {
+                        walk_par(head, tree.as_deref(), nodes / 2, grain, init, body, flush)
+                    };
+                    join(|| half(head, &mid.right), || half(mid, &mid.left));
                 }
-                (Some(l), None) => walk_par(l, nodes - 1, grain, init, body, flush),
-                (None, Some(r)) => walk_par(r, nodes - 1, grain, init, body, flush),
-                (None, None) => {}
+                _ => {
+                    let mut state = init();
+                    let mut visit = |x: &T| body(&mut state, x);
+                    head.block.iter().for_each(&mut visit);
+                    if let Some(tree) = tree {
+                        tree.for_each(&mut visit);
+                    }
+                    flush(state);
+                }
             }
         }
-        walk_par(&self.root, 1 << self.k, grain, init, body, flush);
+        let tree = self.root.left.as_deref();
+        walk_par(&self.root, tree, 1 << self.k, grain, init, body, flush);
     }
 }
 
@@ -363,9 +400,10 @@ impl<T> Bag<T> {
         }
     }
 
-    /// Serial visit of every element.
+    /// Serial visit of every element, oldest block first: the pennants
+    /// from the highest rank down, then the hopper.
     pub fn for_each(&self, mut f: impl FnMut(&T)) {
-        for p in self.pennants.iter().flatten() {
+        for p in self.pennants.iter().rev().flatten() {
             p.for_each(&mut f);
         }
         self.hopper.iter().for_each(f);
@@ -383,10 +421,12 @@ impl<T> Bag<T> {
     }
 
     /// Parallel visit with per-grain state — see
-    /// [`Pennant::for_each_parallel_grains`]. Pennants fork from large to
-    /// small and recurse internally; the hopper is a grain of its own.
-    /// Each serial grain of the whole-bag traversal receives `init()`
-    /// state and a final `flush`.
+    /// [`Pennant::for_each_parallel_grains`]. The highest pennant is
+    /// peeled off and walked by the forking worker while the rest of the
+    /// backbone and the hopper, together less than half of the bag, wait
+    /// for a thief; the rest splits the same way, and the hopper is a
+    /// grain of its own. Each serial grain of the whole-bag traversal
+    /// receives `init()` state and a final `flush`.
     pub fn for_each_parallel_grains<S, I, B, FL>(
         &self,
         grain: usize,
@@ -399,8 +439,12 @@ impl<T> Bag<T> {
         B: Fn(&mut S, &T) + Sync,
         FL: Fn(S) + Sync,
     {
+        /// Walks `len` elements: `pennants` from the top down, then
+        /// `hopper`.
         fn go<T, S, I, B, FL>(
             pennants: &[Option<Pennant<T>>],
+            hopper: &[T],
+            len: usize,
             grain: usize,
             init: &I,
             body: &B,
@@ -411,32 +455,30 @@ impl<T> Bag<T> {
             B: Fn(&mut S, &T) + Sync,
             FL: Fn(S) + Sync,
         {
-            match pennants.len() {
-                0 => {}
-                1 => {
-                    if let Some(p) = &pennants[0] {
-                        p.for_each_parallel_grains(grain, init, body, flush);
-                    }
+            match pennants.split_last() {
+                None if hopper.is_empty() => {}
+                None => run_grain(hopper, init, body, flush),
+                Some((None, rest)) => go(rest, hopper, len, grain, init, body, flush),
+                Some((Some(top), _)) if top.len() == len => {
+                    top.for_each_parallel_grains(grain, init, body, flush);
                 }
-                n => {
-                    let (lo, hi) = pennants.split_at(n / 2);
+                Some((Some(top), rest)) => {
                     join(
-                        || go(lo, grain, init, body, flush),
-                        || go(hi, grain, init, body, flush),
+                        || top.for_each_parallel_grains(grain, init, body, flush),
+                        || go(rest, hopper, len - top.len(), grain, init, body, flush),
                     );
                 }
             }
         }
-        let hopper = || {
-            if !self.hopper.is_empty() {
-                run_grain(&self.hopper, init, body, flush);
-            }
-        };
-        if self.len < BLOCK {
-            hopper();
-        } else {
-            join(|| go(&self.pennants, grain, init, body, flush), hopper);
-        }
+        go(
+            &self.pennants,
+            &self.hopper,
+            self.len,
+            grain,
+            init,
+            body,
+            flush,
+        );
     }
 
     /// Drains into a plain vector (test/diagnostic aid).
@@ -679,6 +721,117 @@ mod tests {
                         // A node is the smallest grain; so is the hopper.
                         assert_eq!(grains, (n as usize).div_ceil(BLOCK), "{how} {n}");
                     }
+                }
+            }
+        }
+    }
+
+    /// Bags filled in order are walked in order: by `for_each`, and by
+    /// the parallel walk when one worker runs every fork inline.
+    #[test]
+    fn walks_visit_blocks_in_the_order_they_were_filled() {
+        use cilkm_runtime::Pool;
+        // lint: allow(raw-sync, test-only position counter exercising the public Pool API from outside the runtime; the runtime's msync facade is pub(crate) and deliberately unreachable from here)
+        use std::sync::atomic::{AtomicU32, Ordering};
+
+        type Build = fn(u32) -> Bag<u32>;
+        let builds: [(&str, Build); 3] = [
+            ("insert", |n| filled(0..n)),
+            ("append blocks", |n| {
+                let mut b = Bag::new();
+                let all: Vec<u32> = (0..n).collect();
+                all.chunks(BLOCK).for_each(|c| b.append(c.to_vec()));
+                b
+            }),
+            ("append whole", |n| {
+                let mut b = Bag::new();
+                b.append((0..n).collect());
+                b
+            }),
+        ];
+
+        let pool = Pool::new(1);
+        let block = BLOCK as u32;
+        let sizes = [
+            0,
+            1,
+            block - 1,
+            block,
+            block + 1,
+            5 * block + 7,
+            14 * block + 90,
+        ];
+        for n in sizes {
+            let expect: Vec<u32> = (0..n).collect();
+            for (how, build) in builds {
+                let b = build(n);
+                let mut serial = Vec::new();
+                b.for_each(|x| serial.push(*x));
+                assert_eq!(serial, expect, "{how} {n}");
+
+                for grain in [1, BLOCK, 4 * BLOCK] {
+                    let seen = AtomicU32::new(0);
+                    pool.run(|| {
+                        b.for_each_parallel(grain, &|&x| {
+                            let at = seen.fetch_add(1, Ordering::Relaxed);
+                            assert_eq!(x, at, "{how} {n} grain {grain}");
+                        });
+                    });
+                    assert_eq!(seen.into_inner(), n, "{how} {n} grain {grain}");
+                }
+            }
+        }
+    }
+
+    /// What the outermost fork of a walk leaves for a thief: everything
+    /// after the highest pennant (or that pennant's newer half when the
+    /// bag is nothing else), which is never more than half of the bag.
+    /// The forking worker holds its first element back until a thief has
+    /// started, and a thief takes the oldest fork first.
+    #[test]
+    fn the_first_fork_offers_a_thief_the_newer_half_or_less() {
+        use cilkm_runtime::{current_worker_index, Pool};
+        // lint: allow(raw-sync, test-only rendezvous between the two workers of a public Pool; the runtime's msync facade is pub(crate) and deliberately unreachable from here)
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::{Duration, Instant};
+
+        const NONE: usize = usize::MAX;
+        let pool = Pool::new(2);
+        for blocks in 2..=64usize {
+            for hopper in [0, 90] {
+                let n = blocks * BLOCK + hopper;
+                let b = filled(0..n as u32);
+                let first_stolen = AtomicUsize::new(NONE);
+                pool.run(|| {
+                    let forker = current_worker_index();
+                    b.for_each_parallel(BLOCK, &|&x| {
+                        if current_worker_index() != forker {
+                            let _ = first_stolen.compare_exchange(
+                                NONE,
+                                x as usize,
+                                Ordering::Relaxed,
+                                Ordering::Relaxed,
+                            );
+                        } else if x == 0 {
+                            let held = Instant::now();
+                            while first_stolen.load(Ordering::Relaxed) == NONE
+                                && held.elapsed() < Duration::from_secs(10)
+                            {
+                                std::thread::yield_now();
+                            }
+                        }
+                    });
+                });
+                let what = format!("{blocks} blocks + {hopper}");
+                let first_stolen = first_stolen.into_inner();
+                assert_ne!(first_stolen, NONE, "{what}: the first fork held no element");
+                let offered = n - first_stolen;
+                let top = BLOCK << blocks.ilog2();
+                let rest = n - top;
+                assert_eq!(offered, if rest == 0 { top / 2 } else { rest }, "{what}");
+                assert!(2 * offered <= n, "{what}: {offered} of {n}");
+                if rest == 0 || 2 * rest >= top {
+                    assert!(3 * offered >= n, "{what}: {offered} of {n}");
                 }
             }
         }

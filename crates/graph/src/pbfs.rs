@@ -33,6 +33,17 @@
 //!   decides every claim. Most arcs of a layer lead to claimed vertices,
 //!   and they now cost what they cost [`bfs_serial`](crate::bfs_serial):
 //!   a plain load, not a locked read-for-ownership.
+//! * **Layers walked in discovery order** — a layer's bag is walked in
+//!   the order its blocks were filled (module doc of [`crate::bag`]), so
+//!   on a graph numbered with locality the distance array and the
+//!   adjacency lists are read in the direction the serial search reads
+//!   them, and the first fork of the walk leaves a thief everything after
+//!   the bag's highest pennant instead of its hopper. Both matter where
+//!   layers are small: on a 73³ grid a layer is about 1 800 vertices, 14
+//!   blocks, some 50 µs of work, and there are 217 of them inside one
+//!   region. That is also why the scheduler keeps an idle worker awake
+//!   for as long as a region is open (DESIGN.md §9.2): the gap between
+//!   two layers is shorter than a park and its wake.
 
 // lint: allow(raw-sync, the per-vertex distance load and CAS are data-plane application state — one atomic per graph vertex, millions per run; it is benchmark payload standing in for the paper's benign race, not a runtime protocol, and cannot feasibly be recorded by the checker)
 use std::sync::atomic::{AtomicU32, Ordering};

@@ -413,6 +413,7 @@ where
         // Before the latch, for the same drain-race reason as the
         // foreign path: the region's caller drains right after waiting.
         trace::emit(EventKind::JobEnd, this.header.task_id());
+        crate::registry::close_region();
         (*this.latch).set();
     }
 

@@ -14,7 +14,7 @@ use cilkm_checker as checker;
 
 use crate::deque::{deque, Steal};
 use crate::latch::{CountLatch, Latch, LockLatch, SpinLatch};
-use crate::msync::atomic::{AtomicUsize, Ordering};
+use crate::msync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use crate::sleep::SleepGate;
 use crate::sync::SpinLock;
 
@@ -43,6 +43,43 @@ fn sleeper_handshake_no_lost_wakeup() {
     .expect("handshake must be wakeup-safe");
     assert!(report.complete, "DPOR must exhaust the handshake");
     // The interesting interleavings exist (park vs. retract vs. unpark).
+    assert!(
+        report.schedules > 1,
+        "explored {} schedules",
+        report.schedules
+    );
+}
+
+/// The region flag (`Registry::region_open`) only chooses how an idle
+/// worker waits, so reading it stale must cost latency at most: a worker
+/// that still sees `false` after `inject` set it goes through
+/// `SleepGate::sleep`, whose re-check or the injector's `signal_all`
+/// covers the job; one that sees `true` sweeps until it finds it.
+#[test]
+fn stale_region_flag_loses_no_wakeup() {
+    let report = checker::try_model_with(checker::Config::dpor(), || {
+        let gate = Arc::new(SleepGate::new(1));
+        let open = Arc::new(AtomicBool::new(false));
+        let injected = Arc::new(AtomicUsize::new(0));
+        let (g2, o2, i2) = (Arc::clone(&gate), Arc::clone(&open), Arc::clone(&injected));
+        let worker = checker::thread::spawn(move || {
+            g2.register_current(0);
+            while i2.load(Ordering::Acquire) == 0 {
+                if o2.load(Ordering::Acquire) {
+                    checker::thread::yield_now(); // the hot wait
+                } else {
+                    g2.sleep(0, || i2.load(Ordering::Acquire) != 0);
+                }
+            }
+        });
+        // `Registry::inject`, in its order.
+        open.store(true, Ordering::Release);
+        injected.fetch_add(1, Ordering::Release);
+        gate.signal_all();
+        worker.join().unwrap();
+    })
+    .expect("a stale region flag must not lose the wakeup");
+    assert!(report.complete, "DPOR must exhaust the scenario");
     assert!(
         report.schedules > 1,
         "explored {} schedules",

@@ -94,13 +94,16 @@ pub(crate) struct Registry {
     /// Sleeper announcement slots + wake claiming (protocol in
     /// `crate::sleep`).
     gate: SleepGate,
-    /// Failed steal sweeps spent spinning / yielding before a worker
-    /// parks. `(SPIN_TRIES, YIELD_TRIES)` when the pool fits in the
-    /// hardware, `(0, 1)` when workers are oversubscribed on too few
-    /// cores — there, every cycle an idle worker burns before parking
-    /// is stolen from the thread that actually holds work.
-    spin_tries: u32,
-    yield_tries: u32,
+    /// The pool has more workers than the hardware has threads. There
+    /// every cycle an idle worker spends awake is taken from the thread
+    /// that holds the work, so it yields instead of pausing and parks
+    /// even inside an open region.
+    oversubscribed: bool,
+    /// A region is running: set by `inject`, cleared by the root job
+    /// just before its latch. It chooses how an idle worker waits and
+    /// publishes nothing; a stale read either way is covered by the
+    /// sleep gate's handshake, which `inject` still goes through.
+    region_open: AtomicBool,
     terminate: AtomicBool,
 }
 
@@ -114,6 +117,7 @@ impl Registry {
     }
 
     fn inject(&self, job: JobRef) {
+        self.region_open.store(true, Ordering::Release);
         self.injector.lock().push_back(job);
         self.injected.fetch_add(1, Ordering::Release);
         // Waker side of the handshake (see `crate::sleep`), waking
@@ -373,10 +377,10 @@ impl WorkerThread {
         self.wait_until(latch, None);
     }
 
-    /// Pops, steals and backs off until `latch` fires (`false`) or our
-    /// own deque yields `my_job` (`true`).
+    /// Pops and steals until `latch` fires (`false`) or our own deque
+    /// yields `my_job` (`true`), pausing between failed sweeps. No
+    /// parking here: nothing fires an unpark when the latch opens.
     fn wait_until(&self, latch: &SpinLatch, my_job: Option<JobRef>) -> bool {
-        let mut idle_spins = 0u32;
         loop {
             if latch.probe() {
                 return false;
@@ -386,33 +390,36 @@ impl WorkerThread {
                     return true;
                 }
                 self.execute_suspended(job);
-                idle_spins = 0;
                 continue;
             }
             if let Some(job) = self.try_steal() {
                 self.execute_suspended(job);
-                idle_spins = 0;
                 continue;
             }
-            // Nothing to do but wait; be polite on oversubscribed hosts.
-            // Spin with exponentially longer pause bursts, then yield.
-            // No parking here: nothing fires an unpark when the latch
-            // opens, and join waits want latency over politeness anyway.
-            idle_spins += 1;
-            if idle_spins <= self.registry.spin_tries {
-                for _ in 0..(1u32 << idle_spins.min(8)) {
-                    std::hint::spin_loop();
-                }
-            } else {
-                thread::yield_now();
+            self.pause_between_sweeps();
+        }
+    }
+
+    /// Between two failed sweeps: keep the CPU for a fixed pause, or hand
+    /// it over when the pool is oversubscribed.
+    #[inline]
+    fn pause_between_sweeps(&self) {
+        if self.registry.oversubscribed {
+            thread::yield_now();
+        } else {
+            for _ in 0..HOT_WAIT_PAUSE {
+                std::hint::spin_loop();
             }
         }
     }
 
-    /// The top-level scheduling loop, with spin → yield → park backoff:
-    /// a worker that keeps failing to find work spins briefly (stealable
-    /// work often appears within nanoseconds), then yields the CPU a few
-    /// times, and only then pays the cost of parking.
+    /// The top-level scheduling loop. A worker that finds no work is in
+    /// one of two states. While a region is open the next burst of work
+    /// is microseconds away, and a park with its wake costs more than
+    /// the burst: the worker keeps sweeping, a fixed pause apart, and
+    /// neither yields nor parks. Otherwise (no region, or an
+    /// oversubscribed pool) it sweeps once more and parks; nothing can
+    /// arrive before the next `inject`, which wakes everyone.
     fn main_loop(&self) {
         // Register the unpark handle before anything can mark us PARKED.
         self.registry.gate.register_current(self.index);
@@ -433,20 +440,17 @@ impl WorkerThread {
                 idle = 0;
                 continue;
             }
-            idle += 1;
+            idle = idle.saturating_add(1);
             if idle == 1 {
                 // Once per idle *episode*, not per sweep: per-sweep
                 // events would flood the ring while workers spin (the
                 // per-sweep total is in `failed_steals`).
                 trace::emit(EventKind::StealFail, 0);
             }
-            if idle <= self.registry.spin_tries {
-                // Exponentially longer pause bursts between steal sweeps.
-                for _ in 0..(1u32 << idle.min(8)) {
-                    std::hint::spin_loop();
-                }
-            } else if idle <= self.registry.spin_tries + self.registry.yield_tries {
-                thread::yield_now();
+            let reg = &*self.registry;
+            let hot = !reg.oversubscribed && reg.region_open.load(Ordering::Acquire);
+            if hot || idle == 1 {
+                self.pause_between_sweeps();
             } else {
                 self.sleep();
             }
@@ -482,10 +486,9 @@ fn gcd(mut a: usize, mut b: usize) -> usize {
     a
 }
 
-/// Failed steal sweeps spent spinning before yielding.
-const SPIN_TRIES: u32 = 6;
-/// Failed steal sweeps spent yielding before parking.
-const YIELD_TRIES: u32 = 4;
+/// `spin_loop`s between the steal sweeps of a worker that waits inside
+/// an open region (EXPERIMENTS.md "PR 24" has its row).
+const HOT_WAIT_PAUSE: u32 = 16;
 
 /// View transferal out of the current worker's context (called by job
 /// completion paths in `job.rs`).
@@ -499,6 +502,13 @@ pub(crate) fn detach_current_views() -> DetachedViews {
         trace::emit(EventKind::Detach, pack_cpu(0, current_cpu()));
     }
     worker.with_state(|s| hooks.detach(s))
+}
+
+/// Marks the current worker's region as over (root task end, just before
+/// its latch: once that fires the next region may open).
+pub(crate) fn close_region() {
+    let worker = WorkerThread::current().expect("close_region outside worker");
+    worker.registry.region_open.store(false, Ordering::Release);
 }
 
 /// Folds the current worker's views into leftmost storage (root task end).
@@ -565,11 +575,6 @@ impl PoolBuilder {
         let hardware = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        let (spin_tries, yield_tries) = if self.num_threads > hardware {
-            (0, 1)
-        } else {
-            (SPIN_TRIES, YIELD_TRIES)
-        };
         let num_threads = self.num_threads;
         let registry = Arc::new(Registry {
             hooks: self.hooks,
@@ -577,8 +582,8 @@ impl PoolBuilder {
             injector: Mutex::new(VecDeque::new()),
             injected: AtomicUsize::new(0),
             gate: SleepGate::new(num_threads),
-            spin_tries,
-            yield_tries,
+            oversubscribed: num_threads > hardware,
+            region_open: AtomicBool::new(false),
             terminate: AtomicBool::new(false),
         });
         // Expose scheduler counters through the unified metrics registry.
@@ -773,6 +778,7 @@ impl Drop for Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn pool_runs_a_closure_on_a_worker() {
@@ -844,6 +850,97 @@ mod tests {
         // Workers may be parked right now (the region is over), so only
         // the one-sided invariant holds: every wake had a park.
         assert!(s.wakes <= s.parks);
+    }
+
+    /// Each worker's own park count.
+    fn parks_by_worker(reg: &Registry) -> Vec<u64> {
+        let parks = |t: &ThreadInfo| t.stats.parks.load(Ordering::Relaxed);
+        reg.threads.iter().map(parks).collect()
+    }
+
+    /// Whether every worker parks again within 100 ms, counting from
+    /// `before`. A worker left in the hot wait never does: the 10 ms
+    /// backstop re-parks only workers that are already parked.
+    fn all_park_again(reg: &Registry, before: &[u64]) -> bool {
+        let deadline = Instant::now() + Duration::from_millis(100);
+        loop {
+            if parks_by_worker(reg)
+                .iter()
+                .zip(before)
+                .all(|(now, b)| now > b)
+            {
+                return true;
+            }
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn hardware_threads() -> usize {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    }
+
+    #[test]
+    fn bursts_inside_a_region_park_nobody_and_its_end_parks_everyone() {
+        if hardware_threads() < 2 {
+            return; // one CPU: the pool is oversubscribed and must park
+        }
+        let pool = Pool::new(2);
+        let reg = &*pool.registry;
+        let (before, after) = pool.run(|| {
+            // The root's worker does not sweep, so two sweeps counted
+            // from here are the other worker's, awake and past any park
+            // it was in the middle of when the region opened.
+            let sweeps = reg.stats().steal_attempts;
+            while reg.stats().steal_attempts < sweeps + 2 {
+                std::hint::spin_loop();
+            }
+            let before = parks_by_worker(reg);
+            for _ in 0..200 {
+                crate::join(|| std::hint::black_box(1), || std::hint::black_box(2));
+                let serial = Instant::now();
+                while serial.elapsed() < Duration::from_micros(20) {
+                    std::hint::spin_loop();
+                }
+            }
+            (before, parks_by_worker(reg))
+        });
+        assert_eq!(before, after, "a worker parked while the region ran");
+        assert!(all_park_again(reg, &after), "a worker stayed awake");
+        let s = pool.stats();
+        assert!(s.wakes <= s.parks);
+    }
+
+    #[test]
+    fn an_oversubscribed_pool_parks_inside_an_open_region() {
+        let pool = Pool::new(hardware_threads() + 1);
+        let reg = &*pool.registry;
+        let parked = pool.run(|| {
+            let before = reg.stats().parks;
+            (0..100).any(|_| {
+                std::thread::sleep(Duration::from_millis(20));
+                reg.stats().parks > before
+            })
+        });
+        assert!(parked, "idle workers kept their CPUs from the root's");
+    }
+
+    #[test]
+    fn a_panicked_region_leaves_no_worker_spinning() {
+        let pool = Pool::new(2);
+        let reg = &*pool.registry;
+        let before = std::sync::OnceLock::new();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.run(|| {
+                before.set(parks_by_worker(reg)).unwrap();
+                panic!("root boom");
+            })
+        }));
+        assert!(caught.is_err());
+        assert!(!reg.region_open.load(Ordering::Acquire));
+        assert!(all_park_again(reg, before.get().unwrap()));
     }
 
     #[test]
