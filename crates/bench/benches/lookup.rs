@@ -31,7 +31,7 @@ fn reducer_lookup(c: &mut Criterion, name: &str, backend: Backend) {
 }
 
 /// Repeated access to one reducer: the pattern a typical reduction loop
-/// produces, and the one the single-entry last-lookup cache serves.
+/// produces (the hypermap's single-entry cache hits on every access).
 fn repeated_lookup(c: &mut Criterion, name: &str, backend: Backend) {
     let pool = ReducerPool::new(1, backend);
     let reducer: Reducer<SumMonoid<u64>> = Reducer::new(&pool, SumMonoid::new(), 0);
@@ -48,9 +48,9 @@ fn repeated_lookup(c: &mut Criterion, name: &str, backend: Backend) {
     });
 }
 
-/// Strict alternation between two reducers: defeats the single-entry
-/// cache on every access, so this measures the cache's overhead when it
-/// never hits (the full two-load path plus one failed compare).
+/// Strict alternation between two reducers: defeats the hypermap's
+/// single-entry cache on every access, so this measures its full probe
+/// path; the mmap lookup is the same two loads either way.
 fn alternating_lookup(c: &mut Criterion, name: &str, backend: Backend) {
     let pool = ReducerPool::new(1, backend);
     let reducers: Vec<Reducer<SumMonoid<u64>>> = (0..2)

@@ -16,10 +16,10 @@
 //! so `transferals` runs ahead of `steals` by the number of
 //! suspensions that carried views.
 //!
-//! `crossings/steal` is the page-growth floor (≈ 0.01): a worker's
-//! private pages are mapped once, when a context first reaches them,
-//! and never leave it. No transferal, leapfrogging included, makes a
-//! `sys_pmap`.
+//! `crossings/steal` reads 0: a worker's private pages live in its own
+//! page array, grown when a context first reaches them, and never leave
+//! it. No transferal, leapfrogging included, and no first touch makes a
+//! simulated kernel crossing.
 //!
 //! Two tail numbers come out of the run:
 //!

@@ -1,7 +1,7 @@
 //! The reducer *domain*: everything shared by all reducers of one pool —
 //! backend choice, the slot allocator (the `tlmm_addr` space of §6), the
-//! leftmost-view registry, and the shared arena of simulated physical
-//! pages.
+//! leftmost-view registry, and an arena of simulated physical pages that
+//! only the probes and ablation programs use.
 
 use std::sync::Arc;
 
@@ -23,10 +23,10 @@ pub enum Backend {
 }
 
 /// A reducer's identifier: its index in the shared slot space. For the
-/// memory-mapped backend this is literally the paper's `tlmm_addr` (slot
-/// `s` lives at byte `16·(s mod 248)` of private SPA page `s div 248` in
-/// every worker's TLMM region); the hypermap backend uses the same id as
-/// its hash key, standing in for the reducer's address.
+/// memory-mapped backend it names the paper's `tlmm_addr` (slot `s` lives
+/// at byte `16·(s mod 248)` of private SPA page `s div 248` in every
+/// worker's page array); the hypermap backend uses the same id as its
+/// hash key, standing in for the reducer's address.
 pub(crate) type Slot = u32;
 
 /// One reducer's leftmost storage: the view that holds the initial value
@@ -46,7 +46,8 @@ pub struct DomainInner {
     pub(crate) backend: Backend,
     pub(crate) instrument: Instrument,
     registry: SlotRegistry,
-    /// Simulated physical pages backing every worker's TLMM region.
+    /// Simulated physical pages: the probes and ablation programs read
+    /// it; neither backend allocates from it.
     pub(crate) arena: Arc<PageArena>,
 }
 
@@ -171,8 +172,8 @@ impl DomainInner {
         self.registry.live()
     }
 
-    /// The simulated physical-page arena backing the workers' TLMM
-    /// regions (diagnostics and leak tests).
+    /// The simulated physical-page arena (probes and ablation programs;
+    /// its crossing counters read 0 on both backends).
     pub fn arena_handle(&self) -> &Arc<PageArena> {
         &self.arena
     }
@@ -380,6 +381,27 @@ mod tests {
         drop(pool);
     }
 
+    /// The hooks of `domain`'s backend.
+    fn hooks_for(domain: &Arc<DomainInner>) -> Box<dyn HyperHooks> {
+        match domain.backend {
+            Backend::Hypermap => Box::new(crate::hypermap::HypermapHooks::new(Arc::clone(domain))),
+            Backend::Mmap => Box::new(crate::mmap::MmapHooks::new(Arc::clone(domain))),
+        }
+    }
+
+    /// The calling thread's view of reducer `slot` through `domain`'s
+    /// backend lookup (the hypermap keys it by `inst`).
+    fn lookup_in(
+        domain: &DomainInner,
+        slot: Slot,
+        inst: &crate::monoid::MonoidInstance,
+    ) -> Option<*mut u8> {
+        match domain.backend {
+            Backend::Hypermap => crate::hypermap::lookup(slot, inst, domain),
+            Backend::Mmap => crate::mmap::lookup(crate::mmap::tlmm_addr(slot), inst, domain),
+        }
+    }
+
     /// The scheduler drives both backends through the same two hooks,
     /// so the counters must read the same: a non-empty `detach` is one
     /// transferal of that many views — a leapfrog's as much as a stolen
@@ -392,12 +414,7 @@ mod tests {
             let monoid = Arc::new(crate::library::SumMonoid::<u64>::new());
             // The hypermap keys a view by its reducer's instance.
             let insts: Vec<MonoidInstance> = (0..5).map(|_| MonoidInstance::new(&monoid)).collect();
-            let hooks: Box<dyn HyperHooks> = match backend {
-                Backend::Hypermap => {
-                    Box::new(crate::hypermap::HypermapHooks::new(Arc::clone(&domain)))
-                }
-                Backend::Mmap => Box::new(crate::mmap::MmapHooks::new(Arc::clone(&domain))),
-            };
+            let hooks = hooks_for(&domain);
             let mut state = hooks.make_worker_state(0);
             let mut seen = Vec::new();
             let mut note = || {
@@ -405,11 +422,7 @@ mod tests {
                 seen.push((snap.transferals, snap.transferal_views));
             };
             for (slot, inst) in insts.iter().enumerate() {
-                match backend {
-                    Backend::Hypermap => crate::hypermap::lookup(slot as Slot, inst, &domain),
-                    Backend::Mmap => crate::mmap::lookup(0, slot, inst, &domain),
-                }
-                .expect("worker state");
+                lookup_in(&domain, slot as Slot, inst).expect("worker state");
             }
             let saved = hooks.detach(state.as_mut());
             note();
@@ -425,6 +438,27 @@ mod tests {
         let mmap = counts(Backend::Mmap);
         assert_eq!(mmap, [(1, 5), (1, 5), (1, 5), (2, 10)]);
         assert_eq!(counts(Backend::Hypermap), mmap);
+    }
+
+    /// Two states made on one thread, as hook-level tests make them:
+    /// dropping the older one leaves the newer one's fast path published
+    /// (its lookups must not fall to the serial path), and dropping the
+    /// newer one clears it.
+    #[test]
+    fn dropping_an_older_state_keeps_the_current_one_published() {
+        for backend in [Backend::Hypermap, Backend::Mmap] {
+            let domain = Arc::new(DomainInner::new(backend));
+            let monoid = Arc::new(crate::library::SumMonoid::<u64>::new());
+            let inst = crate::monoid::MonoidInstance::new(&monoid);
+            let hooks = hooks_for(&domain);
+            let mut older = hooks.make_worker_state(0);
+            hooks.discard(hooks.detach(older.as_mut()));
+            let newer = hooks.make_worker_state(1);
+            drop(older);
+            assert!(lookup_in(&domain, 0, &inst).is_some(), "{backend:?}");
+            drop(newer);
+            assert!(lookup_in(&domain, 0, &inst).is_none(), "{backend:?}");
+        }
     }
 
     #[test]

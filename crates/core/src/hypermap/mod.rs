@@ -89,7 +89,12 @@ impl HypermapWorkerState {
 impl Drop for HypermapWorkerState {
     fn drop(&mut self) {
         self.flush_lookups();
-        HYPERMAP_TLS.with(|c| c.set(std::ptr::null_mut()));
+        // Another state may have been made current on this thread since.
+        HYPERMAP_TLS.with(|c| {
+            if std::ptr::eq(c.get(), self) {
+                c.set(std::ptr::null_mut())
+            }
+        });
         // Any leftover views (a panicked region) are destroyed, not leaked.
         drop(Orphans(self.current.drain()));
     }

@@ -11,9 +11,10 @@
 //!   access is a hash lookup; view transferal switches map pointers;
 //!   hypermerge walks one table probing the other.
 //! * [`Backend::Mmap`] — the paper's contribution (§4–§7): each worker
-//!   owns a TLMM region (simulated by `cilkm-tlmm`) holding *private SPA
-//!   maps* of (view, monoid) pointer pairs; a lookup is a short
-//!   straight-line load/load/branch sequence; view transferal copies
+//!   owns a page array standing in for its TLMM region, holding *private
+//!   SPA maps* of (view, monoid) pointer pairs; a reducer holds its byte
+//!   offset in every worker's array, so a lookup is a short straight-line
+//!   load/load/branch sequence; view transferal copies
 //!   the pointer pairs into one flat list (the copying strategy of §7),
 //!   zeroing the private maps; hypermerge sweeps the right side's list
 //!   into the left side's private maps.

@@ -1,24 +1,26 @@
 //! The memory-mapped reducer backend — the paper's contribution (§4–§7).
 //!
-//! Each worker owns a TLMM region (simulated by `cilkm-tlmm`) whose pages
-//! hold **private SPA maps**: arrays of (view pointer, monoid pointer)
-//! pairs indexed by the reducer's slot — the `tlmm_addr` of §6. The
-//! region's table is the only page table: pages are mapped when a
-//! context first reaches them and never leave the worker, so the mapped
-//! ones are a hole-free prefix that only grows. The moving parts:
+//! Each worker owns one contiguous, page-aligned, zero-filled **page
+//! array** of private SPA maps (arrays of (view pointer, monoid pointer)
+//! pairs, one page each); a reducer holds its slot's byte offset in it,
+//! the `tlmm_addr` of §6. The array stands in for the worker's TLMM
+//! region: its pages never leave the worker and form a prefix that only
+//! grows, so it needs no page table. The moving parts:
 //!
-//! * **Thread-local indirection (§5)** — the region stores only pointers;
+//! * **Thread-local indirection (§5)** — the array stores only pointers;
 //!   views live on the shared heap, so hypermerges need no remapping and
-//!   no pointer swizzling, and the region itself needs only a trivial
+//!   no pointer swizzling, and the array itself needs only a trivial
 //!   fixed-size-slot allocator (the domain's slot allocator).
-//! * **Lookup (§6)** — resolve the slot's private SPA element and test
-//!   the view pointer: a couple of loads and one predictable branch. A
-//!   miss (at most once per reducer per steal) lazily creates an identity
-//!   view and inserts it: one pointer-pair write plus a log append.
+//! * **Lookup (§6)** — one TLS load yields the array's base and length;
+//!   the view pointer at `base + tlmm_addr` is loaded and tested: two
+//!   memory accesses and a predictable branch. A miss (at most once per
+//!   reducer per steal) grows the array to the slot's page if needed,
+//!   which moves it, then lazily creates an identity view and inserts it:
+//!   one pointer-pair write plus a log append.
 //! * **View transferal by copying (§7)** — a terminating context copies
 //!   its private pairs into shared memory, zeroing the private entries as
 //!   it goes, so the worker returns to work-stealing with a provably
-//!   empty private region. What it copies them into is one flat,
+//!   empty private array. What it copies them into is one flat,
 //!   exactly-sized list of `(slot, pair)` ([`MmapDetached`]): "a few
 //!   pointers", and the only cache lines that change owner at a steal.
 //!   Copying is the only transferal path, for a stolen task's views and
@@ -28,82 +30,60 @@
 //! * **Hypermerge (§7)** — sweep the right list into the private maps:
 //!   an empty slot takes the right pair, an occupied one reduces it into
 //!   the left view, left always the serially earlier operand.
+//!
+//! A user `identity` or `reduce` can grow the array (a nested lookup), so
+//! no [`SpaMapRef`] is held across one. DESIGN.md §9.1 says why the array
+//! is a heap allocation and not a reserved `mmap` window.
 
+use std::alloc::{alloc, dealloc, handle_alloc_error, realloc, Layout};
 use std::any::Any;
 use std::cell::Cell;
 use std::sync::Arc;
 
 use cilkm_runtime::{DetachedViews, HyperHooks};
+use cilkm_spa::map::MAP_SIZE;
 use cilkm_spa::{InsertOutcome, SpaMapRef, ViewPair, VIEWS_PER_MAP};
-use cilkm_tlmm::{PageDesc, TlmmRegion};
 
 use crate::domain::{DomainInner, Slot};
 use crate::instrument::Instrument;
 use crate::monoid::MonoidInstance;
 use cilkm_obs::profile::Burden;
 
-/// Per-worker state: the TLMM region and the private SPA maps living in
-/// it.
+/// Per-worker state: the page array and the count of views in it.
 pub struct MmapWorkerState {
     domain: Arc<DomainInner>,
-    /// The only page table. Pages never leave a worker, so the mapped
-    /// ones are a hole-free prefix `0..extent_pages()` that only grows,
-    /// each a private SPA map; `Drop` frees them.
-    region: TlmmRegion,
+    /// The page array: `pages` SPA maps, map `p` at byte `p · MAP_SIZE`
+    /// of one `MAP_SIZE`-aligned allocation (null while `pages` is 0).
+    /// It only grows, and growth may move it; `Drop` frees it.
+    base: *mut u8,
+    pages: usize,
     lookups: Cell<u64>,
-    /// Single-entry cache of the last successful lookup. Keyed by
-    /// (domain, page, idx) so a hit needs no map walk and no domain
-    /// re-validation; every hook that can change the view owned by the
-    /// current context (detach, attach, merge, root collection, removal)
-    /// must clear it — see [`MmapWorkerState::forget_last`].
-    last: Cell<LastLookup>,
     /// Number of views currently in the private maps (sizes the list a
     /// detach copies them into).
     current_views: usize,
 }
 
-/// The last-lookup cache line: the key identifies one reducer slot in one
-/// domain; `view` is its resolved view pointer.
-#[derive(Copy, Clone)]
-struct LastLookup {
-    domain: *const DomainInner,
-    page: usize,
-    idx: usize,
-    view: *mut u8,
-}
-
-impl LastLookup {
-    const EMPTY: LastLookup = LastLookup {
-        domain: std::ptr::null(),
-        page: usize::MAX,
-        idx: usize::MAX,
-        view: std::ptr::null_mut(),
-    };
-}
-
 // SAFETY: the state is owned by exactly one worker at a time and handed
 // between threads only while quiescent (it travels as
-// `Box<dyn Any + Send>`); the raw pointers in the lookup cache are never
-// dereferenced off-worker.
+// `Box<dyn Any + Send>`); the page array it points at is its own, and
+// the views in it are `M::View: Send`.
 unsafe impl Send for MmapWorkerState {}
 
-/// The thread-local fast-path descriptor: a snapshot of the region's
-/// translation array ([`TlmmRegion::bases`], the simulated TLB). Real
-/// Cilk-M needs none of this — the MMU *is* the table — so the
-/// simulation keeps its stand-in as short as possible: one TLS load
-/// yields the array's base, length, and owning domain.
+/// The thread-local fast-path descriptor: the current state's page array
+/// (`base`, `bytes` long) and the domain it serves — one TLS load where
+/// Cilk-M's MMU resolves a `tlmm_addr` against the thread's own mapping.
 #[derive(Copy, Clone)]
 struct MmapTls {
-    bases: *const *mut u8,
-    len: usize,
+    base: *mut u8,
+    bytes: usize,
     domain: *const DomainInner,
     state: *mut MmapWorkerState,
 }
 
 impl MmapTls {
     const NULL: MmapTls = MmapTls {
-        bases: std::ptr::null(),
-        len: 0,
+        base: std::ptr::null_mut(),
+        bytes: 0,
         domain: std::ptr::null(),
         state: std::ptr::null_mut(),
     };
@@ -113,22 +93,25 @@ thread_local! {
     static MMAP_TLS: Cell<MmapTls> = const { Cell::new(MmapTls::NULL) };
 }
 
-/// Refreshes the TLS snapshot after any change to the page table.
-fn publish_tls(state: *mut MmapWorkerState) {
-    // SAFETY: callers pass their own live worker state; only the fields'
-    // addresses are snapshotted, no long-lived reference escapes.
-    unsafe {
-        let st = &*state;
-        let bases = st.region.bases();
-        MMAP_TLS.with(|c| {
-            c.set(MmapTls {
-                bases: bases.as_ptr(),
-                len: bases.len(),
-                domain: Arc::as_ptr(&st.domain),
-                state,
-            })
-        });
-    }
+/// The paper's `tlmm_addr` (§6) of `slot`: the byte offset of its view
+/// pair in every worker's page array — element `slot mod 248` of SPA map
+/// `slot div 248`.
+pub(crate) fn tlmm_addr(slot: Slot) -> usize {
+    let slot = slot as usize;
+    slot / VIEWS_PER_MAP * MAP_SIZE + slot % VIEWS_PER_MAP * std::mem::size_of::<ViewPair>()
+}
+
+/// The SPA map and the element in it that `tlmm_addr` names.
+fn split(tlmm_addr: usize) -> (usize, usize) {
+    (
+        tlmm_addr / MAP_SIZE,
+        tlmm_addr % MAP_SIZE / std::mem::size_of::<ViewPair>(),
+    )
+}
+
+/// Layout of a page array of `pages` SPA maps.
+fn array_layout(pages: usize) -> Layout {
+    Layout::from_size_align(pages * MAP_SIZE, MAP_SIZE).expect("page array layout")
 }
 
 /// A detached view set: the pairs view transferal copied out of the
@@ -217,52 +200,67 @@ impl MmapWorkerState {
         }
     }
 
-    /// Clears the last-lookup cache. Must run in every hook that changes
-    /// which view the current context owns for any slot: a stale entry
-    /// would silently resolve a lookup to a view that has been handed to
-    /// another context (or folded away), breaking reducer semantics.
-    fn forget_last(&self) {
-        self.last.set(LastLookup::EMPTY);
-    }
-
-    /// Maps fresh zeroed pages so the private maps cover `page` (a
-    /// simulated `sys_palloc` + one batched `sys_pmap`, amortized against
-    /// steals as §5 argues).
+    /// Grows the page array to cover `page`, zero-filling the new maps
+    /// (an all-zero page is an empty SPA map). Growth reallocates and so
+    /// may move the array: when this is the thread's current state, its
+    /// TLS descriptor follows.
     #[cold]
     fn ensure_page(&mut self, page: usize) {
-        let first_new = self.region.extent_pages();
-        if page < first_new {
+        if page < self.pages {
             return;
         }
-        let new_descs: Vec<PageDesc> = (first_new..=page)
-            .map(|_| self.region.arena().palloc())
-            .collect();
-        self.region.pmap(first_new, &new_descs);
-        publish_tls(self as *mut MmapWorkerState);
+        let old = self.pages * MAP_SIZE;
+        let layout = array_layout(page + 1);
+        // SAFETY: the old array is ours, of `array_layout(self.pages)`;
+        // `realloc` keeps its alignment, and the bytes past `old` are
+        // zeroed before any map is formed on them.
+        unsafe {
+            let base = if old == 0 {
+                alloc(layout)
+            } else {
+                realloc(self.base, array_layout(self.pages), layout.size())
+            };
+            if base.is_null() {
+                handle_alloc_error(layout);
+            }
+            base.add(old).write_bytes(0, layout.size() - old);
+            self.base = base;
+        }
+        self.pages = page + 1;
+        MMAP_TLS.with(|c| {
+            let tls = c.get();
+            if std::ptr::eq(tls.state, self) {
+                c.set(MmapTls {
+                    base: self.base,
+                    bytes: self.pages * MAP_SIZE,
+                    ..tls
+                });
+            }
+        });
     }
 
-    /// The private SPA map on mapped region page `pidx`.
+    /// The private SPA map on page `pidx` of the array. Valid until the
+    /// next growth: re-derive it after any call into user code.
     #[inline]
     fn page_ref(&self, pidx: usize) -> SpaMapRef {
-        let base = self.region.page_base(pidx);
-        assert!(!base.is_null(), "private page {pidx} is not mapped");
-        // SAFETY: `base` is a page `ensure_page` mapped: zeroed on
-        // arrival (an empty map layout), written only through SPA-map
-        // accessors since, private to this worker, and live until the
-        // state's `Drop` frees it.
-        unsafe { SpaMapRef::from_raw(base) }
+        assert!(pidx < self.pages, "private page {pidx} is not in the array");
+        // SAFETY: map `pidx` lies inside the array: zeroed on arrival (an
+        // empty map layout), written only through SPA-map accessors
+        // since, private to this worker, and live until the array grows
+        // or the state's `Drop` frees it.
+        unsafe { SpaMapRef::from_raw(self.base.add(pidx * MAP_SIZE)) }
     }
 
     /// The copying strategy of §7: sequences each occupied private page
     /// by its log into one exactly-sized list of `(slot, pair)`, zeroing
-    /// the private entries as the pairs leave, so the region is provably
+    /// the private entries as the pairs leave, so the array is provably
     /// empty afterwards. An empty context allocates nothing.
     // lint: hot-path
     fn drain_views(&mut self) -> Vec<(Slot, ViewPair)> {
         // lint: allow(hot-path, the one exactly-sized list a detach copies its views into; it replaces up to one map-pool operation per occupied page)
         let mut views = Vec::with_capacity(self.current_views);
         if self.current_views != 0 {
-            for pidx in 0..self.region.extent_pages() {
+            for pidx in 0..self.pages {
                 let private = self.page_ref(pidx);
                 if private.is_empty() {
                     continue;
@@ -280,81 +278,76 @@ impl MmapWorkerState {
 impl Drop for MmapWorkerState {
     fn drop(&mut self) {
         self.flush_lookups();
-        MMAP_TLS.with(|c| c.set(MmapTls::NULL));
+        // Another state may have been made current on this thread since.
+        MMAP_TLS.with(|c| {
+            if std::ptr::eq(c.get().state, self) {
+                c.set(MmapTls::NULL)
+            }
+        });
         // Leftover views (possible after a panicked region) are destroyed
         // the way a discarded set's are.
         drop(MmapDetached {
             views: self.drain_views(),
         });
-        for pidx in 0..self.region.extent_pages() {
-            self.region.arena().pfree(self.region.desc_at(pidx));
+        if self.pages != 0 {
+            // SAFETY: the array is ours, of that layout, and holds no
+            // view any more.
+            unsafe { dealloc(self.base, array_layout(self.pages)) };
         }
     }
 }
 
-/// The memory-mapped reducer lookup (§6): on the hit path, either a
-/// single-entry cache hit (three compares against the last lookup) or
-/// the paper's two loads and a predictable branch through the private
-/// SPA map, with no counter traffic in plain release builds.
+/// The memory-mapped reducer lookup (§6): one TLS load, the domain
+/// check, `tlmm_addr` against the array's length, one load of the view
+/// pointer at `base + tlmm_addr` and its null test — the paper's two
+/// memory accesses and a predictable branch — with no counter traffic in
+/// plain release builds.
 ///
-/// Returns `None` when the calling thread is not a worker of `domain`'s
-/// pool (the caller then takes the serial leftmost path).
+/// Returns `None` when the calling thread is not a pool worker (the
+/// caller then takes the serial leftmost path).
 // lint: hot-path
 #[inline(always)]
 pub(crate) fn lookup(
-    page: usize,
-    idx: usize,
+    tlmm_addr: usize,
     inst: &MonoidInstance,
     domain: &DomainInner,
 ) -> Option<*mut u8> {
     let tls = MMAP_TLS.with(|c| c.get());
-    if tls.state.is_null() {
-        return None;
-    }
-    // SAFETY: TLS points at this worker's live state and at its
-    // region's `bases`, whose first `len` entries are mapped private SPA
-    // maps (the hole-free prefix `ensure_page` grows); only shared reads
-    // happen on the fast path, and the slot pointer dereference stays
-    // inside the mapped SPA page.
-    unsafe {
-        let st = &*tls.state;
-        if crate::instrument::ENABLED {
-            st.lookups.set(st.lookups.get() + 1);
-        }
-        // Same reducer as last time? The cache key includes the domain,
-        // so a hit needs no separate pool-membership check.
-        let last = st.last.get();
-        if last.page == page && last.idx == idx && std::ptr::eq(last.domain, domain) {
-            return Some(last.view);
-        }
+    if !std::ptr::eq(tls.domain, domain) {
+        // No worker state here (the serial path), or another pool's.
         assert!(
-            std::ptr::eq(tls.domain, domain),
+            tls.state.is_null(),
             "reducer used on a worker of a different pool"
         );
-        if page < tls.len {
-            // The fast path the paper counts: dereference the slot's
-            // private SPA element and test the view pointer. This read
-            // bypasses the SpaMapRef accessors, so record it for the
-            // model checker / sanitizer explicitly (same whole-map
-            // granularity). Plain builds keep the path emit-free.
-            let map = SpaMapRef::from_raw(*tls.bases.add(page));
+        return None;
+    }
+    // SAFETY: TLS describes this worker's live state and its page array
+    // of `bytes` bytes (updated whenever the array moves); only
+    // shared reads happen on the fast path, and the pair at `tlmm_addr <
+    // bytes` lies inside one SPA map of the array.
+    unsafe {
+        if crate::instrument::ENABLED {
+            let st = &*tls.state;
+            st.lookups.set(st.lookups.get() + 1);
+        }
+        if tlmm_addr < tls.bytes {
+            // This read bypasses the SpaMapRef accessors, so record it
+            // for the model checker / sanitizer explicitly (same
+            // whole-map granularity). Plain builds keep the path
+            // emit-free.
+            #[cfg(any(feature = "model", feature = "sanitize"))]
+            let map = tls.base.add(tlmm_addr - tlmm_addr % MAP_SIZE) as usize;
             #[cfg(feature = "model")]
-            cilkm_checker::trace::note_read(map.slot_ptr(0) as usize, "SpaMap");
+            cilkm_checker::trace::note_read(map, "SpaMap");
             #[cfg(all(not(feature = "model"), feature = "sanitize"))]
-            cilkm_san::shadow_read(map.slot_ptr(0) as usize, "SpaMap");
-            let view = (*map.slot_ptr(idx)).view;
+            cilkm_san::shadow_read(map, "SpaMap");
+            let view = (*(tls.base.add(tlmm_addr) as *const ViewPair)).view;
             if !view.is_null() {
-                st.last.set(LastLookup {
-                    domain,
-                    page,
-                    idx,
-                    view,
-                });
                 return Some(view);
             }
         }
     }
-    lookup_miss(page, idx, inst, domain, tls.state)
+    lookup_miss(tlmm_addr, inst, domain, tls.state)
 }
 
 /// The outlined miss path: creates and inserts an identity view. Happens
@@ -363,15 +356,16 @@ pub(crate) fn lookup(
 #[cold]
 #[inline(never)]
 fn lookup_miss(
-    page: usize,
-    idx: usize,
+    tlmm_addr: usize,
     inst: &MonoidInstance,
     domain: &DomainInner,
     ptr: *mut MmapWorkerState,
 ) -> Option<*mut u8> {
+    let (page, idx) = split(tlmm_addr);
     // SAFETY: `ptr` is the caller's live TLS state; `&mut`s are
     // re-derived around the user `identity()` call, never held across
-    // it.
+    // it, and so is the map (a nested lookup inside it may grow the
+    // array and move it).
     unsafe {
         (*ptr).ensure_page(page);
 
@@ -402,31 +396,24 @@ fn lookup_miss(
             t1,
             Burden::ViewInsertion,
         );
-        (*ptr).last.set(LastLookup {
-            domain,
-            page,
-            idx,
-            view,
-        });
         Some(view)
     }
 }
 
-/// Removes (and returns) the current context's view for `slot`, if any.
-pub(crate) fn remove_current(slot: Slot, domain: &DomainInner) -> Option<*mut u8> {
+/// Removes (and returns) the current context's view at `tlmm_addr`, if
+/// any.
+pub(crate) fn remove_current(tlmm_addr: usize, domain: &DomainInner) -> Option<*mut u8> {
     let tls = MMAP_TLS.with(|c| c.get());
     if tls.state.is_null() {
         return None;
     }
-    let page = slot as usize / VIEWS_PER_MAP;
-    let idx = slot as usize % VIEWS_PER_MAP;
+    let (page, idx) = split(tlmm_addr);
     // SAFETY: thread-local state of the calling worker; no user code
     // runs inside the block, so the `&mut` cannot alias.
     unsafe {
         let st = &mut *tls.state;
         assert!(std::ptr::eq(Arc::as_ptr(&st.domain), domain));
-        st.forget_last();
-        if page >= st.region.extent_pages() {
+        if page >= st.pages {
             return None;
         }
         let private = st.page_ref(page);
@@ -458,13 +445,20 @@ impl HyperHooks for MmapHooks {
     fn make_worker_state(&self, _index: usize) -> Box<dyn Any + Send> {
         let state = Box::new(MmapWorkerState {
             domain: Arc::clone(&self.domain),
-            region: TlmmRegion::new(Arc::clone(&self.domain.arena)),
+            base: std::ptr::null_mut(),
+            pages: 0,
             lookups: Cell::new(0),
-            last: Cell::new(LastLookup::EMPTY),
             current_views: 0,
         });
-        let raw = &*state as *const MmapWorkerState as *mut MmapWorkerState;
-        publish_tls(raw);
+        // The Box's heap address is stable; publish it for the fast path
+        // (no pages until a context first touches one).
+        MMAP_TLS.with(|c| {
+            c.set(MmapTls {
+                state: &*state as *const MmapWorkerState as *mut MmapWorkerState,
+                domain: Arc::as_ptr(&self.domain),
+                ..MmapTls::NULL
+            })
+        });
         state
     }
 
@@ -472,7 +466,6 @@ impl HyperHooks for MmapHooks {
     fn detach(&self, state: &mut dyn Any) -> DetachedViews {
         let st = state.downcast_mut::<MmapWorkerState>().expect("mmap state");
         st.flush_lookups();
-        st.forget_last();
         let t0 = Instrument::transferal_timer();
         let views = st.drain_views();
         if !views.is_empty() {
@@ -491,13 +484,12 @@ impl HyperHooks for MmapHooks {
         let mut det = views.downcast::<MmapDetached>().expect("mmap views");
         debug_assert_eq!(st.current_views, 0, "attach over non-empty context");
         det.note_read();
-        st.forget_last();
         let t0 = Instrument::transferal_timer();
-        // §7: copy the pairs back into the region, each at its slot.
-        // Popped one by one, so an unwind (page allocation can refuse)
+        // §7: copy the pairs back into the array, each at its slot.
+        // Popped one by one, so an unwind (growth can fail to allocate)
         // leaves the rest with `det`, which destroys them.
         while let Some((slot, pair)) = det.views.pop() {
-            let (pidx, idx) = (slot as usize / VIEWS_PER_MAP, slot as usize % VIEWS_PER_MAP);
+            let (pidx, idx) = split(tlmm_addr(slot));
             st.ensure_page(pidx);
             st.page_ref(pidx).insert(idx, pair);
             st.current_views += 1;
@@ -512,25 +504,22 @@ impl HyperHooks for MmapHooks {
         let st: *mut MmapWorkerState = state.downcast_mut::<MmapWorkerState>().expect("mmap state");
         let mut det = right.downcast::<MmapDetached>().expect("mmap views");
         det.note_read();
-        // SAFETY: `st` came from the exclusive `&mut dyn Any` above; the
-        // raw-pointer hop only shortens the borrow, per the comment.
-        unsafe { (*st).forget_last() };
         let t0 = Instrument::merge_timer();
         self.ins().merges.inc();
         let mut pairs_reduced = 0u64;
 
         // One sweep, right into left: the merged set has to end up in the
-        // private region, so this costs one slot operation per right view
+        // private array, so this costs one slot operation per right view
         // whichever side is larger. Each pair is popped before its
         // `reduce` runs: when that unwinds, `reduce_into` has consumed
         // the pair's view and `det` destroys the ones not yet merged.
         while let Some((slot, rpair)) = det.views.pop() {
-            let (pidx, idx) = (slot as usize / VIEWS_PER_MAP, slot as usize % VIEWS_PER_MAP);
+            let (pidx, idx) = split(tlmm_addr(slot));
             // SAFETY: `st` is exclusively ours (see above); every `&mut`
-            // is re-derived between `reduce_into` calls so user reduce
-            // code may itself perform lookups through MMAP_TLS. Both
-            // pairs hold live views of the slot's monoid and the
-            // instance that created them.
+            // and every map is re-derived between `reduce_into` calls, so
+            // user reduce code may itself perform lookups through
+            // MMAP_TLS (and grow the array). Both pairs hold live views
+            // of the slot's monoid and the instance that created them.
             unsafe {
                 (*st).ensure_page(pidx);
                 let private = (*st).page_ref(pidx);
@@ -555,7 +544,6 @@ impl HyperHooks for MmapHooks {
         // `reduce` code may itself perform lookups through MMAP_TLS.
         unsafe {
             (*st).flush_lookups();
-            (*st).forget_last();
             let entries = (*st).drain_views();
             // SAFETY: each pair is a live boxed view of its slot's
             // monoid with the instance that created it, and the
@@ -620,11 +608,21 @@ mod tests {
         fn reduce(&self, _left: &mut CountedView, _right: CountedView) {}
     }
 
+    /// Pages in a worker state's array.
+    fn pages(state: &dyn Any) -> usize {
+        state.downcast_ref::<MmapWorkerState>().unwrap().pages
+    }
+
+    /// Pages in the calling worker's array, read through its TLS.
+    fn pages_here() -> usize {
+        MMAP_TLS.with(|c| c.get().bytes) / MAP_SIZE
+    }
+
     /// The PR 3 "500 + 300" exactness scenario at the hook level: the
     /// thief detaches its view, then panics, and the scheduler discards
     /// the detached set. Counts must stay exact (800 lookups, 1 copied
-    /// view), every view must drop exactly once, and no arena page may
-    /// leak.
+    /// view), every view must drop exactly once, and the owner's array
+    /// must hold the one page its slot lives on.
     #[test]
     fn panic_after_detach_keeps_counts_exact_and_leaks_nothing() {
         let domain = Arc::new(DomainInner::new(Backend::Mmap));
@@ -642,7 +640,7 @@ mod tests {
             let hooks = MmapHooks::new(Arc::clone(&d2));
             let mut state = hooks.make_worker_state(1);
             for _ in 0..300 {
-                lookup(0, 3, &i2, &d2).expect("thief worker state");
+                lookup(tlmm_addr(3), &i2, &d2).expect("thief worker state");
             }
             let det = hooks.detach(state.as_mut());
             tx.send(det).unwrap();
@@ -651,7 +649,7 @@ mod tests {
 
         let state = hooks.make_worker_state(0);
         for _ in 0..500 {
-            lookup(0, 3, &inst, &domain).expect("owner worker state");
+            lookup(tlmm_addr(3), &inst, &domain).expect("owner worker state");
         }
         let det = rx.recv().unwrap();
         assert!(thief.join().is_err(), "the thief must have panicked");
@@ -674,16 +672,12 @@ mod tests {
         assert_eq!(snap.transferal_views, 1);
         assert_eq!(snap.transferal_copied_views, 1);
 
+        assert_eq!(pages(state.as_ref()), 1, "the slot's page, no more");
         drop(state);
         assert_eq!(
             drops.load(Ordering::SeqCst),
             2,
             "the owner's view drops exactly once with its state"
-        );
-        assert_eq!(
-            domain.arena.live_pages(),
-            0,
-            "every private page returned to the arena"
         );
     }
 
@@ -696,7 +690,7 @@ mod tests {
     /// The view of `slot` in the calling thread's current context,
     /// created on first touch exactly as a reducer access would.
     fn view(slot: usize, inst: &MonoidInstance, domain: &DomainInner) -> &'static mut Tracked {
-        let view = lookup(slot / VIEWS_PER_MAP, slot % VIEWS_PER_MAP, inst, domain)
+        let view = lookup(tlmm_addr(slot as Slot), inst, domain)
             .expect("calling thread has no worker state");
         // SAFETY: `lookup` returned a live boxed `Tracked` that this
         // thread's current context owns; the borrow ends before the
@@ -704,12 +698,22 @@ mod tests {
         unsafe { &mut *(view as *mut Tracked) }
     }
 
+    /// The array a context over `slots` needs: up to the last one's page.
+    fn pages_for(slots: impl IntoIterator<Item = usize>) -> usize {
+        slots
+            .into_iter()
+            .map(|s| s / VIEWS_PER_MAP + 1)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// One hypermerge at hook level against a `BTreeMap` model: a thief
     /// context appends `R<slot>` at each of `right` and detaches, the
     /// owner appends `L<slot>` at each of `left` and merges. Every slot
     /// on both sides must read `L<slot>R<slot>`, every other slot its one
-    /// side unreduced, the context must hold exactly the model's views,
-    /// and every view must be dropped once with no arena page left.
+    /// side unreduced, the context must hold exactly the model's views
+    /// in an array that reaches the last one's page, and every view must
+    /// be dropped once.
     pub(super) fn check_hypermerge(left: &[usize], right: &[usize]) {
         let domain = Arc::new(DomainInner::new(Backend::Mmap));
         let tally = Arc::new(Tally::default());
@@ -752,6 +756,7 @@ mod tests {
             assert_eq!(&view(slot, &inst, &domain).s, want, "slot {slot}");
         }
         assert_eq!(held(state.as_ref()), model.len(), "reading created no view");
+        assert_eq!(pages(state.as_ref()), pages_for(model.keys().copied()));
 
         let snap = domain.instrument();
         let made = left.len() + right.len();
@@ -762,7 +767,6 @@ mod tests {
 
         drop(state);
         assert_eq!(tally.counts(), (made, made), "every view dropped once");
-        assert_eq!(domain.arena.live_pages(), 0, "no leaked arena pages");
     }
 
     /// The single right-into-left sweep over every pairing of set sizes
@@ -794,46 +798,41 @@ mod tests {
     /// a context on page 0 is detached, an interim context touches page
     /// 3 and detaches, the first set is re-attached into the same state,
     /// touches page 2 and merges the interim's set. Pages never leave
-    /// the worker, so the arena holds exactly the region's extent at
-    /// every step.
+    /// the worker, so the array covers the highest page any of its
+    /// contexts reached, at every step.
     #[test]
-    fn leapfrog_through_detach_and_attach_keeps_every_page_in_the_region() {
+    fn leapfrog_through_detach_and_attach_keeps_every_page_in_the_array() {
         let domain = Arc::new(DomainInner::new(Backend::Mmap));
         let tally = Arc::new(Tally::default());
         let monoid = Arc::new(TrackedConcat(Arc::clone(&tally)));
         let inst = MonoidInstance::new(&monoid);
         let hooks = MmapHooks::new(Arc::clone(&domain));
         let page = |p: usize| p * VIEWS_PER_MAP;
-        let pages_accounted = |state: &dyn Any, want: usize| {
-            let st = state.downcast_ref::<MmapWorkerState>().unwrap();
-            assert_eq!(st.region.extent_pages(), want);
-            assert_eq!(domain.arena.live_pages(), want, "arena == region extent");
-        };
 
         let mut state = hooks.make_worker_state(0);
-        pages_accounted(state.as_ref(), 0);
+        assert_eq!(pages(state.as_ref()), 0);
         view(page(0), &inst, &domain).s.push('a');
-        pages_accounted(state.as_ref(), 1);
+        assert_eq!(pages(state.as_ref()), 1);
         let saved = hooks.detach(state.as_mut());
-        pages_accounted(state.as_ref(), 1);
-        view(page(3), &inst, &domain).s.push('b'); // the interim maps four
-        pages_accounted(state.as_ref(), 4);
+        assert_eq!(pages(state.as_ref()), 1);
+        view(page(3), &inst, &domain).s.push('b'); // the interim grows to four
+        assert_eq!(pages(state.as_ref()), 4);
         let det = hooks.detach(state.as_mut());
-        pages_accounted(state.as_ref(), 4);
+        assert_eq!(pages(state.as_ref()), 4);
         hooks.attach(state.as_mut(), saved);
-        pages_accounted(state.as_ref(), 4);
-        view(page(2), &inst, &domain).s.push('c'); // already mapped
-        pages_accounted(state.as_ref(), 4);
+        assert_eq!(pages(state.as_ref()), 4);
+        view(page(2), &inst, &domain).s.push('c'); // already covered
+        assert_eq!(pages(state.as_ref()), 4);
         hooks.merge_right(state.as_mut(), det);
-        pages_accounted(state.as_ref(), 4);
+        assert_eq!(pages(state.as_ref()), 4);
 
         for (p, want) in [(0, "a"), (2, "c"), (3, "b")] {
             assert_eq!(view(page(p), &inst, &domain).s, want, "page {p}");
         }
-        pages_accounted(state.as_ref(), 4);
+        assert_eq!(pages(state.as_ref()), 4);
+        assert_eq!(pages_here(), 4, "TLS describes the array");
         drop(state);
         assert_eq!(tally.counts(), (3, 3));
-        assert_eq!(domain.arena.live_pages(), 0);
     }
 
     /// A `reduce` that unwinds out of a hypermerge: the right views not
@@ -858,9 +857,208 @@ mod tests {
         let merge = std::panic::AssertUnwindSafe(|| hooks.merge_right(state.as_mut(), det));
         assert!(std::panic::catch_unwind(merge).is_err(), "reduce panics");
 
+        assert_eq!(pages(state.as_ref()), 1);
         drop(state);
         assert_eq!(tally.counts(), (10, 10), "made == dropped");
-        assert_eq!(domain.arena.live_pages(), 0);
+    }
+
+    /// The main slot, on the first SPA page, and the two slots the
+    /// spilling monoid appends to, on pages no context has reached.
+    const MAIN: usize = 5;
+    const IDENTITY_SPILL: usize = 3 * VIEWS_PER_MAP + 1;
+    const REDUCE_SPILL: usize = 5 * VIEWS_PER_MAP + 2;
+
+    /// Concatenation whose `identity` and `reduce` each also append to a
+    /// view of their own through the calling thread's lookup: a nested
+    /// first touch of a page the array does not cover, which grows the
+    /// array — and moves it — inside `lookup_miss` and `merge_right`.
+    struct Spilling {
+        concat: TrackedConcat,
+        spill: Arc<MonoidInstance>,
+        _spill_monoid: Arc<TrackedConcat>,
+        domain: Arc<DomainInner>,
+    }
+
+    impl Monoid for Spilling {
+        type View = Tracked;
+        fn identity(&self) -> Tracked {
+            view(IDENTITY_SPILL, &self.spill, &self.domain).s.push('i');
+            self.concat.identity()
+        }
+        fn reduce(&self, left: &mut Tracked, right: Tracked) {
+            view(REDUCE_SPILL, &self.spill, &self.domain).s.push('r');
+            self.concat.reduce(left, right);
+        }
+    }
+
+    /// Growth inside user code, single-threaded so Miri runs it: a map
+    /// held across the `identity` of a first touch or the `reduce` of a
+    /// hypermerge would be used after the growth freed it. The merged
+    /// value is the serial elision's, every view drops once, and each
+    /// slot's pair sits at `base + tlmm_addr(slot)` in the moved array.
+    #[test]
+    fn growth_inside_identity_and_reduce_moves_the_array_under_no_map() {
+        let domain = Arc::new(DomainInner::new(Backend::Mmap));
+        let tally = Arc::new(Tally::default());
+        let spill_monoid = Arc::new(TrackedConcat(Arc::clone(&tally)));
+        let monoid = Arc::new(Spilling {
+            concat: TrackedConcat(Arc::clone(&tally)),
+            spill: Arc::new(MonoidInstance::new(&spill_monoid)),
+            _spill_monoid: spill_monoid,
+            domain: Arc::clone(&domain),
+        });
+        let inst = MonoidInstance::new(&monoid);
+        let hooks = MmapHooks::new(Arc::clone(&domain));
+
+        let det = {
+            let mut state = hooks.make_worker_state(1);
+            view(MAIN, &inst, &domain).s.push('R'); // 1 → 4 pages in the miss
+            assert_eq!(pages(state.as_ref()), 4);
+            hooks.detach(state.as_mut())
+        };
+        let mut state = hooks.make_worker_state(0);
+        view(MAIN, &inst, &domain).s.push('L');
+        assert_eq!(pages(state.as_ref()), 4);
+        hooks.merge_right(state.as_mut(), det); // 4 → 6 pages in the reduce
+        assert_eq!(pages(state.as_ref()), 6);
+        assert_eq!(pages_here(), 6, "TLS follows the moved array");
+
+        assert_eq!(view(MAIN, &inst, &domain).s, "LR");
+        assert_eq!(view(IDENTITY_SPILL, &monoid.spill, &domain).s, "ii");
+        assert_eq!(view(REDUCE_SPILL, &monoid.spill, &domain).s, "r");
+        let st = state.downcast_ref::<MmapWorkerState>().unwrap();
+        for slot in [MAIN, IDENTITY_SPILL, REDUCE_SPILL] {
+            let (page, idx) = split(tlmm_addr(slot as Slot));
+            assert_eq!(
+                st.page_ref(page).slot_ptr(idx) as usize,
+                st.base as usize + tlmm_addr(slot as Slot),
+                "slot {slot}"
+            );
+        }
+        drop(state);
+        assert_eq!(tally.counts(), (5, 5), "every view dropped once");
+    }
+
+    /// Every worker that reaches a reducer on the second SPA page holds a
+    /// two-page array while the pool lives, and the pool's teardown drops
+    /// every worker state — each with its array.
+    #[test]
+    #[cfg_attr(miri, ignore = "spawns OS worker threads")]
+    fn page_arrays_live_with_their_workers_and_go_with_the_pool() {
+        use crate::library::SumMonoid;
+        use crate::{Reducer, ReducerPool};
+        let pool = ReducerPool::new(4, Backend::Mmap);
+        let domain = Arc::clone(pool.domain());
+        let fillers: Vec<_> = (0..VIEWS_PER_MAP)
+            .map(|_| Reducer::new(&pool, SumMonoid::<u64>::new(), 0))
+            .collect();
+        let r = Reducer::new(&pool, SumMonoid::<u64>::new(), 0);
+        drop(fillers);
+        let widest = AtomicUsize::new(0);
+        pool.run(|| {
+            cilkm_runtime::parallel_for(0..10_000, 32, &|range| {
+                for _ in range {
+                    r.add(1);
+                }
+                widest.fetch_max(pages_here(), Ordering::Relaxed);
+            });
+        });
+        assert_eq!(r.into_inner(), 10_000);
+        assert_eq!(widest.load(Ordering::Relaxed), 2, "pages 0 and 1");
+        drop(pool);
+        assert_eq!(
+            Arc::strong_count(&domain),
+            1,
+            "no worker state outlives the pool"
+        );
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "spawns OS worker threads")]
+    fn leapfrogging_over_three_spa_pages_keeps_order_and_pages_bounded() {
+        // 600 non-commutative reducers fill three private SPA pages (248
+        // slots each); every leaf of a nested-join tree appends its index
+        // to one reducer on each page, so a waiting worker that leapfrogs
+        // sets aside and takes back views on all three. Serial order must
+        // survive, and on the mmap backend no worker's array may ever
+        // hold more than the three pages its contexts reach — read after
+        // every leaf and after every join, so after each attach and merge.
+        use crate::library::{ListMonoid, StringMonoid};
+        use crate::{Reducer, ReducerPool};
+        use cilkm_runtime::join;
+        const WORKERS: usize = 4;
+        const LEAVES: usize = 1 << 9;
+        fn touched(leaf: usize) -> [usize; 3] {
+            [leaf % 248, 248 + leaf * 5 % 248, 496 + leaf * 11 % 104]
+        }
+
+        let mut want_strings = vec![String::new(); 300];
+        let mut want_lists = vec![Vec::new(); 300];
+        for leaf in 0..LEAVES {
+            for r in touched(leaf) {
+                if r % 2 == 0 {
+                    want_strings[r / 2].push_str(&format!("{leaf},"));
+                } else {
+                    want_lists[r / 2].push(leaf as u32);
+                }
+            }
+        }
+
+        for backend in [Backend::Hypermap, Backend::Mmap] {
+            let pool = ReducerPool::new(WORKERS, backend);
+            // Slots alternate: even ones strings, odd ones lists.
+            let mut strings = Vec::new();
+            let mut lists = Vec::new();
+            for _ in 0..300 {
+                strings.push(Reducer::new(&pool, StringMonoid::new(), String::new()));
+                lists.push(Reducer::new(&pool, ListMonoid::<u32>::new(), Vec::new()));
+            }
+
+            struct Rs<'a> {
+                strings: &'a [Reducer<StringMonoid>],
+                lists: &'a [Reducer<ListMonoid<u32>>],
+                widest: AtomicUsize,
+            }
+            fn go(lo: usize, hi: usize, rs: &Rs<'_>) {
+                if hi - lo == 1 {
+                    for r in touched(lo) {
+                        if r % 2 == 0 {
+                            rs.strings[r / 2].append(&format!("{lo},"));
+                        } else {
+                            rs.lists[r / 2].push(lo as u32);
+                        }
+                    }
+                } else {
+                    let mid = lo + (hi - lo) / 2;
+                    join(|| go(lo, mid, rs), || go(mid, hi, rs));
+                }
+                rs.widest.fetch_max(pages_here(), Ordering::Relaxed);
+            }
+            let rs = Rs {
+                strings: &strings,
+                lists: &lists,
+                widest: AtomicUsize::new(0),
+            };
+            for _ in 0..4 {
+                pool.run(|| go(0, LEAVES, &rs));
+            }
+
+            for (k, r) in strings.iter().enumerate() {
+                assert_eq!(
+                    r.get_cloned(),
+                    want_strings[k].repeat(4),
+                    "{backend:?} s{k}"
+                );
+            }
+            for (k, r) in lists.iter().enumerate() {
+                assert_eq!(r.get_cloned(), want_lists[k].repeat(4), "{backend:?} l{k}");
+            }
+            let widest = rs.widest.load(Ordering::Relaxed);
+            match backend {
+                Backend::Hypermap => assert_eq!(widest, 0),
+                Backend::Mmap => assert_eq!(widest, 3, "pages in the widest array"),
+            }
+        }
     }
 }
 
@@ -885,10 +1083,12 @@ mod proptests {
         let monoid = Arc::new(SumMonoid::<u64>::new());
         let inst = Arc::new(MonoidInstance::new(&monoid));
         let hooks = MmapHooks::new(Arc::clone(&domain));
+        let addr = |&(page, idx): &(usize, usize)| tlmm_addr((page * VIEWS_PER_MAP + idx) as Slot);
+        let needed = views.keys().map(|&(page, _)| page + 1).max().unwrap_or(0);
 
         let mut state = hooks.make_worker_state(0);
-        for (&(page, idx), &v) in views {
-            let view = lookup(page, idx, &inst, &domain).expect("worker state");
+        for (key, &v) in views {
+            let view = lookup(addr(key), &inst, &domain).expect("worker state");
             // SAFETY: a live boxed u64 view owned by the current
             // context.
             unsafe { *(view as *mut u64) = v };
@@ -896,8 +1096,8 @@ mod proptests {
         let det = hooks.detach(state.as_mut());
         let st = state.downcast_ref::<MmapWorkerState>().unwrap();
         assert!(
-            (0..st.region.extent_pages()).all(|p| st.page_ref(p).is_empty()),
-            "detach must leave the private region provably empty"
+            (0..st.pages).all(|p| st.page_ref(p).is_empty()),
+            "detach must leave the private array provably empty"
         );
 
         if !same_state {
@@ -905,15 +1105,14 @@ mod proptests {
         }
         hooks.attach(state.as_mut(), det);
         let mut observed = BTreeMap::new();
-        for &(page, idx) in views.keys() {
-            let view = lookup(page, idx, &inst, &domain).expect("worker state");
+        for key in views.keys() {
+            let view = lookup(addr(key), &inst, &domain).expect("worker state");
             // SAFETY: as above; attach installed this slot's view.
-            observed.insert((page, idx), unsafe { *(view as *mut u64) });
+            observed.insert(*key, unsafe { *(view as *mut u64) });
         }
         let st = state.downcast_ref::<MmapWorkerState>().unwrap();
         assert_eq!(st.current_views, views.len(), "reading created no view");
-        drop(state);
-        assert_eq!(domain.arena.live_pages(), 0, "no leaked arena pages");
+        assert_eq!(st.pages, needed, "the array reaches the last view's page");
         observed
     }
 
@@ -945,9 +1144,9 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// Over random view sets, a detach/attach round trip delivers
-        /// exactly the model's values, leaves the private region empty
-        /// and leaks no arena page — back into the state it left, as
-        /// often as into a fresh one.
+        /// exactly the model's values, leaves the private array empty
+        /// and sizes the array to the views — back into the state it
+        /// left, as often as into a fresh one.
         #[test]
         fn transferal_roundtrip_is_exact_and_leak_free(
             views in view_set_strategy(),

@@ -22,9 +22,8 @@ use cilkm_checker as checker;
 use cilkm_checker::sync::atomic::{AtomicBool, Ordering};
 use cilkm_runtime::{DetachedViews, HyperHooks};
 
-use crate::domain::Backend;
-use crate::domain::DomainInner;
-use crate::mmap::{lookup, MmapHooks};
+use crate::domain::{Backend, DomainInner, Slot};
+use crate::mmap::{lookup, tlmm_addr, MmapHooks};
 use crate::monoid::{Monoid, MonoidInstance};
 
 /// String concatenation: associative, *not* commutative — the stress
@@ -41,19 +40,19 @@ impl Monoid for Concat {
     }
 }
 
-/// Appends `s` to the view of reducer slot (`page`, `idx`) in the
-/// calling thread's current context, creating the view on first touch
-/// exactly as a real reducer access would.
-fn append(page: usize, idx: usize, inst: &MonoidInstance, domain: &DomainInner, s: &str) {
-    let view = lookup(page, idx, inst, domain).expect("calling thread has no worker state");
+/// Appends `s` to the view of reducer `slot` in the calling thread's
+/// current context, creating the view on first touch exactly as a real
+/// reducer access would.
+fn append(slot: Slot, inst: &MonoidInstance, domain: &DomainInner, s: &str) {
+    let view = lookup(tlmm_addr(slot), inst, domain).expect("calling thread has no worker state");
     // SAFETY: `lookup` returned a live boxed `Concat::View` created by
     // this monoid instance, and this thread owns the current context.
     unsafe { (*(view as *mut String)).push_str(s) };
 }
 
-/// Reads the view of slot (`page`, `idx`) in the current context.
-fn read(page: usize, idx: usize, inst: &MonoidInstance, domain: &DomainInner) -> String {
-    let view = lookup(page, idx, inst, domain).expect("calling thread has no worker state");
+/// Reads the view of reducer `slot` in the current context.
+fn read(slot: Slot, inst: &MonoidInstance, domain: &DomainInner) -> String {
+    let view = lookup(tlmm_addr(slot), inst, domain).expect("calling thread has no worker state");
     // SAFETY: as in `append`.
     unsafe { (*(view as *mut String)).clone() }
 }
@@ -84,14 +83,14 @@ fn hypermerge_is_left_to_right_and_exact() {
             let _keep_alive = m2;
             let hooks = MmapHooks::new(Arc::clone(&d2));
             let mut state = hooks.make_worker_state(1);
-            append(0, 7, &i2, &d2, "R");
+            append(7, &i2, &d2, "R");
             let det = hooks.detach(state.as_mut());
             *dep2.lock() = Some(det);
         });
 
         let hooks = MmapHooks::new(Arc::clone(&domain));
         let mut state = hooks.make_worker_state(0);
-        append(0, 7, &inst, &domain, "L");
+        append(7, &inst, &domain, "L");
         let det = loop {
             if let Some(d) = deposit.lock().take() {
                 break d;
@@ -100,7 +99,7 @@ fn hypermerge_is_left_to_right_and_exact() {
         };
         hooks.merge_right(state.as_mut(), det);
         thief.join().unwrap();
-        assert_eq!(read(0, 7, &inst, &domain), "LR");
+        assert_eq!(read(7, &inst, &domain), "LR");
         // `state` drops here and drains the merged view.
     });
 }
@@ -127,8 +126,8 @@ fn transferal_delivers_each_view_exactly_once() {
             let _keep_alive = m2;
             let hooks = MmapHooks::new(Arc::clone(&d2));
             let mut state = hooks.make_worker_state(1);
-            append(0, 0, &i2, &d2, "A");
-            append(0, 9, &i2, &d2, "B");
+            append(0, &i2, &d2, "A");
+            append(9, &i2, &d2, "B");
             let det = hooks.detach(state.as_mut());
             *dep2.lock() = Some(det);
         });
@@ -145,8 +144,8 @@ fn transferal_delivers_each_view_exactly_once() {
         thief.join().unwrap();
         // Each view present exactly once: a dropped view would read "",
         // a double merge "AA"/"BB".
-        assert_eq!(read(0, 0, &inst, &domain), "A");
-        assert_eq!(read(0, 9, &inst, &domain), "B");
+        assert_eq!(read(0, &inst, &domain), "A");
+        assert_eq!(read(9, &inst, &domain), "B");
     });
 }
 
@@ -176,14 +175,14 @@ fn handover_through_a_relaxed_flag() {
         // pages, which are traced accesses the checker refuses while it
         // unwinds the failing schedule.
         let mut state = std::mem::ManuallyDrop::new(hooks.make_worker_state(1));
-        append(0, 7, &i2, &d2, "R");
+        append(7, &i2, &d2, "R");
         *s2.lock().unwrap() = Some(hooks.detach(state.as_mut()));
         r2.store(true, Ordering::Relaxed);
     });
 
     let hooks = MmapHooks::new(Arc::clone(&domain));
     let mut state = std::mem::ManuallyDrop::new(hooks.make_worker_state(0));
-    append(0, 7, &inst, &domain, "L");
+    append(7, &inst, &domain, "L");
     while !ready.load(Ordering::Relaxed) {
         checker::thread::yield_now();
     }

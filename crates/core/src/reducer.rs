@@ -26,11 +26,10 @@ struct ReducerInner<M: Monoid> {
     /// Keeps `instance.data` alive.
     monoid: Arc<M>,
     slot: Slot,
-    /// `slot` pre-split into (private SPA page, in-page index): the
-    /// paper's `tlmm_addr` is a concrete address, so no arithmetic
-    /// happens on the lookup fast path.
-    page: u32,
-    idx: u32,
+    /// The paper's `tlmm_addr`: `slot`'s byte offset in every worker's
+    /// page array, a concrete address, so no arithmetic happens on the
+    /// lookup fast path.
+    tlmm_addr: usize,
     domain: Arc<DomainInner>,
     /// Set once the leftmost entry has been extracted by `into_inner`.
     /// (Serial-access exclusion lives in the domain-owned slot cell —
@@ -87,8 +86,7 @@ impl<M: Monoid> Reducer<M> {
             instance: MonoidInstance::new(&monoid),
             monoid,
             slot,
-            page: slot / cilkm_spa::VIEWS_PER_MAP as u32,
-            idx: slot % cilkm_spa::VIEWS_PER_MAP as u32,
+            tlmm_addr: mmap::tlmm_addr(slot),
             domain: Arc::clone(domain),
             consumed: AtomicBool::new(false),
         });
@@ -121,12 +119,7 @@ impl<M: Monoid> Reducer<M> {
     pub fn update<R>(&self, f: impl FnOnce(&mut M::View) -> R) -> R {
         let inner = &*self.inner;
         let view = match inner.domain.backend {
-            Backend::Mmap => mmap::lookup(
-                inner.page as usize,
-                inner.idx as usize,
-                &inner.instance,
-                &inner.domain,
-            ),
+            Backend::Mmap => mmap::lookup(inner.tlmm_addr, &inner.instance, &inner.domain),
             Backend::Hypermap => hypermap::lookup(inner.slot, &inner.instance, &inner.domain),
         };
         match view {
@@ -186,7 +179,7 @@ impl<M: Monoid> Reducer<M> {
     fn fold_current(&self) {
         let inner = &*self.inner;
         let view = match inner.domain.backend {
-            Backend::Mmap => mmap::remove_current(inner.slot, &inner.domain),
+            Backend::Mmap => mmap::remove_current(inner.tlmm_addr, &inner.domain),
             Backend::Hypermap => {
                 hypermap::remove_current(inner.instance.as_erased() as u64, &inner.domain)
             }
@@ -248,7 +241,7 @@ impl<M: Monoid> Reducer<M> {
         let _borrow = inner.domain.serial_user(inner.slot);
         // Discard (not fold) the current context's view, per move_in.
         let ctx = match inner.domain.backend {
-            Backend::Mmap => mmap::remove_current(inner.slot, &inner.domain),
+            Backend::Mmap => mmap::remove_current(inner.tlmm_addr, &inner.domain),
             Backend::Hypermap => {
                 hypermap::remove_current(inner.instance.as_erased() as u64, &inner.domain)
             }
@@ -287,7 +280,7 @@ impl<M: Monoid> Drop for ReducerInner<M> {
             // any view the current (serial) context still holds, so the
             // slot can be recycled safely.
             let ctx_view = match self.domain.backend {
-                Backend::Mmap => mmap::remove_current(self.slot, &self.domain),
+                Backend::Mmap => mmap::remove_current(self.tlmm_addr, &self.domain),
                 Backend::Hypermap => {
                     hypermap::remove_current(self.instance.as_erased() as u64, &self.domain)
                 }

@@ -1,56 +1,40 @@
 //! White-box-ish tests of the backend machinery through the public API:
-//! TLMM page accounting (crossings, a bound on the pages a worker holds,
-//! reclamation at teardown), view integrity under leapfrogging (a
-//! `detach` before the foreign job and an `attach` after it), SPA log
-//! overflow in vivo, and `set`/`move_in` semantics.
+//! no TLMM crossings on either backend, view integrity under leapfrogging
+//! (a `detach` before the foreign job and an `attach` after it) and under
+//! page-array growth inside user code, the end of the slot space, SPA
+//! log overflow in vivo, and `set`/`move_in` semantics. (The page arrays
+//! themselves are checked inside the crate, in `mmap`'s tests.)
+
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use cilkm_core::library::{ListMonoid, StringMonoid, SumMonoid};
-use cilkm_core::{Backend, Reducer, ReducerPool};
+use cilkm_core::{Backend, Monoid, Reducer, ReducerPool};
 use cilkm_runtime::{join, parallel_for};
 
 #[test]
 #[cfg_attr(miri, ignore = "spawns OS worker threads")]
-fn mmap_backend_performs_pmaps_and_pallocs() {
-    let pool = ReducerPool::new(2, Backend::Mmap);
-    // Per-domain counters: the pool's own arena, so concurrent tests
-    // cannot bleed into the deltas.
-    let before = pool.domain().arena_handle().crossings().snapshot();
-    let r = Reducer::new(&pool, SumMonoid::<u64>::new(), 0);
-    pool.run(|| {
-        parallel_for(0..10_000, 64, &|range| {
-            for _ in range {
-                r.add(1);
-            }
+fn no_backend_touches_the_simulated_tlmm() {
+    // Neither reducer mechanism allocates, maps or frees a page of the
+    // simulated TLMM: the mmap backend keeps its SPA maps in a page
+    // array of its own, and the hypermap backend has none. The domain's
+    // arena counters (what the `tlmm.*` metrics read) stay exactly zero
+    // across a region with steals.
+    for backend in [Backend::Hypermap, Backend::Mmap] {
+        let pool = ReducerPool::new(2, backend);
+        let r = Reducer::new(&pool, SumMonoid::<u64>::new(), 0);
+        pool.run(|| {
+            parallel_for(0..10_000, 64, &|range| {
+                for _ in range {
+                    r.add(1);
+                }
+            });
         });
-    });
-    assert_eq!(r.into_inner(), 10_000);
-    let delta = pool
-        .domain()
-        .arena_handle()
-        .crossings()
-        .snapshot()
-        .since(&before);
-    assert!(delta.palloc_calls >= 1, "private pages must be allocated");
-    assert!(delta.pmap_calls >= 1, "pages must be mapped via sys_pmap");
-}
-
-#[test]
-#[cfg_attr(miri, ignore = "spawns OS worker threads")]
-fn hypermap_backend_touches_no_tlmm() {
-    // Serial region only: steals could not occur, but more importantly
-    // the hypermap backend must never use the TLMM substrate at all —
-    // its domain's arena counters must stay exactly zero.
-    let pool = ReducerPool::new(1, Backend::Hypermap);
-    let r = Reducer::new(&pool, SumMonoid::<u64>::new(), 0);
-    pool.run(|| {
-        for _ in 0..10_000 {
-            r.add(1);
-        }
-    });
-    assert_eq!(r.into_inner(), 10_000);
-    let delta = pool.domain().arena_handle().crossings().snapshot();
-    assert_eq!(delta.pmap_calls, 0);
-    assert_eq!(delta.palloc_calls, 0);
+        assert_eq!(r.into_inner(), 10_000);
+        let arena = pool.domain().arena_handle();
+        assert_eq!(arena.crossings().snapshot().total_crossings(), 0);
+        assert_eq!(arena.stats().peak_live_pages, 0, "{backend:?}");
+    }
 }
 
 #[test]
@@ -122,88 +106,6 @@ fn deep_leapfrogging_preserves_suspended_views() {
 
 #[test]
 #[cfg_attr(miri, ignore = "spawns OS worker threads")]
-fn leapfrogging_over_three_spa_pages_keeps_order_and_pages_bounded() {
-    // 600 non-commutative reducers fill three private SPA pages (248
-    // slots each); every leaf of a nested-join tree appends its index
-    // to one reducer on each page, so a waiting worker that leapfrogs
-    // sets aside and takes back views on all three. Serial order must
-    // survive, and on the mmap backend no worker may ever hold more
-    // than the three pages its region maps: pages never leave a worker.
-    const WORKERS: usize = 4;
-    const LEAVES: usize = 1 << 9;
-    fn touched(leaf: usize) -> [usize; 3] {
-        [leaf % 248, 248 + leaf * 5 % 248, 496 + leaf * 11 % 104]
-    }
-
-    let mut want_strings = vec![String::new(); 300];
-    let mut want_lists = vec![Vec::new(); 300];
-    for leaf in 0..LEAVES {
-        for r in touched(leaf) {
-            if r % 2 == 0 {
-                want_strings[r / 2].push_str(&format!("{leaf},"));
-            } else {
-                want_lists[r / 2].push(leaf as u32);
-            }
-        }
-    }
-
-    for backend in [Backend::Hypermap, Backend::Mmap] {
-        let pool = ReducerPool::new(WORKERS, backend);
-        let arena = std::sync::Arc::clone(pool.domain().arena_handle());
-        // Slots alternate: even ones strings, odd ones lists.
-        let mut strings = Vec::new();
-        let mut lists = Vec::new();
-        for _ in 0..300 {
-            strings.push(Reducer::new(&pool, StringMonoid::new(), String::new()));
-            lists.push(Reducer::new(&pool, ListMonoid::<u32>::new(), Vec::new()));
-        }
-
-        struct Rs<'a> {
-            strings: &'a [Reducer<StringMonoid>],
-            lists: &'a [Reducer<ListMonoid<u32>>],
-        }
-        fn go(lo: usize, hi: usize, rs: &Rs<'_>) {
-            if hi - lo == 1 {
-                for r in touched(lo) {
-                    if r % 2 == 0 {
-                        rs.strings[r / 2].append(&format!("{lo},"));
-                    } else {
-                        rs.lists[r / 2].push(lo as u32);
-                    }
-                }
-                return;
-            }
-            let mid = lo + (hi - lo) / 2;
-            join(|| go(lo, mid, rs), || go(mid, hi, rs));
-        }
-        let rs = Rs {
-            strings: &strings,
-            lists: &lists,
-        };
-        for _ in 0..4 {
-            pool.run(|| go(0, LEAVES, &rs));
-        }
-
-        for (k, r) in strings.iter().enumerate() {
-            assert_eq!(
-                r.get_cloned(),
-                want_strings[k].repeat(4),
-                "{backend:?} s{k}"
-            );
-        }
-        for (k, r) in lists.iter().enumerate() {
-            assert_eq!(r.get_cloned(), want_lists[k].repeat(4), "{backend:?} l{k}");
-        }
-        let peak = arena.stats().peak_live_pages;
-        match backend {
-            Backend::Hypermap => assert_eq!(peak, 0),
-            Backend::Mmap => assert!(peak <= WORKERS * 3, "{peak} pages at peak"),
-        }
-    }
-}
-
-#[test]
-#[cfg_attr(miri, ignore = "spawns OS worker threads")]
 fn set_replaces_and_discards() {
     for backend in [Backend::Hypermap, Backend::Mmap] {
         let pool = ReducerPool::new(2, backend);
@@ -248,25 +150,176 @@ fn set_mid_region_at_serial_point() {
     }
 }
 
+/// Views made and dropped.
+#[derive(Default)]
+struct Tally {
+    made: AtomicUsize,
+    dropped: AtomicUsize,
+}
+
+/// Leaf marks in serial order, counted in and out of existence.
+struct Marks {
+    marks: Vec<u32>,
+    tally: Arc<Tally>,
+}
+
+impl Marks {
+    fn new(tally: &Arc<Tally>) -> Marks {
+        tally.made.fetch_add(1, Ordering::SeqCst);
+        Marks {
+            marks: Vec::new(),
+            tally: Arc::clone(tally),
+        }
+    }
+}
+
+impl Drop for Marks {
+    fn drop(&mut self) {
+        self.tally.dropped.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// Concatenation of leaf marks whose `identity` and `reduce` each also
+/// add one to a counter reducer of their own. The counters sit on SPA
+/// pages past the marks reducer's, so the first `identity` a worker runs
+/// grows its page array inside the lookup miss that called it, and the
+/// first `reduce` inside the hypermerge that called it.
+struct Spilling {
+    tally: Arc<Tally>,
+    identities: Reducer<SumMonoid<u64>>,
+    reduces: Reducer<SumMonoid<u64>>,
+}
+
+impl Monoid for Spilling {
+    type View = Marks;
+    fn identity(&self) -> Marks {
+        self.identities.add(1);
+        Marks::new(&self.tally)
+    }
+    fn reduce(&self, left: &mut Marks, mut right: Marks) {
+        self.reduces.add(1);
+        left.marks.append(&mut right.marks);
+    }
+}
+
 #[test]
 #[cfg_attr(miri, ignore = "spawns OS worker threads")]
-fn arena_pages_are_reclaimed_when_pool_drops() {
-    let pool = ReducerPool::new(4, Backend::Mmap);
-    let arena = std::sync::Arc::clone(pool.domain().arena_handle());
-    let r = Reducer::new(&pool, SumMonoid::<u64>::new(), 0);
-    pool.run(|| {
-        parallel_for(0..10_000, 32, &|range| {
-            for _ in range {
-                r.add(1);
+fn growth_inside_identity_and_reduce_keeps_the_serial_result() {
+    // A forced-steal spine: every leaf waits until all K right sides
+    // have started, so each of them runs on the thief, in a fresh pool
+    // per run so every worker's first identity and first reduce grow
+    // its array.
+    const K: u32 = 4;
+    const PAGE: usize = 248;
+    fn spine(k: u32, started: &AtomicU32, marks: &Reducer<Spilling>) {
+        if k == 0 {
+            marks.update(|m| m.marks.push(0));
+            while started.load(Ordering::Acquire) < K {
+                std::thread::yield_now();
             }
-        });
-    });
-    assert_eq!(r.into_inner(), 10_000);
-    assert!(arena.live_pages() > 0, "workers hold private pages");
-    drop(pool);
-    assert_eq!(
-        arena.live_pages(),
-        0,
-        "all simulated physical pages freed at pool teardown"
-    );
+            return;
+        }
+        join(
+            || spine(k - 1, started, marks),
+            || {
+                started.fetch_add(1, Ordering::Release);
+                marks.update(|m| m.marks.push(k));
+            },
+        );
+    }
+
+    for backend in [Backend::Hypermap, Backend::Mmap] {
+        for run in 0..50 {
+            let pool = ReducerPool::new(2, backend);
+            // Counters at slots 2·248 (page 2) and 4·248 (page 4); the
+            // others go back last-first, so the marks take slot 0.
+            let mut sums: Vec<_> = (0..=4 * PAGE)
+                .map(|_| Reducer::new(&pool, SumMonoid::<u64>::new(), 0))
+                .collect();
+            let reduces = sums.pop().unwrap();
+            let identities = sums.remove(2 * PAGE);
+            sums.into_iter().rev().for_each(drop);
+            let tally = Arc::new(Tally::default());
+            let monoid = Spilling {
+                tally: Arc::clone(&tally),
+                identities,
+                reduces,
+            };
+            let marks = Reducer::new(&pool, monoid, Marks::new(&tally));
+            assert_eq!(marks.slot(), 0);
+
+            let started = AtomicU32::new(0);
+            pool.run(|| spine(K, &started, &marks));
+            assert_eq!(pool.stats().stolen_joins, u64::from(K));
+            // The region-end fold runs `reduce` on a worker, so its
+            // counter views stay in that worker's context until the pool
+            // goes: drop the pool before the reducers that own them.
+            drop(pool);
+            let identities = marks.monoid().identities.get_cloned();
+            let want: Vec<u32> = (0..=K).collect();
+            assert_eq!(marks.into_inner().marks, want, "{backend:?} run {run}");
+            let (made, dropped) = (
+                tally.made.load(Ordering::SeqCst),
+                tally.dropped.load(Ordering::SeqCst),
+            );
+            assert_eq!(identities as usize, made - 1, "every identity counted");
+            assert_eq!(
+                made, dropped,
+                "{backend:?} run {run}: each view dropped once"
+            );
+        }
+    }
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "spawns OS worker threads")]
+fn the_last_slot_folds_and_the_one_past_it_is_refused() {
+    // Slot 65 535 is element 63 of SPA page 264, the last page a page
+    // array can reach. Both workers update it inside one region (the
+    // left side waits until the thief has started the right one), and
+    // the fold keeps serial order. The 65 537th reducer is refused with
+    // the slot allocator's panic, the pool stays usable, and a dropped
+    // reducer's slot is the next one handed out.
+    const SLOTS: usize = 65_536;
+    for backend in [Backend::Hypermap, Backend::Mmap] {
+        let pool = ReducerPool::new(2, backend);
+        let mut fillers: Vec<_> = (0..SLOTS - 1)
+            .map(|_| Reducer::new(&pool, SumMonoid::<u64>::new(), 0))
+            .collect();
+        let last = Reducer::new(&pool, ListMonoid::<u32>::new(), Vec::new());
+        assert_eq!(last.slot() as usize, SLOTS - 1);
+        let both_workers = || {
+            let started = AtomicBool::new(false);
+            join(
+                || {
+                    while !started.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    last.push(1);
+                },
+                || {
+                    started.store(true, Ordering::Release);
+                    last.push(2);
+                },
+            );
+        };
+        pool.run(both_workers);
+        assert_eq!(last.get_cloned(), [1, 2], "{backend:?}");
+        assert_eq!(pool.stats().stolen_joins, 1);
+
+        let one_more = || Reducer::new(&pool, SumMonoid::<u64>::new(), 0);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(one_more))
+            .map(drop)
+            .expect_err("the 65 537th reducer must be refused");
+        let message = refused.downcast_ref::<String>().expect("a formatted panic");
+        assert!(message.contains("slot space exhausted"), "{message}");
+        pool.run(both_workers);
+        assert_eq!(last.get_cloned(), [1, 2, 1, 2], "{backend:?}");
+
+        let freed = fillers.swap_remove(1000).slot();
+        let recycled = Reducer::new(&pool, SumMonoid::<u64>::new(), 5);
+        assert_eq!(recycled.slot(), freed);
+        pool.run(|| recycled.add(1));
+        assert_eq!(recycled.into_inner(), 6, "{backend:?}");
+    }
 }

@@ -40,9 +40,11 @@
 //! Memory inside a mapped page is exposed as raw pointers: the same page
 //! may legitimately be mapped by several regions at once (that is the whole
 //! point of publishing page descriptors), so Rust references would be
-//! unsound to hand out wholesale. Callers (the `cilkm-core` memory-mapped
-//! reducer backend) are responsible for ensuring exclusive access through
-//! their own protocol, exactly as the Cilk-M runtime is.
+//! unsound to hand out wholesale. Callers (the probes and ablation
+//! programs that exercise the simulation; the `cilkm-core` reducer
+//! backends keep their SPA maps elsewhere) are responsible for ensuring
+//! exclusive access through their own protocol, exactly as the Cilk-M
+//! runtime is.
 
 #![deny(missing_docs)]
 

@@ -40,10 +40,10 @@ impl TlmmAddr {
 ///
 /// The region is a table from region page index to mapped page descriptor,
 /// plus a flat array of cached page base pointers that plays the role of
-/// the hardware TLB: resolving an address on the fast path is a single
-/// indexed load followed by pointer arithmetic, so the memory-mapped
-/// reducer lookup built on top of it is a short, branch-predictable
-/// straight-line sequence — the property the paper's Figure 1 measures.
+/// the hardware TLB: resolving an address is a single indexed load
+/// followed by pointer arithmetic. (The memory-mapped reducer backend
+/// keeps its SPA maps in a page array of its own and does not use a
+/// region; the simulation serves the probes and ablation programs.)
 ///
 /// Mutating the mapping goes through [`TlmmRegion::pmap`], the analogue of
 /// `sys_pmap`, which is charged as a simulated kernel crossing.
@@ -216,13 +216,6 @@ impl TlmmRegion {
             // stays in bounds (in-page offsets cannot overflow).
             unsafe { base.add(addr.offset()) }
         }
-    }
-
-    /// Raw slice of cached page base pointers (the simulated TLB), for
-    /// backends that want to embed translation in their own fast path.
-    #[inline]
-    pub fn bases(&self) -> &[*mut u8] {
-        &self.bases
     }
 
     /// Test/debug helper: reads a byte through the region mapping.
