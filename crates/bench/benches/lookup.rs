@@ -1,7 +1,9 @@
 //! Criterion microbenchmarks of the single-operation costs behind
 //! Figure 1: one reducer update per iteration under each mechanism, plus
-//! the L1 and locking baselines.
+//! the L1 and locking baselines, and the same update over working sets
+//! of 2 to 16 384 reducers against a plain vector.
 
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -31,7 +33,7 @@ fn reducer_lookup(c: &mut Criterion, name: &str, backend: Backend) {
 }
 
 /// Repeated access to one reducer: the pattern a typical reduction loop
-/// produces (the hypermap's single-entry cache hits on every access).
+/// produces, and the one a last-lookup cache would serve.
 fn repeated_lookup(c: &mut Criterion, name: &str, backend: Backend) {
     let pool = ReducerPool::new(1, backend);
     let reducer: Reducer<SumMonoid<u64>> = Reducer::new(&pool, SumMonoid::new(), 0);
@@ -48,9 +50,9 @@ fn repeated_lookup(c: &mut Criterion, name: &str, backend: Backend) {
     });
 }
 
-/// Strict alternation between two reducers: defeats the hypermap's
-/// single-entry cache on every access, so this measures its full probe
-/// path; the mmap lookup is the same two loads either way.
+/// Strict alternation between two reducers: the pattern a last-lookup
+/// cache would miss on every access; both lookups run the same path as
+/// in `repeated_lookup`.
 fn alternating_lookup(c: &mut Criterion, name: &str, backend: Backend) {
     let pool = ReducerPool::new(1, backend);
     let reducers: Vec<Reducer<SumMonoid<u64>>> = (0..2)
@@ -103,6 +105,47 @@ fn first_miss_lookup(c: &mut Criterion, name: &str, backend: Backend) {
     });
 }
 
+/// The lookup's working set: `n` reducers updated in turn on one worker,
+/// against `add-n`'s serial elision, the same loop over a `Vec<u64>`
+/// (one `black_box` load and store an update). A reducer brings its
+/// handle, its view pointer and its boxed view; the vector brings eight
+/// bytes. Each region first touches every reducer untimed, so the timed
+/// loop measures hits only (a region's end folds its views away).
+fn working_set(c: &mut Criterion, n: usize) {
+    assert!(n.is_power_of_two());
+    for (arm, backend) in [
+        ("memory-mapped", Backend::Mmap),
+        ("hypermap", Backend::Hypermap),
+    ] {
+        let pool = ReducerPool::new(1, backend);
+        let reducers: Vec<Reducer<SumMonoid<u64>>> = (0..n)
+            .map(|_| Reducer::new(&pool, SumMonoid::new(), 0))
+            .collect();
+        c.bench_function(&format!("lookup/working-set/{n}/{arm}"), |b| {
+            b.iter_custom(|iters| {
+                pool.run(|| {
+                    reducers.iter().for_each(|r| r.add(0));
+                    let t0 = Instant::now();
+                    for i in 0..iters as usize {
+                        reducers[i & (n - 1)].add(1);
+                    }
+                    t0.elapsed()
+                })
+            })
+        });
+    }
+    let mut plain = vec![0u64; n];
+    c.bench_function(&format!("lookup/working-set/{n}/vec"), |b| {
+        b.iter_custom(|iters| {
+            let t0 = Instant::now();
+            for i in 0..iters as usize {
+                *black_box(&mut plain[i & (n - 1)]) += 1;
+            }
+            t0.elapsed()
+        })
+    });
+}
+
 fn bench_lookups(c: &mut Criterion) {
     reducer_lookup(c, "lookup/memory-mapped", Backend::Mmap);
     reducer_lookup(c, "lookup/hypermap", Backend::Hypermap);
@@ -113,6 +156,9 @@ fn bench_lookups(c: &mut Criterion) {
     alternating_lookup(c, "lookup/alternating/hypermap", Backend::Hypermap);
     first_miss_lookup(c, "lookup/first-miss/memory-mapped", Backend::Mmap);
     first_miss_lookup(c, "lookup/first-miss/hypermap", Backend::Hypermap);
+    for n in [2, 64, 1024, 16384] {
+        working_set(c, n);
+    }
 
     c.bench_function("lookup/l1-baseline", |b| {
         let cells: Vec<std::cell::UnsafeCell<u64>> =

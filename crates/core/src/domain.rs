@@ -1,7 +1,7 @@
 //! The reducer *domain*: everything shared by all reducers of one pool —
-//! backend choice, the slot allocator (the `tlmm_addr` space of §6), the
-//! leftmost-view registry, and an arena of simulated physical pages that
-//! only the probes and ablation programs use.
+//! its key (backend and id), the slot allocator (the `tlmm_addr` space
+//! of §6), the leftmost-view registry, and an arena of simulated
+//! physical pages that only the probes and ablation programs use.
 
 use std::sync::Arc;
 
@@ -10,8 +10,9 @@ use cilkm_spa::ViewPair;
 use cilkm_tlmm::PageArena;
 
 use crate::instrument::{Instrument, InstrumentSnapshot, ReduceHistograms};
-use crate::lockfree::{SerialBorrow, SlotRegistry};
+use crate::lockfree::{SerialBorrow, SlotRegistry, MAX_SLOTS};
 use crate::monoid::MonoidInstance;
+use crate::msync::atomic::{AtomicU64, Ordering};
 
 /// Which reducer mechanism a pool runs.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -25,9 +26,48 @@ pub enum Backend {
 /// A reducer's identifier: its index in the shared slot space. For the
 /// memory-mapped backend it names the paper's `tlmm_addr` (slot `s` lives
 /// at byte `16·(s mod 248)` of private SPA page `s div 248` in every
-/// worker's page array); the hypermap backend uses the same id as its
-/// hash key, standing in for the reducer's address.
+/// worker's page array); the hypermap backend keeps it beside each view
+/// for the region-end fold.
 pub(crate) type Slot = u32;
+
+/// Bits 0–20 of a reducer key: the slot's `tlmm_addr`.
+///
+/// A reducer's key is the one word its handle carries besides the `Arc`,
+/// and all a lookup hit reads of the handle:
+///
+/// * bits 0–20, the slot's `tlmm_addr` (65 536 slots fill 265 SPA pages,
+///   1 085 440 bytes < 2^21);
+/// * bit 21, [`HYPERMAP_BIT`], set when the domain runs the hypermap;
+/// * bits 22–63, the domain's id, drawn once from a process-wide counter,
+///   so no two domains of one process share it.
+///
+/// A domain's own key is the same word with the address bits zero, and
+/// each worker's TLS descriptor carries its domain's. `key ^ tls.key` is
+/// therefore the reducer's `tlmm_addr` on a worker of its own pool and at
+/// least 2^21 on any other thread: one compare against the page array's
+/// length tests "a worker of this pool" and "inside the array" at once.
+pub(crate) const ADDR_BITS: u32 = 21;
+
+/// Bit 21 of a key: the domain runs [`Backend::Hypermap`].
+pub(crate) const HYPERMAP_BIT: u64 = 1 << ADDR_BITS;
+
+// The address bits hold every slot's `tlmm_addr`.
+const _: () = assert!(crate::mmap::tlmm_addr(MAX_SLOTS as Slot - 1) < 1 << ADDR_BITS);
+
+/// Where domain ids come from: each `DomainInner::new` takes the next.
+static NEXT_DOMAIN_ID: AtomicU64 = AtomicU64::new(1);
+
+/// True when `key`'s domain bits differ from `domain_key`'s: the reducer
+/// belongs to another pool than the worker that looks it up.
+#[inline]
+pub(crate) fn foreign(key: u64, domain_key: u64) -> bool {
+    (key ^ domain_key) >> ADDR_BITS != 0
+}
+
+/// The slot of the reducer with `key`.
+pub(crate) fn key_slot(key: u64) -> Slot {
+    crate::mmap::slot_at((key % (1 << ADDR_BITS)) as usize)
+}
 
 /// One reducer's leftmost storage: the view that holds the initial value
 /// and, after a region completes, the final value.
@@ -43,7 +83,9 @@ pub(crate) struct LeftmostEntry {
 /// The slot allocator and leftmost registry live in the
 /// [`SlotRegistry`]'s per-slot atomic cells; the domain holds no lock.
 pub struct DomainInner {
-    pub(crate) backend: Backend,
+    /// The backend bit and the domain id, address bits zero (see
+    /// [`ADDR_BITS`]).
+    pub(crate) key: u64,
     pub(crate) instrument: Instrument,
     registry: SlotRegistry,
     /// Simulated physical pages: the probes and ablation programs read
@@ -53,8 +95,13 @@ pub struct DomainInner {
 
 impl DomainInner {
     pub(crate) fn new(backend: Backend) -> DomainInner {
+        let id = NEXT_DOMAIN_ID.fetch_add(1, Ordering::Relaxed);
+        let backend_bit = match backend {
+            Backend::Hypermap => HYPERMAP_BIT,
+            Backend::Mmap => 0,
+        };
         DomainInner {
-            backend,
+            key: (id << (ADDR_BITS + 1)) | backend_bit,
             instrument: Instrument::new(),
             registry: SlotRegistry::new(),
             arena: Arc::new(PageArena::new()),
@@ -63,7 +110,16 @@ impl DomainInner {
 
     /// Which mechanism this domain runs.
     pub fn backend(&self) -> Backend {
-        self.backend
+        if self.key & HYPERMAP_BIT != 0 {
+            Backend::Hypermap
+        } else {
+            Backend::Mmap
+        }
+    }
+
+    /// The key of the reducer on `slot`.
+    pub(crate) fn reducer_key(&self, slot: Slot) -> u64 {
+        self.key | crate::mmap::tlmm_addr(slot) as u64
     }
 
     /// Instrumentation totals for the domain.
@@ -279,7 +335,7 @@ impl ReducerPool {
 
     /// Which backend this pool runs.
     pub fn backend(&self) -> Backend {
-        self.domain.backend
+        self.domain.backend()
     }
 
     /// The shared domain (for creating reducers and reading instruments).
@@ -383,7 +439,7 @@ mod tests {
 
     /// The hooks of `domain`'s backend.
     fn hooks_for(domain: &Arc<DomainInner>) -> Box<dyn HyperHooks> {
-        match domain.backend {
+        match domain.backend() {
             Backend::Hypermap => Box::new(crate::hypermap::HypermapHooks::new(Arc::clone(domain))),
             Backend::Mmap => Box::new(crate::mmap::MmapHooks::new(Arc::clone(domain))),
         }
@@ -396,9 +452,10 @@ mod tests {
         slot: Slot,
         inst: &crate::monoid::MonoidInstance,
     ) -> Option<*mut u8> {
-        match domain.backend {
-            Backend::Hypermap => crate::hypermap::lookup(slot, inst, domain),
-            Backend::Mmap => crate::mmap::lookup(crate::mmap::tlmm_addr(slot), inst, domain),
+        let key = domain.reducer_key(slot);
+        match domain.backend() {
+            Backend::Hypermap => crate::hypermap::lookup(key, inst),
+            Backend::Mmap => crate::mmap::lookup(key, inst),
         }
     }
 

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use cilkm_runtime::{DetachedViews, HyperHooks};
 use cilkm_spa::ViewPair;
 
-use crate::domain::{DomainInner, Slot};
+use crate::domain::{foreign, key_slot, DomainInner, Slot};
 use crate::instrument::Instrument;
 use crate::monoid::MonoidInstance;
 use cilkm_obs::profile::Burden;
@@ -35,22 +35,33 @@ pub struct HypermapWorkerState {
     domain: Arc<DomainInner>,
     current: Box<HyperMap>,
     lookups: Cell<u64>,
-    /// Single-entry cache of the last successful lookup, `(key, view)`.
-    /// Key 0 means empty (reducer keys are non-null heap addresses).
-    /// Every hook that changes which view the context owns clears it —
-    /// see [`HypermapWorkerState::forget_last`].
-    last: Cell<(u64, *mut u8)>,
 }
 
 // SAFETY: the state is owned by exactly one worker at a time and handed
 // between threads only while quiescent (it travels as
-// `Box<dyn Any + Send>`); the raw view pointer in the lookup cache is
-// never dereferenced off-worker, and the views it owns are `M::View:
-// Send` behind their type-erased pointers.
+// `Box<dyn Any + Send>`), and the views it owns are `M::View: Send`
+// behind their type-erased pointers.
 unsafe impl Send for HypermapWorkerState {}
 
+/// The thread-local fast-path descriptor: the current state and the key
+/// of the domain it serves, against which a lookup tests the reducer's.
+#[derive(Copy, Clone)]
+struct HypermapTls {
+    state: *mut HypermapWorkerState,
+    key: u64,
+}
+
+impl HypermapTls {
+    /// No worker state: key 0 lacks the hypermap bit every hypermap
+    /// reducer's key has, so every lookup takes the mismatch branch.
+    const NULL: HypermapTls = HypermapTls {
+        state: std::ptr::null_mut(),
+        key: 0,
+    };
+}
+
 thread_local! {
-    static HYPERMAP_TLS: Cell<*mut HypermapWorkerState> = const { Cell::new(std::ptr::null_mut()) };
+    static HYPERMAP_TLS: Cell<HypermapTls> = const { Cell::new(HypermapTls::NULL) };
 }
 
 /// Views drained out of a hypermap and owned by no context. Whatever is
@@ -77,13 +88,6 @@ impl HypermapWorkerState {
             self.domain.instrument.lookups.add(n);
         }
     }
-
-    /// Clears the last-lookup cache; required in every hook that changes
-    /// which view the current context owns (a stale hit would hand out a
-    /// view that has been transferred or folded away).
-    fn forget_last(&self) {
-        self.last.set((0, std::ptr::null_mut()));
-    }
 }
 
 impl Drop for HypermapWorkerState {
@@ -91,8 +95,8 @@ impl Drop for HypermapWorkerState {
         self.flush_lookups();
         // Another state may have been made current on this thread since.
         HYPERMAP_TLS.with(|c| {
-            if std::ptr::eq(c.get(), self) {
-                c.set(std::ptr::null_mut())
+            if std::ptr::eq(c.get().state, self) {
+                c.set(HypermapTls::NULL)
             }
         });
         // Any leftover views (a panicked region) are destroyed, not leaked.
@@ -100,11 +104,13 @@ impl Drop for HypermapWorkerState {
     }
 }
 
-/// The reducer lookup, hypermap style: hash the reducer id, walk the
-/// bucket chain, lazily creating an identity view on a miss.
+/// The reducer lookup, hypermap style, of the reducer with `key` and
+/// instance `inst`: test the key's domain bits against the worker's,
+/// hash the reducer's address, walk the bucket chain, lazily creating an
+/// identity view on a miss.
 ///
-/// Returns `None` when the calling thread is not a worker of `domain`'s
-/// pool (the caller then takes the serial leftmost path).
+/// Returns `None` when the calling thread is not a pool worker (the
+/// caller then takes the serial leftmost path).
 ///
 /// Deliberately `#[inline(never)]`: in Cilk Plus every reducer access is
 /// an opaque call into the runtime (`__cilkrts_hyper_lookup` through the
@@ -114,36 +120,33 @@ impl Drop for HypermapWorkerState {
 /// difference, which is part of what Figure 1 measures.
 // lint: hot-path
 #[inline(never)]
-pub(crate) fn lookup(slot: Slot, inst: &MonoidInstance, domain: &DomainInner) -> Option<*mut u8> {
-    let ptr = HYPERMAP_TLS.with(|c| c.get());
-    if ptr.is_null() {
-        return None;
-    }
-    // The hash key is the reducer's address (§3), as in Cilk Plus.
-    let key = inst.as_erased() as u64;
-    // SAFETY: the TLS pointer is installed by `install_tls` for the
-    // worker's lifetime and only this thread dereferences it; no `&mut`
-    // overlaps because lookups never reenter the scheduler.
-    unsafe {
-        let st = &*ptr;
+pub(crate) fn lookup(key: u64, inst: &MonoidInstance) -> Option<*mut u8> {
+    let tls = HYPERMAP_TLS.with(|c| c.get());
+    if foreign(key, tls.key) {
+        // No worker state here (the serial path), or another pool's.
         assert!(
-            std::ptr::eq(Arc::as_ptr(&st.domain), domain),
+            tls.state.is_null(),
             "reducer used on a worker of a different pool"
         );
+        return None;
+    }
+    let ptr = tls.state;
+    // The hash key is the reducer's address (§3), as in Cilk Plus.
+    let hkey = inst.as_erased() as u64;
+    // SAFETY: matching domain bits mean TLS holds the worker's live
+    // state, installed by `make_worker_state`, and only this thread
+    // dereferences it; no `&mut` overlaps because lookups never reenter
+    // the scheduler.
+    unsafe {
+        let st = &*ptr;
         if crate::instrument::ENABLED {
             st.lookups.set(st.lookups.get() + 1);
         }
-        // Same reducer as last time: skip the hash probe entirely.
-        let (last_key, last_view) = st.last.get();
-        if last_key == key {
-            return Some(last_view);
-        }
-        if let Some(pair) = st.current.get(key) {
-            st.last.set((key, pair.view));
+        if let Some(pair) = st.current.get(hkey) {
             return Some(pair.view);
         }
     }
-    lookup_miss(key, slot, inst, domain, ptr)
+    lookup_miss(hkey, key_slot(key), inst, ptr)
 }
 
 /// The outlined miss path: creates and inserts an identity view (at most
@@ -154,13 +157,14 @@ fn lookup_miss(
     key: u64,
     slot: Slot,
     inst: &MonoidInstance,
-    domain: &DomainInner,
     ptr: *mut HypermapWorkerState,
 ) -> Option<*mut u8> {
     // SAFETY: `ptr` is the caller's live TLS state; the borrow is
     // re-derived after the user `identity()` call rather than held
-    // across it, so no aliasing `&mut` can exist.
+    // across it, so no aliasing `&mut` can exist. `domain` points into
+    // the `Arc`'s allocation, not into the state, which keeps it alive.
     unsafe {
+        let domain = &*Arc::as_ptr(&(*ptr).domain);
         // Create an identity view (user code — no state borrow held).
         let t0 = Instrument::short_timer();
         let view = inst.identity();
@@ -186,26 +190,29 @@ fn lookup_miss(
             t1,
             Burden::ViewInsertion,
         );
-        (*ptr).last.set((key, view));
         Some(view)
     }
 }
 
-/// Removes (and returns) the current context's view for `slot`, if the
-/// calling thread is a worker of `domain`'s pool and holds one. Used by
-/// serial-point reads and reducer destruction.
-pub(crate) fn remove_current(key: u64, domain: &DomainInner) -> Option<*mut u8> {
-    let ptr = HYPERMAP_TLS.with(|c| c.get());
-    if ptr.is_null() {
+/// Removes (and returns) the current context's view of the reducer with
+/// `key` and instance `inst`, if the calling thread is a pool worker and
+/// holds one. Used by serial-point reads and reducer destruction.
+pub(crate) fn remove_current(key: u64, inst: &MonoidInstance) -> Option<*mut u8> {
+    let tls = HYPERMAP_TLS.with(|c| c.get());
+    if tls.state.is_null() {
         return None;
     }
+    assert!(
+        !foreign(key, tls.key),
+        "reducer used on a worker of a different pool"
+    );
     // SAFETY: as in `lookup` — thread-local state, no live borrows, and
     // no user code runs inside the block.
     unsafe {
-        let st = &mut *ptr;
-        assert!(std::ptr::eq(Arc::as_ptr(&st.domain), domain));
-        st.forget_last();
-        st.current.remove(key).map(|p| p.view)
+        (*tls.state)
+            .current
+            .remove(inst.as_erased() as u64)
+            .map(|p| p.view)
     }
 }
 
@@ -231,11 +238,15 @@ impl HyperHooks for HypermapHooks {
             domain: Arc::clone(&self.domain),
             current: Box::new(HyperMap::new()),
             lookups: Cell::new(0),
-            last: Cell::new((0, std::ptr::null_mut())),
         });
         // The Box's heap address is stable; publish it for the fast path.
         let raw = &*state as *const HypermapWorkerState as *mut HypermapWorkerState;
-        HYPERMAP_TLS.with(|c| c.set(raw));
+        HYPERMAP_TLS.with(|c| {
+            c.set(HypermapTls {
+                state: raw,
+                key: self.domain.key,
+            })
+        });
         state
     }
 
@@ -244,7 +255,6 @@ impl HyperHooks for HypermapHooks {
             .downcast_mut::<HypermapWorkerState>()
             .expect("hypermap state");
         st.flush_lookups();
-        st.forget_last();
         let t0 = Instrument::transferal_timer();
         // View transferal in the hypermap scheme: switch a few pointers —
         // the whole map is handed over, and the context gets a freshly
@@ -266,7 +276,6 @@ impl HyperHooks for HypermapHooks {
             .expect("hypermap state");
         let map = views.downcast::<HyperMap>().expect("hypermap views");
         debug_assert!(st.current.is_empty(), "attach over non-empty context");
-        st.forget_last();
         st.current = map;
     }
 
@@ -278,9 +287,6 @@ impl HyperHooks for HypermapHooks {
             .downcast_mut::<HypermapWorkerState>()
             .expect("hypermap state");
         let mut right = right.downcast::<HyperMap>().expect("hypermap views");
-        // SAFETY: `st` came from the exclusive `&mut dyn Any` above; the
-        // raw-pointer hop only shortens the borrow, per the comment.
-        unsafe { (*st).forget_last() };
         let t0 = Instrument::merge_timer();
         self.ins().merges.inc();
 
@@ -336,7 +342,6 @@ impl HyperHooks for HypermapHooks {
         // `reduce` code may itself perform lookups through the TLS path.
         unsafe {
             (*st).flush_lookups();
-            (*st).forget_last();
             let drained = (*st).current.drain();
             // SAFETY: each pair is a live boxed view of its slot's
             // monoid with the instance that created it, and the
@@ -352,7 +357,7 @@ impl HyperHooks for HypermapHooks {
         // unwind without ever reaching a detach/collect; flush the
         // calling worker's hot-path lookup count here so the domain
         // totals stay exact even when one side of a join panics.
-        let ptr = HYPERMAP_TLS.with(|c| c.get());
+        let ptr = HYPERMAP_TLS.with(|c| c.get()).state;
         if !ptr.is_null() {
             // SAFETY: the TLS pointer is the calling worker's live state;
             // `flush_lookups` takes `&self` and only touches the `Cell`
@@ -389,7 +394,7 @@ mod tests {
             // First touch creates the view; the probe needs no more.
             let touch = |n: usize| {
                 for (slot, inst) in insts.iter().enumerate().take(n) {
-                    lookup(slot as Slot, inst, &domain).expect("worker state");
+                    lookup(domain.reducer_key(slot as Slot), inst).expect("worker state");
                 }
             };
 

@@ -30,6 +30,8 @@ const CHUNK: usize = 256;
 /// Chunk directory size: `CHUNK * MAX_CHUNKS` = 65 536 slots, far above
 /// the "reasonable number of reducers" the paper's footnote 9 assumes.
 const MAX_CHUNKS: usize = 256;
+/// Slots a domain can hand out.
+pub(crate) const MAX_SLOTS: usize = CHUNK * MAX_CHUNKS;
 /// Free-list terminator in the `u32` slot-index space.
 const NONE: u32 = u32::MAX;
 
@@ -108,9 +110,8 @@ impl SlotRegistry {
         }
         let s = self.next_fresh.fetch_add(1, Ordering::Relaxed);
         assert!(
-            (s as usize) < CHUNK * MAX_CHUNKS,
-            "slot space exhausted ({} slots)",
-            CHUNK * MAX_CHUNKS
+            (s as usize) < MAX_SLOTS,
+            "slot space exhausted ({MAX_SLOTS} slots)"
         );
         self.ensure_chunk(s);
         s

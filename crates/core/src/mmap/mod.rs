@@ -11,12 +11,15 @@
 //!   views live on the shared heap, so hypermerges need no remapping and
 //!   no pointer swizzling, and the array itself needs only a trivial
 //!   fixed-size-slot allocator (the domain's slot allocator).
-//! * **Lookup (§6)** — one TLS load yields the array's base and length;
-//!   the view pointer at `base + tlmm_addr` is loaded and tested: two
-//!   memory accesses and a predictable branch. A miss (at most once per
-//!   reducer per steal) grows the array to the slot's page if needed,
-//!   which moves it, then lazily creates an identity view and inserts it:
-//!   one pointer-pair write plus a log append.
+//! * **Lookup (§6)** — one TLS load yields the array's base and length
+//!   and the key of the worker's pool; XORed with the reducer's key it
+//!   gives the `tlmm_addr` when the pools match and a value past any
+//!   array when they do not, so one compare tests both; the view pointer
+//!   at `base + tlmm_addr` is loaded and tested: two memory accesses and
+//!   a predictable branch. A miss (at most once per reducer per steal)
+//!   grows the array to the slot's page if needed, which moves it, then
+//!   lazily creates an identity view and inserts it: one pointer-pair
+//!   write plus a log append.
 //! * **View transferal by copying (§7)** — a terminating context copies
 //!   its private pairs into shared memory, zeroing the private entries as
 //!   it goes, so the worker returns to work-stealing with a provably
@@ -44,7 +47,7 @@ use cilkm_runtime::{DetachedViews, HyperHooks};
 use cilkm_spa::map::MAP_SIZE;
 use cilkm_spa::{InsertOutcome, SpaMapRef, ViewPair, VIEWS_PER_MAP};
 
-use crate::domain::{DomainInner, Slot};
+use crate::domain::{foreign, DomainInner, Slot};
 use crate::instrument::Instrument;
 use crate::monoid::MonoidInstance;
 use cilkm_obs::profile::Burden;
@@ -70,21 +73,24 @@ pub struct MmapWorkerState {
 unsafe impl Send for MmapWorkerState {}
 
 /// The thread-local fast-path descriptor: the current state's page array
-/// (`base`, `bytes` long) and the domain it serves — one TLS load where
-/// Cilk-M's MMU resolves a `tlmm_addr` against the thread's own mapping.
+/// (`base`, `bytes` long) and the key of the domain it serves — one TLS
+/// load where Cilk-M's MMU resolves a `tlmm_addr` against the thread's
+/// own mapping.
 #[derive(Copy, Clone)]
 struct MmapTls {
     base: *mut u8,
-    bytes: usize,
-    domain: *const DomainInner,
+    bytes: u64,
+    key: u64,
     state: *mut MmapWorkerState,
 }
 
 impl MmapTls {
+    /// No worker state: `bytes` 0 sends every lookup to the miss path,
+    /// which finds `state` null.
     const NULL: MmapTls = MmapTls {
         base: std::ptr::null_mut(),
         bytes: 0,
-        domain: std::ptr::null(),
+        key: 0,
         state: std::ptr::null_mut(),
     };
 }
@@ -96,7 +102,7 @@ thread_local! {
 /// The paper's `tlmm_addr` (§6) of `slot`: the byte offset of its view
 /// pair in every worker's page array — element `slot mod 248` of SPA map
 /// `slot div 248`.
-pub(crate) fn tlmm_addr(slot: Slot) -> usize {
+pub(crate) const fn tlmm_addr(slot: Slot) -> usize {
     let slot = slot as usize;
     slot / VIEWS_PER_MAP * MAP_SIZE + slot % VIEWS_PER_MAP * std::mem::size_of::<ViewPair>()
 }
@@ -107,6 +113,13 @@ fn split(tlmm_addr: usize) -> (usize, usize) {
         tlmm_addr / MAP_SIZE,
         tlmm_addr % MAP_SIZE / std::mem::size_of::<ViewPair>(),
     )
+}
+
+/// The slot whose `tlmm_addr` is `tlmm_addr` (the inverse of
+/// [`tlmm_addr`]).
+pub(crate) fn slot_at(tlmm_addr: usize) -> Slot {
+    let (page, idx) = split(tlmm_addr);
+    (page * VIEWS_PER_MAP + idx) as Slot
 }
 
 /// Layout of a page array of `pages` SPA maps.
@@ -232,7 +245,7 @@ impl MmapWorkerState {
             if std::ptr::eq(tls.state, self) {
                 c.set(MmapTls {
                     base: self.base,
-                    bytes: self.pages * MAP_SIZE,
+                    bytes: (self.pages * MAP_SIZE) as u64,
                     ..tls
                 });
             }
@@ -297,40 +310,30 @@ impl Drop for MmapWorkerState {
     }
 }
 
-/// The memory-mapped reducer lookup (§6): one TLS load, the domain
-/// check, `tlmm_addr` against the array's length, one load of the view
-/// pointer at `base + tlmm_addr` and its null test — the paper's two
-/// memory accesses and a predictable branch — with no counter traffic in
-/// plain release builds.
+/// The memory-mapped reducer lookup (§6) of the reducer with `key`: one
+/// TLS load; `key ^ tls.key`, which is the reducer's `tlmm_addr` on a
+/// worker of its own pool and at least 2^21 anywhere else, against the
+/// array's length, one compare for both tests; one load of the view
+/// pointer at `base + tlmm_addr` and its null test. That is the paper's
+/// two memory accesses and a predictable branch, reading nothing of the
+/// reducer but its key, with no counter traffic in plain release builds.
 ///
 /// Returns `None` when the calling thread is not a pool worker (the
 /// caller then takes the serial leftmost path).
 // lint: hot-path
 #[inline(always)]
-pub(crate) fn lookup(
-    tlmm_addr: usize,
-    inst: &MonoidInstance,
-    domain: &DomainInner,
-) -> Option<*mut u8> {
+pub(crate) fn lookup(key: u64, inst: &MonoidInstance) -> Option<*mut u8> {
     let tls = MMAP_TLS.with(|c| c.get());
-    if !std::ptr::eq(tls.domain, domain) {
-        // No worker state here (the serial path), or another pool's.
-        assert!(
-            tls.state.is_null(),
-            "reducer used on a worker of a different pool"
-        );
-        return None;
-    }
-    // SAFETY: TLS describes this worker's live state and its page array
-    // of `bytes` bytes (updated whenever the array moves); only
-    // shared reads happen on the fast path, and the pair at `tlmm_addr <
-    // bytes` lies inside one SPA map of the array.
-    unsafe {
-        if crate::instrument::ENABLED {
-            let st = &*tls.state;
-            st.lookups.set(st.lookups.get() + 1);
-        }
-        if tlmm_addr < tls.bytes {
+    let tlmm_addr = key ^ tls.key;
+    if tlmm_addr < tls.bytes {
+        let tlmm_addr = tlmm_addr as usize;
+        // SAFETY: a non-zero `bytes` means TLS describes this worker's
+        // live state and its page array of `bytes` bytes (updated
+        // whenever the array moves), and as no array reaches 2^21 bytes
+        // the key's domain bits are this worker's; only shared reads
+        // happen on the fast path, and the pair at `tlmm_addr < bytes`
+        // lies inside one SPA map of the array.
+        unsafe {
             // This read bypasses the SpaMapRef accessors, so record it
             // for the model checker / sanitizer explicitly (same
             // whole-map granularity). Plain builds keep the path
@@ -343,30 +346,48 @@ pub(crate) fn lookup(
             cilkm_san::shadow_read(map, "SpaMap");
             let view = (*(tls.base.add(tlmm_addr) as *const ViewPair)).view;
             if !view.is_null() {
+                if crate::instrument::ENABLED {
+                    let st = &*tls.state;
+                    st.lookups.set(st.lookups.get() + 1);
+                }
                 return Some(view);
             }
         }
     }
-    lookup_miss(tlmm_addr, inst, domain, tls.state)
+    lookup_miss(key, inst)
 }
 
-/// The outlined miss path: creates and inserts an identity view. Happens
-/// at most once per reducer per steal (§6), so it stays out of line to
-/// keep the hit path small enough to inline everywhere.
+/// The outlined cold path. It tells three cases apart: no worker state
+/// on this thread (`None`, the serial path), a worker of another pool
+/// (a panic), and the miss proper, which happens at most once per
+/// reducer per steal (§6): grow the array to the slot's page if it lies
+/// past the end, then create and insert an identity view. Out of line,
+/// so the hit path stays small enough to inline everywhere. It reads the
+/// TLS descriptor again: taken by value from the hit path, the 32-byte
+/// descriptor was copied to the stack on every hit.
 #[cold]
 #[inline(never)]
-fn lookup_miss(
-    tlmm_addr: usize,
-    inst: &MonoidInstance,
-    domain: &DomainInner,
-    ptr: *mut MmapWorkerState,
-) -> Option<*mut u8> {
-    let (page, idx) = split(tlmm_addr);
+fn lookup_miss(key: u64, inst: &MonoidInstance) -> Option<*mut u8> {
+    let tls = MMAP_TLS.with(|c| c.get());
+    let ptr = tls.state;
+    if ptr.is_null() {
+        return None;
+    }
+    assert!(
+        !foreign(key, tls.key),
+        "reducer used on a worker of a different pool"
+    );
+    let (page, idx) = split((key ^ tls.key) as usize);
     // SAFETY: `ptr` is the caller's live TLS state; `&mut`s are
     // re-derived around the user `identity()` call, never held across
     // it, and so is the map (a nested lookup inside it may grow the
-    // array and move it).
+    // array and move it). `domain` points into the `Arc`'s allocation,
+    // not into the state, and the state keeps it alive.
     unsafe {
+        if crate::instrument::ENABLED {
+            (*ptr).lookups.set((*ptr).lookups.get() + 1);
+        }
+        let domain = &*Arc::as_ptr(&(*ptr).domain);
         (*ptr).ensure_page(page);
 
         let t0 = Instrument::short_timer();
@@ -400,19 +421,22 @@ fn lookup_miss(
     }
 }
 
-/// Removes (and returns) the current context's view at `tlmm_addr`, if
-/// any.
-pub(crate) fn remove_current(tlmm_addr: usize, domain: &DomainInner) -> Option<*mut u8> {
+/// Removes (and returns) the current context's view of the reducer with
+/// `key`, if any.
+pub(crate) fn remove_current(key: u64) -> Option<*mut u8> {
     let tls = MMAP_TLS.with(|c| c.get());
     if tls.state.is_null() {
         return None;
     }
-    let (page, idx) = split(tlmm_addr);
+    assert!(
+        !foreign(key, tls.key),
+        "reducer used on a worker of a different pool"
+    );
+    let (page, idx) = split((key ^ tls.key) as usize);
     // SAFETY: thread-local state of the calling worker; no user code
     // runs inside the block, so the `&mut` cannot alias.
     unsafe {
         let st = &mut *tls.state;
-        assert!(std::ptr::eq(Arc::as_ptr(&st.domain), domain));
         if page >= st.pages {
             return None;
         }
@@ -455,7 +479,7 @@ impl HyperHooks for MmapHooks {
         MMAP_TLS.with(|c| {
             c.set(MmapTls {
                 state: &*state as *const MmapWorkerState as *mut MmapWorkerState,
-                domain: Arc::as_ptr(&self.domain),
+                key: self.domain.key,
                 ..MmapTls::NULL
             })
         });
@@ -615,7 +639,7 @@ mod tests {
 
     /// Pages in the calling worker's array, read through its TLS.
     fn pages_here() -> usize {
-        MMAP_TLS.with(|c| c.get().bytes) / MAP_SIZE
+        MMAP_TLS.with(|c| c.get().bytes) as usize / MAP_SIZE
     }
 
     /// The PR 3 "500 + 300" exactness scenario at the hook level: the
@@ -640,7 +664,7 @@ mod tests {
             let hooks = MmapHooks::new(Arc::clone(&d2));
             let mut state = hooks.make_worker_state(1);
             for _ in 0..300 {
-                lookup(tlmm_addr(3), &i2, &d2).expect("thief worker state");
+                lookup(d2.reducer_key(3), &i2).expect("thief worker state");
             }
             let det = hooks.detach(state.as_mut());
             tx.send(det).unwrap();
@@ -649,7 +673,7 @@ mod tests {
 
         let state = hooks.make_worker_state(0);
         for _ in 0..500 {
-            lookup(tlmm_addr(3), &inst, &domain).expect("owner worker state");
+            lookup(domain.reducer_key(3), &inst).expect("owner worker state");
         }
         let det = rx.recv().unwrap();
         assert!(thief.join().is_err(), "the thief must have panicked");
@@ -690,7 +714,7 @@ mod tests {
     /// The view of `slot` in the calling thread's current context,
     /// created on first touch exactly as a reducer access would.
     fn view(slot: usize, inst: &MonoidInstance, domain: &DomainInner) -> &'static mut Tracked {
-        let view = lookup(tlmm_addr(slot as Slot), inst, domain)
+        let view = lookup(domain.reducer_key(slot as Slot), inst)
             .expect("calling thread has no worker state");
         // SAFETY: `lookup` returned a live boxed `Tracked` that this
         // thread's current context owns; the borrow ends before the
@@ -1083,12 +1107,14 @@ mod proptests {
         let monoid = Arc::new(SumMonoid::<u64>::new());
         let inst = Arc::new(MonoidInstance::new(&monoid));
         let hooks = MmapHooks::new(Arc::clone(&domain));
-        let addr = |&(page, idx): &(usize, usize)| tlmm_addr((page * VIEWS_PER_MAP + idx) as Slot);
+        let reducer_key = |&(page, idx): &(usize, usize)| {
+            domain.reducer_key((page * VIEWS_PER_MAP + idx) as Slot)
+        };
         let needed = views.keys().map(|&(page, _)| page + 1).max().unwrap_or(0);
 
         let mut state = hooks.make_worker_state(0);
         for (key, &v) in views {
-            let view = lookup(addr(key), &inst, &domain).expect("worker state");
+            let view = lookup(reducer_key(key), &inst).expect("worker state");
             // SAFETY: a live boxed u64 view owned by the current
             // context.
             unsafe { *(view as *mut u64) = v };
@@ -1106,7 +1132,7 @@ mod proptests {
         hooks.attach(state.as_mut(), det);
         let mut observed = BTreeMap::new();
         for key in views.keys() {
-            let view = lookup(addr(key), &inst, &domain).expect("worker state");
+            let view = lookup(reducer_key(key), &inst).expect("worker state");
             // SAFETY: as above; attach installed this slot's view.
             observed.insert(*key, unsafe { *(view as *mut u64) });
         }

@@ -23,7 +23,7 @@ use cilkm_checker::sync::atomic::{AtomicBool, Ordering};
 use cilkm_runtime::{DetachedViews, HyperHooks};
 
 use crate::domain::{Backend, DomainInner, Slot};
-use crate::mmap::{lookup, tlmm_addr, MmapHooks};
+use crate::mmap::{lookup, MmapHooks};
 use crate::monoid::{Monoid, MonoidInstance};
 
 /// String concatenation: associative, *not* commutative — the stress
@@ -44,7 +44,7 @@ impl Monoid for Concat {
 /// current context, creating the view on first touch exactly as a real
 /// reducer access would.
 fn append(slot: Slot, inst: &MonoidInstance, domain: &DomainInner, s: &str) {
-    let view = lookup(tlmm_addr(slot), inst, domain).expect("calling thread has no worker state");
+    let view = lookup(domain.reducer_key(slot), inst).expect("calling thread has no worker state");
     // SAFETY: `lookup` returned a live boxed `Concat::View` created by
     // this monoid instance, and this thread owns the current context.
     unsafe { (*(view as *mut String)).push_str(s) };
@@ -52,7 +52,7 @@ fn append(slot: Slot, inst: &MonoidInstance, domain: &DomainInner, s: &str) {
 
 /// Reads the view of reducer `slot` in the current context.
 fn read(slot: Slot, inst: &MonoidInstance, domain: &DomainInner) -> String {
-    let view = lookup(tlmm_addr(slot), inst, domain).expect("calling thread has no worker state");
+    let view = lookup(domain.reducer_key(slot), inst).expect("calling thread has no worker state");
     // SAFETY: as in `append`.
     unsafe { (*(view as *mut String)).clone() }
 }

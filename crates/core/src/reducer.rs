@@ -3,8 +3,17 @@
 //! A [`Reducer`] corresponds to a Cilk Plus `cilk::reducer` object: it
 //! owns the monoid, the *leftmost view* (which carries the initial value
 //! and, after a region, the final value), and its slot in the domain's
-//! shared id space — the `tlmm_addr` the memory-mapped backend
-//! dereferences and the key the hypermap backend hashes.
+//! shared id space.
+//!
+//! The handle itself is the paper's reducer object: 16 bytes, a pointer
+//! to the heap block that owns all of the above and a key that packs the
+//! slot's `tlmm_addr` with the pool's backend and id (see
+//! `domain::ADDR_BITS`). A lookup hit reads the key and nothing behind
+//! the pointer: the memory-mapped backend tests the key against the
+//! worker's TLS descriptor and indexes its page array with it; the
+//! hypermap backend takes its pool test from the key and hashes the
+//! monoid instance's address, which is computed from the pointer, not
+//! loaded through it.
 //!
 //! Accesses go through [`Reducer::update`] (or the typed wrappers in
 //! [`crate::library`]): on a pool worker this resolves the current
@@ -16,20 +25,17 @@ use std::sync::Arc;
 
 use crate::msync::atomic::{AtomicBool, Ordering};
 
-use crate::domain::{Backend, DomainInner, ReducerPool, Slot};
+use crate::domain::{DomainInner, ReducerPool, Slot, HYPERMAP_BIT};
 use crate::monoid::{Monoid, MonoidInstance};
 use crate::{hypermap, mmap};
 
 struct ReducerInner<M: Monoid> {
-    /// Type-erased ops; views in the runtime's maps point at this.
+    /// Type-erased ops; views in the runtime's maps point at this, and
+    /// the hypermap backend hashes its address.
     instance: MonoidInstance,
     /// Keeps `instance.data` alive.
     monoid: Arc<M>,
     slot: Slot,
-    /// The paper's `tlmm_addr`: `slot`'s byte offset in every worker's
-    /// page array, a concrete address, so no arithmetic happens on the
-    /// lookup fast path.
-    tlmm_addr: usize,
     domain: Arc<DomainInner>,
     /// Set once the leftmost entry has been extracted by `into_inner`.
     /// (Serial-access exclusion lives in the domain-owned slot cell —
@@ -59,9 +65,19 @@ unsafe impl<M: Monoid> Sync for ReducerInner<M> {}
 /// parallel branch is concurrently updating it — i.e. they are legal in
 /// the serial spine of the computation, such as between the layers of
 /// PBFS. Violations are detected where cheap (overlapping serial access
-/// panics) but cannot all be diagnosed.
+/// panics, and so does an update on a worker of another pool) but cannot
+/// all be diagnosed.
+///
+/// # Layout
+///
+/// The handle is 16 bytes: the pointer to its shared state, and the key
+/// a lookup reads in its place — the slot's `tlmm_addr`, the backend and
+/// the pool's id in one word. A memory-mapped hit reads the key, the
+/// worker's TLS descriptor and one view pointer in its page array, and
+/// nothing behind the handle's pointer.
 pub struct Reducer<M: Monoid> {
     inner: Arc<ReducerInner<M>>,
+    key: u64,
 }
 
 #[cfg(debug_assertions)]
@@ -86,13 +102,15 @@ impl<M: Monoid> Reducer<M> {
             instance: MonoidInstance::new(&monoid),
             monoid,
             slot,
-            tlmm_addr: mmap::tlmm_addr(slot),
             domain: Arc::clone(domain),
             consumed: AtomicBool::new(false),
         });
         let leftmost = Box::into_raw(Box::new(initial)) as *mut u8;
         domain.register_leftmost(slot, leftmost, inner.instance.as_erased());
-        Reducer { inner }
+        Reducer {
+            inner,
+            key: domain.reducer_key(slot),
+        }
     }
 
     /// The reducer's slot id (its `tlmm_addr` analogue) — diagnostics.
@@ -117,10 +135,12 @@ impl<M: Monoid> Reducer<M> {
     /// builds); accessing other reducers is fine.
     #[inline]
     pub fn update<R>(&self, f: impl FnOnce(&mut M::View) -> R) -> R {
-        let inner = &*self.inner;
-        let view = match inner.domain.backend {
-            Backend::Mmap => mmap::lookup(inner.tlmm_addr, &inner.instance, &inner.domain),
-            Backend::Hypermap => hypermap::lookup(inner.slot, &inner.instance, &inner.domain),
+        // The instance's address, not a load through the pointer.
+        let inst = &self.inner.instance;
+        let view = if self.key & HYPERMAP_BIT == 0 {
+            mmap::lookup(self.key, inst)
+        } else {
+            hypermap::lookup(self.key, inst)
         };
         match view {
             // SAFETY: the backend returned this context's live view for
@@ -173,18 +193,21 @@ impl<M: Monoid> Reducer<M> {
         unsafe { Self::apply(entry.view, f) }
     }
 
+    /// Removes (and returns) the current worker context's view, if any.
+    fn remove_current(&self) -> Option<*mut u8> {
+        if self.key & HYPERMAP_BIT == 0 {
+            mmap::remove_current(self.key)
+        } else {
+            hypermap::remove_current(self.key, &self.inner.instance)
+        }
+    }
+
     /// Folds the *current worker context's* view (if any) into leftmost
     /// storage. Sound only at a serial point for this reducer; the caller
     /// must hold the reducer's serial borrow.
     fn fold_current(&self) {
-        let inner = &*self.inner;
-        let view = match inner.domain.backend {
-            Backend::Mmap => mmap::remove_current(inner.tlmm_addr, &inner.domain),
-            Backend::Hypermap => {
-                hypermap::remove_current(inner.instance.as_erased() as u64, &inner.domain)
-            }
-        };
-        if let Some(v) = view {
+        if let Some(v) = self.remove_current() {
+            let inner = &*self.inner;
             // SAFETY: `v` was removed from the current context (sole
             // owner now), and the caller holds the serial borrow as the
             // function contract requires.
@@ -240,13 +263,7 @@ impl<M: Monoid> Reducer<M> {
         let inner = &*self.inner;
         let _borrow = inner.domain.serial_user(inner.slot);
         // Discard (not fold) the current context's view, per move_in.
-        let ctx = match inner.domain.backend {
-            Backend::Mmap => mmap::remove_current(inner.tlmm_addr, &inner.domain),
-            Backend::Hypermap => {
-                hypermap::remove_current(inner.instance.as_erased() as u64, &inner.domain)
-            }
-        };
-        if let Some(v) = ctx {
+        if let Some(v) = self.remove_current() {
             // SAFETY: removal made us the sole owner of this boxed view.
             unsafe { drop(Box::from_raw(v as *mut M::View)) };
         }
@@ -273,46 +290,128 @@ impl<M: Monoid> Reducer<M> {
     }
 }
 
-impl<M: Monoid> Drop for ReducerInner<M> {
+impl<M: Monoid> Drop for Reducer<M> {
     fn drop(&mut self) {
-        if !*self.consumed.get_mut() {
+        let inner = &*self.inner;
+        if !inner.consumed.load(Ordering::Acquire) {
             // Destroy the leftmost view if still registered; also remove
             // any view the current (serial) context still holds, so the
             // slot can be recycled safely.
-            let ctx_view = match self.domain.backend {
-                Backend::Mmap => mmap::remove_current(self.tlmm_addr, &self.domain),
-                Backend::Hypermap => {
-                    hypermap::remove_current(self.instance.as_erased() as u64, &self.domain)
-                }
-            };
-            if let Some(v) = ctx_view {
+            if let Some(v) = self.remove_current() {
                 // SAFETY: removal made us the sole owner of the view.
                 unsafe { drop(Box::from_raw(v as *mut M::View)) };
             }
             {
-                let _borrow = self.domain.serial_user(self.slot);
-                if let Some(view) = self.domain.unregister_leftmost(self.slot) {
+                let _borrow = inner.domain.serial_user(inner.slot);
+                if let Some(view) = inner.domain.unregister_leftmost(inner.slot) {
                     // SAFETY: unregistering returned the sole pointer to
                     // the boxed leftmost view.
                     unsafe { drop(Box::from_raw(view as *mut M::View)) };
                 }
             }
         }
-        self.domain.free_slot(self.slot);
+        inner.domain.free_slot(inner.slot);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::domain::Backend;
     use crate::library::SumMonoid;
     use cilkm_runtime::{join, parallel_for};
+
+    const _: () = assert!(std::mem::size_of::<Reducer<SumMonoid<u64>>>() == 16);
 
     fn both_backends() -> Vec<ReducerPool> {
         vec![
             ReducerPool::new(2, Backend::Hypermap),
             ReducerPool::new(2, Backend::Mmap),
         ]
+    }
+
+    /// A reducer of pool A updated inside pool B's region is refused with
+    /// a panic that reaches the caller of B's `run`; afterwards both
+    /// pools and the reducer work as before.
+    #[test]
+    fn a_reducer_updated_on_a_worker_of_another_pool_is_refused() {
+        for backend in [Backend::Hypermap, Backend::Mmap] {
+            let a = ReducerPool::new(2, backend);
+            let b = ReducerPool::new(2, backend);
+            let ra = Reducer::new(&a, SumMonoid::<u64>::new(), 0);
+            let rb = Reducer::new(&b, SumMonoid::<u64>::new(), 0);
+            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                b.run(|| {
+                    rb.add(1);
+                    ra.add(1);
+                })
+            }))
+            .expect_err("a foreign reducer's update must panic");
+            let msg = refused
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| refused.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or_default();
+            assert!(
+                msg.contains("reducer used on a worker of a different pool"),
+                "{backend:?}: {msg:?}"
+            );
+            for (pool, r) in [(&a, &ra), (&b, &rb)] {
+                pool.run(|| {
+                    parallel_for(0..1000, 16, &|range| {
+                        for _ in range {
+                            r.add(1);
+                        }
+                    });
+                });
+            }
+            assert_eq!(ra.into_inner(), 1000, "{backend:?}");
+            assert_eq!(rb.into_inner(), 1001, "{backend:?}");
+        }
+    }
+
+    /// Pools made and dropped one after another get distinct keys: the
+    /// id comes from a counter, not from the domain's address, which the
+    /// allocator may hand to the next pool.
+    #[test]
+    fn pools_made_and_dropped_in_turn_get_distinct_keys() {
+        let mut keys = std::collections::HashSet::new();
+        for i in 0..1000 {
+            let backend = [Backend::Hypermap, Backend::Mmap][i % 2];
+            let pool = ReducerPool::new(1, backend);
+            assert!(keys.insert(pool.domain().key), "pool {i}");
+        }
+    }
+
+    /// Two live pools with a reducer on slot 0 each, run at once from two
+    /// threads: each reducer sees only its own pool's updates.
+    #[test]
+    fn reducers_on_the_same_slot_of_two_pools_keep_their_own_views() {
+        for backend in [Backend::Hypermap, Backend::Mmap] {
+            let pools = [ReducerPool::new(2, backend), ReducerPool::new(2, backend)];
+            let rs: Vec<_> = pools
+                .iter()
+                .map(|p| Reducer::new(p, SumMonoid::<u64>::new(), 0))
+                .collect();
+            assert_eq!((rs[0].slot(), rs[1].slot()), (0, 0));
+            std::thread::scope(|s| {
+                for (k, (pool, r)) in pools.iter().zip(&rs).enumerate() {
+                    s.spawn(move || {
+                        for _ in 0..20 {
+                            pool.run(|| {
+                                parallel_for(0..1000, 8, &|range| {
+                                    for _ in range {
+                                        r.add(k as u64 + 1);
+                                    }
+                                });
+                            });
+                        }
+                    });
+                }
+            });
+            let totals: Vec<u64> = rs.into_iter().map(Reducer::into_inner).collect();
+            assert_eq!(totals, [20_000, 40_000], "{backend:?}");
+        }
     }
 
     #[test]

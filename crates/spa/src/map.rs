@@ -17,12 +17,15 @@
 //! array, whose cost is amortized against the many insertions that caused
 //! the overflow.
 //!
-//! The same layout is used in two places:
+//! The layout is used in two places:
 //!
-//! * **private SPA maps** living inside TLMM pages (one worker's current
-//!   views, reachable by virtual-address translation), and
-//! * **public SPA maps** in shared heap memory (view transferal targets,
-//!   §7), represented here by the owning [`SpaMapBox`].
+//! * **private SPA maps**, one worker's current views: the pages of its
+//!   heap page array, where a reducer's `tlmm_addr` is a byte offset (the
+//!   array stands in for the worker's TLMM region); and
+//! * [`SpaMapBox`], a map on a heap page of its own, used only by
+//!   `benchmark/`, `crates/bench` and this crate's tests. View transferal
+//!   does not go through it: a detach copies the private pairs into one
+//!   flat list of `(slot, pair)`.
 //!
 //! Because private maps live in raw page memory, the accessor type
 //! [`SpaMapRef`] operates over a raw pointer; all its methods are safe to
@@ -93,7 +96,8 @@ pub enum InsertOutcome {
 }
 
 /// An unsafe-to-construct, safe-to-use accessor over a SPA map in raw
-/// memory (a TLMM page or a [`SpaMapBox`] allocation).
+/// memory (a page of a worker's page array or a [`SpaMapBox`]
+/// allocation).
 #[derive(Copy, Clone)]
 pub struct SpaMapRef {
     ptr: *mut SpaMapLayout,
@@ -333,9 +337,9 @@ impl SpaMapRef {
 
     /// Sequences through the valid elements, zeroing each as it goes, and
     /// resets the counts: the map is empty afterwards. This is the
-    /// primitive behind both **view transferal** (private → public copy
-    /// that simultaneously zeros the private map, §7) and the hypermerge
-    /// sweep over the smaller view set.
+    /// primitive behind **view transferal** (§7: the copy out of a
+    /// private map that zeroes it as it goes) and the region-end
+    /// collection of the root context's views.
     pub fn drain(&self, mut f: impl FnMut(usize, ViewPair)) {
         if self.nvalid_raw() != 0 {
             if self.nlog_raw() == LOG_OVERFLOWED {
