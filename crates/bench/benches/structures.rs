@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks of the individual data structures the
 //! runtime is built from: the Chase–Lev deque, the SPA map, the hypermap
-//! hash table, and the pennant bag. These are the per-operation costs
-//! that compose into the paper's figures.
+//! hash table, and PBFS's bag of blocks. These are the per-operation
+//! costs that compose into the paper's figures.
 
 use std::time::{Duration, Instant};
 
@@ -118,8 +118,8 @@ fn bench_bag(c: &mut Criterion) {
         });
     });
 
-    // 1024 is eight whole blocks a side, so that row prices the backbone
-    // add alone; 1000 leaves two hoppers of 104, whose merge fills a block.
+    // 1024 is eight whole blocks a side and no tail; 1000 leaves a tail of
+    // 104 a side, and the left one is sealed as a block between the two.
     for side in [1024u32, 1000] {
         c.bench_function(&format!("bag/union-{side}+{side}"), |b| {
             b.iter_custom(|iters| {

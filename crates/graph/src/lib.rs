@@ -11,8 +11,9 @@
 //! * [`Graph`] — a compressed-sparse-row graph;
 //! * [`gen`] — synthetic generators standing in for the paper's eight
 //!   input matrices (see `DESIGN.md` for the substitution argument);
-//! * [`Bag`] / [`BagMonoid`] — the blocked pennant-forest bag with O(1) insert
-//!   and O(log n) union, plus parallel traversal;
+//! * [`Bag`] / [`BagMonoid`] — the bag: an ordered list of 128-element
+//!   blocks with O(1) insert, union by concatenation, and a parallel walk
+//!   that hands each worker a contiguous run of the fill order;
 //! * [`bfs_serial`] — the serial BFS baseline;
 //! * [`pbfs()`](pbfs::pbfs) — layer-synchronous PBFS over bag reducers, runnable on
 //!   either reducer backend.
@@ -25,7 +26,7 @@ pub mod csr;
 pub mod gen;
 pub mod pbfs;
 
-pub use bag::{check_bag_invariant, Bag, BagMonoid, Pennant, BLOCK};
+pub use bag::{check_bag_invariant, Bag, BagMonoid, BLOCK};
 pub use bfs::bfs_serial;
 pub use csr::Graph;
 pub use pbfs::{pbfs, pbfs_profiled, PbfsReport};

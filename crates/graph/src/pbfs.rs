@@ -4,7 +4,7 @@
 //!
 //! The algorithm explores the graph layer by layer, alternating between
 //! two bag structures: as it traverses the vertices of the current layer
-//! (in parallel, by walking the bag's pennants fork-join style), it
+//! (in parallel, by halving the bag's list of blocks fork-join style), it
 //! inserts newly discovered vertices into the *next-layer bag, declared
 //! as a reducer*, so logically parallel branches insert without
 //! determinacy races.
@@ -12,16 +12,18 @@
 //! Two implementation details mirror the original and matter to the
 //! evaluation:
 //!
-//! * **Block-sized insertion** — discovered vertices are buffered per
-//!   grain of traversal work in a vector of capacity [`BLOCK`], the size
-//!   of a bag node. A buffer that fills is handed to [`Bag::append`]
-//!   whole and becomes a pennant node without being copied; the partial
-//!   buffer left at grain end goes to the hopper. Because the flush size
-//!   *is* the node size there is one constant, not two, and the number of
-//!   reducer *lookups* is proportional to the number of blocks, not |V|
-//!   (which is why Figure 10(b)'s lookup counts are thousands, not
-//!   millions). The walk of the current layer hands out whole nodes, so
-//!   a `grain` below [`BLOCK`] means one node per grain.
+//! * **Block-sized insertion** — each grain of traversal work buffers
+//!   the vertices it discovers in a vector of capacity [`BLOCK`], the
+//!   size of a bag block, and hands it to [`Bag::append`] on the view of
+//!   the worker running the grain: when it fills, and once more at grain
+//!   end. A full buffer given to an empty tail becomes a block without
+//!   being copied; otherwise it tops up the view's tail and the rest of
+//!   it becomes the new tail. Because the flush size *is* the block size
+//!   there is one constant, not two, and the number of reducer *lookups*
+//!   is proportional to the number of blocks, not |V| (which is why
+//!   Figure 10(b)'s lookup counts are thousands, not millions). The walk
+//!   of the current layer hands out whole blocks, so a `grain` below
+//!   [`BLOCK`] means one block per grain.
 //! * **Atomic discovery** — each vertex's distance is claimed with a
 //!   compare-and-swap, tried only after a relaxed load has seen the
 //!   vertex unreached. (The original exploits a benign race instead;
@@ -33,17 +35,21 @@
 //!   decides every claim. Most arcs of a layer lead to claimed vertices,
 //!   and they now cost what they cost [`bfs_serial`](crate::bfs_serial):
 //!   a plain load, not a locked read-for-ownership.
-//! * **Layers walked in discovery order** — a layer's bag is walked in
-//!   the order its blocks were filled (module doc of [`crate::bag`]), so
+//! * **Layers walked in discovery order** — the reducer folds its views
+//!   in serial order and bag union concatenates, so layer d + 1 lists
+//!   its vertices in the order of the layer-d grains that discovered
+//!   them (module doc of [`crate::bag`]). The walk halves that list: the
+//!   worker that forks walks the first half and a thief the second. So
 //!   on a graph numbered with locality the distance array and the
 //!   adjacency lists are read in the direction the serial search reads
-//!   them, and the first fork of the walk leaves a thief everything after
-//!   the bag's highest pennant instead of its hopper. Both matter where
-//!   layers are small: on a 73³ grid a layer is about 1 800 vertices, 14
-//!   blocks, some 50 µs of work, and there are 217 of them inside one
-//!   region. That is also why the scheduler keeps an idle worker awake
-//!   for as long as a region is open (DESIGN.md §9.2): the gap between
-//!   two layers is shorter than a park and its wake.
+//!   them, and each worker walks again, at layer d + 1, the part of the
+//!   graph it discovered at layer d, whose `dist` lines its own claims
+//!   brought into its cache. Both matter where layers are small: on a
+//!   73³ grid a layer is about 1 800 vertices, 14 blocks, some 50 µs of
+//!   work, and there are 217 of them inside one region. That is also why
+//!   the scheduler keeps an idle worker awake for as long as a region is
+//!   open (DESIGN.md §9.2): the gap between two layers is shorter than a
+//!   park and its wake.
 
 // lint: allow(raw-sync, the per-vertex distance load and CAS are data-plane application state — one atomic per graph vertex, millions per run; it is benchmark payload standing in for the paper's benign race, not a runtime protocol, and cannot feasibly be recorded by the checker)
 use std::sync::atomic::{AtomicU32, Ordering};

@@ -1,11 +1,10 @@
-//! Property tests for the graph substrate: bags conserve elements under
-//! arbitrary operation sequences, and PBFS agrees with serial BFS on
-//! arbitrary random graphs.
+//! Property tests for the graph substrate: bags keep their elements, in
+//! order, under arbitrary operation sequences, and PBFS agrees with
+//! serial BFS on arbitrary random graphs.
 
 use cilkm_core::{Backend, ReducerPool};
 use cilkm_graph::{bfs_serial, check_bag_invariant, pbfs, Bag, Graph, BLOCK};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 
 #[derive(Debug, Clone)]
 enum BagOp {
@@ -33,38 +32,34 @@ fn bag_ops() -> impl Strategy<Value = Vec<BagOp>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A bag is a faithful multiset under inserts, unions and appends.
+    /// A bag walks exactly the concatenation of its inserts, unions and
+    /// appends, in the order they were made.
     #[test]
     fn bag_conserves_multiset(ops in bag_ops()) {
         let mut bag: Bag<u16> = Bag::new();
-        let mut model: BTreeMap<u16, usize> = BTreeMap::new();
+        let mut model: Vec<u16> = Vec::new();
         for op in ops {
             match op {
                 BagOp::Insert(x) => {
                     bag.insert(x);
-                    *model.entry(x).or_default() += 1;
+                    model.push(x);
                 }
                 BagOp::UnionFresh(xs) => {
                     let mut other = Bag::new();
-                    for x in &xs {
-                        other.insert(*x);
-                        *model.entry(*x).or_default() += 1;
-                    }
+                    xs.iter().for_each(|&x| other.insert(x));
                     bag.union(other);
+                    model.extend(xs);
                 }
                 BagOp::Append(xs) => {
-                    for x in &xs {
-                        *model.entry(*x).or_default() += 1;
-                    }
+                    model.extend(&xs);
                     bag.append(xs);
                 }
             }
             prop_assert!(check_bag_invariant(&bag));
         }
-        let expected: usize = model.values().sum();
-        prop_assert_eq!(bag.len(), expected);
-        let mut got: BTreeMap<u16, usize> = BTreeMap::new();
-        bag.for_each(|x| *got.entry(*x).or_default() += 1);
+        prop_assert_eq!(bag.len(), model.len());
+        let mut got = Vec::with_capacity(model.len());
+        bag.for_each(|&x| got.push(x));
         prop_assert_eq!(got, model);
     }
 
