@@ -2,25 +2,19 @@
 //!
 //! ```sh
 //! cargo run --release --bin cilkm-trace -- bench_out/pbfs_trace.json
-//! cargo run --release --bin cilkm-trace -- --dag bench_out/pbfs_trace_events.csv
-//! cargo run --release --bin cilkm-trace -- --dag --critical-path cp.json t.csv
+//! cargo run --release --bin cilkm-trace -- bench_out/pbfs_trace_events.csv
 //! ```
 //!
 //! Accepts either export format of `cilkm-obs` (Chrome `trace_event`
 //! JSON, as written by `write_chrome_json`, or the lossless events CSV)
-//! and prints the per-worker utilization / steal / merge-critical-path /
-//! crossings-per-steal summary from `cilkm_obs::analyze`.
-//!
-//! With `--dag` it additionally rebuilds the series-parallel DAG
-//! ([`cilkm_obs::dag`]) and prints work, span, parallelism, and the
-//! top-K critical-path burden attribution; `--critical-path <file>`
-//! re-exports the trace as Chrome JSON with the reconstructed critical
-//! path as its own named track (open in Perfetto).
+//! and prints the per-worker utilization / job / merge / park / steal
+//! summary from `cilkm_obs::analyze`. Work, span and the reducer burden
+//! on the span come from `Pool::run_profiled`, not from a trace.
 
 use std::process::ExitCode;
 
-use cilkm_obs::export::{read_chrome_json, read_events_csv, write_chrome_json_with_path};
-use cilkm_obs::{analyze, dag, Trace};
+use cilkm_obs::export::{read_chrome_json, read_events_csv};
+use cilkm_obs::{analyze, Trace};
 
 fn parse(path: &str, text: &str) -> Result<Trace, String> {
     // Chrome traces start with the `traceEvents` envelope; anything else
@@ -34,42 +28,14 @@ fn parse(path: &str, text: &str) -> Result<Trace, String> {
 }
 
 fn usage() -> ExitCode {
-    eprintln!("usage: cilkm-trace [--dag] [--top K] [--critical-path <out.json>] <trace.json | events.csv>...");
+    eprintln!("usage: cilkm-trace <trace.json | events.csv>...");
     eprintln!("  summarizes traces recorded by a `trace`-enabled cilkm build");
-    eprintln!("  --dag                rebuild the SP-DAG: work/span/parallelism + attribution");
-    eprintln!("  --top K              attribution rows to print (default 10, implies --dag)");
-    eprintln!("  --critical-path F    write Chrome JSON with the critical path as a named track");
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
-    let mut want_dag = false;
-    let mut top_k = 10usize;
-    let mut cp_out: Option<String> = None;
-    let mut paths: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--help" | "-h" => return usage(),
-            "--dag" => want_dag = true,
-            "--top" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(k) => {
-                    top_k = k;
-                    want_dag = true;
-                }
-                None => return usage(),
-            },
-            "--critical-path" => match args.next() {
-                Some(f) => {
-                    cp_out = Some(f);
-                    want_dag = true;
-                }
-                None => return usage(),
-            },
-            _ => paths.push(a),
-        }
-    }
-    if paths.is_empty() {
+    let paths: Vec<String> = std::env::args().skip(1).collect();
+    if paths.is_empty() || paths.iter().any(|a| a.starts_with('-')) {
         return usage();
     }
     let mut failed = false;
@@ -86,22 +52,6 @@ fn main() -> ExitCode {
             Ok(trace) => {
                 println!("# {path}");
                 print!("{}", analyze::render(&analyze::summarize(&trace)));
-                if want_dag {
-                    let analysis = dag::build(&trace);
-                    println!();
-                    print!("{}", analysis.render(top_k));
-                    if let Some(out) = &cp_out {
-                        match std::fs::File::create(out).and_then(|mut f| {
-                            write_chrome_json_with_path(&trace, &analysis.critical_path, &mut f)
-                        }) {
-                            Ok(()) => println!("critical path track written to {out}"),
-                            Err(e) => {
-                                eprintln!("error: cannot write {out}: {e}");
-                                failed = true;
-                            }
-                        }
-                    }
-                }
                 println!();
             }
             Err(e) => {

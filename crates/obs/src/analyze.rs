@@ -1,10 +1,11 @@
 //! Trace summarization (the engine behind the `cilkm-trace` binary).
 //!
-//! Consumes a drained [`Trace`] and produces per-worker utilization, a
-//! steal/idle breakdown, an estimate of the hypermerge critical path,
-//! and kernel-crossing counts per steal — the quantities §8 of the
-//! paper argues about (merge work scales with steals, not with views;
-//! crossings ride on steals).
+//! Consumes a drained [`Trace`] and produces per-worker utilization,
+//! job/merge/park time, a steal/idle breakdown, and an estimate of the
+//! hypermerge critical path — the quantities §8 of the paper argues
+//! about (merge work scales with steals, not with views). Work, span and
+//! the reducer burden on the span come from the online profiler
+//! ([`crate::profile`]), not from a trace.
 //!
 //! Span accounting pairs `Begin`/`End` kinds per worker with a depth
 //! counter, so nested jobs (a worker stealing while already inside a
@@ -46,31 +47,8 @@ pub struct WorkerSummary {
     pub detaches: u64,
     /// View re-installations (after a leapfrogged job).
     pub attaches: u64,
-    /// Simulated `sys_palloc` crossings.
-    pub pallocs: u64,
-    /// Simulated `sys_pfree` crossings.
-    pub pfrees: u64,
-    /// Simulated `sys_pmap` crossings.
-    pub pmaps: u64,
-    /// Pages touched across all `sys_pmap` crossings.
-    pub pmap_pages: u64,
-    /// Tasks this worker made stealable ([`EventKind::Spawn`]).
-    pub spawns: u64,
-    /// Spawned tasks this worker ran inline (popped its own deque;
-    /// [`EventKind::StrandBegin`]).
-    pub inline_strands: u64,
-    /// Sync points this worker's strands reached
-    /// ([`EventKind::SyncBegin`]).
-    pub syncs: u64,
     /// Events this worker lost to a full ring.
     pub dropped: u64,
-}
-
-impl WorkerSummary {
-    /// Kernel crossings of any flavor charged to this worker.
-    pub fn crossings(&self) -> u64 {
-        self.pallocs + self.pfrees + self.pmaps
-    }
 }
 
 /// Whole-trace rollup.
@@ -93,21 +71,6 @@ impl TraceSummary {
     /// Successful steals across all workers.
     pub fn steals(&self) -> u64 {
         self.workers.iter().map(|w| w.steals).sum()
-    }
-
-    /// Kernel crossings across all workers.
-    pub fn crossings(&self) -> u64 {
-        self.workers.iter().map(|w| w.crossings()).sum()
-    }
-
-    /// Crossings per successful steal — the paper's key ratio (map
-    /// pressure should ride on steals, not on views). `None` when no
-    /// steal happened.
-    pub fn crossings_per_steal(&self) -> Option<f64> {
-        match self.steals() {
-            0 => None,
-            s => Some(self.crossings() as f64 / s as f64),
-        }
     }
 
     /// Lower-bound estimate of the hypermerge critical path: the largest
@@ -196,19 +159,7 @@ pub fn summarize(trace: &Trace) -> TraceSummary {
                 EventKind::StealFail => w.idle_episodes += 1,
                 EventKind::Detach => w.detaches += 1,
                 EventKind::Attach => w.attaches += 1,
-                EventKind::Palloc => w.pallocs += 1,
-                EventKind::Pfree => w.pfrees += 1,
-                EventKind::Pmap => {
-                    w.pmaps += 1;
-                    w.pmap_pages += ev.arg;
-                }
-                EventKind::Spawn => w.spawns += 1,
-                EventKind::StrandBegin => w.inline_strands += 1,
-                EventKind::SyncBegin => w.syncs += 1,
-                EventKind::RegionBegin
-                | EventKind::RegionEnd
-                | EventKind::StrandEnd
-                | EventKind::SyncEnd => {}
+                EventKind::RegionBegin | EventKind::RegionEnd => {}
             }
         }
         w.last_ts_ns = last_ts;
@@ -250,22 +201,13 @@ pub fn render(s: &TraceSummary) -> String {
     );
     let _ = writeln!(
         out,
-        "{:<18} {:>6} {:>10} {:>10} {:>10} {:>7} {:>6} {:>6} {:>9} {:>8}",
-        "worker",
-        "util%",
-        "job_ms",
-        "merge_ms",
-        "park_ms",
-        "steals",
-        "idle",
-        "merges",
-        "crossings",
-        "dropped"
+        "{:<18} {:>6} {:>10} {:>10} {:>10} {:>7} {:>6} {:>6} {:>8}",
+        "worker", "util%", "job_ms", "merge_ms", "park_ms", "steals", "idle", "merges", "dropped"
     );
     for w in &s.workers {
         let _ = writeln!(
             out,
-            "{:<18} {:>6.1} {:>10.3} {:>10.3} {:>10.3} {:>7} {:>6} {:>6} {:>9} {:>8}",
+            "{:<18} {:>6.1} {:>10.3} {:>10.3} {:>10.3} {:>7} {:>6} {:>6} {:>8}",
             w.label,
             100.0 * s.utilization(w),
             ms(w.job_ns),
@@ -274,41 +216,10 @@ pub fn render(s: &TraceSummary) -> String {
             w.steals,
             w.idle_episodes,
             w.merges,
-            w.crossings(),
             w.dropped,
         );
     }
-    let _ = writeln!(
-        out,
-        "steals: {}   kernel crossings: {} ({} palloc, {} pfree, {} pmap / {} pages)",
-        s.steals(),
-        s.crossings(),
-        s.workers.iter().map(|w| w.pallocs).sum::<u64>(),
-        s.workers.iter().map(|w| w.pfrees).sum::<u64>(),
-        s.workers.iter().map(|w| w.pmaps).sum::<u64>(),
-        s.workers.iter().map(|w| w.pmap_pages).sum::<u64>(),
-    );
-    let (spawns, syncs): (u64, u64) = (
-        s.workers.iter().map(|w| w.spawns).sum(),
-        s.workers.iter().map(|w| w.syncs).sum(),
-    );
-    if spawns > 0 || syncs > 0 {
-        let _ = writeln!(
-            out,
-            "dag events: {} spawns, {} syncs, {} inline strands (run `cilkm-trace --dag` for work/span)",
-            spawns,
-            syncs,
-            s.workers.iter().map(|w| w.inline_strands).sum::<u64>(),
-        );
-    }
-    match s.crossings_per_steal() {
-        Some(r) => {
-            let _ = writeln!(out, "crossings per steal: {r:.2}");
-        }
-        None => {
-            let _ = writeln!(out, "crossings per steal: n/a (no steals)");
-        }
-    }
+    let _ = writeln!(out, "steals: {}", s.steals());
     let _ = writeln!(
         out,
         "merge critical-path estimate: {:.3} ms (busiest worker's merge total)",
@@ -388,15 +299,15 @@ mod tests {
     }
 
     #[test]
-    fn rollup_ratios_and_critical_path() {
+    fn rollup_steals_and_merge_critical_path() {
         let trace = Trace {
             threads: vec![
                 ThreadTrace {
                     label: "w0".into(),
                     events: vec![
                         ev(0, EventKind::StealSuccess, 1),
-                        ev(10, EventKind::Pmap, 8),
-                        ev(20, EventKind::Palloc, 0),
+                        ev(10, EventKind::Detach, 0),
+                        ev(20, EventKind::Attach, 0),
                         ev(30, EventKind::MergeBegin, 0),
                         ev(130, EventKind::MergeEnd, 0),
                     ],
@@ -406,7 +317,6 @@ mod tests {
                     label: "w1".into(),
                     events: vec![
                         ev(5, EventKind::StealSuccess, 0),
-                        ev(15, EventKind::Pfree, 0),
                         ev(40, EventKind::MergeBegin, 0),
                         ev(300, EventKind::MergeEnd, 0),
                     ],
@@ -416,12 +326,13 @@ mod tests {
         };
         let s = summarize(&trace);
         assert_eq!(s.steals(), 2);
-        assert_eq!(s.crossings(), 3);
-        assert_eq!(s.crossings_per_steal(), Some(1.5));
+        assert_eq!(s.workers[0].detaches, 1);
+        assert_eq!(s.workers[0].attaches, 1);
         assert_eq!(s.merge_critical_path_ns(), 260);
         assert_eq!(s.span_ns(), 300);
         let report = render(&s);
-        assert!(report.contains("crossings per steal: 1.50"));
+        assert!(report.contains("steals: 2"));
+        assert!(report.contains("merge critical-path estimate"));
         assert!(report.contains("w0"));
         assert!(report.contains("w1"));
     }
@@ -430,8 +341,8 @@ mod tests {
     fn empty_trace_is_harmless() {
         let s = summarize(&Trace::default());
         assert_eq!(s.span_ns(), 0);
-        assert_eq!(s.crossings_per_steal(), None);
+        assert_eq!(s.steals(), 0);
         let report = render(&s);
-        assert!(report.contains("no steals"));
+        assert!(report.contains("trace: 0 threads"));
     }
 }

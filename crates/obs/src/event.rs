@@ -2,12 +2,13 @@
 //!
 //! One event is 24 bytes: a nanosecond timestamp ([`crate::clock`]), a
 //! kind byte, and one argument word whose meaning depends on the kind
-//! (victim index for steals, page count for `pmap`, and so on). Events
-//! are written into per-thread ring buffers ([`crate::ring`]) and only
-//! decoded at export/analysis time.
+//! (victim index for steals, detach or suspension for transferals, and
+//! so on). Events are written into per-thread ring buffers
+//! ([`crate::ring`]) and only decoded at export/analysis time.
 
 /// What happened. The discriminants are stable (they appear in exported
-/// CSV files), so new kinds must be appended, not inserted.
+/// CSV files) and dense, so new kinds must be appended and retired ones
+/// removed from the end, never inserted or removed in the middle.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum EventKind {
@@ -22,9 +23,12 @@ pub enum EventKind {
     /// per-sweep total lives in the pool's `failed_steals` counter, and
     /// per-sweep events would flood the ring while workers spin.
     StealFail = 3,
-    /// A foreign job (stolen, injected, or leapfrogged) started.
+    /// A foreign job (stolen, injected, or leapfrogged) started; `arg` =
+    /// 0.
     JobBegin = 4,
-    /// The foreign job finished (after its view transferal).
+    /// The foreign job finished (after its view transferal); `arg` = 0.
+    /// Emitted before the job's completion latch, so a drain that runs
+    /// the moment the latch fires sees every begun job end.
     JobEnd = 5,
     /// View transferal out of the current context. `arg` = 0 for a
     /// detach (views published to a join frame), 1 for a suspension
@@ -41,38 +45,11 @@ pub enum EventKind {
     Park = 10,
     /// The worker returned from parking.
     Wake = 11,
-    /// Simulated `sys_palloc` kernel crossing.
-    Palloc = 12,
-    /// Simulated `sys_pfree` kernel crossing.
-    Pfree = 13,
-    /// Simulated `sys_pmap` kernel crossing; `arg` = pages touched.
-    Pmap = 14,
-    /// A task (the right branch of a `join`, a `scope` spawn, or the
-    /// root job of a `Pool::run` region) was made stealable; `arg` = the
-    /// task id from [`crate::trace::next_task_id`]. Together with the
-    /// strand-boundary events below this makes the series-parallel DAG
-    /// reconstructible offline (see [`crate::dag`]).
-    Spawn = 15,
-    /// A spawned task started executing *inline* on the worker that
-    /// spawned it (the common popped-own-deque case); `arg` = task id.
-    /// Foreign execution reuses [`EventKind::JobBegin`] with the task id
-    /// as `arg`.
-    StrandBegin = 16,
-    /// The inline task of the matching [`EventKind::StrandBegin`]
-    /// finished; `arg` = task id.
-    StrandEnd = 17,
-    /// The continuation reached the sync point of a `join` or `scope`
-    /// (left branch done, about to wait for spawned tasks); `arg` = the
-    /// task id being joined (`join`) or a fresh sync id (`scope`).
-    SyncBegin = 18,
-    /// The sync completed: all joined tasks finished and any hypermerge
-    /// ran; `arg` as for [`EventKind::SyncBegin`].
-    SyncEnd = 19,
 }
 
 impl EventKind {
     /// All kinds, in discriminant order.
-    pub const ALL: [EventKind; 20] = [
+    pub const ALL: [EventKind; 12] = [
         EventKind::RegionBegin,
         EventKind::RegionEnd,
         EventKind::StealSuccess,
@@ -85,14 +62,6 @@ impl EventKind {
         EventKind::MergeEnd,
         EventKind::Park,
         EventKind::Wake,
-        EventKind::Palloc,
-        EventKind::Pfree,
-        EventKind::Pmap,
-        EventKind::Spawn,
-        EventKind::StrandBegin,
-        EventKind::StrandEnd,
-        EventKind::SyncBegin,
-        EventKind::SyncEnd,
     ];
 
     /// Stable lower-case name (used in CSV and Chrome trace output).
@@ -110,14 +79,6 @@ impl EventKind {
             EventKind::MergeEnd => "merge_end",
             EventKind::Park => "park",
             EventKind::Wake => "wake",
-            EventKind::Palloc => "palloc",
-            EventKind::Pfree => "pfree",
-            EventKind::Pmap => "pmap",
-            EventKind::Spawn => "spawn",
-            EventKind::StrandBegin => "strand_begin",
-            EventKind::StrandEnd => "strand_end",
-            EventKind::SyncBegin => "sync_begin",
-            EventKind::SyncEnd => "sync_end",
         }
     }
 

@@ -37,10 +37,6 @@ fn span_of(kind: EventKind) -> Option<(&'static str, bool)> {
         EventKind::MergeEnd => Some(("merge", false)),
         EventKind::Park => Some(("park", true)),
         EventKind::Wake => Some(("park", false)),
-        EventKind::StrandBegin => Some(("strand", true)),
-        EventKind::StrandEnd => Some(("strand", false)),
-        EventKind::SyncBegin => Some(("sync", true)),
-        EventKind::SyncEnd => Some(("sync", false)),
         _ => None,
     }
 }
@@ -55,10 +51,6 @@ fn kind_from_span(name: &str, begin: bool) -> Option<EventKind> {
         ("merge", false) => Some(EventKind::MergeEnd),
         ("park", true) => Some(EventKind::Park),
         ("park", false) => Some(EventKind::Wake),
-        ("strand", true) => Some(EventKind::StrandBegin),
-        ("strand", false) => Some(EventKind::StrandEnd),
-        ("sync", true) => Some(EventKind::SyncBegin),
-        ("sync", false) => Some(EventKind::SyncEnd),
         _ => None,
     }
 }
@@ -80,28 +72,6 @@ fn json_escape(s: &str) -> String {
 /// is the thread's index in the (label-sorted) trace; timestamps are
 /// microseconds with nanosecond precision preserved in the fraction.
 pub fn write_chrome_json<W: Write>(trace: &Trace, w: &mut W) -> io::Result<()> {
-    write_chrome_json_impl(trace, &[], w)
-}
-
-/// Like [`write_chrome_json`], but also renders the critical path from
-/// a [`crate::dag::DagAnalysis`] as an extra named track (`tid` one past
-/// the real threads, labeled `critical-path`): one `X` complete-event
-/// slice per path node, so the span is visible as its own lane in
-/// Perfetto next to the per-worker lanes. The loader skips `X` events,
-/// so a file written this way still round-trips its event content.
-pub fn write_chrome_json_with_path<W: Write>(
-    trace: &Trace,
-    path: &[crate::dag::PathNode],
-    w: &mut W,
-) -> io::Result<()> {
-    write_chrome_json_impl(trace, path, w)
-}
-
-fn write_chrome_json_impl<W: Write>(
-    trace: &Trace,
-    path: &[crate::dag::PathNode],
-    w: &mut W,
-) -> io::Result<()> {
     writeln!(w, "{{\"traceEvents\":[")?;
     let mut first = true;
     let mut line = |w: &mut W, s: String| -> io::Result<()> {
@@ -148,31 +118,6 @@ fn write_chrome_json_impl<W: Write>(
                 ),
             };
             line(w, s)?;
-        }
-    }
-    if !path.is_empty() {
-        let tid = trace.threads.len();
-        line(
-            w,
-            format!(
-                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"critical-path\"}}}}"
-            ),
-        )?;
-        for node in path {
-            let ts_us = node.begin_ts_ns as f64 / 1000.0;
-            let dur_us = node.end_ts_ns.saturating_sub(node.begin_ts_ns) as f64 / 1000.0;
-            line(
-                w,
-                format!(
-                    "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{ts_us:.3},\
-                     \"dur\":{dur_us:.3},\"name\":\"{}\",\
-                     \"args\":{{\"worker\":\"{}\",\"burden_ns\":{}}}}}",
-                    json_escape(&node.label),
-                    json_escape(&node.worker),
-                    node.burden_ns
-                ),
-            )?;
         }
     }
     writeln!(w, "]}}")
@@ -262,9 +207,8 @@ pub fn read_chrome_json(text: &str) -> Result<Trace, String> {
             events,
             dropped,
         })
-        // Metadata-only lanes (e.g. the `critical-path` track, whose
-        // `X` slices are derived data, not events) carry nothing to
-        // re-analyze; drop them instead of inventing empty workers.
+        // Metadata-only lanes carry nothing to re-analyze; drop them
+        // instead of inventing empty workers.
         .filter(|t| !t.events.is_empty() || t.dropped > 0)
         .collect();
     out.sort_by(|a, b| a.label.cmp(&b.label));
@@ -432,8 +376,8 @@ mod tests {
                         },
                         Event {
                             ts_ns: 8_100,
-                            kind: EventKind::Pmap,
-                            arg: 16,
+                            kind: EventKind::Detach,
+                            arg: 1,
                         },
                     ],
                     dropped: 2,
@@ -481,50 +425,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn critical_path_track_is_written_and_skipped_on_load() {
-        let trace = sample_trace();
-        let path = vec![
-            crate::dag::PathNode {
-                label: "strand 1".into(),
-                worker: "cilkm-worker-0".into(),
-                begin_ts_ns: 1_500,
-                end_ts_ns: 8_000,
-                burden_ns: 0,
-            },
-            crate::dag::PathNode {
-                label: "hypermerge @ sync 2".into(),
-                worker: "cilkm-worker-0".into(),
-                begin_ts_ns: 8_000,
-                end_ts_ns: 9_000,
-                burden_ns: 1_000,
-            },
-        ];
-        let mut buf = Vec::new();
-        write_chrome_json_with_path(&trace, &path, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        // The path renders as its own named track of X slices on a tid
-        // one past the real threads.
-        assert!(text.contains("\"name\":\"critical-path\""));
-        assert!(text.contains("\"ph\":\"X\""));
-        assert!(text.contains("\"burden_ns\":1000"));
-        assert!(text.contains(&format!("\"tid\":{}", trace.threads.len())));
-        // The loader sees exactly the same event content as a plain
-        // write: the path track is derived data, not events.
-        let back = read_chrome_json(&text).unwrap();
-        let mut plain = Vec::new();
-        write_chrome_json(&trace, &mut plain).unwrap();
-        let plain_back = read_chrome_json(&String::from_utf8(plain).unwrap()).unwrap();
-        assert_eq!(back.threads.len(), plain_back.threads.len());
-        for (a, b) in back.threads.iter().zip(&plain_back.threads) {
-            assert_eq!(a.label, b.label);
-            assert_eq!(a.events, b.events);
-        }
-    }
-
     proptest::proptest! {
-        /// Every event kind — including the PR-8 DAG vocabulary — with
-        /// arbitrary args survives both exporters. Timestamps are kept
+        /// Every event kind with arbitrary args survives both
+        /// exporters. Timestamps are kept
         /// under 2^50 ns (~13 days) so the Chrome format's f64
         /// microsecond field stays exact: at 2^52 the representation
         /// error of `ts/1000.0` reaches the 0.5 ns rounding boundary.

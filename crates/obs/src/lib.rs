@@ -2,37 +2,35 @@
 //!
 //! The paper's evaluation (§8, Figures 1 and 8) rests on *decomposing*
 //! reduce overhead — view creation, view insertion, view transferal,
-//! hypermerge — and on *counting* `sys_pmap` kernel crossings. This crate
-//! is the one place all of that telemetry flows through:
+//! hypermerge — and on where that overhead lands: at steals and joins,
+//! on the span, not on lookups. This crate is the one place all of that
+//! telemetry flows through:
 //!
+//! * [`profile`] — the **work/span instrument**: Cilkview-style online
+//!   accumulators, constant space per worker, that ride the scheduler's
+//!   spawn/sync hand-offs, so `Pool::run_profiled` returns a
+//!   [`ParallelismReport`] (work, span, burdened span, burden by
+//!   category) without draining any ring. `burdened_span − span` is the
+//!   reducer overhead on the critical path.
 //! * [`trace`] — a lock-free per-worker **event tracer**: fixed-capacity
-//!   thread-local ring buffers of compact binary [`Event`]s (steal
-//!   success/fail, job begin/end, detach/attach, merge begin/end,
-//!   park/wake, simulated kernel crossings), timestamped with a cheap
-//!   monotonic [`clock`]. Compiled out entirely unless the `trace` cargo
-//!   feature is on; runtime-switchable on top of that.
+//!   thread-local ring buffers of compact binary [`Event`]s (region
+//!   begin/end, steal success/fail, job begin/end, detach/attach, merge
+//!   begin/end, park/wake), timestamped with a cheap monotonic [`clock`].
+//!   Compiled out entirely unless the `trace` cargo feature is on;
+//!   runtime-switchable on top of that.
 //! * [`metrics`] — a **metrics registry** that unifies the reducer
-//!   instrumentation (`cilkm-core`), kernel-crossing counters
-//!   (`cilkm-tlmm`), and scheduler counters (`cilkm-runtime`) behind one
-//!   snapshot/diff API, with log2-bucketed latency [`Histogram`]s for
-//!   the four §8 overhead categories.
+//!   instrumentation (`cilkm-core`), the simulated TLMM's crossing
+//!   counters (`cilkm-tlmm`), and scheduler counters (`cilkm-runtime`)
+//!   behind one snapshot/diff API, with log2-bucketed latency
+//!   [`Histogram`]s for the four §8 overhead categories.
 //! * [`export`] — Chrome `trace_event` JSON (loads in Perfetto /
 //!   `chrome://tracing`) and flat CSV/JSON dumps for `bench_out/`.
 //! * [`analyze`] — the summarizer behind the `cilkm-trace` binary:
-//!   per-worker utilization, steal/idle breakdown, merge critical-path
-//!   estimate, crossings per steal.
-//! * [`dag`] — offline **series-parallel DAG reconstruction** from the
-//!   spawn/sync/strand events: exact work, span, parallelism, burdened
-//!   span, and a top-K critical-path attribution table (which
-//!   hypermerges, view transferals, and kernel crossings sit *on* the
-//!   span).
-//! * [`profile`] — the **online Cilkview-style work/span profiler**:
-//!   constant-space per-worker accumulators that ride the scheduler's
-//!   spawn/sync hand-offs, so `Pool::run_profiled` can return a
-//!   [`ParallelismReport`] without draining any ring.
+//!   per-worker utilization, job/merge/park time, steal/idle breakdown,
+//!   and a merge critical-path estimate.
 //!
 //! Layering: this crate sits *below* `cilkm-tlmm`, `cilkm-runtime`, and
-//! `cilkm-core`, all of which emit into it; it depends on nothing but
+//! `cilkm-core`, which report into it; it depends on nothing but
 //! (optionally) `cilkm-checker` for model-checking its ring buffer.
 //!
 //! [`Event`]: event::Event
@@ -42,7 +40,6 @@
 
 pub mod analyze;
 pub mod clock;
-pub mod dag;
 pub mod event;
 pub mod export;
 pub mod metrics;
@@ -55,7 +52,6 @@ pub(crate) mod msync;
 #[cfg(all(test, feature = "model"))]
 mod model_tests;
 
-pub use dag::DagAnalysis;
 pub use event::{Event, EventKind};
 pub use metrics::{
     Counter, FineHistogram, FineHistogramSnapshot, Histogram, HistogramSnapshot, MetricValue,

@@ -75,90 +75,6 @@ fn ring_overread_is_detected_as_race() {
     );
 }
 
-/// PR-8 satellite: reconstructing the SP-DAG from rings snapshotted
-/// *while their owners are still emitting* is race-free and total. Two
-/// workers emit a real strand event sequence (a root spawning a child
-/// that gets "stolen"); the drainer snapshots both rings at an arbitrary
-/// interleaving point and runs [`crate::dag::build`] on whatever
-/// published prefix it saw. Under every schedule the ring protocol keeps
-/// the race detector silent, the analyzer never panics, and its numbers
-/// stay bounded by the event window — truncation degrades to counted
-/// warnings, exactly the contract `cilkm-trace --dag` relies on when
-/// tracing a live pool.
-#[test]
-fn dag_reconstruction_races_writers_cleanly() {
-    fn at(ts: u64, kind: EventKind, arg: u64) -> Event {
-        Event {
-            ts_ns: ts,
-            kind,
-            arg,
-        }
-    }
-    let report = checker::try_model(|| {
-        let (mut w0, ring0) = TraceRing::new(8, "w0");
-        let (mut w1, ring1) = TraceRing::new(8, "w1");
-        let t0 = checker::thread::spawn(move || {
-            w0.push(at(0, EventKind::JobBegin, 1));
-            w0.push(at(10, EventKind::Spawn, 2));
-            w0.push(at(20, EventKind::SyncBegin, 2));
-            w0.push(at(90, EventKind::SyncEnd, 2));
-            w0.push(at(100, EventKind::JobEnd, 1));
-        });
-        let t1 = checker::thread::spawn(move || {
-            w1.push(at(30, EventKind::JobBegin, 2));
-            w1.push(at(80, EventKind::JobEnd, 2));
-        });
-        // Snapshot mid-emission: any published prefix must analyze.
-        let trace = crate::trace::Trace {
-            threads: vec![
-                crate::trace::ThreadTrace {
-                    label: "w0".into(),
-                    events: ring0.snapshot(),
-                    dropped: ring0.dropped(),
-                },
-                crate::trace::ThreadTrace {
-                    label: "w1".into(),
-                    events: ring1.snapshot(),
-                    dropped: ring1.dropped(),
-                },
-            ],
-        };
-        let partial = crate::dag::build(&trace);
-        assert!(partial.span_ns <= 100, "span bounded by the event window");
-        assert!(partial.strands <= 2);
-        t0.join().unwrap();
-        t1.join().unwrap();
-        // After both writers join, the full DAG is exact: the root
-        // computes for 30 ns (sync wait [20,90] is not work), the child
-        // for 50 ns on the other worker; the critical path is 10 (to
-        // the spawn) + 50 (the child) + 10 (after the sync) = 70.
-        let full = crate::dag::build(&crate::trace::Trace {
-            threads: vec![
-                crate::trace::ThreadTrace {
-                    label: "w0".into(),
-                    events: ring0.snapshot(),
-                    dropped: 0,
-                },
-                crate::trace::ThreadTrace {
-                    label: "w1".into(),
-                    events: ring1.snapshot(),
-                    dropped: 0,
-                },
-            ],
-        });
-        assert_eq!(full.strands, 2);
-        assert_eq!(full.span_ns, 70);
-        assert_eq!(full.work_ns, 30 + 50);
-        assert_eq!(full.warnings, 0);
-    })
-    .expect("snapshot + DAG build must be race-free against live writers");
-    assert!(
-        report.schedules > 1,
-        "the drain/emit race must actually interleave (explored {} schedules)",
-        report.schedules
-    );
-}
-
 /// A full ring drops instead of wrapping, under every schedule — so a
 /// drainer can never observe a slot being overwritten.
 #[test]

@@ -1,10 +1,9 @@
-//! Online work/span profiling (the Cilkview half of [`crate::dag`]).
+//! Online work/span profiling: the workspace's one work/span instrument.
 //!
-//! The offline analyzer reconstructs the whole series-parallel DAG from
-//! drained event rings; this module computes the same three headline
-//! numbers — **work**, **span**, and **burdened span** — *online*, in
-//! constant space per worker, without ever draining a ring. The
-//! algorithm is the classic Cilkview strand folding:
+//! This module computes three headline numbers — **work**, **span**, and
+//! **burdened span** — *online*, in constant space per worker, without
+//! recording or draining any event. The algorithm is the classic
+//! Cilkview strand folding:
 //!
 //! * every worker keeps one running strand context `(span, burdened
 //!   span)` for the strand it is currently executing, advanced by the
@@ -22,11 +21,14 @@
 //! Work is the sum of all segment lengths, accumulated into one global
 //! counter at every pause point. **Burden** — the reducer overheads the
 //! paper decomposes (view creation / insertion / transferal /
-//! hypermerge, plus simulated kernel crossings) — is charged by
-//! `cilkm-core` and `cilkm-tlmm` through [`charge`]: each charge lands
-//! in a global breakdown *and* is debited from the current strand's
-//! unburdened span, so `span` approximates the critical path of an
-//! ideal zero-overhead runtime while `burdened_span` is the real one.
+//! hypermerge) — is charged by `cilkm-core` through [`charge`]: each
+//! charge lands in a global breakdown *and* is debited from the current
+//! strand's unburdened span, so `span` approximates the critical path of
+//! an ideal zero-overhead runtime while `burdened_span` is the real one.
+//! Their difference is the reducer overhead that sits on the critical
+//! path — the one number that checks the paper's claim that the
+//! overhead lands at steals and joins. The report gives that total, not
+//! which merge or transferal contributed it.
 //!
 //! Everything here is compiled out without the `trace` cargo feature
 //! and costs one `Relaxed` load per call site when compiled but not
@@ -51,9 +53,8 @@ mod imp {
     /// Syncs folded online this session.
     pub(super) static SYNCS: AtomicU64 = AtomicU64::new(0);
 
-    /// Burden breakdown (indexed by `Burden as usize`), plus crossings.
+    /// Burden breakdown (indexed by `Burden as usize`).
     pub(super) static BURDEN_NS: [AtomicU64; 4] = [const { AtomicU64::new(0) }; 4];
-    pub(super) static CROSSINGS: AtomicU64 = AtomicU64::new(0);
 
     /// The last finished session's results, for the metrics source.
     pub(super) static LAST_WORK_NS: AtomicU64 = AtomicU64::new(0);
@@ -106,8 +107,8 @@ mod imp {
 }
 
 /// The reducer-overhead categories charged to strands via [`charge`] —
-/// the paper's §8 decomposition, attributed on the DAG instead of in a
-/// flat histogram.
+/// the paper's §8 decomposition, attributed to the strand that paid it
+/// instead of to a flat histogram.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Burden {
@@ -148,9 +149,6 @@ pub struct BurdenBreakdown {
     pub hypermerge_ns: u64,
     /// Always 0. Kept for `benchmark/src/pass.rs`; goes when a `benchmark` PR drops `obs.burden_exchange_ns`.
     pub transferal_exchange_ns: u64,
-    /// Simulated kernel crossings (`sys_palloc`/`sys_pfree`/`sys_pmap`
-    /// count, not ns — their latency is inside the other categories).
-    pub crossings: u64,
 }
 
 impl BurdenBreakdown {
@@ -216,8 +214,8 @@ impl ParallelismReport {
         ));
         let b = &self.burden;
         s.push_str(&format!(
-            "  burden: creation {} ns, insertion {} ns, transferal {} ns, hypermerge {} ns, {} crossings\n",
-            b.view_creation_ns, b.view_insertion_ns, b.transferal_ns, b.hypermerge_ns, b.crossings
+            "  burden: creation {} ns, insertion {} ns, transferal {} ns, hypermerge {} ns\n",
+            b.view_creation_ns, b.view_insertion_ns, b.transferal_ns, b.hypermerge_ns
         ));
         s
     }
@@ -266,7 +264,6 @@ pub fn begin_session() {
         for b in &imp::BURDEN_NS {
             b.store(0, Ordering::Relaxed);
         }
-        imp::CROSSINGS.store(0, Ordering::Relaxed);
         imp::PROFILING.store(true, Ordering::Relaxed);
     }
 }
@@ -287,7 +284,6 @@ pub fn end_session(root_final: (u64, u64)) -> ParallelismReport {
             transferal_ns: imp::BURDEN_NS[Burden::Transferal as usize].load(Ordering::Relaxed),
             hypermerge_ns: imp::BURDEN_NS[Burden::Hypermerge as usize].load(Ordering::Relaxed),
             transferal_exchange_ns: 0,
-            crossings: imp::CROSSINGS.load(Ordering::Relaxed),
         };
         let report = ParallelismReport {
             work_ns: imp::WORK_NS.load(Ordering::Relaxed),
@@ -473,24 +469,6 @@ pub fn charge(kind: Burden, ns: u64) {
     }
 }
 
-/// Counts `n` simulated kernel crossings against the session (their
-/// latency is already inside the transferal/creation charges).
-// lint: hot-path
-#[inline]
-pub fn charge_crossings(n: u64) {
-    #[cfg(feature = "trace")]
-    {
-        if !profiling() {
-            return;
-        }
-        imp::CROSSINGS.fetch_add(n, std::sync::atomic::Ordering::Relaxed);
-    }
-    #[cfg(not(feature = "trace"))]
-    {
-        let _ = n;
-    }
-}
-
 /// Registers the `profile.*` metrics source with the global registry
 /// (idempotent). Exposes the last finished session's work/span plus the
 /// live burden accumulators.
@@ -527,7 +505,6 @@ fn register_metrics_source() {
                 "burden_hypermerge_ns",
                 imp::BURDEN_NS[Burden::Hypermerge as usize].load(Ordering::Relaxed),
             );
-            out.counter("crossings", imp::CROSSINGS.load(Ordering::Relaxed));
         }
     }
 
@@ -653,13 +630,13 @@ mod tests {
         begin_session();
         let saved = strand_begin((0, 0));
         spin_ns(5_000);
-        charge_crossings(3);
+        charge(Burden::ViewCreation, 3);
         let root = strand_end(saved);
         let report = end_session(root);
         let snap = crate::metrics::global().snapshot();
         assert_eq!(snap.counter("profile.work_ns"), Some(report.work_ns));
         assert_eq!(snap.counter("profile.span_ns"), Some(report.span_ns));
-        assert_eq!(snap.counter("profile.crossings"), Some(3));
+        assert_eq!(snap.counter("profile.burden_view_creation_ns"), Some(3));
     }
 
     #[test]

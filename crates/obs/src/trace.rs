@@ -24,7 +24,7 @@ use crate::event::{Event, EventKind};
 #[cfg(feature = "trace")]
 mod imp {
     use std::cell::RefCell;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Arc, Mutex, OnceLock};
 
     use crate::clock;
@@ -32,11 +32,6 @@ mod imp {
     use crate::ring::{TraceRing, TraceWriter};
 
     pub(super) static ENABLED: AtomicBool = AtomicBool::new(false);
-
-    /// Task-id allocator for the DAG events ([`EventKind::Spawn`] and
-    /// friends). Starts at 1 so 0 can mean "no id" (tracing was off when
-    /// the task was spawned).
-    pub(super) static NEXT_TASK_ID: AtomicU64 = AtomicU64::new(1);
 
     fn registry() -> &'static Mutex<Vec<Arc<TraceRing>>> {
         static RINGS: OnceLock<Mutex<Vec<Arc<TraceRing>>>> = OnceLock::new();
@@ -152,29 +147,6 @@ pub fn enabled() -> bool {
     #[cfg(not(feature = "trace"))]
     {
         false
-    }
-}
-
-/// Allocates a fresh nonzero task id for the DAG events
-/// ([`EventKind::Spawn`] / [`EventKind::StrandBegin`] /
-/// [`EventKind::SyncBegin`] and friends), or returns 0 when tracing is
-/// off (compiled out or disabled) so spawn sites pay only the
-/// [`enabled`] check. Ids are process-global and never reused, so they
-/// stay unique across regions and pools.
-// lint: hot-path
-#[inline]
-pub fn next_task_id() -> u64 {
-    #[cfg(feature = "trace")]
-    {
-        use std::sync::atomic::Ordering;
-        if !imp::ENABLED.load(Ordering::Relaxed) {
-            return 0;
-        }
-        imp::NEXT_TASK_ID.fetch_add(1, Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "trace"))]
-    {
-        0
     }
 }
 
@@ -295,7 +267,7 @@ mod tests {
             .name("obs-test-thread".into())
             .spawn(|| {
                 emit(EventKind::StealSuccess, 7);
-                emit(EventKind::Pmap, 3);
+                emit(EventKind::Park, 3);
             })
             .unwrap()
             .join()
@@ -310,7 +282,7 @@ mod tests {
         assert_eq!(t.events.len(), 2);
         assert_eq!(t.events[0].kind, EventKind::StealSuccess);
         assert_eq!(t.events[0].arg, 7);
-        assert_eq!(t.events[1].kind, EventKind::Pmap);
+        assert_eq!(t.events[1].kind, EventKind::Park);
         assert!(t.events[0].ts_ns <= t.events[1].ts_ns);
         assert_eq!(t.dropped, 0);
     }

@@ -18,22 +18,18 @@ use crate::hooks::DetachedViews;
 use crate::latch::{Latch, SpinLatch};
 
 /// First field of every job type: the type-erased execute function, plus
-/// the task's DAG identity and work/span hand-off slots (PR 8).
+/// the work/span profiler's hand-off slots.
 ///
-/// `task_id` and `spawn_span` are written by the spawning worker before
-/// the deque push and read by whichever worker executes the job — the
-/// deque hand-off is the happens-before edge, exactly as for the job's
-/// closure. `final_span` flows the other way: the executor writes it
-/// before signaling the job's completion latch, and the joining owner
-/// reads it after acquiring the latch. All three are zero when tracing /
-/// profiling is off, and the spawn path pays nothing beyond the existing
-/// enabled checks.
+/// `spawn_span` is written by the spawning worker before the deque push
+/// and read by whichever worker executes the job — the deque hand-off is
+/// the happens-before edge, exactly as for the job's closure.
+/// `final_span` flows the other way: the executor writes it before
+/// signaling the job's completion latch, and the joining owner reads it
+/// after acquiring the latch. Both are zero when profiling is off, and
+/// the spawn path pays nothing beyond the profiler's enabled check.
 #[repr(C)]
 pub struct JobHeader {
     execute_fn: unsafe fn(*const ()),
-    /// DAG task id from [`cilkm_obs::trace::next_task_id`] (0 = tracing
-    /// off at spawn time).
-    task_id: Cell<u64>,
     /// The spawning strand's `(span, bspan)` at the spawn point.
     spawn_span: Cell<(u64, u64)>,
     /// The executed strand's final `(span, bspan)`; published by the
@@ -41,9 +37,8 @@ pub struct JobHeader {
     final_span: UnsafeCell<(u64, u64)>,
     /// The task's SP (series-parallel) strand label for the sanitizer's
     /// determinacy detector; written by the spawner before the deque
-    /// push, like `task_id`. Always present (one word), dead when the
-    /// `sanitize` hooks are compiled out — same deal as `task_id` with
-    /// tracing off.
+    /// push, like `spawn_span`. Always present (one word), dead when the
+    /// `sanitize` hooks are compiled out.
     sp_label: Cell<u64>,
 }
 
@@ -53,7 +48,6 @@ impl JobHeader {
     pub fn new(execute_fn: unsafe fn(*const ())) -> JobHeader {
         JobHeader {
             execute_fn,
-            task_id: Cell::new(0),
             spawn_span: Cell::new((0, 0)),
             final_span: UnsafeCell::new((0, 0)),
             sp_label: Cell::new(0),
@@ -71,17 +65,11 @@ impl JobHeader {
         self.sp_label.get()
     }
 
-    /// Stamps the task's DAG id and its spawn point's span pair. Called
-    /// by the spawning worker before the job is pushed (the deque
-    /// publish orders it before any foreign read).
-    pub fn prepare(&self, task_id: u64, spawn_span: (u64, u64)) {
-        self.task_id.set(task_id);
+    /// Stamps the spawn point's span pair. Called by the spawning worker
+    /// before the job is pushed (the deque publish orders it before any
+    /// foreign read).
+    pub fn set_spawn_span(&self, spawn_span: (u64, u64)) {
         self.spawn_span.set(spawn_span);
-    }
-
-    /// The task's DAG id (0 when tracing was off at spawn time).
-    pub fn task_id(&self) -> u64 {
-        self.task_id.get()
     }
 
     /// The spawning strand's span pair at the spawn point.
@@ -230,8 +218,8 @@ where
         }
     }
 
-    /// The job's header (for the spawner to stamp the task id and spawn
-    /// span, and the owner to read the final span after the latch).
+    /// The job's header (for the spawner to stamp the spawn span, and the
+    /// owner to read the final span after the latch).
     pub fn header(&self) -> &JobHeader {
         &self.header
     }
@@ -249,12 +237,7 @@ where
     unsafe fn execute_foreign(ptr: *const ()) {
         let this = &*(ptr as *const Self);
         let func = (*this.func.get()).take().expect("job executed twice");
-        // JobBegin is emitted here — adjacent to `strand_begin` — rather
-        // than at the registry call site, so the offline DAG's strand
-        // boundaries coincide with the online profiler's segment clock
-        // (a preemption between the two would otherwise be charged to
-        // the strand by one instrument but not the other).
-        trace::emit(EventKind::JobBegin, this.header.task_id());
+        trace::emit(EventKind::JobBegin, 0);
         // The strand starts from the spawn point's span pair; view
         // transferal below is inside the strand so its cost lands on the
         // burdened side (the transferal *charge* debits the unburdened
@@ -277,11 +260,11 @@ where
         // SAFETY: we are the executing worker and the latch is not yet
         // set; the release below publishes the span with the result.
         this.header.set_final_span(profile::strand_end(saved));
-        // The strand's closing event must precede the latch: the owner
-        // may drain the trace rings the moment the latch fires, and a
-        // registry-side emit after `execute` returns would race that
-        // drain and leave a truncated strand in the DAG.
-        trace::emit(EventKind::JobEnd, this.header.task_id());
+        // The job's closing event must precede the latch: the owner may
+        // drain the trace rings the moment the latch fires, and an emit
+        // after `execute` returns would race that drain and leave the
+        // job unbalanced.
+        trace::emit(EventKind::JobEnd, 0);
         // Release: result, deposit, and final span are published before
         // the flag.
         this.latch.set();
@@ -366,12 +349,6 @@ where
         }
     }
 
-    /// The job's header (for `Pool::run` to stamp the root task id; the
-    /// root strand starts from a zero span pair).
-    pub fn header(&self) -> &JobHeader {
-        &self.header
-    }
-
     /// The type-erased reference to inject.
     pub fn as_job_ref(&self) -> JobRef {
         // SAFETY: `Pool::run` keeps the root job alive on its stack
@@ -382,11 +359,11 @@ where
     unsafe fn execute_root(ptr: *const ()) {
         let this = &*(ptr as *const Self);
         let func = (*this.func.get()).take().expect("root executed twice");
-        // Emitted next to `strand_begin`, as in the foreign path.
-        trace::emit(EventKind::JobBegin, this.header.task_id());
-        // The root strand: the whole region's span accumulates into this
-        // context (joins fold their children's pairs back into it), so
-        // its final pair *is* the region's span.
+        trace::emit(EventKind::JobBegin, 0);
+        // The root strand starts from a zero span pair, and the whole
+        // region's span accumulates into its context (joins fold their
+        // children's pairs back into it), so its final pair *is* the
+        // region's span.
         let saved = profile::strand_begin(this.header.spawn_span());
         // Fresh SP region root: successive regions are mutually
         // sequential, strands forked inside this one hang off it.
@@ -412,7 +389,7 @@ where
         this.header.set_final_span(profile::strand_end(saved));
         // Before the latch, for the same drain-race reason as the
         // foreign path: the region's caller drains right after waiting.
-        trace::emit(EventKind::JobEnd, this.header.task_id());
+        trace::emit(EventKind::JobEnd, 0);
         crate::registry::close_region();
         (*this.latch).set();
     }

@@ -55,10 +55,9 @@ where
     RB: Send,
 {
     let job_b = StackJob::new(b);
-    // DAG identity + the spawn point's span pair travel in the header
-    // through the deque; both calls are one relaxed load when off.
-    let tid = trace::next_task_id();
-    job_b.header().prepare(tid, profile::spawn_point());
+    // The spawn point's span pair travels in the header through the
+    // deque; one relaxed load when not profiling.
+    job_b.header().set_spawn_span(profile::spawn_point());
     // SP labels for the sanitizer's determinacy detector: the current
     // strand forks — `a` continues as the left sibling, `b` (stolen or
     // not) executes as the right. No-ops unless `sanitize` is on.
@@ -66,7 +65,6 @@ where
     let (sp_cont, sp_child) = crate::sanhooks::sp_fork(sp_frame);
     job_b.header().set_sp_label(sp_child);
     let _ = crate::sanhooks::sp_enter(sp_cont);
-    trace::emit(EventKind::Spawn, tid);
     let job_ref = job_b.as_job_ref();
     worker.push(job_ref);
 
@@ -77,7 +75,6 @@ where
     // foreign jobs executed while waiting nest their own contexts), and
     // remember the continuation's span pair for the fold below.
     let left = profile::sync_pause();
-    trace::emit(EventKind::SyncBegin, tid);
 
     // Wait for b: pop it back if unstolen, leapfrog otherwise.
     let popped_own = worker.wait_for_latch(&job_b.latch, job_ref);
@@ -89,7 +86,6 @@ where
     if popped_own {
         if ra.is_ok() {
             worker.note_inline_join();
-            trace::emit(EventKind::StrandBegin, tid);
             // Inline execution continues from the spawn point's pair in
             // the owner's (paused) context slot.
             let strand = profile::strand_begin(job_b.header().spawn_span());
@@ -102,7 +98,6 @@ where
             rb = unsafe { job_b.run_inline() };
             crate::sanhooks::sp_exit(sp_prev);
             child = profile::strand_end(strand);
-            trace::emit(EventKind::StrandEnd, tid);
         } else {
             // a panicked and b was never stolen: serial semantics say b
             // never runs. Drop the closure unrun.
@@ -152,7 +147,6 @@ where
     // The sync point: both forked labels are now serially before the
     // bumped frame this strand continues as.
     crate::sanhooks::sp_join(sp_frame);
-    trace::emit(EventKind::SyncEnd, tid);
 
     match ra {
         Err(p) => panic::resume_unwind(p),

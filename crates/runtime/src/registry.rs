@@ -496,8 +496,7 @@ pub(crate) fn detach_current_views() -> DetachedViews {
     let worker = WorkerThread::current().expect("detach outside worker");
     let hooks = worker.registry.hooks();
     // Emit *before* the detach so the Detach..JobEnd window measures the
-    // transferal itself (the DAG analyzer charges it to the strand).
-    // Flag 0 = detach-at-strand-end; cpu id in the high half.
+    // transferal itself. Flag 0 = detach-at-strand-end; cpu id in the high half.
     if trace::enabled() {
         trace::emit(EventKind::Detach, pack_cpu(0, current_cpu()));
     }
@@ -687,8 +686,6 @@ impl Pool {
         trace::emit(EventKind::RegionBegin, 0);
         let latch = LockLatch::new();
         let job = RootJob::new(f, &latch);
-        // The root strand's DAG id; it starts from a zero span pair.
-        job.header().prepare(trace::next_task_id(), (0, 0));
         self.registry.inject(job.as_job_ref());
         latch.wait();
         trace::emit(EventKind::RegionEnd, 0);

@@ -81,8 +81,7 @@ impl<'scope> ScopeJob<'scope> {
         let mut job = Box::from_raw(ptr as *mut ScopeJob<'scope>);
         let scope = &*job.scope;
         let func = job.func.take().expect("scope job executed twice");
-        // Adjacent to `strand_begin`, see `StackJob::execute_foreign`.
-        trace::emit(EventKind::JobBegin, job.header.task_id());
+        trace::emit(EventKind::JobBegin, 0);
         let strand = profile::strand_begin(job.header.spawn_span());
         // The task executes as the right strand of its spawn point's
         // fork (sanitizer SP label; view detachment is part of it).
@@ -101,7 +100,7 @@ impl<'scope> ScopeJob<'scope> {
         }
         // Before `task_done`: the owner may drain trace rings as soon as
         // the scope's latch fires (see `StackJob::execute_foreign`).
-        trace::emit(EventKind::JobEnd, job.header.task_id());
+        trace::emit(EventKind::JobEnd, 0);
         scope.task_done();
     }
 }
@@ -146,8 +145,7 @@ impl<'scope> Scope<'scope> {
             index,
             func: Some(Box::new(f)),
         });
-        let tid = trace::next_task_id();
-        job.header.prepare(tid, profile::spawn_point());
+        job.header.set_spawn_span(profile::spawn_point());
         // Fork the spawner's SP label: the spawner continues as the left
         // sibling, the task executes as the right. Cascaded spawns chain
         // left labels, which the offset-span algebra keeps mutually
@@ -155,7 +153,6 @@ impl<'scope> Scope<'scope> {
         let (sp_cont, sp_child) = crate::sanhooks::sp_fork(crate::sanhooks::sp_current());
         job.header.set_sp_label(sp_child);
         let _ = crate::sanhooks::sp_enter(sp_cont);
-        trace::emit(EventKind::Spawn, tid);
         // Leak into the deque; ScopeJob::execute reconstitutes it.
         let raw = Box::into_raw(job);
         // SAFETY: the heap job stays alive until `execute` reboxes it,
@@ -190,11 +187,8 @@ where
     s.task_done();
 
     // The scope close is a sync over *every* task spawned so far in this
-    // strand; it gets a fresh id of its own (a join sync's id is the
-    // joined task's, which the DAG analyzer uses to tell the two apart).
-    let sync_id = trace::next_task_id();
+    // strand.
     let left = profile::sync_pause();
-    trace::emit(EventKind::SyncBegin, sync_id);
 
     // Keep useful while waiting: execute our own spawned jobs (popped
     // back LIFO) or steal, exactly like waiting at a join. All scope
@@ -238,7 +232,6 @@ where
     // The close is the sync point: every task label forked from this
     // frame is now serially before the continuing strand.
     crate::sanhooks::sp_join(sp_frame);
-    trace::emit(EventKind::SyncEnd, sync_id);
 
     match result {
         Err(p) => panic::resume_unwind(p),

@@ -31,11 +31,14 @@
 //!   [`TlmmRegion::pmap`]. "Hardware address translation" is simulated by a
 //!   per-region flat array of page base pointers, so resolving a
 //!   [`TlmmAddr`] costs one indexed load — the analogue of a TLB hit.
-//! * Every simulated kernel entry (`palloc`/`pfree`/`pmap`) bumps global
-//!   [`stats`] counters, and an optional [`stats::set_crossing_cost_ns`]
-//!   cost model spins for a configurable duration per crossing so the
-//!   "too many `sys_pmap` calls become a scalability bottleneck" argument
-//!   of §5 can be reproduced quantitatively.
+//! * Every simulated kernel entry (`palloc`/`pfree`/`pmap`) bumps the
+//!   arena's [`stats`] counters, so a probe can count the crossings
+//!   behind §5's "too many `sys_pmap` calls become a scalability
+//!   bottleneck" argument.
+//!
+//! No reducer path calls `palloc`, `pmap` or `pfree`: each worker reaches
+//! its views through one page array of its own (DESIGN.md §4), so a
+//! pool's crossing counters read 0.
 //!
 //! Memory inside a mapped page is exposed as raw pointers: the same page
 //! may legitimately be mapped by several regions at once (that is the whole

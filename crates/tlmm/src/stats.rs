@@ -1,31 +1,20 @@
-//! Kernel-crossing counters and an optional cost model for simulated
-//! crossings.
+//! Kernel-crossing counters for simulated crossings.
 //!
 //! The SPAA 2012 paper argues (§5) that a naive TLMM reducer design — one
 //! that stores views directly in the TLMM region — would need many
 //! `sys_pmap` calls per steal, and that "if the number of `sys_pmap` calls
 //! is too great, the kernel crossing overhead can become a scalability
-//! bottleneck". The counters here let experiments observe exactly how many
-//! simulated crossings each design performs, and the cost model lets the
-//! `ablation_naive` bench charge a configurable latency per crossing.
+//! bottleneck". The counters here let a probe observe exactly how many
+//! simulated crossings it performs. No reducer path crosses the simulated
+//! kernel, so a pool's counters read 0.
 //!
 //! Accounting is **per domain**: every [`crate::PageArena`] (one per
 //! reducer domain) owns a [`CrossingCounters`], so concurrent domains and
-//! benchmark phases cannot bleed into each other's numbers. Each charge
-//! also feeds the per-thread event tracer (`cilkm-obs`). (The original
-//! process-global counters lived here as a deprecated shim for one
-//! release; every consumer now reads
-//! [`CrossingCounters::snapshot`] through [`crate::PageArena::crossings`].)
-
-// lint: allow(raw-sync, crossing counters are Relaxed-only monitoring data in the unmodeled kernel-side crate; the cost model and counter reads have no ordering obligations — same policy as cilkm-obs::metrics)
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+//! benchmark phases cannot bleed into each other's numbers. Every consumer
+//! reads [`CrossingCounters::snapshot`] through
+//! [`crate::PageArena::crossings`].
 
 use cilkm_obs::metrics::Counter;
-use cilkm_obs::{trace, EventKind};
-
-/// Simulated cost of one kernel crossing, in nanoseconds (0 = free).
-static CROSSING_COST_NS: AtomicU64 = AtomicU64::new(0);
 
 /// A snapshot of one domain's kernel-crossing counters.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -68,8 +57,7 @@ impl CrossingSnapshot {
 /// One instance lives on each [`crate::PageArena`] (reducer domains each
 /// own an arena), so crossing counts can be attributed to the domain that
 /// caused them. The `charge_*` methods are the only charge sites in the
-/// crate: besides bumping these counters they emit a tracer event and pay
-/// the [`crossing_cost_ns`] model.
+/// crate.
 #[derive(Debug, Default)]
 pub struct CrossingCounters {
     palloc_calls: Counter,
@@ -107,9 +95,6 @@ impl CrossingCounters {
     pub fn charge_palloc(&self) {
         self.palloc_calls.inc();
         self.palloc_pages.inc();
-        trace::emit(EventKind::Palloc, 0);
-        cilkm_obs::profile::charge_crossings(1);
-        pay_crossing_cost();
     }
 
     /// Charges one simulated batched `sys_palloc` crossing allocating
@@ -119,18 +104,12 @@ impl CrossingCounters {
     pub fn charge_palloc_batch(&self, pages: u64) {
         self.palloc_calls.inc();
         self.palloc_pages.add(pages);
-        trace::emit(EventKind::Palloc, pages);
-        cilkm_obs::profile::charge_crossings(1);
-        pay_crossing_cost();
     }
 
     /// Charges one simulated `sys_pfree` crossing.
     #[inline]
     pub fn charge_pfree(&self) {
         self.pfree_calls.inc();
-        trace::emit(EventKind::Pfree, 0);
-        cilkm_obs::profile::charge_crossings(1);
-        pay_crossing_cost();
     }
 
     /// Charges one simulated `sys_pmap` crossing touching `pages` page
@@ -140,42 +119,6 @@ impl CrossingCounters {
     pub fn charge_pmap(&self, pages: u64) {
         self.pmap_calls.inc();
         self.pmap_pages.add(pages);
-        trace::emit(EventKind::Pmap, pages);
-        cilkm_obs::profile::charge_crossings(1);
-        pay_crossing_cost();
-    }
-}
-
-/// Sets the simulated latency charged to every kernel crossing.
-///
-/// The real TLMM-Linux syscalls cost on the order of a microsecond
-/// (two kernel crossings plus page-table manipulation). Setting a nonzero
-/// cost makes each simulated `palloc`/`pfree`/`pmap` spin for that long,
-/// which is how the naive-design ablation turns its crossing *counts* into
-/// wall-clock effects. The default is 0 (crossings are only counted).
-pub fn set_crossing_cost_ns(ns: u64) {
-    CROSSING_COST_NS.store(ns, Ordering::Relaxed);
-}
-
-/// Current simulated crossing latency in nanoseconds.
-pub fn crossing_cost_ns() -> u64 {
-    CROSSING_COST_NS.load(Ordering::Relaxed)
-}
-
-/// Pays the cost model for one kernel crossing (a no-op at cost 0).
-#[inline]
-fn pay_crossing_cost() {
-    let cost = CROSSING_COST_NS.load(Ordering::Relaxed);
-    if cost != 0 {
-        spin_for_ns(cost);
-    }
-}
-
-/// Busy-waits for approximately `ns` nanoseconds.
-fn spin_for_ns(ns: u64) {
-    let start = Instant::now();
-    while (start.elapsed().as_nanos() as u64) < ns {
-        std::hint::spin_loop();
     }
 }
 
@@ -233,7 +176,7 @@ mod tests {
     }
 
     #[test]
-    fn charge_increments_and_respects_cost_model() {
+    fn charge_increments_calls_and_pages() {
         let counters = CrossingCounters::new();
         counters.charge_pmap(3);
         counters.charge_palloc_batch(5);
@@ -242,12 +185,5 @@ mod tests {
         assert_eq!(s.pmap_pages, 3);
         assert_eq!(s.palloc_calls, 1, "a batched palloc is one crossing");
         assert_eq!(s.palloc_pages, 5);
-
-        // With a visible cost the charge should take at least that long.
-        set_crossing_cost_ns(200_000);
-        let t = Instant::now();
-        counters.charge_pmap(1);
-        assert!(t.elapsed().as_nanos() >= 200_000);
-        set_crossing_cost_ns(0);
     }
 }

@@ -7,16 +7,14 @@
 //! # with the event tracer compiled in, additionally records one traced
 //! # run and writes trace/metrics artifacts under bench_out/:
 //! cargo run --release --features trace --example pbfs
-//! # work/span/parallelism: the online profiled run plus, when traced,
-//! # the offline DAG reconstruction with critical-path attribution
-//! # (written to bench_out/pbfs_critical_path.txt):
+//! # work, span, burdened span and parallelism from the online profiler:
 //! cargo run --release --features trace --example pbfs -- --profile
 //! ```
 
 use std::path::PathBuf;
 
 use cilkm::graph::gen;
-use cilkm::obs::{analyze, dag, export, metrics, trace};
+use cilkm::obs::{analyze, export, metrics, trace};
 use cilkm::prelude::*;
 
 /// Artifact directory: `CILKM_BENCH_OUT` if set, else `bench_out/` at
@@ -30,10 +28,6 @@ fn out_dir() -> PathBuf {
     p
 }
 
-/// One tracer-enabled PBFS run: records every scheduler/reducer event,
-/// writes the Chrome trace (load it in Perfetto / chrome://tracing), the
-/// lossless events CSV, and a metrics dump, then prints the analyzer's
-/// summary of the same trace.
 /// One profiled PBFS run: the online constant-space work/span
 /// accumulator, no trace ring involved. Prints the parallelism report
 /// (all zeros when the `trace` feature is off).
@@ -47,6 +41,10 @@ fn profiled_run(g: &cilkm::graph::Graph, source: u32, serial: &[u32]) {
     print!("{}", pr.render());
 }
 
+/// One tracer-enabled PBFS run: records every scheduler/reducer event,
+/// writes the Chrome trace (load it in Perfetto / chrome://tracing), the
+/// lossless events CSV, and a metrics dump, then prints the analyzer's
+/// summary of the same trace.
 fn traced_run(g: &cilkm::graph::Graph, source: u32, serial: &[u32]) {
     let pool = ReducerPool::new(4, Backend::Mmap);
     let metrics_before = metrics::global().snapshot();
@@ -66,13 +64,7 @@ fn traced_run(g: &cilkm::graph::Graph, source: u32, serial: &[u32]) {
         std::fs::write(&path, buf).expect("write artifact");
         println!("  wrote {}", path.display());
     };
-    // Offline SP-DAG reconstruction: work/span/parallelism plus the
-    // critical path, overlaid on the Chrome trace as its own track and
-    // written out as a text report for CI to upload.
-    let analysis = dag::build(&tr);
-    write("pbfs_trace.json", &|w| {
-        export::write_chrome_json_with_path(&tr, &analysis.critical_path, w)
-    });
+    write("pbfs_trace.json", &|w| export::write_chrome_json(&tr, w));
     write("pbfs_trace_events.csv", &|w| {
         export::write_events_csv(&tr, w)
     });
@@ -82,12 +74,7 @@ fn traced_run(g: &cilkm::graph::Graph, source: u32, serial: &[u32]) {
     write("pbfs_metrics.json", &|w| {
         export::write_metrics_json(&metrics_delta, w)
     });
-    write("pbfs_critical_path.txt", &|w| {
-        use std::io::Write as _;
-        w.write_all(analysis.render(10).as_bytes())
-    });
     print!("{}", analyze::render(&analyze::summarize(&tr)));
-    print!("{}", analysis.render(10));
 }
 
 fn main() {
