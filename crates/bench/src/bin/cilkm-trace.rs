@@ -2,33 +2,22 @@
 //!
 //! ```sh
 //! cargo run --release --bin cilkm-trace -- bench_out/pbfs_trace.json
-//! cargo run --release --bin cilkm-trace -- bench_out/pbfs_trace_events.csv
 //! ```
 //!
-//! Accepts either export format of `cilkm-obs` (Chrome `trace_event`
-//! JSON, as written by `write_chrome_json`, or the lossless events CSV)
-//! and prints the per-worker utilization / job / merge / park / steal
-//! summary from `cilkm_obs::analyze`. Work, span and the reducer burden
-//! on the span come from `Pool::run_profiled`, not from a trace.
+//! Reads the Chrome `trace_event` JSON that `cilkm-obs`'s
+//! `write_chrome_json` writes and prints the per-worker utilization /
+//! job / merge / park / steal summary from `cilkm_obs::analyze`. A file
+//! that is not such a trace is an error (exit 1). Work, span and the
+//! reducer burden on the span come from `Pool::run_profiled`, not from a
+//! trace.
 
 use std::process::ExitCode;
 
-use cilkm_obs::export::{read_chrome_json, read_events_csv};
-use cilkm_obs::{analyze, Trace};
-
-fn parse(path: &str, text: &str) -> Result<Trace, String> {
-    // Chrome traces start with the `traceEvents` envelope; anything else
-    // is treated as the CSV format.
-    if text.trim_start().starts_with('{') {
-        read_chrome_json(text)
-    } else {
-        read_events_csv(text)
-    }
-    .map_err(|e| format!("{path}: {e}"))
-}
+use cilkm_obs::analyze;
+use cilkm_obs::export::read_chrome_json;
 
 fn usage() -> ExitCode {
-    eprintln!("usage: cilkm-trace <trace.json | events.csv>...");
+    eprintln!("usage: cilkm-trace <trace.json>...");
     eprintln!("  summarizes traces recorded by a `trace`-enabled cilkm build");
     ExitCode::from(2)
 }
@@ -40,15 +29,10 @@ fn main() -> ExitCode {
     }
     let mut failed = false;
     for path in &paths {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {path}: {e}");
-                failed = true;
-                continue;
-            }
-        };
-        match parse(path, &text) {
+        let trace = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read {path}: {e}"))
+            .and_then(|text| read_chrome_json(&text).map_err(|e| format!("{path}: {e}")));
+        match trace {
             Ok(trace) => {
                 println!("# {path}");
                 print!("{}", analyze::render(&analyze::summarize(&trace)));

@@ -23,7 +23,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use cilkm_bench::output::{fmt_duration, write_bench_json, Table};
+use cilkm_bench::output::{fmt_duration, Table};
 use cilkm_core::library::SumMonoid;
 use cilkm_core::{Backend, Reducer, ReducerPool};
 use cilkm_runtime::sync::SpinLock;
@@ -127,10 +127,6 @@ fn main() {
         ],
     );
 
-    let mut json = vec![
-        ("workers".to_string(), workers.to_string()),
-        ("updates".to_string(), x.to_string()),
-    ];
     for n in [4usize, 64, 1024] {
         let mmap = run_reducer(Backend::Mmap, workers, n, x, grain);
         let hyper = run_reducer(Backend::Hypermap, workers, n, x, grain);
@@ -146,18 +142,8 @@ fn main() {
             fmt_duration(locked),
             fmt_duration(manual),
         ]);
-        for (strategy, d) in [
-            ("reducer_mmap", mmap),
-            ("reducer_hypermap", hyper),
-            ("atomic", atomic),
-            ("locking", locked),
-            ("manual_split", manual),
-        ] {
-            json.push((format!("n{n}_{strategy}_ns"), d.as_nanos().to_string()));
-        }
     }
     t.emit("comparison");
-    write_bench_json("comparison", &json);
 
     println!(
         "Notes: atomics/locks contend on shared cache lines as P grows and give no\n\

@@ -1,11 +1,8 @@
 //! Regenerates Figure 5(a) and 5(b): microbenchmark execution times with
-//! varying numbers of reducers, serial and parallel, and emits the
-//! stable-schema `BENCH_fig5.json` perf-trajectory point over both.
+//! varying numbers of reducers, serial and parallel.
 //!
 //! Env: CILKM_BENCH_SCALE (iteration divisor), CILKM_BENCH_WORKERS
 //! (parallel worker count, default 16).
-
-use cilkm_bench::output::write_bench_json;
 
 fn main() {
     let opts = cilkm_bench::figures::FigureOpts::default();
@@ -13,21 +10,6 @@ fn main() {
         "fig5: scale divisor = {}, workers = {}\n",
         opts.scale, opts.workers
     );
-    let serial = cilkm_bench::figures::fig5(opts, 1);
-    let parallel = cilkm_bench::figures::fig5(opts, opts.workers);
-
-    let mut json: Vec<(String, String)> = Vec::new();
-    for (workers, rows) in [(1, &serial), (opts.workers, &parallel)] {
-        for r in rows {
-            json.push((
-                format!("{}{}_w{workers}_mmap_ns", r.bench, r.n),
-                r.cilk_m.as_nanos().to_string(),
-            ));
-            json.push((
-                format!("{}{}_w{workers}_hypermap_ns", r.bench, r.n),
-                r.cilk_plus.as_nanos().to_string(),
-            ));
-        }
-    }
-    write_bench_json("fig5", &json);
+    cilkm_bench::figures::fig5(opts, 1);
+    cilkm_bench::figures::fig5(opts, opts.workers);
 }

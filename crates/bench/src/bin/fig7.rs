@@ -1,10 +1,7 @@
 //! Regenerates Figure 7: the reduce overhead (view creation + insertion +
-//! transferal + hypermerge) during parallel execution, per backend, and
-//! emits the stable-schema `BENCH_fig7.json` perf-trajectory point.
+//! transferal + hypermerge) during parallel execution, per backend.
 //!
 //! Env: CILKM_BENCH_SCALE, CILKM_BENCH_WORKERS.
-
-use cilkm_bench::output::write_bench_json;
 
 fn main() {
     let opts = cilkm_bench::figures::FigureOpts::default();
@@ -12,30 +9,5 @@ fn main() {
         "fig7: scale divisor = {}, workers = {}\n",
         opts.scale, opts.workers
     );
-    let rows = cilkm_bench::figures::fig7(opts);
-
-    let mut json: Vec<(String, String)> = Vec::new();
-    json.push(("workers".into(), opts.workers.to_string()));
-    for r in &rows {
-        json.push((
-            format!("add{}_mmap_overhead_ns", r.n),
-            format!("{:.0}", r.cilk_m_us * 1e3),
-        ));
-        json.push((
-            format!("add{}_hypermap_overhead_ns", r.n),
-            format!("{:.0}", r.cilk_plus_us * 1e3),
-        ));
-        // Steals ride along as workload description (not gated): the
-        // overheads above only mean anything relative to how many
-        // steals the schedule actually produced.
-        json.push((
-            format!("add{}_mmap_steals", r.n),
-            r.cilk_m_steals.to_string(),
-        ));
-        json.push((
-            format!("add{}_hypermap_steals", r.n),
-            r.cilk_plus_steals.to_string(),
-        ));
-    }
-    write_bench_json("fig7", &json);
+    cilkm_bench::figures::fig7(opts);
 }

@@ -19,7 +19,7 @@
 
 use std::time::{Duration, Instant};
 
-use cilkm_bench::output::{write_bench_json, Table};
+use cilkm_bench::output::Table;
 use cilkm_core::library::SumMonoid;
 use cilkm_core::{Backend, Reducer, ReducerPool};
 use cilkm_runtime::parallel_for;
@@ -93,10 +93,6 @@ fn main() {
         ],
     );
 
-    let mut json = vec![
-        ("workers".to_string(), workers.to_string()),
-        ("rounds".to_string(), rounds.to_string()),
-    ];
     for n in [256usize, 1024, 4096, 16384] {
         for backend in [Backend::Mmap, Backend::Hypermap] {
             let p = measure(backend, workers, n, rounds);
@@ -115,14 +111,9 @@ fn main() {
                     "-".into()
                 },
             ]);
-            let tag = format!("r{n}_{}", format!("{backend:?}").to_lowercase());
-            json.push((format!("{tag}_total_ns"), p.total.as_nanos().to_string()));
-            json.push((format!("{tag}_overhead_ns"), p.overhead_ns.to_string()));
-            json.push((format!("{tag}_overhead_pct"), format!("{share:.1}")));
         }
     }
     t.emit("overhead_limit");
-    write_bench_json("overhead_limit", &json);
 
     println!(
         "Reading: as the live-reducer count grows with work held constant per\n\

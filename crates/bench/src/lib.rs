@@ -7,10 +7,11 @@
 //!   plain L1-access baseline);
 //! * [`figures`] — one function per table/figure of the paper, each
 //!   returning typed rows and printing the same series the paper plots;
-//! * [`output`] — table printing and CSV/JSON persistence into
-//!   `bench_out/`;
-//! * [`trend`] — cross-commit comparison of the committed `BENCH_*.json`
-//!   / `exploration_stats.json` artifacts (the `cilkm-trend` CI gate).
+//! * [`output`] — table printing and CSV persistence into `bench_out/`.
+//!
+//! The CSVs are the paper's reproduction artifacts, not a cross-commit
+//! record: the repo benchmark under `benchmark/` is the one measurement
+//! compared between commits.
 //!
 //! Scale: every figure accepts a *divisor* applied to the paper's
 //! iteration counts (1024 M lookups does not belong on a laptop). The
@@ -21,7 +22,6 @@
 pub mod figures;
 pub mod micro;
 pub mod output;
-pub mod trend;
 
 /// Reads the global scale divisor (≥ 1) from `CILKM_BENCH_SCALE`.
 pub fn env_scale(default: f64) -> f64 {

@@ -1,4 +1,4 @@
-//! Table printing and result persistence.
+//! Table printing and CSV persistence.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -7,7 +7,7 @@ use std::path::PathBuf;
 /// Where results land (created on demand): `CILKM_BENCH_OUT` if set,
 /// otherwise `bench_out/` at the workspace root — regardless of the
 /// working directory cargo ran us from.
-pub fn out_dir() -> PathBuf {
+fn out_dir() -> PathBuf {
     let p = match std::env::var("CILKM_BENCH_OUT") {
         Ok(dir) => PathBuf::from(dir),
         Err(_) => PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -85,28 +85,6 @@ impl Table {
         } else {
             println!("(written to {})\n", path.display());
         }
-    }
-}
-
-/// Writes the stable-schema `BENCH_<name>.json` perf-trajectory point in
-/// the flat-document shape `cilkm-trend` compares: `schema_version`,
-/// `bench`, then the given fields in order. Values are pre-rendered JSON
-/// scalars; keys ending `_ns` / `_pct` are what the trend gate treats as
-/// lower-is-better costs, everything else as workload description.
-pub fn write_bench_json(name: &str, fields: &[(String, String)]) {
-    let mut s = String::from("{\n  \"schema_version\": 1,\n");
-    let _ = writeln!(s, "  \"bench\": \"{name}\",");
-    let lines: Vec<String> = fields
-        .iter()
-        .map(|(k, v)| format!("  \"{k}\": {v}"))
-        .collect();
-    s.push_str(&lines.join(",\n"));
-    s.push_str("\n}\n");
-    let path = out_dir().join(format!("BENCH_{name}.json"));
-    if let Err(e) = fs::write(&path, s) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        println!("(written to {})\n", path.display());
     }
 }
 

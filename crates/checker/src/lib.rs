@@ -59,9 +59,9 @@ mod clock;
 mod dpor;
 mod exec;
 mod pct;
-mod stats;
 
 pub mod cell;
+pub mod stats;
 pub mod sync;
 pub mod thread;
 pub mod trace;

@@ -6,9 +6,14 @@
 //! execution depth. When the `CILKM_CHECK_STATS` env var names a file,
 //! the run's summary is merged into it keyed by `(test, engine)`: the
 //! file is read, the entry replaced, and the whole report rewritten
-//! sorted, so the final contents are identical across runs regardless of
-//! test order (counts themselves are deterministic — DFS/DPOR by
-//! construction, PCT by its fixed seed).
+//! sorted, so the order of the file does not depend on test order.
+//!
+//! Verdicts and schedule counts are what two reports can be held to:
+//! [`compare`], the gate the `cilkm-trend` bin runs, reads both with the
+//! parser the writer uses. Verdicts repeat exactly, and so do DFS and PCT
+//! schedule counts; a DPOR count can move by one between runs. The
+//! dependence-class count keys on heap addresses, which differ from run
+//! to run, so it is recorded and not compared.
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::{Mutex as OsMutex, OnceLock};
@@ -157,6 +162,52 @@ fn render(map: &BTreeMap<(String, String), Entry>) -> String {
     out
 }
 
+/// How far an entry's schedule count may fall below its baseline, in
+/// percent, before [`compare`] calls it a regression.
+const MAX_SCHEDULE_SHRINK_PCT: u128 = 25;
+
+/// Compares the exploration-stats report `current` against `baseline`,
+/// entry by `(test, engine)` entry. An entry regresses when its verdict
+/// differs from the baseline's, either way (a negative control that
+/// starts passing means a detector went blind), or when its schedule
+/// count falls by more than 25 % (a pruning bug can shrink the searched
+/// space while every verdict holds). An entry on one side only is a
+/// note. Returns `(regressions, notes)`, one line each, or `Err` when
+/// either report holds no entry.
+pub fn compare(baseline: &str, current: &str) -> Result<(Vec<String>, Vec<String>), String> {
+    let (base, cur) = (parse_existing(baseline), parse_existing(current));
+    for (map, side) in [(&base, "baseline"), (&cur, "current report")] {
+        if map.is_empty() {
+            return Err(format!("the {side} holds no exploration-stats entry"));
+        }
+    }
+    let (mut regressions, mut notes) = (Vec::new(), Vec::new());
+    for ((test, engine), b) in &base {
+        let Some(c) = cur.get(&(test.clone(), engine.clone())) else {
+            notes.push(format!("{test}@{engine}: in the baseline only"));
+            continue;
+        };
+        if c.verdict != b.verdict {
+            regressions.push(format!(
+                "{test}@{engine}: verdict {} -> {}",
+                b.verdict, c.verdict
+            ));
+        }
+        // In u128: the counts come from files, so the products must not
+        // overflow whatever `usize` they hold.
+        if c.schedules as u128 * 100 < b.schedules as u128 * (100 - MAX_SCHEDULE_SHRINK_PCT) {
+            regressions.push(format!(
+                "{test}@{engine}: schedules {} -> {}, down more than {MAX_SCHEDULE_SHRINK_PCT} %",
+                b.schedules, c.schedules
+            ));
+        }
+    }
+    for (test, engine) in cur.keys().filter(|k| !base.contains_key(*k)) {
+        notes.push(format!("{test}@{engine}: in the current report only"));
+    }
+    Ok((regressions, notes))
+}
+
 /// Records one finished model run into the `CILKM_CHECK_STATS` file (a
 /// no-op when the env var is unset). Keyed by the calling thread's name,
 /// which under `cargo test` is the test's path.
@@ -222,5 +273,84 @@ mod tests {
         back.insert(("t".to_string(), "dpor".to_string()), entry("pass", 9));
         assert_eq!(back.len(), 1);
         assert_eq!(back.values().next().unwrap().schedules, 9);
+    }
+
+    /// A protocol test that passes and a negative control that must fail.
+    fn report() -> String {
+        let mut map = BTreeMap::new();
+        map.insert(
+            ("obs::ring".to_string(), "dpor".to_string()),
+            entry("pass", 24),
+        );
+        map.insert(
+            ("abba_deadlock_detected".to_string(), "dfs".to_string()),
+            entry("fail", 26),
+        );
+        render(&map)
+    }
+
+    #[test]
+    fn identical_reports_are_clean() {
+        let r = report();
+        assert_eq!(compare(&r, &r), Ok((vec![], vec![])));
+    }
+
+    #[test]
+    fn a_verdict_flip_either_way_regresses() {
+        let r = report();
+        for (from, to) in [("pass", "fail"), ("fail", "pass")] {
+            let flipped = r.replace(
+                &format!("\"verdict\":\"{from}\""),
+                &format!("\"verdict\":\"{to}\""),
+            );
+            let (regressions, notes) = compare(&r, &flipped).unwrap();
+            assert_eq!(regressions.len(), 1, "{from} -> {to}: {regressions:?}");
+            assert!(regressions[0].ends_with(&format!("verdict {from} -> {to}")));
+            assert!(notes.is_empty());
+        }
+    }
+
+    #[test]
+    fn coverage_shrinking_past_a_quarter_regresses_and_growth_never_does() {
+        let r = report();
+        let with = |n: usize| r.replace("\"schedules\":24", &format!("\"schedules\":{n}"));
+        assert_eq!(compare(&r, &with(18)).unwrap().0, Vec::<String>::new());
+        let regressions = compare(&r, &with(17)).unwrap().0;
+        assert_eq!(regressions.len(), 1);
+        assert!(regressions[0].starts_with("obs::ring@dpor: schedules 24 -> 17"));
+        assert_eq!(compare(&r, &with(240)).unwrap().0, Vec::<String>::new());
+    }
+
+    #[test]
+    fn one_sided_entries_are_notes_not_regressions() {
+        let r = report();
+        let mut map = parse_existing(&r);
+        map.remove(&("obs::ring".to_string(), "dpor".to_string()));
+        map.insert(
+            ("new::test".to_string(), "pct".to_string()),
+            entry("pass", 5),
+        );
+        let (regressions, notes) = compare(&r, &render(&map)).unwrap();
+        assert!(regressions.is_empty());
+        assert_eq!(
+            notes,
+            [
+                "obs::ring@dpor: in the baseline only",
+                "new::test@pct: in the current report only"
+            ]
+        );
+        // A report with no entry at all compares nothing.
+        assert!(compare(&r, "").is_err());
+        assert!(compare("{\n}\n", &r).is_err());
+    }
+
+    #[test]
+    fn the_committed_report_round_trips_and_compares_clean() {
+        let committed = include_str!("../../../bench_out/exploration_stats.json");
+        let map = parse_existing(committed);
+        assert_eq!(map.len(), committed.matches("{\"test\":").count());
+        let rendered = render(&map);
+        assert_eq!(rendered, committed);
+        assert_eq!(compare(committed, &rendered), Ok((vec![], vec![])));
     }
 }

@@ -1,23 +1,17 @@
-//! Trace and metrics exporters (and the matching loaders).
+//! The trace exporter and its loader, and the metrics dump.
 //!
-//! Two trace formats are written side by side:
+//! A trace has one on-disk format, Chrome `trace_event` JSON
+//! ([`write_chrome_json`]), because Perfetto and `chrome://tracing` load
+//! it as is. Paired kinds (job, merge, park, region) become `B`/`E`
+//! duration slices; the rest become instants. Every event round-trips
+//! losslessly through [`read_chrome_json`]. One JSON object per line
+//! keeps the loader a line scanner instead of a JSON engine — the
+//! workspace builds offline, so there is no serde to lean on. The loader
+//! reads only what the writer produces and refuses anything else.
 //!
-//! * **Chrome `trace_event` JSON** ([`write_chrome_json`]) — loads
-//!   directly in Perfetto or `chrome://tracing`. Paired kinds
-//!   (job, merge, park, region) become `B`/`E` duration slices; the rest
-//!   become instants. One JSON object per line, which keeps the loader
-//!   ([`read_chrome_json`]) a line scanner instead of a JSON engine —
-//!   the workspace builds offline, so there is no serde to lean on.
-//! * **Events CSV** ([`write_events_csv`]) — a lossless
-//!   `worker,ts_ns,kind,arg` dump for ad-hoc tooling, loaded back by
-//!   [`read_events_csv`].
-//!
-//! Metrics snapshots get flat CSV ([`write_metrics_csv`]) and JSON
-//! ([`write_metrics_json`]) dumps; histograms are flattened into
-//! `count` / `sum` / `mean` / coarse quantiles plus their non-empty
-//! buckets.
-//!
-//! The loaders only promise to read what the writers here produce.
+//! A metrics snapshot has one dump, flat JSON ([`write_metrics_json`]);
+//! histograms are flattened into `count` / `sum` / `mean` / coarse
+//! quantiles plus their non-empty buckets.
 
 use std::io::{self, Write};
 
@@ -139,8 +133,17 @@ fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
 }
 
 /// Loads a trace written by [`write_chrome_json`]. Timestamps come back
-/// quantized to the stored microsecond precision (whole ns).
+/// quantized to the stored microsecond precision (whole ns). Text that
+/// lacks the writer's `{"traceEvents":[` opening line or its `]}`
+/// closing line — another format, an empty file, a cut-off document —
+/// is an error, not an empty trace.
 pub fn read_chrome_json(text: &str) -> Result<Trace, String> {
+    let mut lines = text.lines().map(str::trim).filter(|l| !l.is_empty());
+    if lines.next() != Some("{\"traceEvents\":[") || lines.next_back() != Some("]}") {
+        return Err(
+            "not a Chrome trace: no `{\"traceEvents\":[` first line or `]}` last line".into(),
+        );
+    }
     // tid -> (label, dropped, events)
     let mut threads: Vec<(String, u64, Vec<Event>)> = Vec::new();
     let at = |tid: usize, threads: &mut Vec<(String, u64, Vec<Event>)>| {
@@ -148,11 +151,8 @@ pub fn read_chrome_json(text: &str) -> Result<Trace, String> {
             threads.push((format!("tid-{}", threads.len()), 0, Vec::new()));
         }
     };
-    for line in text.lines() {
-        let line = line.trim().trim_start_matches(',');
-        if !line.starts_with('{') || !line.contains("\"ph\"") {
-            continue;
-        }
+    for line in lines {
+        let line = line.trim_start_matches(',');
         let ph = json_field(line, "ph").ok_or_else(|| format!("missing ph: {line}"))?;
         let tid: usize = json_field(line, "tid")
             .and_then(|v| v.parse().ok())
@@ -215,116 +215,34 @@ pub fn read_chrome_json(text: &str) -> Result<Trace, String> {
     Ok(Trace { threads: out })
 }
 
-/// Writes the lossless `worker,ts_ns,kind,arg` event dump. A pseudo-row
-/// with kind `dropped` carries each thread's lost-event count.
-pub fn write_events_csv<W: Write>(trace: &Trace, w: &mut W) -> io::Result<()> {
-    writeln!(w, "worker,ts_ns,kind,arg")?;
-    for t in &trace.threads {
-        for ev in &t.events {
-            writeln!(w, "{},{},{},{}", t.label, ev.ts_ns, ev.kind.name(), ev.arg)?;
-        }
-        if t.dropped > 0 {
-            writeln!(w, "{},0,dropped,{}", t.label, t.dropped)?;
-        }
-    }
-    Ok(())
-}
-
-/// Loads a dump written by [`write_events_csv`].
-pub fn read_events_csv(text: &str) -> Result<Trace, String> {
-    let mut threads: Vec<ThreadTrace> = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if i == 0 || line.trim().is_empty() {
-            continue;
-        }
-        let mut parts = line.splitn(4, ',');
-        let (worker, ts, kind, arg) = (
-            parts.next().ok_or_else(|| format!("line {i}: no worker"))?,
-            parts.next().ok_or_else(|| format!("line {i}: no ts"))?,
-            parts.next().ok_or_else(|| format!("line {i}: no kind"))?,
-            parts.next().ok_or_else(|| format!("line {i}: no arg"))?,
-        );
-        let ts_ns: u64 = ts.parse().map_err(|_| format!("line {i}: bad ts {ts:?}"))?;
-        let arg: u64 = arg
-            .parse()
-            .map_err(|_| format!("line {i}: bad arg {arg:?}"))?;
-        let t = match threads.iter_mut().find(|t| t.label == worker) {
-            Some(t) => t,
-            None => {
-                threads.push(ThreadTrace {
-                    label: worker.to_owned(),
-                    events: Vec::new(),
-                    dropped: 0,
-                });
-                threads.last_mut().unwrap()
-            }
-        };
-        if kind == "dropped" {
-            t.dropped = arg;
-        } else {
-            let kind =
-                EventKind::from_name(kind).ok_or_else(|| format!("line {i}: bad kind {kind:?}"))?;
-            t.events.push(Event { ts_ns, kind, arg });
-        }
-    }
-    threads.sort_by(|a, b| a.label.cmp(&b.label));
-    Ok(Trace { threads })
-}
-
-/// Flattens one histogram into `(suffix, text value)` rows shared by the
-/// CSV and JSON metric writers.
-fn histogram_rows(h: &crate::metrics::HistogramSnapshot) -> Vec<(String, String)> {
-    let mut rows = vec![
-        ("count".into(), h.count.to_string()),
-        ("sum".into(), h.sum.to_string()),
-        ("mean".into(), format!("{:.3}", h.mean())),
-        ("p50_le".into(), h.quantile_upper_bound(0.5).to_string()),
-        ("p99_le".into(), h.quantile_upper_bound(0.99).to_string()),
-    ];
-    for (i, &b) in h.buckets.iter().enumerate() {
-        if b > 0 {
-            rows.push((
-                format!("bucket_ge_{}", bucket_lower_bound(i)),
-                b.to_string(),
-            ));
-        }
-    }
-    rows
-}
-
-/// Writes a flat `metric,value` CSV. Histograms expand into
-/// `name.count`, `name.sum`, `name.mean`, coarse quantiles, and one row
-/// per non-empty bucket.
-pub fn write_metrics_csv<W: Write>(snap: &MetricsSnapshot, w: &mut W) -> io::Result<()> {
-    writeln!(w, "metric,value")?;
-    for (name, value) in &snap.values {
-        match value {
-            MetricValue::Counter(v) => writeln!(w, "{name},{v}")?,
-            MetricValue::Histogram(h) => {
-                for (suffix, v) in histogram_rows(h) {
-                    writeln!(w, "{name}.{suffix},{v}")?;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Writes the snapshot as one flat JSON object (histograms expand into
-/// dotted keys, as in the CSV form).
+/// Writes the snapshot as one flat JSON object. A histogram expands into
+/// dotted keys: `name.count`, `name.sum`, `name.mean`, coarse quantiles,
+/// and one `name.bucket_ge_<lower bound>` per non-empty bucket.
 pub fn write_metrics_json<W: Write>(snap: &MetricsSnapshot, w: &mut W) -> io::Result<()> {
-    writeln!(w, "{{")?;
     let mut rows: Vec<(String, String)> = Vec::new();
     for (name, value) in &snap.values {
         match value {
             MetricValue::Counter(v) => rows.push((name.clone(), v.to_string())),
             MetricValue::Histogram(h) => {
-                for (suffix, v) in histogram_rows(h) {
-                    rows.push((format!("{name}.{suffix}"), v));
+                rows.push((format!("{name}.count"), h.count.to_string()));
+                rows.push((format!("{name}.sum"), h.sum.to_string()));
+                rows.push((format!("{name}.mean"), format!("{:.3}", h.mean())));
+                for (q, key) in [(0.5, "p50_le"), (0.99, "p99_le")] {
+                    rows.push((
+                        format!("{name}.{key}"),
+                        h.quantile_upper_bound(q).to_string(),
+                    ));
+                }
+                for (i, &b) in h.buckets.iter().enumerate().filter(|(_, &b)| b > 0) {
+                    rows.push((
+                        format!("{name}.bucket_ge_{}", bucket_lower_bound(i)),
+                        b.to_string(),
+                    ));
                 }
             }
         }
     }
+    writeln!(w, "{{")?;
     for (i, (name, v)) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         writeln!(w, "  \"{}\": {v}{comma}", json_escape(name))?;
@@ -387,21 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn events_csv_round_trips_losslessly() {
-        let trace = sample_trace();
-        let mut buf = Vec::new();
-        write_events_csv(&trace, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let back = read_events_csv(&text).unwrap();
-        assert_eq!(back.threads.len(), 2);
-        for (a, b) in trace.threads.iter().zip(&back.threads) {
-            assert_eq!(a.label, b.label);
-            assert_eq!(a.events, b.events);
-            assert_eq!(a.dropped, b.dropped);
-        }
-    }
-
-    #[test]
     fn chrome_json_round_trips_kinds_and_args() {
         let trace = sample_trace();
         let mut buf = Vec::new();
@@ -412,27 +315,44 @@ mod tests {
 
         let back = read_chrome_json(&text).unwrap();
         assert_eq!(back.threads.len(), 2);
-        assert_eq!(back.threads[0].label, "cilkm-worker-0");
-        assert_eq!(back.threads[1].dropped, 2);
         for (a, b) in trace.threads.iter().zip(&back.threads) {
-            assert_eq!(a.events.len(), b.events.len());
-            for (ea, eb) in a.events.iter().zip(&b.events) {
-                assert_eq!(ea.kind, eb.kind);
-                assert_eq!(ea.arg, eb.arg);
-                // Timestamps survive at microsecond-file precision.
-                assert_eq!(ea.ts_ns, eb.ts_ns);
-            }
+            assert_eq!(a.label, b.label);
+            // Timestamps survive at microsecond-file precision.
+            assert_eq!(a.events, b.events);
+            assert_eq!(a.dropped, b.dropped);
         }
     }
 
+    #[test]
+    fn text_that_is_not_a_whole_trace_is_refused() {
+        let mut buf = Vec::new();
+        write_chrome_json(&sample_trace(), &mut buf).unwrap();
+        let whole = String::from_utf8(buf).unwrap();
+        let cut = &whole[..whole.trim_end().rfind('\n').unwrap()];
+        let csv = "worker,ts_ns,kind,arg\ncilkm-worker-0,1500,job_begin,0\n";
+        for text in [csv, "", "\n", cut, &whole[whole.find('\n').unwrap()..]] {
+            assert!(read_chrome_json(text).is_err(), "{text:?} loaded");
+        }
+        // An empty trace is still a trace.
+        let mut buf = Vec::new();
+        write_chrome_json(
+            &Trace {
+                threads: Vec::new(),
+            },
+            &mut buf,
+        )
+        .unwrap();
+        let empty = read_chrome_json(&String::from_utf8(buf).unwrap()).unwrap();
+        assert!(empty.threads.is_empty());
+    }
+
     proptest::proptest! {
-        /// Every event kind with arbitrary args survives both
-        /// exporters. Timestamps are kept
-        /// under 2^50 ns (~13 days) so the Chrome format's f64
+        /// Every event kind with arbitrary args survives the exporter.
+        /// Timestamps are kept under 2^50 ns (~13 days) so the f64
         /// microsecond field stays exact: at 2^52 the representation
         /// error of `ts/1000.0` reaches the 0.5 ns rounding boundary.
         #[test]
-        fn any_event_stream_round_trips_both_formats(
+        fn any_event_stream_round_trips(
             raw in proptest::collection::vec(
                 (0u64..(1 << 50), 0..EventKind::ALL.len(), proptest::prelude::any::<u64>()),
                 1..48,
@@ -445,21 +365,15 @@ mod tests {
             let trace = Trace {
                 threads: vec![ThreadTrace { label: "w0".into(), events, dropped: 0 }],
             };
-
-            let mut buf = Vec::new();
-            write_events_csv(&trace, &mut buf).unwrap();
-            let csv_back = read_events_csv(&String::from_utf8(buf).unwrap()).unwrap();
-            proptest::prop_assert_eq!(&csv_back.threads[0].events, &trace.threads[0].events);
-
             let mut buf = Vec::new();
             write_chrome_json(&trace, &mut buf).unwrap();
-            let json_back = read_chrome_json(&String::from_utf8(buf).unwrap()).unwrap();
-            proptest::prop_assert_eq!(&json_back.threads[0].events, &trace.threads[0].events);
+            let back = read_chrome_json(&String::from_utf8(buf).unwrap()).unwrap();
+            proptest::prop_assert_eq!(&back.threads[0].events, &trace.threads[0].events);
         }
     }
 
     #[test]
-    fn metrics_csv_and_json_flatten_histograms() {
+    fn metrics_json_flattens_histograms() {
         let h = Histogram::new();
         h.record(100);
         h.record(5_000);
@@ -474,19 +388,17 @@ mod tests {
         );
 
         let mut buf = Vec::new();
-        write_metrics_csv(&snap, &mut buf).unwrap();
-        let csv = String::from_utf8(buf).unwrap();
-        assert!(csv.contains("core.lookups,42"));
-        assert!(csv.contains("core.merge_ns.count,2"));
-        assert!(csv.contains("core.merge_ns.sum,5100"));
-        assert!(csv.contains("core.merge_ns.bucket_ge_64,1"));
-        assert!(csv.contains("core.merge_ns.bucket_ge_4096,1"));
-
-        let mut buf = Vec::new();
         write_metrics_json(&snap, &mut buf).unwrap();
         let json = String::from_utf8(buf).unwrap();
-        assert!(json.contains("\"core.lookups\": 42"));
-        assert!(json.contains("\"core.merge_ns.count\": 2"));
+        for row in [
+            "\"core.lookups\": 42",
+            "\"core.merge_ns.count\": 2",
+            "\"core.merge_ns.sum\": 5100",
+            "\"core.merge_ns.bucket_ge_64\": 1",
+            "\"core.merge_ns.bucket_ge_4096\": 1",
+        ] {
+            assert!(json.contains(row), "{row} missing from {json}");
+        }
         assert!(json.trim_start().starts_with('{'));
         assert!(json.trim_end().ends_with('}'));
     }

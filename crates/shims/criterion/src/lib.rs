@@ -7,12 +7,9 @@
 //! `criterion_main!` macros. Each benchmark is auto-calibrated (iteration
 //! count doubled until a sample is long enough to time reliably), run for
 //! `sample_size` samples, and summarized as min/median/mean/max
-//! nanoseconds per iteration. Results are printed and appended as CSV to
+//! nanoseconds per iteration. Results are printed and written as CSV to
 //! `bench_out/criterion_<binary>.csv` (override the directory with
-//! `CILKM_BENCH_OUT`), so runs leave a committable artifact, and
-//! mirrored as stable-schema JSON to `bench_out/BENCH_<binary>.json` —
-//! the machine-readable perf-trajectory format `BENCH_transferal.json`
-//! established (ROADMAP: one data point per PR, diffable across time).
+//! `CILKM_BENCH_OUT`), the run's one on-disk record.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -156,8 +153,7 @@ impl Criterion {
         b.elapsed
     }
 
-    /// Writes collected summaries as CSV plus the stable-schema
-    /// `BENCH_<bin>.json` trajectory point. Called by `criterion_main!`.
+    /// Writes collected summaries as CSV. Called by `criterion_main!`.
     pub fn final_summary(&self) {
         if self.results.is_empty() {
             return;
@@ -179,32 +175,7 @@ impl Criterion {
         if std::fs::write(&path, body).is_ok() {
             println!("wrote {}", path.display());
         }
-        let json_path = dir.join(format!("BENCH_{stem}.json"));
-        if std::fs::write(&json_path, render_bench_json(&stem, &self.results)).is_ok() {
-            println!("wrote {}", json_path.display());
-        }
     }
-}
-
-/// Renders the `BENCH_*.json` perf-trajectory document: same fields as
-/// the CSV, fixed key order, two-decimal ns — a later run of the same
-/// bench differs only where the numbers do.
-fn render_bench_json(bench: &str, results: &[Summary]) -> String {
-    let mut s = String::from("{\n  \"schema_version\": 1,\n");
-    s.push_str(&format!("  \"bench\": \"{bench}\",\n  \"results\": [\n"));
-    let lines: Vec<String> = results
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"name\": \"{}\", \"samples\": {}, \"iters_per_sample\": {}, \
-                 \"min_ns\": {:.2}, \"median_ns\": {:.2}, \"mean_ns\": {:.2}, \"max_ns\": {:.2}}}",
-                r.name, r.samples, r.iters_per_sample, r.min_ns, r.median_ns, r.mean_ns, r.max_ns
-            )
-        })
-        .collect();
-    s.push_str(&lines.join(",\n"));
-    s.push_str("\n  ]\n}\n");
-    s
 }
 
 fn fmt_ns(ns: f64) -> String {
@@ -353,45 +324,5 @@ mod tests {
     fn closure_must_time_something() {
         let mut c = tiny();
         c.bench_function("nothing", |_b| {});
-    }
-
-    #[test]
-    fn bench_json_has_stable_schema() {
-        let results = [
-            Summary {
-                name: "lookup/memory-mapped".into(),
-                samples: 20,
-                iters_per_sample: 1000,
-                min_ns: 3.128,
-                median_ns: 3.287,
-                mean_ns: 3.3,
-                max_ns: 3.96,
-            },
-            Summary {
-                name: "lookup/locking".into(),
-                samples: 20,
-                iters_per_sample: 500,
-                min_ns: 10.0,
-                median_ns: 11.0,
-                mean_ns: 11.5,
-                max_ns: 13.0,
-            },
-        ];
-        let json = render_bench_json("lookup", &results);
-        assert_eq!(json, render_bench_json("lookup", &results));
-        assert!(json.starts_with("{\n  \"schema_version\": 1,\n  \"bench\": \"lookup\",\n"));
-        assert!(json.contains(
-            "{\"name\": \"lookup/memory-mapped\", \"samples\": 20, \"iters_per_sample\": 1000, \
-             \"min_ns\": 3.13, \"median_ns\": 3.29, \"mean_ns\": 3.30, \"max_ns\": 3.96}"
-        ));
-        assert!(json.ends_with("}\n  ]\n}\n"));
-        // Crude balance check in lieu of a JSON parser: every opener has
-        // a closer, so downstream tooling can load the file.
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "{json}"
-        );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 }

@@ -18,7 +18,7 @@ use cilkm::obs::{analyze, export, metrics, trace};
 use cilkm::prelude::*;
 
 /// Artifact directory: `CILKM_BENCH_OUT` if set, else `bench_out/` at
-/// the workspace root (mirrors `cilkm-bench::output::out_dir`).
+/// the workspace root (where `cilkm-bench`'s tables land too).
 fn out_dir() -> PathBuf {
     let p = match std::env::var("CILKM_BENCH_OUT") {
         Ok(dir) => PathBuf::from(dir),
@@ -42,9 +42,8 @@ fn profiled_run(g: &cilkm::graph::Graph, source: u32, serial: &[u32]) {
 }
 
 /// One tracer-enabled PBFS run: records every scheduler/reducer event,
-/// writes the Chrome trace (load it in Perfetto / chrome://tracing), the
-/// lossless events CSV, and a metrics dump, then prints the analyzer's
-/// summary of the same trace.
+/// writes the Chrome trace (load it in Perfetto / chrome://tracing) and
+/// a metrics dump, then prints the analyzer's summary of the same trace.
 fn traced_run(g: &cilkm::graph::Graph, source: u32, serial: &[u32]) {
     let pool = ReducerPool::new(4, Backend::Mmap);
     let metrics_before = metrics::global().snapshot();
@@ -65,12 +64,6 @@ fn traced_run(g: &cilkm::graph::Graph, source: u32, serial: &[u32]) {
         println!("  wrote {}", path.display());
     };
     write("pbfs_trace.json", &|w| export::write_chrome_json(&tr, w));
-    write("pbfs_trace_events.csv", &|w| {
-        export::write_events_csv(&tr, w)
-    });
-    write("pbfs_metrics.csv", &|w| {
-        export::write_metrics_csv(&metrics_delta, w)
-    });
     write("pbfs_metrics.json", &|w| {
         export::write_metrics_json(&metrics_delta, w)
     });
