@@ -1,20 +1,21 @@
-//! Vector clocks: the happens-before backbone of the checker.
+//! Vector clocks: the happens-before backbone of the model checker and
+//! the sanitizer.
 //!
-//! Every model thread carries a clock with one component per thread;
-//! component `i` counts the visible operations thread `i` has executed.
-//! Event `a` happens-before event `b` exactly when the clock recorded at
-//! `a` is component-wise `<=` the clock of the thread executing `b`.
+//! Every thread carries a clock with one component per thread; component
+//! `i` counts the synchronizing steps thread `i` has taken. Event `a`
+//! happens-before event `b` exactly when the clock recorded at `a` is
+//! component-wise `<=` the clock of the thread executing `b`.
 
-/// A vector clock over the (few) threads of one model execution.
+/// A growable vector clock; a component never touched reads 0.
 #[derive(Clone, Default, PartialEq, Eq, Debug)]
-pub(crate) struct VClock {
+pub struct VClock {
     t: Vec<u32>,
 }
 
 impl VClock {
     /// The component for thread `i` (0 if never touched).
     #[inline]
-    pub(crate) fn get(&self, i: usize) -> u32 {
+    pub fn get(&self, i: usize) -> u32 {
         self.t.get(i).copied().unwrap_or(0)
     }
 
@@ -24,15 +25,21 @@ impl VClock {
         }
     }
 
+    /// Sets component `i` to `v`.
+    pub fn set(&mut self, i: usize, v: u32) {
+        self.grow_to(i);
+        self.t[i] = v;
+    }
+
     /// Advances thread `i`'s own component by one; returns the new value.
-    pub(crate) fn bump(&mut self, i: usize) -> u32 {
+    pub fn bump(&mut self, i: usize) -> u32 {
         self.grow_to(i);
         self.t[i] += 1;
         self.t[i]
     }
 
     /// Component-wise maximum: `self := self ∪ other`.
-    pub(crate) fn join(&mut self, other: &VClock) {
+    pub fn join(&mut self, other: &VClock) {
         self.grow_to(other.t.len().saturating_sub(1));
         for (i, &v) in other.t.iter().enumerate() {
             if self.t[i] < v {
@@ -42,7 +49,7 @@ impl VClock {
     }
 
     /// Raises component `i` to at least `v`.
-    pub(crate) fn set_at_least(&mut self, i: usize, v: u32) {
+    pub fn set_at_least(&mut self, i: usize, v: u32) {
         self.grow_to(i);
         if self.t[i] < v {
             self.t[i] = v;
@@ -51,7 +58,7 @@ impl VClock {
 
     /// Component-wise `<=`: did everything up to `self` happen before a
     /// thread whose clock is `other`?
-    pub(crate) fn le(&self, other: &VClock) -> bool {
+    pub fn le(&self, other: &VClock) -> bool {
         self.t.iter().enumerate().all(|(i, &v)| v <= other.get(i))
     }
 }
@@ -80,5 +87,18 @@ mod tests {
         assert_eq!(a.bump(2), 2);
         assert_eq!(a.get(2), 2);
         assert_eq!(a.get(0), 0);
+    }
+
+    #[test]
+    fn set_overwrites_and_set_at_least_only_raises() {
+        let mut a = VClock::default();
+        a.set(3, 7);
+        assert_eq!(a.get(3), 7);
+        a.set(3, 2);
+        assert_eq!(a.get(3), 2);
+        a.set_at_least(3, 1);
+        assert_eq!(a.get(3), 2);
+        a.set_at_least(3, 5);
+        assert_eq!(a.get(3), 5);
     }
 }

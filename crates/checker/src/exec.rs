@@ -35,7 +35,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar as OsCondvar, Mutex as OsMutex, MutexGuard as OsMutexGuard, Once};
 
-use crate::clock::VClock;
+use cilkm_base::VClock;
 
 /// Which exploration engine drives a model run.
 #[derive(Clone, Debug, PartialEq, Eq)]

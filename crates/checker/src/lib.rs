@@ -55,7 +55,6 @@
 
 #![deny(missing_docs)]
 
-mod clock;
 mod dpor;
 mod exec;
 mod pct;

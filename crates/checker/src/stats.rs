@@ -9,14 +9,17 @@
 //! sorted, so the order of the file does not depend on test order.
 //!
 //! Verdicts and schedule counts are what two reports can be held to:
-//! [`compare`], the gate the `cilkm-trend` bin runs, reads both with the
-//! parser the writer uses. Verdicts repeat exactly, and so do DFS and PCT
-//! schedule counts; a DPOR count can move by one between runs. The
+//! [`compare`], the gate the `cilkm-trend` bin runs, reads both with
+//! `cilkm-base`'s parser (the writer quotes through its escaper, so any
+//! test name round-trips). Verdicts repeat exactly, and so do DFS and
+//! PCT schedule counts; a DPOR count can move by one between runs. The
 //! dependence-class count keys on heap addresses, which differ from run
 //! to run, so it is recorded and not compared.
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::{Mutex as OsMutex, OnceLock};
+
+use cilkm_base::{parse, quote, Value};
 
 use crate::exec::{ModelError, Report, RunOutcome};
 
@@ -72,26 +75,13 @@ fn sink() -> &'static OsMutex<()> {
     SINK.get_or_init(|| OsMutex::new(()))
 }
 
-/// Minimal escaping for the only string we embed (test names: Rust
-/// paths, so this is belt-and-braces).
-fn escape(s: &str) -> String {
-    s.chars()
-        .filter(|c| !c.is_control())
-        .map(|c| match c {
-            '"' => '\''.to_string(),
-            '\\' => '/'.to_string(),
-            c => c.to_string(),
-        })
-        .collect()
-}
-
 fn entry_line(test: &str, engine: &str, e: &Entry) -> String {
     format!(
-        "    {{\"test\":\"{}\",\"engine\":\"{}\",\"verdict\":\"{}\",\"complete\":{},\
+        "    {{\"test\":{},\"engine\":{},\"verdict\":{},\"complete\":{},\
          \"schedules\":{},\"pruned\":{},\"dependence_classes\":{},\"max_depth\":{}}}",
-        escape(test),
-        engine,
-        e.verdict,
+        quote(test),
+        quote(engine),
+        quote(&e.verdict),
         e.complete,
         e.schedules,
         e.pruned,
@@ -100,55 +90,41 @@ fn entry_line(test: &str, engine: &str, e: &Entry) -> String {
     )
 }
 
-/// Extracts `"key":` followed by a string or scalar from a one-line
-/// entry written by [`entry_line`]. Only parses our own output.
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        stripped.split('"').next()
-    } else {
-        rest.split([',', '}']).next()
-    }
-}
-
-fn parse_existing(src: &str) -> BTreeMap<(String, String), Entry> {
+/// Reads a report written by [`render`]: the entries of its `"runs"`
+/// array, keyed by `(test, engine)`.
+fn parse_existing(src: &str) -> Result<BTreeMap<(String, String), Entry>, String> {
+    let value = parse(src)?;
+    let runs = value
+        .get("runs")
+        .and_then(Value::as_array)
+        .ok_or("no \"runs\" array")?;
     let mut map = BTreeMap::new();
-    for line in src.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if !line.starts_with("{\"test\":") {
-            continue;
-        }
-        let (Some(test), Some(engine), Some(verdict)) = (
-            field(line, "test"),
-            field(line, "engine"),
-            field(line, "verdict"),
-        ) else {
-            continue;
+    for run in runs {
+        let string = |k: &str| {
+            run.get(k)
+                .and_then(Value::as_str)
+                .map(str::to_string)
+                .ok_or(format!("an entry has no string {k:?}"))
         };
-        let num = |k: &str| field(line, k).and_then(|v| v.parse::<usize>().ok());
-        let (Some(schedules), Some(pruned), Some(classes), Some(depth)) = (
-            num("schedules"),
-            num("pruned"),
-            num("dependence_classes"),
-            num("max_depth"),
-        ) else {
-            continue;
+        let num = |k: &str| {
+            run.get(k)
+                .and_then(Value::as_u64)
+                .and_then(|n| usize::try_from(n).ok())
+                .ok_or(format!("an entry has no count {k:?}"))
         };
         map.insert(
-            (test.to_string(), engine.to_string()),
+            (string("test")?, string("engine")?),
             Entry {
-                verdict: verdict.to_string(),
-                complete: field(line, "complete") == Some("true"),
-                schedules,
-                pruned,
-                dependence_classes: classes,
-                max_depth: depth,
+                verdict: string("verdict")?,
+                complete: run.get("complete").and_then(Value::as_bool) == Some(true),
+                schedules: num("schedules")?,
+                pruned: num("pruned")?,
+                dependence_classes: num("dependence_classes")?,
+                max_depth: num("max_depth")?,
             },
         );
     }
-    map
+    Ok(map)
 }
 
 fn render(map: &BTreeMap<(String, String), Entry>) -> String {
@@ -173,14 +149,19 @@ const MAX_SCHEDULE_SHRINK_PCT: u128 = 25;
 /// count falls by more than 25 % (a pruning bug can shrink the searched
 /// space while every verdict holds). An entry on one side only is a
 /// note. Returns `(regressions, notes)`, one line each, or `Err` when
-/// either report holds no entry.
+/// either text is not a report or holds no entry.
 pub fn compare(baseline: &str, current: &str) -> Result<(Vec<String>, Vec<String>), String> {
-    let (base, cur) = (parse_existing(baseline), parse_existing(current));
-    for (map, side) in [(&base, "baseline"), (&cur, "current report")] {
-        if map.is_empty() {
-            return Err(format!("the {side} holds no exploration-stats entry"));
-        }
-    }
+    let read = |src: &str, side: &str| match parse_existing(src) {
+        Ok(map) if map.is_empty() => Err(format!("the {side} holds no exploration-stats entry")),
+        Ok(map) => Ok(map),
+        Err(e) => Err(format!(
+            "the {side} is not an exploration-stats report: {e}"
+        )),
+    };
+    let (base, cur) = (
+        read(baseline, "baseline")?,
+        read(current, "current report")?,
+    );
     let (mut regressions, mut notes) = (Vec::new(), Vec::new());
     for ((test, engine), b) in &base {
         let Some(c) = cur.get(&(test.clone(), engine.clone())) else {
@@ -228,8 +209,10 @@ pub(crate) fn record(engine: &'static str, acc: &Acc, result: &Result<Report, Mo
         max_depth: acc.max_depth,
     };
     let _g = sink().lock().unwrap_or_else(|e| e.into_inner());
+    // A missing or unreadable file starts a fresh report.
     let mut map = std::fs::read_to_string(&path)
-        .map(|s| parse_existing(&s))
+        .ok()
+        .and_then(|s| parse_existing(&s).ok())
         .unwrap_or_default();
     map.insert((test, engine.to_string()), entry);
     // Best-effort: stats must never fail a model run.
@@ -256,9 +239,14 @@ mod tests {
         let mut map = BTreeMap::new();
         map.insert(("b::t1".to_string(), "dpor".to_string()), entry("pass", 10));
         map.insert(("a::t2".to_string(), "dfs".to_string()), entry("fail", 7));
+        // Any name survives: quotes, backslashes and control characters.
+        map.insert(
+            ("q\"uote\\back\tslash\n\u{1}".to_string(), "pct".to_string()),
+            entry("pass", 4),
+        );
         let text = render(&map);
-        let back = parse_existing(&text);
-        assert_eq!(back.len(), 2);
+        let back = parse_existing(&text).unwrap();
+        assert_eq!(back.len(), 3);
         assert_eq!(back, map);
         // Deterministic: re-render of the parse is byte-identical.
         assert_eq!(render(&back), text);
@@ -269,7 +257,7 @@ mod tests {
         let mut map = BTreeMap::new();
         map.insert(("t".to_string(), "dpor".to_string()), entry("pass", 1));
         let text = render(&map);
-        let mut back = parse_existing(&text);
+        let mut back = parse_existing(&text).unwrap();
         back.insert(("t".to_string(), "dpor".to_string()), entry("pass", 9));
         assert_eq!(back.len(), 1);
         assert_eq!(back.values().next().unwrap().schedules, 9);
@@ -324,7 +312,7 @@ mod tests {
     #[test]
     fn one_sided_entries_are_notes_not_regressions() {
         let r = report();
-        let mut map = parse_existing(&r);
+        let mut map = parse_existing(&r).unwrap();
         map.remove(&("obs::ring".to_string(), "dpor".to_string()));
         map.insert(
             ("new::test".to_string(), "pct".to_string()),
@@ -347,7 +335,7 @@ mod tests {
     #[test]
     fn the_committed_report_round_trips_and_compares_clean() {
         let committed = include_str!("../../../bench_out/exploration_stats.json");
-        let map = parse_existing(committed);
+        let map = parse_existing(committed).unwrap();
         assert_eq!(map.len(), committed.matches("{\"test\":").count());
         let rendered = render(&map);
         assert_eq!(rendered, committed);

@@ -57,7 +57,9 @@ pub mod reducer;
 
 mod domain;
 mod lockfree;
-mod msync;
+
+// The workspace's one model/sanitizer-switchable facade (DESIGN.md §10).
+use cilkm_obs::msync;
 
 #[cfg(all(test, feature = "model"))]
 mod model_tests;

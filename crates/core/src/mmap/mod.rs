@@ -50,6 +50,7 @@ use cilkm_spa::{InsertOutcome, SpaMapRef, ViewPair, VIEWS_PER_MAP};
 use crate::domain::{foreign, DomainInner, Slot};
 use crate::instrument::Instrument;
 use crate::monoid::MonoidInstance;
+use crate::msync;
 use cilkm_obs::profile::Burden;
 
 /// Per-worker state: the page array and the count of views in it.
@@ -165,16 +166,10 @@ impl MmapDetached {
     /// reads below. An empty list has no buffer and records nothing.
     #[inline]
     fn note_write(&self) {
-        #[cfg(any(feature = "model", feature = "sanitize"))]
         if let Some(first) = self.views.first() {
-            let buffer = first as *const (Slot, ViewPair) as usize;
-            #[cfg(feature = "model")]
-            cilkm_checker::trace::note_write(buffer, "DetachedViews");
-            #[cfg(not(feature = "model"))]
-            {
-                BUFFER_REUSE.load(crate::msync::atomic::Ordering::Acquire);
-                cilkm_san::shadow_write(buffer, "DetachedViews");
-            }
+            #[cfg(all(not(feature = "model"), feature = "sanitize"))]
+            BUFFER_REUSE.load(msync::atomic::Ordering::Acquire);
+            msync::note_write(first as *const (Slot, ViewPair) as usize, "DetachedViews");
         }
     }
 
@@ -182,16 +177,10 @@ impl MmapDetached {
     /// attaches, merges or discards the set.
     #[inline]
     fn note_read(&self) {
-        #[cfg(any(feature = "model", feature = "sanitize"))]
         if let Some(first) = self.views.first() {
-            let buffer = first as *const (Slot, ViewPair) as usize;
-            #[cfg(feature = "model")]
-            cilkm_checker::trace::note_read(buffer, "DetachedViews");
-            #[cfg(not(feature = "model"))]
-            {
-                cilkm_san::shadow_read(buffer, "DetachedViews");
-                BUFFER_REUSE.store(0, crate::msync::atomic::Ordering::Release);
-            }
+            msync::note_read(first as *const (Slot, ViewPair) as usize, "DetachedViews");
+            #[cfg(all(not(feature = "model"), feature = "sanitize"))]
+            BUFFER_REUSE.store(0, msync::atomic::Ordering::Release);
         }
     }
 }
@@ -203,7 +192,7 @@ impl MmapDetached {
 /// buffer reads as a read-write race. (A model run allocates each list
 /// once, so the checker needs no such edge and gets none.)
 #[cfg(all(not(feature = "model"), feature = "sanitize"))]
-static BUFFER_REUSE: crate::msync::atomic::AtomicUsize = crate::msync::atomic::AtomicUsize::new(0);
+static BUFFER_REUSE: msync::atomic::AtomicUsize = msync::atomic::AtomicUsize::new(0);
 
 impl MmapWorkerState {
     fn flush_lookups(&self) {
@@ -336,14 +325,10 @@ pub(crate) fn lookup(key: u64, inst: &MonoidInstance) -> Option<*mut u8> {
         unsafe {
             // This read bypasses the SpaMapRef accessors, so record it
             // for the model checker / sanitizer explicitly (same
-            // whole-map granularity). Plain builds keep the path
-            // emit-free.
-            #[cfg(any(feature = "model", feature = "sanitize"))]
+            // whole-map granularity). In plain builds the note is
+            // empty and the path stays emit-free.
             let map = tls.base.add(tlmm_addr - tlmm_addr % MAP_SIZE) as usize;
-            #[cfg(feature = "model")]
-            cilkm_checker::trace::note_read(map, "SpaMap");
-            #[cfg(all(not(feature = "model"), feature = "sanitize"))]
-            cilkm_san::shadow_read(map, "SpaMap");
+            msync::note_read(map, "SpaMap");
             let view = (*(tls.base.add(tlmm_addr) as *const ViewPair)).view;
             if !view.is_null() {
                 if crate::instrument::ENABLED {

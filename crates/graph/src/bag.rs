@@ -454,9 +454,8 @@ mod tests {
     /// is, walked serially and in parallel at grains around `BLOCK`.
     #[test]
     fn every_build_and_every_walk_sees_each_element_once() {
+        use cilkm_obs::msync::atomic::{AtomicU32, AtomicUsize, Ordering};
         use cilkm_runtime::Pool;
-        // lint: allow(raw-sync, test-only hit counters exercising the public Pool API from outside the runtime; the runtime's msync facade is pub(crate) and deliberately unreachable from here)
-        use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
         let pool = Pool::new(4);
         for (how, build) in BUILDS {
@@ -506,9 +505,8 @@ mod tests {
     /// the parallel walk when one worker runs every fork inline.
     #[test]
     fn walks_visit_blocks_in_the_order_they_were_filled() {
+        use cilkm_obs::msync::atomic::{AtomicU32, Ordering};
         use cilkm_runtime::Pool;
-        // lint: allow(raw-sync, test-only position counter exercising the public Pool API from outside the runtime; the runtime's msync facade is pub(crate) and deliberately unreachable from here)
-        use std::sync::atomic::{AtomicU32, Ordering};
 
         let pool = Pool::new(1);
         for (how, build) in BUILDS {
@@ -536,9 +534,8 @@ mod tests {
     /// takes the oldest fork first.
     #[test]
     fn the_first_fork_offers_a_thief_the_second_half() {
+        use cilkm_obs::msync::atomic::{AtomicUsize, Ordering};
         use cilkm_runtime::{current_worker_index, Pool};
-        // lint: allow(raw-sync, test-only rendezvous between the two workers of a public Pool; the runtime's msync facade is pub(crate) and deliberately unreachable from here)
-        use std::sync::atomic::{AtomicUsize, Ordering};
         use std::time::{Duration, Instant};
 
         const NONE: usize = usize::MAX;
@@ -578,9 +575,8 @@ mod tests {
 
     #[test]
     fn parallel_for_each_visits_exactly_once() {
+        use cilkm_obs::msync::atomic::{AtomicU32, Ordering};
         use cilkm_runtime::Pool;
-        // lint: allow(raw-sync, test-only hit counters exercising the public Pool API from outside the runtime; the runtime's msync facade is pub(crate) and deliberately unreachable from here)
-        use std::sync::atomic::{AtomicU32, Ordering};
         let b = filled(0..1000);
         let hits: Vec<AtomicU32> = (0..1000).map(|_| AtomicU32::new(0)).collect();
         let pool = Pool::new(4);

@@ -3,17 +3,19 @@
 //! The JSON report is what CI archives next to the bench CSVs, so it
 //! must be **diffable**: findings are stable-sorted by (file, line,
 //! rule, message) and serialization is deterministic (same report ⇒
-//! byte-identical JSON). The codec is hand-rolled — `cilkm-lint` is a
-//! zero-dependency crate like `cilkm-checker` and `cilkm-obs` — and the
-//! parser exists so tests can prove the emitted JSON round-trips.
+//! byte-identical JSON). The layout is this file's; strings are quoted
+//! and parsed by `cilkm-base`'s codec, so tests can prove the emitted
+//! JSON round-trips.
 
 use std::fmt::Write as _;
+
+use cilkm_base::{parse, quote, Value};
 
 /// The six rule families (see DESIGN.md §12).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// Facade integrity: raw `std::sync::atomic` / `Mutex` / `Condvar` /
-    /// `thread::park` outside the `msync` facades.
+    /// `thread::park` outside the `msync` facade.
     RawSync,
     /// Fast-path purity: allocation, formatting, or panicking indexing
     /// inside a `// lint: hot-path` function.
@@ -140,13 +142,13 @@ impl Report {
             let _ = write!(
                 s,
                 "\n    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"message\": {}, \"waived\": {}}}",
-                json_string(f.rule.name()),
-                json_string(&f.file),
+                quote(f.rule.name()),
+                quote(&f.file),
                 f.line,
-                json_string(&f.message),
+                quote(&f.message),
                 match &f.waived {
                     None => "null".to_string(),
-                    Some(r) => json_string(r),
+                    Some(r) => quote(r),
                 }
             );
         }
@@ -160,42 +162,33 @@ impl Report {
     /// Parses a report previously produced by [`Report::to_json`].
     /// Tolerates any whitespace; rejects anything structurally off.
     pub fn from_json(src: &str) -> Result<Report, String> {
-        let mut p = JsonParser::new(src);
-        let value = p.value()?;
-        p.expect_eof()?;
-        let obj = value.as_object().ok_or("top level is not an object")?;
-        let findings_val = obj
-            .iter()
-            .find(|(k, _)| k == "findings")
-            .map(|(_, v)| v)
-            .ok_or("missing \"findings\"")?;
-        let arr = findings_val
+        let value = parse(src)?;
+        let arr = value
+            .get("findings")
+            .ok_or("missing \"findings\"")?
             .as_array()
             .ok_or("\"findings\" is not an array")?;
         let mut findings = Vec::new();
-        for item in arr {
-            let f = item.as_object().ok_or("finding is not an object")?;
-            let get = |key: &str| f.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-            let rule_name = get("rule")
-                .and_then(|v| v.as_str())
-                .ok_or("finding missing \"rule\"")?;
+        for f in arr {
+            let string = |key: &str| {
+                f.get(key)
+                    .and_then(Value::as_str)
+                    .ok_or(format!("finding missing \"{key}\""))
+            };
+            let rule_name = string("rule")?;
             findings.push(Finding {
                 rule: Rule::from_name(rule_name)
                     .ok_or_else(|| format!("unknown rule {rule_name:?}"))?,
-                file: get("file")
-                    .and_then(|v| v.as_str())
-                    .ok_or("finding missing \"file\"")?
-                    .to_string(),
-                line: get("line")
-                    .and_then(|v| v.as_u32())
+                file: string("file")?.to_string(),
+                line: f
+                    .get("line")
+                    .and_then(Value::as_u64)
+                    .and_then(|n| u32::try_from(n).ok())
                     .ok_or("finding missing \"line\"")?,
-                message: get("message")
-                    .and_then(|v| v.as_str())
-                    .ok_or("finding missing \"message\"")?
-                    .to_string(),
-                waived: match get("waived") {
+                message: string("message")?.to_string(),
+                waived: match f.get("waived") {
                     None => return Err("finding missing \"waived\"".into()),
-                    Some(JsonValue::Null) => None,
+                    Some(Value::Null) => None,
                     Some(v) => Some(
                         v.as_str()
                             .ok_or("\"waived\" is neither null nor a string")?
@@ -205,244 +198,6 @@ impl Report {
             });
         }
         Ok(Report { findings })
-    }
-}
-
-/// Escapes `s` as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A parsed JSON value — only the subset the report uses.
-#[derive(Clone, Debug, PartialEq)]
-enum JsonValue {
-    Null,
-    Bool(bool),
-    Number(f64),
-    String(String),
-    Array(Vec<JsonValue>),
-    /// Key order preserved (the report's is deterministic anyway).
-    Object(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    fn as_object(&self) -> Option<&Vec<(String, JsonValue)>> {
-        match self {
-            JsonValue::Object(o) => Some(o),
-            _ => None,
-        }
-    }
-    fn as_array(&self) -> Option<&Vec<JsonValue>> {
-        match self {
-            JsonValue::Array(a) => Some(a),
-            _ => None,
-        }
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::String(s) => Some(s),
-            _ => None,
-        }
-    }
-    fn as_u32(&self) -> Option<u32> {
-        match self {
-            JsonValue::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u32::MAX as f64 => {
-                Some(*n as u32)
-            }
-            _ => None,
-        }
-    }
-}
-
-/// A small recursive-descent JSON parser (report subset: no scientific
-/// notation needed, but accepted; no surrogate-pair escapes).
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(src: &'a str) -> JsonParser<'a> {
-        JsonParser {
-            bytes: src.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn expect_eof(&mut self) -> Result<(), String> {
-        if self.peek().is_none() {
-            Ok(())
-        } else {
-            Err(format!("trailing content at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("expected {word} at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        self.skip_ws();
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while self.bytes.get(self.pos).is_some_and(|b| {
-            b.is_ascii_digit() || *b == b'.' || *b == b'e' || *b == b'E' || *b == b'+' || *b == b'-'
-        }) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(JsonValue::Number)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte aware).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8 in string")?;
-                    let c = s.chars().next().ok_or("empty string tail")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                other => return Err(format!("expected , or ] but found {other:?}")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.eat(b'{')?;
-        let mut entries = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.eat(b':')?;
-            entries.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(entries));
-                }
-                other => return Err(format!("expected , or }} but found {other:?}")),
-            }
-        }
     }
 }
 

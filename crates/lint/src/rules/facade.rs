@@ -1,7 +1,9 @@
 //! Rule `raw-sync` — facade integrity.
 //!
 //! The model checker (DESIGN.md §10) can only verify synchronization it
-//! can see, and it sees exactly what flows through the `msync` facades.
+//! can see, and it sees exactly what flows through the `msync` facade
+//! (`cilkm_obs::msync`, which the runtime and the reducer core re-export
+//! as `crate::msync`).
 //! A `std::sync::atomic` or `parking_lot::Mutex` reached directly is
 //! invisible to every model test, silently un-checking the protocol it
 //! participates in. This rule makes that bypass a CI failure.
@@ -18,8 +20,8 @@
 //!   sleeper protocol; spawn/yield are fine).
 //!
 //! Integration tests (`tests/` directories) and `examples/` are exempt:
-//! they exercise the *public* API from outside the crate, where the
-//! `pub(crate)` facades are unreachable by design — exactly like the
+//! they exercise the *public* API from outside the workspace's crates,
+//! where the doc-hidden facade is not part of the API — exactly like the
 //! external programs the examples stand in for. Unit tests inside
 //! `src/` are **not** exempt; they can and should use the facade.
 
@@ -78,7 +80,7 @@ pub fn check(ctx: &FileContext<'_>, report: &mut Report) {
                         Rule::RawSync,
                         t.line,
                         "direct use of `parking_lot` outside the msync facade; import the \
-                         lock types through `crate::msync` so they stay model-checkable"
+                         lock types through `cilkm_obs::msync` so they stay model-checkable"
                             .to_string(),
                     );
                 }
@@ -97,7 +99,7 @@ pub fn check(ctx: &FileContext<'_>, report: &mut Report) {
                                             t.line,
                                             format!(
                                                 "raw `std::sync::{}` outside the msync facade; \
-                                                 route it through `crate::msync`",
+                                                 route it through `cilkm_obs::msync`",
                                                 t.text
                                             ),
                                         );
@@ -114,7 +116,7 @@ pub fn check(ctx: &FileContext<'_>, report: &mut Report) {
                                 next.line,
                                 format!(
                                     "raw `std::sync::{}` outside the msync facade; \
-                                     route it through `crate::msync`",
+                                     route it through `cilkm_obs::msync`",
                                     next.text
                                 ),
                             );

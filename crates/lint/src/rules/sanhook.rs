@@ -1,7 +1,7 @@
 //! Rule `san-hook-coverage` — sanitizer-hook completeness.
 //!
 //! The dynamic sanitizer (`crates/san`, DESIGN.md §17) only sees what
-//! the `msync` facades route through it, exactly as the model checker
+//! the `msync` facade routes through it, exactly as the model checker
 //! only sees what flows through `cilkm_checker`. A facade op added
 //! without its `cfg(feature = "sanitize")` branch is invisible to the
 //! race, determinacy, and lock-order detectors — silently, because the
@@ -10,7 +10,7 @@
 //! `sanitize` feature, each function item must mention the sanitizer
 //! somewhere in its attributes or body — an ident `cilkm_san` (a direct
 //! hook call or an instrumented re-export) or a `cfg` literal
-//! containing `sanitize` (the three-way branch shape the facades use).
+//! containing `sanitize` (the three-way branch shape the facade uses).
 //!
 //! Ops with genuinely nothing to trace (e.g. a pure CPU relax hint)
 //! carry a waiver:

@@ -6,8 +6,8 @@
 //! so on). Events are written into per-thread ring buffers
 //! ([`crate::ring`]) and only decoded at export/analysis time.
 
-/// What happened. The discriminants are stable (they appear in exported
-/// CSV files) and dense, so new kinds must be appended and retired ones
+/// What happened. The discriminants are stable and dense (they index
+/// [`EventKind::ALL`]), so new kinds must be appended and retired ones
 /// removed from the end, never inserted or removed in the middle.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
@@ -64,7 +64,7 @@ impl EventKind {
         EventKind::Wake,
     ];
 
-    /// Stable lower-case name (used in CSV and Chrome trace output).
+    /// Stable lower-case name (used in Chrome trace output).
     pub fn name(self) -> &'static str {
         match self {
             EventKind::RegionBegin => "region_begin",

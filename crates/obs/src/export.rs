@@ -4,16 +4,18 @@
 //! ([`write_chrome_json`]), because Perfetto and `chrome://tracing` load
 //! it as is. Paired kinds (job, merge, park, region) become `B`/`E`
 //! duration slices; the rest become instants. Every event round-trips
-//! losslessly through [`read_chrome_json`]. One JSON object per line
-//! keeps the loader a line scanner instead of a JSON engine — the
-//! workspace builds offline, so there is no serde to lean on. The loader
-//! reads only what the writer produces and refuses anything else.
+//! losslessly through [`read_chrome_json`], which reads the document
+//! with `cilkm-base`'s parser (the writer quotes through its escaper, so
+//! any thread label comes back as written) and refuses anything that is
+//! not a Chrome trace.
 //!
 //! A metrics snapshot has one dump, flat JSON ([`write_metrics_json`]);
 //! histograms are flattened into `count` / `sum` / `mean` / coarse
 //! quantiles plus their non-empty buckets.
 
 use std::io::{self, Write};
+
+use cilkm_base::{parse, quote, Value};
 
 use crate::event::{Event, EventKind};
 use crate::metrics::{bucket_lower_bound, MetricValue, MetricsSnapshot};
@@ -49,19 +51,6 @@ fn kind_from_span(name: &str, begin: bool) -> Option<EventKind> {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Writes a Perfetto-loadable Chrome `trace_event` JSON document. `tid`
 /// is the thread's index in the (label-sorted) trace; timestamps are
 /// microseconds with nanosecond precision preserved in the fraction.
@@ -81,8 +70,8 @@ pub fn write_chrome_json<W: Write>(trace: &Trace, w: &mut W) -> io::Result<()> {
             w,
             format!(
                 "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                json_escape(&t.label)
+                 \"args\":{{\"name\":{}}}}}",
+                quote(&t.label)
             ),
         )?;
         if t.dropped > 0 {
@@ -117,64 +106,42 @@ pub fn write_chrome_json<W: Write>(trace: &Trace, w: &mut W) -> io::Result<()> {
     writeln!(w, "]}}")
 }
 
-/// Pulls `"key":<raw json scalar>` out of one of our own single-line
-/// JSON objects. Only handles the writer's output shape.
-fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    if let Some(inner) = rest.strip_prefix('"') {
-        let end = inner.find('"')?;
-        Some(&inner[..end])
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim())
-    }
-}
-
 /// Loads a trace written by [`write_chrome_json`]. Timestamps come back
 /// quantized to the stored microsecond precision (whole ns). Text that
-/// lacks the writer's `{"traceEvents":[` opening line or its `]}`
-/// closing line — another format, an empty file, a cut-off document —
-/// is an error, not an empty trace.
+/// is not one JSON object with a `traceEvents` array — another format,
+/// an empty file, a cut-off document — is an error, not an empty trace.
 pub fn read_chrome_json(text: &str) -> Result<Trace, String> {
-    let mut lines = text.lines().map(str::trim).filter(|l| !l.is_empty());
-    if lines.next() != Some("{\"traceEvents\":[") || lines.next_back() != Some("]}") {
-        return Err(
-            "not a Chrome trace: no `{\"traceEvents\":[` first line or `]}` last line".into(),
-        );
-    }
+    let doc = parse(text).map_err(|e| format!("not a Chrome trace: {e}"))?;
+    let events = doc
+        .get("traceEvents")
+        .and_then(Value::as_array)
+        .ok_or("not a Chrome trace: no \"traceEvents\" array")?;
     // tid -> (label, dropped, events)
     let mut threads: Vec<(String, u64, Vec<Event>)> = Vec::new();
-    let at = |tid: usize, threads: &mut Vec<(String, u64, Vec<Event>)>| {
+    for (i, ev) in events.iter().enumerate() {
+        let ph = ev
+            .get("ph")
+            .and_then(Value::as_str)
+            .ok_or_else(|| format!("event {i}: missing ph"))?;
+        let tid = ev
+            .get("tid")
+            .and_then(Value::as_u64)
+            .and_then(|t| usize::try_from(t).ok())
+            .ok_or_else(|| format!("event {i}: missing tid"))?;
         while threads.len() <= tid {
             threads.push((format!("tid-{}", threads.len()), 0, Vec::new()));
         }
-    };
-    for line in lines {
-        let line = line.trim_start_matches(',');
-        let ph = json_field(line, "ph").ok_or_else(|| format!("missing ph: {line}"))?;
-        let tid: usize = json_field(line, "tid")
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| format!("missing tid: {line}"))?;
-        at(tid, &mut threads);
-        let name = json_field(line, "name").unwrap_or("");
+        let name = ev.get("name").and_then(Value::as_str).unwrap_or("");
+        let arg = |key: &str| ev.get("args").and_then(|a| a.get(key));
         match ph {
             "M" => match name {
                 "thread_name" => {
-                    // Two "name" keys on this line; the label is the
-                    // last one (inside args).
-                    if let Some(pos) = line.rfind("\"name\":\"") {
-                        let rest = &line[pos + 8..];
-                        if let Some(end) = rest.find('"') {
-                            threads[tid].0 = rest[..end].to_owned();
-                        }
+                    if let Some(label) = arg("name").and_then(Value::as_str) {
+                        threads[tid].0 = label.to_owned();
                     }
                 }
                 "cilkm_dropped" => {
-                    threads[tid].1 = json_field(line, "dropped")
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(0);
+                    threads[tid].1 = arg("dropped").and_then(Value::as_u64).unwrap_or(0);
                 }
                 _ => {}
             },
@@ -184,17 +151,15 @@ pub fn read_chrome_json(text: &str) -> Result<Trace, String> {
                 } else {
                     kind_from_span(name, ph == "B")
                 }
-                .ok_or_else(|| format!("unknown event name {name:?}"))?;
-                let ts_us: f64 = json_field(line, "ts")
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| format!("missing ts: {line}"))?;
-                let arg: u64 = json_field(line, "arg")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(0);
+                .ok_or_else(|| format!("event {i}: unknown event name {name:?}"))?;
+                let ts_us = ev
+                    .get("ts")
+                    .and_then(Value::as_f64)
+                    .ok_or_else(|| format!("event {i}: missing ts"))?;
                 threads[tid].2.push(Event {
                     ts_ns: (ts_us * 1000.0).round() as u64,
                     kind,
-                    arg,
+                    arg: arg("arg").and_then(Value::as_u64).unwrap_or(0),
                 });
             }
             _ => {}
@@ -245,7 +210,7 @@ pub fn write_metrics_json<W: Write>(snap: &MetricsSnapshot, w: &mut W) -> io::Re
     writeln!(w, "{{")?;
     for (i, (name, v)) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
-        writeln!(w, "  \"{}\": {v}{comma}", json_escape(name))?;
+        writeln!(w, "  {}: {v}{comma}", quote(name))?;
     }
     writeln!(w, "}}")
 }
@@ -321,6 +286,44 @@ mod tests {
             assert_eq!(a.events, b.events);
             assert_eq!(a.dropped, b.dropped);
         }
+    }
+
+    #[test]
+    fn thread_labels_round_trip_whatever_they_hold() {
+        let labels = ["a\"b", "a\\b", "lane \"name\":\"x\"", "tab\there"];
+        let trace = Trace {
+            threads: labels
+                .iter()
+                .map(|&label| ThreadTrace {
+                    label: label.into(),
+                    events: sample_trace().threads[0].events.clone(),
+                    dropped: 0,
+                })
+                .collect(),
+        };
+        let mut buf = Vec::new();
+        write_chrome_json(&trace, &mut buf).unwrap();
+        let back = read_chrome_json(&String::from_utf8(buf).unwrap()).unwrap();
+        let mut want: Vec<&str> = labels.to_vec();
+        want.sort();
+        let got: Vec<&str> = back.threads.iter().map(|t| t.label.as_str()).collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn the_committed_trace_reads_back_and_rewrites_byte_for_byte() {
+        let committed = include_str!("../../../bench_out/pbfs_trace.json");
+        let trace = read_chrome_json(committed).unwrap();
+        // Every lane of the committed file has events, so none is
+        // filtered out on the way in.
+        let lanes = committed.matches("\"name\":\"thread_name\"").count();
+        assert_eq!(trace.threads.len(), lanes);
+        let mut buf = Vec::new();
+        write_chrome_json(&trace, &mut buf).unwrap();
+        assert!(
+            String::from_utf8(buf).unwrap() == committed,
+            "rewrite differs"
+        );
     }
 
     #[test]

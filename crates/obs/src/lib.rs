@@ -24,14 +24,18 @@
 //!   behind one snapshot/diff API, with log2-bucketed latency
 //!   [`Histogram`]s for the four §8 overhead categories.
 //! * [`export`] — Chrome `trace_event` JSON (loads in Perfetto /
-//!   `chrome://tracing`) and flat CSV/JSON dumps for `bench_out/`.
+//!   `chrome://tracing`) and its loader, and the flat JSON metrics dump
+//!   for `bench_out/`.
 //! * [`analyze`] — the summarizer behind the `cilkm-trace` binary:
 //!   per-worker utilization, job/merge/park time, steal/idle breakdown,
 //!   and a merge critical-path estimate.
 //!
 //! Layering: this crate sits *below* `cilkm-tlmm`, `cilkm-runtime`, and
-//! `cilkm-core`, which report into it; it depends on nothing but
-//! (optionally) `cilkm-checker` for model-checking its ring buffer.
+//! `cilkm-core`, which report into it. It depends on `cilkm-base` (the
+//! JSON codec) and `parking_lot`, and, behind `model` and `sanitize`, on
+//! `cilkm-checker` and `cilkm-san`: it also hosts the workspace's one
+//! `msync` facade (hidden from the docs), which the runtime and the
+//! reducer core re-export.
 //!
 //! [`Event`]: event::Event
 //! [`Histogram`]: metrics::Histogram
@@ -47,7 +51,8 @@ pub mod profile;
 pub mod ring;
 pub mod trace;
 
-pub(crate) mod msync;
+#[doc(hidden)]
+pub mod msync;
 
 #[cfg(all(test, feature = "model"))]
 mod model_tests;

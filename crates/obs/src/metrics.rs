@@ -12,7 +12,7 @@
 //! * [`MetricsSource`] — anything that can dump its current values.
 //! * [`MetricsRegistry`] — where sources register; producing a
 //!   [`MetricsSnapshot`] that supports [`MetricsSnapshot::since`]
-//!   (diffing two snapshots isolates one benchmark phase) and CSV/JSON
+//!   (diffing two snapshots isolates one benchmark phase) and JSON
 //!   export.
 //!
 //! Counters and histograms deliberately use `std` atomics, not the

@@ -100,7 +100,7 @@ impl TraceRing {
         let n = self.len.load(Ordering::Acquire);
         let mut out = Vec::with_capacity(n);
         for slot in &self.slots[..n] {
-            note_read(slot.get() as usize);
+            note_read(slot.get() as usize, "TraceRingSlot");
             // SAFETY: `slot` is below the published length, so it was
             // fully written before the writer's `Release` store that our
             // `Acquire` load observed, and write-once slots are never
@@ -120,7 +120,7 @@ impl TraceRing {
         let n = (self.len.load(Ordering::Acquire) + 1).min(self.slots.len());
         let mut out = Vec::with_capacity(n);
         for slot in &self.slots[..n] {
-            note_read(slot.get() as usize);
+            note_read(slot.get() as usize, "TraceRingSlot");
             // SAFETY: deliberately unsound-by-protocol (that is the
             // point of the test); the read itself stays in-bounds and
             // `Event` is `Copy` with no invalid bit patterns, so the
@@ -144,7 +144,7 @@ impl TraceWriter {
             return;
         }
         let slot = ring.slots[n].get();
-        note_write(slot as usize);
+        note_write(slot as usize, "TraceRingSlot");
         // SAFETY: slot `n` is above the published length, so no reader
         // touches it yet, and `&mut self` excludes other writers.
         unsafe { *slot = ev };

@@ -54,8 +54,10 @@ pub mod latch;
 pub mod registry;
 pub mod sync;
 
+// The workspace's one model/sanitizer-switchable facade (DESIGN.md §10).
+use cilkm_obs::msync;
+
 mod join;
-pub(crate) mod msync;
 mod parallel_for;
 pub(crate) mod sanhooks;
 mod scope;

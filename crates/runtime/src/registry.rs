@@ -10,12 +10,10 @@
 use std::any::Any;
 use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
-// lint: allow(raw-sync, WorkerStats counters are Relaxed-only monitoring data; routing them through msync would add a recorded model op to every steal/park and explode checker state for zero verification value — same policy as cilkm-obs::metrics)
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use cilkm_obs::event::{current_cpu, pack_cpu};
-use cilkm_obs::{profile, trace, EventKind};
+use cilkm_obs::{profile, trace, Counter, EventKind};
 
 use crate::msync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use crate::msync::{thread, Mutex};
@@ -26,30 +24,31 @@ use crate::job::{JobRef, RootJob};
 use crate::latch::{Latch, LockLatch, SpinLatch};
 use crate::sleep::SleepGate;
 
-/// Per-worker event counters. All relaxed; read only for reporting.
+/// Per-worker event counters: `cilkm-obs` monitoring counters, plain
+/// `std` atomics under every facade face, so no model run records them.
 #[derive(Default)]
 pub(crate) struct WorkerStats {
     /// Successful steals committed by this worker (as the thief).
-    pub steals: AtomicU64,
+    pub steals: Counter,
     /// Steal attempts that found nothing or lost a race.
-    pub failed_steals: AtomicU64,
+    pub failed_steals: Counter,
     /// Foreign jobs executed (stolen + injected + leapfrogged).
-    pub jobs_executed: AtomicU64,
+    pub jobs_executed: Counter,
     /// Joins whose right branch was popped back and run inline.
-    pub inline_joins: AtomicU64,
+    pub inline_joins: Counter,
     /// Joins whose right branch was executed by another context.
-    pub stolen_joins: AtomicU64,
+    pub stolen_joins: Counter,
     /// Steal sweeps started (whether or not they found work).
-    pub steal_attempts: AtomicU64,
+    pub steal_attempts: Counter,
     /// Times this worker parked on the sleep gate (announce + re-check;
     /// the re-check may return immediately without blocking).
-    pub parks: AtomicU64,
+    pub parks: Counter,
     /// Times this worker came back from the sleep gate.
-    pub wakes: AtomicU64,
+    pub wakes: Counter,
     /// High-water mark of this worker's deque depth. Owner-maintained
-    /// with a plain load/compare/store (no RMW: only the owner writes,
+    /// with a plain get/compare/set (no RMW: only the owner writes,
     /// others just read), so the spawn hot path stays cheap.
-    pub deque_hwm: AtomicU64,
+    pub deque_hwm: Counter,
 }
 
 /// A snapshot of pool-wide scheduler statistics.
@@ -148,15 +147,15 @@ impl Registry {
     fn stats(&self) -> PoolStats {
         let mut s = PoolStats::default();
         for t in &self.threads {
-            s.steals += t.stats.steals.load(Ordering::Relaxed);
-            s.failed_steals += t.stats.failed_steals.load(Ordering::Relaxed);
-            s.jobs_executed += t.stats.jobs_executed.load(Ordering::Relaxed);
-            s.inline_joins += t.stats.inline_joins.load(Ordering::Relaxed);
-            s.stolen_joins += t.stats.stolen_joins.load(Ordering::Relaxed);
-            s.steal_attempts += t.stats.steal_attempts.load(Ordering::Relaxed);
-            s.parks += t.stats.parks.load(Ordering::Relaxed);
-            s.wakes += t.stats.wakes.load(Ordering::Relaxed);
-            s.deque_hwm = s.deque_hwm.max(t.stats.deque_hwm.load(Ordering::Relaxed));
+            s.steals += t.stats.steals.get();
+            s.failed_steals += t.stats.failed_steals.get();
+            s.jobs_executed += t.stats.jobs_executed.get();
+            s.inline_joins += t.stats.inline_joins.get();
+            s.stolen_joins += t.stats.stolen_joins.get();
+            s.steal_attempts += t.stats.steal_attempts.get();
+            s.parks += t.stats.parks.get();
+            s.wakes += t.stats.wakes.get();
+            s.deque_hwm = s.deque_hwm.max(t.stats.deque_hwm.get());
         }
         s
     }
@@ -221,11 +220,11 @@ impl WorkerThread {
     }
 
     pub(crate) fn note_inline_join(&self) {
-        self.stats().inline_joins.fetch_add(1, Ordering::Relaxed);
+        self.stats().inline_joins.inc();
     }
 
     pub(crate) fn note_stolen_join(&self) {
-        self.stats().stolen_joins.fetch_add(1, Ordering::Relaxed);
+        self.stats().stolen_joins.inc();
     }
 
     #[inline]
@@ -235,8 +234,8 @@ impl WorkerThread {
         // so the spawn path pays one predictable branch.
         let depth = self.deque.len() as u64;
         let hwm = &self.stats().deque_hwm;
-        if depth > hwm.load(Ordering::Relaxed) {
-            hwm.store(depth, Ordering::Relaxed);
+        if depth > hwm.get() {
+            hwm.set(depth);
         }
         self.registry.signal_work();
     }
@@ -277,7 +276,7 @@ impl WorkerThread {
     /// permutations keep simultaneous thieves from convoying over the
     /// victims in the same sequence.
     fn try_steal(&self) -> Option<JobRef> {
-        self.stats().steal_attempts.fetch_add(1, Ordering::Relaxed);
+        self.stats().steal_attempts.inc();
         let n = self.registry.threads.len();
         if n > 1 {
             let r = self.next_rand();
@@ -294,7 +293,7 @@ impl WorkerThread {
                 loop {
                     match self.registry.threads[victim].stealer.steal() {
                         Steal::Success(raw) => {
-                            self.stats().steals.fetch_add(1, Ordering::Relaxed);
+                            self.stats().steals.inc();
                             // Victim index in the low half, thief's cpu
                             // (for socket-locality analysis) in the high
                             // half. The cpu lookup is gated so the steal
@@ -318,7 +317,7 @@ impl WorkerThread {
         if let Some(job) = self.registry.pop_injected() {
             return Some(job);
         }
-        self.stats().failed_steals.fetch_add(1, Ordering::Relaxed);
+        self.stats().failed_steals.inc();
         None
     }
 
@@ -326,7 +325,7 @@ impl WorkerThread {
     /// steal loop). The job itself ends in a detach, restoring emptiness.
     #[inline]
     fn execute_idle(&self, job: JobRef) {
-        self.stats().jobs_executed.fetch_add(1, Ordering::Relaxed);
+        self.stats().jobs_executed.inc();
         // SAFETY: popping/stealing transferred sole execution rights for
         // this job to us, and its frame outlives execution (job
         // contract). JobBegin/JobEnd are emitted *inside* execute: the
@@ -351,7 +350,7 @@ impl WorkerThread {
             trace::emit(EventKind::Detach, pack_cpu(1, current_cpu()));
         }
         let saved = self.with_state(|s| hooks.detach(s));
-        self.stats().jobs_executed.fetch_add(1, Ordering::Relaxed);
+        self.stats().jobs_executed.inc();
         // SAFETY: as in `execute_idle` (JobBegin/JobEnd emit inside).
         unsafe { job.execute() };
         self.with_state(|s| hooks.attach(s, saved));
@@ -461,7 +460,7 @@ impl WorkerThread {
     /// re-check, and only park if the re-check finds nothing.
     #[cold]
     fn sleep(&self) {
-        self.stats().parks.fetch_add(1, Ordering::Relaxed);
+        self.stats().parks.inc();
         trace::emit(EventKind::Park, 0);
         let reg = &*self.registry;
         reg.gate.sleep(self.index, || {
@@ -473,7 +472,7 @@ impl WorkerThread {
                     .enumerate()
                     .any(|(i, t)| i != self.index && !t.stealer.is_empty())
         });
-        self.stats().wakes.fetch_add(1, Ordering::Relaxed);
+        self.stats().wakes.inc();
         trace::emit(EventKind::Wake, 0);
     }
 }
@@ -777,6 +776,16 @@ mod tests {
     use super::*;
     use std::time::{Duration, Instant};
 
+    /// `add-1` moves with the layout of the pool's shared state (ROADMAP
+    /// "Known flaky"), so its plain-build sizes are pinned: a change to
+    /// either must be a choice, not a side effect.
+    #[cfg(not(any(feature = "model", feature = "sanitize")))]
+    #[test]
+    fn pool_state_sizes_are_pinned() {
+        assert_eq!(std::mem::size_of::<ThreadInfo>(), 80);
+        assert_eq!(std::mem::size_of::<Registry>(), 136);
+    }
+
     #[test]
     fn pool_runs_a_closure_on_a_worker() {
         let pool = Pool::new(2);
@@ -851,7 +860,7 @@ mod tests {
 
     /// Each worker's own park count.
     fn parks_by_worker(reg: &Registry) -> Vec<u64> {
-        let parks = |t: &ThreadInfo| t.stats.parks.load(Ordering::Relaxed);
+        let parks = |t: &ThreadInfo| t.stats.parks.get();
         reg.threads.iter().map(parks).collect()
     }
 

@@ -1,6 +1,6 @@
 //! Findings, the machine-readable sanitizer report, and its JSON codec.
 //!
-//! Same codec discipline as `cilkm-lint`'s `lint_report.json`: the
+//! Same codec as `cilkm-lint`'s `lint_report.json` (`cilkm-base`): the
 //! report CI archives must be **diffable**, so findings are
 //! stable-sorted by (detector, site, message), duplicates are collapsed
 //! at record time, and serialization is deterministic (same findings ⇒
@@ -10,6 +10,8 @@
 //! addresses are not.
 
 use std::fmt::Write as _;
+
+use cilkm_base::{parse, quote, Value};
 
 /// The three detector families (see DESIGN.md §17).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -111,9 +113,9 @@ impl Report {
             let _ = write!(
                 s,
                 "\n    {{\"detector\": {}, \"site\": {}, \"message\": {}}}",
-                json_string(f.detector.name()),
-                json_string(&f.site),
-                json_string(&f.message),
+                quote(f.detector.name()),
+                quote(&f.site),
+                quote(&f.message),
             );
         }
         if !self.findings.is_empty() {
@@ -126,165 +128,28 @@ impl Report {
     /// Parses a report previously produced by [`Report::to_json`].
     /// Tolerates any whitespace; rejects anything structurally off.
     pub fn from_json(src: &str) -> Result<Report, String> {
-        // The report grammar is flat enough for a line-free scan: pull
-        // the "findings" array and read each object's three string
-        // fields. A tiny recursive parser would also do, but the only
-        // consumer is the summarizer bin and the round-trip test.
-        let mut p = Parser {
-            bytes: src.as_bytes(),
-            pos: 0,
-        };
-        p.seek_key("findings")?;
-        p.expect(b'[')?;
+        let value = parse(src)?;
+        let arr = value
+            .get("findings")
+            .ok_or("missing \"findings\"")?
+            .as_array()
+            .ok_or("\"findings\" is not an array")?;
         let mut findings = Vec::new();
-        loop {
-            match p.peek() {
-                Some(b']') => break,
-                Some(b'{') => {
-                    p.pos += 1;
-                    let mut detector = None;
-                    let mut site = None;
-                    let mut message = None;
-                    loop {
-                        let key = p.string()?;
-                        p.expect(b':')?;
-                        let value = p.string()?;
-                        match key.as_str() {
-                            "detector" => {
-                                detector = Some(
-                                    Detector::from_name(&value)
-                                        .ok_or_else(|| format!("unknown detector {value:?}"))?,
-                                )
-                            }
-                            "site" => site = Some(value),
-                            "message" => message = Some(value),
-                            other => return Err(format!("unknown finding key {other:?}")),
-                        }
-                        match p.peek() {
-                            Some(b',') => p.pos += 1,
-                            Some(b'}') => {
-                                p.pos += 1;
-                                break;
-                            }
-                            other => return Err(format!("expected , or }} but found {other:?}")),
-                        }
-                    }
-                    findings.push(Finding {
-                        detector: detector.ok_or("finding missing \"detector\"")?,
-                        site: site.ok_or("finding missing \"site\"")?,
-                        message: message.ok_or("finding missing \"message\"")?,
-                    });
-                    if p.peek() == Some(b',') {
-                        p.pos += 1;
-                    }
-                }
-                other => return Err(format!("expected {{ or ] but found {other:?}")),
-            }
+        for f in arr {
+            let string = |key: &str| {
+                f.get(key)
+                    .and_then(Value::as_str)
+                    .ok_or(format!("finding missing \"{key}\""))
+            };
+            let name = string("detector")?;
+            findings.push(Finding {
+                detector: Detector::from_name(name)
+                    .ok_or_else(|| format!("unknown detector {name:?}"))?,
+                site: string("site")?.to_string(),
+                message: string("message")?.to_string(),
+            });
         }
         Ok(Report { findings })
-    }
-}
-
-/// Escapes `s` as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// The minimal scanner behind [`Report::from_json`].
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&mut self) -> Option<u8> {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    /// Advances to just past `"key":` at any nesting depth (keys are
-    /// unique in the report grammar).
-    fn seek_key(&mut self, key: &str) -> Result<(), String> {
-        let needle = format!("\"{key}\"");
-        let hay = std::str::from_utf8(self.bytes).map_err(|_| "report is not UTF-8")?;
-        let at = hay.find(&needle).ok_or(format!("missing {needle}"))?;
-        self.pos = at + needle.len();
-        self.expect(b':')
-    }
-
-    /// Parses one JSON string literal (the escapes `to_json` emits).
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8 in string")?;
-                    let c = s.chars().next().ok_or("empty string tail")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
     }
 }
 

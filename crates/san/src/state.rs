@@ -19,6 +19,8 @@ use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Mutex, OnceLock};
 
+use cilkm_base::VClock;
+
 use crate::report::{Detector, Finding, Report};
 
 /// Sync-clock namespace tags (the payload is an address or thread id,
@@ -27,36 +29,6 @@ const K_ATOMIC: u8 = 0;
 const K_LOCK: u8 = 1;
 const K_PARK: u8 = 2;
 const K_FENCE: u8 = 3;
-
-/// A growable vector clock; component `t` is thread `t`'s last
-/// synchronized-to clock value (0 = never).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub(crate) struct VClock(pub(crate) Vec<u32>);
-
-impl VClock {
-    pub(crate) fn get(&self, tid: usize) -> u32 {
-        self.0.get(tid).copied().unwrap_or(0)
-    }
-
-    pub(crate) fn set(&mut self, tid: usize, v: u32) {
-        if tid >= self.0.len() {
-            self.0.resize(tid + 1, 0);
-        }
-        self.0[tid] = v;
-    }
-
-    /// Component-wise maximum.
-    pub(crate) fn join(&mut self, other: &VClock) {
-        if other.0.len() > self.0.len() {
-            self.0.resize(other.0.len(), 0);
-        }
-        for (i, &v) in other.0.iter().enumerate() {
-            if v > self.0[i] {
-                self.0[i] = v;
-            }
-        }
-    }
-}
 
 /// FastTrack's scalar clock: one (thread, clock) pair packed where a
 /// full vector clock would be overkill.
@@ -219,8 +191,7 @@ impl State {
 
     /// Advances a thread's own clock component (after a release).
     fn tick(&mut self, tid: usize) {
-        let clk = self.clocks[tid].get(tid);
-        self.clocks[tid].set(tid, clk + 1);
+        self.clocks[tid].bump(tid);
     }
 
     fn sync_acquire(&mut self, tid: usize, key: (u8, usize)) {
@@ -316,11 +287,11 @@ impl State {
                     }
                 }
                 ReadShadow::Clock(rc) => {
-                    for (j, &c) in rc.0.iter().enumerate() {
-                        if j != tid && c > 0 && c > vc.get(j) {
-                            races.push(format!("read-write race between threads t{j} and t{tid}"));
-                            break;
-                        }
+                    // Every component a read clock sets is a thread's.
+                    if let Some(j) =
+                        (0..self.clocks.len()).find(|&j| j != tid && rc.get(j) > vc.get(j))
+                    {
+                        races.push(format!("read-write race between threads t{j} and t{tid}"));
                     }
                 }
             }

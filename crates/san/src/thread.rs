@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::state;
-use crate::state::VClock;
+use cilkm_base::VClock;
 
 /// A handle to an instrumented thread (sanitizer id + real handle).
 #[derive(Clone, Debug)]

@@ -20,7 +20,8 @@
 //! * [`graph`] (`cilkm-graph`) — CSR graphs, generators, bags, PBFS;
 //! * [`obs`] (`cilkm-obs`) — the observability layer: per-worker event
 //!   tracer (enable with the `trace` feature), unified metrics registry,
-//!   Chrome-trace/CSV exporters, and trace analysis.
+//!   the Chrome-trace exporter and loader, the metrics JSON dump, and
+//!   trace analysis.
 //!
 //! ## Quick start
 //!
