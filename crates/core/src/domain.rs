@@ -3,6 +3,7 @@
 //! of §6), the leftmost-view registry, and an arena of simulated
 //! physical pages that only the probes and ablation programs use.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use cilkm_runtime::{HyperHooks, Pool, PoolBuilder, PoolStats};
@@ -62,6 +63,15 @@ static NEXT_DOMAIN_ID: AtomicU64 = AtomicU64::new(1);
 #[inline]
 pub(crate) fn foreign(key: u64, domain_key: u64) -> bool {
     (key ^ domain_key) >> ADDR_BITS != 0
+}
+
+/// The refusal of a reducer access from a `reduce` that the region-end
+/// fold runs (DESIGN.md §13.2). Every view was drained before the fold,
+/// so such an access always misses; both backends call this from their
+/// miss path while their state's `folding` flag is set.
+#[cold]
+pub(crate) fn refuse_in_root_fold() -> ! {
+    panic!("reducer accessed from a reduce run by the region-end fold")
 }
 
 /// The slot of the reducer with `key`.
@@ -177,28 +187,46 @@ impl DomainInner {
     /// `Pool::run` delivers it to its caller. On that unwind, or one out
     /// of the user's `reduce`, the views not yet folded are destroyed.
     ///
+    /// `folding` is the calling worker's flag: set for the whole fold,
+    /// on which its miss path refuses a nested reducer access
+    /// ([`refuse_in_root_fold`]), and cleared however the fold ends.
+    ///
     /// # Safety
     ///
     /// Every pair must hold a live boxed view of its slot's monoid and
     /// that monoid's erased instance, and the slots must still be
     /// registered (views must not outlive their reducer).
     // lint: hot-path
-    pub(crate) unsafe fn fold_root(&self, views: impl Iterator<Item = (Slot, ViewPair)>) {
-        struct Unfolded<I: Iterator<Item = (Slot, ViewPair)>>(std::iter::Peekable<I>);
-        impl<I: Iterator<Item = (Slot, ViewPair)>> Drop for Unfolded<I> {
+    pub(crate) unsafe fn fold_root(
+        &self,
+        folding: &Cell<bool>,
+        views: impl Iterator<Item = (Slot, ViewPair)>,
+    ) {
+        struct Unfolded<'a, I: Iterator<Item = (Slot, ViewPair)>> {
+            views: std::iter::Peekable<I>,
+            folding: &'a Cell<bool>,
+        }
+        impl<I: Iterator<Item = (Slot, ViewPair)>> Drop for Unfolded<'_, I> {
             fn drop(&mut self) {
-                for (_, pair) in &mut self.0 {
+                // Cleared first: a refusal out of a leftover view's
+                // `Drop` below would panic while unwinding, an abort.
+                self.folding.set(false);
+                for (_, pair) in &mut self.views {
                     // SAFETY: fn contract — a live view and the instance
                     // that created it; the iterator yields each once.
                     unsafe { MonoidInstance::from_erased(pair.monoid).drop_view(pair.view) };
                 }
             }
         }
-        let mut rest = Unfolded(views.peekable());
-        while let Some(&(slot, pair)) = rest.0.peek() {
+        folding.set(true);
+        let mut rest = Unfolded {
+            views: views.peekable(),
+            folding,
+        };
+        while let Some(&(slot, pair)) = rest.views.peek() {
             // A refusal unwinds from here with `pair` still in `rest`.
             let _borrow = self.serial_user(slot);
-            rest.0.next();
+            rest.views.next();
             // SAFETY: fn contract, and the serial word is held; the
             // reduce consumes `pair.view`, also when it unwinds.
             unsafe { self.fold_into_leftmost_unguarded(slot, pair.view) };

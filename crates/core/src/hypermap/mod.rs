@@ -19,12 +19,14 @@ use std::sync::Arc;
 use cilkm_runtime::{DetachedViews, HyperHooks};
 use cilkm_spa::ViewPair;
 
-use crate::domain::{foreign, key_slot, DomainInner, Slot};
-use crate::instrument::Instrument;
+use crate::domain::{foreign, key_slot, refuse_in_root_fold, DomainInner, Slot};
+use crate::instrument::{bump, flush, Instrument};
 use crate::monoid::MonoidInstance;
 use cilkm_obs::profile::Burden;
 
-/// Per-worker state: the current context's hypermap.
+/// Per-worker state: the current context's hypermap, and the worker's
+/// counts of lookups and first touches, which
+/// [`HypermapWorkerState::flush_counts`] adds to the domain's totals.
 ///
 /// The map is boxed because that is how Cilk Plus holds it too
 /// (`w->reducer_map` is a pointer to a heap-allocated `cilkred_map`): the
@@ -35,6 +37,11 @@ pub struct HypermapWorkerState {
     domain: Arc<DomainInner>,
     current: Box<HyperMap>,
     lookups: Cell<u64>,
+    view_creations: Cell<u64>,
+    view_insertions: Cell<u64>,
+    /// Set while `collect_root` folds the region's views: a reducer
+    /// access from a `reduce` the fold runs is refused (DESIGN.md §13.2).
+    folding: Cell<bool>,
 }
 
 // SAFETY: the state is owned by exactly one worker at a time and handed
@@ -82,17 +89,19 @@ impl Drop for Orphans {
 }
 
 impl HypermapWorkerState {
-    fn flush_lookups(&self) {
-        let n = self.lookups.take();
-        if n != 0 {
-            self.domain.instrument.lookups.add(n);
-        }
+    /// Adds the worker's counts to the domain's totals and zeroes them:
+    /// at every hook that ends or merges a context, and at `Drop`.
+    fn flush_counts(&self) {
+        let ins = &self.domain.instrument;
+        flush(&self.lookups, &ins.lookups);
+        flush(&self.view_creations, &ins.view_creations);
+        flush(&self.view_insertions, &ins.view_insertions);
     }
 }
 
 impl Drop for HypermapWorkerState {
     fn drop(&mut self) {
-        self.flush_lookups();
+        self.flush_counts();
         // Another state may have been made current on this thread since.
         HYPERMAP_TLS.with(|c| {
             if std::ptr::eq(c.get().state, self) {
@@ -150,7 +159,9 @@ pub(crate) fn lookup(key: u64, inst: &MonoidInstance) -> Option<*mut u8> {
 }
 
 /// The outlined miss path: creates and inserts an identity view (at most
-/// once per reducer per steal).
+/// once per reducer per steal), counting both in the worker's state. An
+/// access from a `reduce` the region-end fold runs is refused instead
+/// ([`refuse_in_root_fold`]).
 #[cold]
 #[inline(never)]
 fn lookup_miss(
@@ -164,11 +175,14 @@ fn lookup_miss(
     // across it, so no aliasing `&mut` can exist. `domain` points into
     // the `Arc`'s allocation, not into the state, which keeps it alive.
     unsafe {
+        if (*ptr).folding.get() {
+            refuse_in_root_fold();
+        }
         let domain = &*Arc::as_ptr(&(*ptr).domain);
         // Create an identity view (user code — no state borrow held).
         let t0 = Instrument::short_timer();
         let view = inst.identity();
-        domain.instrument.view_creations.inc();
+        bump(&(*ptr).view_creations);
         Instrument::add_short_ns(
             &domain.instrument.view_creation_ns,
             t0,
@@ -184,7 +198,7 @@ fn lookup_miss(
                 monoid: inst.as_erased(),
             },
         );
-        domain.instrument.view_insertions.inc();
+        bump(&(*ptr).view_insertions);
         Instrument::add_short_ns(
             &domain.instrument.view_insertion_ns,
             t1,
@@ -238,6 +252,9 @@ impl HyperHooks for HypermapHooks {
             domain: Arc::clone(&self.domain),
             current: Box::new(HyperMap::new()),
             lookups: Cell::new(0),
+            view_creations: Cell::new(0),
+            view_insertions: Cell::new(0),
+            folding: Cell::new(false),
         });
         // The Box's heap address is stable; publish it for the fast path.
         let raw = &*state as *const HypermapWorkerState as *mut HypermapWorkerState;
@@ -254,7 +271,7 @@ impl HyperHooks for HypermapHooks {
         let st = state
             .downcast_mut::<HypermapWorkerState>()
             .expect("hypermap state");
-        st.flush_lookups();
+        st.flush_counts();
         let t0 = Instrument::transferal_timer();
         // View transferal in the hypermap scheme: switch a few pointers —
         // the whole map is handed over, and the context gets a freshly
@@ -289,6 +306,7 @@ impl HyperHooks for HypermapHooks {
         let mut right = right.downcast::<HyperMap>().expect("hypermap views");
         let t0 = Instrument::merge_timer();
         self.ins().merges.inc();
+        let mut pairs_reduced = 0u64;
 
         // SAFETY: `st` is exclusively ours (see above); every `&mut` is
         // re-derived between `reduce_into` calls so user reduce code may
@@ -302,7 +320,7 @@ impl HyperHooks for HypermapHooks {
                 while let Some((key, slot, rpair)) = rest.0.pop() {
                     match (*st).current.get(key) {
                         Some(lpair) => {
-                            self.ins().merge_pairs.inc();
+                            pairs_reduced += 1;
                             MonoidInstance::from_erased(rpair.monoid)
                                 .reduce_into(lpair.view, rpair.view);
                         }
@@ -323,13 +341,18 @@ impl HyperHooks for HypermapHooks {
                     let rpair = (*st).current.remove(key);
                     (*st).current.insert(key, slot, lpair);
                     if let Some(rpair) = rpair {
-                        self.ins().merge_pairs.inc();
+                        pairs_reduced += 1;
                         MonoidInstance::from_erased(lpair.monoid)
                             .reduce_into(lpair.view, rpair.view);
                     }
                 }
             }
+            // The owner of a region may never detach (it does only to
+            // leapfrog): its first touches reach the totals here, at
+            // every join that merges.
+            (*st).flush_counts();
         }
+        self.ins().merge_pairs.add(pairs_reduced);
         Instrument::add_merge_ns(&self.ins().merge_ns, t0);
     }
 
@@ -341,28 +364,30 @@ impl HyperHooks for HypermapHooks {
         // no borrow of the state is live across the fold, whose user
         // `reduce` code may itself perform lookups through the TLS path.
         unsafe {
-            (*st).flush_lookups();
+            (*st).flush_counts();
             let drained = (*st).current.drain();
             // SAFETY: each pair is a live boxed view of its slot's
             // monoid with the instance that created it, and the
             // reducers are still registered (views must not outlive
             // their reducer).
-            self.domain
-                .fold_root(drained.into_iter().map(|(_, slot, pair)| (slot, pair)));
+            self.domain.fold_root(
+                &(*st).folding,
+                drained.into_iter().map(|(_, slot, pair)| (slot, pair)),
+            );
         }
     }
 
     fn discard(&self, views: DetachedViews) {
         // Discard runs on a panic path, where the current context may
         // unwind without ever reaching a detach/collect; flush the
-        // calling worker's hot-path lookup count here so the domain
-        // totals stay exact even when one side of a join panics.
+        // calling worker's counts here so the domain totals stay exact
+        // even when one side of a join panics.
         let ptr = HYPERMAP_TLS.with(|c| c.get()).state;
         if !ptr.is_null() {
             // SAFETY: the TLS pointer is the calling worker's live state;
-            // `flush_lookups` takes `&self` and only touches the `Cell`
-            // counter and shared atomics.
-            unsafe { (*ptr).flush_lookups() };
+            // `flush_counts` takes `&self` and only touches its `Cell`
+            // counts and shared atomics.
+            unsafe { (*ptr).flush_counts() };
         }
         let mut map = views.downcast::<HyperMap>().expect("hypermap views");
         drop(Orphans(map.drain()));

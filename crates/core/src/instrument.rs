@@ -19,10 +19,28 @@
 //! every build; their **nanosecond timers** — [`Histogram`]s, one sample
 //! per operation in log2 ns buckets, whose sums are the totals
 //! [`Instrument::snapshot`] reports — and the per-lookup counter are
-//! compiled in only when [`ENABLED`] is true. The lookup counter is a
-//! plain per-worker `Cell` increment, flushed into the shared totals at
-//! view-transferal/collect time (and on the discard path after a panic),
-//! so it costs the same negligible constant under both backends.
+//! compiled in only when [`ENABLED`] is true.
+//!
+//! Counts go one of two ways:
+//!
+//! * **Per view, in the worker.** Lookups, view creations, view
+//!   insertions and SPA log overflows happen in a worker's own context,
+//!   up to once per reducer per steal for the last three. Each is a plain
+//!   `Cell` increment in the worker's state ([`bump`]). Nothing shared is
+//!   written, so a first touch writes only the worker's page array (or
+//!   table), the new view and the worker's own state. Each backend's
+//!   `flush_counts` adds the cells to these totals ([`flush`]) at every
+//!   hook that ends or merges a context: `detach`, `merge_right`,
+//!   `collect_root`, `discard` (the panic path) and the state's `Drop`.
+//!   The `merge_right` flush keeps the totals exact inside a long region,
+//!   whose owner detaches only to leapfrog: read right after a join
+//!   returns, they hold every first touch made before it.
+//! * **Per steal, at the operation.** Transferals, transferal views,
+//!   merges and merge pairs are one relaxed add per operation, by the
+//!   worker that performs it. They are few, and readers check them in
+//!   the middle of a region, so they are published as they happen.
+
+use std::cell::Cell;
 
 use cilkm_obs::metrics::{
     Counter, FineHistogram, FineHistogramSnapshot, Histogram, HistogramSnapshot,
@@ -37,9 +55,10 @@ use cilkm_obs::profile::{self, Burden};
 /// of Figure 1, and every clock read and histogram record on the steal
 /// path of both backends (the thread-CPU clock is a system call, and a
 /// view's creation and insertion are each shorter than the clock reads
-/// that bracket them). The steal-path *counters* stay unconditional: one
-/// relaxed add per operation, and the benchmark's gated pass checks them
-/// against its traced pass round by round.
+/// that bracket them). The steal-path *counts* stay unconditional: cell
+/// increments flushed at the hooks, or one relaxed add per steal (see
+/// the module docs), and the benchmark's gated pass checks them against
+/// its traced pass round by round.
 pub(crate) const ENABLED: bool = cfg!(any(debug_assertions, feature = "instrument"));
 
 /// Shared (per-domain) instrumentation totals, on the unified
@@ -47,13 +66,14 @@ pub(crate) const ENABLED: bool = cfg!(any(debug_assertions, feature = "instrumen
 /// overhead categories are [`Histogram`]s of per-operation latencies.
 #[derive(Default)]
 pub struct Instrument {
-    /// Reducer lookups (hot-path counter, flushed from workers).
+    /// Reducer lookups (hot-path counter, flushed from workers; an
+    /// update off the pool adds its one here directly).
     pub lookups: Counter,
-    /// Identity views created.
+    /// Identity views created (flushed from workers).
     pub view_creations: Counter,
     /// Per-creation latency; `.sum` is the Figure 8 view-creation total.
     pub view_creation_ns: Histogram,
-    /// Views inserted into a context map.
+    /// Views inserted into a context map (flushed from workers).
     pub view_insertions: Counter,
     /// Per-insertion latency; `.sum` is the Figure 8 insertion total.
     pub view_insertion_ns: Histogram,
@@ -79,7 +99,8 @@ pub struct Instrument {
     /// Per-hypermerge latency (including monoid operations); `.sum` is
     /// the Figure 8 hypermerge total.
     pub merge_ns: Histogram,
-    /// SPA-map log overflows observed (memory-mapped backend only).
+    /// SPA-map log overflows observed (memory-mapped backend only;
+    /// flushed from workers).
     pub log_overflows: Counter,
 }
 
@@ -191,6 +212,22 @@ impl Instrument {
             hist.record(ns);
             profile::charge(kind, ns);
         }
+    }
+}
+
+/// Counts one event in a worker's own cell.
+#[inline]
+pub(crate) fn bump(count: &Cell<u64>) {
+    count.set(count.get() + 1);
+}
+
+/// Moves a worker's cell count into the shared `total`: one add, and
+/// none when nothing was counted.
+#[inline]
+pub(crate) fn flush(count: &Cell<u64>, total: &Counter) {
+    let n = count.take();
+    if n != 0 {
+        total.add(n);
     }
 }
 
@@ -384,39 +421,44 @@ mod tests {
         assert_eq!(snap.reduce_overhead_ns(), 6_000);
     }
 
+    use crate::library::SumMonoid;
+    use crate::msync::atomic::{AtomicU64, Ordering};
+    use crate::{Backend, Reducer, ReducerPool};
+
+    /// Leaves, hence forced steals, of one [`spine`].
+    const K: u64 = 8;
+    /// Reducers every leaf and the base case update.
+    const N: u64 = 3;
+
+    /// One forced-steal spine (`f(k) = join(f(k-1), leaf_k)`, the base
+    /// case waiting until the other worker has started all `K` leaves):
+    /// `K` steals of `N` first touches each, on top of whatever the
+    /// owner's base case touches first. `started` must read 0.
+    fn spine(k: u64, started: &AtomicU64, sums: &[Reducer<SumMonoid<u64>>]) {
+        if k == 0 {
+            sums.iter().for_each(|s| s.add(1));
+            // Yield, not spin: on a one-CPU host the thief needs the
+            // processor to take the leaves.
+            while started.load(Ordering::Acquire) < K {
+                std::thread::yield_now();
+            }
+            return;
+        }
+        cilkm_runtime::join(
+            || spine(k - 1, started, sums),
+            || {
+                started.fetch_add(1, Ordering::Release);
+                sums.iter().for_each(|s| s.add(1));
+            },
+        );
+    }
+
     /// The stopwatch is off when the switch is off and exact when it is
-    /// on; the steal-path counters do not depend on it. One forced-steal
-    /// spine (`f(k) = join(f(k-1), leaf_k)`, the base case waiting until
-    /// the other worker has started all `K` leaves): `K` steals of `N`
-    /// views each on top of the owner's `N`.
+    /// on; the steal-path counters do not depend on it. One [`spine`]:
+    /// `K` steals of `N` views each on top of the owner's `N`.
     #[test]
     #[cfg_attr(miri, ignore = "spawns OS worker threads")]
     fn stopwatch_follows_the_switch_and_counters_do_not() {
-        use crate::library::SumMonoid;
-        use crate::msync::atomic::{AtomicU64, Ordering};
-        use crate::{Backend, Reducer, ReducerPool};
-        const K: u64 = 8;
-        const N: u64 = 3;
-
-        fn spine(k: u64, started: &AtomicU64, sums: &[Reducer<SumMonoid<u64>>]) {
-            if k == 0 {
-                sums.iter().for_each(|s| s.add(1));
-                // Yield, not spin: on a one-CPU host the thief needs the
-                // processor to take the leaves.
-                while started.load(Ordering::Acquire) < K {
-                    std::thread::yield_now();
-                }
-                return;
-            }
-            cilkm_runtime::join(
-                || spine(k - 1, started, sums),
-                || {
-                    started.fetch_add(1, Ordering::Release);
-                    sums.iter().for_each(|s| s.add(1));
-                },
-            );
-        }
-
         for backend in [Backend::Hypermap, Backend::Mmap] {
             let pool = ReducerPool::new(2, backend);
             let sums: Vec<Reducer<SumMonoid<u64>>> = (0..N)
@@ -425,6 +467,9 @@ mod tests {
             let started = AtomicU64::new(0);
             pool.run(|| spine(K, &started, &sums));
             sums.iter().for_each(|s| assert_eq!(s.get_cloned(), K + 1));
+            // Off the pool: the serial path, one lookup of the leftmost
+            // view, counted only with the switch on.
+            sums[0].add(1);
 
             let snap = pool.instrument();
             let counters = [
@@ -445,6 +490,7 @@ mod tests {
 
             let h = pool.overhead_histograms();
             if ENABLED {
+                assert_eq!(snap.lookups, views + 1, "{backend:?}: every update once");
                 assert_eq!(h.view_creation.count, snap.view_creations, "{backend:?}");
                 assert_eq!(h.view_insertion.count, snap.view_insertions, "{backend:?}");
                 assert_eq!(h.hypermerge.count, snap.merges, "{backend:?}");
@@ -460,8 +506,60 @@ mod tests {
                 ];
                 assert_eq!(samples, [0; 5], "{backend:?}: a clock was read");
                 assert_eq!(snap.reduce_overhead_ns(), 0, "{backend:?}");
-                assert_eq!(snap.lookups, 0, "{backend:?}");
+                assert_eq!(snap.lookups, 0, "{backend:?}: a lookup was counted");
             }
+        }
+    }
+
+    /// The per-view counts live in worker cells, and every hook that ends
+    /// or merges a context flushes them. So the totals the owner reads
+    /// inside its region, right after a spine's joins return, are exact:
+    /// every thief's first touches (flushed at its `detach`) and every
+    /// one of the owner's (flushed at the spine's `merge_right`s — this
+    /// owner never detaches). Two spines in one region, with
+    /// a `take` between them that makes the owner touch one reducer
+    /// first again; then the region-end totals read the same.
+    #[test]
+    #[cfg_attr(miri, ignore = "spawns OS worker threads")]
+    fn counts_are_exact_at_every_hook_boundary() {
+        for backend in [Backend::Hypermap, Backend::Mmap] {
+            let pool = ReducerPool::new(2, backend);
+            let sums: Vec<Reducer<SumMonoid<u64>>> = (0..N)
+                .map(|_| Reducer::new(&pool, SumMonoid::new(), 0))
+                .collect();
+            let started = AtomicU64::new(0);
+            let touches = |snap: InstrumentSnapshot| (snap.view_creations, snap.view_insertions);
+
+            let (first, second) = pool.run(|| {
+                spine(K, &started, &sums);
+                let first = touches(pool.instrument());
+                assert_eq!(sums[0].take(), K + 1);
+                started.store(0, Ordering::Release);
+                spine(K, &started, &sums);
+                (first, touches(pool.instrument()))
+            });
+            // The owner's `N` and the thieves' `K · N`; then the thieves'
+            // again and the owner's one reducer that `take` emptied.
+            let round1 = (K + 1) * N;
+            let round2 = round1 + K * N + 1;
+            assert_eq!(first, (round1, round1), "{backend:?}: after spine 1");
+            assert_eq!(second, (round2, round2), "{backend:?}: after spine 2");
+            assert_eq!(
+                touches(pool.instrument()),
+                second,
+                "{backend:?}: at region end"
+            );
+
+            let snap = pool.instrument();
+            assert_eq!(
+                (snap.transferals, snap.merges),
+                (2 * K, 2 * K),
+                "{backend:?}"
+            );
+            assert_eq!(sums[0].get_cloned(), K + 1, "{backend:?}");
+            sums[1..]
+                .iter()
+                .for_each(|s| assert_eq!(s.get_cloned(), 2 * (K + 1), "{backend:?}"));
         }
     }
 }

@@ -19,7 +19,8 @@
 //!   a predictable branch. A miss (at most once per reducer per steal)
 //!   grows the array to the slot's page if needed, which moves it, then
 //!   lazily creates an identity view and inserts it: one pointer-pair
-//!   write plus a log append.
+//!   write plus a log append. It counts the view in the worker's own
+//!   state, not in the domain's shared counters.
 //! * **View transferal by copying (§7)** — a terminating context copies
 //!   its private pairs into shared memory, zeroing the private entries as
 //!   it goes, so the worker returns to work-stealing with a provably
@@ -47,13 +48,15 @@ use cilkm_runtime::{DetachedViews, HyperHooks};
 use cilkm_spa::map::MAP_SIZE;
 use cilkm_spa::{InsertOutcome, SpaMapRef, ViewPair, VIEWS_PER_MAP};
 
-use crate::domain::{foreign, DomainInner, Slot};
-use crate::instrument::Instrument;
+use crate::domain::{foreign, refuse_in_root_fold, DomainInner, Slot};
+use crate::instrument::{bump, flush, Instrument};
 use crate::monoid::MonoidInstance;
 use crate::msync;
 use cilkm_obs::profile::Burden;
 
-/// Per-worker state: the page array and the count of views in it.
+/// Per-worker state: the page array, the count of views in it, and the
+/// worker's counts of lookups and first touches, which
+/// [`MmapWorkerState::flush_counts`] adds to the domain's totals.
 pub struct MmapWorkerState {
     domain: Arc<DomainInner>,
     /// The page array: `pages` SPA maps, map `p` at byte `p · MAP_SIZE`
@@ -62,6 +65,12 @@ pub struct MmapWorkerState {
     base: *mut u8,
     pages: usize,
     lookups: Cell<u64>,
+    view_creations: Cell<u64>,
+    view_insertions: Cell<u64>,
+    log_overflows: Cell<u64>,
+    /// Set while `collect_root` folds the region's views: a reducer
+    /// access from a `reduce` the fold runs is refused (DESIGN.md §13.2).
+    folding: Cell<bool>,
     /// Number of views currently in the private maps (sizes the list a
     /// detach copies them into).
     current_views: usize,
@@ -195,11 +204,14 @@ impl MmapDetached {
 static BUFFER_REUSE: msync::atomic::AtomicUsize = msync::atomic::AtomicUsize::new(0);
 
 impl MmapWorkerState {
-    fn flush_lookups(&self) {
-        let n = self.lookups.take();
-        if n != 0 {
-            self.domain.instrument.lookups.add(n);
-        }
+    /// Adds the worker's counts to the domain's totals and zeroes them:
+    /// at every hook that ends or merges a context, and at `Drop`.
+    fn flush_counts(&self) {
+        let ins = &self.domain.instrument;
+        flush(&self.lookups, &ins.lookups);
+        flush(&self.view_creations, &ins.view_creations);
+        flush(&self.view_insertions, &ins.view_insertions);
+        flush(&self.log_overflows, &ins.log_overflows);
     }
 
     /// Grows the page array to cover `page`, zero-filling the new maps
@@ -279,7 +291,7 @@ impl MmapWorkerState {
 
 impl Drop for MmapWorkerState {
     fn drop(&mut self) {
-        self.flush_lookups();
+        self.flush_counts();
         // Another state may have been made current on this thread since.
         MMAP_TLS.with(|c| {
             if std::ptr::eq(c.get().state, self) {
@@ -342,11 +354,13 @@ pub(crate) fn lookup(key: u64, inst: &MonoidInstance) -> Option<*mut u8> {
     lookup_miss(key, inst)
 }
 
-/// The outlined cold path. It tells three cases apart: no worker state
+/// The outlined cold path. It tells four cases apart: no worker state
 /// on this thread (`None`, the serial path), a worker of another pool
-/// (a panic), and the miss proper, which happens at most once per
-/// reducer per steal (§6): grow the array to the slot's page if it lies
-/// past the end, then create and insert an identity view. Out of line,
+/// (a panic), an access from a `reduce` the region-end fold runs (the
+/// panic of [`refuse_in_root_fold`]), and the miss proper, which happens at
+/// most once per reducer per steal (§6): grow the array to the slot's
+/// page if it lies past the end, then create and insert an identity
+/// view, counting both in the worker's state. Out of line,
 /// so the hit path stays small enough to inline everywhere. It reads the
 /// TLS descriptor again: taken by value from the hit path, the 32-byte
 /// descriptor was copied to the stack on every hit.
@@ -370,14 +384,17 @@ fn lookup_miss(key: u64, inst: &MonoidInstance) -> Option<*mut u8> {
     // not into the state, and the state keeps it alive.
     unsafe {
         if crate::instrument::ENABLED {
-            (*ptr).lookups.set((*ptr).lookups.get() + 1);
+            bump(&(*ptr).lookups);
+        }
+        if (*ptr).folding.get() {
+            refuse_in_root_fold();
         }
         let domain = &*Arc::as_ptr(&(*ptr).domain);
         (*ptr).ensure_page(page);
 
         let t0 = Instrument::short_timer();
         let view = inst.identity();
-        domain.instrument.view_creations.inc();
+        bump(&(*ptr).view_creations);
         Instrument::add_short_ns(
             &domain.instrument.view_creation_ns,
             t0,
@@ -393,10 +410,10 @@ fn lookup_miss(key: u64, inst: &MonoidInstance) -> Option<*mut u8> {
             },
         );
         if outcome == InsertOutcome::Overflowed {
-            domain.instrument.log_overflows.inc();
+            bump(&(*ptr).log_overflows);
         }
         (*ptr).current_views += 1;
-        domain.instrument.view_insertions.inc();
+        bump(&(*ptr).view_insertions);
         Instrument::add_short_ns(
             &domain.instrument.view_insertion_ns,
             t1,
@@ -457,6 +474,10 @@ impl HyperHooks for MmapHooks {
             base: std::ptr::null_mut(),
             pages: 0,
             lookups: Cell::new(0),
+            view_creations: Cell::new(0),
+            view_insertions: Cell::new(0),
+            log_overflows: Cell::new(0),
+            folding: Cell::new(false),
             current_views: 0,
         });
         // The Box's heap address is stable; publish it for the fast path
@@ -474,7 +495,7 @@ impl HyperHooks for MmapHooks {
     // lint: hot-path
     fn detach(&self, state: &mut dyn Any) -> DetachedViews {
         let st = state.downcast_mut::<MmapWorkerState>().expect("mmap state");
-        st.flush_lookups();
+        st.flush_counts();
         let t0 = Instrument::transferal_timer();
         let views = st.drain_views();
         if !views.is_empty() {
@@ -544,6 +565,13 @@ impl HyperHooks for MmapHooks {
         }
         self.ins().merge_pairs.add(pairs_reduced);
         Instrument::add_merge_ns(&self.ins().merge_ns, t0);
+        // The owner of a region may never detach (it does only to
+        // leapfrog): its first touches reach the totals here, at every
+        // join that merges.
+        state
+            .downcast_ref::<MmapWorkerState>()
+            .expect("mmap state")
+            .flush_counts();
     }
 
     fn collect_root(&self, state: &mut dyn Any) {
@@ -552,27 +580,27 @@ impl HyperHooks for MmapHooks {
         // no borrow of the state is live across the fold, whose user
         // `reduce` code may itself perform lookups through MMAP_TLS.
         unsafe {
-            (*st).flush_lookups();
+            (*st).flush_counts();
             let entries = (*st).drain_views();
             // SAFETY: each pair is a live boxed view of its slot's
             // monoid with the instance that created it, and the
             // reducers are still registered (views must not outlive
             // their reducer).
-            self.domain.fold_root(entries.into_iter());
+            self.domain.fold_root(&(*st).folding, entries.into_iter());
         }
     }
 
     fn discard(&self, views: DetachedViews) {
         // Discard runs on a panic path, where the current context may
         // unwind without ever reaching a detach/collect; flush the
-        // calling worker's hot-path lookup count here so the domain
-        // totals stay exact even when one side of a join panics.
+        // calling worker's counts here so the domain totals stay exact
+        // even when one side of a join panics.
         let tls = MMAP_TLS.with(|c| c.get());
         if !tls.state.is_null() {
             // SAFETY: the TLS snapshot points at the calling worker's
-            // live state; `flush_lookups` takes `&self` and only touches
-            // the `Cell` counter and shared atomics.
-            unsafe { (*tls.state).flush_lookups() };
+            // live state; `flush_counts` takes `&self` and only touches
+            // its `Cell` counts and shared atomics.
+            unsafe { (*tls.state).flush_counts() };
         }
         // Dropping the set destroys its views.
         views

@@ -20,16 +20,41 @@ use std::sync::Arc;
 /// [`Monoid::identity`] is its identity element. Nothing requires
 /// commutativity: list append and string concatenation are supported and
 /// are the interesting stress cases for the runtime's ordering discipline.
+///
+/// # Other reducers inside `identity` and `reduce`
+///
+/// The runtime calls both on a pool worker, with that worker's context
+/// installed, so an access to *another* reducer from inside them is a
+/// reducer access like any other — except where noted below. They must
+/// never access the reducer whose view they create or reduce.
+///
+/// * `identity`, run by a first access after a steal: allowed. The
+///   update lands in the same context as the access that called it.
+/// * `reduce`, run by the hypermerge at a join: allowed. The update
+///   lands in the continuation's context and is folded with the region.
+/// * `reduce`, run by the region-end fold into the leftmost views:
+///   **refused**. Every view of the region was already collected, so
+///   the update would reach no region's result. The access panics with
+///   "reducer accessed from a reduce run by the region-end fold", and
+///   [`ReducerPool::run`](crate::ReducerPool::run) rethrows the panic in
+///   its caller; the pool stays usable.
+///
+/// A view's `Drop`, and `identity` run by
+/// [`Reducer::take`](crate::Reducer::take), have no such contract yet:
+/// do not access reducers from them.
 pub trait Monoid: Send + Sync + 'static {
     /// The view type local branches operate on.
     type View: Send + 'static;
 
     /// Creates the identity view `e` (called lazily on first access of a
-    /// reducer by a freshly stolen execution context, §3/§6).
+    /// reducer by a freshly stolen execution context, §3/§6). It may
+    /// access other reducers (see the trait docs).
     fn identity(&self) -> Self::View;
 
     /// Reduces `left ⊗ right` into `left`, consuming `right`. `left` is
-    /// the serially-earlier view.
+    /// the serially-earlier view. It may access other reducers when a
+    /// join's hypermerge runs it, and not when the region-end fold does
+    /// (see the trait docs).
     fn reduce(&self, left: &mut Self::View, right: Self::View);
 }
 

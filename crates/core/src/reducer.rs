@@ -183,7 +183,9 @@ impl<M: Monoid> Reducer<M> {
     fn update_serial<R>(&self, f: impl FnOnce(&mut M::View) -> R) -> R {
         let inner = &*self.inner;
         let _borrow = inner.domain.serial_user(inner.slot);
-        inner.domain.instrument.lookups.inc();
+        if crate::instrument::ENABLED {
+            inner.domain.instrument.lookups.inc();
+        }
         let entry = inner
             .domain
             .leftmost_entry(inner.slot)
@@ -513,11 +515,11 @@ mod tests {
         }
     }
 
-    /// Satellite of the observability PR: the per-worker hot-path lookup
-    /// `Cell`s must be flushed on the `discard` (panic) path too, so the
-    /// domain totals are *exact* even when one side of a join panics.
+    /// The per-worker count `Cell`s must be flushed on the `discard`
+    /// (panic) path too, so the domain totals are *exact* even when one
+    /// side of a join panics: the lookups with the switch on, and in
+    /// every build the two views, one on each side.
     #[test]
-    #[cfg(any(debug_assertions, feature = "instrument"))]
     fn lookup_totals_exact_when_one_side_of_a_join_panics() {
         use crate::msync::atomic::{AtomicBool, Ordering};
         for pool in both_backends() {
@@ -550,9 +552,16 @@ mod tests {
             }));
             assert!(res.is_err(), "the left panic must propagate");
             let snap = pool.instrument();
+            if crate::instrument::ENABLED {
+                assert_eq!(
+                    snap.lookups, 800,
+                    "500 owner + 300 thief lookups must all be flushed"
+                );
+            }
             assert_eq!(
-                snap.lookups, 800,
-                "500 owner + 300 thief lookups must all be flushed"
+                (snap.view_creations, snap.view_insertions),
+                (2, 2),
+                "one view on each side of the join"
             );
         }
     }

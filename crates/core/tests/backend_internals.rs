@@ -183,11 +183,14 @@ impl Drop for Marks {
 /// add one to a counter reducer of their own. The counters sit on SPA
 /// pages past the marks reducer's, so the first `identity` a worker runs
 /// grows its page array inside the lookup miss that called it, and the
-/// first `reduce` inside the hypermerge that called it.
+/// first `reduce` inside the hypermerge that called it. `reduce` spills
+/// only while `in_joins` is set: the region-end fold refuses a nested
+/// access.
 struct Spilling {
     tally: Arc<Tally>,
     identities: Reducer<SumMonoid<u64>>,
     reduces: Reducer<SumMonoid<u64>>,
+    in_joins: AtomicBool,
 }
 
 impl Monoid for Spilling {
@@ -197,7 +200,9 @@ impl Monoid for Spilling {
         Marks::new(&self.tally)
     }
     fn reduce(&self, left: &mut Marks, mut right: Marks) {
-        self.reduces.add(1);
+        if self.in_joins.load(Ordering::Relaxed) {
+            self.reduces.add(1);
+        }
         left.marks.append(&mut right.marks);
     }
 }
@@ -244,17 +249,25 @@ fn growth_inside_identity_and_reduce_keeps_the_serial_result() {
                 tally: Arc::clone(&tally),
                 identities,
                 reduces,
+                in_joins: AtomicBool::new(true),
             };
             let marks = Reducer::new(&pool, monoid, Marks::new(&tally));
             assert_eq!(marks.slot(), 0);
 
             let started = AtomicU32::new(0);
-            pool.run(|| spine(K, &started, &marks));
+            pool.run(|| {
+                spine(K, &started, &marks);
+                marks.monoid().in_joins.store(false, Ordering::Relaxed);
+            });
             assert_eq!(pool.stats().stolen_joins, u64::from(K));
-            // The region-end fold runs `reduce` on a worker, so its
-            // counter views stay in that worker's context until the pool
-            // goes: drop the pool before the reducers that own them.
-            drop(pool);
+            // Every nested update happened inside the joins, so the
+            // region folded it.
+            let reduces = marks.monoid().reduces.get_cloned();
+            assert_eq!(
+                reduces,
+                u64::from(K),
+                "{backend:?} run {run}: one pair a merge"
+            );
             let identities = marks.monoid().identities.get_cloned();
             let want: Vec<u32> = (0..=K).collect();
             assert_eq!(marks.into_inner().marks, want, "{backend:?} run {run}");

@@ -551,3 +551,122 @@ fn serial_access_overlapping_region_end_is_refused() {
         assert_eq!(dropped, created, "backend {backend:?}: every view once");
     }
 }
+
+/// Sums [`Counted`] views; `reduce` also adds one to `spills` while
+/// `spill` is set: a nested update of another reducer from user code the
+/// runtime runs.
+struct SpillingSum {
+    tally: Arc<Tally>,
+    spills: Arc<Reducer<SumMonoid<u64>>>,
+    spill: Arc<AtomicBool>,
+}
+
+impl Monoid for SpillingSum {
+    type View = Counted;
+    fn identity(&self) -> Counted {
+        Counted::new(&self.tally)
+    }
+    fn reduce(&self, left: &mut Counted, right: Counted) {
+        if self.spill.load(Ordering::SeqCst) {
+            self.spills.add(1);
+        }
+        left.n += right.n;
+    }
+}
+
+/// A [`SpillingSum`] reducer on `pool` and the counter it spills into.
+fn spilling_sum(
+    pool: &ReducerPool,
+    tally: &Arc<Tally>,
+    spill: &Arc<AtomicBool>,
+) -> (Reducer<SpillingSum>, Arc<Reducer<SumMonoid<u64>>>) {
+    let spills = Arc::new(Reducer::new(pool, SumMonoid::new(), 0));
+    let monoid = SpillingSum {
+        tally: Arc::clone(tally),
+        spills: Arc::clone(&spills),
+        spill: Arc::clone(spill),
+    };
+    (Reducer::new(pool, monoid, Counted::new(tally)), spills)
+}
+
+/// A `reduce` run by the region-end fold that updates another reducer is
+/// refused: every view was drained before the fold, so the update could
+/// only land in a view no region folds. The refusal reaches the caller of
+/// `Pool::run`, the pool runs the next region, and every view made is
+/// dropped once.
+#[test]
+fn nested_access_from_the_region_end_fold_is_refused() {
+    for backend in backends() {
+        let tally = Arc::new(Tally::default());
+        let spill = Arc::new(AtomicBool::new(true));
+        let pool = ReducerPool::new(2, backend);
+        let (r, spills) = spilling_sum(&pool, &tally, &spill);
+
+        let payload = catch_unwind(AssertUnwindSafe(|| pool.run(|| r.update(|v| v.n += 1))))
+            .expect_err("a nested access from the region-end fold must be refused");
+        assert_eq!(
+            panic_message(&*payload),
+            "reducer accessed from a reduce run by the region-end fold",
+            "{backend:?}"
+        );
+
+        spill.store(false, Ordering::SeqCst);
+        pool.run(|| r.update(|v| v.n += 10));
+        assert_eq!(
+            r.read(|v| v.n),
+            10,
+            "{backend:?}: the refused fold lost its view"
+        );
+        assert_eq!(spills.get_cloned(), 0, "{backend:?}");
+
+        drop(r);
+        let (created, dropped) = tally.counts();
+        assert_eq!(created, 3, "{backend:?}: 1 initial + 1 view in each region");
+        assert_eq!(dropped, created, "{backend:?}: every view once");
+    }
+}
+
+/// The allowed half of the contract: a `reduce` that a stolen join's
+/// hypermerge runs may update another reducer. The update lands in the
+/// continuation's context, and the region folds it into the result.
+#[test]
+fn nested_update_from_a_stolen_joins_merge_lands_in_the_result() {
+    for backend in backends() {
+        let tally = Arc::new(Tally::default());
+        let spill = Arc::new(AtomicBool::new(true));
+        let pool = ReducerPool::new(2, backend);
+        let (r, spills) = spilling_sum(&pool, &tally, &spill);
+        let stolen = AtomicBool::new(false);
+
+        pool.run(|| {
+            join(
+                || {
+                    r.update(|v| v.n += 1);
+                    // Yield, not spin: on a one-CPU host the thief needs
+                    // the processor.
+                    while !stolen.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                },
+                || {
+                    stolen.store(true, Ordering::Release);
+                    r.update(|v| v.n += 2);
+                },
+            );
+            // The merge is done; the region-end fold must not spill.
+            spill.store(false, Ordering::SeqCst);
+        });
+        assert_eq!(pool.stats().stolen_joins, 1, "{backend:?}");
+        assert_eq!(r.read(|v| v.n), 3, "{backend:?}");
+        assert_eq!(
+            spills.get_cloned(),
+            1,
+            "{backend:?}: the merge's one reduce"
+        );
+
+        drop(r);
+        let (created, dropped) = tally.counts();
+        assert_eq!(created, 3, "{backend:?}: 1 initial + 1 on each side");
+        assert_eq!(dropped, created, "{backend:?}: every view once");
+    }
+}
