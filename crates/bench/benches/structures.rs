@@ -84,7 +84,7 @@ fn bench_hypermap(c: &mut Criterion) {
     c.bench_function("hypermap/get-hit-16", |b| {
         let mut m = HyperMap::new();
         for i in 0..16u64 {
-            m.insert(0x7000_0000 + i * 64, i as u32, pair(i as usize));
+            m.insert(0x7000_0000 + i * 64, pair(i as usize));
         }
         b.iter(|| std::hint::black_box(m.get(0x7000_0000 + 5 * 64)));
     });
@@ -96,7 +96,7 @@ fn bench_hypermap(c: &mut Criterion) {
                 let mut m = HyperMap::new();
                 let t0 = Instant::now();
                 for i in 0..1024u64 {
-                    m.insert(0x7000_0000 + i * 64, i as u32, pair(i as usize));
+                    m.insert(0x7000_0000 + i * 64, pair(i as usize));
                 }
                 total += t0.elapsed();
                 std::hint::black_box(&m);

@@ -1,7 +1,8 @@
 //! The reducer *domain*: everything shared by all reducers of one pool —
 //! its key (backend and id), the slot allocator (the `tlmm_addr` space
-//! of §6), the leftmost-view registry, and an arena of simulated
-//! physical pages that only the probes and ablation programs use.
+//! of §6), and an arena of simulated physical pages that only the probes
+//! and ablation programs use. Each reducer keeps its own leftmost view
+//! in its [`MonoidInstance`].
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -11,9 +12,9 @@ use cilkm_spa::ViewPair;
 use cilkm_tlmm::PageArena;
 
 use crate::instrument::{Instrument, InstrumentSnapshot, ReduceHistograms};
-use crate::lockfree::{SerialBorrow, SlotRegistry, MAX_SLOTS};
 use crate::monoid::MonoidInstance;
 use crate::msync::atomic::{AtomicU64, Ordering};
+use crate::msync::Mutex;
 
 /// Which reducer mechanism a pool runs.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -27,9 +28,12 @@ pub enum Backend {
 /// A reducer's identifier: its index in the shared slot space. For the
 /// memory-mapped backend it names the paper's `tlmm_addr` (slot `s` lives
 /// at byte `16·(s mod 248)` of private SPA page `s div 248` in every
-/// worker's page array); the hypermap backend keeps it beside each view
-/// for the region-end fold.
+/// worker's page array); the hypermap backend needs it only for the key.
 pub(crate) type Slot = u32;
+
+/// Slots a domain can hand out: 65 536, far above the "reasonable
+/// number of reducers" the paper's footnote 9 assumes.
+pub(crate) const MAX_SLOTS: usize = 1 << 16;
 
 /// Bits 0–20 of a reducer key: the slot's `tlmm_addr`.
 ///
@@ -74,30 +78,24 @@ pub(crate) fn refuse_in_root_fold() -> ! {
     panic!("reducer accessed from a reduce run by the region-end fold")
 }
 
-/// The slot of the reducer with `key`.
-pub(crate) fn key_slot(key: u64) -> Slot {
-    crate::mmap::slot_at((key % (1 << ADDR_BITS)) as usize)
-}
-
-/// One reducer's leftmost storage: the view that holds the initial value
-/// and, after a region completes, the final value.
-#[derive(Copy, Clone)]
-pub(crate) struct LeftmostEntry {
-    pub view: *mut u8,
-    pub monoid: *const u8,
+/// The slot allocator: slots freed by dropped reducers, reused last in
+/// first out, and the next never-used slot.
+struct Slots {
+    free: Vec<Slot>,
+    fresh: Slot,
 }
 
 /// Shared state of a reducer domain. Usually reached through
 /// [`ReducerPool`]; exposed so benches can instrument it directly.
 ///
-/// The slot allocator and leftmost registry live in the
-/// [`SlotRegistry`]'s per-slot atomic cells; the domain holds no lock.
+/// Its one lock is the slot allocator's, taken only when a reducer is
+/// created or dropped.
 pub struct DomainInner {
     /// The backend bit and the domain id, address bits zero (see
     /// [`ADDR_BITS`]).
     pub(crate) key: u64,
     pub(crate) instrument: Instrument,
-    registry: SlotRegistry,
+    slots: Mutex<Slots>,
     /// Simulated physical pages: the probes and ablation programs read
     /// it; neither backend allocates from it.
     pub(crate) arena: Arc<PageArena>,
@@ -113,7 +111,10 @@ impl DomainInner {
         DomainInner {
             key: (id << (ADDR_BITS + 1)) | backend_bit,
             instrument: Instrument::new(),
-            registry: SlotRegistry::new(),
+            slots: Mutex::new(Slots {
+                free: Vec::new(),
+                fresh: 0,
+            }),
             arena: Arc::new(PageArena::new()),
         }
     }
@@ -142,42 +143,30 @@ impl DomainInner {
         self.instrument.histograms()
     }
 
+    /// Hands out a slot: the last one freed, else a fresh one. Panics
+    /// when all [`MAX_SLOTS`] are in use; the refusal takes no slot.
     pub(crate) fn alloc_slot(&self) -> Slot {
-        self.registry.alloc()
+        let mut slots = self.slots.lock();
+        if let Some(slot) = slots.free.pop() {
+            return slot;
+        }
+        let slot = slots.fresh;
+        if slot as usize == MAX_SLOTS {
+            drop(slots);
+            panic!("slot space exhausted ({MAX_SLOTS} slots)");
+        }
+        slots.fresh += 1;
+        slot
     }
 
     pub(crate) fn free_slot(&self, slot: Slot) {
-        self.registry.free(slot);
-    }
-
-    pub(crate) fn register_leftmost(&self, slot: Slot, view: *mut u8, monoid: *const u8) {
-        self.registry.register(slot, view, monoid);
-    }
-
-    pub(crate) fn unregister_leftmost(&self, slot: Slot) -> Option<*mut u8> {
-        self.registry.unregister(slot)
-    }
-
-    pub(crate) fn leftmost_entry(&self, slot: Slot) -> Option<LeftmostEntry> {
-        self.registry
-            .entry(slot)
-            .map(|(view, monoid)| LeftmostEntry { view, monoid })
-    }
-
-    /// Replaces the leftmost view pointer of `slot`, returning the old one.
-    pub(crate) fn swap_leftmost_view(&self, slot: Slot, new_view: *mut u8) -> *mut u8 {
-        self.registry.swap_view(slot, new_view)
-    }
-
-    /// Takes the reducer's serial word for a serial-path access (panics
-    /// if it is already held).
-    pub(crate) fn serial_user(&self, slot: Slot) -> SerialBorrow<'_> {
-        SerialBorrow::acquire_user(self.registry.cell(slot))
+        self.slots.lock().free.push(slot);
     }
 
     /// The region-end fold (both backends' `collect_root`): folds each of
-    /// the root context's `views` into its slot's leftmost view, taking
-    /// the slot's serial word around each fold.
+    /// the root context's `views` into its reducer's leftmost view, which
+    /// the pair's monoid pointer leads to, taking the reducer's serial
+    /// word around each fold.
     ///
     /// Regions are serialized by the pool's region lock and one worker
     /// collects a region's root, so in a correct program every word is
@@ -193,25 +182,24 @@ impl DomainInner {
     ///
     /// # Safety
     ///
-    /// Every pair must hold a live boxed view of its slot's monoid and
-    /// that monoid's erased instance, and the slots must still be
-    /// registered (views must not outlive their reducer).
+    /// Every pair must hold a live boxed view and the live instance that
+    /// created it (views must not outlive their reducer).
     // lint: hot-path
     pub(crate) unsafe fn fold_root(
         &self,
         folding: &Cell<bool>,
-        views: impl Iterator<Item = (Slot, ViewPair)>,
+        views: impl Iterator<Item = ViewPair>,
     ) {
-        struct Unfolded<'a, I: Iterator<Item = (Slot, ViewPair)>> {
+        struct Unfolded<'a, I: Iterator<Item = ViewPair>> {
             views: std::iter::Peekable<I>,
             folding: &'a Cell<bool>,
         }
-        impl<I: Iterator<Item = (Slot, ViewPair)>> Drop for Unfolded<'_, I> {
+        impl<I: Iterator<Item = ViewPair>> Drop for Unfolded<'_, I> {
             fn drop(&mut self) {
                 // Cleared first: a refusal out of a leftover view's
                 // `Drop` below would panic while unwinding, an abort.
                 self.folding.set(false);
-                for (_, pair) in &mut self.views {
+                for pair in &mut self.views {
                     // SAFETY: fn contract — a live view and the instance
                     // that created it; the iterator yields each once.
                     unsafe { MonoidInstance::from_erased(pair.monoid).drop_view(pair.view) };
@@ -223,37 +211,20 @@ impl DomainInner {
             views: views.peekable(),
             folding,
         };
-        while let Some(&(slot, pair)) = rest.views.peek() {
+        while let Some(&pair) = rest.views.peek() {
             // A refusal unwinds from here with `pair` still in `rest`.
-            let _borrow = self.serial_user(slot);
+            let borrow = MonoidInstance::from_erased(pair.monoid).serial_borrow();
             rest.views.next();
-            // SAFETY: fn contract, and the serial word is held; the
-            // reduce consumes `pair.view`, also when it unwinds.
-            unsafe { self.fold_into_leftmost_unguarded(slot, pair.view) };
+            // SAFETY: fn contract; the reduce consumes `pair.view`, also
+            // when it unwinds.
+            unsafe { borrow.fold(pair.view) };
         }
     }
 
-    /// Folds `view` into `slot`'s leftmost view; only for callers that
-    /// already hold the reducer's serial borrow (the `Reducer`
-    /// serial-point ops folding their own context view, and
-    /// [`DomainInner::fold_root`]).
-    ///
-    /// # Safety
-    ///
-    /// `view` must be a live boxed view of the slot's monoid type, the
-    /// slot must be registered, and the caller must hold the reducer's
-    /// serial-access borrow.
-    pub(crate) unsafe fn fold_into_leftmost_unguarded(&self, slot: Slot, view: *mut u8) {
-        let entry = self
-            .leftmost_entry(slot)
-            .unwrap_or_else(|| panic!("views outlive reducer for slot {slot}"));
-        let inst = MonoidInstance::from_erased(entry.monoid);
-        inst.reduce_into(entry.view, view);
-    }
-
-    /// Number of live reducers (registered leftmost entries) — test aid.
+    /// Number of live reducers (allocated slots) — test aid.
     pub fn live_reducers(&self) -> usize {
-        self.registry.live()
+        let slots = self.slots.lock();
+        slots.fresh as usize - slots.free.len()
     }
 
     /// The simulated physical-page arena (probes and ablation programs;
@@ -398,49 +369,31 @@ mod tests {
         let a = d.alloc_slot();
         let b = d.alloc_slot();
         assert_ne!(a, b);
+        assert_eq!(d.live_reducers(), 2);
         d.free_slot(a);
-        assert_eq!(d.alloc_slot(), a);
-    }
-
-    #[test]
-    fn leftmost_registry_roundtrip() {
-        let d = DomainInner::new(Backend::Hypermap);
-        let s = d.alloc_slot();
-        let view = Box::into_raw(Box::new(5u64)) as *mut u8;
-        d.register_leftmost(s, view, std::ptr::null());
-        assert_eq!(d.live_reducers(), 1);
-        let e = d.leftmost_entry(s).unwrap();
-        assert_eq!(e.view, view);
-        let v = d.unregister_leftmost(s).unwrap();
-        // SAFETY: the view was `Box::into_raw`ed above and unregistering
-        // returned the sole remaining pointer to it.
-        unsafe { drop(Box::from_raw(v as *mut u64)) };
+        assert_eq!(d.alloc_slot(), a, "freed slot must be reused first");
+        d.free_slot(b);
+        d.free_slot(a);
         assert_eq!(d.live_reducers(), 0);
-        assert!(d.leftmost_entry(s).is_none());
+        assert_eq!(d.alloc_slot(), a);
+        assert_eq!(d.alloc_slot(), b);
     }
 
     #[test]
     fn serial_word_is_released_on_drop() {
-        let d = DomainInner::new(Backend::Mmap);
-        let s = d.alloc_slot();
-        let view = Box::into_raw(Box::new(0u64)) as *mut u8;
-        d.register_leftmost(s, view, std::ptr::null());
-        let b = d.serial_user(s);
-        drop(b);
-        let _b2 = d.serial_user(s);
-        drop(_b2);
-        let v = d.unregister_leftmost(s).unwrap();
-        // SAFETY: sole remaining pointer, as registered above.
-        unsafe { drop(Box::from_raw(v as *mut u64)) };
+        let monoid = Arc::new(crate::library::SumMonoid::<u64>::new());
+        let inst = MonoidInstance::new(&monoid);
+        drop(inst.serial_borrow());
+        drop(inst.serial_borrow());
     }
 
     #[test]
     #[should_panic(expected = "concurrent serial access")]
     fn serial_borrow_panics_on_overlap() {
-        let d = DomainInner::new(Backend::Mmap);
-        let s = d.alloc_slot();
-        let _a = d.serial_user(s);
-        let _b = d.serial_user(s);
+        let monoid = Arc::new(crate::library::SumMonoid::<u64>::new());
+        let inst = MonoidInstance::new(&monoid);
+        let _a = inst.serial_borrow();
+        let _b = inst.serial_borrow();
     }
 
     #[test]

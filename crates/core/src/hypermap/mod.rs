@@ -19,7 +19,7 @@ use std::sync::Arc;
 use cilkm_runtime::{DetachedViews, HyperHooks};
 use cilkm_spa::ViewPair;
 
-use crate::domain::{foreign, key_slot, refuse_in_root_fold, DomainInner, Slot};
+use crate::domain::{foreign, refuse_in_root_fold, DomainInner};
 use crate::instrument::{bump, flush, Instrument};
 use crate::monoid::MonoidInstance;
 use cilkm_obs::profile::Burden;
@@ -74,11 +74,11 @@ thread_local! {
 /// Views drained out of a hypermap and owned by no context. Whatever is
 /// still here on drop is destroyed, so a `reduce` that unwinds out of a
 /// hypermerge loses no view.
-struct Orphans(Vec<(u64, Slot, ViewPair)>);
+struct Orphans(Vec<(u64, ViewPair)>);
 
 impl Drop for Orphans {
     fn drop(&mut self) {
-        for (_, _, pair) in self.0.drain(..) {
+        for (_, pair) in self.0.drain(..) {
             // SAFETY: every pair a context's hypermap held stores the
             // erased address of the live `MonoidInstance` that created
             // `pair.view`, and draining removed it from the map, so the
@@ -155,7 +155,7 @@ pub(crate) fn lookup(key: u64, inst: &MonoidInstance) -> Option<*mut u8> {
             return Some(pair.view);
         }
     }
-    lookup_miss(hkey, key_slot(key), inst, ptr)
+    lookup_miss(hkey, inst, ptr)
 }
 
 /// The outlined miss path: creates and inserts an identity view (at most
@@ -164,12 +164,7 @@ pub(crate) fn lookup(key: u64, inst: &MonoidInstance) -> Option<*mut u8> {
 /// ([`refuse_in_root_fold`]).
 #[cold]
 #[inline(never)]
-fn lookup_miss(
-    key: u64,
-    slot: Slot,
-    inst: &MonoidInstance,
-    ptr: *mut HypermapWorkerState,
-) -> Option<*mut u8> {
+fn lookup_miss(key: u64, inst: &MonoidInstance, ptr: *mut HypermapWorkerState) -> Option<*mut u8> {
     // SAFETY: `ptr` is the caller's live TLS state; the borrow is
     // re-derived after the user `identity()` call rather than held
     // across it, so no aliasing `&mut` can exist. `domain` points into
@@ -192,7 +187,6 @@ fn lookup_miss(
         let t1 = Instrument::short_timer();
         (*ptr).current.insert(
             key,
-            slot,
             ViewPair {
                 view,
                 monoid: inst.as_erased(),
@@ -317,7 +311,7 @@ impl HyperHooks for HypermapHooks {
             if right.len() <= (*st).current.len() {
                 // Sweep the smaller (right) set into the current map.
                 let mut rest = Orphans(right.drain());
-                while let Some((key, slot, rpair)) = rest.0.pop() {
+                while let Some((key, rpair)) = rest.0.pop() {
                     match (*st).current.get(key) {
                         Some(lpair) => {
                             pairs_reduced += 1;
@@ -325,7 +319,7 @@ impl HyperHooks for HypermapHooks {
                                 .reduce_into(lpair.view, rpair.view);
                         }
                         None => {
-                            (*st).current.insert(key, slot, rpair);
+                            (*st).current.insert(key, rpair);
                         }
                     }
                 }
@@ -337,9 +331,9 @@ impl HyperHooks for HypermapHooks {
                 // view is owned by the map or by `rest`.
                 let left = std::mem::replace(&mut (*st).current, right).drain();
                 let mut rest = Orphans(left);
-                while let Some((key, slot, lpair)) = rest.0.pop() {
+                while let Some((key, lpair)) = rest.0.pop() {
                     let rpair = (*st).current.remove(key);
-                    (*st).current.insert(key, slot, lpair);
+                    (*st).current.insert(key, lpair);
                     if let Some(rpair) = rpair {
                         pairs_reduced += 1;
                         MonoidInstance::from_erased(lpair.monoid)
@@ -366,14 +360,11 @@ impl HyperHooks for HypermapHooks {
         unsafe {
             (*st).flush_counts();
             let drained = (*st).current.drain();
-            // SAFETY: each pair is a live boxed view of its slot's
-            // monoid with the instance that created it, and the
-            // reducers are still registered (views must not outlive
-            // their reducer).
-            self.domain.fold_root(
-                &(*st).folding,
-                drained.into_iter().map(|(_, slot, pair)| (slot, pair)),
-            );
+            // SAFETY: each pair is a live boxed view with the live
+            // instance that created it (views must not outlive their
+            // reducer).
+            self.domain
+                .fold_root(&(*st).folding, drained.into_iter().map(|(_, pair)| pair));
         }
     }
 
@@ -397,7 +388,7 @@ impl HyperHooks for HypermapHooks {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::domain::Backend;
+    use crate::domain::{Backend, Slot};
     use crate::monoid::testing::{Tally, TrackedConcat};
     use crate::msync::atomic::Ordering;
 

@@ -14,9 +14,6 @@ use cilkm_spa::ViewPair;
 
 struct Node {
     key: u64,
-    /// The reducer's slot id, carried alongside so collect-to-leftmost
-    /// can route views without reverse-mapping addresses.
-    slot: u32,
     pair: ViewPair,
     next: Option<Box<Node>>,
 }
@@ -83,7 +80,7 @@ impl HyperMap {
     /// Inserts a view pair for `key` (which must be absent), expanding the
     /// table first if the load factor would reach one. Returns `true` if
     /// the insert triggered an expansion.
-    pub fn insert(&mut self, key: u64, slot: u32, pair: ViewPair) -> bool {
+    pub fn insert(&mut self, key: u64, pair: ViewPair) -> bool {
         debug_assert!(self.get(key).is_none(), "hypermap double insert {key}");
         let mut expanded = false;
         if self.buckets.is_empty() {
@@ -94,12 +91,7 @@ impl HyperMap {
         }
         let b = hash(key, self.buckets.len());
         let next = self.buckets[b].take();
-        self.buckets[b] = Some(Box::new(Node {
-            key,
-            slot,
-            pair,
-            next,
-        }));
+        self.buckets[b] = Some(Box::new(Node { key, pair, next }));
         self.len += 1;
         expanded
     }
@@ -127,14 +119,14 @@ impl HyperMap {
         }
     }
 
-    /// Drains all entries as `(key, slot, pair)`, leaving the map empty
+    /// Drains all entries as `(key, pair)`, leaving the map empty
     /// (buckets retained).
-    pub fn drain(&mut self) -> Vec<(u64, u32, ViewPair)> {
+    pub fn drain(&mut self) -> Vec<(u64, ViewPair)> {
         let mut out = Vec::with_capacity(self.len);
         for bucket in &mut self.buckets {
             let mut node = bucket.take();
             while let Some(mut n) = node {
-                out.push((n.key, n.slot, n.pair));
+                out.push((n.key, n.pair));
                 node = n.next.take();
             }
         }
@@ -143,11 +135,11 @@ impl HyperMap {
     }
 
     /// Visits all entries without modifying the map.
-    pub fn for_each(&self, mut f: impl FnMut(u64, u32, ViewPair)) {
+    pub fn for_each(&self, mut f: impl FnMut(u64, ViewPair)) {
         for bucket in &self.buckets {
             let mut node = bucket.as_deref();
             while let Some(n) = node {
-                f(n.key, n.slot, n.pair);
+                f(n.key, n.pair);
                 node = n.next.as_deref();
             }
         }
@@ -214,7 +206,7 @@ mod tests {
     fn insert_get_remove() {
         let mut m = HyperMap::new();
         assert!(m.get(key(3)).is_none());
-        m.insert(key(3), 3, pair(3));
+        m.insert(key(3), pair(3));
         assert_eq!(m.get(key(3)), Some(pair(3)));
         assert_eq!(m.remove(key(3)), Some(pair(3)));
         assert!(m.get(key(3)).is_none());
@@ -226,7 +218,7 @@ mod tests {
         let mut m = HyperMap::new();
         let mut expansions = 0;
         for i in 0..1000u32 {
-            if m.insert(key(i), i, pair(i as usize)) {
+            if m.insert(key(i), pair(i as usize)) {
                 expansions += 1;
             }
         }
@@ -242,7 +234,7 @@ mod tests {
         // Force collisions by using many keys in a small table.
         let mut m = HyperMap::new();
         for i in 0..8u32 {
-            m.insert(key(i), i, pair(i as usize));
+            m.insert(key(i), pair(i as usize));
         }
         assert!(m.max_chain() >= 1);
         for i in (0..8u32).step_by(2) {
@@ -261,15 +253,15 @@ mod tests {
     fn drain_empties_and_returns_all() {
         let mut m = HyperMap::new();
         for i in 0..50u32 {
-            m.insert(key(i), i, pair(i as usize));
+            m.insert(key(i), pair(i as usize));
         }
         let mut d = m.drain();
         d.sort_by_key(|e| e.0);
         assert_eq!(d.len(), 50);
-        assert_eq!(d[49], (key(49), 49, pair(49)));
+        assert_eq!(d[49], (key(49), pair(49)));
         assert!(m.is_empty());
         // Reusable after drain.
-        m.insert(key(7), 7, pair(7));
+        m.insert(key(7), pair(7));
         assert_eq!(m.get(key(7)), Some(pair(7)));
     }
 
@@ -277,10 +269,10 @@ mod tests {
     fn for_each_visits_everything() {
         let mut m = HyperMap::new();
         for i in 0..20u32 {
-            m.insert(key(i * 3), i, pair(i as usize));
+            m.insert(key(i * 3), pair(i as usize));
         }
         let mut n = 0;
-        m.for_each(|_, _, _| n += 1);
+        m.for_each(|_, _| n += 1);
         assert_eq!(n, 20);
         assert_eq!(m.len(), 20);
     }

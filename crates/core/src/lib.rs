@@ -56,7 +56,6 @@ pub mod monoid;
 pub mod reducer;
 
 mod domain;
-mod lockfree;
 
 // The workspace's one model/sanitizer-switchable facade (DESIGN.md §10).
 use cilkm_obs::msync;

@@ -125,13 +125,6 @@ fn split(tlmm_addr: usize) -> (usize, usize) {
     )
 }
 
-/// The slot whose `tlmm_addr` is `tlmm_addr` (the inverse of
-/// [`tlmm_addr`]).
-pub(crate) fn slot_at(tlmm_addr: usize) -> Slot {
-    let (page, idx) = split(tlmm_addr);
-    (page * VIEWS_PER_MAP + idx) as Slot
-}
-
 /// Layout of a page array of `pages` SPA maps.
 fn array_layout(pages: usize) -> Layout {
     Layout::from_size_align(pages * MAP_SIZE, MAP_SIZE).expect("page array layout")
@@ -582,11 +575,11 @@ impl HyperHooks for MmapHooks {
         unsafe {
             (*st).flush_counts();
             let entries = (*st).drain_views();
-            // SAFETY: each pair is a live boxed view of its slot's
-            // monoid with the instance that created it, and the
-            // reducers are still registered (views must not outlive
-            // their reducer).
-            self.domain.fold_root(&(*st).folding, entries.into_iter());
+            // SAFETY: each pair is a live boxed view with the live
+            // instance that created it (views must not outlive their
+            // reducer).
+            self.domain
+                .fold_root(&(*st).folding, entries.into_iter().map(|(_, pair)| pair));
         }
     }
 

@@ -12,6 +12,8 @@
 
 use std::sync::Arc;
 
+use crate::msync::atomic::{AtomicPtr, AtomicU32, Ordering};
+
 /// An algebraic monoid: an associative binary operation with identity,
 /// over view type [`Monoid::View`].
 ///
@@ -23,10 +25,11 @@ use std::sync::Arc;
 ///
 /// # Other reducers inside `identity` and `reduce`
 ///
-/// The runtime calls both on a pool worker, with that worker's context
-/// installed, so an access to *another* reducer from inside them is a
-/// reducer access like any other — except where noted below. They must
-/// never access the reducer whose view they create or reduce.
+/// The runtime calls both on the thread of the access that needs them,
+/// with that thread's context installed (none off the pool), so an
+/// access to *another* reducer from inside them is a reducer access like
+/// any other — except where noted below. They must never access the
+/// reducer whose view they create or reduce.
 ///
 /// * `identity`, run by a first access after a steal: allowed. The
 ///   update lands in the same context as the access that called it.
@@ -38,17 +41,21 @@ use std::sync::Arc;
 ///   "reducer accessed from a reduce run by the region-end fold", and
 ///   [`ReducerPool::run`](crate::ReducerPool::run) rethrows the panic in
 ///   its caller; the pool stays usable.
+/// * `identity`, run by [`Reducer::take`](crate::Reducer::take) for the
+///   new leftmost view: allowed. The update lands where the `take` runs:
+///   off the pool in the other reducer's leftmost view, at a spine point
+///   inside a region in the current context, which the region folds.
 ///
-/// A view's `Drop`, and `identity` run by
-/// [`Reducer::take`](crate::Reducer::take), have no such contract yet:
-/// do not access reducers from them.
+/// A view's `Drop` has no such contract yet: do not access reducers from
+/// it.
 pub trait Monoid: Send + Sync + 'static {
     /// The view type local branches operate on.
     type View: Send + 'static;
 
     /// Creates the identity view `e` (called lazily on first access of a
-    /// reducer by a freshly stolen execution context, §3/§6). It may
-    /// access other reducers (see the trait docs).
+    /// reducer by a freshly stolen execution context, §3/§6, and by
+    /// [`Reducer::take`](crate::Reducer::take)). It may access other
+    /// reducers (see the trait docs).
     fn identity(&self) -> Self::View;
 
     /// Reduces `left ⊗ right` into `left`, consuming `right`. `left` is
@@ -101,12 +108,22 @@ pub fn vtable_for<M: Monoid>() -> &'static MonoidVTable {
 ///
 /// Lives inside a reducer and is kept alive by it; views in flight borrow
 /// it for the duration of the parallel region, which the reducer is
-/// required to outlive.
+/// required to outlive. It also holds the reducer's leftmost view and
+/// its serial-exclusion word, so the region-end fold reaches a view's
+/// leftmost through the pair's monoid pointer, as a hypermerge reaches
+/// `reduce`.
 #[repr(C)]
 pub struct MonoidInstance {
     vtable: &'static MonoidVTable,
     /// Points at the `M` owned (via `Arc`) by the reducer.
     data: *const (),
+    /// The reducer's leftmost view: the initial value and, after a
+    /// region, the final one. Null in an instance made by `new`, and
+    /// after `into_inner` or drop take it. Once the instance is shared,
+    /// read and written only under the serial word ([`SerialBorrow`]).
+    leftmost: AtomicPtr<u8>,
+    /// The serial-exclusion word: [`SERIAL_FREE`] or [`SERIAL_HELD`].
+    serial: AtomicU32,
 }
 
 // SAFETY: `data` points at an `M` kept alive by the reducer's `Arc`
@@ -122,10 +139,40 @@ impl MonoidInstance {
     /// Builds an instance around a shared monoid. The caller must keep
     /// `monoid`'s `Arc` alive as long as this instance is reachable.
     pub fn new<M: Monoid>(monoid: &Arc<M>) -> MonoidInstance {
+        Self::with_leftmost(monoid, std::ptr::null_mut())
+    }
+
+    /// As [`MonoidInstance::new`], holding `leftmost` as the reducer's
+    /// leftmost view: a boxed `M::View` the instance then owns.
+    pub(crate) fn with_leftmost<M: Monoid>(monoid: &Arc<M>, leftmost: *mut u8) -> MonoidInstance {
         MonoidInstance {
             vtable: vtable_for::<M>(),
             data: Arc::as_ptr(monoid) as *const (),
+            leftmost: AtomicPtr::new(leftmost),
+            serial: AtomicU32::new(SERIAL_FREE),
         }
+    }
+
+    /// Takes the serial word for a serial-path access or the region-end
+    /// fold. Panics if it is already held: overlapping serial accesses
+    /// are a program error under the Cilk serial semantics.
+    pub(crate) fn serial_borrow(&self) -> SerialBorrow<'_> {
+        if self
+            .serial
+            .compare_exchange(
+                SERIAL_FREE,
+                SERIAL_HELD,
+                Ordering::Acquire,
+                Ordering::Relaxed,
+            )
+            .is_err()
+        {
+            panic!(
+                "concurrent serial access to a reducer \
+                 (serial accesses must not overlap)"
+            );
+        }
+        SerialBorrow { inst: self }
     }
 
     /// Creates a boxed identity view.
@@ -176,6 +223,73 @@ impl MonoidInstance {
     #[inline]
     pub unsafe fn from_erased<'a>(ptr: *const u8) -> &'a MonoidInstance {
         &*(ptr as *const MonoidInstance)
+    }
+}
+
+/// Serial word: nobody is at a serial point for this reducer.
+const SERIAL_FREE: u32 = 0;
+/// Serial word: a serial-path access (update outside a region,
+/// read/take/set/into_inner, drop) or the region-end fold is in
+/// progress.
+const SERIAL_HELD: u32 = 1;
+
+/// Guard for a reducer's serial word, and the only access to its
+/// leftmost view. Two states, free and held. Holders are the reducer's
+/// serial-path accesses and the region-end fold; regions are serialized
+/// by the pool's region lock, so a second holder means a serial access
+/// overlapped another one or the end of a region that updated the
+/// reducer: a Cilk serial-semantics violation, and it panics.
+///
+/// The word's Acquire CAS and Release store order every leftmost access,
+/// so the pointer itself moves with `Relaxed` loads and stores.
+pub(crate) struct SerialBorrow<'a> {
+    inst: &'a MonoidInstance,
+}
+
+impl SerialBorrow<'_> {
+    /// The leftmost view (null once taken).
+    pub(crate) fn leftmost(&self) -> *mut u8 {
+        self.inst.leftmost.load(Ordering::Relaxed)
+    }
+
+    /// Installs `view` as the leftmost view, returning the old one. The
+    /// word is held, so a load and a store do what a swap would.
+    pub(crate) fn replace_leftmost(&self, view: *mut u8) -> *mut u8 {
+        let old = self.leftmost();
+        self.inst.leftmost.store(view, Ordering::Relaxed);
+        old
+    }
+
+    /// Folds `view` into the leftmost view, `view` the serially later
+    /// operand. Panics if the leftmost is gone: views must not outlive
+    /// their reducer.
+    ///
+    /// # Safety
+    ///
+    /// `view` must be a live boxed view of this instance's monoid, not
+    /// used afterwards.
+    pub(crate) unsafe fn fold(&self, view: *mut u8) {
+        let left = self.leftmost();
+        assert!(!left.is_null(), "views outlive reducer");
+        self.inst.reduce_into(left, view);
+    }
+}
+
+impl Drop for SerialBorrow<'_> {
+    fn drop(&mut self) {
+        // Skip the model release while a model thread unwinds: if the
+        // execution is being torn down (ModelAbort) a traced op here
+        // would nest a second abort panic inside this Drop — a double
+        // panic; if a test assertion is unwinding, the failure is
+        // already recorded and the execution stops anyway. (Same
+        // discipline as the checker's own MutexGuard.) Outside a model
+        // run the word must be released: a refused or panicking
+        // region-end fold unwinds through here and the reducer lives on.
+        #[cfg(feature = "model")]
+        if std::thread::panicking() && cilkm_checker::in_model() {
+            return;
+        }
+        self.inst.serial.store(SERIAL_FREE, Ordering::Release);
     }
 }
 

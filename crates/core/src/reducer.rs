@@ -2,7 +2,8 @@
 //!
 //! A [`Reducer`] corresponds to a Cilk Plus `cilk::reducer` object: it
 //! owns the monoid, the *leftmost view* (which carries the initial value
-//! and, after a region, the final value), and its slot in the domain's
+//! and, after a region, the final value; kept in its [`MonoidInstance`]
+//! beside the serial word that guards it), and its slot in the domain's
 //! shared id space.
 //!
 //! The handle itself is the paper's reducer object: 16 bytes, a pointer
@@ -23,33 +24,30 @@
 
 use std::sync::Arc;
 
-use crate::msync::atomic::{AtomicBool, Ordering};
-
 use crate::domain::{DomainInner, ReducerPool, Slot, HYPERMAP_BIT};
-use crate::monoid::{Monoid, MonoidInstance};
+use crate::monoid::{Monoid, MonoidInstance, SerialBorrow};
 use crate::{hypermap, mmap};
 
 struct ReducerInner<M: Monoid> {
-    /// Type-erased ops; views in the runtime's maps point at this, and
-    /// the hypermap backend hashes its address.
+    /// Type-erased ops, the leftmost view and the serial word; views in
+    /// the runtime's maps point at this, and the hypermap backend hashes
+    /// its address.
     instance: MonoidInstance,
     /// Keeps `instance.data` alive.
     monoid: Arc<M>,
     slot: Slot,
     domain: Arc<DomainInner>,
-    /// Set once the leftmost entry has been extracted by `into_inner`.
-    /// (Serial-access exclusion lives in the domain-owned slot cell —
-    /// see `lockfree::SerialBorrow`.)
-    consumed: AtomicBool,
 }
 
-// SAFETY: `instance` is Send/Sync (above), `monoid` is only ever used
-// through `&M` by the vtable shims, and the leftmost view lives in the
-// domain's tables, so the owner thread can change.
+// SAFETY: `instance` is Send/Sync (see monoid.rs), `monoid` is only ever
+// used through `&M` by the vtable shims, and the leftmost view is an
+// `M::View: Send` reached only through the instance, so the owner
+// thread can change.
 unsafe impl<M: Monoid> Send for ReducerInner<M> {}
 // SAFETY: cross-thread access during a parallel region goes through the
 // per-context views (never the same view from two threads), and serial
-// access to the leftmost view is excluded by `serial_flag`.
+// access to the leftmost view is excluded by the instance's serial word
+// (`SerialBorrow`).
 unsafe impl<M: Monoid> Sync for ReducerInner<M> {}
 
 /// A reducer hyperobject over monoid `M`.
@@ -98,15 +96,13 @@ impl<M: Monoid> Reducer<M> {
     pub fn new_in_domain(domain: &Arc<DomainInner>, monoid: M, initial: M::View) -> Reducer<M> {
         let slot = domain.alloc_slot();
         let monoid = Arc::new(monoid);
+        let leftmost = Box::into_raw(Box::new(initial)) as *mut u8;
         let inner = Arc::new(ReducerInner {
-            instance: MonoidInstance::new(&monoid),
+            instance: MonoidInstance::with_leftmost(&monoid, leftmost),
             monoid,
             slot,
             domain: Arc::clone(domain),
-            consumed: AtomicBool::new(false),
         });
-        let leftmost = Box::into_raw(Box::new(initial)) as *mut u8;
-        domain.register_leftmost(slot, leftmost, inner.instance.as_erased());
         Reducer {
             inner,
             key: domain.reducer_key(slot),
@@ -182,17 +178,13 @@ impl<M: Monoid> Reducer<M> {
     #[cold]
     fn update_serial<R>(&self, f: impl FnOnce(&mut M::View) -> R) -> R {
         let inner = &*self.inner;
-        let _borrow = inner.domain.serial_user(inner.slot);
+        let borrow = inner.instance.serial_borrow();
         if crate::instrument::ENABLED {
             inner.domain.instrument.lookups.inc();
         }
-        let entry = inner
-            .domain
-            .leftmost_entry(inner.slot)
-            .expect("reducer already consumed");
         // SAFETY: the serial borrow excludes concurrent serial access,
-        // and the leftmost view is live until unregistered.
-        unsafe { Self::apply(entry.view, f) }
+        // and the leftmost view is live while the handle is.
+        unsafe { Self::apply(borrow.leftmost(), f) }
     }
 
     /// Removes (and returns) the current worker context's view, if any.
@@ -205,31 +197,24 @@ impl<M: Monoid> Reducer<M> {
     }
 
     /// Folds the *current worker context's* view (if any) into leftmost
-    /// storage. Sound only at a serial point for this reducer; the caller
-    /// must hold the reducer's serial borrow.
-    fn fold_current(&self) {
+    /// storage, under the reducer's serial `borrow`. Sound only at a
+    /// serial point for this reducer.
+    fn fold_current(&self, borrow: &SerialBorrow<'_>) {
         if let Some(v) = self.remove_current() {
-            let inner = &*self.inner;
             // SAFETY: `v` was removed from the current context (sole
-            // owner now), and the caller holds the serial borrow as the
-            // function contract requires.
-            unsafe { inner.domain.fold_into_leftmost_unguarded(inner.slot, v) };
+            // owner now) and is a view of this reducer's monoid.
+            unsafe { borrow.fold(v) };
         }
     }
 
     /// Reads the reducer's value at a serial point, after folding the
     /// current context view into the leftmost view.
     pub fn read<R>(&self, f: impl FnOnce(&M::View) -> R) -> R {
-        let inner = &*self.inner;
-        let _borrow = inner.domain.serial_user(inner.slot);
-        self.fold_current();
-        let entry = inner
-            .domain
-            .leftmost_entry(inner.slot)
-            .expect("reducer already consumed");
+        let borrow = self.inner.instance.serial_borrow();
+        self.fold_current(&borrow);
         // SAFETY: the leftmost view is a live `M::View` created by this
         // reducer, and the serial borrow excludes concurrent mutation.
-        unsafe { f(&*(entry.view as *const M::View)) }
+        unsafe { f(&*(borrow.leftmost() as *const M::View)) }
     }
 
     /// Clones the reducer's value at a serial point.
@@ -243,12 +228,15 @@ impl<M: Monoid> Reducer<M> {
     /// Takes the accumulated value and resets the reducer to the monoid
     /// identity — the PBFS bag-swap operation: read a layer's bag and
     /// start the next layer empty, at the serial point between layers.
+    ///
+    /// The `identity` it runs may update other reducers; each such
+    /// update lands where the `take` runs (see [`Monoid`]'s docs).
     pub fn take(&self) -> M::View {
         let inner = &*self.inner;
-        let _borrow = inner.domain.serial_user(inner.slot);
-        self.fold_current();
+        let borrow = inner.instance.serial_borrow();
+        self.fold_current(&borrow);
         let fresh = Box::into_raw(Box::new(inner.monoid.identity())) as *mut u8;
-        let old = inner.domain.swap_leftmost_view(inner.slot, fresh);
+        let old = borrow.replace_leftmost(fresh);
         // SAFETY: `old` is the previous leftmost view — a
         // `Box<M::View>` this reducer created — and the swap removed the
         // only other pointer to it.
@@ -262,15 +250,14 @@ impl<M: Monoid> Reducer<M> {
     /// view is overwritten, so after `set` the reducer behaves as if
     /// freshly created with `value`.
     pub fn set(&self, value: M::View) {
-        let inner = &*self.inner;
-        let _borrow = inner.domain.serial_user(inner.slot);
+        let borrow = self.inner.instance.serial_borrow();
         // Discard (not fold) the current context's view, per move_in.
         if let Some(v) = self.remove_current() {
             // SAFETY: removal made us the sole owner of this boxed view.
             unsafe { drop(Box::from_raw(v as *mut M::View)) };
         }
         let fresh = Box::into_raw(Box::new(value)) as *mut u8;
-        let old = inner.domain.swap_leftmost_view(inner.slot, fresh);
+        let old = borrow.replace_leftmost(fresh);
         // SAFETY: as in `take` — the swap yields sole ownership of the
         // old boxed view.
         unsafe { drop(Box::from_raw(old as *mut M::View)) };
@@ -278,16 +265,11 @@ impl<M: Monoid> Reducer<M> {
 
     /// Consumes the reducer and returns its final value.
     pub fn into_inner(self) -> M::View {
-        let inner = &*self.inner;
-        let _borrow = inner.domain.serial_user(inner.slot);
-        self.fold_current();
-        inner.consumed.store(true, Ordering::Release);
-        let view = inner
-            .domain
-            .unregister_leftmost(inner.slot)
-            .expect("reducer already consumed");
-        // SAFETY: unregistering returned the sole pointer to the boxed
-        // leftmost view; `consumed` stops any later double-free.
+        let borrow = self.inner.instance.serial_borrow();
+        self.fold_current(&borrow);
+        let view = borrow.replace_leftmost(std::ptr::null_mut());
+        // SAFETY: the swap took the sole pointer to the boxed leftmost
+        // view; the null it left tells `drop` there is none to destroy.
         unsafe { *Box::from_raw(view as *mut M::View) }
     }
 }
@@ -295,22 +277,21 @@ impl<M: Monoid> Reducer<M> {
 impl<M: Monoid> Drop for Reducer<M> {
     fn drop(&mut self) {
         let inner = &*self.inner;
-        if !inner.consumed.load(Ordering::Acquire) {
-            // Destroy the leftmost view if still registered; also remove
-            // any view the current (serial) context still holds, so the
-            // slot can be recycled safely.
-            if let Some(v) = self.remove_current() {
-                // SAFETY: removal made us the sole owner of the view.
-                unsafe { drop(Box::from_raw(v as *mut M::View)) };
-            }
-            {
-                let _borrow = inner.domain.serial_user(inner.slot);
-                if let Some(view) = inner.domain.unregister_leftmost(inner.slot) {
-                    // SAFETY: unregistering returned the sole pointer to
-                    // the boxed leftmost view.
-                    unsafe { drop(Box::from_raw(view as *mut M::View)) };
-                }
-            }
+        // Remove any view the current (serial) context still holds, so
+        // the slot can be recycled safely, then destroy the leftmost view
+        // unless `into_inner` took it.
+        if let Some(v) = self.remove_current() {
+            // SAFETY: removal made us the sole owner of the view.
+            unsafe { drop(Box::from_raw(v as *mut M::View)) };
+        }
+        let view = inner
+            .instance
+            .serial_borrow()
+            .replace_leftmost(std::ptr::null_mut());
+        if !view.is_null() {
+            // SAFETY: the swap took the sole pointer to the boxed
+            // leftmost view.
+            unsafe { drop(Box::from_raw(view as *mut M::View)) };
         }
         inner.domain.free_slot(inner.slot);
     }

@@ -326,6 +326,8 @@ fn the_last_slot_folds_and_the_one_past_it_is_refused() {
             .expect_err("the 65 537th reducer must be refused");
         let message = refused.downcast_ref::<String>().expect("a formatted panic");
         assert!(message.contains("slot space exhausted"), "{message}");
+        // The refusal took no slot, and the count still reads.
+        assert_eq!(pool.domain().live_reducers(), SLOTS, "{backend:?}");
         pool.run(both_workers);
         assert_eq!(last.get_cloned(), [1, 2, 1, 2], "{backend:?}");
 

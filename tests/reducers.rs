@@ -236,6 +236,34 @@ fn slot_recycling_is_clean_across_regions() {
     }
 }
 
+/// Reducers made, updated and consumed on pool workers inside regions:
+/// the slot allocator's only concurrent callers. Every leaf of each
+/// region creates a reducer, updates it ten times and `into_inner`s it.
+#[test]
+fn reducers_created_and_consumed_on_workers_inside_regions() {
+    for backend in backends() {
+        let pool = ReducerPool::new(2, backend);
+        let total = Reducer::new(&pool, SumMonoid::<u64>::new(), 0);
+        let live = pool.domain().live_reducers();
+        for _ in 0..50 {
+            pool.run(|| {
+                parallel_for(0..256, 1, &|range| {
+                    for i in range {
+                        let r = Reducer::new(&pool, SumMonoid::<u64>::new(), i as u64);
+                        for _ in 0..10 {
+                            r.add(1);
+                        }
+                        total.add(r.into_inner());
+                    }
+                });
+            });
+        }
+        // 50 regions of Σ (i + 10) over 0..256.
+        assert_eq!(total.into_inner(), 1_760_000, "{backend:?}");
+        assert_eq!(pool.domain().live_reducers(), live - 1, "{backend:?}");
+    }
+}
+
 #[test]
 fn nested_joins_with_shared_counter_and_reducer() {
     // Reducers and ordinary atomics coexist; the reducer avoids the
@@ -668,5 +696,83 @@ fn nested_update_from_a_stolen_joins_merge_lands_in_the_result() {
         let (created, dropped) = tally.counts();
         assert_eq!(created, 3, "{backend:?}: 1 initial + 1 on each side");
         assert_eq!(dropped, created, "{backend:?}: every view once");
+    }
+}
+
+/// Sums `u64` views; `identity` also adds one to `spills` while `spill`
+/// is set: a nested update from the `identity` that `Reducer::take`
+/// runs.
+struct SpillingIdentity {
+    spills: Arc<Reducer<SumMonoid<u64>>>,
+    spill: Arc<AtomicBool>,
+}
+
+impl Monoid for SpillingIdentity {
+    type View = u64;
+    fn identity(&self) -> u64 {
+        if self.spill.load(Ordering::SeqCst) {
+            self.spills.add(1);
+        }
+        0
+    }
+    fn reduce(&self, left: &mut u64, right: u64) {
+        *left += right;
+    }
+}
+
+/// The `identity` that `Reducer::take` runs may update another reducer,
+/// and the update lands where the `take` runs: off the pool in the other
+/// reducer's leftmost view, at a spine point inside a region in the
+/// current context, which the region folds. The flag is set around the
+/// `take` alone, so no first touch after a steal adds to the count.
+#[test]
+fn nested_update_from_takes_identity_lands_where_the_take_runs() {
+    for backend in backends() {
+        let pool = ReducerPool::new(2, backend);
+        let spills = Arc::new(Reducer::new(&pool, SumMonoid::<u64>::new(), 0));
+        let spill = Arc::new(AtomicBool::new(false));
+        let monoid = SpillingIdentity {
+            spills: Arc::clone(&spills),
+            spill: Arc::clone(&spill),
+        };
+        let r = Reducer::new(&pool, monoid, 0);
+        let take = || {
+            spill.store(true, Ordering::SeqCst);
+            let taken = r.take();
+            spill.store(false, Ordering::SeqCst);
+            taken
+        };
+
+        // Off the pool: the leftmost view, and no view is made.
+        r.update(|v| *v += 3);
+        assert_eq!(take(), 3, "{backend:?}");
+        assert_eq!(spills.get_cloned(), 1, "{backend:?}");
+        assert_eq!(pool.instrument().view_creations, 0, "{backend:?}");
+
+        // At a spine point: in the context of the worker that runs the
+        // `take`, a view the region then folds. Two views are made, the
+        // first touch of `r` and the nested update's view of `spills`;
+        // a write to the leftmost view would make only the first.
+        let taken = pool.run(|| {
+            r.update(|v| *v += 5);
+            take()
+        });
+        assert_eq!(taken, 5, "{backend:?}");
+        assert_eq!(pool.instrument().view_creations, 2, "{backend:?}");
+        assert_eq!(spills.get_cloned(), 2, "{backend:?}");
+
+        // The same after a parallel loop, whose steals make views of
+        // `r` with the flag clear.
+        let taken = pool.run(|| {
+            parallel_for(0..1000, 8, &|range| {
+                for _ in range {
+                    r.update(|v| *v += 1);
+                }
+            });
+            take()
+        });
+        assert_eq!(taken, 1000, "{backend:?}");
+        assert_eq!(spills.get_cloned(), 3, "{backend:?}");
+        assert_eq!(r.into_inner(), 0, "{backend:?}");
     }
 }
