@@ -1,7 +1,7 @@
 //! # cilkm-base — the substrate under the cilkm tooling
 //!
-//! Two pieces that the lint, the model checker, the sanitizer and the
-//! observability crate each used to carry a copy of:
+//! Three pieces that the tooling, the runtime and the input generators
+//! each used to carry a copy of:
 //!
 //! * a JSON codec: [`Value`], the recursive-descent [`parse`], and the
 //!   one string escaper [`quote`]. Every report keeps its own layout
@@ -9,6 +9,8 @@
 //!   strings through [`quote`], so whatever a writer emits [`parse`]
 //!   reads back exactly.
 //! * [`VClock`], the vector clock behind both happens-before detectors.
+//! * [`rng`]: the splitmix64 finalizer and the two seeded generators,
+//!   xoshiro256** for inputs and xorshift64* for schedules.
 //!
 //! Zero dependencies and no features, so every crate above can build on
 //! it offline.
@@ -17,6 +19,7 @@
 
 mod clock;
 mod json;
+pub mod rng;
 
 pub use clock::VClock;
 pub use json::{parse, quote, Value};

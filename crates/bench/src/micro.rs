@@ -19,6 +19,7 @@
 use std::cell::UnsafeCell;
 use std::time::{Duration, Instant};
 
+use cilkm_base::rng::{mix64, GAMMA};
 use cilkm_core::library::{MaxMonoid, MinMonoid, SumMonoid};
 use cilkm_core::{Backend, Reducer, ReducerPool};
 use cilkm_runtime::parallel_for;
@@ -53,14 +54,12 @@ impl MicroConfig {
     }
 }
 
-/// A cheap per-iteration pseudo-random value (splitmix-style), so min/max
-/// runs process "x random values" without RNG state in the hot loop.
+/// A cheap per-iteration pseudo-random value (the splitmix64 output for
+/// counter `i`), so min/max runs process "x random values" without RNG
+/// state in the hot loop.
 #[inline]
 pub fn pseudo_random(i: u64) -> u64 {
-    let mut z = i.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(i.wrapping_add(GAMMA))
 }
 
 /// Runs `add-n`: returns wall time. Panics if the reducer total does not

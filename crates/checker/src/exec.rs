@@ -198,7 +198,7 @@ pub struct Report {
     /// branch point, not per schedule underneath it.
     pub pruned: usize,
     /// Distinct dependence classes (atomic locations written, plain
-    /// locations, mutexes, condvars, park tokens) the run touched.
+    /// locations, mutexes, park tokens) the run touched.
     pub dependence_classes: usize,
     /// Maximum visible-operation depth over all executed schedules.
     pub max_depth: usize,
@@ -243,22 +243,10 @@ pub(crate) enum Access {
         /// Location address.
         addr: usize,
     },
-    /// Any model-mutex operation (lock/try_lock/unlock) on one mutex.
+    /// Any model-mutex operation (lock/unlock) on one mutex.
     Mutex {
         /// Mutex address.
         addr: usize,
-    },
-    /// Condvar wait (atomically unlocks and relocks `mutex`).
-    CondvarWait {
-        /// Condvar address.
-        cv: usize,
-        /// The mutex released/reacquired around the wait.
-        mutex: usize,
-    },
-    /// Condvar notify (one or all).
-    CondvarNotify {
-        /// Condvar address.
-        cv: usize,
     },
     /// `thread::park` (the parking thread is the step's tid).
     Park,
@@ -301,12 +289,6 @@ impl Access {
             | (PlainWrite { addr: x }, PlainRead { addr: y })
             | (PlainRead { addr: x }, PlainWrite { addr: y }) => x == y,
             (Mutex { addr: x }, Mutex { addr: y }) => x == y,
-            (CondvarWait { cv: x, .. }, CondvarWait { cv: y, .. })
-            | (CondvarWait { cv: x, .. }, CondvarNotify { cv: y })
-            | (CondvarNotify { cv: x }, CondvarWait { cv: y, .. })
-            | (CondvarNotify { cv: x }, CondvarNotify { cv: y }) => x == y,
-            (CondvarWait { mutex: x, .. }, Mutex { addr: y })
-            | (Mutex { addr: x }, CondvarWait { mutex: y, .. }) => x == y,
             (Park, Unpark { target }) => target == a_tid,
             (Unpark { target }, Park) => target == b_tid,
             (Unpark { target: x }, Unpark { target: y }) => x == y,
@@ -323,11 +305,10 @@ impl Access {
             AtomicLoad { addr, .. } | AtomicStore { addr, .. } => Some((0, addr)),
             PlainRead { addr } | PlainWrite { addr } => Some((1, addr)),
             Mutex { addr } => Some((2, addr)),
-            CondvarWait { cv, .. } | CondvarNotify { cv } => Some((3, cv)),
-            Park => Some((4, tid)),
-            Unpark { target } => Some((4, target)),
-            Fence { sc: true } => Some((5, 0)),
-            Spawn => Some((6, 0)),
+            Park => Some((3, tid)),
+            Unpark { target } => Some((3, target)),
+            Fence { sc: true } => Some((4, 0)),
+            Spawn => Some((5, 0)),
             Fence { sc: false } | Join => None,
         }
     }
@@ -397,8 +378,6 @@ pub(crate) struct ModelAbort;
 enum Block {
     /// Waiting to acquire the model mutex at this address.
     Mutex(usize),
-    /// Waiting on the model condvar at this address.
-    Condvar(usize),
     /// Parked (`thread::park`) without a pending token.
     Park,
     /// Joining the given thread.
@@ -1195,7 +1174,7 @@ impl Exec {
         m.readers = VClock::default();
     }
 
-    // ---- mutex / condvar ----------------------------------------------
+    // ---- mutex --------------------------------------------------------
 
     pub(crate) fn op_mutex_lock(&self, tid: usize, addr: usize) {
         let mut g = self.prologue(tid, Access::Mutex { addr });
@@ -1219,25 +1198,8 @@ impl Exec {
         }
     }
 
-    pub(crate) fn op_mutex_try_lock(&self, tid: usize, addr: usize) -> bool {
-        let mut g = self.prologue(tid, Access::Mutex { addr });
-        let m = g.mutexes.entry(addr).or_default();
-        if m.locked_by.is_none() {
-            m.locked_by = Some(tid);
-            let mc = m.clock.clone();
-            g.threads[tid].clock.join(&mc);
-            true
-        } else {
-            false
-        }
-    }
-
     pub(crate) fn op_mutex_unlock(&self, tid: usize, addr: usize) {
         let mut g = self.prologue(tid, Access::Mutex { addr });
-        self.unlock_inner(&mut g, tid, addr);
-    }
-
-    fn unlock_inner(&self, g: &mut Guard<'_>, tid: usize, addr: usize) {
         let clock = g.threads[tid].clock.clone();
         let m = g.mutexes.entry(addr).or_default();
         debug_assert_eq!(m.locked_by, Some(tid), "unlock of mutex not held");
@@ -1246,47 +1208,6 @@ impl Exec {
         for t in g.threads.iter_mut() {
             if t.run == Run::Blocked(Block::Mutex(addr)) {
                 t.run = Run::Runnable;
-            }
-        }
-    }
-
-    /// Condvar wait: atomically releases the mutex, blocks until
-    /// notified, then reacquires.
-    pub(crate) fn op_condvar_wait(&self, tid: usize, cv_addr: usize, mutex_addr: usize) {
-        let mut g = self.prologue(
-            tid,
-            Access::CondvarWait {
-                cv: cv_addr,
-                mutex: mutex_addr,
-            },
-        );
-        self.unlock_inner(&mut g, tid, mutex_addr);
-        g = self.block_on(g, tid, Block::Condvar(cv_addr));
-        // Reacquire (possibly blocking again on Mutex).
-        loop {
-            let m = g.mutexes.entry(mutex_addr).or_default();
-            if m.locked_by.is_none() {
-                m.locked_by = Some(tid);
-                let mc = m.clock.clone();
-                g.threads[tid].clock.join(&mc);
-                return;
-            }
-            g = self.block_on(g, tid, Block::Mutex(mutex_addr));
-        }
-    }
-
-    pub(crate) fn op_condvar_notify(&self, tid: usize, cv_addr: usize, all: bool) {
-        let mut g = self.prologue(tid, Access::CondvarNotify { cv: cv_addr });
-        let clock = g.threads[tid].clock.clone();
-        // Waiters resynchronize through the mutex they reacquire, but the
-        // notify edge itself also transfers the notifier's clock.
-        for t in g.threads.iter_mut() {
-            if t.run == Run::Blocked(Block::Condvar(cv_addr)) {
-                t.run = Run::Runnable;
-                t.clock.join(&clock);
-                if !all {
-                    break;
-                }
             }
         }
     }

@@ -3,7 +3,7 @@
 //!
 //! The build environment vendors no external crates, so this crate
 //! plays the role loom plays for rayon/crossbeam: it provides drop-in
-//! `sync::atomic::*`, [`sync::Mutex`]/[`sync::Condvar`], and
+//! `sync::atomic::*`, [`sync::Mutex`], and
 //! [`thread`] facades that the runtime crates adopt behind their
 //! `model` cargo feature, plus the [`model`] entry point that runs a
 //! closure under every (bounded) thread interleaving.

@@ -14,6 +14,8 @@
 //! `Config::pct_replay` (or the `CILKM_CHECK_SEED` env var) re-runs
 //! exactly that schedule.
 
+use cilkm_base::rng::{mix64, XorShift64, GAMMA};
+
 use crate::exec::{run_one, Chooser, Config, Engine, ModelError, Report};
 use crate::stats::Acc;
 
@@ -29,48 +31,16 @@ const PCT_EST_LEN: u64 = 256;
 /// points assign strictly decreasing priorities below it.
 const HIGH_BASE: u64 = 1 << 32;
 
-/// xorshift64* — tiny, seedable, decent equidistribution; exactly the
-/// "no OS entropy" PRNG the replay contract needs.
-#[derive(Clone, Debug)]
-pub(crate) struct XorShift64 {
-    s: u64,
+/// A value in `0..n` by plain modulo (the bias is irrelevant at these
+/// ranges, and replayed seeds depend on it staying modulo).
+fn below(rng: &mut XorShift64, n: u64) -> u64 {
+    debug_assert!(n > 0);
+    rng.next_u64() % n
 }
 
-impl XorShift64 {
-    pub(crate) fn new(seed: u64) -> XorShift64 {
-        XorShift64 {
-            // xorshift has a single absorbing zero state.
-            s: if seed == 0 {
-                0x9E37_79B9_7F4A_7C15
-            } else {
-                seed
-            },
-        }
-    }
-
-    pub(crate) fn next(&mut self) -> u64 {
-        let mut x = self.s;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.s = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Uniform-ish value in `0..n` (modulo bias is irrelevant at these
-    /// ranges).
-    pub(crate) fn below(&mut self, n: u64) -> u64 {
-        debug_assert!(n > 0);
-        self.next() % n
-    }
-}
-
-/// splitmix64-style mix: derives schedule `i`'s seed from the base seed.
+/// Derives schedule `i`'s seed from the base seed.
 fn mix(base: u64, i: u64) -> u64 {
-    let mut z = base ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(base ^ i.wrapping_mul(GAMMA))
 }
 
 /// Per-schedule scheduler state: priorities, change points, PRNG.
@@ -92,8 +62,10 @@ pub(crate) struct PctState {
 impl PctState {
     pub(crate) fn new(seed: u64, depth: usize) -> PctState {
         let mut rng = XorShift64::new(seed);
-        let change_points: Vec<u64> = (0..depth).map(|_| 1 + rng.below(PCT_EST_LEN)).collect();
-        let main_prio = HIGH_BASE + rng.below(HIGH_BASE);
+        let change_points: Vec<u64> = (0..depth)
+            .map(|_| 1 + below(&mut rng, PCT_EST_LEN))
+            .collect();
+        let main_prio = HIGH_BASE + below(&mut rng, HIGH_BASE);
         PctState {
             rng,
             prio: vec![main_prio],
@@ -105,7 +77,7 @@ impl PctState {
 
     fn ensure(&mut self, tid: usize) {
         while self.prio.len() <= tid {
-            let p = HIGH_BASE + self.rng.below(HIGH_BASE);
+            let p = HIGH_BASE + below(&mut self.rng, HIGH_BASE);
             self.prio.push(p);
         }
     }
@@ -149,7 +121,7 @@ impl PctState {
 
     /// Weak-memory value decision: uniform over the legal stores.
     pub(crate) fn pick_value(&mut self, n: usize) -> usize {
-        self.rng.below(n as u64) as usize
+        below(&mut self.rng, n as u64) as usize
     }
 }
 
@@ -205,25 +177,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn xorshift_is_deterministic_and_nonzero() {
-        let mut a = XorShift64::new(42);
-        let mut b = XorShift64::new(42);
-        for _ in 0..100 {
-            let x = a.next();
-            assert_eq!(x, b.next());
-            assert_ne!(x, 0);
-        }
-        let mut z = XorShift64::new(0);
-        assert_ne!(z.next(), 0, "zero seed must be remapped");
-    }
-
-    #[test]
-    fn mix_spreads_indices() {
-        let a = mix(7, 0);
-        let b = mix(7, 1);
-        let c = mix(8, 0);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
+    fn pct_streams_are_pinned() {
+        let mut r = XorShift64::new(42);
+        let words: Vec<u64> = (0..4).map(|_| r.next_u64()).collect();
+        assert_eq!(
+            words,
+            [
+                0x56ce_4ab7_719b_a3a0,
+                0xc841_eb53_ebbb_2dda,
+                0xca46_6be0_c998_0276,
+                0xf1ac_c733_4a7b_70df
+            ]
+        );
+        let drawn: Vec<u64> = (0..8).map(|_| below(&mut r, 1000)).collect();
+        assert_eq!(drawn, [678, 875, 562, 223, 536, 878, 117, 27]);
+        assert_eq!(XorShift64::new(0).next_u64(), 0x0d83_b3e2_9a21_487a);
+        assert_eq!(
+            [mix(7, 0), mix(7, 1), mix(8, 0)],
+            [
+                0x12ae_3023_7b17_df14,
+                0xf75f_04cb_b5a1_a1dd,
+                0xd56b_1fbb_9ceb_a9e8
+            ]
+        );
     }
 
     #[test]

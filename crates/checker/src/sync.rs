@@ -1,17 +1,16 @@
-//! Drop-in synchronization primitives: `sync::atomic::*`, [`Mutex`],
-//! [`Condvar`].
+//! Drop-in synchronization primitives: `sync::atomic::*` and [`Mutex`],
+//! the model face of the `msync` facade.
 //!
 //! Every type here is dual-mode. Outside a model run it forwards
-//! directly to `std::sync` (with the parking_lot shim's ergonomics for
-//! `Mutex`/`Condvar`), so crates compiled with their `model` feature
-//! still behave normally in ordinary tests. Inside [`crate::model`],
+//! directly to `std::sync` (with the facade's poison-ignoring `lock`),
+//! so crates compiled with their `model` feature still behave normally
+//! in ordinary tests. Inside [`crate::model`],
 //! every operation becomes a visible event: a scheduling point, a
 //! vector-clock update, and — for loads — a choice among the stores the
 //! memory model allows the thread to observe.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
-use std::time::Duration;
 
 use crate::exec::{self, Exec};
 
@@ -593,7 +592,7 @@ fn lock_real<T: ?Sized>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T>
     }
 }
 
-/// A mutex with the parking_lot shim's infallible API, modeled under
+/// A mutex with the facade's infallible API, modeled under
 /// [`crate::model`]: lock acquisition is a scheduling point, contention
 /// blocks in the model scheduler, and lock/unlock transfer vector
 /// clocks (so data the lock protects is ordered for the race detector).
@@ -602,8 +601,8 @@ pub struct Mutex<T: ?Sized> {
     inner: std::sync::Mutex<T>,
 }
 
-/// RAII guard for [`Mutex`]. Mirrors the parking_lot shim's guard: a
-/// [`Condvar`] can take the inner std guard out and put it back.
+/// RAII guard for [`Mutex`]. The std guard sits in an `Option` so that
+/// `drop` can release the real lock before the model unlock.
 pub struct MutexGuard<'a, T: ?Sized> {
     lock: &'a Mutex<T>,
     /// Model context of the acquisition, if any: (execution, thread id).
@@ -657,36 +656,6 @@ impl<T: ?Sized> Mutex<T> {
         }
     }
 
-    /// Attempts to acquire the mutex without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match exec::current() {
-            None => match self.inner.try_lock() {
-                Ok(g) => Some(MutexGuard {
-                    lock: self,
-                    model: None,
-                    guard: Some(g),
-                }),
-                Err(std::sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
-                    lock: self,
-                    model: None,
-                    guard: Some(p.into_inner()),
-                }),
-                Err(std::sync::TryLockError::WouldBlock) => None,
-            },
-            Some((e, t)) => {
-                if e.op_mutex_try_lock(t, self.key()) {
-                    Some(MutexGuard {
-                        lock: self,
-                        model: Some((e, t)),
-                        guard: Some(lock_real(&self.inner)),
-                    })
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
     /// Mutable access without locking (requires `&mut self`).
     pub fn get_mut(&mut self) -> &mut T {
         match self.inner.get_mut() {
@@ -700,14 +669,14 @@ impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     #[inline]
     fn deref(&self) -> &T {
-        self.guard.as_ref().expect("guard taken during wait")
+        self.guard.as_ref().expect("guard already dropped")
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     #[inline]
     fn deref_mut(&mut self) -> &mut T {
-        self.guard.as_mut().expect("guard taken during wait")
+        self.guard.as_mut().expect("guard already dropped")
     }
 }
 
@@ -725,108 +694,6 @@ impl<T: ?Sized> Drop for MutexGuard<'_, T> {
             if !std::thread::panicking() {
                 e.op_mutex_unlock(t, self.lock.key());
             }
-        }
-    }
-}
-
-/// Result of a wait with a timeout.
-pub struct WaitTimeoutResult {
-    timed_out: bool,
-}
-
-impl WaitTimeoutResult {
-    /// Whether the wait ended by timeout rather than notification.
-    pub fn timed_out(&self) -> bool {
-        self.timed_out
-    }
-}
-
-/// A condition variable with the parking_lot shim's by-`&mut`-guard
-/// API. Under the model, waits block in the model scheduler and
-/// timeouts never fire (a missing notification is then a detectable
-/// deadlock instead of a silent timeout).
-#[derive(Default)]
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    /// Creates a new condition variable.
-    pub const fn new() -> Condvar {
-        Condvar {
-            inner: std::sync::Condvar::new(),
-        }
-    }
-
-    #[inline]
-    fn key(&self) -> usize {
-        &self.inner as *const std::sync::Condvar as usize
-    }
-
-    /// Blocks until notified, releasing the guard's mutex while waiting.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        match guard.model.clone() {
-            None => {
-                let g = guard.guard.take().expect("guard already taken");
-                let g = match self.inner.wait(g) {
-                    Ok(g) => g,
-                    Err(p) => p.into_inner(),
-                };
-                guard.guard = Some(g);
-            }
-            Some((e, t)) => {
-                // Release the real lock before the model releases the
-                // modeled one; retake it once the model readmits us.
-                drop(guard.guard.take().expect("guard already taken"));
-                e.op_condvar_wait(t, self.key(), guard.lock.key());
-                guard.guard = Some(lock_real(&guard.lock.inner));
-            }
-        }
-    }
-
-    /// Blocks until notified or `timeout` elapses. Under the model the
-    /// timeout never fires — see the type-level docs.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        match guard.model.clone() {
-            None => {
-                let g = guard.guard.take().expect("guard already taken");
-                let (g, res) = match self.inner.wait_timeout(g, timeout) {
-                    Ok(r) => r,
-                    Err(p) => p.into_inner(),
-                };
-                guard.guard = Some(g);
-                WaitTimeoutResult {
-                    timed_out: res.timed_out(),
-                }
-            }
-            Some(_) => {
-                self.wait(guard);
-                WaitTimeoutResult { timed_out: false }
-            }
-        }
-    }
-
-    /// Wakes one waiting thread.
-    pub fn notify_one(&self) {
-        match exec::current() {
-            None => {
-                self.inner.notify_one();
-            }
-            Some((e, t)) => e.op_condvar_notify(t, self.key(), false),
-        }
-    }
-
-    /// Wakes all waiting threads.
-    pub fn notify_all(&self) {
-        match exec::current() {
-            None => {
-                self.inner.notify_all();
-            }
-            Some((e, t)) => e.op_condvar_notify(t, self.key(), true),
         }
     }
 }

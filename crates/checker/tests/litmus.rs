@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use cilkm_checker::cell::TraceCell;
 use cilkm_checker::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
-use cilkm_checker::sync::{Condvar, Mutex};
+use cilkm_checker::sync::Mutex;
 use cilkm_checker::{model, thread, try_model};
 
 /// Message passing with release/acquire is sound: if the acquire load
@@ -206,28 +206,6 @@ fn unpark_token_is_kept() {
         t.thread().unpark();
         t.join().unwrap();
         assert!(parked.load(Ordering::Acquire));
-    });
-}
-
-/// Condvar handshake (the LockLatch pattern): the waiter always wakes.
-#[test]
-fn condvar_handshake() {
-    model(|| {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = pair.clone();
-        let t = thread::spawn(move || {
-            let (m, c) = &*p2;
-            let mut done = m.lock();
-            *done = true;
-            c.notify_one();
-        });
-        let (m, c) = &*pair;
-        let mut done = m.lock();
-        while !*done {
-            c.wait(&mut done);
-        }
-        drop(done);
-        t.join().unwrap();
     });
 }
 

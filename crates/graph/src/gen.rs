@@ -18,8 +18,7 @@
 //!   nlpkkt160) → degree-bounded random graphs threaded along a path to
 //!   shape the diameter near the published value.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use cilkm_base::rng::Xoshiro256;
 
 use crate::csr::Graph;
 
@@ -49,17 +48,17 @@ pub struct NamedGraph {
 /// so BFS needs about `target_diameter` layers to cross the path.
 pub fn path_threaded_random(n: usize, edges: usize, target_diameter: u32, seed: u64) -> Graph {
     assert!(n >= 2);
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rng = Xoshiro256::seed_from_u64(seed);
     let span = ((2 * n) as u64 / target_diameter.max(1) as u64).max(2) as usize;
     let mut list = Vec::with_capacity(edges.max(n));
     for i in 0..n - 1 {
         list.push((i as u32, (i + 1) as u32));
     }
     while list.len() < edges / 2 {
-        let u = rng.gen_range(0..n);
+        let u = rng.below(n as u64) as usize;
         let lo = u.saturating_sub(span);
         let hi = (u + span).min(n - 1);
-        let v = rng.gen_range(lo..=hi);
+        let v = lo + rng.below((hi - lo + 1) as u64) as usize;
         list.push((u as u32, v as u32));
     }
     Graph::from_undirected_edges(n, &list)
@@ -96,12 +95,12 @@ pub fn grid3d(dim: usize) -> Graph {
 /// keeps the BFS source connected to the main component.
 pub fn rmat(scale: u32, edges: usize, a: f64, b: f64, c: f64, seed: u64) -> Graph {
     let n = 1usize << scale;
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rng = Xoshiro256::seed_from_u64(seed);
     let mut list = Vec::with_capacity(edges / 2 + 64);
     for _ in 0..edges / 2 {
         let (mut u, mut v) = (0usize, 0usize);
         for _ in 0..scale {
-            let r: f64 = rng.gen();
+            let r = rng.f64();
             let (du, dv) = if r < a {
                 (0, 0)
             } else if r < a + b {
@@ -118,7 +117,7 @@ pub fn rmat(scale: u32, edges: usize, a: f64, b: f64, c: f64, seed: u64) -> Grap
     }
     // Keep the source attached: a few spokes from 0 into the id space.
     for _ in 0..64.min(n as u32 - 1) {
-        let v = rng.gen_range(1..n as u32);
+        let v = 1 + rng.below(n as u64 - 1) as u32;
         list.push((0, v));
     }
     Graph::from_undirected_edges(n, &list)
@@ -129,12 +128,12 @@ pub fn rmat(scale: u32, edges: usize, a: f64, b: f64, c: f64, seed: u64) -> Grap
 /// (which biases toward high degree) — the wikipedia-like analogue.
 pub fn scale_free(n: usize, m: usize, seed: u64) -> Graph {
     assert!(n > m && m >= 1);
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rng = Xoshiro256::seed_from_u64(seed);
     let mut list: Vec<(u32, u32)> = Vec::with_capacity(n * m);
     let mut endpoints: Vec<u32> = vec![0];
     for v in 1..n as u32 {
         for _ in 0..m {
-            let t = endpoints[rng.gen_range(0..endpoints.len())];
+            let t = endpoints[rng.below(endpoints.len() as u64) as usize];
             list.push((v, t));
             endpoints.push(t);
             endpoints.push(v);

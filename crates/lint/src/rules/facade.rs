@@ -4,18 +4,19 @@
 //! can see, and it sees exactly what flows through the `msync` facade
 //! (`cilkm_obs::msync`, which the runtime and the reducer core re-export
 //! as `crate::msync`).
-//! A `std::sync::atomic` or `parking_lot::Mutex` reached directly is
+//! A `std::sync::atomic` or `std::sync::Mutex` reached directly is
 //! invisible to every model test, silently un-checking the protocol it
 //! participates in. This rule makes that bypass a CI failure.
 //!
 //! Outside `msync.rs` files, `crates/checker` and `crates/san` (which
 //! *implement* the facade's model and sanitizer faces), and
-//! `crates/shims` (which implement the primitives), direct use of the
-//! following is an error:
+//! `crates/shims` (stand-ins for external crates, outside every
+//! protocol), direct use of the following is an error:
 //!
 //! * `std::sync::atomic` (any path into it),
 //! * `std::sync::{Mutex, Condvar, RwLock, Barrier}` and their guards,
-//! * `parking_lot` (anything),
+//! * `parking_lot` (anything; the workspace no longer has it, and it
+//!   must come back through the facade if it ever does),
 //! * `std::thread::park` / `park_timeout` (parking is part of the
 //!   sleeper protocol; spawn/yield are fine).
 //!

@@ -32,8 +32,8 @@
 //!
 //! Layering: this crate sits *below* `cilkm-tlmm`, `cilkm-runtime`, and
 //! `cilkm-core`, which report into it. It depends on `cilkm-base` (the
-//! JSON codec) and `parking_lot`, and, behind `model` and `sanitize`, on
-//! `cilkm-checker` and `cilkm-san`: it also hosts the workspace's one
+//! JSON codec) and, behind `model` and `sanitize`, on `cilkm-checker`
+//! and `cilkm-san`: it also hosts the workspace's one
 //! `msync` facade (hidden from the docs), which the runtime and the
 //! reducer core re-export.
 //!

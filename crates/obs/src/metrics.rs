@@ -24,7 +24,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, Weak};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
 /// Number of log2 buckets in a [`Histogram`]; covers the full `u64`
 /// range (bucket 63 absorbs everything at and above `2^62`).
@@ -447,7 +447,7 @@ impl MetricsRegistry {
     /// Registers a source under `base`, returning the unique prefix its
     /// metrics will appear under. Dead sources are pruned on the way.
     pub fn register(&self, base: &str, source: Weak<dyn MetricsSource>) -> String {
-        let mut sources = self.sources.lock().unwrap();
+        let mut sources = self.sources.lock().unwrap_or_else(PoisonError::into_inner);
         sources.retain(|(_, w)| w.strong_count() > 0);
         let mut prefix = base.to_owned();
         let mut n = 1usize;
@@ -459,16 +459,21 @@ impl MetricsRegistry {
         prefix
     }
 
-    /// Collects every live source into one snapshot.
+    /// Collects every live source into one snapshot. The sources run
+    /// outside the lock, so one whose `collect` panics leaves the
+    /// registry usable.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let sources = self.sources.lock().unwrap();
+        let live: Vec<(String, Arc<dyn MetricsSource>)> = self
+            .sources
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .filter_map(|(prefix, weak)| Some((prefix.clone(), weak.upgrade()?)))
+            .collect();
         let mut map = BTreeMap::new();
-        for (prefix, weak) in sources.iter() {
-            let Some(source) = weak.upgrade() else {
-                continue;
-            };
+        for (prefix, source) in live {
             let mut collector = MetricsCollector {
-                prefix: prefix.clone(),
+                prefix,
                 map: std::mem::take(&mut map),
             };
             source.collect(&mut collector);

@@ -2,16 +2,18 @@
 //! facade (DESIGN.md §10 and §17; §12 for the lint that enforces it).
 //!
 //! Every concurrency primitive the scheduler, the reducer core and the
-//! tracer ring touch — atomics, fences, `Mutex`/`Condvar`, thread
+//! tracer ring touch — atomics, fences, `Mutex`, thread
 //! spawn/park/unpark, and the plain-memory accesses a detector must see
-//! — comes from here rather than from `std`/`parking_lot` directly.
+//! — comes from here rather than from `std` directly. Blocking is
+//! parking: the facade has no condition variable.
 //! `cilkm-runtime` and `cilkm-core` re-export this module as their
 //! `crate::msync`; it lives in this crate because it is the lowest one
 //! under both that carries the `model` and `sanitize` features. Each
 //! item has three faces:
 //!
-//! * plain builds: zero-cost aliases of the real primitives, and the
-//!   `note_*` hooks compile to nothing;
+//! * plain builds: zero-cost aliases of the real primitives (the
+//!   `Mutex` is a newtype over `std::sync::Mutex` that ignores poison),
+//!   and the `note_*` hooks compile to nothing;
 //! * `model`: `cilkm_checker`'s recorded, schedule-explored versions,
 //!   so the deque, the latches, the sleeper handshake and the ring run
 //!   under the model checker unchanged. They are dual-mode: outside
@@ -29,11 +31,49 @@ pub use cilkm_san::sync::atomic;
 pub use std::sync::atomic;
 
 #[cfg(feature = "model")]
-pub use cilkm_checker::sync::{Condvar, Mutex};
+pub use cilkm_checker::sync::Mutex;
 #[cfg(all(not(feature = "model"), feature = "sanitize"))]
-pub use cilkm_san::sync::{Condvar, Mutex};
+pub use cilkm_san::sync::Mutex;
 #[cfg(not(any(feature = "model", feature = "sanitize")))]
-pub use parking_lot::{Condvar, Mutex};
+pub use plain::Mutex;
+
+#[cfg(not(any(feature = "model", feature = "sanitize")))]
+mod plain {
+    use std::sync::{MutexGuard, PoisonError};
+
+    /// `std::sync::Mutex` with poison ignored, like the model and
+    /// sanitizer faces: `Pool::run`'s region lock outlives a region
+    /// that panicked while holding it.
+    #[derive(Default)]
+    pub struct Mutex<T>(std::sync::Mutex<T>);
+
+    impl<T> Mutex<T> {
+        /// Creates a new mutex.
+        // lint: allow(san-hook-coverage, plain face only; with `sanitize` on this module is compiled out for `cilkm_san::sync::Mutex`)
+        pub const fn new(value: T) -> Mutex<T> {
+            Mutex(std::sync::Mutex::new(value))
+        }
+
+        /// Acquires the mutex, blocking until it is free.
+        // lint: allow(san-hook-coverage, plain face only; with `sanitize` on this module is compiled out for `cilkm_san::sync::Mutex`)
+        #[inline]
+        pub fn lock(&self) -> MutexGuard<'_, T> {
+            self.0.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+
+        /// Mutable access without locking.
+        // lint: allow(san-hook-coverage, plain face only; with `sanitize` on this module is compiled out for `cilkm_san::sync::Mutex`)
+        pub fn get_mut(&mut self) -> &mut T {
+            self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
+        }
+
+        /// Consumes the mutex, returning the inner value.
+        // lint: allow(san-hook-coverage, plain face only; with `sanitize` on this module is compiled out for `cilkm_san::sync::Mutex`)
+        pub fn into_inner(self) -> T {
+            self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
+        }
+    }
+}
 
 /// Thread spawn/park/unpark, switchable like the atomics above.
 pub mod thread {

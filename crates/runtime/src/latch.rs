@@ -1,8 +1,10 @@
 //! Completion latches: one-shot flags a job sets when it finishes and a
 //! waiter polls or blocks on.
 
+use std::time::Duration;
+
 use crate::msync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use crate::msync::{Condvar, Mutex};
+use crate::msync::thread::{self, Thread};
 
 /// A one-shot completion signal.
 pub trait Latch {
@@ -41,40 +43,48 @@ impl Latch for SpinLatch {
     }
 }
 
-/// A blocking latch for threads *outside* the pool (the caller of
-/// [`Pool::run`]): set wakes the sleeper through a mutex/condvar pair.
+/// A blocking latch for a thread *outside* the pool (the caller of
+/// [`Pool::run`]): the waiter parks, and `set` unparks it. Only the
+/// thread that made the latch may wait on it.
 ///
 /// [`Pool::run`]: crate::Pool::run
-#[derive(Default)]
 pub struct LockLatch {
-    done: Mutex<bool>,
-    cond: Condvar,
+    done: AtomicBool,
+    waiter: Thread,
 }
 
 impl LockLatch {
-    /// Creates an unset latch.
+    /// Creates an unset latch that the calling thread will wait on.
+    #[allow(clippy::new_without_default)] // a `Default` would hide the thread binding
     pub fn new() -> LockLatch {
-        LockLatch::default()
+        LockLatch {
+            done: AtomicBool::new(false),
+            waiter: thread::current(),
+        }
     }
 
-    /// Blocks until the latch is set.
+    /// Blocks until the latch is set. An unpark that lands before the
+    /// park leaves a token that makes the park return at once; the
+    /// timeout is only a backstop, and under the model it never fires.
     pub fn wait(&self) {
-        let mut done = self.done.lock();
-        while !*done {
-            self.cond.wait(&mut done);
+        while !self.done.load(Ordering::Acquire) {
+            thread::park_timeout(Duration::from_millis(10));
         }
     }
 }
 
 impl Latch for LockLatch {
     fn set(&self) {
-        let mut done = self.done.lock();
-        *done = true;
-        self.cond.notify_all();
+        // The latch lives on the waiter's stack and may be gone as soon
+        // as the store lands, so the handle is cloned first and `self`
+        // is not touched after the store.
+        let waiter = self.waiter.clone();
+        self.done.store(true, Ordering::Release);
+        waiter.unpark();
     }
 
     fn probe(&self) -> bool {
-        *self.done.lock()
+        self.done.load(Ordering::Acquire)
     }
 }
 

@@ -206,9 +206,11 @@ fn spin_latch_publishes_payload() {
     });
 }
 
-/// `LockLatch` (mutex + condvar, the blocking latch under `Pool::run`)
-/// never loses its set: the waiter always wakes, even when `set` races
-/// the waiter between its predicate check and its `wait`.
+/// `LockLatch` (a flag and the waiter's park token, the blocking latch
+/// under `Pool::run`) never loses its set: the waiter always wakes, even
+/// when `set` stores and unparks between the waiter's load of the flag
+/// and its park. The model's `park_timeout` never times out, so a lost
+/// unpark would show as a deadlock.
 #[test]
 fn lock_latch_set_always_wakes_waiter() {
     checker::model(|| {

@@ -12,6 +12,7 @@ use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use cilkm_base::rng::{XorShift64, GAMMA};
 use cilkm_obs::event::{current_cpu, pack_cpu};
 use cilkm_obs::{profile, trace, Counter, EventKind};
 
@@ -185,8 +186,8 @@ pub(crate) struct WorkerThread {
     registry: Arc<Registry>,
     index: usize,
     deque: DequeOwner,
-    /// xorshift state for random victim selection.
-    rng: Cell<u64>,
+    /// Random victim selection.
+    rng: Cell<XorShift64>,
     /// Per-worker hyperobject backend state; only this thread touches it.
     state: UnsafeCell<Box<dyn Any + Send>>,
 }
@@ -259,13 +260,10 @@ impl WorkerThread {
 
     #[inline]
     fn next_rand(&self) -> u64 {
-        // xorshift64*; cheap and good enough for victim selection.
-        let mut x = self.rng.get();
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng.set(x);
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        let mut rng = self.rng.get();
+        let r = rng.next_u64();
+        self.rng.set(rng);
+        r
     }
 
     /// One randomized steal sweep over all other workers, then the
@@ -607,7 +605,7 @@ impl PoolBuilder {
                         registry,
                         index,
                         deque: owner,
-                        rng: Cell::new(0x9E37_79B9_7F4A_7C15 ^ (index as u64 + 1)),
+                        rng: Cell::new(XorShift64::new(GAMMA ^ (index as u64 + 1))),
                         state: UnsafeCell::new(state),
                     };
                     CURRENT_WORKER.with(|c| c.set(&worker));
@@ -801,10 +799,13 @@ mod tests {
         assert_eq!(pool.num_threads(), 1);
     }
 
+    /// Back-to-back regions on real threads: the root latch's `set`
+    /// lands both before and after the caller parks, and neither loses
+    /// the wakeup.
     #[test]
     fn sequential_runs_reuse_workers() {
         let pool = Pool::new(2);
-        for i in 0..20 {
+        for i in 0..10_000 {
             assert_eq!(pool.run(move || i * 2), i * 2);
         }
     }

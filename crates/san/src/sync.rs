@@ -1,7 +1,6 @@
 //! Instrumented drop-in replacements for the sync primitives the
-//! `msync` facades re-export: atomics + `fence` (mirroring
-//! `std::sync::atomic`) and `Mutex`/`Condvar` (mirroring the
-//! `parking_lot` shim's infallible API).
+//! `msync` facade re-exports: atomics + `fence` (mirroring
+//! `std::sync::atomic`) and `Mutex` (the facade's infallible API).
 //!
 //! Hook placement is chosen so the sanitizer's happens-before relation
 //! is a superset of the real one *without* a race window between the
@@ -257,8 +256,8 @@ pub mod atomic {
     }
 }
 
-/// An instrumented mutex with the `parking_lot` shim's API (infallible
-/// `lock`, no poisoning). Feeds both the lock-order detector (inversion
+/// An instrumented mutex with the facade's API (infallible `lock`, no
+/// poisoning). Feeds both the lock-order detector (inversion
 /// check *before* blocking, so a real deadlock still gets reported) and
 /// the happens-before relation (the lock address is a sync object).
 pub struct Mutex<T> {
@@ -284,33 +283,7 @@ impl<T> Mutex<T> {
         state::lock_acquiring(key);
         let guard = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         state::lock_acquired(key);
-        MutexGuard {
-            guard: Some(guard),
-            key,
-        }
-    }
-
-    /// Tries to acquire the lock without blocking. Adds no
-    /// acquisition-order edge: a `try_lock` cannot deadlock.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        let key = self.key();
-        match self.inner.try_lock() {
-            Ok(guard) => {
-                state::lock_acquired(key);
-                Some(MutexGuard {
-                    guard: Some(guard),
-                    key,
-                })
-            }
-            Err(std::sync::TryLockError::Poisoned(p)) => {
-                state::lock_acquired(key);
-                Some(MutexGuard {
-                    guard: Some(p.into_inner()),
-                    key,
-                })
-            }
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
+        MutexGuard { guard, key }
     }
 
     /// Exclusive access; uninstrumented.
@@ -339,18 +312,14 @@ impl<T: std::fmt::Debug> std::fmt::Debug for Mutex<T> {
 /// Guard for [`Mutex`]; releases the sanitizer's lock bookkeeping just
 /// before the real unlock.
 pub struct MutexGuard<'a, T> {
-    /// `Option` so [`Condvar::wait`] can hand the inner guard to the
-    /// std condvar and put it back after waking.
-    guard: Option<std::sync::MutexGuard<'a, T>>,
+    guard: std::sync::MutexGuard<'a, T>,
     key: usize,
 }
 
 impl<T> Drop for MutexGuard<'_, T> {
     fn drop(&mut self) {
-        if self.guard.is_some() {
-            state::lock_released(self.key);
-        }
-        // The inner guard (if still present) unlocks on drop.
+        state::lock_released(self.key);
+        // The inner guard, a field, unlocks after this body returns.
     }
 }
 
@@ -358,91 +327,12 @@ impl<T> std::ops::Deref for MutexGuard<'_, T> {
     type Target = T;
 
     fn deref(&self) -> &T {
-        self.guard.as_deref().expect("guard taken during wait")
+        &self.guard
     }
 }
 
 impl<T> std::ops::DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.guard.as_deref_mut().expect("guard taken during wait")
-    }
-}
-
-/// Result of [`Condvar::wait_for`], mirroring the `parking_lot` shim.
-pub struct WaitTimeoutResult {
-    timed_out: bool,
-}
-
-impl WaitTimeoutResult {
-    /// Whether the wait ended by timeout rather than notification.
-    pub fn timed_out(&self) -> bool {
-        self.timed_out
-    }
-}
-
-/// An instrumented condition variable (infallible, `parking_lot`-shaped
-/// API over `std::sync::Condvar`). The happens-before edge from
-/// notifier to waiter is carried by the mutex release/re-acquire hooks
-/// around the real wait.
-#[derive(Default)]
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    /// Creates a new instrumented condvar.
-    pub const fn new() -> Self {
-        Self {
-            inner: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Blocks until notified, releasing the guard's mutex while asleep.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let key = guard.key;
-        state::lock_released(key);
-        let inner = guard.guard.take().expect("guard taken during wait");
-        let inner = self.inner.wait(inner).unwrap_or_else(|p| p.into_inner());
-        state::lock_acquired(key);
-        guard.guard = Some(inner);
-    }
-
-    /// Blocks until notified or `timeout` elapses.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: std::time::Duration,
-    ) -> WaitTimeoutResult {
-        let key = guard.key;
-        state::lock_released(key);
-        let inner = guard.guard.take().expect("guard taken during wait");
-        let (inner, result) = match self.inner.wait_timeout(inner, timeout) {
-            Ok((g, r)) => (g, r),
-            Err(p) => {
-                let (g, r) = p.into_inner();
-                (g, r)
-            }
-        };
-        state::lock_acquired(key);
-        guard.guard = Some(inner);
-        WaitTimeoutResult {
-            timed_out: result.timed_out(),
-        }
-    }
-
-    /// Wakes one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wakes all waiters.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-}
-
-impl std::fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Condvar").finish_non_exhaustive()
+        &mut self.guard
     }
 }

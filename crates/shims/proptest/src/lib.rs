@@ -288,6 +288,8 @@ pub mod collection {
 }
 
 pub mod test_runner {
+    use cilkm_base::rng::{Xoshiro256, GAMMA};
+
     /// Per-test configuration (subset: case count).
     #[derive(Clone, Debug)]
     pub struct ProptestConfig {
@@ -310,50 +312,22 @@ pub mod test_runner {
 
     /// The deterministic generator behind every strategy draw
     /// (xoshiro256** seeded with splitmix64).
-    pub struct TestRng {
-        s: [u64; 4],
-    }
+    pub struct TestRng(Xoshiro256);
 
     impl TestRng {
         /// A generator for the given seed.
         pub fn deterministic(seed: u64) -> TestRng {
-            let mut sm = seed;
-            let mut next = move || {
-                sm = sm.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = sm;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^ (z >> 31)
-            };
-            let s = [next(), next(), next(), next()];
-            TestRng { s }
+            TestRng(Xoshiro256::seed_from_u64(seed))
         }
 
         /// Next uniform 64-bit value.
         pub fn next_u64(&mut self) -> u64 {
-            let [s0, s1, s2, s3] = self.s;
-            let result = s1.wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-            let t = s1 << 17;
-            let s2 = s2 ^ s0;
-            let s3 = s3 ^ s1;
-            let s1 = s1 ^ s2;
-            let s0 = s0 ^ s3;
-            let s2 = s2 ^ t;
-            let s3 = s3.rotate_left(45);
-            self.s = [s0, s1, s2, s3];
-            result
+            self.0.next_u64()
         }
 
         /// Uniform value in `[0, bound)`; `bound` must be nonzero.
         pub fn below(&mut self, bound: u64) -> u64 {
-            debug_assert!(bound > 0);
-            let threshold = bound.wrapping_neg() % bound;
-            loop {
-                let m = self.next_u64() as u128 * bound as u128;
-                if m as u64 >= threshold {
-                    return (m >> 64) as u64;
-                }
-            }
+            self.0.below(bound)
         }
     }
 
@@ -365,7 +339,7 @@ pub mod test_runner {
             h ^= b as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
-        h ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(case as u64 + 1))
+        h ^ GAMMA.wrapping_mul(case as u64 + 1)
     }
 }
 

@@ -4,8 +4,7 @@
 
 use std::alloc::{alloc_zeroed, dealloc, Layout};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::stats;
 use crate::{PageDesc, PAGE_SIZE, PD_NULL};
@@ -96,6 +95,11 @@ impl PageArena {
         &self.crossings
     }
 
+    /// The free-list lock, poison ignored like the `msync` facade's.
+    fn lock(&self) -> MutexGuard<'_, ArenaInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Simulated `sys_palloc`: allocates a zeroed physical page and
     /// returns its descriptor.
     pub fn palloc(&self) -> PageDesc {
@@ -105,7 +109,7 @@ impl PageArena {
         let page = unsafe { alloc_zeroed(page_layout()) };
         assert!(!page.is_null(), "simulated physical memory exhausted");
 
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let pd = Self::insert_live_page(&mut inner, page);
         self.peak_live
             .fetch_max(inner.live as u64, Ordering::Relaxed);
@@ -125,7 +129,7 @@ impl PageArena {
         self.crossings.charge_palloc_batch(n as u64);
         self.total_allocs.fetch_add(n as u64, Ordering::Relaxed);
         out.reserve(n);
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         for _ in 0..n {
             // SAFETY: `page_layout()` is the non-zero-sized 4-KiB layout.
             let page = unsafe { alloc_zeroed(page_layout()) };
@@ -174,7 +178,7 @@ impl PageArena {
         self.total_frees.fetch_add(1, Ordering::Relaxed);
 
         let page = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.lock();
             let free_head = inner.free_head;
             let slot = inner
                 .slots
@@ -250,7 +254,7 @@ impl PageArena {
     ///
     /// [`TlmmRegion`]: crate::TlmmRegion
     pub fn page_base(&self, pd: PageDesc) -> *mut u8 {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         match inner.slots.get(pd.0 as usize) {
             Some(&Slot::Live(p)) => p,
             _ => panic!("page_base of dead descriptor {pd:?}"),
@@ -262,13 +266,13 @@ impl PageArena {
         if pd == PD_NULL {
             return false;
         }
-        let inner = self.inner.lock();
+        let inner = self.lock();
         matches!(inner.slots.get(pd.0 as usize), Some(&Slot::Live(_)))
     }
 
     /// Number of currently live pages.
     pub fn live_pages(&self) -> usize {
-        self.inner.lock().live
+        self.lock().live
     }
 
     /// Aggregate statistics snapshot.
@@ -293,7 +297,7 @@ impl Drop for PageArena {
         // Release any pages the runtime leaked (e.g. after a panic); the
         // kernel reclaims physical memory when the process dies, and so do
         // we when the arena does.
-        let inner = self.inner.get_mut();
+        let inner = self.inner.get_mut().unwrap_or_else(PoisonError::into_inner);
         for slot in &inner.slots {
             if let Slot::Live(p) = *slot {
                 // SAFETY: live slots hold pages from `palloc`'s

@@ -13,14 +13,12 @@
 //! inherent number of view mutations, for both.
 
 use cilkm::prelude::*;
+use cilkm_base::rng::{mix64, GAMMA};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Splitmix-style per-index value, as used by the min/max benches.
+/// The splitmix64 output for counter `i`, as used by the min/max benches.
 fn pseudo_random(i: u64) -> u64 {
-    let mut z = i.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(i.wrapping_add(GAMMA))
 }
 
 #[test]
