@@ -19,7 +19,11 @@
 //!
 //! Env: CILKM_BENCH_SCALE (default 512), CILKM_BENCH_WORKERS (default 4).
 
-// lint: allow(raw-sync, this benchmark measures the shared-atomic-counter *alternative* to reducers — the contended std primitive is the subject under test, and substituting a recorded one would measure the checker instead)
+#![expect(
+    clippy::disallowed_types,
+    reason = "this benchmark measures the shared-atomic-counter *alternative* to reducers — the contended std primitive is the subject under test, and substituting a recorded one would measure the checker instead"
+)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 

@@ -1031,7 +1031,10 @@ impl Exec {
 
     /// Strong compare-exchange (`compare_exchange_weak` maps here too:
     /// spurious failure is a scheduling artifact the model need not add).
-    #[allow(clippy::too_many_arguments)] // mirrors `compare_exchange`'s shape
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "mirrors `compare_exchange`'s shape"
+    )]
     pub(crate) fn op_atomic_cas(
         &self,
         tid: usize,

@@ -54,6 +54,11 @@
 //! ```
 
 #![deny(missing_docs)]
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the checker implements the facade's model face, so it schedules real threads with std's own primitives"
+)]
 
 mod dpor;
 mod exec;

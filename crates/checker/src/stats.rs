@@ -1,5 +1,5 @@
 //! Exploration statistics: per-run accounting and the deterministic
-//! JSON report CI archives next to `lint_report.json`.
+//! JSON report CI archives and gates with `cilkm-trend`.
 //!
 //! Every `try_model_with` call accumulates schedule counts, DPOR
 //! pruning, the distinct dependence classes touched, and the maximum

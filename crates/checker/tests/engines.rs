@@ -2,6 +2,11 @@
 //! every litmus verdict while exploring a fraction of the schedules,
 //! and the PCT engine must be seed-deterministic and replayable.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the environment lock serializes real test threads outside every model run; the checker's own types cannot back a process-wide static"
+)]
+
 use std::sync::Arc;
 use std::sync::Mutex as StdMutex;
 

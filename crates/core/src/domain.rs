@@ -184,7 +184,7 @@ impl DomainInner {
     ///
     /// Every pair must hold a live boxed view and the live instance that
     /// created it (views must not outlive their reducer).
-    // lint: hot-path
+    #[deny(clippy::indexing_slicing)]
     pub(crate) unsafe fn fold_root(
         &self,
         folding: &Cell<bool>,

@@ -127,7 +127,7 @@ impl Drop for HypermapWorkerState {
 /// straight-line loads because the "map" is the virtual-memory hardware.
 /// Keeping the hypermap lookup out-of-line preserves that structural
 /// difference, which is part of what Figure 1 measures.
-// lint: hot-path
+#[deny(clippy::indexing_slicing)]
 #[inline(never)]
 pub(crate) fn lookup(key: u64, inst: &MonoidInstance) -> Option<*mut u8> {
     let tls = HYPERMAP_TLS.with(|c| c.get());

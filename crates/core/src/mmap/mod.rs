@@ -262,9 +262,8 @@ impl MmapWorkerState {
     /// by its log into one exactly-sized list of `(slot, pair)`, zeroing
     /// the private entries as the pairs leave, so the array is provably
     /// empty afterwards. An empty context allocates nothing.
-    // lint: hot-path
+    #[deny(clippy::indexing_slicing)]
     fn drain_views(&mut self) -> Vec<(Slot, ViewPair)> {
-        // lint: allow(hot-path, the one exactly-sized list a detach copies its views into; it replaces up to one map-pool operation per occupied page)
         let mut views = Vec::with_capacity(self.current_views);
         if self.current_views != 0 {
             for pidx in 0..self.pages {
@@ -314,7 +313,7 @@ impl Drop for MmapWorkerState {
 ///
 /// Returns `None` when the calling thread is not a pool worker (the
 /// caller then takes the serial leftmost path).
-// lint: hot-path
+#[deny(clippy::indexing_slicing)]
 #[inline(always)]
 pub(crate) fn lookup(key: u64, inst: &MonoidInstance) -> Option<*mut u8> {
     let tls = MMAP_TLS.with(|c| c.get());
@@ -485,7 +484,7 @@ impl HyperHooks for MmapHooks {
         state
     }
 
-    // lint: hot-path
+    #[deny(clippy::indexing_slicing)]
     fn detach(&self, state: &mut dyn Any) -> DetachedViews {
         let st = state.downcast_mut::<MmapWorkerState>().expect("mmap state");
         st.flush_counts();
@@ -498,7 +497,6 @@ impl HyperHooks for MmapHooks {
         let det = MmapDetached { views };
         det.note_write();
         self.ins().finish_transferal(t0);
-        // lint: allow(hot-path, one boxed handoff of the whole detached set to the scheduler; the per-view work above is allocation-free)
         Box::new(det)
     }
 
@@ -604,11 +602,14 @@ impl HyperHooks for MmapHooks {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "test-observation drop counters shared with plain std::thread spawns; msync's recorded atomics are scoped to one model run and these tests run outside the checker"
+)]
 mod tests {
     use super::*;
     use crate::domain::Backend;
     use crate::monoid::Monoid;
-    // lint: allow(raw-sync, test-observation drop counters shared with plain std::thread spawns; msync's recorded atomics are scoped to one model run and these tests run outside the checker)
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
 

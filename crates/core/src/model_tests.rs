@@ -157,7 +157,10 @@ fn handover_through_a_relaxed_flag() {
     let domain = Arc::new(DomainInner::new(Backend::Mmap));
     let monoid = Arc::new(Concat);
     let inst = Arc::new(MonoidInstance::new(&monoid));
-    // lint: allow(raw-sync, the unmodeled slot is the seeded bug: a std mutex moves the box between threads without giving the checker a happens-before edge)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the unmodeled slot is the seeded bug: a std mutex moves the box between threads without giving the checker a happens-before edge"
+    )]
     let slot: Arc<std::sync::Mutex<Option<DetachedViews>>> = Arc::default();
     let ready = Arc::new(AtomicBool::new(false));
 

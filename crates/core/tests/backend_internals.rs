@@ -5,6 +5,11 @@
 //! log overflow in vivo, and `set`/`move_in` semantics. (The page arrays
 //! themselves are checked inside the crate, in `mmap`'s tests.)
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "test-side counters and flags observe the run through the public API, where the doc-hidden msync facade is not offered"
+)]
+
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 

@@ -51,7 +51,11 @@
 //!   open (DESIGN.md §9.2): the gap between two layers is shorter than a
 //!   park and its wake.
 
-// lint: allow(raw-sync, the per-vertex distance load and CAS are data-plane application state — one atomic per graph vertex, millions per run; it is benchmark payload standing in for the paper's benign race, not a runtime protocol, and cannot feasibly be recorded by the checker)
+#![expect(
+    clippy::disallowed_types,
+    reason = "the per-vertex distance load and CAS are data-plane application state — one atomic per graph vertex, millions per run; it is benchmark payload standing in for the paper's benign race, not a runtime protocol, and cannot feasibly be recorded by the checker"
+)]
+
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use cilkm_core::{Reducer, ReducerPool};

@@ -20,7 +20,10 @@
 //! ordering obligations (all `Relaxed`), and routing them through the
 //! checker would explode model state spaces for no verification value.
 
-// lint: allow-file(raw-sync, counters and histograms are Relaxed-only monitoring data with no ordering obligations, and the registry is process-global; recorded msync primitives are scoped to one model run and would explode checker state for zero verification value — see the module docs above)
+#![expect(
+    clippy::disallowed_types,
+    reason = "counters and histograms are Relaxed-only monitoring data with no ordering obligations, and the registry is process-global; recorded msync primitives are scoped to one model run and would explode checker state for zero verification value — see the module docs above"
+)]
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -386,7 +389,7 @@ impl FineHistogramSnapshot {
 /// counter variant, but values live briefly inside snapshot maps and
 /// staying `Copy` keeps the diffing/export code simple — boxing would
 /// buy nothing here.
-#[allow(clippy::large_enum_variant)]
+#[allow(clippy::large_enum_variant, reason = "kept `Copy`; see above")]
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum MetricValue {
     /// A plain counter/gauge reading.

@@ -1,5 +1,6 @@
 //! The workspace's one model- and sanitizer-switchable synchronization
-//! facade (DESIGN.md §10 and §17; §12 for the lint that enforces it).
+//! facade (DESIGN.md §10 and §17; §12 for the clippy lints that enforce
+//! it).
 //!
 //! Every concurrency primitive the scheduler, the reducer core and the
 //! tracer ring touch — atomics, fences, `Mutex`, thread
@@ -49,26 +50,22 @@ mod plain {
 
     impl<T> Mutex<T> {
         /// Creates a new mutex.
-        // lint: allow(san-hook-coverage, plain face only; with `sanitize` on this module is compiled out for `cilkm_san::sync::Mutex`)
         pub const fn new(value: T) -> Mutex<T> {
             Mutex(std::sync::Mutex::new(value))
         }
 
         /// Acquires the mutex, blocking until it is free.
-        // lint: allow(san-hook-coverage, plain face only; with `sanitize` on this module is compiled out for `cilkm_san::sync::Mutex`)
         #[inline]
         pub fn lock(&self) -> MutexGuard<'_, T> {
             self.0.lock().unwrap_or_else(PoisonError::into_inner)
         }
 
         /// Mutable access without locking.
-        // lint: allow(san-hook-coverage, plain face only; with `sanitize` on this module is compiled out for `cilkm_san::sync::Mutex`)
         pub fn get_mut(&mut self) -> &mut T {
             self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
         }
 
         /// Consumes the mutex, returning the inner value.
-        // lint: allow(san-hook-coverage, plain face only; with `sanitize` on this module is compiled out for `cilkm_san::sync::Mutex`)
         pub fn into_inner(self) -> T {
             self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
         }

@@ -36,7 +36,13 @@
 //! be on without the other ([`crate::trace::set_enabled`] vs
 //! [`begin_session`]).
 
-// lint: allow-file(raw-sync, the profiler's enabled flag and work/burden accumulators are process-global Relaxed-only monitoring data shared with non-pool threads, exactly like the metrics registry; cross-thread span hand-off rides the runtime's existing deque/latch publication and is not synchronized here)
+#![cfg_attr(
+    feature = "trace",
+    expect(
+        clippy::disallowed_types,
+        reason = "the profiler's enabled flag and work/burden accumulators are process-global Relaxed-only monitoring data shared with non-pool threads, exactly like the metrics registry; cross-thread span hand-off rides the runtime's existing deque/latch publication and is not synchronized here"
+    )
+)]
 
 #[cfg(feature = "trace")]
 mod imp {
@@ -236,7 +242,7 @@ pub struct SavedCtx(#[cfg(feature = "trace")] imp::Ctx);
 
 /// Whether a profiling session is running (one `Relaxed` load; `false`
 /// without the `trace` feature).
-// lint: hot-path
+#[deny(clippy::indexing_slicing)]
 #[inline]
 pub fn profiling() -> bool {
     #[cfg(feature = "trace")]
@@ -309,7 +315,7 @@ pub fn end_session(root_final: (u64, u64)) -> ParallelismReport {
 /// Snapshot of the current strand's `(span, bspan)` at a spawn point,
 /// to be stored in the spawned task's job header. Counts one spawn.
 /// Returns zeros when not profiling.
-// lint: hot-path
+#[deny(clippy::indexing_slicing)]
 #[inline]
 pub fn spawn_point() -> (u64, u64) {
     #[cfg(feature = "trace")]
@@ -443,7 +449,7 @@ pub fn sync_resume(span_ns: u64, bspan_ns: u64, merge_ns: u64) {
 /// current strand's unburdened span. Called by `cilkm-core` at its
 /// instrumented view-creation / insertion / transferal / merge sites.
 /// One `Relaxed` load when not profiling.
-// lint: hot-path
+#[deny(clippy::indexing_slicing)]
 #[inline]
 pub fn charge(kind: Burden, ns: u64) {
     #[cfg(feature = "trace")]

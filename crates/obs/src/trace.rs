@@ -17,7 +17,13 @@
 //! workers keep emitting (verified under the model checker), so callers
 //! such as `Pool::run` can collect a trace without quiescing the pool.
 
-// lint: allow-file(raw-sync, the tracer's enabled flag and ring registry are process-global control plane shared with non-pool threads; the recorded msync primitives are scoped to a model run and cannot back process-wide statics — ring hand-off itself is verified separately in crates/checker's drain model)
+#![cfg_attr(
+    feature = "trace",
+    expect(
+        clippy::disallowed_types,
+        reason = "the tracer's enabled flag and ring registry are process-global control plane shared with non-pool threads; the recorded msync primitives are scoped to a model run and cannot back process-wide statics — ring hand-off itself is verified separately in crates/checker's drain model"
+    )
+)]
 
 use crate::event::{Event, EventKind};
 
@@ -56,7 +62,7 @@ mod imp {
 
     /// One-time per-thread ring setup: names and allocates the ring and
     /// registers its shared handle. Outlined from [`emit`] so the warm
-    /// path stays allocation- and formatting-free (the lint checks it).
+    /// path stays allocation- and formatting-free.
     #[cold]
     fn new_writer() -> TraceWriter {
         let label = std::thread::current()
@@ -68,7 +74,7 @@ mod imp {
         writer
     }
 
-    // lint: hot-path
+    #[deny(clippy::indexing_slicing)]
     pub(super) fn emit(kind: EventKind, arg: u64) {
         if !ENABLED.load(Ordering::Relaxed) {
             return;
@@ -152,7 +158,7 @@ pub fn enabled() -> bool {
 
 /// Records one event on the calling thread's ring. The meaning of `arg`
 /// depends on `kind` (see [`EventKind`]).
-// lint: hot-path
+#[deny(clippy::indexing_slicing)]
 #[inline]
 pub fn emit(kind: EventKind, arg: u64) {
     #[cfg(feature = "trace")]

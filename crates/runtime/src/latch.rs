@@ -55,7 +55,10 @@ pub struct LockLatch {
 
 impl LockLatch {
     /// Creates an unset latch that the calling thread will wait on.
-    #[allow(clippy::new_without_default)] // a `Default` would hide the thread binding
+    #[allow(
+        clippy::new_without_default,
+        reason = "a `Default` would hide the thread binding"
+    )]
     pub fn new() -> LockLatch {
         LockLatch {
             done: AtomicBool::new(false),

@@ -131,7 +131,10 @@ impl SleepGate {
     /// may be satisfied from before a just-parked worker's announcement
     /// while that worker's re-check missed the published work.
     #[cfg(feature = "model")]
-    #[cfg_attr(not(test), allow(dead_code))] // exercised only from model_tests
+    #[cfg_attr(
+        not(test),
+        allow(dead_code, reason = "exercised only from model_tests")
+    )]
     pub(crate) fn signal_one_racy(&self) {
         if self.sleepers.load(Ordering::Relaxed) > 0 {
             self.wake_one();

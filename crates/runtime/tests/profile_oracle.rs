@@ -6,6 +6,10 @@
 //! Compiled out without the `trace` feature (the profiler is
 //! feature-gated to keep the hot path free).
 #![cfg(feature = "trace")]
+#![expect(
+    clippy::disallowed_types,
+    reason = "a std mutex serializes the profiler sessions of concurrent test threads; it takes no part in a runtime protocol"
+)]
 
 use cilkm_obs::ParallelismReport;
 use cilkm_runtime::{join, scope, Pool};

@@ -25,6 +25,12 @@
 //! serialized as deterministic stable-sorted JSON ([`report`]); the
 //! `cilkm-san` bin summarizes a report file for CI.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the sanitizer implements the facade's sanitize face on std's own primitives"
+)]
+
 pub mod report;
 mod state;
 pub mod sync;

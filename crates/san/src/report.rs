@@ -1,10 +1,9 @@
 //! Findings, the machine-readable sanitizer report, and its JSON codec.
 //!
-//! Same codec as `cilkm-lint`'s `lint_report.json` (`cilkm-base`): the
-//! report CI archives must be **diffable**, so findings are
-//! stable-sorted by (detector, site, message), duplicates are collapsed
-//! at record time, and serialization is deterministic (same findings ⇒
-//! byte-identical JSON). Messages never embed raw addresses — a racy
+//! The JSON codec is `cilkm-base`'s. The report CI archives must be
+//! **diffable**, so findings are stable-sorted by (detector, site,
+//! message), duplicates are collapsed at record time, and serialization
+//! is deterministic (same findings ⇒ byte-identical JSON). Messages never embed raw addresses — a racy
 //! pair is identified by its facade-site label and thread ids, which
 //! are stable across runs of a deterministic repro, while heap
 //! addresses are not.

@@ -2,7 +2,10 @@
 //! workspace uses (`clock_gettime` with `CLOCK_THREAD_CPUTIME_ID`),
 //! declared directly against the platform C library.
 
-#![allow(non_camel_case_types)]
+#![allow(
+    non_camel_case_types,
+    reason = "C type names, kept as libc spells them"
+)]
 
 /// Signed integral type for time in seconds.
 pub type time_t = i64;

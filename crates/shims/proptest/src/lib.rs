@@ -443,7 +443,7 @@ mod tests {
 
     #[derive(Debug, Clone)]
     enum Tree {
-        Leaf(#[allow(dead_code)] u8),
+        Leaf(#[allow(dead_code, reason = "only built, never read")] u8),
         Node(Box<Tree>, Box<Tree>),
     }
 

@@ -1,6 +1,9 @@
 //! The simulated physical-page allocator ("the kernel side" of TLMM).
 
-// lint: allow-file(raw-sync, this crate plays the kernel in the simulation and is deliberately outside the model-checked surface — its `model` feature only forwards to cilkm-obs (see Cargo.toml); the free-list mutex and crossing counters stand in for kernel-internal locking that TLMM-Linux itself provides)
+#![expect(
+    clippy::disallowed_types,
+    reason = "this crate plays the kernel in the simulation and is deliberately outside the model-checked surface — its `model` feature only forwards to cilkm-obs (see Cargo.toml); the free-list mutex and crossing counters stand in for kernel-internal locking that TLMM-Linux itself provides"
+)]
 
 use std::alloc::{alloc_zeroed, dealloc, Layout};
 use std::sync::atomic::{AtomicU64, Ordering};

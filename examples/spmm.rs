@@ -11,6 +11,11 @@
 //! cargo run --release --example spmm
 //! ```
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "an example stands in for an outside program, which holds its result columns in std mutexes as any user of the public API would"
+)]
+
 use cilkm::prelude::*;
 use cilkm::spa::Spa;
 

@@ -12,6 +12,11 @@
 //! mathematical — and (b) that our implementation performs exactly the
 //! inherent number of view mutations, for both.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "write counters observe the views through the public API, where the doc-hidden msync facade is not offered"
+)]
+
 use cilkm::prelude::*;
 use cilkm_base::rng::{mix64, GAMMA};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,6 +1,11 @@
 //! Cross-crate scenario tests for the reducer mechanism: lifecycles,
 //! serial points, failure injection, and multi-pool isolation.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "test-side counters and flags observe the run through the public API, where the doc-hidden msync facade is not offered"
+)]
+
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
