@@ -1,8 +1,9 @@
 //! The reducer *domain*: everything shared by all reducers of one pool —
 //! its key (backend and id), the slot allocator (the `tlmm_addr` space
-//! of §6), and an arena of simulated physical pages that only the probes
-//! and ablation programs use. Each reducer keeps its own leftmost view
-//! in its [`MonoidInstance`].
+//! of §6), the cell heap every view a first touch creates lives in, and
+//! an arena of simulated physical pages that only the probes and
+//! ablation programs use. Each reducer keeps its own leftmost view in
+//! its [`MonoidInstance`].
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -11,6 +12,7 @@ use cilkm_runtime::{HyperHooks, Pool, PoolBuilder, PoolStats};
 use cilkm_spa::ViewPair;
 use cilkm_tlmm::PageArena;
 
+use crate::cells::{CellHeap, WorkerCells};
 use crate::instrument::{Instrument, InstrumentSnapshot, ReduceHistograms};
 use crate::monoid::MonoidInstance;
 use crate::msync::atomic::{AtomicU64, Ordering};
@@ -88,14 +90,19 @@ struct Slots {
 /// Shared state of a reducer domain. Usually reached through
 /// [`ReducerPool`]; exposed so benches can instrument it directly.
 ///
-/// Its one lock is the slot allocator's, taken only when a reducer is
-/// created or dropped.
+/// Its own lock is the slot allocator's, taken only when a reducer is
+/// created or dropped; the cell heap's locks are taken to carve a chunk
+/// and to send freed cells home.
 pub struct DomainInner {
     /// The backend bit and the domain id, address bits zero (see
     /// [`ADDR_BITS`]).
     pub(crate) key: u64,
     pub(crate) instrument: Instrument,
     slots: Mutex<Slots>,
+    /// The chunks every view made by a first touch lives in; each worker
+    /// state holds its share as a [`WorkerCells`]. Freed with the domain,
+    /// which every reducer and worker state keeps alive.
+    pub(crate) cells: Arc<CellHeap>,
     /// Simulated physical pages: the probes and ablation programs read
     /// it; neither backend allocates from it.
     pub(crate) arena: Arc<PageArena>,
@@ -115,6 +122,7 @@ impl DomainInner {
                 free: Vec::new(),
                 fresh: 0,
             }),
+            cells: Arc::new(CellHeap::new()),
             arena: Arc::new(PageArena::new()),
         }
     }
@@ -179,20 +187,26 @@ impl DomainInner {
     /// `folding` is the calling worker's flag: set for the whole fold,
     /// on which its miss path refuses a nested reducer access
     /// ([`refuse_in_root_fold`]), and cleared however the fold ends.
+    /// `cells` are the calling worker's, which take the folded views'
+    /// cells back.
     ///
     /// # Safety
     ///
-    /// Every pair must hold a live boxed view and the live instance that
-    /// created it (views must not outlive their reducer).
+    /// Every pair must hold a live view and the live instance that
+    /// created it (views must not outlive their reducer); `cells` must
+    /// point at the calling worker's live cells, borrowed by no
+    /// reference.
     #[deny(clippy::indexing_slicing)]
     pub(crate) unsafe fn fold_root(
         &self,
         folding: &Cell<bool>,
+        cells: *mut WorkerCells,
         views: impl Iterator<Item = ViewPair>,
     ) {
         struct Unfolded<'a, I: Iterator<Item = ViewPair>> {
             views: std::iter::Peekable<I>,
             folding: &'a Cell<bool>,
+            cells: *mut WorkerCells,
         }
         impl<I: Iterator<Item = ViewPair>> Drop for Unfolded<'_, I> {
             fn drop(&mut self) {
@@ -202,7 +216,9 @@ impl DomainInner {
                 for pair in &mut self.views {
                     // SAFETY: fn contract — a live view and the instance
                     // that created it; the iterator yields each once.
-                    unsafe { MonoidInstance::from_erased(pair.monoid).drop_view(pair.view) };
+                    unsafe {
+                        MonoidInstance::from_erased(pair.monoid).drop_view(self.cells, pair.view)
+                    };
                 }
             }
         }
@@ -210,6 +226,7 @@ impl DomainInner {
         let mut rest = Unfolded {
             views: views.peekable(),
             folding,
+            cells,
         };
         while let Some(&pair) = rest.views.peek() {
             // A refusal unwinds from here with `pair` still in `rest`.
@@ -217,7 +234,7 @@ impl DomainInner {
             rest.views.next();
             // SAFETY: fn contract; the reduce consumes `pair.view`, also
             // when it unwinds.
-            unsafe { borrow.fold(pair.view) };
+            unsafe { borrow.fold(cells, pair.view) };
         }
     }
 

@@ -19,13 +19,14 @@ use std::sync::Arc;
 use cilkm_runtime::{DetachedViews, HyperHooks};
 use cilkm_spa::ViewPair;
 
+use crate::cells::WorkerCells;
 use crate::domain::{foreign, refuse_in_root_fold, DomainInner};
 use crate::instrument::{bump, flush, Instrument};
 use crate::monoid::MonoidInstance;
 use cilkm_obs::profile::Burden;
 
-/// Per-worker state: the current context's hypermap, and the worker's
-/// counts of lookups and first touches, which
+/// Per-worker state: the current context's hypermap, the worker's view
+/// cells, and its counts of lookups and first touches, which
 /// [`HypermapWorkerState::flush_counts`] adds to the domain's totals.
 ///
 /// The map is boxed because that is how Cilk Plus holds it too
@@ -36,6 +37,8 @@ use cilkm_obs::profile::Burden;
 pub struct HypermapWorkerState {
     domain: Arc<DomainInner>,
     current: Box<HyperMap>,
+    /// The cells this worker's first touches take and its merges free.
+    cells: WorkerCells,
     lookups: Cell<u64>,
     view_creations: Cell<u64>,
     view_insertions: Cell<u64>,
@@ -82,8 +85,11 @@ impl Drop for Orphans {
             // SAFETY: every pair a context's hypermap held stores the
             // erased address of the live `MonoidInstance` that created
             // `pair.view`, and draining removed it from the map, so the
-            // view is dropped exactly once.
-            unsafe { MonoidInstance::from_erased(pair.monoid).drop_view(pair.view) };
+            // view is dropped exactly once. No worker state is at hand:
+            // its cell goes straight home.
+            unsafe {
+                MonoidInstance::from_erased(pair.monoid).drop_view(std::ptr::null_mut(), pair.view)
+            };
         }
     }
 }
@@ -176,7 +182,7 @@ fn lookup_miss(key: u64, inst: &MonoidInstance, ptr: *mut HypermapWorkerState) -
         let domain = &*Arc::as_ptr(&(*ptr).domain);
         // Create an identity view (user code — no state borrow held).
         let t0 = Instrument::short_timer();
-        let view = inst.identity();
+        let view = inst.identity(std::ptr::addr_of_mut!((*ptr).cells));
         bump(&(*ptr).view_creations);
         Instrument::add_short_ns(
             &domain.instrument.view_creation_ns,
@@ -241,10 +247,11 @@ impl HypermapHooks {
 }
 
 impl HyperHooks for HypermapHooks {
-    fn make_worker_state(&self, _index: usize) -> Box<dyn Any + Send> {
+    fn make_worker_state(&self, index: usize) -> Box<dyn Any + Send> {
         let state = Box::new(HypermapWorkerState {
             domain: Arc::clone(&self.domain),
             current: Box::new(HyperMap::new()),
+            cells: WorkerCells::new(&self.domain.cells, index),
             lookups: Cell::new(0),
             view_creations: Cell::new(0),
             view_insertions: Cell::new(0),
@@ -315,8 +322,11 @@ impl HyperHooks for HypermapHooks {
                     match (*st).current.get(key) {
                         Some(lpair) => {
                             pairs_reduced += 1;
-                            MonoidInstance::from_erased(rpair.monoid)
-                                .reduce_into(lpair.view, rpair.view);
+                            MonoidInstance::from_erased(rpair.monoid).reduce_into(
+                                std::ptr::addr_of_mut!((*st).cells),
+                                lpair.view,
+                                rpair.view,
+                            );
                         }
                         None => {
                             (*st).current.insert(key, rpair);
@@ -336,8 +346,11 @@ impl HyperHooks for HypermapHooks {
                     (*st).current.insert(key, lpair);
                     if let Some(rpair) = rpair {
                         pairs_reduced += 1;
-                        MonoidInstance::from_erased(lpair.monoid)
-                            .reduce_into(lpair.view, rpair.view);
+                        MonoidInstance::from_erased(lpair.monoid).reduce_into(
+                            std::ptr::addr_of_mut!((*st).cells),
+                            lpair.view,
+                            rpair.view,
+                        );
                     }
                 }
             }
@@ -360,11 +373,14 @@ impl HyperHooks for HypermapHooks {
         unsafe {
             (*st).flush_counts();
             let drained = (*st).current.drain();
-            // SAFETY: each pair is a live boxed view with the live
+            // SAFETY: each pair is a live view with the live
             // instance that created it (views must not outlive their
             // reducer).
-            self.domain
-                .fold_root(&(*st).folding, drained.into_iter().map(|(_, pair)| pair));
+            self.domain.fold_root(
+                &(*st).folding,
+                std::ptr::addr_of_mut!((*st).cells),
+                drained.into_iter().map(|(_, pair)| pair),
+            );
         }
     }
 

@@ -55,6 +55,7 @@ pub mod mmap;
 pub mod monoid;
 pub mod reducer;
 
+mod cells;
 mod domain;
 
 // The workspace's one model/sanitizer-switchable facade (DESIGN.md §10).

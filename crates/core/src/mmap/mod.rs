@@ -8,8 +8,10 @@
 //! grows, so it needs no page table. The moving parts:
 //!
 //! * **Thread-local indirection (§5)** — the array stores only pointers;
-//!   views live on the shared heap, so hypermerges need no remapping and
-//!   no pointer swizzling, and the array itself needs only a trivial
+//!   views live in shared memory, each in a cell of its creating worker's
+//!   chunks that goes back to that worker when the view is reduced away
+//!   (the `cells` module), so hypermerges need no remapping and no
+//!   pointer swizzling, and the array itself needs only a trivial
 //!   fixed-size-slot allocator (the domain's slot allocator).
 //! * **Lookup (§6)** — one TLS load yields the array's base and length
 //!   and the key of the worker's pool; XORed with the reducer's key it
@@ -48,17 +50,20 @@ use cilkm_runtime::{DetachedViews, HyperHooks};
 use cilkm_spa::map::MAP_SIZE;
 use cilkm_spa::{InsertOutcome, SpaMapRef, ViewPair, VIEWS_PER_MAP};
 
+use crate::cells::WorkerCells;
 use crate::domain::{foreign, refuse_in_root_fold, DomainInner, Slot};
 use crate::instrument::{bump, flush, Instrument};
 use crate::monoid::MonoidInstance;
 use crate::msync;
 use cilkm_obs::profile::Burden;
 
-/// Per-worker state: the page array, the count of views in it, and the
-/// worker's counts of lookups and first touches, which
-/// [`MmapWorkerState::flush_counts`] adds to the domain's totals.
+/// Per-worker state: the page array, the count of views in it, the
+/// worker's view cells, and its counts of lookups and first touches,
+/// which [`MmapWorkerState::flush_counts`] adds to the domain's totals.
 pub struct MmapWorkerState {
     domain: Arc<DomainInner>,
+    /// The cells this worker's first touches take and its merges free.
+    cells: WorkerCells,
     /// The page array: `pages` SPA maps, map `p` at byte `p · MAP_SIZE`
     /// of one `MAP_SIZE`-aligned allocation (null while `pages` is 0).
     /// It only grows, and growth may move it; `Drop` frees it.
@@ -149,8 +154,11 @@ impl Drop for MmapDetached {
         for (_, pair) in self.views.drain(..) {
             // SAFETY: each pair holds a live view and the erased address
             // of the live instance that created it; draining yields each
-            // exactly once.
-            unsafe { MonoidInstance::from_erased(pair.monoid).drop_view(pair.view) };
+            // exactly once. No worker state is at hand: its cell goes
+            // straight home.
+            unsafe {
+                MonoidInstance::from_erased(pair.monoid).drop_view(std::ptr::null_mut(), pair.view)
+            };
         }
     }
 }
@@ -385,7 +393,7 @@ fn lookup_miss(key: u64, inst: &MonoidInstance) -> Option<*mut u8> {
         (*ptr).ensure_page(page);
 
         let t0 = Instrument::short_timer();
-        let view = inst.identity();
+        let view = inst.identity(std::ptr::addr_of_mut!((*ptr).cells));
         bump(&(*ptr).view_creations);
         Instrument::add_short_ns(
             &domain.instrument.view_creation_ns,
@@ -460,9 +468,10 @@ impl MmapHooks {
 }
 
 impl HyperHooks for MmapHooks {
-    fn make_worker_state(&self, _index: usize) -> Box<dyn Any + Send> {
+    fn make_worker_state(&self, index: usize) -> Box<dyn Any + Send> {
         let state = Box::new(MmapWorkerState {
             domain: Arc::clone(&self.domain),
+            cells: WorkerCells::new(&self.domain.cells, index),
             base: std::ptr::null_mut(),
             pages: 0,
             lookups: Cell::new(0),
@@ -550,7 +559,11 @@ impl HyperHooks for MmapHooks {
                     (*st).current_views += 1;
                 } else {
                     pairs_reduced += 1;
-                    MonoidInstance::from_erased(rpair.monoid).reduce_into(lpair.view, rpair.view);
+                    MonoidInstance::from_erased(rpair.monoid).reduce_into(
+                        std::ptr::addr_of_mut!((*st).cells),
+                        lpair.view,
+                        rpair.view,
+                    );
                 }
             }
         }
@@ -573,11 +586,14 @@ impl HyperHooks for MmapHooks {
         unsafe {
             (*st).flush_counts();
             let entries = (*st).drain_views();
-            // SAFETY: each pair is a live boxed view with the live
+            // SAFETY: each pair is a live view with the live
             // instance that created it (views must not outlive their
             // reducer).
-            self.domain
-                .fold_root(&(*st).folding, entries.into_iter().map(|(_, pair)| pair));
+            self.domain.fold_root(
+                &(*st).folding,
+                std::ptr::addr_of_mut!((*st).cells),
+                entries.into_iter().map(|(_, pair)| pair),
+            );
         }
     }
 
@@ -723,7 +739,7 @@ mod tests {
     fn view(slot: usize, inst: &MonoidInstance, domain: &DomainInner) -> &'static mut Tracked {
         let view = lookup(domain.reducer_key(slot as Slot), inst)
             .expect("calling thread has no worker state");
-        // SAFETY: `lookup` returned a live boxed `Tracked` that this
+        // SAFETY: `lookup` returned a live `Tracked` that this
         // thread's current context owns; the borrow ends before the
         // context changes hands.
         unsafe { &mut *(view as *mut Tracked) }
@@ -1122,7 +1138,7 @@ mod proptests {
         let mut state = hooks.make_worker_state(0);
         for (key, &v) in views {
             let view = lookup(reducer_key(key), &inst).expect("worker state");
-            // SAFETY: a live boxed u64 view owned by the current
+            // SAFETY: a live u64 view owned by the current
             // context.
             unsafe { *(view as *mut u64) = v };
         }

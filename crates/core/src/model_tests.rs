@@ -45,7 +45,7 @@ impl Monoid for Concat {
 /// reducer access would.
 fn append(slot: Slot, inst: &MonoidInstance, domain: &DomainInner, s: &str) {
     let view = lookup(domain.reducer_key(slot), inst).expect("calling thread has no worker state");
-    // SAFETY: `lookup` returned a live boxed `Concat::View` created by
+    // SAFETY: `lookup` returned a live `Concat::View` created by
     // this monoid instance, and this thread owns the current context.
     unsafe { (*(view as *mut String)).push_str(s) };
 }

@@ -5,13 +5,16 @@
 //! to combine two views in serial order. Because the runtime data
 //! structures (hypermaps and SPA maps) store views of *many different
 //! reducer types* side by side, views travel type-erased: a view is a
-//! `*mut u8` to a heap-allocated `M::View`, paired with a pointer to a
+//! `*mut u8` to an `M::View` in a cell of its creating worker's chunks
+//! (a `Box` for views over 64 bytes or aligned beyond 16, and for the
+//! leftmost view; see the `cells` module), paired with a pointer to a
 //! [`MonoidInstance`] whose vtable knows how to create, reduce, and
 //! destroy views of that type. This mirrors the paper's SPA-map elements,
 //! which are exactly a (view pointer, monoid pointer) pair (§6).
 
 use std::sync::Arc;
 
+use crate::cells::{self, WorkerCells};
 use crate::msync::atomic::{AtomicPtr, AtomicU32, Ordering};
 
 /// An algebraic monoid: an associative binary operation with identity,
@@ -67,32 +70,51 @@ pub trait Monoid: Send + Sync + 'static {
 
 /// The vtable of a type-erased monoid: how the runtime manipulates views
 /// without knowing their type.
-pub struct MonoidVTable {
-    /// Creates a boxed identity view; `data` is the `&M`.
-    pub identity: unsafe fn(data: *const ()) -> *mut u8,
-    /// Reduces `left ⊗ right` into `left`, consuming and freeing `right`.
-    pub reduce_into: unsafe fn(data: *const (), left: *mut u8, right: *mut u8),
-    /// Destroys a view without reducing it (panic/discard paths).
-    pub drop_view: unsafe fn(view: *mut u8),
+///
+/// The cell contract (see [`crate::cells`]): a view `identity` returns is
+/// a cell from `cells`, or a `Box` when the view type has no cell class;
+/// `reduce_into` and `drop_view` free such a view into `cells`, or send
+/// its cell home when `cells` is null. `cells` is raw and borrowed by
+/// none of these across user code, so a nested lookup inside the user's
+/// `identity` or `reduce` may use the same worker's cells.
+pub(crate) struct MonoidVTable {
+    /// Creates an identity view in a cell of `cells`, which must be
+    /// non-null; `data` is the `&M`.
+    pub(crate) identity: unsafe fn(data: *const (), cells: *mut WorkerCells) -> *mut u8,
+    /// Reduces `left ⊗ right` into `left`, consuming `right` and freeing
+    /// its cell. `left` may be a cell or the boxed leftmost view.
+    pub(crate) reduce_into:
+        unsafe fn(data: *const (), cells: *mut WorkerCells, left: *mut u8, right: *mut u8),
+    /// Destroys a view without reducing it (panic/discard paths), after
+    /// freeing its cell.
+    pub(crate) drop_view: unsafe fn(cells: *mut WorkerCells, view: *mut u8),
 }
 
-unsafe fn identity_impl<M: Monoid>(data: *const ()) -> *mut u8 {
+unsafe fn identity_impl<M: Monoid>(data: *const (), cells: *mut WorkerCells) -> *mut u8 {
     let m = &*(data as *const M);
-    Box::into_raw(Box::new(m.identity())) as *mut u8
+    // The user's `identity` runs before the cell is taken.
+    let view = m.identity();
+    cells::put(cells, view)
 }
 
-unsafe fn reduce_into_impl<M: Monoid>(data: *const (), left: *mut u8, right: *mut u8) {
+unsafe fn reduce_into_impl<M: Monoid>(
+    data: *const (),
+    cells: *mut WorkerCells,
+    left: *mut u8,
+    right: *mut u8,
+) {
     let m = &*(data as *const M);
-    let right = *Box::from_raw(right as *mut M::View);
+    // The right cell is free again before the user's `reduce` runs.
+    let right = cells::take::<M::View>(cells, right);
     m.reduce(&mut *(left as *mut M::View), right);
 }
 
-unsafe fn drop_view_impl<M: Monoid>(view: *mut u8) {
-    drop(Box::from_raw(view as *mut M::View));
+unsafe fn drop_view_impl<M: Monoid>(cells: *mut WorkerCells, view: *mut u8) {
+    drop(cells::take::<M::View>(cells, view));
 }
 
 /// The static vtable for a concrete monoid type.
-pub fn vtable_for<M: Monoid>() -> &'static MonoidVTable {
+pub(crate) fn vtable_for<M: Monoid>() -> &'static MonoidVTable {
     const {
         &MonoidVTable {
             identity: identity_impl::<M>,
@@ -175,37 +197,49 @@ impl MonoidInstance {
         SerialBorrow { inst: self }
     }
 
-    /// Creates a boxed identity view.
+    /// Creates an identity view in a cell of `cells` (see
+    /// [`MonoidVTable`]).
     ///
     /// # Safety
     ///
-    /// The backing monoid must still be alive.
+    /// The backing monoid must still be alive, and `cells` must point at
+    /// the calling worker's live `WorkerCells`, borrowed by no reference.
     #[inline]
-    pub unsafe fn identity(&self) -> *mut u8 {
-        (self.vtable.identity)(self.data)
+    pub(crate) unsafe fn identity(&self, cells: *mut WorkerCells) -> *mut u8 {
+        (self.vtable.identity)(self.data, cells)
     }
 
-    /// Reduces `left ⊗ right` into `left`, consuming `right`.
+    /// Reduces `left ⊗ right` into `left`, consuming `right` and freeing
+    /// its cell into `cells`, or home when `cells` is null.
     ///
     /// # Safety
     ///
-    /// Both pointers must be live boxed views of this monoid's view type,
-    /// created by [`MonoidInstance::identity`] (or the reducer's initial
-    /// boxing), and `right` must not be used afterwards.
+    /// Both pointers must be live views of this monoid's view type:
+    /// `right` made by [`MonoidInstance::identity`] in this domain and
+    /// not used afterwards, `left` such a view or the reducer's boxed
+    /// leftmost. `cells`, unless null, must point at the calling worker's
+    /// live `WorkerCells`, borrowed by no reference.
     #[inline]
-    pub unsafe fn reduce_into(&self, left: *mut u8, right: *mut u8) {
-        (self.vtable.reduce_into)(self.data, left, right)
+    pub(crate) unsafe fn reduce_into(
+        &self,
+        cells: *mut WorkerCells,
+        left: *mut u8,
+        right: *mut u8,
+    ) {
+        (self.vtable.reduce_into)(self.data, cells, left, right)
     }
 
-    /// Destroys a view.
+    /// Destroys a view made by [`MonoidInstance::identity`], freeing its
+    /// cell into `cells`, or home when `cells` is null.
     ///
     /// # Safety
     ///
-    /// `view` must be a live boxed view of this monoid's view type and
-    /// must not be used afterwards.
+    /// `view` must be a live view of this monoid's view type made in this
+    /// domain, not used afterwards; `cells` as for
+    /// [`MonoidInstance::reduce_into`].
     #[inline]
-    pub unsafe fn drop_view(&self, view: *mut u8) {
-        (self.vtable.drop_view)(view)
+    pub(crate) unsafe fn drop_view(&self, cells: *mut WorkerCells, view: *mut u8) {
+        (self.vtable.drop_view)(cells, view)
     }
 
     /// The erased pointer stored in SPA-map / hypermap entries.
@@ -261,17 +295,16 @@ impl SerialBorrow<'_> {
     }
 
     /// Folds `view` into the leftmost view, `view` the serially later
-    /// operand. Panics if the leftmost is gone: views must not outlive
-    /// their reducer.
+    /// operand, freeing its cell into `cells` (home when null). Panics
+    /// if the leftmost is gone: views must not outlive their reducer.
     ///
     /// # Safety
     ///
-    /// `view` must be a live boxed view of this instance's monoid, not
-    /// used afterwards.
-    pub(crate) unsafe fn fold(&self, view: *mut u8) {
+    /// As the right operand of [`MonoidInstance::reduce_into`].
+    pub(crate) unsafe fn fold(&self, cells: *mut WorkerCells, view: *mut u8) {
         let left = self.leftmost();
         assert!(!left.is_null(), "views outlive reducer");
-        self.inst.reduce_into(left, view);
+        self.inst.reduce_into(cells, left, view);
     }
 }
 
@@ -372,16 +405,20 @@ mod tests {
     fn erased_identity_reduce_drop_roundtrip() {
         let m = Arc::new(Concat);
         let inst = MonoidInstance::new(&m);
+        let heap = Arc::new(crate::cells::CellHeap::new());
+        let mut cells = WorkerCells::new(&heap, 0);
+        let cells: *mut WorkerCells = &mut cells;
         // SAFETY: the views come from this instance's `identity` and are
-        // consumed exactly once (`right` by reduce, `left` by drop).
+        // consumed exactly once (`right` by reduce, `left` by drop);
+        // `cells` is live and borrowed by nothing else.
         unsafe {
-            let left = inst.identity();
-            let right = inst.identity();
+            let left = inst.identity(cells);
+            let right = inst.identity(cells);
             *(left as *mut String) = "foo".to_string();
             *(right as *mut String) = "bar".to_string();
-            inst.reduce_into(left, right);
+            inst.reduce_into(cells, left, right);
             assert_eq!(&*(left as *mut String), "foobar");
-            inst.drop_view(left);
+            inst.drop_view(cells, left);
         }
     }
 

@@ -198,12 +198,23 @@ impl<M: Monoid> Reducer<M> {
 
     /// Folds the *current worker context's* view (if any) into leftmost
     /// storage, under the reducer's serial `borrow`. Sound only at a
-    /// serial point for this reducer.
+    /// serial point for this reducer. No worker state is at hand here,
+    /// so the view's cell goes straight home.
     fn fold_current(&self, borrow: &SerialBorrow<'_>) {
         if let Some(v) = self.remove_current() {
             // SAFETY: `v` was removed from the current context (sole
             // owner now) and is a view of this reducer's monoid.
-            unsafe { borrow.fold(v) };
+            unsafe { borrow.fold(std::ptr::null_mut(), v) };
+        }
+    }
+
+    /// Destroys the current worker context's view (if any) unmerged; its
+    /// cell goes straight home.
+    fn discard_current(&self) {
+        if let Some(v) = self.remove_current() {
+            // SAFETY: removal made us the sole owner of this view, made
+            // by this reducer's instance.
+            unsafe { self.inner.instance.drop_view(std::ptr::null_mut(), v) };
         }
     }
 
@@ -252,10 +263,7 @@ impl<M: Monoid> Reducer<M> {
     pub fn set(&self, value: M::View) {
         let borrow = self.inner.instance.serial_borrow();
         // Discard (not fold) the current context's view, per move_in.
-        if let Some(v) = self.remove_current() {
-            // SAFETY: removal made us the sole owner of this boxed view.
-            unsafe { drop(Box::from_raw(v as *mut M::View)) };
-        }
+        self.discard_current();
         let fresh = Box::into_raw(Box::new(value)) as *mut u8;
         let old = borrow.replace_leftmost(fresh);
         // SAFETY: as in `take` — the swap yields sole ownership of the
@@ -280,10 +288,7 @@ impl<M: Monoid> Drop for Reducer<M> {
         // Remove any view the current (serial) context still holds, so
         // the slot can be recycled safely, then destroy the leftmost view
         // unless `into_inner` took it.
-        if let Some(v) = self.remove_current() {
-            // SAFETY: removal made us the sole owner of the view.
-            unsafe { drop(Box::from_raw(v as *mut M::View)) };
-        }
+        self.discard_current();
         let view = inner
             .instance
             .serial_borrow()

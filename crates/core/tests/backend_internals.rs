@@ -343,3 +343,123 @@ fn the_last_slot_folds_and_the_one_past_it_is_refused() {
         assert_eq!(recycled.into_inner(), 6, "{backend:?}");
     }
 }
+
+/// A view type with leaf marks that is too large, or too aligned, for a
+/// view cell, so both backends keep it in a `Box`.
+trait BoxedMarks: Send + 'static {
+    fn new(tally: &Arc<Tally>) -> Self;
+    fn marks(&mut self) -> &mut Vec<u32>;
+}
+
+/// 128 bytes: over the largest cell.
+struct Big {
+    marks: Marks,
+    _pad: [u64; 12],
+}
+
+/// 32-byte aligned: beyond a cell's 16.
+#[repr(align(32))]
+struct Wide {
+    marks: Marks,
+}
+
+const _: () = assert!(std::mem::size_of::<Big>() == 128);
+const _: () = assert!(std::mem::align_of::<Wide>() == 32);
+
+impl BoxedMarks for Big {
+    fn new(tally: &Arc<Tally>) -> Big {
+        Big {
+            marks: Marks::new(tally),
+            _pad: [0; 12],
+        }
+    }
+    fn marks(&mut self) -> &mut Vec<u32> {
+        &mut self.marks.marks
+    }
+}
+
+impl BoxedMarks for Wide {
+    fn new(tally: &Arc<Tally>) -> Wide {
+        Wide {
+            marks: Marks::new(tally),
+        }
+    }
+    fn marks(&mut self) -> &mut Vec<u32> {
+        &mut self.marks.marks
+    }
+}
+
+/// Concatenation of leaf marks over view type `V`.
+struct Concat<V>(Arc<Tally>, std::marker::PhantomData<fn() -> V>);
+
+impl<V: BoxedMarks> Monoid for Concat<V> {
+    type View = V;
+    fn identity(&self) -> V {
+        V::new(&self.0)
+    }
+    fn reduce(&self, left: &mut V, mut right: V) {
+        left.marks().append(right.marks());
+    }
+}
+
+/// Under a forced-steal spine on both backends, views that take the
+/// `Box` path keep the serial result and their alignment, and each is
+/// dropped once. No benchmark workload has such a view.
+fn boxed_views_keep_the_serial_result<V: BoxedMarks>() {
+    const K: u32 = 4;
+    fn spine<V: BoxedMarks>(k: u32, started: &AtomicU32, r: &Reducer<Concat<V>>) {
+        let mark = |m: u32| {
+            r.update(|v| {
+                let addr = v as *const V as usize;
+                assert_eq!(addr % std::mem::align_of::<V>(), 0, "misaligned view");
+                v.marks().push(m);
+            })
+        };
+        if k == 0 {
+            mark(0);
+            while started.load(Ordering::Acquire) < K {
+                std::thread::yield_now();
+            }
+            return;
+        }
+        join(
+            || spine(k - 1, started, r),
+            || {
+                started.fetch_add(1, Ordering::Release);
+                mark(k);
+            },
+        );
+    }
+
+    for backend in [Backend::Hypermap, Backend::Mmap] {
+        let pool = ReducerPool::new(2, backend);
+        let tally = Arc::new(Tally::default());
+        let monoid = Concat::<V>(Arc::clone(&tally), std::marker::PhantomData);
+        let r = Reducer::new(&pool, monoid, V::new(&tally));
+        let mut want = Vec::new();
+        for _ in 0..3 {
+            let started = AtomicU32::new(0);
+            pool.run(|| spine(K, &started, &r));
+            want.extend(0..=K);
+        }
+        assert_eq!(pool.stats().stolen_joins, 3 * u64::from(K), "{backend:?}");
+        assert_eq!(r.into_inner().marks(), &want, "{backend:?}");
+        assert_eq!(
+            tally.made.load(Ordering::SeqCst),
+            tally.dropped.load(Ordering::SeqCst),
+            "{backend:?}: each view dropped once"
+        );
+    }
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "spawns OS worker threads")]
+fn views_over_a_cell_keep_the_serial_result() {
+    boxed_views_keep_the_serial_result::<Big>();
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "spawns OS worker threads")]
+fn views_aligned_beyond_a_cell_keep_the_serial_result() {
+    boxed_views_keep_the_serial_result::<Wide>();
+}
