@@ -8,6 +8,7 @@
 use std::cell::Cell;
 use std::sync::Arc;
 
+use cilkm_obs::{MetricValue, MetricsSnapshot};
 use cilkm_runtime::{HyperHooks, Pool, PoolBuilder, PoolStats};
 use cilkm_spa::ViewPair;
 use cilkm_tlmm::PageArena;
@@ -251,30 +252,6 @@ impl DomainInner {
     }
 }
 
-impl cilkm_obs::MetricsSource for DomainInner {
-    fn collect(&self, out: &mut cilkm_obs::metrics::MetricsCollector) {
-        let i = &self.instrument;
-        out.counter("lookups", i.lookups.get());
-        out.counter("view_creations", i.view_creations.get());
-        out.counter("view_insertions", i.view_insertions.get());
-        out.counter("transferals", i.transferals.get());
-        out.counter("transferal_views", i.transferal_views.get());
-        out.counter("merges", i.merges.get());
-        out.counter("merge_pairs", i.merge_pairs.get());
-        out.counter("log_overflows", i.log_overflows.get());
-        out.histogram("view_creation_ns", i.view_creation_ns.snapshot());
-        out.histogram("view_insertion_ns", i.view_insertion_ns.snapshot());
-        out.histogram("transferal_ns", i.transferal_ns.snapshot());
-        out.histogram("merge_ns", i.merge_ns.snapshot());
-        let c = self.arena.crossings().snapshot();
-        out.counter("palloc_calls", c.palloc_calls);
-        out.counter("palloc_pages", c.palloc_pages);
-        out.counter("pfree_calls", c.pfree_calls);
-        out.counter("pmap_calls", c.pmap_calls);
-        out.counter("pmap_pages", c.pmap_pages);
-    }
-}
-
 /// A work-stealing pool with a reducer mechanism installed — one "runtime
 /// system" in the paper's sense. Construct one per experiment arm:
 /// `ReducerPool::new(16, Backend::Mmap)` is Cilk-M 1.0,
@@ -293,13 +270,6 @@ impl ReducerPool {
     /// As [`ReducerPool::new`] with an explicit worker stack size.
     pub fn with_stack_size(threads: usize, backend: Backend, stack: usize) -> ReducerPool {
         let domain = Arc::new(DomainInner::new(backend));
-        let base = match backend {
-            Backend::Hypermap => "domain.hypermap",
-            Backend::Mmap => "domain.mmap",
-        };
-        let weak = Arc::downgrade(&domain);
-        cilkm_obs::metrics::global()
-            .register(base, weak as std::sync::Weak<dyn cilkm_obs::MetricsSource>);
         let hooks: Arc<dyn HyperHooks> = match backend {
             Backend::Hypermap => Arc::new(crate::hypermap::HypermapHooks::new(Arc::clone(&domain))),
             Backend::Mmap => Arc::new(crate::mmap::MmapHooks::new(Arc::clone(&domain))),
@@ -374,6 +344,47 @@ impl ReducerPool {
     pub fn overhead_histograms(&self) -> ReduceHistograms {
         self.domain.overhead_histograms()
     }
+
+    /// This pool's counters since construction as one flat reading for
+    /// [`cilkm_obs::export::write_metrics_json`]: [`ReducerPool::stats`]
+    /// under `pool.`, [`ReducerPool::instrument`]'s counts and the
+    /// [`ReducerPool::overhead_histograms`] under `domain.<backend>.`.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        let (s, i, h) = (self.stats(), self.instrument(), self.overhead_histograms());
+        let d = match self.backend() {
+            Backend::Hypermap => "domain.hypermap",
+            Backend::Mmap => "domain.mmap",
+        };
+        let (c, hist) = (MetricValue::Counter, MetricValue::Histogram);
+        let values = [
+            ("pool", "steals", c(s.steals)),
+            ("pool", "failed_steals", c(s.failed_steals)),
+            ("pool", "steal_attempts", c(s.steal_attempts)),
+            ("pool", "jobs_executed", c(s.jobs_executed)),
+            ("pool", "inline_joins", c(s.inline_joins)),
+            ("pool", "stolen_joins", c(s.stolen_joins)),
+            ("pool", "parks", c(s.parks)),
+            ("pool", "wakes", c(s.wakes)),
+            ("pool", "deque_hwm", c(s.deque_hwm)),
+            (d, "lookups", c(i.lookups)),
+            (d, "view_creations", c(i.view_creations)),
+            (d, "view_insertions", c(i.view_insertions)),
+            (d, "transferals", c(i.transferals)),
+            (d, "transferal_views", c(i.transferal_views)),
+            (d, "merges", c(i.merges)),
+            (d, "merge_pairs", c(i.merge_pairs)),
+            (d, "log_overflows", c(i.log_overflows)),
+            (d, "view_creation_ns", hist(h.view_creation)),
+            (d, "view_insertion_ns", hist(h.view_insertion)),
+            (d, "transferal_ns", hist(h.transferal)),
+            (d, "merge_ns", hist(h.hypermerge)),
+        ];
+        MetricsSnapshot {
+            values: values
+                .map(|(prefix, name, v)| (format!("{prefix}.{name}"), v))
+                .into(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -411,28 +422,6 @@ mod tests {
         let inst = MonoidInstance::new(&monoid);
         let _a = inst.serial_borrow();
         let _b = inst.serial_borrow();
-    }
-
-    #[test]
-    fn domain_appears_in_the_global_metrics_registry() {
-        let pool = ReducerPool::new(2, Backend::Mmap);
-        pool.run(|| ());
-        let snap = cilkm_obs::metrics::global().snapshot();
-        // Other tests register domains concurrently, so just require that
-        // some mmap domain exports the expected counter and histogram
-        // vocabulary (prefixes are uniquified as domain.mmap, #2, ...).
-        assert!(
-            snap.values
-                .keys()
-                .any(|k| k.starts_with("domain.mmap") && k.ends_with(".lookups")),
-            "no domain.mmap*.lookups key in {:?}",
-            snap.values.keys().collect::<Vec<_>>()
-        );
-        assert!(snap
-            .values
-            .keys()
-            .any(|k| k.starts_with("domain.mmap") && k.ends_with(".merge_ns")));
-        drop(pool);
     }
 
     /// The hooks of `domain`'s backend.

@@ -18,11 +18,11 @@
 //!   begin/end, park/wake), timestamped with a cheap monotonic [`clock`].
 //!   Compiled out entirely unless the `trace` cargo feature is on;
 //!   runtime-switchable on top of that.
-//! * [`metrics`] — a **metrics registry** that unifies the reducer
-//!   instrumentation (`cilkm-core`), the simulated TLMM's crossing
-//!   counters (`cilkm-tlmm`), and scheduler counters (`cilkm-runtime`)
-//!   behind one snapshot/diff API, with log2-bucketed latency
-//!   [`Histogram`]s for the four §8 overhead categories.
+//! * [`metrics`] — the **metric primitives** the reducer instrumentation
+//!   (`cilkm-core`) and the scheduler counters (`cilkm-runtime`) count
+//!   with: [`Counter`]s, log2-bucketed latency [`Histogram`]s for the
+//!   four §8 overhead categories, and the flat [`MetricsSnapshot`] one
+//!   pool builds of itself on request.
 //! * [`export`] — Chrome `trace_event` JSON (loads in Perfetto /
 //!   `chrome://tracing`) and its loader, and the flat JSON metrics dump
 //!   for `bench_out/`.
@@ -60,7 +60,7 @@ mod model_tests;
 pub use event::{Event, EventKind};
 pub use metrics::{
     Counter, FineHistogram, FineHistogramSnapshot, Histogram, HistogramSnapshot, MetricValue,
-    MetricsRegistry, MetricsSnapshot, MetricsSource,
+    MetricsSnapshot,
 };
 pub use profile::{Burden, BurdenBreakdown, ParallelismReport};
 pub use trace::{ThreadTrace, Trace};

@@ -1,4 +1,4 @@
-//! The unified metrics layer.
+//! The metric primitives every layer counts with.
 //!
 //! Before this crate, each layer kept its own grab-bag of `AtomicU64`s:
 //! `cilkm-core::instrument` for the §8 reduce-overhead totals,
@@ -9,11 +9,11 @@
 //! * [`Histogram`] — log2-bucketed latency distribution (bucket `i > 0`
 //!   covers `[2^(i-1), 2^i)` ns; bucket 0 is exactly zero), so the §8
 //!   overhead categories come out as distributions, not just totals.
-//! * [`MetricsSource`] — anything that can dump its current values.
-//! * [`MetricsRegistry`] — where sources register; producing a
-//!   [`MetricsSnapshot`] that supports [`MetricsSnapshot::since`]
-//!   (diffing two snapshots isolates one benchmark phase) and JSON
-//!   export.
+//! * [`FineHistogram`] — the same with four linear buckets per octave,
+//!   for the transferal tail.
+//! * [`MetricsSnapshot`] — one flat, named reading, dumped by
+//!   [`crate::export::write_metrics_json`]. A pool builds its own
+//!   (`ReducerPool::metrics` in `cilkm-core`) and holds only itself.
 //!
 //! Counters and histograms deliberately use `std` atomics, not the
 //! model checker's recorded atomics: they are monitoring data with no
@@ -22,12 +22,11 @@
 
 #![expect(
     clippy::disallowed_types,
-    reason = "counters and histograms are Relaxed-only monitoring data with no ordering obligations, and the registry is process-global; recorded msync primitives are scoped to one model run and would explode checker state for zero verification value — see the module docs above"
+    reason = "counters and histograms are Relaxed-only monitoring data with no ordering obligations; recorded msync primitives are scoped to one model run and would explode checker state for zero verification value — see the module docs above"
 )]
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
 /// Number of log2 buckets in a [`Histogram`]; covers the full `u64`
 /// range (bucket 63 absorbs everything at and above `2^62`).
@@ -161,23 +160,6 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// The samples recorded since `earlier` (per-bucket saturating
-    /// difference, so a mismatched pair degrades rather than panics).
-    pub fn since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut buckets = [0u64; HISTOGRAM_BUCKETS];
-        for (out, (now, then)) in buckets
-            .iter_mut()
-            .zip(self.buckets.iter().zip(&earlier.buckets))
-        {
-            *out = now.saturating_sub(*then);
-        }
-        HistogramSnapshot {
-            buckets,
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.saturating_sub(earlier.sum),
-        }
-    }
-
     /// Mean sample value, or 0.0 when empty.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -334,8 +316,8 @@ impl Default for FineHistogramSnapshot {
 }
 
 impl FineHistogramSnapshot {
-    /// The samples recorded since `earlier` (saturating, as in
-    /// [`HistogramSnapshot::since`]).
+    /// The samples recorded since `earlier` (per-bucket saturating
+    /// difference, so a mismatched pair degrades rather than panics).
     pub fn since(&self, earlier: &FineHistogramSnapshot) -> FineHistogramSnapshot {
         let mut buckets = [0u64; FINE_BUCKETS];
         for (out, (now, then)) in buckets
@@ -386,9 +368,8 @@ impl FineHistogramSnapshot {
 /// One exported metric value.
 ///
 /// The histogram variant is ~0.5 KiB (64 buckets), far larger than the
-/// counter variant, but values live briefly inside snapshot maps and
-/// staying `Copy` keeps the diffing/export code simple — boxing would
-/// buy nothing here.
+/// counter variant, but values live briefly inside snapshot maps, and
+/// staying `Copy` keeps the export code simple; boxing would buy nothing.
 #[allow(clippy::large_enum_variant, reason = "kept `Copy`; see above")]
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum MetricValue {
@@ -398,101 +379,7 @@ pub enum MetricValue {
     Histogram(HistogramSnapshot),
 }
 
-/// The sink a [`MetricsSource`] dumps into. Prefixes every name with the
-/// source's registered prefix, so sources never collide.
-pub struct MetricsCollector {
-    prefix: String,
-    map: BTreeMap<String, MetricValue>,
-}
-
-impl MetricsCollector {
-    /// Records a counter/gauge value under `name`.
-    pub fn counter(&mut self, name: &str, v: u64) {
-        self.map
-            .insert(format!("{}.{}", self.prefix, name), MetricValue::Counter(v));
-    }
-
-    /// Records a histogram reading under `name`.
-    pub fn histogram(&mut self, name: &str, h: HistogramSnapshot) {
-        self.map.insert(
-            format!("{}.{}", self.prefix, name),
-            MetricValue::Histogram(h),
-        );
-    }
-}
-
-/// Anything that can report its current metric values. Implemented by
-/// the reducer domain (`cilkm-core`), the page arena (`cilkm-tlmm`), and
-/// the worker pool (`cilkm-runtime`).
-pub trait MetricsSource: Send + Sync {
-    /// Dumps every current value into `out`.
-    fn collect(&self, out: &mut MetricsCollector);
-}
-
-/// The process-wide list of metric sources.
-///
-/// Sources register a `Weak` handle under a base name and get back a
-/// unique prefix (`pool`, `pool#2`, ...); dropping the source simply
-/// makes it disappear from later snapshots, so registration never keeps
-/// a domain or pool alive.
-#[derive(Default)]
-pub struct MetricsRegistry {
-    sources: Mutex<Vec<(String, Weak<dyn MetricsSource>)>>,
-}
-
-impl MetricsRegistry {
-    /// A fresh, empty registry (tests use private registries; production
-    /// code uses [`global`]).
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// Registers a source under `base`, returning the unique prefix its
-    /// metrics will appear under. Dead sources are pruned on the way.
-    pub fn register(&self, base: &str, source: Weak<dyn MetricsSource>) -> String {
-        let mut sources = self.sources.lock().unwrap_or_else(PoisonError::into_inner);
-        sources.retain(|(_, w)| w.strong_count() > 0);
-        let mut prefix = base.to_owned();
-        let mut n = 1usize;
-        while sources.iter().any(|(p, _)| *p == prefix) {
-            n += 1;
-            prefix = format!("{base}#{n}");
-        }
-        sources.push((prefix.clone(), source));
-        prefix
-    }
-
-    /// Collects every live source into one snapshot. The sources run
-    /// outside the lock, so one whose `collect` panics leaves the
-    /// registry usable.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let live: Vec<(String, Arc<dyn MetricsSource>)> = self
-            .sources
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .filter_map(|(prefix, weak)| Some((prefix.clone(), weak.upgrade()?)))
-            .collect();
-        let mut map = BTreeMap::new();
-        for (prefix, source) in live {
-            let mut collector = MetricsCollector {
-                prefix,
-                map: std::mem::take(&mut map),
-            };
-            source.collect(&mut collector);
-            map = collector.map;
-        }
-        MetricsSnapshot { values: map }
-    }
-}
-
-/// The process-wide registry every production source registers with.
-pub fn global() -> &'static MetricsRegistry {
-    static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-    GLOBAL.get_or_init(MetricsRegistry::new)
-}
-
-/// A point-in-time reading of every registered metric, keyed by
+/// A point-in-time reading of one pool's metrics, keyed by
 /// `prefix.name`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
@@ -501,25 +388,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// The change since `earlier`: counters and histograms are diffed
-    /// (saturating); metrics absent from `earlier` pass through whole.
-    pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let mut values = BTreeMap::new();
-        for (name, now) in &self.values {
-            let diffed = match (now, earlier.values.get(name)) {
-                (MetricValue::Counter(n), Some(MetricValue::Counter(e))) => {
-                    MetricValue::Counter(n.saturating_sub(*e))
-                }
-                (MetricValue::Histogram(n), Some(MetricValue::Histogram(e))) => {
-                    MetricValue::Histogram(n.since(e))
-                }
-                _ => *now,
-            };
-            values.insert(name.clone(), diffed);
-        }
-        MetricsSnapshot { values }
-    }
-
     /// Looks up a counter by full name.
     pub fn counter(&self, name: &str) -> Option<u64> {
         match self.values.get(name) {
@@ -540,7 +408,6 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn counter_ops() {
@@ -641,21 +508,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_since_isolates_a_phase() {
-        let h = Histogram::new();
-        h.record(5);
-        let before = h.snapshot();
-        h.record(100);
-        h.record(200);
-        let delta = h.snapshot().since(&before);
-        assert_eq!(delta.count, 2);
-        assert_eq!(delta.sum, 300);
-        assert_eq!(delta.buckets[bucket_index(5)], 0);
-        assert_eq!(delta.buckets[bucket_index(100)], 1);
-        assert_eq!(delta.buckets[bucket_index(200)], 1);
-    }
-
-    #[test]
     fn quantile_upper_bound_is_bucket_exact() {
         let h = Histogram::new();
         for _ in 0..99 {
@@ -667,82 +519,5 @@ mod tests {
         assert_eq!(s.quantile_upper_bound(0.99), 16);
         assert_eq!(s.quantile_upper_bound(1.0), 1 << 21);
         assert_eq!(HistogramSnapshot::default().quantile_upper_bound(0.5), 0);
-    }
-
-    struct FakeSource {
-        hits: Counter,
-        lat: Histogram,
-    }
-
-    impl MetricsSource for FakeSource {
-        fn collect(&self, out: &mut MetricsCollector) {
-            out.counter("hits", self.hits.get());
-            out.histogram("lat_ns", self.lat.snapshot());
-        }
-    }
-
-    fn fake() -> Arc<FakeSource> {
-        Arc::new(FakeSource {
-            hits: Counter::new(),
-            lat: Histogram::new(),
-        })
-    }
-
-    #[test]
-    fn registry_snapshot_and_diff_round_trip() {
-        let reg = MetricsRegistry::new();
-        let src = fake();
-        let weak: Weak<FakeSource> = Arc::downgrade(&src);
-        let prefix = reg.register("pool", weak);
-        assert_eq!(prefix, "pool");
-
-        src.hits.add(3);
-        src.lat.record(128);
-        let a = reg.snapshot();
-        assert_eq!(a.counter("pool.hits"), Some(3));
-        assert_eq!(a.histogram("pool.lat_ns").unwrap().count, 1);
-
-        src.hits.add(2);
-        src.lat.record(256);
-        let b = reg.snapshot();
-        let d = b.since(&a);
-        assert_eq!(d.counter("pool.hits"), Some(2));
-        let lat = d.histogram("pool.lat_ns").unwrap();
-        assert_eq!(lat.count, 1);
-        assert_eq!(lat.buckets[bucket_index(256)], 1);
-        assert_eq!(lat.buckets[bucket_index(128)], 0);
-    }
-
-    #[test]
-    fn registry_uniquifies_prefixes_and_drops_dead_sources() {
-        let reg = MetricsRegistry::new();
-        let a = fake();
-        let b = fake();
-        assert_eq!(reg.register("pool", Arc::downgrade(&a) as _), "pool");
-        assert_eq!(reg.register("pool", Arc::downgrade(&b) as _), "pool#2");
-        b.hits.inc();
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("pool.hits"), Some(0));
-        assert_eq!(snap.counter("pool#2.hits"), Some(1));
-
-        drop(a);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("pool.hits"), None, "dead sources vanish");
-        assert_eq!(snap.counter("pool#2.hits"), Some(1));
-
-        // The freed name is reusable once the dead weak is pruned.
-        let c = fake();
-        assert_eq!(reg.register("pool", Arc::downgrade(&c) as _), "pool");
-    }
-
-    #[test]
-    fn snapshot_diff_passes_new_metrics_through() {
-        let reg = MetricsRegistry::new();
-        let a = reg.snapshot();
-        let src = fake();
-        src.hits.add(9);
-        reg.register("late", Arc::downgrade(&src) as _);
-        let d = reg.snapshot().since(&a);
-        assert_eq!(d.counter("late.hits"), Some(9));
     }
 }

@@ -40,7 +40,7 @@
     feature = "trace",
     expect(
         clippy::disallowed_types,
-        reason = "the profiler's enabled flag and work/burden accumulators are process-global Relaxed-only monitoring data shared with non-pool threads, exactly like the metrics registry; cross-thread span hand-off rides the runtime's existing deque/latch publication and is not synchronized here"
+        reason = "the profiler's enabled flag and work/burden accumulators are process-global Relaxed-only monitoring data shared with non-pool threads; cross-thread span hand-off rides the runtime's existing deque/latch publication and is not synchronized here"
     )
 )]
 
@@ -61,11 +61,6 @@ mod imp {
 
     /// Burden breakdown (indexed by `Burden as usize`).
     pub(super) static BURDEN_NS: [AtomicU64; 4] = [const { AtomicU64::new(0) }; 4];
-
-    /// The last finished session's results, for the metrics source.
-    pub(super) static LAST_WORK_NS: AtomicU64 = AtomicU64::new(0);
-    pub(super) static LAST_SPAN_NS: AtomicU64 = AtomicU64::new(0);
-    pub(super) static LAST_BSPAN_NS: AtomicU64 = AtomicU64::new(0);
 
     /// The per-thread running strand context.
     #[derive(Copy, Clone, Default)]
@@ -128,18 +123,6 @@ pub enum Burden {
     Transferal = 2,
     /// Folding spawned views at a join.
     Hypermerge = 3,
-}
-
-impl Burden {
-    /// Stable lower-case name (report and metrics key).
-    pub fn name(self) -> &'static str {
-        match self {
-            Burden::ViewCreation => "view_creation",
-            Burden::ViewInsertion => "view_insertion",
-            Burden::Transferal => "transferal",
-            Burden::Hypermerge => "hypermerge",
-        }
-    }
 }
 
 /// Total burden charged during a profiling session, by category.
@@ -291,19 +274,14 @@ pub fn end_session(root_final: (u64, u64)) -> ParallelismReport {
             hypermerge_ns: imp::BURDEN_NS[Burden::Hypermerge as usize].load(Ordering::Relaxed),
             transferal_exchange_ns: 0,
         };
-        let report = ParallelismReport {
+        ParallelismReport {
             work_ns: imp::WORK_NS.load(Ordering::Relaxed),
             span_ns: root_final.0,
             burdened_span_ns: root_final.1,
             spawns: imp::SPAWNS.load(Ordering::Relaxed),
             syncs: imp::SYNCS.load(Ordering::Relaxed),
             burden,
-        };
-        imp::LAST_WORK_NS.store(report.work_ns, Ordering::Relaxed);
-        imp::LAST_SPAN_NS.store(report.span_ns, Ordering::Relaxed);
-        imp::LAST_BSPAN_NS.store(report.burdened_span_ns, Ordering::Relaxed);
-        register_metrics_source();
-        report
+        }
     }
     #[cfg(not(feature = "trace"))]
     {
@@ -475,54 +453,6 @@ pub fn charge(kind: Burden, ns: u64) {
     }
 }
 
-/// Registers the `profile.*` metrics source with the global registry
-/// (idempotent). Exposes the last finished session's work/span plus the
-/// live burden accumulators.
-#[cfg(feature = "trace")]
-fn register_metrics_source() {
-    use std::sync::atomic::Ordering;
-    use std::sync::{Arc, OnceLock};
-
-    struct ProfileMetrics;
-
-    impl crate::metrics::MetricsSource for ProfileMetrics {
-        fn collect(&self, out: &mut crate::metrics::MetricsCollector) {
-            out.counter("work_ns", imp::LAST_WORK_NS.load(Ordering::Relaxed));
-            out.counter("span_ns", imp::LAST_SPAN_NS.load(Ordering::Relaxed));
-            out.counter(
-                "burdened_span_ns",
-                imp::LAST_BSPAN_NS.load(Ordering::Relaxed),
-            );
-            out.counter("spawns", imp::SPAWNS.load(Ordering::Relaxed));
-            out.counter("syncs", imp::SYNCS.load(Ordering::Relaxed));
-            out.counter(
-                "burden_view_creation_ns",
-                imp::BURDEN_NS[Burden::ViewCreation as usize].load(Ordering::Relaxed),
-            );
-            out.counter(
-                "burden_view_insertion_ns",
-                imp::BURDEN_NS[Burden::ViewInsertion as usize].load(Ordering::Relaxed),
-            );
-            out.counter(
-                "burden_transferal_ns",
-                imp::BURDEN_NS[Burden::Transferal as usize].load(Ordering::Relaxed),
-            );
-            out.counter(
-                "burden_hypermerge_ns",
-                imp::BURDEN_NS[Burden::Hypermerge as usize].load(Ordering::Relaxed),
-            );
-        }
-    }
-
-    static SOURCE: OnceLock<Arc<ProfileMetrics>> = OnceLock::new();
-    SOURCE.get_or_init(|| {
-        let src = Arc::new(ProfileMetrics);
-        let weak: std::sync::Weak<ProfileMetrics> = Arc::downgrade(&src);
-        crate::metrics::global().register("profile", weak);
-        src
-    });
-}
-
 #[cfg(all(test, feature = "trace"))]
 mod tests {
     use super::*;
@@ -628,21 +558,6 @@ mod tests {
         assert!(report.span_ns < report.burdened_span_ns);
         assert!(report.burdened_span_ns >= 20_000);
         assert_eq!(report.burden.hypermerge_ns, 1_000_000_000);
-    }
-
-    #[test]
-    fn metrics_source_reports_last_session() {
-        let _g = serial();
-        begin_session();
-        let saved = strand_begin((0, 0));
-        spin_ns(5_000);
-        charge(Burden::ViewCreation, 3);
-        let root = strand_end(saved);
-        let report = end_session(root);
-        let snap = crate::metrics::global().snapshot();
-        assert_eq!(snap.counter("profile.work_ns"), Some(report.work_ns));
-        assert_eq!(snap.counter("profile.span_ns"), Some(report.span_ns));
-        assert_eq!(snap.counter("profile.burden_view_creation_ns"), Some(3));
     }
 
     #[test]

@@ -162,21 +162,6 @@ impl Registry {
     }
 }
 
-impl cilkm_obs::MetricsSource for Registry {
-    fn collect(&self, out: &mut cilkm_obs::metrics::MetricsCollector) {
-        let s = self.stats();
-        out.counter("steals", s.steals);
-        out.counter("failed_steals", s.failed_steals);
-        out.counter("steal_attempts", s.steal_attempts);
-        out.counter("jobs_executed", s.jobs_executed);
-        out.counter("inline_joins", s.inline_joins);
-        out.counter("stolen_joins", s.stolen_joins);
-        out.counter("parks", s.parks);
-        out.counter("wakes", s.wakes);
-        out.counter("deque_hwm", s.deque_hwm);
-    }
-}
-
 thread_local! {
     static CURRENT_WORKER: Cell<*const WorkerThread> = const { Cell::new(std::ptr::null()) };
 }
@@ -582,13 +567,6 @@ impl PoolBuilder {
             region_open: AtomicBool::new(false),
             terminate: AtomicBool::new(false),
         });
-        // Expose scheduler counters through the unified metrics registry.
-        // `Weak`, so registration never outlives the pool.
-        let weak = Arc::downgrade(&registry);
-        cilkm_obs::metrics::global().register(
-            "pool",
-            weak as std::sync::Weak<dyn cilkm_obs::MetricsSource>,
-        );
         cilkm_obs::clock::warm_up();
 
         let mut handles = Vec::with_capacity(self.num_threads);
@@ -700,20 +678,27 @@ impl Pool {
     ///
     /// Without the `trace` cargo feature the region still runs but the
     /// returned trace is empty (see [`cilkm_obs::trace::compiled`]).
-    /// Tracing is process-wide while the region runs, so two overlapping
-    /// `run_traced` calls on different pools will see each other's
-    /// scheduler events.
+    /// Tracing is process-wide while the region runs, so the trace also
+    /// holds the events of any region on any pool that overlaps it.
     pub fn run_traced<F, R>(&self, f: F) -> (R, cilkm_obs::Trace)
     where
         F: FnOnce() -> R + Send,
         R: Send,
     {
+        assert!(
+            WorkerThread::current().is_none(),
+            "Pool::run_traced called from inside a worker"
+        );
+        let _region = self.region_lock.lock();
         let t0 = cilkm_obs::clock::now_ns();
         let was_enabled = cilkm_obs::trace::enabled();
         cilkm_obs::trace::set_enabled(true);
-        let result = self.run(f);
+        let (result, _) = self.run_region(f);
+        // Restore the flag before unwrapping so a panicking region does
+        // not leave tracing on for the whole process.
         cilkm_obs::trace::set_enabled(was_enabled);
-        (result, cilkm_obs::trace::drain().since_ns(t0))
+        let value = result.into_return_value();
+        (value, cilkm_obs::trace::drain().since_ns(t0))
     }
 
     /// Runs `f` as a parallel region with the **online work/span
@@ -948,59 +933,5 @@ mod tests {
         assert!(caught.is_err());
         assert!(!reg.region_open.load(Ordering::Acquire));
         assert!(all_park_again(reg, before.get().unwrap()));
-    }
-
-    #[test]
-    fn pool_appears_in_the_global_metrics_registry() {
-        let pool = Pool::new(2);
-        pool.run(|| fib(10));
-        let snap = cilkm_obs::metrics::global().snapshot();
-        // Other tests register pools concurrently, so locate ours by
-        // value: some pool.* source must report our jobs_executed.
-        let ours = pool.stats();
-        let found = snap.values.iter().any(|(name, v)| {
-            name.ends_with(".jobs_executed")
-                && matches!(v, cilkm_obs::MetricValue::Counter(c) if *c == ours.jobs_executed)
-        });
-        assert!(
-            found,
-            "pool metrics source not found in {:?}",
-            snap.values.keys()
-        );
-    }
-
-    #[cfg(feature = "trace")]
-    #[test]
-    fn run_traced_captures_region_and_worker_events() {
-        use cilkm_obs::EventKind;
-        let pool = Pool::new(4);
-        let (val, trace) = pool.run_traced(|| fib(16));
-        assert_eq!(val, 987);
-        assert_eq!(trace.count(EventKind::RegionBegin), 1);
-        assert_eq!(trace.count(EventKind::RegionEnd), 1);
-        // JobEnd is emitted inside `execute`, before the completion
-        // latch — so even though this drain runs the instant the root
-        // latch fires, every begun job has its end in the rings.
-        let begins = trace.count(EventKind::JobBegin);
-        let ends = trace.count(EventKind::JobEnd);
-        assert!(begins >= 1);
-        assert_eq!(
-            begins, ends,
-            "unbalanced job events: {begins} begins, {ends} ends"
-        );
-        // Every stolen-join merge brackets properly.
-        assert_eq!(
-            trace.count(EventKind::MergeBegin),
-            trace.count(EventKind::MergeEnd)
-        );
-        // Worker rings carry the pool's thread names.
-        assert!(trace
-            .threads
-            .iter()
-            .any(|t| t.label.starts_with("cilkm-worker-")));
-
-        // A second traced region does not re-see the first one's events.
-        let (_, trace2) = pool.run_traced(|| fib(10));
-        assert_eq!(trace2.count(EventKind::RegionBegin), 1);
     }
 }

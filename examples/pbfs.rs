@@ -14,7 +14,7 @@
 use std::path::PathBuf;
 
 use cilkm::graph::gen;
-use cilkm::obs::{analyze, export, metrics, trace};
+use cilkm::obs::{analyze, export, trace};
 use cilkm::prelude::*;
 
 /// Artifact directory: `CILKM_BENCH_OUT` if set, else `bench_out/` at
@@ -43,16 +43,15 @@ fn profiled_run(g: &cilkm::graph::Graph, source: u32, serial: &[u32]) {
 
 /// One tracer-enabled PBFS run: records every scheduler/reducer event,
 /// writes the Chrome trace (load it in Perfetto / chrome://tracing) and
-/// a metrics dump, then prints the analyzer's summary of the same trace.
+/// the metrics dump of the pool (new, so its counters are this run's),
+/// then prints the analyzer's summary of the same trace.
 fn traced_run(g: &cilkm::graph::Graph, source: u32, serial: &[u32]) {
     let pool = ReducerPool::new(4, Backend::Mmap);
-    let metrics_before = metrics::global().snapshot();
     let t0 = cilkm::obs::clock::now_ns();
     trace::set_enabled(true);
     let report = pbfs(&pool, g, source, 128);
     trace::set_enabled(false);
     let tr = trace::drain().since_ns(t0);
-    let metrics_delta = metrics::global().snapshot().since(&metrics_before);
     assert_eq!(report.distances, serial, "traced run disagrees with serial");
 
     let dir = out_dir();
@@ -65,7 +64,7 @@ fn traced_run(g: &cilkm::graph::Graph, source: u32, serial: &[u32]) {
     };
     write("pbfs_trace.json", &|w| export::write_chrome_json(&tr, w));
     write("pbfs_metrics.json", &|w| {
-        export::write_metrics_json(&metrics_delta, w)
+        export::write_metrics_json(&pool.metrics(), w)
     });
     print!("{}", analyze::render(&analyze::summarize(&tr)));
 }

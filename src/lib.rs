@@ -19,9 +19,9 @@
 //! * [`spa`] (`cilkm-spa`) — sparse accumulators and the SPA map;
 //! * [`graph`] (`cilkm-graph`) — CSR graphs, generators, bags, PBFS;
 //! * [`obs`] (`cilkm-obs`) — the observability layer: per-worker event
-//!   tracer (enable with the `trace` feature), unified metrics registry,
-//!   the Chrome-trace exporter and loader, the metrics JSON dump, and
-//!   trace analysis.
+//!   tracer (enable with the `trace` feature), the metric primitives
+//!   behind `ReducerPool::metrics`, the Chrome-trace exporter and
+//!   loader, the metrics JSON dump, and trace analysis.
 //!
 //! ## Quick start
 //!
