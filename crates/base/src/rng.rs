@@ -7,7 +7,8 @@
 //!   unbiased [`below`](Xoshiro256::below) and a 53-bit
 //!   [`f64`](Xoshiro256::f64): the input generators' stream;
 //! * [`XorShift64`], xorshift64*, one word of state: victim selection
-//!   and the checker's PCT schedules.
+//!   and the checker's PCT schedules;
+//! * [`cases`], the seeded case loop every property test runs in.
 
 /// The splitmix64 increment, 2^64 divided by the golden ratio.
 pub const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -104,5 +105,55 @@ impl XorShift64 {
         x ^= x >> 27;
         self.s = x;
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+}
+
+/// The seed of case `case` of a property seeded with `seed`: the
+/// generator [`cases`] hands that case is
+/// `Xoshiro256::seed_from_u64(case_seed(seed, case))`.
+pub fn case_seed(seed: u64, case: u32) -> u64 {
+    mix64(seed ^ GAMMA.wrapping_mul(case as u64 + 1))
+}
+
+/// Runs a property `n` times, case `i` drawing its inputs from a fresh
+/// [`Xoshiro256`] seeded with [`case_seed`]`(seed, i)`, so every run
+/// draws the same inputs. There is no shrinking: a case that panics
+/// prints its number and seed to stderr, and the panic goes on.
+pub fn cases(seed: u64, n: u32, mut f: impl FnMut(&mut Xoshiro256)) {
+    /// Names case `.0` of `.1`, with its seed, on the way out of a
+    /// panicking one.
+    struct Failing(u32, u32, u64);
+
+    impl Drop for Failing {
+        fn drop(&mut self) {
+            let Failing(case, n, seed) = *self;
+            if std::thread::panicking() {
+                eprintln!(
+                    "property case {}/{n} failed (case seed {seed:#x})",
+                    case + 1
+                );
+            }
+        }
+    }
+
+    for case in 0..n {
+        let seed = case_seed(seed, case);
+        let _failing = Failing(case, n, seed);
+        f(&mut Xoshiro256::seed_from_u64(seed));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "case 2")]
+    fn a_failing_case_panics_through() {
+        let mut i = 0;
+        cases(5, 4, |_| {
+            assert!(i != 2, "case {i}");
+            i += 1;
+        });
     }
 }

@@ -5,12 +5,15 @@
 //! ```
 //!
 //! Runs the repeated-lookup microbenchmark (the Figure 1 tight loop,
-//! one add-reducer on one worker — the hottest path in the system) with
-//! tracing disabled and enabled, min-of-rounds, and **fails** if the
-//! enabled run is more than 3% slower. The tracer deliberately emits no
-//! event on the lookup fast path, so the only admissible cost is ambient
-//! (cache pressure from other emit sites); this binary is the regression
-//! fence for that design decision.
+//! one add-reducer on one worker — the hottest path in the system) in
+//! interleaved pairs, one run with tracing disabled and one enabled,
+//! alternating which side of a pair runs first so that drift in the
+//! host lands on both sides. It **fails** if the median of the per-pair
+//! traced/untraced ratios is 3% or more above 1, and prints the
+//! quartiles of those ratios as the measurement's spread. The tracer
+//! deliberately emits no event on the lookup fast path, so the only
+//! admissible cost is ambient (cache pressure from other emit sites);
+//! this binary is the regression fence for that design decision.
 //!
 //! Without the `trace` feature the two runs compile to identical code
 //! (emit is a no-op); the comparison still runs and the absolute
@@ -18,33 +21,24 @@
 //! baseline (~2.25 ns on the reference host).
 
 use std::process::ExitCode;
-use std::time::Duration;
 
 use cilkm_bench::micro::run_add_tight;
 use cilkm_core::Backend;
 use cilkm_obs::trace;
 
-const ROUNDS: usize = 7;
-const LOOKUPS: u64 = 1 << 25;
+const PAIRS: usize = 101;
+const LOOKUPS: u64 = 1 << 22;
+const MAX_PCT: f64 = 3.0;
 
-/// Minimum over `ROUNDS` runs with tracing forced to `on`.
-fn min_ns_per_lookup(on: bool) -> f64 {
-    let mut best = Duration::MAX;
-    for _ in 0..ROUNDS {
-        trace::set_enabled(on);
-        let d = run_add_tight(Backend::Mmap, 1, LOOKUPS);
-        trace::set_enabled(false);
-        best = best.min(d);
-    }
-    best.as_nanos() as f64 / LOOKUPS as f64
+/// One run with tracing forced to `on`, in ns per lookup.
+fn ns_per_lookup(on: bool) -> f64 {
+    trace::set_enabled(on);
+    let d = run_add_tight(Backend::Mmap, 1, LOOKUPS);
+    trace::set_enabled(false);
+    d.as_nanos() as f64 / LOOKUPS as f64
 }
 
 fn main() -> ExitCode {
-    let max_pct: f64 = std::env::var("CILKM_OVERHEAD_MAX_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3.0);
-
     println!(
         "trace feature compiled: {} (emit is {} on the lookup path)",
         trace::compiled(),
@@ -58,15 +52,33 @@ fn main() -> ExitCode {
     // One throwaway warm-up round so neither arm pays first-touch costs.
     let _ = run_add_tight(Backend::Mmap, 1, LOOKUPS / 4);
 
-    let off = min_ns_per_lookup(false);
-    let on = min_ns_per_lookup(true);
-    let pct = (on - off) / off * 100.0;
-    println!("untraced: {off:.3} ns/lookup (min of {ROUNDS} x {LOOKUPS} lookups)");
-    println!("traced:   {on:.3} ns/lookup");
-    println!("overhead: {pct:+.2}% (gate: <{max_pct}%)");
+    let pct = |ratio: f64| (ratio - 1.0) * 100.0;
+    let mut untraced = Vec::with_capacity(PAIRS);
+    let mut ratios = Vec::with_capacity(PAIRS);
+    for i in 0..PAIRS {
+        let (off, on) = if i % 2 == 0 {
+            let off = ns_per_lookup(false);
+            (off, ns_per_lookup(true))
+        } else {
+            let on = ns_per_lookup(true);
+            (ns_per_lookup(false), on)
+        };
+        untraced.push(off);
+        ratios.push(on / off);
+    }
+    untraced.sort_by(f64::total_cmp);
+    ratios.sort_by(f64::total_cmp);
+    println!("untraced: median {:.3} ns/lookup", untraced[PAIRS / 2]);
+    let median = pct(ratios[PAIRS / 2]);
+    println!(
+        "overhead: median {median:+.2}% over {PAIRS} pairs of {LOOKUPS} lookups, \
+         quartiles {:+.2}% .. {:+.2}% (gate: median <{MAX_PCT}%)",
+        pct(ratios[PAIRS / 4]),
+        pct(ratios[3 * PAIRS / 4])
+    );
 
-    if pct >= max_pct {
-        eprintln!("FAIL: tracing adds {pct:.2}% to the repeated-lookup hot path");
+    if median >= MAX_PCT {
+        eprintln!("FAIL: tracing adds {median:.2}% to the repeated-lookup hot path");
         return ExitCode::FAILURE;
     }
     println!("PASS");

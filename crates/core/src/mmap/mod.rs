@@ -1114,7 +1114,7 @@ mod proptests {
     use super::*;
     use crate::domain::Backend;
     use crate::library::SumMonoid;
-    use proptest::prelude::*;
+    use cilkm_base::rng::{cases, Xoshiro256};
     use std::collections::BTreeMap;
 
     /// Runs one full transferal: create the `views` in a worker context,
@@ -1165,51 +1165,51 @@ mod proptests {
         observed
     }
 
-    fn view_set_strategy() -> impl Strategy<Value = BTreeMap<(usize, usize), u64>> {
-        proptest::collection::vec(
-            ((0usize..4, 0usize..VIEWS_PER_MAP), 1u64..u32::MAX as u64),
-            0..120,
-        )
-        .prop_map(|entries| entries.into_iter().collect())
+    fn gen_view_set(rng: &mut Xoshiro256) -> BTreeMap<(usize, usize), u64> {
+        (0..rng.below(120))
+            .map(|_| {
+                let page = rng.below(4) as usize;
+                let idx = rng.below(VIEWS_PER_MAP as u64) as usize;
+                ((page, idx), 1 + rng.below(u32::MAX as u64 - 1))
+            })
+            .collect()
     }
 
     /// One side of a hypermerge: a size from the table test's list and
     /// that many distinct slots of the four pages, in random order.
-    fn side_strategy() -> impl Strategy<Value = Vec<usize>> {
+    fn gen_side(rng: &mut Xoshiro256) -> Vec<usize> {
         const SIZES: [usize; 7] = [0, 1, 9, 120, 121, 248, 600];
-        (0..SIZES.len(), any::<u64>()).prop_map(|(size, seed)| {
-            let mut rng = proptest::test_runner::TestRng::deterministic(seed);
-            let mut slots: Vec<usize> = (0..super::tests::SLOTS).collect();
-            for i in 0..SIZES[size] {
-                let j = i + rng.below((slots.len() - i) as u64) as usize;
-                slots.swap(i, j);
-            }
-            slots.truncate(SIZES[size]);
-            slots
-        })
+        let size = SIZES[rng.below(SIZES.len() as u64) as usize];
+        let mut slots: Vec<usize> = (0..super::tests::SLOTS).collect();
+        for i in 0..size {
+            let j = i + rng.below((slots.len() - i) as u64) as usize;
+            slots.swap(i, j);
+        }
+        slots.truncate(size);
+        slots
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
+    /// Over random view sets, a detach/attach round trip delivers
+    /// exactly the model's values, leaves the private array empty and
+    /// sizes the array to the views — back into the state it left, as
+    /// often as into a fresh one.
+    #[test]
+    fn transferal_roundtrip_is_exact_and_leak_free() {
+        cases(1, 24, |rng| {
+            let views = gen_view_set(rng);
+            let same_state = rng.next_u64() & 1 == 1;
+            assert_eq!(&transfer_roundtrip(&views, same_state), &views);
+        });
+    }
 
-        /// Over random view sets, a detach/attach round trip delivers
-        /// exactly the model's values, leaves the private array empty
-        /// and sizes the array to the views — back into the state it
-        /// left, as often as into a fresh one.
-        #[test]
-        fn transferal_roundtrip_is_exact_and_leak_free(
-            views in view_set_strategy(),
-            same_state in any::<bool>(),
-        ) {
-            prop_assert_eq!(&transfer_roundtrip(&views, same_state), &views);
-        }
-
-        /// Left and right sets drawn independently: the hypermerge
-        /// matches the model whichever side is larger and wherever the
-        /// sets overlap.
-        #[test]
-        fn hypermerge_matches_the_model(left in side_strategy(), right in side_strategy()) {
+    /// Left and right sets drawn independently: the hypermerge matches
+    /// the model whichever side is larger and wherever the sets overlap.
+    #[test]
+    fn hypermerge_matches_the_model() {
+        cases(2, 24, |rng| {
+            let left = gen_side(rng);
+            let right = gen_side(rng);
             super::tests::check_hypermerge(&left, &right);
-        }
+        });
     }
 }

@@ -2,9 +2,9 @@
 //! order, under arbitrary operation sequences, and PBFS agrees with
 //! serial BFS on arbitrary random graphs.
 
+use cilkm_base::rng::{cases, Xoshiro256};
 use cilkm_core::{Backend, ReducerPool};
 use cilkm_graph::{bfs_serial, check_bag_invariant, pbfs, Bag, Graph, BLOCK};
-use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
 enum BagOp {
@@ -13,29 +13,39 @@ enum BagOp {
     Append(Vec<u16>),
 }
 
-fn bag_ops() -> impl Strategy<Value = Vec<BagOp>> {
-    proptest::collection::vec(
-        prop_oneof![
-            3 => any::<u16>().prop_map(BagOp::Insert),
+/// `n` draws of `u16`.
+fn gen_u16s(rng: &mut Xoshiro256, n: usize) -> Vec<u16> {
+    (0..n).map(|_| rng.next_u64() as u16).collect()
+}
+
+fn gen_bag_ops(rng: &mut Xoshiro256) -> Vec<BagOp> {
+    let len = 1 + rng.below(59) as usize;
+    (0..len)
+        .map(|_| match rng.below(6) {
+            0..=2 => BagOp::Insert(rng.next_u64() as u16),
             // Up to 400 so a sequence crosses several block boundaries.
-            1 => proptest::collection::vec(any::<u16>(), 0..400).prop_map(BagOp::UnionFresh),
+            3 => {
+                let n = rng.below(400) as usize;
+                BagOp::UnionFresh(gen_u16s(rng, n))
+            }
             // Lengths 0..=BLOCK + 1: shorter than a block, exactly one, and
             // longer — `append`'s three arms. The exact-block arm is one
             // length in 130, so it gets a draw of its own.
-            1 => proptest::collection::vec(any::<u16>(), 0..BLOCK + 2).prop_map(BagOp::Append),
-            1 => proptest::collection::vec(any::<u16>(), BLOCK).prop_map(BagOp::Append),
-        ],
-        1..60,
-    )
+            4 => {
+                let n = rng.below(BLOCK as u64 + 2) as usize;
+                BagOp::Append(gen_u16s(rng, n))
+            }
+            _ => BagOp::Append(gen_u16s(rng, BLOCK)),
+        })
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// A bag walks exactly the concatenation of its inserts, unions and
-    /// appends, in the order they were made.
-    #[test]
-    fn bag_conserves_multiset(ops in bag_ops()) {
+/// A bag walks exactly the concatenation of its inserts, unions and
+/// appends, in the order they were made.
+#[test]
+fn bag_conserves_multiset() {
+    cases(1, 64, |rng| {
+        let ops = gen_bag_ops(rng);
         let mut bag: Bag<u16> = Bag::new();
         let mut model: Vec<u16> = Vec::new();
         for op in ops {
@@ -55,26 +65,26 @@ proptest! {
                     bag.append(xs);
                 }
             }
-            prop_assert!(check_bag_invariant(&bag));
+            assert!(check_bag_invariant(&bag));
         }
-        prop_assert_eq!(bag.len(), model.len());
+        assert_eq!(bag.len(), model.len());
         let mut got = Vec::with_capacity(model.len());
         bag.for_each(|&x| got.push(x));
-        prop_assert_eq!(got, model);
-    }
+        assert_eq!(got, model);
+    });
+}
 
-    /// PBFS computes exactly the serial BFS distances on random graphs,
-    /// on both backends.
-    #[test]
-    fn pbfs_equals_serial_on_random_graphs(
-        n in 2usize..120,
-        edges in proptest::collection::vec((any::<u16>(), any::<u16>()), 0..400),
-        undirected in any::<bool>(),
-    ) {
-        let list: Vec<(u32, u32)> = edges
-            .into_iter()
-            .map(|(a, b)| ((a as usize % n) as u32, (b as usize % n) as u32))
+/// PBFS computes exactly the serial BFS distances on random graphs,
+/// on both backends.
+#[test]
+fn pbfs_equals_serial_on_random_graphs() {
+    cases(2, 64, |rng| {
+        let n = 2 + rng.below(118) as usize;
+        let vertex = |rng: &mut Xoshiro256| (rng.next_u64() as u16 as usize % n) as u32;
+        let list: Vec<(u32, u32)> = (0..rng.below(400))
+            .map(|_| (vertex(rng), vertex(rng)))
             .collect();
+        let undirected = rng.next_u64() & 1 == 1;
         let g = if undirected {
             Graph::from_undirected_edges(n, &list)
         } else {
@@ -84,7 +94,7 @@ proptest! {
         for backend in [Backend::Hypermap, Backend::Mmap] {
             let pool = ReducerPool::new(2, backend);
             let got = pbfs(&pool, &g, 0, 8).distances;
-            prop_assert_eq!(&got, &expect, "backend {:?}", backend);
+            assert_eq!(&got, &expect, "backend {backend:?}");
         }
-    }
+    });
 }

@@ -349,30 +349,32 @@ mod tests {
         assert!(empty.threads.is_empty());
     }
 
-    proptest::proptest! {
-        /// Every event kind with arbitrary args survives the exporter.
-        /// Timestamps are kept under 2^50 ns (~13 days) so the f64
-        /// microsecond field stays exact: at 2^52 the representation
-        /// error of `ts/1000.0` reaches the 0.5 ns rounding boundary.
-        #[test]
-        fn any_event_stream_round_trips(
-            raw in proptest::collection::vec(
-                (0u64..(1 << 50), 0..EventKind::ALL.len(), proptest::prelude::any::<u64>()),
-                1..48,
-            )
-        ) {
-            let events: Vec<Event> = raw
-                .into_iter()
-                .map(|(ts_ns, k, arg)| Event { ts_ns, kind: EventKind::ALL[k], arg })
+    /// Every event kind with arbitrary args survives the exporter.
+    /// Timestamps are kept under 2^50 ns (~13 days) so the f64
+    /// microsecond field stays exact: at 2^52 the representation error
+    /// of `ts/1000.0` reaches the 0.5 ns rounding boundary.
+    #[test]
+    fn any_event_stream_round_trips() {
+        cilkm_base::rng::cases(1, 64, |rng| {
+            let events: Vec<Event> = (0..1 + rng.below(47))
+                .map(|_| Event {
+                    ts_ns: rng.below(1 << 50),
+                    kind: EventKind::ALL[rng.below(EventKind::ALL.len() as u64) as usize],
+                    arg: rng.next_u64(),
+                })
                 .collect();
             let trace = Trace {
-                threads: vec![ThreadTrace { label: "w0".into(), events, dropped: 0 }],
+                threads: vec![ThreadTrace {
+                    label: "w0".into(),
+                    events,
+                    dropped: 0,
+                }],
             };
             let mut buf = Vec::new();
             write_chrome_json(&trace, &mut buf).unwrap();
             let back = read_chrome_json(&String::from_utf8(buf).unwrap()).unwrap();
-            proptest::prop_assert_eq!(&back.threads[0].events, &trace.threads[0].events);
-        }
+            assert_eq!(&back.threads[0].events, &trace.threads[0].events);
+        });
     }
 
     #[test]

@@ -7,8 +7,8 @@
     reason = "per-job hit counters observe the scheduler from outside the crate, where the doc-hidden msync facade is not offered"
 )]
 
+use cilkm_base::rng::{cases, Xoshiro256};
 use cilkm_runtime::{deque, join, parallel_for, scope, Pool};
-use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// An expression tree evaluated with one join per internal node.
@@ -43,33 +43,35 @@ impl Expr {
     }
 }
 
-fn expr_strategy() -> impl Strategy<Value = Expr> {
-    let leaf = any::<u8>().prop_map(Expr::Const);
-    leaf.prop_recursive(10, 128, 2, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Add(Box::new(a), Box::new(b))),
-            (inner.clone(), inner).prop_map(|(a, b)| Expr::Mul(Box::new(a), Box::new(b))),
-        ]
-    })
+/// A random tree of at most `depth` levels of joins. Each level is a
+/// leaf two times in three, so sizes stay small even at full depth.
+fn gen_expr(rng: &mut Xoshiro256, depth: u32) -> Expr {
+    if depth == 0 || rng.below(3) < 2 {
+        return Expr::Const(rng.next_u64() as u8);
+    }
+    let op = [Expr::Add, Expr::Mul][rng.below(2) as usize];
+    let a = gen_expr(rng, depth - 1);
+    op(Box::new(a), Box::new(gen_expr(rng, depth - 1)))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn join_trees_evaluate_exactly(expr in expr_strategy(), workers in 1usize..5) {
+#[test]
+fn join_trees_evaluate_exactly() {
+    cases(1, 32, |rng| {
+        let expr = gen_expr(rng, 10);
+        let workers = 1 + rng.below(4) as usize;
         let expected = expr.eval_serial();
         let pool = Pool::new(workers);
         let got = pool.run(|| expr.eval_parallel());
-        prop_assert_eq!(got, expected);
-    }
+        assert_eq!(got, expected);
+    });
+}
 
-    #[test]
-    fn parallel_for_partitions_exactly(
-        len in 0usize..5000,
-        grain in 1usize..512,
-        workers in 1usize..4,
-    ) {
+#[test]
+fn parallel_for_partitions_exactly() {
+    cases(2, 32, |rng| {
+        let len = rng.below(5000) as usize;
+        let grain = 1 + rng.below(511) as usize;
+        let workers = 1 + rng.below(3) as usize;
         let pool = Pool::new(workers);
         let hits: Vec<AtomicU64> = (0..len).map(|_| AtomicU64::new(0)).collect();
         pool.run(|| {
@@ -80,12 +82,16 @@ proptest! {
             });
         });
         for (i, h) in hits.iter().enumerate() {
-            prop_assert_eq!(h.load(Ordering::Relaxed), 1, "index {}", i);
+            assert_eq!(h.load(Ordering::Relaxed), 1, "index {i}");
         }
-    }
+    });
+}
 
-    #[test]
-    fn scope_runs_each_spawn_once(n_tasks in 0usize..200, workers in 1usize..4) {
+#[test]
+fn scope_runs_each_spawn_once() {
+    cases(3, 32, |rng| {
+        let n_tasks = rng.below(200) as usize;
+        let workers = 1 + rng.below(3) as usize;
         let pool = Pool::new(workers);
         let count = AtomicU64::new(0);
         pool.run(|| {
@@ -97,28 +103,30 @@ proptest! {
                 }
             });
         });
-        prop_assert_eq!(count.into_inner(), n_tasks as u64);
-    }
+        assert_eq!(count.into_inner(), n_tasks as u64);
+    });
+}
 
-    /// Single-owner deque semantics: any push/pop interleaving behaves
-    /// like a stack (this is the serial fast path the paper relies on).
-    #[test]
-    fn deque_is_a_stack_for_its_owner(ops in proptest::collection::vec(any::<bool>(), 1..200)) {
+/// Single-owner deque semantics: any push/pop interleaving behaves
+/// like a stack (this is the serial fast path the paper relies on).
+#[test]
+fn deque_is_a_stack_for_its_owner() {
+    cases(4, 32, |rng| {
         let (owner, _stealer) = deque::deque();
         let mut model: Vec<usize> = Vec::new();
         let mut next = 1usize;
-        for push in ops {
-            if push {
+        for _ in 0..1 + rng.below(199) {
+            if rng.next_u64() & 1 == 1 {
                 owner.push((next * 8) as *mut ());
                 model.push(next);
                 next += 1;
             } else {
                 let got = owner.pop().map(|p| p as usize / 8);
-                prop_assert_eq!(got, model.pop());
+                assert_eq!(got, model.pop());
             }
         }
-        prop_assert_eq!(owner.len(), model.len());
-    }
+        assert_eq!(owner.len(), model.len());
+    });
 }
 
 /// Contended-deque stress: one owner pushing and popping against many

@@ -8,7 +8,7 @@
 
 use cilkm_spa::{Spa, SpaMapBox, ViewPair, LOG_CAPACITY, VIEWS_PER_MAP};
 
-use proptest::prelude::*;
+use cilkm_base::rng::{cases, Xoshiro256};
 use std::collections::BTreeMap;
 
 #[derive(Debug, Clone)]
@@ -18,12 +18,16 @@ enum Op {
     Drain,
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => (0u8..VIEWS_PER_MAP as u8, 1u16..u16::MAX).prop_map(|(idx, tag)| Op::Insert { idx, tag }),
-        2 => (0u8..VIEWS_PER_MAP as u8).prop_map(|idx| Op::Remove { idx }),
-        1 => Just(Op::Drain),
-    ]
+fn gen_op(rng: &mut Xoshiro256) -> Op {
+    let idx = |rng: &mut Xoshiro256| rng.below(VIEWS_PER_MAP as u64) as u8;
+    match rng.below(7) {
+        0..=3 => Op::Insert {
+            idx: idx(rng),
+            tag: 1 + rng.below(u16::MAX as u64 - 1) as u16,
+        },
+        4 | 5 => Op::Remove { idx: idx(rng) },
+        _ => Op::Drain,
+    }
 }
 
 fn tag_pair(tag: u16) -> ViewPair {
@@ -33,13 +37,12 @@ fn tag_pair(tag: u16) -> ViewPair {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// SpaMap agrees with a BTreeMap model under inserts/removes/drains,
-    /// including across the log-overflow boundary.
-    #[test]
-    fn spa_map_matches_model(ops in proptest::collection::vec(op_strategy(), 1..400)) {
+/// SpaMap agrees with a BTreeMap model under inserts/removes/drains,
+/// including across the log-overflow boundary.
+#[test]
+fn spa_map_matches_model() {
+    cases(1, 128, |rng| {
+        let ops: Vec<Op> = (0..1 + rng.below(399)).map(|_| gen_op(rng)).collect();
         let b = SpaMapBox::new();
         let m = b.as_ref();
         let mut model: BTreeMap<usize, u16> = BTreeMap::new();
@@ -59,7 +62,7 @@ proptest! {
                     let idx = idx as usize;
                     if model.remove(&idx).is_some() {
                         let got = m.remove(idx);
-                        prop_assert!(!got.is_null());
+                        assert!(!got.is_null());
                     }
                 }
                 Op::Drain => {
@@ -67,15 +70,15 @@ proptest! {
                     m.drain(|idx, p| {
                         drained.insert(idx, p);
                     });
-                    prop_assert_eq!(drained.len(), model.len());
+                    assert_eq!(drained.len(), model.len());
                     for (idx, tag) in &model {
-                        prop_assert_eq!(drained.get(idx).copied(), Some(tag_pair(*tag)));
+                        assert_eq!(drained.get(idx).copied(), Some(tag_pair(*tag)));
                     }
                     model.clear();
-                    prop_assert!(m.is_empty());
+                    assert!(m.is_empty());
                 }
             }
-            prop_assert_eq!(m.nvalid(), model.len());
+            assert_eq!(m.nvalid(), model.len());
         }
 
         // Final consistency sweep via non-destructive sequencing: every
@@ -85,18 +88,21 @@ proptest! {
         m.for_each_valid(|idx, p| {
             dup |= seen.insert(idx, p).is_some();
         });
-        prop_assert!(!dup, "for_each_valid visited a slot twice");
-        prop_assert_eq!(seen.len(), model.len());
+        assert!(!dup, "for_each_valid visited a slot twice");
+        assert_eq!(seen.len(), model.len());
         for (idx, tag) in &model {
-            prop_assert_eq!(seen.get(idx).copied(), Some(tag_pair(*tag)));
+            assert_eq!(seen.get(idx).copied(), Some(tag_pair(*tag)));
         }
         m.clear_all();
-    }
+    });
+}
 
-    /// Generic Spa: drain == the set of live (index, value) pairs, exactly
-    /// once each, regardless of stale log entries.
-    #[test]
-    fn generic_spa_drain_is_exact(ops in proptest::collection::vec(op_strategy(), 1..200)) {
+/// Generic Spa: drain == the set of live (index, value) pairs, exactly
+/// once each, regardless of stale log entries.
+#[test]
+fn generic_spa_drain_is_exact() {
+    cases(2, 128, |rng| {
+        let ops: Vec<Op> = (0..1 + rng.below(199)).map(|_| gen_op(rng)).collect();
         let mut spa: Spa<u16> = Spa::new(VIEWS_PER_MAP);
         let mut model: BTreeMap<usize, u16> = BTreeMap::new();
         for op in ops {
@@ -106,33 +112,36 @@ proptest! {
                     model.insert(idx as usize, tag);
                 }
                 Op::Remove { idx } => {
-                    prop_assert_eq!(spa.clear(idx as usize), model.remove(&(idx as usize)));
+                    assert_eq!(spa.clear(idx as usize), model.remove(&(idx as usize)));
                 }
                 Op::Drain => {
                     let mut got = spa.drain();
                     got.sort();
                     let expect: Vec<_> = std::mem::take(&mut model).into_iter().collect();
-                    prop_assert_eq!(got, expect);
+                    assert_eq!(got, expect);
                 }
             }
-            prop_assert_eq!(spa.len(), model.len());
+            assert_eq!(spa.len(), model.len());
         }
-    }
+    });
+}
 
-    /// Filling past the log capacity always flips the map into overflow
-    /// mode and sequencing still visits every element.
-    #[test]
-    fn overflow_boundary(extra in 1usize..(VIEWS_PER_MAP - LOG_CAPACITY)) {
+/// Filling past the log capacity always flips the map into overflow
+/// mode and sequencing still visits every element.
+#[test]
+fn overflow_boundary() {
+    cases(3, 128, |rng| {
+        let extra = 1 + rng.below((VIEWS_PER_MAP - LOG_CAPACITY - 1) as u64) as usize;
         let b = SpaMapBox::new();
         let m = b.as_ref();
         let total = LOG_CAPACITY + extra;
         for i in 0..total {
             m.insert(i, tag_pair((i + 1) as u16));
         }
-        prop_assert!(m.log_overflowed());
+        assert!(m.log_overflowed());
         let mut n = 0;
         m.for_each_valid(|_, _| n += 1);
-        prop_assert_eq!(n, total);
+        assert_eq!(n, total);
         m.clear_all();
-    }
+    });
 }

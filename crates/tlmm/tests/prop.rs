@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use cilkm_tlmm::{PageArena, PageDesc, TlmmAddr, TlmmRegion, PAGE_SIZE, PD_NULL};
 
-use proptest::prelude::*;
+use cilkm_base::rng::{cases, Xoshiro256};
 
 /// Operations a fuzzer can drive against one region.
 #[derive(Debug, Clone)]
@@ -23,25 +23,26 @@ enum Op {
     Write { page: u8, offset: u16, val: u8 },
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0u8..16).prop_map(|page| Op::MapFresh { page }),
-        (0u8..16).prop_map(|page| Op::Unmap { page }),
-        (0u8..16, 0u16..PAGE_SIZE as u16, any::<u8>()).prop_map(|(page, offset, val)| Op::Write {
+fn gen_op(rng: &mut Xoshiro256) -> Op {
+    let arm = rng.below(3);
+    let page = rng.below(16) as u8;
+    match arm {
+        0 => Op::MapFresh { page },
+        1 => Op::Unmap { page },
+        _ => Op::Write {
             page,
-            offset,
-            val
-        }),
-    ]
+            offset: rng.below(PAGE_SIZE as u64) as u16,
+            val: rng.next_u64() as u8,
+        },
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Region reads always agree with a shadow model keyed by
-    /// (mapped descriptor, offset); unmapped pages resolve to null.
-    #[test]
-    fn region_matches_shadow_model(ops in proptest::collection::vec(op_strategy(), 1..60)) {
+/// Region reads always agree with a shadow model keyed by
+/// (mapped descriptor, offset); unmapped pages resolve to null.
+#[test]
+fn region_matches_shadow_model() {
+    cases(1, 64, |rng| {
+        let ops: Vec<Op> = (0..1 + rng.below(59)).map(|_| gen_op(rng)).collect();
         let arena = Arc::new(PageArena::new());
         let mut region = TlmmRegion::new(Arc::clone(&arena));
         // Shadow: region page -> descriptor, and (descriptor, offset) -> byte.
@@ -67,7 +68,7 @@ proptest! {
                         region.write_byte(addr, val);
                         bytes.insert((pd.raw(), offset), val);
                     } else {
-                        prop_assert!(region.resolve(addr).is_null());
+                        assert!(region.resolve(addr).is_null());
                     }
                 }
             }
@@ -78,20 +79,25 @@ proptest! {
             for off in [0u16, 1, 17, (PAGE_SIZE - 1) as u16] {
                 let expect = bytes.get(&(pd.raw(), off)).copied().unwrap_or(0);
                 let addr = TlmmAddr::from_parts(page as usize, off as usize);
-                prop_assert_eq!(region.read_byte(addr), expect);
+                assert_eq!(region.read_byte(addr), expect);
             }
         }
 
         for pd in all_pds {
             arena.pfree(pd);
         }
-        prop_assert_eq!(arena.live_pages(), 0);
-    }
+        assert_eq!(arena.live_pages(), 0);
+    });
+}
 
-    /// Descriptors published by one region can be mapped by another and the
-    /// two alias the same bytes, at possibly different region addresses.
-    #[test]
-    fn descriptor_sharing_aliases(offsets in proptest::collection::vec(0usize..PAGE_SIZE, 1..16)) {
+/// Descriptors published by one region can be mapped by another and the
+/// two alias the same bytes, at possibly different region addresses.
+#[test]
+fn descriptor_sharing_aliases() {
+    cases(2, 64, |rng| {
+        let offsets: Vec<usize> = (0..1 + rng.below(15))
+            .map(|_| rng.below(PAGE_SIZE as u64) as usize)
+            .collect();
         let arena = Arc::new(PageArena::new());
         let mut r0 = TlmmRegion::new(Arc::clone(&arena));
         let mut r1 = TlmmRegion::new(Arc::clone(&arena));
@@ -100,8 +106,8 @@ proptest! {
         r1.pmap(9, &[pd]);
         for (i, &off) in offsets.iter().enumerate() {
             r0.write_byte(TlmmAddr::from_parts(0, off), i as u8);
-            prop_assert_eq!(r1.read_byte(TlmmAddr::from_parts(9, off)), i as u8);
+            assert_eq!(r1.read_byte(TlmmAddr::from_parts(9, off)), i as u8);
         }
         arena.pfree(pd);
-    }
+    });
 }

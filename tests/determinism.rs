@@ -9,7 +9,7 @@
 )]
 
 use cilkm::prelude::*;
-use proptest::prelude::*;
+use cilkm_base::rng::{cases, Xoshiro256};
 
 /// A little fork-tree program: leaves append tokens to a string reducer;
 /// internal nodes fork. Its serial semantics are an in-order walk.
@@ -48,18 +48,21 @@ impl Tree {
     }
 }
 
-fn tree_strategy() -> impl Strategy<Value = Tree> {
-    let leaf = any::<u16>().prop_map(Tree::Leaf);
-    leaf.prop_recursive(8, 96, 2, |inner| {
-        (inner.clone(), inner).prop_map(|(l, r)| Tree::Fork(Box::new(l), Box::new(r)))
-    })
+/// A random fork tree of at most `depth` levels. Each level is a leaf
+/// two times in three, so sizes stay small even at full depth.
+fn gen_tree(rng: &mut Xoshiro256, depth: u32) -> Tree {
+    if depth == 0 || rng.below(3) < 2 {
+        return Tree::Leaf(rng.next_u64() as u16);
+    }
+    let l = gen_tree(rng, depth - 1);
+    Tree::Fork(Box::new(l), Box::new(gen_tree(rng, depth - 1)))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn string_append_equals_serial_order(tree in tree_strategy(), workers in 1usize..5) {
+#[test]
+fn string_append_equals_serial_order() {
+    cases(1, 24, |rng| {
+        let tree = gen_tree(rng, 8);
+        let workers = 1 + rng.below(4) as usize;
         let mut expected = String::new();
         tree.serial(&mut expected);
 
@@ -67,40 +70,41 @@ proptest! {
             let pool = ReducerPool::new(workers, backend);
             let s = Reducer::new(&pool, StringMonoid::new(), String::new());
             pool.run(|| tree.parallel(&s, 50));
-            prop_assert_eq!(
+            assert_eq!(
                 s.into_inner(),
-                expected.clone(),
-                "backend {:?}, {} workers",
-                backend,
-                workers
+                expected,
+                "backend {backend:?}, {workers} workers"
             );
         }
-    }
+    });
+}
 
-    #[test]
-    fn sum_is_exact_under_random_trees(tree in tree_strategy()) {
-        fn run(tree: &Tree, r: &Reducer<SumMonoid<u64>>) {
-            match tree {
-                Tree::Leaf(t) => r.add(*t as u64),
-                Tree::Fork(l, r2) => {
-                    join(|| run(l, r), || run(r2, r));
-                }
+#[test]
+fn sum_is_exact_under_random_trees() {
+    fn run(tree: &Tree, r: &Reducer<SumMonoid<u64>>) {
+        match tree {
+            Tree::Leaf(t) => r.add(*t as u64),
+            Tree::Fork(l, r2) => {
+                join(|| run(l, r), || run(r2, r));
             }
         }
-        fn serial_sum(tree: &Tree) -> u64 {
-            match tree {
-                Tree::Leaf(t) => *t as u64,
-                Tree::Fork(l, r) => serial_sum(l) + serial_sum(r),
-            }
+    }
+    fn serial_sum(tree: &Tree) -> u64 {
+        match tree {
+            Tree::Leaf(t) => *t as u64,
+            Tree::Fork(l, r) => serial_sum(l) + serial_sum(r),
         }
+    }
+    cases(2, 24, |rng| {
+        let tree = gen_tree(rng, 8);
         let expected = serial_sum(&tree);
         for backend in [Backend::Hypermap, Backend::Mmap] {
             let pool = ReducerPool::new(3, backend);
             let r = Reducer::new(&pool, SumMonoid::<u64>::new(), 0);
             pool.run(|| run(&tree, &r));
-            prop_assert_eq!(r.into_inner(), expected);
+            assert_eq!(r.into_inner(), expected);
         }
-    }
+    });
 }
 
 /// A deterministic steal-heavy schedule: deep left spine with expensive

@@ -1,14 +1,14 @@
 //! Known-answer tests of every seeded random stream the workspace
 //! generates inputs from: the xoshiro256** generator behind the graph
-//! generators, the property-test generator, and the graphs themselves.
+//! generators, the seeding of each property-test case, and the graphs
+//! themselves.
 //!
 //! Each constant was read once and is pinned here, so a change to a
 //! generator, to its seeding or to the way a draw is bounded shows up as
 //! a failure instead of as a silently different benchmark input.
 
 use cilkm::graph::{gen, Graph};
-use cilkm_base::rng::Xoshiro256;
-use proptest::test_runner::TestRng;
+use cilkm_base::rng::{case_seed, cases, Xoshiro256};
 
 /// FNV-1a over a graph's CSR arrays: every degree, then every target.
 fn csr_checksum(g: &Graph) -> u64 {
@@ -60,20 +60,11 @@ fn xoshiro_stream_is_pinned() {
 }
 
 #[test]
-fn test_rng_stream_is_pinned() {
-    let mut r = TestRng::deterministic(7);
-    let words: Vec<u64> = (0..4).map(|_| r.next_u64()).collect();
-    assert_eq!(
-        words,
-        [
-            0xb358_faf7_4ef9_765a,
-            0x475c_3d96_4f48_2cd2,
-            0xd6f1_d349_952c_7996,
-            0xfb29_3873_1e80_7240
-        ]
-    );
-    let below: Vec<u64> = (0..8).map(|_| r.below(1000)).collect();
-    assert_eq!(below, [990, 872, 60, 104, 403, 151, 541, 731]);
+fn case_seeds_are_pinned() {
+    assert_eq!(case_seed(7, 3), 0x6d1d_b36c_cba9_82d2);
+    let mut first_words = Vec::new();
+    cases(7, 4, |rng| first_words.push(rng.next_u64()));
+    assert_eq!(first_words[3], 0xb7b1_1ced_e546_4313);
 }
 
 #[test]
