@@ -6,8 +6,7 @@
 //! * [`Xoshiro256`], xoshiro256** seeded by splitmix64, with Lemire's
 //!   unbiased [`below`](Xoshiro256::below) and a 53-bit
 //!   [`f64`](Xoshiro256::f64): the input generators' stream;
-//! * [`XorShift64`], xorshift64*, one word of state: victim selection
-//!   and the checker's PCT schedules;
+//! * [`XorShift64`], xorshift64*, one word of state: victim selection;
 //! * [`cases`], the seeded case loop every property test runs in.
 
 /// The splitmix64 increment, 2^64 divided by the golden ratio.

@@ -9,10 +9,10 @@
 //!
 //! Compares a fresh `exploration_stats.json` against a baseline with
 //! `cilkm_checker::stats::compare`: a verdict that changed either way,
-//! or a schedule count down by more than a quarter, is a regression; an
-//! entry on one side only prints a note. Exits 0 when clean, 1 on any
-//! regression, and 2 on bad usage or a file that cannot be read or holds
-//! no entry.
+//! a schedule count down by more than a quarter, or a baseline entry the
+//! fresh report lacks is a regression; an entry in the fresh report only
+//! prints a note. Exits 0 when clean, 1 on any regression, and 2 on bad
+//! usage or a file that cannot be read or holds no entry.
 
 use std::process::ExitCode;
 
@@ -40,7 +40,10 @@ fn main() -> ExitCode {
         println!("REGRESSION {regression}");
     }
     if regressions.is_empty() {
-        println!("OK: no verdict changed and no schedule count fell by more than a quarter");
+        println!(
+            "OK: no verdict changed, no schedule count fell by more than a quarter, \
+             and no baseline entry is missing"
+        );
         ExitCode::SUCCESS
     } else {
         eprintln!("cilkm-trend: {} regression(s)", regressions.len());

@@ -31,7 +31,7 @@
 //! exactly as the DFS engine explores them.
 
 use crate::exec::{
-    run_one, Access, Chooser, Config, DecisionKind, ModelError, Report, RunOutcome, StepRec,
+    run_one, Access, Config, DecisionKind, ModelError, Report, RunOutcome, StepRec, MAX_SCHEDULES,
 };
 use crate::stats::Acc;
 
@@ -294,12 +294,12 @@ where
     let mut last_steps: Vec<StepRec>;
     let mut complete = true;
     'explore: loop {
-        if acc.schedules >= config.max_schedules {
+        if acc.schedules >= MAX_SCHEDULES {
             complete = false;
             break;
         }
         acc.schedules += 1;
-        let out = run_one(config, Chooser::Replay(replay.clone()), f);
+        let out = run_one(config, std::mem::take(&mut replay), f);
         acc.absorb(&out);
         if let Some(msg) = out.failure {
             return Err(ModelError {

@@ -51,27 +51,6 @@ pub enum Engine {
     /// object) and carries sleep sets so interleavings equivalent to an
     /// explored one are pruned instead of re-executed.
     Dpor,
-    /// PCT-style randomized scheduler: every thread gets a random
-    /// priority, `depth` priority-change points are sampled along the
-    /// run, and the highest-priority runnable thread always runs. The
-    /// PRNG is a seeded xorshift (no OS entropy), so a failing schedule
-    /// is replayable from the `seed:depth` pair it prints.
-    Pct {
-        /// Base seed; schedule `i` derives its own seed from `(seed, i)`.
-        seed: u64,
-        /// Number of priority-change points per schedule (the classic
-        /// PCT "d" parameter; finds bugs of depth `d`).
-        depth: usize,
-    },
-    /// Replays exactly one PCT schedule from its printed per-schedule
-    /// seed (the pair a failing [`Engine::Pct`] run reports, also
-    /// accepted at runtime via the `CILKM_CHECK_SEED` env var).
-    PctReplay {
-        /// The per-schedule seed printed by the failing run.
-        seed: u64,
-        /// The `depth` the failing run used.
-        depth: usize,
-    },
 }
 
 impl Engine {
@@ -80,35 +59,31 @@ impl Engine {
         match self {
             Engine::Dfs => "dfs",
             Engine::Dpor => "dpor",
-            Engine::Pct { .. } => "pct",
-            Engine::PctReplay { .. } => "pct-replay",
         }
     }
 }
 
+/// Schedules explored before a run is declared (incompletely) passed.
+pub(crate) const MAX_SCHEDULES: usize = 100_000;
+/// Visible operations in a single execution; tripping it fails the run
+/// (livelock / unbounded spin under the model).
+const MAX_STEPS: usize = 20_000;
+/// Threads per execution, main included (model bookkeeping is O(n)).
+const MAX_THREADS: usize = 8;
+/// Consecutive stale reads of one location a thread may perform before
+/// the eventual-visibility rule forces it onto the newest visible store
+/// (see `op_atomic_load`).
+const STALE_READ_BOUND: u32 = 2;
+
 /// Tuning knobs for one model run.
 #[derive(Clone, Debug)]
 pub struct Config {
-    /// Upper bound on the number of schedules explored before the run is
-    /// declared (incompletely) passed.
-    pub max_schedules: usize,
-    /// Upper bound on visible operations in a single execution; tripping
-    /// it fails the run (livelock / unbounded spin under the model).
-    pub max_steps: usize,
     /// CHESS-style bound on *involuntary* context switches per
     /// execution. `None` explores every interleaving (feasible for tiny
     /// tests under [`Engine::Dfs`], and for much larger ones under
     /// [`Engine::Dpor`]). Voluntary switches (yield/park/block) are
     /// always free.
     pub preemptions: Option<usize>,
-    /// Hard cap on threads per execution (model bookkeeping is O(n)).
-    pub max_threads: usize,
-    /// Consecutive stale reads of one location a thread may perform
-    /// before the eventual-visibility rule forces it onto the newest
-    /// visible store (see `op_atomic_load`). Raising it increases
-    /// eventual-visibility pressure; 0 makes every load read the
-    /// coherence-latest value.
-    pub stale_read_bound: u32,
     /// The exploration engine to drive schedules with.
     pub engine: Engine,
 }
@@ -116,11 +91,7 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            max_schedules: 100_000,
-            max_steps: 20_000,
             preemptions: Some(3),
-            max_threads: 8,
-            stale_read_bound: 2,
             engine: Engine::Dfs,
         }
     }
@@ -133,28 +104,6 @@ impl Config {
         Config {
             engine: Engine::Dpor,
             preemptions: None,
-            ..Config::default()
-        }
-    }
-
-    /// Seeded PCT sampling: `schedules` randomized schedules with
-    /// `depth` priority-change points each, unbounded preemptions.
-    pub fn pct(seed: u64, depth: usize, schedules: usize) -> Config {
-        Config {
-            engine: Engine::Pct { seed, depth },
-            preemptions: None,
-            max_schedules: schedules,
-            ..Config::default()
-        }
-    }
-
-    /// Replay of a single PCT schedule from its printed `seed:depth`
-    /// pair.
-    pub fn pct_replay(seed: u64, depth: usize) -> Config {
-        Config {
-            engine: Engine::PctReplay { seed, depth },
-            preemptions: None,
-            ..Config::default()
         }
     }
 }
@@ -189,11 +138,10 @@ pub struct Report {
     /// Number of distinct schedules executed.
     pub schedules: usize,
     /// True when the schedule tree was exhausted (within the preemption
-    /// bound); false when `max_schedules` cut exploration short, and
-    /// always false for the sampling PCT engines.
+    /// bound); false when the schedule cap cut exploration short.
     pub complete: bool,
-    /// Sibling subtrees the DPOR engine skipped as redundant (0 for the
-    /// other engines): unexplored scheduling alternatives proven
+    /// Sibling subtrees the DPOR engine skipped as redundant (0 for
+    /// DFS): unexplored scheduling alternatives proven
     /// equivalent to an explored interleaving, counted once per skipped
     /// branch point, not per schedule underneath it.
     pub pruned: usize,
@@ -328,7 +276,7 @@ pub(crate) enum DecisionKind {
     /// every engine — wake/acquisition order is decided here.
     SchedForced,
     /// A weak-memory value decision (which store a load observes).
-    /// Explored exhaustively by the exhaustive engines.
+    /// Explored exhaustively by both engines.
     Value,
 }
 
@@ -466,61 +414,14 @@ struct ThreadState {
     stale_reads: HashMap<usize, u32>,
 }
 
-/// What picks the next branch at each decision point of one execution.
-pub(crate) enum Chooser {
-    /// Replays a recorded decision prefix and extends it with
-    /// first-choice defaults (the DFS and DPOR engines).
-    Replay(Vec<usize>),
-    /// Priority-based randomized scheduling (the PCT engines).
-    Pct(crate::pct::PctState),
-}
-
-impl Chooser {
-    /// Picks a choice index in `0..n` for decision number `idx`;
-    /// `cands` holds the candidate tids for scheduling decisions.
-    /// Returns the choice plus an error message on nondeterministic
-    /// replay.
-    fn pick(&mut self, idx: usize, n: usize, cands: Option<&[usize]>) -> (usize, Option<String>) {
-        match self {
-            Chooser::Replay(replay) => {
-                if idx < replay.len() {
-                    let c = replay[idx];
-                    if c >= n {
-                        // The program behaved differently on replay; that
-                        // means user code consulted a source of
-                        // nondeterminism outside the model (time,
-                        // randomness, map iteration order).
-                        (
-                            0,
-                            Some(format!(
-                                "nondeterministic replay: decision {idx} has arity {n} but \
-                                 the recorded choice was {c}; model code must not depend on \
-                                 time, randomness, or hash-map iteration order"
-                            )),
-                        )
-                    } else {
-                        (c, None)
-                    }
-                } else {
-                    (0, None)
-                }
-            }
-            Chooser::Pct(p) => match cands {
-                Some(cands) => (p.pick_sched(cands), None),
-                None => (p.pick_value(n), None),
-            },
-        }
-    }
-}
-
 pub(crate) struct ExecInner {
     threads: Vec<ThreadState>,
     /// Clock of each finished thread (joined by joiners).
     finished: Vec<Option<VClock>>,
     /// Index of the Active thread.
     active: usize,
-    /// The engine-provided decision source.
-    chooser: Chooser,
+    /// The decision prefix to replay; past its end, choice 0.
+    replay: Vec<usize>,
     /// Decisions actually taken this execution.
     decisions: Vec<DecisionRec>,
     /// Visible operations executed, in order (the DPOR trace).
@@ -577,6 +478,29 @@ pub(crate) fn payload_msg(p: &(dyn std::any::Any + Send)) -> String {
 }
 
 impl ExecInner {
+    /// The choice in `0..n` for the next decision: the replay prefix's
+    /// recorded choice, or the first choice past its end.
+    fn pick(&mut self, n: usize) -> usize {
+        let idx = self.decisions.len();
+        match self.replay.get(idx) {
+            // The program behaved differently on replay; that means user
+            // code consulted a source of nondeterminism outside the model
+            // (time, randomness, map iteration order).
+            Some(&c) if c >= n => {
+                self.failure.get_or_insert_with(|| {
+                    format!(
+                        "nondeterministic replay: decision {idx} has arity {n} but \
+                         the recorded choice was {c}; model code must not depend on \
+                         time, randomness, or hash-map iteration order"
+                    )
+                });
+                0
+            }
+            Some(&c) => c,
+            None => 0,
+        }
+    }
+
     /// Makes (or replays) a scheduling decision among candidate threads.
     /// `free` marks yield-point decisions — the kind the DPOR engine may
     /// backtrack; forced decisions (block/finish) are explored
@@ -595,12 +519,7 @@ impl ExecInner {
             return 0;
         }
         let idx = self.decisions.len();
-        let (chosen, err) = self.chooser.pick(idx, cands.len(), Some(cands));
-        if let Some(msg) = err {
-            if self.failure.is_none() {
-                self.failure = Some(msg);
-            }
-        }
+        let chosen = self.pick(cands.len());
         self.decisions.push(DecisionRec {
             kind: if free {
                 DecisionKind::SchedFree {
@@ -623,13 +542,7 @@ impl ExecInner {
         if n == 1 {
             return 0;
         }
-        let idx = self.decisions.len();
-        let (chosen, err) = self.chooser.pick(idx, n, None);
-        if let Some(msg) = err {
-            if self.failure.is_none() {
-                self.failure = Some(msg);
-            }
-        }
+        let chosen = self.pick(n);
         self.decisions.push(DecisionRec {
             kind: DecisionKind::Value,
             chosen,
@@ -718,7 +631,7 @@ impl ExecInner {
 }
 
 impl Exec {
-    pub(crate) fn new(config: Config, chooser: Chooser) -> Exec {
+    pub(crate) fn new(config: Config, replay: Vec<usize>) -> Exec {
         let main = ThreadState {
             run: Run::Active,
             name: "main".to_string(),
@@ -736,7 +649,7 @@ impl Exec {
                 threads: vec![main],
                 finished: vec![None],
                 active: 0,
-                chooser,
+                replay,
                 decisions: Vec::new(),
                 steps_log: Vec::new(),
                 pending_sched: None,
@@ -845,22 +758,17 @@ impl Exec {
             panic_abort();
         }
         g.steps += 1;
-        if g.steps > g.config.max_steps {
-            let max = g.config.max_steps;
+        if g.steps > MAX_STEPS {
             self.fail(
                 g,
                 format!(
-                    "livelock: execution exceeded {max} visible operations; \
+                    "livelock: execution exceeded {MAX_STEPS} visible operations; \
                      a spin loop is likely waiting on a modeled condition \
-                     (use yield_now in spins, or raise Config::max_steps)"
+                     (use yield_now in spins)"
                 ),
             );
         }
         g.threads[tid].clock.bump(tid);
-        // PCT priority-change points count executed transitions.
-        if let Chooser::Pct(p) = &mut g.chooser {
-            p.on_step(tid);
-        }
         let clock = g.threads[tid].clock.clone();
         let stamp = clock.get(tid);
         let sched = g.pending_sched.take().unwrap_or(usize::MAX);
@@ -915,15 +823,14 @@ impl Exec {
         // Eventual visibility: C11 alone lets a load re-read the same
         // stale store unboundedly, which turns every polling loop into a
         // fake livelock under exhaustive exploration. Hardware propagates
-        // stores in finite time, so after `Config::stale_read_bound`
+        // stores in finite time, so after `STALE_READ_BOUND`
         // consecutive stale reads of a location the thread is forced
         // onto the newest visible store. Single stale observations — the
         // shape of real fence-omission bugs like the PR 1 lost wakeup —
         // stay explored.
         let newest = cands[0].seq;
         if cands.len() > 1
-            && g.threads[tid].stale_reads.get(&addr).copied().unwrap_or(0)
-                >= g.config.stale_read_bound
+            && g.threads[tid].stale_reads.get(&addr).copied().unwrap_or(0) >= STALE_READ_BOUND
         {
             cands.truncate(1);
         }
@@ -1253,11 +1160,10 @@ impl Exec {
                 panic_abort();
             }
             g.steps += 1;
-            if g.steps > g.config.max_steps {
-                let max = g.config.max_steps;
+            if g.steps > MAX_STEPS {
                 self.fail(
                     g,
-                    format!("livelock: execution exceeded {max} visible operations"),
+                    format!("livelock: execution exceeded {MAX_STEPS} visible operations"),
                 );
             }
             g.threads[tid].yielded = true;
@@ -1271,9 +1177,8 @@ impl Exec {
     /// thread). The spawn edge transfers the parent's clock.
     pub(crate) fn op_spawn(&self, tid: usize) -> usize {
         let mut g = self.prologue(tid, Access::Spawn);
-        if g.threads.len() >= g.config.max_threads {
-            let max = g.config.max_threads;
-            self.fail(g, format!("model thread limit exceeded ({max})"));
+        if g.threads.len() >= MAX_THREADS {
+            self.fail(g, format!("model thread limit exceeded ({MAX_THREADS})"));
         }
         let child = g.threads.len();
         let clock = g.threads[tid].clock.clone();
@@ -1292,10 +1197,6 @@ impl Exec {
             stale_reads: HashMap::new(),
         });
         g.finished.push(None);
-        // PCT assigns each thread a random high priority at spawn.
-        if let Chooser::Pct(p) = &mut g.chooser {
-            p.on_spawn(child);
-        }
         child
     }
 
@@ -1466,13 +1367,14 @@ fn next_replay(trace: &[DecisionRec]) -> Option<Vec<usize>> {
     None
 }
 
-/// Runs one execution of `f` under `chooser` and collects what the
-/// engine needs: the decision trace, the step log, and any failure.
-pub(crate) fn run_one<F>(config: &Config, chooser: Chooser, f: &F) -> RunOutcome
+/// Runs one execution of `f` replaying the decision prefix `replay` and
+/// collects what the engine needs: the decision trace, the step log, and
+/// any failure.
+pub(crate) fn run_one<F>(config: &Config, replay: Vec<usize>, f: &F) -> RunOutcome
 where
     F: Fn() + Sync,
 {
-    let exec = Arc::new(Exec::new(config.clone(), chooser));
+    let exec = Arc::new(Exec::new(config.clone(), replay));
     set_current(Some((exec.clone(), 0)));
     let body = panic::catch_unwind(AssertUnwindSafe(f));
     match body {
@@ -1501,12 +1403,12 @@ where
     let mut replay: Vec<usize> = Vec::new();
     let mut complete = true;
     loop {
-        if acc.schedules >= config.max_schedules {
+        if acc.schedules >= MAX_SCHEDULES {
             complete = false;
             break;
         }
         acc.schedules += 1;
-        let out = run_one(config, Chooser::Replay(replay.clone()), f);
+        let out = run_one(config, std::mem::take(&mut replay), f);
         acc.absorb(&out);
         if let Some(msg) = out.failure {
             return Err(ModelError {
@@ -1541,7 +1443,6 @@ where
     let result = match config.engine {
         Engine::Dfs => dfs_explore(&config, &f, &mut acc),
         Engine::Dpor => crate::dpor::explore(&config, &f, &mut acc),
-        Engine::Pct { .. } | Engine::PctReplay { .. } => crate::pct::explore(&config, &f, &mut acc),
     };
     crate::stats::record(engine, &acc, &result);
     result

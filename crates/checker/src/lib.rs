@@ -16,8 +16,7 @@
 //!   the decision tree depth-first with a CHESS-style preemption bound
 //!   ([`Config::preemptions`]) and yield-exclusion for spin loops; the
 //!   [`Engine::Dpor`] engine prunes schedules that only reorder
-//!   independent operations, and [`Engine::Pct`] samples seeded
-//!   randomized priority schedules for depths exhaustion cannot reach.
+//!   independent operations.
 //! - **Weak memory.** Stores are kept per-location with vector-clock
 //!   metadata; a load *chooses* among the stores it may legally observe,
 //!   so a `Relaxed` load really can return a stale value in some
@@ -62,7 +61,6 @@
 
 mod dpor;
 mod exec;
-mod pct;
 
 pub mod cell;
 pub mod stats;

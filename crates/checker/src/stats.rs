@@ -11,8 +11,8 @@
 //! Verdicts and schedule counts are what two reports can be held to:
 //! [`compare`], the gate the `cilkm-trend` bin runs, reads both with
 //! `cilkm-base`'s parser (the writer quotes through its escaper, so any
-//! test name round-trips). Verdicts repeat exactly, and so do DFS and
-//! PCT schedule counts; a DPOR count can move by one between runs. The
+//! test name round-trips). Verdicts repeat exactly, and so do DFS
+//! schedule counts; a DPOR count can move by one between runs. The
 //! dependence-class count keys on heap addresses, which differ from run
 //! to run, so it is recorded and not compared.
 
@@ -147,9 +147,12 @@ const MAX_SCHEDULE_SHRINK_PCT: u128 = 25;
 /// differs from the baseline's, either way (a negative control that
 /// starts passing means a detector went blind), or when its schedule
 /// count falls by more than 25 % (a pruning bug can shrink the searched
-/// space while every verdict holds). An entry on one side only is a
-/// note. Returns `(regressions, notes)`, one line each, or `Err` when
-/// either text is not a report or holds no entry.
+/// space while every verdict holds). A baseline entry missing from the
+/// current report regresses too: a model test that was deleted, renamed
+/// or compiled out would otherwise leave the gate without a word. An
+/// entry in the current report only is a note. Returns
+/// `(regressions, notes)`, one line each, or `Err` when either text is
+/// not a report or holds no entry.
 pub fn compare(baseline: &str, current: &str) -> Result<(Vec<String>, Vec<String>), String> {
     let read = |src: &str, side: &str| match parse_existing(src) {
         Ok(map) if map.is_empty() => Err(format!("the {side} holds no exploration-stats entry")),
@@ -165,7 +168,7 @@ pub fn compare(baseline: &str, current: &str) -> Result<(Vec<String>, Vec<String
     let (mut regressions, mut notes) = (Vec::new(), Vec::new());
     for ((test, engine), b) in &base {
         let Some(c) = cur.get(&(test.clone(), engine.clone())) else {
-            notes.push(format!("{test}@{engine}: in the baseline only"));
+            regressions.push(format!("{test}@{engine}: in the baseline only"));
             continue;
         };
         if c.verdict != b.verdict {
@@ -241,7 +244,7 @@ mod tests {
         map.insert(("a::t2".to_string(), "dfs".to_string()), entry("fail", 7));
         // Any name survives: quotes, backslashes and control characters.
         map.insert(
-            ("q\"uote\\back\tslash\n\u{1}".to_string(), "pct".to_string()),
+            ("q\"uote\\back\tslash\n\u{1}".to_string(), "dfs".to_string()),
             entry("pass", 4),
         );
         let text = render(&map);
@@ -310,23 +313,26 @@ mod tests {
     }
 
     #[test]
-    fn one_sided_entries_are_notes_not_regressions() {
+    fn an_entry_missing_from_the_current_report_regresses() {
         let r = report();
         let mut map = parse_existing(&r).unwrap();
         map.remove(&("obs::ring".to_string(), "dpor".to_string()));
+        let (regressions, notes) = compare(&r, &render(&map)).unwrap();
+        assert_eq!(regressions, ["obs::ring@dpor: in the baseline only"]);
+        assert!(notes.is_empty());
+    }
+
+    #[test]
+    fn an_entry_in_the_current_report_only_is_a_note() {
+        let r = report();
+        let mut map = parse_existing(&r).unwrap();
         map.insert(
-            ("new::test".to_string(), "pct".to_string()),
+            ("new::test".to_string(), "dfs".to_string()),
             entry("pass", 5),
         );
         let (regressions, notes) = compare(&r, &render(&map)).unwrap();
         assert!(regressions.is_empty());
-        assert_eq!(
-            notes,
-            [
-                "obs::ring@dpor: in the baseline only",
-                "new::test@pct: in the current report only"
-            ]
-        );
+        assert_eq!(notes, ["new::test@dfs: in the current report only"]);
         // A report with no entry at all compares nothing.
         assert!(compare(&r, "").is_err());
         assert!(compare("{\n}\n", &r).is_err());

@@ -1,6 +1,5 @@
 //! Cross-engine tests: the DPOR engine must agree with naive DFS on
-//! every litmus verdict while exploring a fraction of the schedules,
-//! and the PCT engine must be seed-deterministic and replayable.
+//! every litmus verdict while exploring a fraction of the schedules.
 
 #![expect(
     clippy::disallowed_types,
@@ -15,8 +14,8 @@ use cilkm_checker::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use cilkm_checker::sync::Mutex;
 use cilkm_checker::{thread, try_model_with, Config};
 
-/// Serializes tests that read or write process environment variables
-/// the engines consult (`CILKM_CHECK_SEED`, `CILKM_CHECK_STATS`).
+/// Serializes tests against the one that rewrites `CILKM_CHECK_STATS`,
+/// the environment variable every model run consults.
 static ENV_LOCK: StdMutex<()> = StdMutex::new(());
 
 fn dfs_unbounded() -> Config {
@@ -223,73 +222,6 @@ fn dpor_prunes_at_least_4x_on_independent_work() {
     }
 }
 
-/// PCT is a pure function of its seed: two runs with the same
-/// configuration fail with byte-identical reports on a buggy scenario,
-/// and the printed `seed:depth` pair replays the failure in exactly one
-/// schedule.
-#[test]
-fn pct_is_deterministic_and_replayable() {
-    let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let run = || try_model_with(Config::pct(0xC11F, 2, 500), mp_relaxed);
-    let e1 = run().expect_err("pct must find the relaxed-mp bug");
-    let e2 = run().expect_err("pct must find the relaxed-mp bug");
-    assert_eq!(e1.message, e2.message, "same seed, different failure");
-    assert_eq!(e1.schedules_explored, e2.schedules_explored);
-
-    // The failure report carries its own reproducer.
-    let pair = e1
-        .message
-        .split("CILKM_CHECK_SEED=")
-        .nth(1)
-        .expect("failure must print a replay pair")
-        .split_whitespace()
-        .next()
-        .unwrap();
-    let (seed, depth) = pair.split_once(':').expect("seed:depth format");
-    let replay = try_model_with(
-        Config::pct_replay(seed.parse().unwrap(), depth.parse().unwrap()),
-        mp_relaxed,
-    )
-    .expect_err("replaying the printed seed must reproduce the failure");
-    assert_eq!(
-        replay.schedules_explored, 1,
-        "replay must reproduce on the first schedule"
-    );
-}
-
-/// `CILKM_CHECK_SEED` overrides a PCT config with a single replayed
-/// schedule — the env-var path of the same plumbing.
-#[test]
-fn pct_env_seed_overrides_sampling() {
-    let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let bad = try_model_with(Config::pct(0xC11F, 2, 500), mp_relaxed)
-        .expect_err("pct must find the relaxed-mp bug");
-    let pair = bad
-        .message
-        .split("CILKM_CHECK_SEED=")
-        .nth(1)
-        .unwrap()
-        .split_whitespace()
-        .next()
-        .unwrap()
-        .to_string();
-    std::env::set_var("CILKM_CHECK_SEED", &pair);
-    let replay = try_model_with(Config::pct(0, 9, 1), mp_relaxed);
-    std::env::remove_var("CILKM_CHECK_SEED");
-    let err = replay.expect_err("env seed must replay the failing schedule");
-    assert_eq!(err.schedules_explored, 1);
-}
-
-/// A passing PCT run never claims exhaustion.
-#[test]
-fn pct_pass_is_incomplete() {
-    let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let report = try_model_with(Config::pct(7, 2, 50), mp_release_acquire)
-        .expect("sound protocol must pass under sampling");
-    assert_eq!(report.schedules, 50);
-    assert!(!report.complete, "sampling must not claim exhaustion");
-}
-
 /// `CILKM_CHECK_STATS` captures one deterministic JSON entry per
 /// `(test, engine)` pair.
 #[test]
@@ -324,22 +256,4 @@ fn stats_report_is_written_and_merged() {
         text.contains("\"verdict\":\"pass\""),
         "verdict recorded: {text}"
     );
-}
-
-/// The stale-read bound is now tunable: with bound 0 every relaxed load
-/// reads the newest store, so the broken mp scenario cannot exhibit its
-/// stale read (the sampler "passes" it) while the default bound still
-/// finds it. This pins the config plumbing, not the memory model.
-#[test]
-fn stale_read_bound_is_tunable() {
-    let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let tight = Config {
-        stale_read_bound: 0,
-        preemptions: None,
-        ..Config::default()
-    };
-    try_model_with(tight, mp_relaxed)
-        .expect("with stale_read_bound=0 loads are coherence-latest; no stale read exists");
-    try_model_with(dfs_unbounded(), mp_relaxed)
-        .expect_err("default bound must still expose the stale read");
 }

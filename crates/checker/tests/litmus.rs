@@ -230,3 +230,46 @@ fn join_transfers_clock() {
         assert_eq!(v, 7);
     });
 }
+
+/// A spin on a flag that nothing sets, with no `yield_now`, never ends;
+/// the model cuts it off at its visible-operation bound and says so
+/// instead of hanging the test.
+#[test]
+fn unyielding_spin_is_a_livelock() {
+    let err = try_model(|| {
+        let flag = AtomicBool::new(false);
+        // Cut off at 25 000 loads only so that a checker without its
+        // bound fails here instead of logging steps until memory runs out.
+        for _ in 0..25_000 {
+            if flag.load(Ordering::Relaxed) {
+                return;
+            }
+        }
+        panic!("25000 loads ran unchecked");
+    })
+    .expect_err("an endless spin must trip the step bound");
+    assert!(
+        err.message
+            .starts_with("livelock: execution exceeded 20000 visible operations"),
+        "unexpected: {err}"
+    );
+}
+
+/// The model caps an execution at eight threads, main included: the
+/// eighth child is refused with a report, not spawned.
+#[test]
+fn ninth_thread_is_refused() {
+    let err = try_model(|| {
+        for _ in 0..8 {
+            thread::spawn(|| {});
+        }
+        // Without the cap the first schedule ends here, not in a search
+        // over every order the eight children can finish in.
+        panic!("an eighth child was spawned");
+    })
+    .expect_err("eight children exceed the thread bound");
+    assert!(
+        err.message.contains("model thread limit exceeded (8)"),
+        "unexpected: {err}"
+    );
+}

@@ -136,28 +136,6 @@ fn sleeper_regression_is_detected_by_dpor() {
     );
 }
 
-/// Seeded-replay regression (PR 7): the pair below was printed by a
-/// failing PCT sampling run over `racy_handshake` (`pct replay:
-/// CILKM_CHECK_SEED=<seed>:<depth>`). Replaying it re-finds the lost
-/// wakeup in exactly one schedule — the whole point of recording seeds.
-#[test]
-fn sleeper_regression_replays_from_recorded_seed() {
-    // Printed by `Config::pct(0xBAD5EED, 3, 10_000)` over this scenario.
-    const SEED: u64 = 15405835895086995523;
-    const DEPTH: usize = 3;
-    let err = checker::try_model_with(checker::Config::pct_replay(SEED, DEPTH), racy_handshake)
-        .expect_err("the recorded seed must reproduce the lost wakeup");
-    assert!(
-        err.message.contains("deadlock"),
-        "unexpected failure: {}",
-        err.message
-    );
-    assert_eq!(
-        err.schedules_explored, 1,
-        "a seed replay is a single deterministic schedule"
-    );
-}
-
 /// A single deque item is claimed exactly once when the owner's `pop`
 /// races a thief's `steal` — the Chase–Lev bottom/top CAS protocol's
 /// central guarantee (one of them wins, never both, never neither).
