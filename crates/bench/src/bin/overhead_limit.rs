@@ -1,5 +1,5 @@
 //! The regime the paper's footnote 9 warns about: "It is possible to
-//! write an application to use [a] large number of reducers in such a way
+//! write an application to use \[a\] large number of reducers in such a way
 //! that the reduce overhead dominates the total work in the computation.
 //! In such case, the reduce overhead will affect scalability." (§8,
 //! investigated further in Lee's thesis, ch. 5.)

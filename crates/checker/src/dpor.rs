@@ -24,7 +24,7 @@
 //! asleep is discarded without running it. Waking is conservative —
 //! dropping an entry early only costs pruning, never soundness.
 //!
-//! Scope: only yield-point decisions (`DecisionKind::SchedFree`) are
+//! Reach: only yield-point decisions (`DecisionKind::SchedFree`) are
 //! reduced. Forced handoffs (a thread blocked or finished — these
 //! decide wake and lock-acquisition order without producing a fresh
 //! step) and weak-memory value decisions are explored exhaustively,

@@ -1331,6 +1331,22 @@ pub(crate) fn set_current(v: Option<(Arc<Exec>, usize)>) {
     CURRENT.with(|c| *c.borrow_mut() = v);
 }
 
+/// Called when a model atomic at `addr` is dropped: inside a model run,
+/// its store history and every thread's coherence floor on it go, so an
+/// atomic made later at the same address starts from its own value. Not
+/// a visible operation. `try_with`, because a thread-local holding an
+/// atomic may be destroyed after `CURRENT`.
+pub(crate) fn forget_atomic(addr: usize) {
+    if let Ok(Some((e, _))) = CURRENT.try_with(|c| c.borrow().clone()) {
+        let mut g = e.lock();
+        g.locations.remove(&addr);
+        for t in &mut g.threads {
+            t.last_read.remove(&addr);
+            t.stale_reads.remove(&addr);
+        }
+    }
+}
+
 /// True when called from inside a model execution. Gates the
 /// instrumentation shims' fallback paths.
 pub fn in_model() -> bool {

@@ -48,7 +48,7 @@ pub mod atomic {
                 }
 
                 /// Seed value for the modeled store history. Only the
-                /// first model op on an address consults it; afterwards
+                /// first model op on this atomic consults it; afterwards
                 /// the real cell is kept write-through on the modeled
                 /// coherence-latest value.
                 #[inline]
@@ -268,10 +268,17 @@ pub mod atomic {
                     self.real.get_mut()
                 }
 
-                /// Consumes the atomic, returning its value.
+                /// Consumes the atomic, returning its value (the
+                /// write-through cell holds the coherence-latest one).
                 #[inline]
                 pub fn into_inner(self) -> $prim {
-                    self.real.into_inner()
+                    self.real.load(Ordering::Relaxed)
+                }
+            }
+
+            impl Drop for $name {
+                fn drop(&mut self) {
+                    exec::forget_atomic(self.key());
                 }
             }
 
@@ -431,7 +438,13 @@ pub mod atomic {
         /// Consumes the atomic, returning its value.
         #[inline]
         pub fn into_inner(self) -> bool {
-            self.real.into_inner()
+            self.real.load(Ordering::Relaxed)
+        }
+    }
+
+    impl Drop for AtomicBool {
+        fn drop(&mut self) {
+            exec::forget_atomic(self.key());
         }
     }
 
@@ -566,7 +579,13 @@ pub mod atomic {
         /// Consumes the atomic, returning the pointer.
         #[inline]
         pub fn into_inner(self) -> *mut T {
-            self.real.into_inner()
+            self.real.load(Ordering::Relaxed)
+        }
+    }
+
+    impl<T> Drop for AtomicPtr<T> {
+        fn drop(&mut self) {
+            exec::forget_atomic(self.key());
         }
     }
 

@@ -273,3 +273,28 @@ fn ninth_thread_is_refused() {
         "unexpected: {err}"
     );
 }
+
+/// Makes an atomic on this frame, loads it, stores `v` and lets it die.
+/// Returns the atomic's address and the value the load read.
+#[inline(never)]
+fn short_lived_atomic(v: usize) -> (usize, usize) {
+    let a = AtomicUsize::new(0);
+    let read = a.load(Ordering::Relaxed);
+    a.store(v, Ordering::Relaxed);
+    (std::ptr::addr_of!(a) as usize, read)
+}
+
+/// An atomic made where a dead one lived starts from its own initial
+/// value: the dead atomic's store history goes with it.
+#[test]
+fn new_atomic_at_a_dead_ones_address_reads_its_own_value() {
+    try_model(|| {
+        let (first, read_first) = short_lived_atomic(7);
+        let (second, read_second) = short_lived_atomic(9);
+        // Both calls use one stack slot; otherwise the probe is vacuous.
+        assert_eq!(first, second, "the two atomics must share an address");
+        assert_eq!(read_first, 0);
+        assert_eq!(read_second, 0, "read the dead atomic's store");
+    })
+    .expect("a new atomic reads its own initial value");
+}

@@ -264,20 +264,12 @@ pub struct ReducerPool {
 impl ReducerPool {
     /// Creates a pool of `threads` workers running the given backend.
     pub fn new(threads: usize, backend: Backend) -> ReducerPool {
-        Self::with_stack_size(threads, backend, 8 << 20)
-    }
-
-    /// As [`ReducerPool::new`] with an explicit worker stack size.
-    pub fn with_stack_size(threads: usize, backend: Backend, stack: usize) -> ReducerPool {
         let domain = Arc::new(DomainInner::new(backend));
         let hooks: Arc<dyn HyperHooks> = match backend {
             Backend::Hypermap => Arc::new(crate::hypermap::HypermapHooks::new(Arc::clone(&domain))),
             Backend::Mmap => Arc::new(crate::mmap::MmapHooks::new(Arc::clone(&domain))),
         };
-        let pool = PoolBuilder::new(threads)
-            .hooks(hooks)
-            .stack_size(stack)
-            .build();
+        let pool = PoolBuilder::new(threads).hooks(hooks).build();
         ReducerPool { pool, domain }
     }
 

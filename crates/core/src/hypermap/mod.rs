@@ -27,7 +27,7 @@ use cilkm_obs::profile::Burden;
 
 /// Per-worker state: the current context's hypermap, the worker's view
 /// cells, and its counts of lookups and first touches, which
-/// [`HypermapWorkerState::flush_counts`] adds to the domain's totals.
+/// `HypermapWorkerState::flush_counts` adds to the domain's totals.
 ///
 /// The map is boxed because that is how Cilk Plus holds it too
 /// (`w->reducer_map` is a pointer to a heap-allocated `cilkred_map`): the

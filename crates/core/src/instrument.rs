@@ -19,17 +19,17 @@
 //! every build; their **nanosecond timers** — [`Histogram`]s, one sample
 //! per operation in log2 ns buckets, whose sums are the totals
 //! [`Instrument::snapshot`] reports — and the per-lookup counter are
-//! compiled in only when [`ENABLED`] is true.
+//! compiled in only when `ENABLED` is true.
 //!
 //! Counts go one of two ways:
 //!
 //! * **Per view, in the worker.** Lookups, view creations, view
 //!   insertions and SPA log overflows happen in a worker's own context,
 //!   up to once per reducer per steal for the last three. Each is a plain
-//!   `Cell` increment in the worker's state ([`bump`]). Nothing shared is
+//!   `Cell` increment in the worker's state (`bump`). Nothing shared is
 //!   written, so a first touch writes only the worker's page array (or
 //!   table), the new view and the worker's own state. Each backend's
-//!   `flush_counts` adds the cells to these totals ([`flush`]) at every
+//!   `flush_counts` adds the cells to these totals (`flush`) at every
 //!   hook that ends or merges a context: `detach`, `merge_right`,
 //!   `collect_root`, `discard` (the panic path) and the state's `Drop`.
 //!   The `merge_right` flush keeps the totals exact inside a long region,

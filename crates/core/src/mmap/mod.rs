@@ -59,7 +59,7 @@ use cilkm_obs::profile::Burden;
 
 /// Per-worker state: the page array, the count of views in it, the
 /// worker's view cells, and its counts of lookups and first touches,
-/// which [`MmapWorkerState::flush_counts`] adds to the domain's totals.
+/// which `MmapWorkerState::flush_counts` adds to the domain's totals.
 pub struct MmapWorkerState {
     domain: Arc<DomainInner>,
     /// The cells this worker's first touches take and its merges free.

@@ -89,11 +89,7 @@ impl<M: Monoid> Reducer<M> {
     /// Registers a new reducer with `pool`'s domain, with the given
     /// initial value as its leftmost view.
     pub fn new(pool: &ReducerPool, monoid: M, initial: M::View) -> Reducer<M> {
-        Self::new_in_domain(pool.domain(), monoid, initial)
-    }
-
-    /// As [`Reducer::new`], but directly against a domain.
-    pub fn new_in_domain(domain: &Arc<DomainInner>, monoid: M, initial: M::View) -> Reducer<M> {
+        let domain = pool.domain();
         let slot = domain.alloc_slot();
         let monoid = Arc::new(monoid);
         let leftmost = Box::into_raw(Box::new(initial)) as *mut u8;

@@ -228,7 +228,7 @@ pub fn render(s: &TraceSummary) -> String {
     if s.workers.iter().any(|w| w.dropped > 0) {
         let _ = writeln!(
             out,
-            "warning: {} events dropped (rings full — raise CILKM_TRACE_CAP); durations undercount",
+            "warning: {} events dropped (rings full); durations undercount",
             s.workers.iter().map(|w| w.dropped).sum::<u64>()
         );
     }

@@ -316,7 +316,7 @@ pub fn spawn_point() -> (u64, u64) {
 }
 
 /// Starts a strand whose spawn point carried `spawn` — used by task
-/// executors (inline, stolen, scope, root). Saves and replaces the
+/// executors (inline, stolen, root). Saves and replaces the
 /// calling thread's context; pass the returned [`SavedCtx`] to
 /// [`strand_end`].
 #[inline]

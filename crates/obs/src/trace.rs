@@ -44,18 +44,6 @@ mod imp {
         RINGS.get_or_init(|| Mutex::new(Vec::new()))
     }
 
-    /// Per-thread ring capacity: `CILKM_TRACE_CAP` (events), read once.
-    fn capacity() -> usize {
-        static CAP: OnceLock<usize> = OnceLock::new();
-        *CAP.get_or_init(|| {
-            std::env::var("CILKM_TRACE_CAP")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&c| c > 0)
-                .unwrap_or(super::DEFAULT_RING_CAPACITY)
-        })
-    }
-
     thread_local! {
         static WRITER: RefCell<Option<TraceWriter>> = const { RefCell::new(None) };
     }
@@ -69,7 +57,7 @@ mod imp {
             .name()
             .map(str::to_owned)
             .unwrap_or_else(|| format!("thread-{:?}", std::thread::current().id()));
-        let (writer, ring) = TraceRing::new(capacity(), label);
+        let (writer, ring) = TraceRing::new(super::RING_CAPACITY, label);
         registry().lock().unwrap().push(ring);
         writer
     }
@@ -113,9 +101,9 @@ mod imp {
     }
 }
 
-/// Default per-thread ring capacity in events (24 bytes each, so 1.5 MiB
-/// per thread). Override with the `CILKM_TRACE_CAP` environment variable.
-pub const DEFAULT_RING_CAPACITY: usize = 65_536;
+/// Per-thread ring capacity in events (24 bytes each, so 1.5 MiB per
+/// thread).
+pub const RING_CAPACITY: usize = 65_536;
 
 /// True if the crate was built with the `trace` feature; when false,
 /// [`emit`] compiles to nothing and [`set_enabled`] cannot turn tracing

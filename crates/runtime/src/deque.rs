@@ -7,7 +7,7 @@
 //!
 //! The implementation follows Chase & Lev (SPAA 2005) with the C11
 //! memory orderings of Lê, Pop, Cohen & Zappa Nardelli (PPoPP 2013).
-//! Elements are single machine words (type-erased [`JobRef`](crate::job::JobRef)s stored as
+//! Elements are single machine words (type-erased `JobRef`s stored as
 //! `*mut ()`), so every slot access can itself be an atomic load/store and
 //! the algorithm needs no data races on plain memory. Buffers grow
 //! geometrically; retired buffers are kept alive until the deque is

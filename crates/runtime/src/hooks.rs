@@ -9,7 +9,7 @@
 //!
 //! | scheduler event                         | hook                 |
 //! |-----------------------------------------|----------------------|
-//! | stolen task finishes → **view transferal** into the join frame's right placeholder; a worker waiting at a join or scope close sets its context aside to run a foreign job (leapfrogging) | [`HyperHooks::detach`] |
+//! | stolen task finishes → **view transferal** into the join frame's right placeholder; a worker waiting at a join sets its context aside to run a foreign job (leapfrogging) | [`HyperHooks::detach`] |
 //! | the foreign job is done → the waiting context is installed again | [`HyperHooks::attach`] |
 //! | both sides of a join done → **hypermerge**, left ⊗ right | [`HyperHooks::merge_right`] |
 //! | root task of `Pool::run` finishes → fold views into reducer leftmost storage | [`HyperHooks::collect_root`] |

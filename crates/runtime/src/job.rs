@@ -43,8 +43,7 @@ pub struct JobHeader {
 }
 
 impl JobHeader {
-    /// Builds a header around a job's execute function (for job types
-    /// defined outside this module, e.g. scope tasks).
+    /// Builds a header around a job's execute function.
     pub fn new(execute_fn: unsafe fn(*const ())) -> JobHeader {
         JobHeader {
             execute_fn,

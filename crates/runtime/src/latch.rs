@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use crate::msync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use crate::msync::atomic::{AtomicBool, Ordering};
 use crate::msync::thread::{self, Thread};
 
 /// A one-shot completion signal.
@@ -91,47 +91,6 @@ impl Latch for LockLatch {
     }
 }
 
-/// A countdown latch: set once a fixed number of [`CountLatch::count_down`]
-/// calls have happened. Used by scoped multi-way constructs.
-pub struct CountLatch {
-    remaining: AtomicUsize,
-    inner: SpinLatch,
-}
-
-impl CountLatch {
-    /// Creates a latch that requires `n` countdowns.
-    pub fn new(n: usize) -> CountLatch {
-        let latch = CountLatch {
-            remaining: AtomicUsize::new(n),
-            inner: SpinLatch::new(),
-        };
-        if n == 0 {
-            latch.inner.set();
-        }
-        latch
-    }
-
-    /// Records one completion; the final one sets the latch.
-    pub fn count_down(&self) {
-        let prev = self.remaining.fetch_sub(1, Ordering::AcqRel);
-        debug_assert!(prev > 0, "count_down past zero");
-        if prev == 1 {
-            self.inner.set();
-        }
-    }
-}
-
-impl Latch for CountLatch {
-    fn set(&self) {
-        self.count_down();
-    }
-
-    #[inline]
-    fn probe(&self) -> bool {
-        self.inner.probe()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,20 +115,5 @@ mod tests {
         l.wait();
         assert!(l.probe());
         t.join().unwrap();
-    }
-
-    #[test]
-    fn count_latch_fires_on_last() {
-        let l = CountLatch::new(3);
-        l.count_down();
-        l.count_down();
-        assert!(!l.probe());
-        l.count_down();
-        assert!(l.probe());
-    }
-
-    #[test]
-    fn count_latch_zero_starts_set() {
-        assert!(CountLatch::new(0).probe());
     }
 }

@@ -39,7 +39,8 @@
 //! ## What lives here
 //!
 //! * [`deque`] — a from-scratch Chase–Lev work-stealing deque;
-//! * [`Latch`]es, [`job`]s, the worker [`registry`] and idle/sleep logic;
+//! * completion latches, type-erased jobs, the worker [`registry`] and
+//!   idle/sleep logic;
 //! * [`join`] and [`parallel_for`] / [`parallel_for_each`];
 //! * [`HyperHooks`] — the reducer extension interface;
 //! * [`sync::SpinLock`] — the locking comparator of the paper's Figure 1;
@@ -49,18 +50,17 @@
 
 pub mod deque;
 pub mod hooks;
-pub mod job;
-pub mod latch;
 pub mod registry;
 pub mod sync;
 
 // The workspace's one model/sanitizer-switchable facade (DESIGN.md §10).
 use cilkm_obs::msync;
 
+mod job;
 mod join;
+mod latch;
 mod parallel_for;
 pub(crate) mod sanhooks;
-mod scope;
 pub(crate) mod sleep;
 
 #[cfg(all(test, feature = "model"))]
@@ -70,7 +70,3 @@ pub use hooks::{DetachedViews, HyperHooks, NoopHooks};
 pub use join::join;
 pub use parallel_for::{parallel_for, parallel_for_each};
 pub use registry::{current_worker_index, Pool, PoolBuilder, PoolStats};
-pub use scope::{scope, Scope};
-
-/// Re-exported latch types for advanced integrations and tests.
-pub use latch::{CountLatch, Latch, LockLatch, SpinLatch};

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use cilkm_checker as checker;
 
 use crate::deque::{deque, Steal};
-use crate::latch::{CountLatch, Latch, LockLatch, SpinLatch};
+use crate::latch::{Latch, LockLatch, SpinLatch};
 use crate::msync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use crate::sleep::SleepGate;
 use crate::sync::SpinLock;
@@ -198,20 +198,6 @@ fn lock_latch_set_always_wakes_waiter() {
         latch.wait();
         assert!(latch.probe());
         setter.join().unwrap();
-    });
-}
-
-/// Concurrent `count_down`s fire a `CountLatch` exactly once, on the
-/// last decrement, with the firing visible to the joiner.
-#[test]
-fn count_latch_fires_on_last_countdown() {
-    checker::model(|| {
-        let latch = Arc::new(CountLatch::new(2));
-        let l2 = Arc::clone(&latch);
-        let t = checker::thread::spawn(move || l2.count_down());
-        latch.count_down();
-        t.join().unwrap();
-        assert!(latch.probe(), "both countdowns done but latch unset");
     });
 }
 

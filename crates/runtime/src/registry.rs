@@ -1,7 +1,7 @@
 //! The worker registry: pool construction, worker threads, the steal
 //! loop, and the context-suspension discipline around foreign jobs.
 //!
-//! Idle/wake coordination lives in [`crate::sleep::SleepGate`]: workers
+//! Idle/wake coordination lives in `crate::sleep::SleepGate`: workers
 //! announce themselves before parking and producers fence-then-check
 //! after publishing work, so no job is ever left behind with every
 //! worker asleep (the protocol and its model-checked proof obligations
@@ -320,10 +320,10 @@ impl WorkerThread {
     }
 
     /// Executes a foreign job while this worker's current context waits
-    /// at a join or scope close: the current views are detached before
-    /// the execution and attached again after it — the leapfrogging
-    /// discipline that keeps views affixed to contexts, not workers, by
-    /// the same copy (§7) every other transferal takes.
+    /// at a join: the current views are detached before the execution
+    /// and attached again after it — the leapfrogging discipline that
+    /// keeps views affixed to contexts, not workers, by the same copy
+    /// (§7) every other transferal takes.
     fn execute_suspended(&self, job: JobRef) {
         let hooks = self.registry.hooks();
         // Emit *before* the detach runs so the Detach..JobBegin window
@@ -342,33 +342,18 @@ impl WorkerThread {
         }
     }
 
-    /// The waiting discipline at a join: keep useful until `latch` fires.
-    /// Returns `true` if we popped `my_job` ourselves (the caller runs it
-    /// inline or cancels it), `false` when the latch fired; every other
-    /// job goes through the foreign path.
+    /// The waiting discipline at a join: pops and steals until `latch`
+    /// fires (`false`) or our own deque yields `my_job` (`true`; the
+    /// caller runs it inline or cancels it), pausing between failed
+    /// sweeps. Every other job goes through the foreign path. No parking
+    /// here: nothing fires an unpark when the latch opens.
     pub(crate) fn wait_for_latch(&self, latch: &SpinLatch, my_job: JobRef) -> bool {
-        self.wait_until(latch, Some(my_job))
-    }
-
-    /// The waiting discipline at a scope close: keep useful until the
-    /// scope's completion latch fires. Unlike a join wait there is no
-    /// owned job to run inline — every job (including our own scope
-    /// spawns, popped back LIFO) runs through the foreign path with the
-    /// current context suspended around it.
-    pub(crate) fn wait_for_scope(&self, latch: &SpinLatch) {
-        self.wait_until(latch, None);
-    }
-
-    /// Pops and steals until `latch` fires (`false`) or our own deque
-    /// yields `my_job` (`true`), pausing between failed sweeps. No
-    /// parking here: nothing fires an unpark when the latch opens.
-    fn wait_until(&self, latch: &SpinLatch, my_job: Option<JobRef>) -> bool {
         loop {
             if latch.probe() {
                 return false;
             }
             if let Some(job) = self.pop() {
-                if Some(job) == my_job {
+                if job == my_job {
                     return true;
                 }
                 self.execute_suspended(job);
@@ -510,11 +495,14 @@ pub(crate) fn current_num_threads() -> Option<usize> {
     WorkerThread::current().map(|w| w.registry.threads.len())
 }
 
+/// Worker stack size in bytes: fork-join recursion can be deep on
+/// oversubscribed machines.
+const WORKER_STACK_SIZE: usize = 8 << 20;
+
 /// Configures and builds a [`Pool`].
 pub struct PoolBuilder {
     num_threads: usize,
     hooks: Arc<dyn HyperHooks>,
-    stack_size: usize,
 }
 
 impl PoolBuilder {
@@ -524,20 +512,12 @@ impl PoolBuilder {
         PoolBuilder {
             num_threads,
             hooks: Arc::new(NoopHooks),
-            stack_size: 8 << 20,
         }
     }
 
     /// Installs hyperobject hooks (the reducer backend).
     pub fn hooks(mut self, hooks: Arc<dyn HyperHooks>) -> PoolBuilder {
         self.hooks = hooks;
-        self
-    }
-
-    /// Sets worker stack size in bytes (default 8 MiB; fork-join recursion
-    /// can be deep on oversubscribed machines).
-    pub fn stack_size(mut self, bytes: usize) -> PoolBuilder {
-        self.stack_size = bytes;
         self
     }
 
@@ -574,7 +554,7 @@ impl PoolBuilder {
             let registry = Arc::clone(&registry);
             let handle = thread::spawn_with(
                 format!("cilkm-worker-{index}"),
-                self.stack_size,
+                WORKER_STACK_SIZE,
                 move || {
                     // Worker state is created on the worker's own thread so
                     // backends can set up thread-local fast paths.

@@ -2,9 +2,9 @@
 //!
 //! The dynamic sanitizer's SP (series-parallel) determinacy detector
 //! needs to know which strand every instruction belongs to. The
-//! scheduler tells it here: `join`/`scope` fork offset-span labels at
-//! each spawn point, jobs carry their label in the [`crate::job::JobHeader`],
-//! and executors install it around the user closure (DESIGN.md §17).
+//! scheduler tells it here: `join` forks offset-span labels at each
+//! spawn point, jobs carry their label in the job header, and executors
+//! install it around the user closure (DESIGN.md §17).
 //!
 //! With `sanitize` off (or under `model`, whose synthetic schedules
 //! must not pollute real-run shadow state) every function here is an

@@ -1,5 +1,5 @@
-//! The online work/span profiler against an analytic oracle: two
-//! computations whose work, span and spawn/sync counts follow from their
+//! The online work/span profiler against an analytic oracle: a
+//! computation whose work, span and spawn/sync counts follow from its
 //! shape, with busy leaves long enough that scheduler bookkeeping is
 //! noise beside them.
 //!
@@ -12,7 +12,7 @@
 )]
 
 use cilkm_obs::ParallelismReport;
-use cilkm_runtime::{join, scope, Pool};
+use cilkm_runtime::{join, Pool};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -79,29 +79,4 @@ fn fib_join_tree_matches_its_analytic_work_and_span() {
     assert!(report.span_ns < 3 * LEAF_NS, "{text}");
     assert!(report.burdened_span_ns >= report.span_ns, "{text}");
     assert!(report.parallelism() > 4.0, "{text}");
-}
-
-#[test]
-fn scope_fan_out_matches_its_analytic_work_and_span() {
-    let _turn = serial();
-    let pool = Pool::new(2);
-    let ((), report) = pool.run_profiled(|| {
-        scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|_| {
-                    busy(LEAF_NS);
-                });
-            }
-        })
-    });
-    let text = report.render();
-
-    assert_eq!(report.spawns, 8, "{text}");
-    assert_eq!(report.syncs, 1, "{text}");
-    assert_work_is_leaves(&report, 8);
-    // Every task starts from its spawn point, and the close takes the
-    // latest: the span is one leaf past the last spawn.
-    assert!(report.span_ns >= LEAF_NS, "{text}");
-    assert!(report.span_ns < 3 * LEAF_NS, "{text}");
-    assert!(report.burdened_span_ns >= report.span_ns, "{text}");
 }

@@ -8,7 +8,7 @@
 )]
 
 use cilkm_base::rng::{cases, Xoshiro256};
-use cilkm_runtime::{deque, join, parallel_for, scope, Pool};
+use cilkm_runtime::{deque, join, parallel_for, Pool};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// An expression tree evaluated with one join per internal node.
@@ -84,26 +84,6 @@ fn parallel_for_partitions_exactly() {
         for (i, h) in hits.iter().enumerate() {
             assert_eq!(h.load(Ordering::Relaxed), 1, "index {i}");
         }
-    });
-}
-
-#[test]
-fn scope_runs_each_spawn_once() {
-    cases(3, 32, |rng| {
-        let n_tasks = rng.below(200) as usize;
-        let workers = 1 + rng.below(3) as usize;
-        let pool = Pool::new(workers);
-        let count = AtomicU64::new(0);
-        pool.run(|| {
-            scope(|s| {
-                for _ in 0..n_tasks {
-                    s.spawn(|_| {
-                        count.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-        });
-        assert_eq!(count.into_inner(), n_tasks as u64);
     });
 }
 
@@ -210,23 +190,22 @@ fn contended_deque_loses_and_duplicates_nothing() {
     assert!(stolen_total <= JOBS as u64);
 }
 
-/// Deterministic many-round stress: mixed joins and scopes, checked sums.
+/// Deterministic many-round stress: a grain-1 fan-out with a join in
+/// each task, checked sums.
 #[test]
-fn mixed_join_scope_stress() {
+fn mixed_join_fan_out_stress() {
     let pool = Pool::new(4);
     for round in 0..20u64 {
         let total = AtomicU64::new(0);
         pool.run(|| {
-            scope(|s| {
-                for k in 0..8u64 {
-                    let total = &total;
-                    s.spawn(move |_| {
-                        let (a, b) = join(
-                            || (0..500).map(|i| i * k).sum::<u64>(),
-                            || (0..500).map(|i| i + k).sum::<u64>(),
-                        );
-                        total.fetch_add(a + b, Ordering::Relaxed);
-                    });
+            parallel_for(0..8, 1, &|r| {
+                for k in r {
+                    let k = k as u64;
+                    let (a, b) = join(
+                        || (0..500).map(|i| i * k).sum::<u64>(),
+                        || (0..500).map(|i| i + k).sum::<u64>(),
+                    );
+                    total.fetch_add(a + b, Ordering::Relaxed);
                 }
             });
         });

@@ -62,5 +62,5 @@ pub mod prelude {
     };
     pub use cilkm_core::{Backend, Monoid, Reducer, ReducerPool};
     pub use cilkm_graph::{bfs_serial, pbfs, Bag, BagMonoid, Graph};
-    pub use cilkm_runtime::{join, parallel_for, parallel_for_each, scope, Scope};
+    pub use cilkm_runtime::{join, parallel_for, parallel_for_each};
 }

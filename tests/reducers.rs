@@ -292,40 +292,6 @@ fn nested_joins_with_shared_counter_and_reducer() {
 }
 
 #[test]
-fn scope_spawns_merge_into_reducers() {
-    // The help-first scope: spawned tasks' views merge in spawn order
-    // after the owner's. Sum is commutative so the result is exact; the
-    // list shows the documented owner-first, then spawn-order semantics.
-    for backend in backends() {
-        let pool = ReducerPool::new(4, backend);
-        let sum = Reducer::new(&pool, SumMonoid::<u64>::new(), 0);
-        let list = Reducer::new(&pool, ListMonoid::<u32>::new(), Vec::new());
-        pool.run(|| {
-            scope(|s| {
-                list.push(999); // owner's update: ordered first
-                for k in 0..16u32 {
-                    let (sum, list) = (&sum, &list);
-                    s.spawn(move |_| {
-                        for _ in 0..100 {
-                            sum.add(1);
-                        }
-                        list.push(k);
-                    });
-                }
-            });
-        });
-        assert_eq!(sum.into_inner(), 1600, "backend {backend:?}");
-        let got = list.into_inner();
-        assert_eq!(got[0], 999);
-        let mut spawned = got[1..].to_vec();
-        spawned.sort_unstable();
-        assert_eq!(spawned, (0..16).collect::<Vec<u32>>());
-        // Spawn-order merging: the tail is exactly 0..16 in order.
-        assert_eq!(got[1..].to_vec(), (0..16).collect::<Vec<u32>>());
-    }
-}
-
-#[test]
 fn instrument_reports_parallel_machinery() {
     // A steal-rich run must report view transferal and merges on the
     // instrumented counters — the machinery Figures 7/8 are built on.

@@ -54,16 +54,14 @@ fn transferal_and_hypermerge_stress_reports_no_findings() {
         });
         assert_eq!(list.into_inner(), (0..512usize).collect::<Vec<_>>());
 
-        // Irregular fork-join (fib) plus scope spawns mixed with reducers.
+        // Irregular fork-join (fib) plus a grain-1 fan-out mixed with
+        // reducers.
         let touched = Reducer::new(&pool, SumMonoid::<u64>::new(), 0);
         pool.run(|| {
             assert_eq!(fib(16), 987);
-            scope(|s| {
-                for _ in 0..32 {
-                    let touched = &touched;
-                    s.spawn(move |_| {
-                        touched.add(1);
-                    });
+            parallel_for(0..32, 1, &|r| {
+                for _ in r {
+                    touched.add(1);
                 }
             });
         });

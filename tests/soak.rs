@@ -22,15 +22,12 @@ fn soak_mixed_workloads() {
             let text = Reducer::new(&pool, StringMonoid::new(), String::new());
 
             pool.run(|| {
-                scope(|s| {
-                    for _ in 0..4 {
-                        let sum = &sum;
-                        s.spawn(move |_| {
-                            parallel_for(0..5000, 64, &|r| {
-                                for _ in r {
-                                    sum.add(1);
-                                }
-                            });
+                parallel_for(0..4, 1, &|outer| {
+                    for _ in outer {
+                        parallel_for(0..5000, 64, &|r| {
+                            for _ in r {
+                                sum.add(1);
+                            }
                         });
                     }
                 });
