@@ -591,8 +591,10 @@ mod tests {
                 for (slot, inst) in insts.iter().enumerate() {
                     let key = domain.reducer_key(slot as Slot);
                     let view = match backend {
-                        Backend::Hypermap => hypermap::lookup(key, inst),
-                        Backend::Mmap => mmap::lookup(key, inst),
+                        Backend::Hypermap => {
+                            Some(hypermap::lookup(key, inst)).filter(|v| !v.is_null())
+                        }
+                        Backend::Mmap => mmap::lookup_or_miss(key, inst),
                     };
                     view.expect("worker state");
                 }

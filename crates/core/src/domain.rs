@@ -72,6 +72,14 @@ pub(crate) fn foreign(key: u64, domain_key: u64) -> bool {
     (key ^ domain_key) >> ADDR_BITS != 0
 }
 
+/// The refusal of a reducer access on a worker of another pool than the
+/// reducer's: it has no view there, and its leftmost view belongs to the
+/// serial code around its own pool's regions.
+#[cold]
+pub(crate) fn refuse_foreign_pool() -> ! {
+    panic!("reducer used on a worker of a different pool")
+}
+
 /// The refusal of a reducer access from a `reduce` that the region-end
 /// fold runs (DESIGN.md §13.2). Every view was drained before the fold,
 /// so such an access always misses; both backends call this from their
@@ -433,8 +441,8 @@ mod tests {
     ) -> Option<*mut u8> {
         let key = domain.reducer_key(slot);
         match domain.backend() {
-            Backend::Hypermap => crate::hypermap::lookup(key, inst),
-            Backend::Mmap => crate::mmap::lookup(key, inst),
+            Backend::Hypermap => Some(crate::hypermap::lookup(key, inst)).filter(|v| !v.is_null()),
+            Backend::Mmap => crate::mmap::lookup_or_miss(key, inst),
         }
     }
 

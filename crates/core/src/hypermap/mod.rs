@@ -20,7 +20,7 @@ use cilkm_runtime::{DetachedViews, HyperHooks};
 use cilkm_spa::ViewPair;
 
 use crate::cells::WorkerCells;
-use crate::domain::{foreign, refuse_in_root_fold, DomainInner};
+use crate::domain::{foreign, refuse_foreign_pool, refuse_in_root_fold, DomainInner};
 use crate::instrument::{bump, flush, Instrument};
 use crate::monoid::MonoidInstance;
 use cilkm_obs::profile::Burden;
@@ -124,26 +124,28 @@ impl Drop for HypermapWorkerState {
 /// hash the reducer's address, walk the bucket chain, lazily creating an
 /// identity view on a miss.
 ///
-/// Returns `None` when the calling thread is not a pool worker (the
-/// caller then takes the serial leftmost path).
+/// Returns null when the calling thread is no hypermap pool's worker
+/// (the caller then takes its cold path: a refusal, or the serial
+/// leftmost path).
 ///
 /// Deliberately `#[inline(never)]`: in Cilk Plus every reducer access is
 /// an opaque call into the runtime (`__cilkrts_hyper_lookup` through the
 /// ABI of [17]), whereas the memory-mapped lookup of Cilk-M compiles to
 /// straight-line loads because the "map" is the virtual-memory hardware.
 /// Keeping the hypermap lookup out-of-line preserves that structural
-/// difference, which is part of what Figure 1 measures.
+/// difference, which is part of what Figure 1 measures. The miss stays
+/// behind this one call, as in Cilk Plus, and not on `update`'s cold
+/// path.
 #[deny(clippy::indexing_slicing)]
 #[inline(never)]
-pub(crate) fn lookup(key: u64, inst: &MonoidInstance) -> Option<*mut u8> {
+pub(crate) fn lookup(key: u64, inst: &MonoidInstance) -> *mut u8 {
     let tls = HYPERMAP_TLS.with(|c| c.get());
     if foreign(key, tls.key) {
         // No worker state here (the serial path), or another pool's.
-        assert!(
-            tls.state.is_null(),
-            "reducer used on a worker of a different pool"
-        );
-        return None;
+        if !tls.state.is_null() {
+            refuse_foreign_pool();
+        }
+        return std::ptr::null_mut();
     }
     let ptr = tls.state;
     // The hash key is the reducer's address (§3), as in Cilk Plus.
@@ -158,10 +160,19 @@ pub(crate) fn lookup(key: u64, inst: &MonoidInstance) -> Option<*mut u8> {
             st.lookups.set(st.lookups.get() + 1);
         }
         if let Some(pair) = st.current.get(hkey) {
-            return Some(pair.view);
+            return pair.view;
         }
     }
     lookup_miss(hkey, inst, ptr)
+}
+
+/// True when the calling thread is a worker of a hypermap pool other
+/// than the one the reducer with `key` belongs to. Not `#[inline]`: a
+/// caller in another crate would make the thread-local reachable from
+/// there, and `lookup`'s access to it would take one more instruction.
+pub(crate) fn on_foreign_worker(key: u64) -> bool {
+    let tls = HYPERMAP_TLS.with(|c| c.get());
+    !tls.state.is_null() && foreign(key, tls.key)
 }
 
 /// The outlined miss path: creates and inserts an identity view (at most
@@ -170,7 +181,7 @@ pub(crate) fn lookup(key: u64, inst: &MonoidInstance) -> Option<*mut u8> {
 /// ([`refuse_in_root_fold`]).
 #[cold]
 #[inline(never)]
-fn lookup_miss(key: u64, inst: &MonoidInstance, ptr: *mut HypermapWorkerState) -> Option<*mut u8> {
+fn lookup_miss(key: u64, inst: &MonoidInstance, ptr: *mut HypermapWorkerState) -> *mut u8 {
     // SAFETY: `ptr` is the caller's live TLS state; the borrow is
     // re-derived after the user `identity()` call rather than held
     // across it, so no aliasing `&mut` can exist. `domain` points into
@@ -204,7 +215,7 @@ fn lookup_miss(key: u64, inst: &MonoidInstance, ptr: *mut HypermapWorkerState) -
             t1,
             Burden::ViewInsertion,
         );
-        Some(view)
+        view
     }
 }
 
@@ -216,10 +227,9 @@ pub(crate) fn remove_current(key: u64, inst: &MonoidInstance) -> Option<*mut u8>
     if tls.state.is_null() {
         return None;
     }
-    assert!(
-        !foreign(key, tls.key),
-        "reducer used on a worker of a different pool"
-    );
+    if foreign(key, tls.key) {
+        refuse_foreign_pool();
+    }
     // SAFETY: as in `lookup` — thread-local state, no live borrows, and
     // no user code runs inside the block.
     unsafe {
@@ -426,7 +436,7 @@ mod tests {
             // First touch creates the view; the probe needs no more.
             let touch = |n: usize| {
                 for (slot, inst) in insts.iter().enumerate().take(n) {
-                    lookup(domain.reducer_key(slot as Slot), inst).expect("worker state");
+                    assert!(!lookup(domain.reducer_key(slot as Slot), inst).is_null());
                 }
             };
 

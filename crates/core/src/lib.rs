@@ -13,9 +13,9 @@
 //! * [`Backend::Mmap`] — the paper's contribution (§4–§7): each worker
 //!   owns a page array standing in for its TLMM region, holding *private
 //!   SPA maps* of (view, monoid) pointer pairs; a reducer holds its byte
-//!   offset in every worker's array, so a lookup is a short straight-line
-//!   load/load/branch sequence; view transferal copies
-//!   the pointer pairs into one flat list (the copying strategy of §7),
+//!   offset in every worker's array, so a lookup hit is a straight-line
+//!   sequence of four loads and two branches (DESIGN.md §9.1 lists it);
+//!   view transferal copies the pointer pairs into one flat list (the copying strategy of §7),
 //!   zeroing the private maps; hypermerge sweeps the right side's list
 //!   into the left side's private maps.
 //!

@@ -72,7 +72,7 @@ impl<T: Bits> Reducer<BitAndMonoid<T>> {
     /// ANDs `x` into the current view.
     #[inline]
     pub fn and(&self, x: T) {
-        self.update(|v| v.and_assign(x));
+        self.update(move |v| v.and_assign(x));
     }
 }
 
@@ -107,7 +107,7 @@ impl<T: Bits> Reducer<BitOrMonoid<T>> {
     /// ORs `x` into the current view.
     #[inline]
     pub fn or(&self, x: T) {
-        self.update(|v| v.or_assign(x));
+        self.update(move |v| v.or_assign(x));
     }
 }
 
@@ -142,7 +142,7 @@ impl<T: Bits> Reducer<BitXorMonoid<T>> {
     /// XORs `x` into the current view.
     #[inline]
     pub fn xor(&self, x: T) {
-        self.update(|v| v.xor_assign(x));
+        self.update(move |v| v.xor_assign(x));
     }
 }
 

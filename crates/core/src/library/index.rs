@@ -47,7 +47,7 @@ impl<I: Send + Copy + 'static, T: Ord + Send + Copy + 'static> Reducer<MinIndexM
     /// Folds observation `(index, value)` into the running minimum.
     #[inline]
     pub fn observe(&self, index: I, value: T) {
-        self.update(|v| match v {
+        self.update(move |v| match v {
             Some((_, best)) if *best <= value => {}
             _ => *v = Some((index, value)),
         });
@@ -91,7 +91,7 @@ impl<I: Send + Copy + 'static, T: Ord + Send + Copy + 'static> Reducer<MaxIndexM
     /// Folds observation `(index, value)` into the running maximum.
     #[inline]
     pub fn observe(&self, index: I, value: T) {
-        self.update(|v| match v {
+        self.update(move |v| match v {
             Some((_, best)) if *best >= value => {}
             _ => *v = Some((index, value)),
         });

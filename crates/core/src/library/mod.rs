@@ -67,7 +67,7 @@ impl<T: Summable> Reducer<SumMonoid<T>> {
     /// Adds `x` into the current view.
     #[inline]
     pub fn add(&self, x: T) {
-        self.update(|v| v.add_assign(x));
+        self.update(move |v| v.add_assign(x));
     }
 }
 
@@ -109,7 +109,7 @@ impl<T: Ord + Send + Copy + 'static> Reducer<MinMonoid<T>> {
     /// Folds `x` into the running minimum.
     #[inline]
     pub fn observe(&self, x: T) {
-        self.update(|v| match v {
+        self.update(move |v| match v {
             Some(cur) if *cur <= x => {}
             _ => *v = Some(x),
         });
@@ -152,7 +152,7 @@ impl<T: Ord + Send + Copy + 'static> Reducer<MaxMonoid<T>> {
     /// Folds `x` into the running maximum.
     #[inline]
     pub fn observe(&self, x: T) {
-        self.update(|v| match v {
+        self.update(move |v| match v {
             Some(cur) if *cur >= x => {}
             _ => *v = Some(x),
         });
@@ -239,7 +239,7 @@ impl<T: Send + 'static> Reducer<ListMonoid<T>> {
     /// Appends `x` to the current view — `l->push_back(n)` of Figure 2b.
     #[inline]
     pub fn push(&self, x: T) {
-        self.update(|v| v.push(x));
+        self.update(move |v| v.push(x));
     }
 }
 
@@ -271,7 +271,7 @@ impl Reducer<StringMonoid> {
     /// Appends `s` to the current view.
     #[inline]
     pub fn append(&self, s: &str) {
-        self.update(|v| v.push_str(s));
+        self.update(move |v| v.push_str(s));
     }
 }
 

@@ -44,7 +44,7 @@ impl<T: Send + 'static> Reducer<PrependListMonoid<T>> {
     /// Pushes `x` at the front of the current view.
     #[inline]
     pub fn push_front(&self, x: T) {
-        self.update(|v| v.push_front(x));
+        self.update(move |v| v.push_front(x));
     }
 }
 

@@ -17,11 +17,13 @@
 //!   and the key of the worker's pool; XORed with the reducer's key it
 //!   gives the `tlmm_addr` when the pools match and a value past any
 //!   array when they do not, so one compare tests both; the view pointer
-//!   at `base + tlmm_addr` is loaded and tested: two memory accesses and
-//!   a predictable branch. A miss (at most once per reducer per steal)
-//!   grows the array to the slot's page if needed, which moves it, then
-//!   lazily creates an identity view and inserts it: one pointer-pair
-//!   write plus a log append. It counts the view in the worker's own
+//!   at `base + tlmm_addr` is loaded and tested: four loads (three of
+//!   them the TLS descriptor's words) and two branches, where the paper
+//!   has two memory accesses and one branch (DESIGN.md §9.1 counts it).
+//!   A miss (at most once per reducer per steal) grows the array to the
+//!   slot's page if needed, which moves it, then lazily creates an
+//!   identity view and inserts it: one pointer-pair write plus a log
+//!   append. It counts the view in the worker's own
 //!   state, not in the domain's shared counters.
 //! * **View transferal by copying (§7)** — a terminating context copies
 //!   its private pairs into shared memory, zeroing the private entries as
@@ -51,7 +53,7 @@ use cilkm_spa::map::MAP_SIZE;
 use cilkm_spa::{InsertOutcome, SpaMapRef, ViewPair, VIEWS_PER_MAP};
 
 use crate::cells::WorkerCells;
-use crate::domain::{foreign, refuse_in_root_fold, DomainInner, Slot};
+use crate::domain::{foreign, refuse_foreign_pool, refuse_in_root_fold, DomainInner, Slot};
 use crate::instrument::{bump, flush, Instrument};
 use crate::monoid::MonoidInstance;
 use crate::msync;
@@ -311,71 +313,77 @@ impl Drop for MmapWorkerState {
     }
 }
 
-/// The memory-mapped reducer lookup (§6) of the reducer with `key`: one
-/// TLS load; `key ^ tls.key`, which is the reducer's `tlmm_addr` on a
-/// worker of its own pool and at least 2^21 anywhere else, against the
-/// array's length, one compare for both tests; one load of the view
-/// pointer at `base + tlmm_addr` and its null test. That is the paper's
-/// two memory accesses and a predictable branch, reading nothing of the
-/// reducer but its key, with no counter traffic in plain release builds.
+/// The memory-mapped reducer lookup (§6) of the reducer with `key`, its
+/// hit half: one TLS load; `key ^ tls.key`, which is the reducer's
+/// `tlmm_addr` on a worker of its own pool and at least 2^21 anywhere
+/// else, against the array's length, one compare for both tests; one
+/// load of the view pointer at `base + tlmm_addr`. It reads nothing of
+/// the reducer but its key, and in plain release builds touches no
+/// counter. [`Reducer::update`](crate::Reducer::update) tests the view
+/// for null and calls the user's closure on it; DESIGN.md §9.1 lists the
+/// instructions the hit compiles to.
 ///
-/// Returns `None` when the calling thread is not a pool worker (the
-/// caller then takes the serial leftmost path).
+/// Returns null on anything but a hit: the caller then takes
+/// [`lookup_miss`], on its cold path.
 #[deny(clippy::indexing_slicing)]
 #[inline(always)]
-pub(crate) fn lookup(key: u64, inst: &MonoidInstance) -> Option<*mut u8> {
+pub(crate) fn lookup(key: u64) -> *mut u8 {
     let tls = MMAP_TLS.with(|c| c.get());
     let tlmm_addr = key ^ tls.key;
-    if tlmm_addr < tls.bytes {
-        let tlmm_addr = tlmm_addr as usize;
-        // SAFETY: a non-zero `bytes` means TLS describes this worker's
-        // live state and its page array of `bytes` bytes (updated
-        // whenever the array moves), and as no array reaches 2^21 bytes
-        // the key's domain bits are this worker's; only shared reads
-        // happen on the fast path, and the pair at `tlmm_addr < bytes`
-        // lies inside one SPA map of the array.
-        unsafe {
-            // This read bypasses the SpaMapRef accessors, so record it
-            // for the model checker / sanitizer explicitly (same
-            // whole-map granularity). In plain builds the note is
-            // empty and the path stays emit-free.
-            let map = tls.base.add(tlmm_addr - tlmm_addr % MAP_SIZE) as usize;
-            msync::note_read(map, "SpaMap");
-            let view = (*(tls.base.add(tlmm_addr) as *const ViewPair)).view;
-            if !view.is_null() {
-                if crate::instrument::ENABLED {
-                    let st = &*tls.state;
-                    st.lookups.set(st.lookups.get() + 1);
-                }
-                return Some(view);
-            }
-        }
+    if tlmm_addr >= tls.bytes {
+        return std::ptr::null_mut();
     }
-    lookup_miss(key, inst)
+    let tlmm_addr = tlmm_addr as usize;
+    // SAFETY: a non-zero `bytes` means TLS describes this worker's live
+    // state and its page array of `bytes` bytes (updated whenever the
+    // array moves), and as no array reaches 2^21 bytes the key's domain
+    // bits are this worker's; only shared reads happen on the fast path,
+    // and the pair at `tlmm_addr < bytes` lies inside one SPA map of the
+    // array.
+    unsafe {
+        // This read bypasses the SpaMapRef accessors, so record it for
+        // the model checker / sanitizer explicitly (same whole-map
+        // granularity). In plain builds the note is empty and the path
+        // stays emit-free.
+        let map = tls.base.add(tlmm_addr - tlmm_addr % MAP_SIZE) as usize;
+        msync::note_read(map, "SpaMap");
+        let view = (*(tls.base.add(tlmm_addr) as *const ViewPair)).view;
+        if crate::instrument::ENABLED && !view.is_null() {
+            let st = &*tls.state;
+            st.lookups.set(st.lookups.get() + 1);
+        }
+        view
+    }
 }
 
-/// The outlined cold path. It tells four cases apart: no worker state
-/// on this thread (`None`, the serial path), a worker of another pool
-/// (a panic), an access from a `reduce` the region-end fold runs (the
-/// panic of [`refuse_in_root_fold`]), and the miss proper, which happens at
-/// most once per reducer per steal (§6): grow the array to the slot's
-/// page if it lies past the end, then create and insert an identity
-/// view, counting both in the worker's state. Out of line,
-/// so the hit path stays small enough to inline everywhere. It reads the
-/// TLS descriptor again: taken by value from the hit path, the 32-byte
-/// descriptor was copied to the stack on every hit.
-#[cold]
-#[inline(never)]
-fn lookup_miss(key: u64, inst: &MonoidInstance) -> Option<*mut u8> {
+/// True when the calling thread is a worker of a memory-mapped pool
+/// other than the one the reducer with `key` belongs to.
+#[inline]
+pub(crate) fn on_foreign_worker(key: u64) -> bool {
+    let tls = MMAP_TLS.with(|c| c.get());
+    !tls.state.is_null() && foreign(key, tls.key)
+}
+
+/// The miss half of [`lookup`], inlined into `Reducer::update`'s cold
+/// path, so a first touch makes one call, not two. It tells four cases
+/// apart: no worker state on this thread (null, the serial path), a
+/// worker of another memory-mapped pool (the panic of
+/// [`refuse_foreign_pool`]), an access from a `reduce` the region-end
+/// fold runs (the panic of [`refuse_in_root_fold`]), and the miss proper,
+/// which happens at most once per reducer per steal (§6): grow the array
+/// to the slot's page if it lies past the end, then create and insert an
+/// identity view, counting both in the worker's state. It reads the TLS
+/// descriptor again rather than taking it from the hit half.
+#[inline(always)]
+pub(crate) fn lookup_miss(key: u64, inst: &MonoidInstance) -> *mut u8 {
     let tls = MMAP_TLS.with(|c| c.get());
     let ptr = tls.state;
     if ptr.is_null() {
-        return None;
+        return std::ptr::null_mut();
     }
-    assert!(
-        !foreign(key, tls.key),
-        "reducer used on a worker of a different pool"
-    );
+    if foreign(key, tls.key) {
+        refuse_foreign_pool();
+    }
     let (page, idx) = split((key ^ tls.key) as usize);
     // SAFETY: `ptr` is the caller's live TLS state; `&mut`s are
     // re-derived around the user `identity()` call, never held across
@@ -419,8 +427,22 @@ fn lookup_miss(key: u64, inst: &MonoidInstance) -> Option<*mut u8> {
             t1,
             Burden::ViewInsertion,
         );
-        Some(view)
+        view
     }
+}
+
+/// Both halves of the lookup, as `Reducer::update` runs them: the calling
+/// context's view of the reducer with `key`, created on a first touch;
+/// `None` off the workers. The tests drive the backend through it.
+#[cfg(test)]
+pub(crate) fn lookup_or_miss(key: u64, inst: &MonoidInstance) -> Option<*mut u8> {
+    let view = lookup(key);
+    let view = if view.is_null() {
+        lookup_miss(key, inst)
+    } else {
+        view
+    };
+    (!view.is_null()).then_some(view)
 }
 
 /// Removes (and returns) the current context's view of the reducer with
@@ -430,10 +452,9 @@ pub(crate) fn remove_current(key: u64) -> Option<*mut u8> {
     if tls.state.is_null() {
         return None;
     }
-    assert!(
-        !foreign(key, tls.key),
-        "reducer used on a worker of a different pool"
-    );
+    if foreign(key, tls.key) {
+        refuse_foreign_pool();
+    }
     let (page, idx) = split((key ^ tls.key) as usize);
     // SAFETY: thread-local state of the calling worker; no user code
     // runs inside the block, so the `&mut` cannot alias.
@@ -687,7 +708,7 @@ mod tests {
             let hooks = MmapHooks::new(Arc::clone(&d2));
             let mut state = hooks.make_worker_state(1);
             for _ in 0..300 {
-                lookup(d2.reducer_key(3), &i2).expect("thief worker state");
+                lookup_or_miss(d2.reducer_key(3), &i2).expect("thief worker state");
             }
             let det = hooks.detach(state.as_mut());
             tx.send(det).unwrap();
@@ -696,7 +717,7 @@ mod tests {
 
         let state = hooks.make_worker_state(0);
         for _ in 0..500 {
-            lookup(domain.reducer_key(3), &inst).expect("owner worker state");
+            lookup_or_miss(domain.reducer_key(3), &inst).expect("owner worker state");
         }
         let det = rx.recv().unwrap();
         assert!(thief.join().is_err(), "the thief must have panicked");
@@ -737,9 +758,9 @@ mod tests {
     /// The view of `slot` in the calling thread's current context,
     /// created on first touch exactly as a reducer access would.
     fn view(slot: usize, inst: &MonoidInstance, domain: &DomainInner) -> &'static mut Tracked {
-        let view = lookup(domain.reducer_key(slot as Slot), inst)
+        let view = lookup_or_miss(domain.reducer_key(slot as Slot), inst)
             .expect("calling thread has no worker state");
-        // SAFETY: `lookup` returned a live `Tracked` that this
+        // SAFETY: `lookup_or_miss` returned a live `Tracked` that this
         // thread's current context owns; the borrow ends before the
         // context changes hands.
         unsafe { &mut *(view as *mut Tracked) }
@@ -1137,7 +1158,7 @@ mod proptests {
 
         let mut state = hooks.make_worker_state(0);
         for (key, &v) in views {
-            let view = lookup(reducer_key(key), &inst).expect("worker state");
+            let view = lookup_or_miss(reducer_key(key), &inst).expect("worker state");
             // SAFETY: a live u64 view owned by the current
             // context.
             unsafe { *(view as *mut u64) = v };
@@ -1155,7 +1176,7 @@ mod proptests {
         hooks.attach(state.as_mut(), det);
         let mut observed = BTreeMap::new();
         for key in views.keys() {
-            let view = lookup(reducer_key(key), &inst).expect("worker state");
+            let view = lookup_or_miss(reducer_key(key), &inst).expect("worker state");
             // SAFETY: as above; attach installed this slot's view.
             observed.insert(*key, unsafe { *(view as *mut u64) });
         }

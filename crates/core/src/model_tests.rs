@@ -23,7 +23,7 @@ use cilkm_checker::sync::atomic::{AtomicBool, Ordering};
 use cilkm_runtime::{DetachedViews, HyperHooks};
 
 use crate::domain::{Backend, DomainInner, Slot};
-use crate::mmap::{lookup, MmapHooks};
+use crate::mmap::{lookup_or_miss, MmapHooks};
 use crate::monoid::{Monoid, MonoidInstance};
 
 /// String concatenation: associative, *not* commutative — the stress
@@ -44,15 +44,17 @@ impl Monoid for Concat {
 /// current context, creating the view on first touch exactly as a real
 /// reducer access would.
 fn append(slot: Slot, inst: &MonoidInstance, domain: &DomainInner, s: &str) {
-    let view = lookup(domain.reducer_key(slot), inst).expect("calling thread has no worker state");
-    // SAFETY: `lookup` returned a live `Concat::View` created by
+    let view =
+        lookup_or_miss(domain.reducer_key(slot), inst).expect("calling thread has no worker state");
+    // SAFETY: `lookup_or_miss` returned a live `Concat::View` created by
     // this monoid instance, and this thread owns the current context.
     unsafe { (*(view as *mut String)).push_str(s) };
 }
 
 /// Reads the view of reducer `slot` in the current context.
 fn read(slot: Slot, inst: &MonoidInstance, domain: &DomainInner) -> String {
-    let view = lookup(domain.reducer_key(slot), inst).expect("calling thread has no worker state");
+    let view =
+        lookup_or_miss(domain.reducer_key(slot), inst).expect("calling thread has no worker state");
     // SAFETY: as in `append`.
     unsafe { (*(view as *mut String)).clone() }
 }

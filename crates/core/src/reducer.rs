@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use crate::domain::{DomainInner, ReducerPool, Slot, HYPERMAP_BIT};
+use crate::domain::{refuse_foreign_pool, DomainInner, ReducerPool, Slot, HYPERMAP_BIT};
 use crate::monoid::{Monoid, MonoidInstance, SerialBorrow};
 use crate::{hypermap, mmap};
 
@@ -78,6 +78,16 @@ pub struct Reducer<M: Monoid> {
     key: u64,
 }
 
+/// True on a worker of any pool but the one the reducer with `key`
+/// belongs to. Each backend's lookup refuses a worker of another pool of
+/// its own kind; a worker of the other kind has no state that backend
+/// can see, so without this test it would take the serial path and
+/// update the leftmost view from inside a region.
+#[inline]
+fn on_foreign_worker(key: u64) -> bool {
+    mmap::on_foreign_worker(key) || hypermap::on_foreign_worker(key)
+}
+
 #[cfg(debug_assertions)]
 thread_local! {
     /// Debug-only reentrancy guard: views with a live `&mut` on this
@@ -119,27 +129,27 @@ impl<M: Monoid> Reducer<M> {
     /// *the* reducer access of the paper.
     ///
     /// On a pool worker this performs the backend lookup (hash probe for
-    /// hypermaps; load–load–branch for memory-mapped reducers), lazily
-    /// creating an identity view on the first access after a steal. On a
-    /// non-worker thread it addresses the leftmost view directly.
+    /// hypermaps; four loads and two branches inline for memory-mapped
+    /// reducers), lazily creating an identity view on the first access
+    /// after a steal. On a non-worker thread it addresses the leftmost
+    /// view directly.
     ///
     /// `f` must not access *this* reducer reentrantly (checked in debug
     /// builds); accessing other reducers is fine.
     #[inline]
     pub fn update<R>(&self, f: impl FnOnce(&mut M::View) -> R) -> R {
-        // The instance's address, not a load through the pointer.
-        let inst = &self.inner.instance;
         let view = if self.key & HYPERMAP_BIT == 0 {
-            mmap::lookup(self.key, inst)
+            mmap::lookup(self.key)
         } else {
-            hypermap::lookup(self.key, inst)
+            // The instance's address, not a load through the pointer.
+            hypermap::lookup(self.key, &self.inner.instance)
         };
-        match view {
-            // SAFETY: the backend returned this context's live view for
-            // our slot, and only the current thread touches it.
-            Some(v) => unsafe { Self::apply(v, f) },
-            None => self.update_serial(f),
+        if view.is_null() {
+            return self.update_cold(f);
         }
+        // SAFETY: the backend returned this context's live view for our
+        // slot, and only the current thread touches it.
+        unsafe { Self::apply(view, f) }
     }
 
     #[inline]
@@ -171,9 +181,30 @@ impl<M: Monoid> Reducer<M> {
         f(&mut *(view as *mut M::View))
     }
 
+    /// Everything of `update` but the hit, out of line so that the hit
+    /// path keeps only the lookup and `f`: the memory-mapped miss (a
+    /// first touch after a steal, inlined here), the refusal of a worker
+    /// of another pool, and the serial path off the workers, on the
+    /// leftmost view.
+    /// (The hypermap's miss stays inside its out-of-line lookup.) It
+    /// takes `f` by value, so what `f` captures is passed in registers
+    /// and nothing is spilled to the stack on a hit.
     #[cold]
-    fn update_serial<R>(&self, f: impl FnOnce(&mut M::View) -> R) -> R {
+    #[inline(never)]
+    fn update_cold<R, F: FnOnce(&mut M::View) -> R>(&self, f: F) -> R {
         let inner = &*self.inner;
+        if self.key & HYPERMAP_BIT == 0 {
+            let view = mmap::lookup_miss(self.key, &inner.instance);
+            if !view.is_null() {
+                // SAFETY: as in `update`: the view the miss made for
+                // this context.
+                return unsafe { Self::apply(view, f) };
+            }
+        }
+        // No worker state of this reducer's backend on this thread.
+        if on_foreign_worker(self.key) {
+            refuse_foreign_pool();
+        }
         let borrow = inner.instance.serial_borrow();
         if crate::instrument::ENABLED {
             inner.domain.instrument.lookups.inc();
@@ -184,12 +215,17 @@ impl<M: Monoid> Reducer<M> {
     }
 
     /// Removes (and returns) the current worker context's view, if any.
+    /// A worker of another pool is refused, whatever its backend.
     fn remove_current(&self) -> Option<*mut u8> {
-        if self.key & HYPERMAP_BIT == 0 {
+        let view = if self.key & HYPERMAP_BIT == 0 {
             mmap::remove_current(self.key)
         } else {
             hypermap::remove_current(self.key, &self.inner.instance)
+        };
+        if view.is_none() && on_foreign_worker(self.key) {
+            refuse_foreign_pool();
         }
+        view
     }
 
     /// Folds the *current worker context's* view (if any) into leftmost
@@ -283,8 +319,13 @@ impl<M: Monoid> Drop for Reducer<M> {
         let inner = &*self.inner;
         // Remove any view the current (serial) context still holds, so
         // the slot can be recycled safely, then destroy the leftmost view
-        // unless `into_inner` took it.
-        self.discard_current();
+        // unless `into_inner` took it. A worker of another pool holds no
+        // view of this reducer, and refusing it here would panic in a
+        // drop, which aborts a thread that is unwinding from a refused
+        // update of the same reducer.
+        if !on_foreign_worker(self.key) {
+            self.discard_current();
+        }
         let view = inner
             .instance
             .serial_borrow()
@@ -314,33 +355,66 @@ mod tests {
         ]
     }
 
-    /// A reducer of pool A updated inside pool B's region is refused with
-    /// a panic that reaches the caller of B's `run`; afterwards both
-    /// pools and the reducer work as before.
+    /// The text of a caught panic.
+    fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
+        payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or_default()
+    }
+
+    /// A reducer of pool A used inside pool B's region is refused with a
+    /// panic that reaches the caller of B's `run`, whichever backend
+    /// each pool runs: an update alone and under `parallel_for`, and
+    /// the serial-point `read`, `take` and `set`. A reducer refused
+    /// there drops while the panic unwinds, without a second panic. The
+    /// refused calls leave A's reducer as it was, and afterwards both
+    /// pools and both reducers work as before.
     #[test]
     fn a_reducer_updated_on_a_worker_of_another_pool_is_refused() {
-        for backend in [Backend::Hypermap, Backend::Mmap] {
-            let a = ReducerPool::new(2, backend);
-            let b = ReducerPool::new(2, backend);
-            let ra = Reducer::new(&a, SumMonoid::<u64>::new(), 0);
+        const BACKENDS: [Backend; 2] = [Backend::Hypermap, Backend::Mmap];
+        for (backend_a, backend_b) in BACKENDS.into_iter().flat_map(|a| BACKENDS.map(|b| (a, b))) {
+            let a = ReducerPool::new(2, backend_a);
+            let b = ReducerPool::new(2, backend_b);
+            let ra = Reducer::new(&a, SumMonoid::<u64>::new(), 7);
             let rb = Reducer::new(&b, SumMonoid::<u64>::new(), 0);
-            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                b.run(|| {
-                    rb.add(1);
-                    ra.add(1);
-                })
-            }))
-            .expect_err("a foreign reducer's update must panic");
-            let msg = refused
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| refused.downcast_ref::<String>().map(String::as_str))
-                .unwrap_or_default();
-            assert!(
-                msg.contains("reducer used on a worker of a different pool"),
-                "{backend:?}: {msg:?}"
-            );
+            let uses: [(&str, &(dyn Fn() + Sync)); 6] = [
+                ("update", &|| ra.add(1)),
+                ("parallel update", &|| {
+                    parallel_for(0..1000, 1, &|range| {
+                        for _ in range {
+                            ra.add(1);
+                        }
+                    })
+                }),
+                ("update, then drop", &|| {
+                    let fresh = Reducer::new(&a, SumMonoid::<u64>::new(), 0);
+                    fresh.add(1);
+                }),
+                ("read", &|| ra.read(|_| ())),
+                ("take", &|| {
+                    ra.take();
+                }),
+                ("set", &|| ra.set(0)),
+            ];
+            for (name, use_a) in uses {
+                let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    b.run(|| {
+                        rb.add(1);
+                        use_a();
+                    })
+                }))
+                .expect_err("a foreign reducer's use must panic");
+                let msg = panic_text(&*refused);
+                assert!(
+                    msg.contains("reducer used on a worker of a different pool"),
+                    "{backend_a:?} reducer, {name} on a {backend_b:?} worker: {msg:?}"
+                );
+            }
+            assert_eq!(ra.get_cloned(), 7, "{backend_a:?} on {backend_b:?}");
             for (pool, r) in [(&a, &ra), (&b, &rb)] {
+                r.set(0);
                 pool.run(|| {
                     parallel_for(0..1000, 16, &|range| {
                         for _ in range {
@@ -349,8 +423,50 @@ mod tests {
                     });
                 });
             }
-            assert_eq!(ra.into_inner(), 1000, "{backend:?}");
-            assert_eq!(rb.into_inner(), 1001, "{backend:?}");
+            assert_eq!(ra.into_inner(), 1000, "{backend_a:?} on {backend_b:?}");
+            assert_eq!(rb.into_inner(), 1000, "{backend_a:?} on {backend_b:?}");
+        }
+    }
+
+    /// `update` down each of its paths, on both backends: the serial
+    /// path off the workers, a first-touch miss, a hit, and an `f` that
+    /// panics on a hit. Each returns `f`'s value and runs `f` once. After
+    /// the panic the reducer goes on working and ends at the serial
+    /// elision of the updates that completed, and in debug builds the
+    /// stack of views in use is empty again.
+    #[test]
+    fn update_runs_f_once_and_returns_its_value_on_every_path() {
+        use crate::msync::atomic::{AtomicU32, Ordering};
+        for pool in both_backends() {
+            let r = Reducer::new(&pool, SumMonoid::<u64>::new(), 0);
+            let calls = AtomicU32::new(0);
+            // Adds `x` and returns the view's new value.
+            let add = |x: u64| {
+                r.update(|v| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    *v += x;
+                    *v
+                })
+            };
+            assert_eq!(add(1), 1, "serial path");
+            assert_eq!(calls.load(Ordering::Relaxed), 1);
+            pool.run(|| {
+                assert_eq!(add(2), 2, "first touch: an identity view, then f");
+                assert_eq!(add(4), 6, "hit");
+                let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    r.update(|_| {
+                        calls.fetch_add(1, Ordering::Relaxed);
+                        panic!("f panics on a hit")
+                    })
+                }));
+                assert!(panicked.is_err());
+                #[cfg(debug_assertions)]
+                ACTIVE_VIEWS.with(|av| assert!(av.borrow().is_empty(), "views left in use"));
+                assert_eq!(add(8), 14, "a hit after the panic");
+            });
+            assert_eq!(calls.load(Ordering::Relaxed), 5, "{:?}", pool.backend());
+            assert_eq!(add(16), 31, "serial path after the region");
+            assert_eq!(r.into_inner(), 31, "{:?}", pool.backend());
         }
     }
 

@@ -192,10 +192,13 @@ fn concurrent_runs_on_one_pool_serialize() {
 fn cross_pool_reducer_use_is_rejected() {
     // A reducer belongs to one domain; using it on a worker of another
     // pool must fail loudly (slot spaces are per-domain, so silently
-    // proceeding would alias another reducer's views).
+    // proceeding would alias another reducer's views, and on a worker of
+    // the other backend would update the leftmost view from a region).
     for (mine, other) in [
         (Backend::Mmap, Backend::Mmap),
         (Backend::Hypermap, Backend::Hypermap),
+        (Backend::Mmap, Backend::Hypermap),
+        (Backend::Hypermap, Backend::Mmap),
     ] {
         let pool_a = ReducerPool::new(1, mine);
         let pool_b = ReducerPool::new(1, other);
