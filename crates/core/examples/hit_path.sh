@@ -9,15 +9,15 @@
 # root package's dev-dependency turns on, adds a counter to the hit.
 #
 # `update` tests the reducer key's backend bit at run time, so the
-# compiler unswitches each example loop on it: each function holds one
-# loop per backend (and identical functions may share one address).
-# The memory-mapped loop is the one whose hot body calls nothing; the
-# hypermap loop calls its out-of-line `lookup`, whose whole instruction
-# count is printed beside it. A loop's hot body runs from its header to
-# the first backward jump to that header; the cold path is laid out
-# after it. Loads and stores count memory operands, Intel syntax: a
-# read-modify-write such as the user's `inc QWORD PTR [rax]` is one of
-# each, a `cmp` or `test` against memory a load.
+# compiler unswitches the example's one loop on it: `hit_path` holds one
+# loop per backend. The memory-mapped loop is the one whose hot body
+# calls nothing; the hypermap loop calls its out-of-line `lookup`, whose
+# whole instruction count is printed beside it. A loop's hot body runs
+# from its header to the first backward jump to that header; the cold
+# path is laid out after it. Loads and stores count memory operands,
+# Intel syntax: a read-modify-write such as the user's
+# `inc QWORD PTR [rax]` is one of each, a `cmp` or `test` against memory
+# a load.
 set -euo pipefail
 
 bin="${1:?usage: hit_path.sh <path to the hit_path example binary>}"
@@ -29,10 +29,10 @@ bin="${1:?usage: hit_path.sh <path to the hit_path example binary>}"
 # and branch: 11. The hypermap loop passes the key and the instance to
 # `lookup`, calls it, tests the pointer it returns, and runs the user's
 # `inc` and the loop control: 8, plus the call's `lookup`, whose size
-# is budgeted at what it compiled to before the hit was shortened.
+# is budgeted at what it compiles to.
 mmap_budget="11 5 1 3"
 hypermap_budget="8 1 1 2"
-lookup_budget=53
+lookup_budget=47
 
 disasm() {
     objdump -d --no-show-raw-insn -M intel "$@" "$bin"
@@ -119,12 +119,13 @@ check() {
     fi
 }
 
-mmap=$(function_body hit_path_mmap | count_loop 0) || {
-    echo "hit_path.sh: no call-free loop in hit_path_mmap" >&2
+body=$(function_body hit_path)
+mmap=$(count_loop 0 <<<"$body") || {
+    echo "hit_path.sh: no call-free loop in hit_path" >&2
     exit 1
 }
-hypermap=$(function_body hit_path_hypermap | count_loop 1) || {
-    echo "hit_path.sh: no calling loop in hit_path_hypermap" >&2
+hypermap=$(count_loop 1 <<<"$body") || {
+    echo "hit_path.sh: no calling loop in hit_path" >&2
     exit 1
 }
 check mmap "$mmap" "$mmap_budget"

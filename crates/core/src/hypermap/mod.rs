@@ -20,7 +20,7 @@ use cilkm_runtime::{DetachedViews, HyperHooks};
 use cilkm_spa::ViewPair;
 
 use crate::cells::WorkerCells;
-use crate::domain::{foreign, refuse_foreign_pool, refuse_in_root_fold, DomainInner};
+use crate::domain::{foreign, refuse_in_root_fold, DomainInner};
 use crate::instrument::{bump, flush, Instrument};
 use crate::monoid::MonoidInstance;
 use cilkm_obs::profile::Burden;
@@ -124,9 +124,9 @@ impl Drop for HypermapWorkerState {
 /// hash the reducer's address, walk the bucket chain, lazily creating an
 /// identity view on a miss.
 ///
-/// Returns null when the calling thread is no hypermap pool's worker
-/// (the caller then takes its cold path: a refusal, or the serial
-/// leftmost path).
+/// Returns null when the calling thread is no worker of the reducer's
+/// pool (the caller then takes its cold path: a refusal on a worker of
+/// another pool, or the serial leftmost path).
 ///
 /// Deliberately `#[inline(never)]`: in Cilk Plus every reducer access is
 /// an opaque call into the runtime (`__cilkrts_hyper_lookup` through the
@@ -141,10 +141,7 @@ impl Drop for HypermapWorkerState {
 pub(crate) fn lookup(key: u64, inst: &MonoidInstance) -> *mut u8 {
     let tls = HYPERMAP_TLS.with(|c| c.get());
     if foreign(key, tls.key) {
-        // No worker state here (the serial path), or another pool's.
-        if !tls.state.is_null() {
-            refuse_foreign_pool();
-        }
+        // No worker state here, or another pool's.
         return std::ptr::null_mut();
     }
     let ptr = tls.state;
@@ -220,15 +217,13 @@ fn lookup_miss(key: u64, inst: &MonoidInstance, ptr: *mut HypermapWorkerState) -
 }
 
 /// Removes (and returns) the current context's view of the reducer with
-/// `key` and instance `inst`, if the calling thread is a pool worker and
-/// holds one. Used by serial-point reads and reducer destruction.
+/// `key` and instance `inst`, if the calling thread is a worker of the
+/// reducer's pool and holds one. Used by serial-point reads and reducer
+/// destruction.
 pub(crate) fn remove_current(key: u64, inst: &MonoidInstance) -> Option<*mut u8> {
     let tls = HYPERMAP_TLS.with(|c| c.get());
-    if tls.state.is_null() {
+    if tls.state.is_null() || foreign(key, tls.key) {
         return None;
-    }
-    if foreign(key, tls.key) {
-        refuse_foreign_pool();
     }
     // SAFETY: as in `lookup` — thread-local state, no live borrows, and
     // no user code runs inside the block.

@@ -53,7 +53,7 @@ use cilkm_spa::map::MAP_SIZE;
 use cilkm_spa::{InsertOutcome, SpaMapRef, ViewPair, VIEWS_PER_MAP};
 
 use crate::cells::WorkerCells;
-use crate::domain::{foreign, refuse_foreign_pool, refuse_in_root_fold, DomainInner, Slot};
+use crate::domain::{foreign, refuse_in_root_fold, DomainInner, Slot};
 use crate::instrument::{bump, flush, Instrument};
 use crate::monoid::MonoidInstance;
 use crate::msync;
@@ -364,25 +364,24 @@ pub(crate) fn on_foreign_worker(key: u64) -> bool {
     !tls.state.is_null() && foreign(key, tls.key)
 }
 
-/// The miss half of [`lookup`], inlined into `Reducer::update`'s cold
-/// path, so a first touch makes one call, not two. It tells four cases
-/// apart: no worker state on this thread (null, the serial path), a
-/// worker of another memory-mapped pool (the panic of
-/// [`refuse_foreign_pool`]), an access from a `reduce` the region-end
-/// fold runs (the panic of [`refuse_in_root_fold`]), and the miss proper,
-/// which happens at most once per reducer per steal (§6): grow the array
-/// to the slot's page if it lies past the end, then create and insert an
-/// identity view, counting both in the worker's state. It reads the TLS
-/// descriptor again rather than taking it from the hit half.
-#[inline(always)]
+/// The miss half of [`lookup`], called from `Reducer::update`'s cold
+/// path. It tells three cases apart: no worker state of this reducer's
+/// pool on this thread (null: the caller refuses a worker of another
+/// pool, or takes the serial path), an access from a `reduce` the
+/// region-end fold runs (the panic of [`refuse_in_root_fold`]), and the
+/// miss proper, which happens at most once per reducer per steal (§6):
+/// grow the array to the slot's page if it lies past the end, then
+/// create and insert an identity view, counting both in the worker's
+/// state. Out of line and not generic, so every `update` shares one copy.
+/// It reads the TLS descriptor again rather than taking it from the hit
+/// half.
+#[cold]
+#[inline(never)]
 pub(crate) fn lookup_miss(key: u64, inst: &MonoidInstance) -> *mut u8 {
     let tls = MMAP_TLS.with(|c| c.get());
     let ptr = tls.state;
-    if ptr.is_null() {
+    if ptr.is_null() || foreign(key, tls.key) {
         return std::ptr::null_mut();
-    }
-    if foreign(key, tls.key) {
-        refuse_foreign_pool();
     }
     let (page, idx) = split((key ^ tls.key) as usize);
     // SAFETY: `ptr` is the caller's live TLS state; `&mut`s are
@@ -446,14 +445,12 @@ pub(crate) fn lookup_or_miss(key: u64, inst: &MonoidInstance) -> Option<*mut u8>
 }
 
 /// Removes (and returns) the current context's view of the reducer with
-/// `key`, if any.
+/// `key`, if any: `None` also on a thread with no worker state of the
+/// reducer's pool.
 pub(crate) fn remove_current(key: u64) -> Option<*mut u8> {
     let tls = MMAP_TLS.with(|c| c.get());
-    if tls.state.is_null() {
+    if tls.state.is_null() || foreign(key, tls.key) {
         return None;
-    }
-    if foreign(key, tls.key) {
-        refuse_foreign_pool();
     }
     let (page, idx) = split((key ^ tls.key) as usize);
     // SAFETY: thread-local state of the calling worker; no user code

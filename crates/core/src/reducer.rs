@@ -79,10 +79,11 @@ pub struct Reducer<M: Monoid> {
 }
 
 /// True on a worker of any pool but the one the reducer with `key`
-/// belongs to. Each backend's lookup refuses a worker of another pool of
-/// its own kind; a worker of the other kind has no state that backend
-/// can see, so without this test it would take the serial path and
-/// update the leftmost view from inside a region.
+/// belongs to. Each backend's lookup and removal find no view there,
+/// whatever the other pool's backend, so without this test the caller
+/// would take the serial path and update the leftmost view from inside
+/// a region. `update_cold` and `remove_current` refuse it; a hit never
+/// reaches here.
 #[inline]
 fn on_foreign_worker(key: u64) -> bool {
     mmap::on_foreign_worker(key) || hypermap::on_foreign_worker(key)
@@ -183,9 +184,8 @@ impl<M: Monoid> Reducer<M> {
 
     /// Everything of `update` but the hit, out of line so that the hit
     /// path keeps only the lookup and `f`: the memory-mapped miss (a
-    /// first touch after a steal, inlined here), the refusal of a worker
-    /// of another pool, and the serial path off the workers, on the
-    /// leftmost view.
+    /// first touch after a steal), the refusal of a worker of another
+    /// pool, and the serial path off the workers, on the leftmost view.
     /// (The hypermap's miss stays inside its out-of-line lookup.) It
     /// takes `f` by value, so what `f` captures is passed in registers
     /// and nothing is spilled to the stack on a hit.
@@ -201,7 +201,7 @@ impl<M: Monoid> Reducer<M> {
                 return unsafe { Self::apply(view, f) };
             }
         }
-        // No worker state of this reducer's backend on this thread.
+        // No worker state of this reducer's pool on this thread.
         if on_foreign_worker(self.key) {
             refuse_foreign_pool();
         }
@@ -215,7 +215,7 @@ impl<M: Monoid> Reducer<M> {
     }
 
     /// Removes (and returns) the current worker context's view, if any.
-    /// A worker of another pool is refused, whatever its backend.
+    /// A worker of another pool is refused.
     fn remove_current(&self) -> Option<*mut u8> {
         let view = if self.key & HYPERMAP_BIT == 0 {
             mmap::remove_current(self.key)
@@ -369,7 +369,8 @@ mod tests {
     /// each pool runs: an update alone and under `parallel_for`, and
     /// the serial-point `read`, `take` and `set`. A reducer refused
     /// there drops while the panic unwinds, without a second panic. The
-    /// refused calls leave A's reducer as it was, and afterwards both
+    /// refused calls leave A's reducer as it was, B's reducer keeps the
+    /// update each region made before the refusal, and afterwards both
     /// pools and both reducers work as before.
     #[test]
     fn a_reducer_updated_on_a_worker_of_another_pool_is_refused() {
@@ -398,7 +399,7 @@ mod tests {
                 }),
                 ("set", &|| ra.set(0)),
             ];
-            for (name, use_a) in uses {
+            for (i, (name, use_a)) in uses.into_iter().enumerate() {
                 let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     b.run(|| {
                         rb.add(1);
@@ -411,10 +412,15 @@ mod tests {
                     msg.contains("reducer used on a worker of a different pool"),
                     "{backend_a:?} reducer, {name} on a {backend_b:?} worker: {msg:?}"
                 );
+                // B's own update before the refusal is kept.
+                assert_eq!(
+                    rb.get_cloned(),
+                    i as u64 + 1,
+                    "{backend_a:?} reducer, {name} on a {backend_b:?} worker"
+                );
             }
             assert_eq!(ra.get_cloned(), 7, "{backend_a:?} on {backend_b:?}");
             for (pool, r) in [(&a, &ra), (&b, &rb)] {
-                r.set(0);
                 pool.run(|| {
                     parallel_for(0..1000, 16, &|range| {
                         for _ in range {
@@ -423,8 +429,8 @@ mod tests {
                     });
                 });
             }
-            assert_eq!(ra.into_inner(), 1000, "{backend_a:?} on {backend_b:?}");
-            assert_eq!(rb.into_inner(), 1000, "{backend_a:?} on {backend_b:?}");
+            assert_eq!(ra.into_inner(), 1007, "{backend_a:?} on {backend_b:?}");
+            assert_eq!(rb.into_inner(), 1006, "{backend_a:?} on {backend_b:?}");
         }
     }
 
