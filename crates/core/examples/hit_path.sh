@@ -23,14 +23,15 @@ set -euo pipefail
 bin="${1:?usage: hit_path.sh <path to the hit_path example binary>}"
 
 # Budgets, per iteration: instructions, loads, stores, branches. The
-# memory-mapped hit is four loads (TLS key, TLS length, TLS base, the
-# view pointer), a xor, the bounds-and-pool compare and the null test,
-# each with its branch, then the user's `inc` and the loop's decrement
-# and branch: 11. The hypermap loop passes the key and the instance to
-# `lookup`, calls it, tests the pointer it returns, and runs the user's
-# `inc` and the loop control: 8, plus the call's `lookup`, whose size
-# is budgeted at what it compiles to.
-mmap_budget="11 5 1 3"
+# memory-mapped hit is two loads (the TLS base of the worker's slot
+# space, then the view pointer at base plus the key's address bits,
+# masked once before the loop) and the null test with its branch, then
+# the user's `inc` and the loop's decrement and branch: 7. The hypermap
+# loop passes the key and the instance to `lookup`, calls it, tests the
+# pointer it returns, and runs the user's `inc` and the loop control: 8,
+# plus the call's `lookup`, whose size is budgeted at what it compiles
+# to.
+mmap_budget="7 3 1 2"
 hypermap_budget="8 1 1 2"
 lookup_budget=47
 

@@ -1,9 +1,9 @@
 //! The reducer *domain*: everything shared by all reducers of one pool —
-//! its key (backend and id), the slot allocator (the `tlmm_addr` space
-//! of §6), the cell heap every view a first touch creates lives in, and
-//! an arena of simulated physical pages that only the probes and
-//! ablation programs use. Each reducer keeps its own leftmost view in
-//! its [`MonoidInstance`].
+//! its key (backend and id), the count of slots its reducers hold in the
+//! process's one slot space (the `tlmm_addr` space of §6), the cell heap
+//! every view a first touch creates lives in, and an arena of simulated
+//! physical pages that only the probes and ablation programs use. Each
+//! reducer keeps its own leftmost view in its [`MonoidInstance`].
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -16,7 +16,7 @@ use cilkm_tlmm::PageArena;
 use crate::cells::{CellHeap, WorkerCells};
 use crate::instrument::{Instrument, InstrumentSnapshot, ReduceHistograms};
 use crate::monoid::MonoidInstance;
-use crate::msync::atomic::{AtomicU64, Ordering};
+use crate::msync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::msync::Mutex;
 
 /// Which reducer mechanism a pool runs.
@@ -28,14 +28,16 @@ pub enum Backend {
     Mmap,
 }
 
-/// A reducer's identifier: its index in the shared slot space. For the
-/// memory-mapped backend it names the paper's `tlmm_addr` (slot `s` lives
-/// at byte `16·(s mod 248)` of private SPA page `s div 248` in every
-/// worker's page array); the hypermap backend needs it only for the key.
+/// A reducer's identifier: its index in the process's slot space. For
+/// the memory-mapped backend it names the paper's `tlmm_addr` (slot `s`
+/// lives at byte `16·(s mod 248)` of SPA page `s div 248` in every
+/// worker's slot space); the hypermap backend needs it only for the key.
 pub(crate) type Slot = u32;
 
-/// Slots a domain can hand out: 65 536, far above the "reasonable
-/// number of reducers" the paper's footnote 9 assumes.
+/// Slots the process can hand out, all pools together (one allocator
+/// serves them all): 65 536, far above the "reasonable number of
+/// reducers" the paper's footnote 9 assumes. The reducer past the limit
+/// is refused with a panic ("slot space exhausted") that takes no slot.
 pub(crate) const MAX_SLOTS: usize = 1 << 16;
 
 /// Bits 0–20 of a reducer key: the slot's `tlmm_addr`.
@@ -50,11 +52,14 @@ pub(crate) const MAX_SLOTS: usize = 1 << 16;
 ///   so no two domains of one process share it.
 ///
 /// A domain's own key is the same word with the address bits zero, and
-/// each worker's TLS descriptor carries its domain's. `key ^ tls.key` is
-/// therefore the reducer's `tlmm_addr` on a worker of its own pool and at
-/// least 2^21 on any other thread: one compare against the page array's
-/// length tests "a worker of this pool" and "inside the array" at once.
+/// each worker's TLS descriptor carries its domain's. The memory-mapped
+/// hit reads only the address bits ([`ADDR_MASK`]): slots are unique
+/// across pools, so a worker holds no view at another pool's slot, and
+/// the domain bits are tested on the miss path ([`foreign`]).
 pub(crate) const ADDR_BITS: u32 = 21;
+
+/// The address bits of a key: the slot's `tlmm_addr`.
+pub(crate) const ADDR_MASK: u64 = (1 << ADDR_BITS) - 1;
 
 /// Bit 21 of a key: the domain runs [`Backend::Hypermap`].
 pub(crate) const HYPERMAP_BIT: u64 = 1 << ADDR_BITS;
@@ -96,18 +101,38 @@ struct Slots {
     fresh: Slot,
 }
 
+impl Slots {
+    /// The last slot freed, else a fresh one; `None` when none is left.
+    fn alloc(&mut self) -> Option<Slot> {
+        let fresh = ((self.fresh as usize) < MAX_SLOTS).then_some(self.fresh);
+        let slot = self.free.pop().or(fresh)?;
+        if Some(slot) == fresh {
+            self.fresh += 1;
+        }
+        Some(slot)
+    }
+}
+
+/// The process's one slot allocator, which every pool's reducers draw
+/// from. Its lock is taken only when a reducer is created or dropped.
+static SLOTS: Mutex<Slots> = Mutex::new(Slots {
+    free: Vec::new(),
+    fresh: 0,
+});
+
 /// Shared state of a reducer domain. Usually reached through
 /// [`ReducerPool`]; exposed so benches can instrument it directly.
 ///
-/// Its own lock is the slot allocator's, taken only when a reducer is
-/// created or dropped; the cell heap's locks are taken to carve a chunk
-/// and to send freed cells home.
+/// Its reducers take their slots from the process's one allocator; the
+/// cell heap's locks are taken to carve a chunk and to send freed cells
+/// home.
 pub struct DomainInner {
     /// The backend bit and the domain id, address bits zero (see
     /// [`ADDR_BITS`]).
     pub(crate) key: u64,
     pub(crate) instrument: Instrument,
-    slots: Mutex<Slots>,
+    /// Slots this domain's reducers hold.
+    live: AtomicUsize,
     /// The chunks every view made by a first touch lives in; each worker
     /// state holds its share as a [`WorkerCells`]. Freed with the domain,
     /// which every reducer and worker state keeps alive.
@@ -127,10 +152,7 @@ impl DomainInner {
         DomainInner {
             key: (id << (ADDR_BITS + 1)) | backend_bit,
             instrument: Instrument::new(),
-            slots: Mutex::new(Slots {
-                free: Vec::new(),
-                fresh: 0,
-            }),
+            live: AtomicUsize::new(0),
             cells: Arc::new(CellHeap::new()),
             arena: Arc::new(PageArena::new()),
         }
@@ -160,24 +182,19 @@ impl DomainInner {
         self.instrument.histograms()
     }
 
-    /// Hands out a slot: the last one freed, else a fresh one. Panics
-    /// when all [`MAX_SLOTS`] are in use; the refusal takes no slot.
+    /// Hands out a slot: the last one any pool freed, else a fresh one.
+    /// Panics when all [`MAX_SLOTS`] are in use; the refusal takes none.
     pub(crate) fn alloc_slot(&self) -> Slot {
-        let mut slots = self.slots.lock();
-        if let Some(slot) = slots.free.pop() {
-            return slot;
-        }
-        let slot = slots.fresh;
-        if slot as usize == MAX_SLOTS {
-            drop(slots);
-            panic!("slot space exhausted ({MAX_SLOTS} slots)");
-        }
-        slots.fresh += 1;
+        let Some(slot) = SLOTS.lock().alloc() else {
+            panic!("slot space exhausted ({MAX_SLOTS} slots, all pools together)");
+        };
+        self.live.fetch_add(1, Ordering::Relaxed);
         slot
     }
 
     pub(crate) fn free_slot(&self, slot: Slot) {
-        self.slots.lock().free.push(slot);
+        SLOTS.lock().free.push(slot);
+        self.live.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// The region-end fold (both backends' `collect_root`): folds each of
@@ -247,10 +264,10 @@ impl DomainInner {
         }
     }
 
-    /// Number of live reducers (allocated slots) — test aid.
+    /// Number of this domain's live reducers (slots they hold) — test
+    /// aid.
     pub fn live_reducers(&self) -> usize {
-        let slots = self.slots.lock();
-        slots.fresh as usize - slots.free.len()
+        self.live.load(Ordering::Relaxed)
     }
 
     /// The simulated physical-page arena (probes and ablation programs;
@@ -391,20 +408,22 @@ impl ReducerPool {
 mod tests {
     use super::*;
 
+    /// The allocator on an instance of its own (other tests share the
+    /// process's): freed slots come back last in first out, before any
+    /// fresh one.
     #[test]
     fn slots_are_recycled() {
-        let d = DomainInner::new(Backend::Mmap);
-        let a = d.alloc_slot();
-        let b = d.alloc_slot();
+        let mut slots = Slots {
+            free: Vec::new(),
+            fresh: 0,
+        };
+        let (a, b) = (slots.alloc(), slots.alloc());
         assert_ne!(a, b);
-        assert_eq!(d.live_reducers(), 2);
-        d.free_slot(a);
-        assert_eq!(d.alloc_slot(), a, "freed slot must be reused first");
-        d.free_slot(b);
-        d.free_slot(a);
-        assert_eq!(d.live_reducers(), 0);
-        assert_eq!(d.alloc_slot(), a);
-        assert_eq!(d.alloc_slot(), b);
+        slots.free.extend([b, a].map(Option::unwrap));
+        assert_eq!(
+            [slots.alloc(), slots.alloc(), slots.alloc()],
+            [a, b, Some(2)]
+        );
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!   insertions and SPA log overflows happen in a worker's own context,
 //!   up to once per reducer per steal for the last three. Each is a plain
 //!   `Cell` increment in the worker's state (`bump`). Nothing shared is
-//!   written, so a first touch writes only the worker's page array (or
+//!   written, so a first touch writes only the worker's slot space (or
 //!   table), the new view and the worker's own state. Each backend's
 //!   `flush_counts` adds the cells to these totals (`flush`) at every
 //!   hook that ends or merges a context: `detach`, `merge_right`,

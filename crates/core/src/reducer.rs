@@ -10,11 +10,10 @@
 //! to the heap block that owns all of the above and a key that packs the
 //! slot's `tlmm_addr` with the pool's backend and id (see
 //! `domain::ADDR_BITS`). A lookup hit reads the key and nothing behind
-//! the pointer: the memory-mapped backend tests the key against the
-//! worker's TLS descriptor and indexes its page array with it; the
-//! hypermap backend takes its pool test from the key and hashes the
-//! monoid instance's address, which is computed from the pointer, not
-//! loaded through it.
+//! the pointer: the memory-mapped backend indexes the worker's slot space
+//! with the key's address bits; the hypermap backend takes its pool test
+//! from the key and hashes the monoid instance's address, which is
+//! computed from the pointer, not loaded through it.
 //!
 //! Accesses go through [`Reducer::update`] (or the typed wrappers in
 //! [`crate::library`]): on a pool worker this resolves the current
@@ -71,8 +70,8 @@ unsafe impl<M: Monoid> Sync for ReducerInner<M> {}
 /// The handle is 16 bytes: the pointer to its shared state, and the key
 /// a lookup reads in its place — the slot's `tlmm_addr`, the backend and
 /// the pool's id in one word. A memory-mapped hit reads the key, the
-/// worker's TLS descriptor and one view pointer in its page array, and
-/// nothing behind the handle's pointer.
+/// base of the worker's slot space from TLS and one view pointer in that
+/// space, and nothing behind the handle's pointer.
 pub struct Reducer<M: Monoid> {
     inner: Arc<ReducerInner<M>>,
     key: u64,
@@ -130,7 +129,7 @@ impl<M: Monoid> Reducer<M> {
     /// *the* reducer access of the paper.
     ///
     /// On a pool worker this performs the backend lookup (hash probe for
-    /// hypermaps; four loads and two branches inline for memory-mapped
+    /// hypermaps; two loads and a branch inline for memory-mapped
     /// reducers), lazily creating an identity view on the first access
     /// after a steal. On a non-worker thread it addresses the leftmost
     /// view directly.
@@ -489,37 +488,6 @@ mod tests {
         }
     }
 
-    /// Two live pools with a reducer on slot 0 each, run at once from two
-    /// threads: each reducer sees only its own pool's updates.
-    #[test]
-    fn reducers_on_the_same_slot_of_two_pools_keep_their_own_views() {
-        for backend in [Backend::Hypermap, Backend::Mmap] {
-            let pools = [ReducerPool::new(2, backend), ReducerPool::new(2, backend)];
-            let rs: Vec<_> = pools
-                .iter()
-                .map(|p| Reducer::new(p, SumMonoid::<u64>::new(), 0))
-                .collect();
-            assert_eq!((rs[0].slot(), rs[1].slot()), (0, 0));
-            std::thread::scope(|s| {
-                for (k, (pool, r)) in pools.iter().zip(&rs).enumerate() {
-                    s.spawn(move || {
-                        for _ in 0..20 {
-                            pool.run(|| {
-                                parallel_for(0..1000, 8, &|range| {
-                                    for _ in range {
-                                        r.add(k as u64 + 1);
-                                    }
-                                });
-                            });
-                        }
-                    });
-                }
-            });
-            let totals: Vec<u64> = rs.into_iter().map(Reducer::into_inner).collect();
-            assert_eq!(totals, [20_000, 40_000], "{backend:?}");
-        }
-    }
-
     #[test]
     fn serial_updates_hit_leftmost() {
         for pool in both_backends() {
@@ -591,16 +559,21 @@ mod tests {
         }
     }
 
+    /// Reducers made after others were dropped take their slots (other
+    /// tests share the process's allocator, so this is judged over a
+    /// batch), and a recycled slot starts with no view.
     #[test]
     fn dropping_midway_recycles_slot() {
         for pool in both_backends() {
-            let r1 = Reducer::new(&pool, SumMonoid::<u64>::new(), 0);
-            let s1 = r1.slot();
-            drop(r1);
-            let r2 = Reducer::new(&pool, SumMonoid::<u64>::new(), 0);
-            assert_eq!(r2.slot(), s1, "slot recycled");
-            pool.run(|| r2.update(|v| *v += 3));
-            assert_eq!(r2.into_inner(), 3);
+            let new = || Reducer::new(&pool, SumMonoid::<u64>::new(), 0);
+            let first: Vec<_> = (0..8).map(|_| new()).collect();
+            pool.run(|| first.iter().for_each(|r| r.add(1)));
+            let freed: Vec<Slot> = first.iter().map(Reducer::slot).collect();
+            drop(first);
+            let second: Vec<_> = (0..8).map(|_| new()).collect();
+            assert!(second.iter().any(|r| freed.contains(&r.slot())));
+            pool.run(|| second.iter().for_each(|r| r.add(3)));
+            assert!(second.into_iter().all(|r| r.into_inner() == 3));
         }
     }
 

@@ -1,9 +1,10 @@
 //! White-box-ish tests of the backend machinery through the public API:
 //! no TLMM crossings on either backend, view integrity under leapfrogging
 //! (a `detach` before the foreign job and an `attach` after it) and under
-//! page-array growth inside user code, the end of the slot space, SPA
-//! log overflow in vivo, and `set`/`move_in` semantics. (The page arrays
-//! themselves are checked inside the crate, in `mmap`'s tests.)
+//! first touches of new pages inside user code, SPA log overflow in vivo,
+//! and `set`/`move_in` semantics. (The slot spaces themselves are checked
+//! inside the crate, in `mmap`'s tests; the end of the slot space, which
+//! needs the whole process's, in `slot_space.rs`.)
 
 #![expect(
     clippy::disallowed_types,
@@ -11,7 +12,7 @@
 )]
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use cilkm_core::library::{ListMonoid, StringMonoid, SumMonoid};
 use cilkm_core::{Backend, Monoid, Reducer, ReducerPool};
@@ -21,8 +22,8 @@ use cilkm_runtime::{join, parallel_for};
 #[cfg_attr(miri, ignore = "spawns OS worker threads")]
 fn no_backend_touches_the_simulated_tlmm() {
     // Neither reducer mechanism allocates, maps or frees a page of the
-    // simulated TLMM: the mmap backend keeps its SPA maps in a page
-    // array of its own, and the hypermap backend has none. The domain's
+    // simulated TLMM: the mmap backend keeps its SPA maps in a slot
+    // space of its own, and the hypermap backend has none. The domain's
     // arena counters (what the `tlmm.*` metrics read) stay exactly zero
     // across a region with steals.
     for backend in [Backend::Hypermap, Backend::Mmap] {
@@ -185,42 +186,51 @@ impl Drop for Marks {
 }
 
 /// Concatenation of leaf marks whose `identity` and `reduce` each also
-/// add one to a counter reducer of their own. The counters sit on SPA
-/// pages past the marks reducer's, so the first `identity` a worker runs
-/// grows its page array inside the lookup miss that called it, and the
-/// first `reduce` inside the hypermerge that called it. `reduce` spills
-/// only while `in_joins` is set: the region-end fold refuses a nested
-/// access.
+/// add one to a counter reducer of their own: `[identities, reduces]`,
+/// set once the marks reducer has its slot, on two other SPA pages. The
+/// first `identity` a worker runs then touches a new page inside the
+/// lookup miss that called it, and the first `reduce` inside the
+/// hypermerge that called it. `reduce` spills only while `in_joins` is
+/// set: the region-end fold refuses a nested access.
 struct Spilling {
     tally: Arc<Tally>,
-    identities: Reducer<SumMonoid<u64>>,
-    reduces: Reducer<SumMonoid<u64>>,
+    counters: OnceLock<[Reducer<SumMonoid<u64>>; 2]>,
     in_joins: AtomicBool,
+}
+
+impl Spilling {
+    fn counters(&self) -> &[Reducer<SumMonoid<u64>>; 2] {
+        self.counters.get().expect("counters set before the region")
+    }
 }
 
 impl Monoid for Spilling {
     type View = Marks;
     fn identity(&self) -> Marks {
-        self.identities.add(1);
+        self.counters()[0].add(1);
         Marks::new(&self.tally)
     }
     fn reduce(&self, left: &mut Marks, mut right: Marks) {
         if self.in_joins.load(Ordering::Relaxed) {
-            self.reduces.add(1);
+            self.counters()[1].add(1);
         }
         left.marks.append(&mut right.marks);
     }
 }
 
+/// The SPA page a slot lives on.
+fn page(slot: u32) -> usize {
+    slot as usize / 248
+}
+
 #[test]
 #[cfg_attr(miri, ignore = "spawns OS worker threads")]
-fn growth_inside_identity_and_reduce_keeps_the_serial_result() {
+fn first_touches_inside_identity_and_reduce_keep_the_serial_result() {
     // A forced-steal spine: every leaf waits until all K right sides
     // have started, so each of them runs on the thief, in a fresh pool
-    // per run so every worker's first identity and first reduce grow
-    // its array.
+    // per run so every worker's first identity and first reduce touch a
+    // page it has not reached.
     const K: u32 = 4;
-    const PAGE: usize = 248;
     fn spine(k: u32, started: &AtomicU32, marks: &Reducer<Spilling>) {
         if k == 0 {
             marks.update(|m| m.marks.push(0));
@@ -241,23 +251,30 @@ fn growth_inside_identity_and_reduce_keeps_the_serial_result() {
     for backend in [Backend::Hypermap, Backend::Mmap] {
         for run in 0..50 {
             let pool = ReducerPool::new(2, backend);
-            // Counters at slots 2·248 (page 2) and 4·248 (page 4); the
-            // others go back last-first, so the marks take slot 0.
-            let mut sums: Vec<_> = (0..=4 * PAGE)
-                .map(|_| Reducer::new(&pool, SumMonoid::<u64>::new(), 0))
-                .collect();
-            let reduces = sums.pop().unwrap();
-            let identities = sums.remove(2 * PAGE);
-            sums.into_iter().rev().for_each(drop);
             let tally = Arc::new(Tally::default());
             let monoid = Spilling {
                 tally: Arc::clone(&tally),
-                identities,
-                reduces,
+                counters: OnceLock::new(),
                 in_joins: AtomicBool::new(true),
             };
             let marks = Reducer::new(&pool, monoid, Marks::new(&tally));
-            assert_eq!(marks.slot(), 0);
+            // The counters take slots on two pages other than the marks'
+            // and each other's, picked from what the allocator hands out
+            // (four pages' worth of slots span at least four pages).
+            let mut sums: Vec<_> = (0..4 * 248)
+                .map(|_| Reducer::new(&pool, SumMonoid::<u64>::new(), 0))
+                .collect();
+            let mut take_on_a_new_page = |not: &[usize]| {
+                let at = sums
+                    .iter()
+                    .position(|r| !not.contains(&page(r.slot())))
+                    .expect("a slot on another page");
+                sums.swap_remove(at)
+            };
+            let identities = take_on_a_new_page(&[page(marks.slot())]);
+            let reduces = take_on_a_new_page(&[page(marks.slot()), page(identities.slot())]);
+            drop(sums);
+            assert!(marks.monoid().counters.set([identities, reduces]).is_ok());
 
             let started = AtomicU32::new(0);
             pool.run(|| {
@@ -267,13 +284,13 @@ fn growth_inside_identity_and_reduce_keeps_the_serial_result() {
             assert_eq!(pool.stats().stolen_joins, u64::from(K));
             // Every nested update happened inside the joins, so the
             // region folded it.
-            let reduces = marks.monoid().reduces.get_cloned();
+            let reduces = marks.monoid().counters()[1].get_cloned();
             assert_eq!(
                 reduces,
                 u64::from(K),
                 "{backend:?} run {run}: one pair a merge"
             );
-            let identities = marks.monoid().identities.get_cloned();
+            let identities = marks.monoid().counters()[0].get_cloned();
             let want: Vec<u32> = (0..=K).collect();
             assert_eq!(marks.into_inner().marks, want, "{backend:?} run {run}");
             let (made, dropped) = (
@@ -286,61 +303,6 @@ fn growth_inside_identity_and_reduce_keeps_the_serial_result() {
                 "{backend:?} run {run}: each view dropped once"
             );
         }
-    }
-}
-
-#[test]
-#[cfg_attr(miri, ignore = "spawns OS worker threads")]
-fn the_last_slot_folds_and_the_one_past_it_is_refused() {
-    // Slot 65 535 is element 63 of SPA page 264, the last page a page
-    // array can reach. Both workers update it inside one region (the
-    // left side waits until the thief has started the right one), and
-    // the fold keeps serial order. The 65 537th reducer is refused with
-    // the slot allocator's panic, the pool stays usable, and a dropped
-    // reducer's slot is the next one handed out.
-    const SLOTS: usize = 65_536;
-    for backend in [Backend::Hypermap, Backend::Mmap] {
-        let pool = ReducerPool::new(2, backend);
-        let mut fillers: Vec<_> = (0..SLOTS - 1)
-            .map(|_| Reducer::new(&pool, SumMonoid::<u64>::new(), 0))
-            .collect();
-        let last = Reducer::new(&pool, ListMonoid::<u32>::new(), Vec::new());
-        assert_eq!(last.slot() as usize, SLOTS - 1);
-        let both_workers = || {
-            let started = AtomicBool::new(false);
-            join(
-                || {
-                    while !started.load(Ordering::Acquire) {
-                        std::thread::yield_now();
-                    }
-                    last.push(1);
-                },
-                || {
-                    started.store(true, Ordering::Release);
-                    last.push(2);
-                },
-            );
-        };
-        pool.run(both_workers);
-        assert_eq!(last.get_cloned(), [1, 2], "{backend:?}");
-        assert_eq!(pool.stats().stolen_joins, 1);
-
-        let one_more = || Reducer::new(&pool, SumMonoid::<u64>::new(), 0);
-        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(one_more))
-            .map(drop)
-            .expect_err("the 65 537th reducer must be refused");
-        let message = refused.downcast_ref::<String>().expect("a formatted panic");
-        assert!(message.contains("slot space exhausted"), "{message}");
-        // The refusal took no slot, and the count still reads.
-        assert_eq!(pool.domain().live_reducers(), SLOTS, "{backend:?}");
-        pool.run(both_workers);
-        assert_eq!(last.get_cloned(), [1, 2, 1, 2], "{backend:?}");
-
-        let freed = fillers.swap_remove(1000).slot();
-        let recycled = Reducer::new(&pool, SumMonoid::<u64>::new(), 5);
-        assert_eq!(recycled.slot(), freed);
-        pool.run(|| recycled.add(1));
-        assert_eq!(recycled.into_inner(), 6, "{backend:?}");
     }
 }
 

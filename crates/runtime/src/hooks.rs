@@ -32,11 +32,11 @@ use std::any::Any;
 /// For the hypermap backend this is the hypermap itself (pointer
 /// switching, §7); for the memory-mapped backend it is one flat,
 /// exactly-sized list of `(slot, view pointer, monoid pointer)` copied
-/// out of the private SPA maps in the worker's page array. Either way
+/// out of the private SPA maps in the worker's slot space. Either way
 /// the set owns its views: dropping it destroys them.
 pub type DetachedViews = Box<dyn Any + Send>;
 
-/// Per-worker backend state (the page array of private SPA maps, or the
+/// Per-worker backend state (the slot space of private SPA maps, or the
 /// current hypermap), created on the worker's own thread.
 pub type WorkerState = Box<dyn Any + Send>;
 

@@ -20,8 +20,8 @@
 //! The layout is used in two places:
 //!
 //! * **private SPA maps**, one worker's current views: the pages of its
-//!   heap page array, where a reducer's `tlmm_addr` is a byte offset (the
-//!   array stands in for the worker's TLMM region); and
+//!   `mmap`-reserved slot space, where a reducer's `tlmm_addr` is a byte
+//!   offset (the space stands in for the worker's TLMM region); and
 //! * [`SpaMapBox`], a map on a heap page of its own, used only by
 //!   `benchmark/`, `crates/bench` and this crate's tests. View transferal
 //!   does not go through it: a detach copies the private pairs into one
@@ -96,7 +96,7 @@ pub enum InsertOutcome {
 }
 
 /// An unsafe-to-construct, safe-to-use accessor over a SPA map in raw
-/// memory (a page of a worker's page array or a [`SpaMapBox`]
+/// memory (a page of a worker's slot space or a [`SpaMapBox`]
 /// allocation).
 #[derive(Copy, Clone)]
 pub struct SpaMapRef {

@@ -37,7 +37,7 @@
 //!   bottleneck" argument.
 //!
 //! No reducer path calls `palloc`, `pmap` or `pfree`: each worker reaches
-//! its views through one page array of its own (DESIGN.md §4), so a
+//! its views through one slot space of its own (DESIGN.md §4), so a
 //! pool's crossing counters read 0.
 //!
 //! Memory inside a mapped page is exposed as raw pointers: the same page

@@ -42,7 +42,7 @@ impl TlmmAddr {
 /// plus a flat array of cached page base pointers that plays the role of
 /// the hardware TLB: resolving an address is a single indexed load
 /// followed by pointer arithmetic. (The memory-mapped reducer backend
-/// keeps its SPA maps in a page array of its own and does not use a
+/// keeps its SPA maps in a slot space of its own and does not use a
 /// region; the simulation serves the probes and ablation programs.)
 ///
 /// Mutating the mapping goes through [`TlmmRegion::pmap`], the analogue of

@@ -9,7 +9,7 @@
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::time::Duration;
 
 use cilkm::prelude::*;
@@ -748,5 +748,67 @@ fn nested_update_from_takes_identity_lands_where_the_take_runs() {
         assert_eq!(taken, 1000, "{backend:?}");
         assert_eq!(spills.get_cloned(), 3, "{backend:?}");
         assert_eq!(r.into_inner(), 0, "{backend:?}");
+    }
+}
+
+/// Sums `u64` views; `identity` first adds one to `identities`, which is
+/// set after the reducer is made so that it can sit on a page of its own.
+#[derive(Default)]
+struct CountingIdentity {
+    identities: OnceLock<Reducer<SumMonoid<u64>>>,
+}
+
+impl Monoid for CountingIdentity {
+    type View = u64;
+    fn identity(&self) -> u64 {
+        self.identities.get().expect("set before any region").add(1);
+        0
+    }
+    fn reduce(&self, left: &mut u64, right: u64) {
+        *left += right;
+    }
+}
+
+/// A first touch of a slot on a page no context has reached, made from
+/// inside a user `identity` while an outer `update` holds its view: the
+/// nested miss inserts into the worker's slot space while the outer miss
+/// and the outer closure are both still running. Both results are the
+/// serial elision's.
+#[test]
+fn a_first_touch_of_a_far_page_inside_identity_under_an_outer_update() {
+    const PAGE: usize = 248;
+    let page = |slot: u32| slot as usize / PAGE;
+    for backend in backends() {
+        let pool = ReducerPool::new(2, backend);
+        let outer = Reducer::new(&pool, SumMonoid::<u64>::new(), 0);
+        let r = Reducer::new(&pool, CountingIdentity::default(), 0);
+        // The counter goes on a page neither `outer` nor `r` is on. Two
+        // pages' worth of other slots cannot all lie on those two pages,
+        // which hold `outer` and `r`.
+        let near = [page(outer.slot()), page(r.slot())];
+        let mut spare: Vec<_> = (0..2 * PAGE)
+            .map(|_| Reducer::new(&pool, SumMonoid::<u64>::new(), 0))
+            .collect();
+        let far = spare
+            .iter()
+            .position(|c| !near.contains(&page(c.slot())))
+            .expect("a slot on a far page");
+        assert!(r.monoid().identities.set(spare.swap_remove(far)).is_ok());
+        drop(spare);
+
+        pool.run(|| {
+            parallel_for(0..1000, 1, &|range| {
+                for i in range {
+                    outer.update(|o| {
+                        r.update(|v| *v += i as u64);
+                        *o += 1;
+                    });
+                }
+            });
+        });
+        assert_eq!(outer.into_inner(), 1000, "{backend:?}");
+        assert_eq!(r.get_cloned(), (0..1000).sum::<u64>(), "{backend:?}");
+        let identities = r.monoid().identities.get().unwrap().get_cloned();
+        assert!(identities >= 1, "{backend:?}: first touches ran identity");
     }
 }
